@@ -138,8 +138,10 @@ class ConnectionCoefficients:
 def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     """F and its first dmax y-derivatives, summed simultaneously over an
     array of arguments. Terminating series are summed exactly; otherwise
-    convergence requires every element's terms to stay below _SERIES_TOL
-    relative for 3 consecutive terms."""
+    convergence requires every element's terms, in each of the dmax + 1
+    sums, to stay below _SERIES_TOL relative for 3 consecutive terms
+    (the k-th term of the j-th derivative carries an extra factor ~k^j,
+    so watching F alone would cut F'' short by ~k^2 * _SERIES_TOL)."""
     a, b, c = params.a, params.b, params.c
     y = np.asarray(y, dtype=complex)
     out = [np.zeros(y.shape, dtype=complex) for _ in range(dmax + 1)]
@@ -151,19 +153,23 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     # exact zeros (the series derivatives at y=0 are handled via the k
     # offset below, and 0-division never contributes there).
     ysafe = np.where(y == 0, 1.0, y)
+    ysafe2 = ysafe**2
     k = 0
     calm = 0
     while True:
         out[0] += term
+        steps = [term]  # this term's contribution to each sum in out
         if dmax >= 1 and k >= 1:
-            out[1] += k * term / ysafe
+            steps.append(k * term / ysafe)
+            out[1] += steps[-1]
         if dmax >= 2 and k >= 2:
-            out[2] += k * (k - 1) * term / ysafe**2
+            steps.append(k * (k - 1) * term / ysafe2)
+            out[2] += steps[-1]
         if params.terminating and k >= params.degree:
             break
         if not params.terminating:
-            scale = np.maximum(np.abs(out[0]), 1.0)
-            if np.all(np.abs(term) <= _SERIES_TOL * scale):
+            if all(np.all(np.abs(step) <= _SERIES_TOL * np.maximum(np.abs(acc), 1.0))
+                   for acc, step in zip(out, steps)):
                 calm += 1
                 if calm >= 3:
                     break
@@ -186,31 +192,97 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     return out
 
 
-def eval_2f1(params: Hyp2F1Params, y: complex) -> complex:
-    """Gauss series F(a,b,c;y).
+def _checked_series(params: Hyp2F1Params, y: np.ndarray, dmax: int):
+    """_series_array under the domain rules of eval_2f1: finite
+    arguments, and |y| < 1 unless the series terminates."""
+    big = float(np.max(np.abs(y), initial=0.0))
+    _require_finite(complex(big))
+    if not params.terminating and big >= 1.0:
+        raise NonConvergent(f"|y| = {big:.6g} >= 1 and series does not terminate")
+    return _series_array(params, y, dmax)
+
+
+def eval_2f1(params: Hyp2F1Params, y):
+    """Gauss series F(a,b,c;y); y may be a scalar or an array.
 
     Terminating parameter sets are summed exactly (valid for all y);
     otherwise |y| < 1 is required and summation stops once the relative
     term stays below 1e-16 for 3 consecutive terms (cap 10,000).
     """
-    y = complex(y)
-    _require_finite(y)
-    if not params.terminating and abs(y) >= 1.0:
-        raise NonConvergent(f"|y| = {abs(y):.6g} >= 1 and series does not terminate")
-    return complex(_series_array(params, np.array(y), 0)[0])
+    arr = np.asarray(y, dtype=complex)
+    f = _checked_series(params, arr, 0)[0]
+    return complex(f) if arr.shape == () else f
 
 
 def series_with_derivatives(params: Hyp2F1Params, y) -> tuple:
     """(F, dF/dy, d2F/dy2) by term-wise differentiated series; y may be
     a scalar or an array. Same domain rules as eval_2f1."""
     arr = np.asarray(y, dtype=complex)
-    _require_finite(complex(np.max(np.abs(arr))))
-    if not params.terminating and float(np.max(np.abs(arr))) >= 1.0:
-        raise NonConvergent("series argument leaves |y| < 1")
-    f0, f1, f2 = _series_array(params, arr, 2)
-    if np.isscalar(y) or arr.shape == ():
+    f0, f1, f2 = _checked_series(params, arr, 2)
+    if arr.shape == ():
         return complex(f0), complex(f1), complex(f2)
     return f0, f1, f2
+
+
+# Re y above which _series_or_connection sums a non-terminating F in the
+# y ~ 1 basis. The split is set by accuracy: near y = 1/2 the two
+# connection terms grow like exp(pi*lam) and cancel, while the direct
+# series needs ever more terms, and the k^2-weighted terms of F'' more
+# still, as y -> 1. Worst error of the h3 axial forms and both
+# z-derivatives (Z1 and Z2 on the U1 and U5 branches, 16 draws of p in
+# [0.2, 2], lam from B in {2, 3.5, 5}, 86 points on |z| <= 10) against
+# mpmath at 30 digits, relative to the sup-norm, by split: 0.5 1.1e-11,
+# 0.7 2.9e-12, 0.8 1.2e-12, 0.85 5.1e-13, 0.9 2.2e-13, 0.95 1.2e-13.
+_CONNECTION_SPLIT = 0.9
+
+
+def _series_or_connection(params: Hyp2F1Params, y, w, dmax: int):
+    """[F, dF/dy, d2F/dy2][:dmax + 1] (dmax 0 or 2) at y = 1 - w; w is
+    passed separately so that it keeps its relative precision as y -> 1.
+
+    A non-terminating F at points inside the unit disc with
+    Re y > _CONNECTION_SPLIT is summed in the y ~ 1 basis (DLMF 15.10.21),
+
+        F = to_u2 G(w) + to_u6 w^s H(w),   s = c - a - b,
+        G = F(a, b; 1 - s; w),  H = F(c - a, c - b; 1 + s; w),
+
+    and differentiated exactly (d/dy = -d/dw). Every other point, and
+    every point when s is an integer, takes the direct series. Each sum
+    goes through eval_2f1 or series_with_derivatives, with their domain
+    rules.
+    """
+    def sums(p, x):
+        return [eval_2f1(p, x)] if dmax == 0 else list(series_with_derivatives(p, x))
+
+    y = np.asarray(y, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    if params.terminating:
+        return sums(params, y)
+    # 2 Re w > |w|^2 is |y| < 1 without the rounding of y = 1 - w
+    far = (y.real > _CONNECTION_SPLIT) & (2.0 * w.real > np.abs(w) ** 2)
+    if not far.any():
+        return sums(params, y)
+    try:
+        coeff = kummer_connection(params, KummerBranch.U1)
+    except DegenerateConnection:
+        return sums(params, y)
+    out = [np.empty(y.shape, dtype=complex) for _ in range(dmax + 1)]
+    near = ~far
+    if near.any():
+        for o, v in zip(out, sums(params, y[near])):
+            o[near] = v
+    a, b, c = params.a, params.b, params.c
+    s = c - a - b
+    wf = w[far]
+    g = sums(Hyp2F1Params(a, b, 1 - s), wf)
+    h = sums(Hyp2F1Params(c - a, c - b, 1 + s), wf)
+    u2, u6 = coeff.to_u2, coeff.to_u6 * wf ** s
+    out[0][far] = u2 * g[0] + u6 * h[0]
+    if dmax:
+        out[1][far] = -u2 * g[1] - u6 * (s / wf * h[0] + h[1])
+        out[2][far] = u2 * g[2] + u6 * (s * (s - 1) / wf**2 * h[0]
+                                        + 2 * s / wf * h[1] + h[2])
+    return out
 
 
 # Bernoulli numbers B_2..B_14 for the asymptotic log-gamma tail
@@ -248,12 +320,16 @@ def log_gamma(z: complex) -> complex:
 
 
 def _gamma_ratio(num, den) -> complex:
-    """exp(sum log Gamma(num) - sum log Gamma(den))."""
+    """exp(sum log Gamma(num) - sum log Gamma(den)); 0 when a den
+    argument sits on a pole of Gamma (1/Gamma is entire)."""
     s = 0.0 + 0.0j
     for z in num:
         s += log_gamma(z)
     for z in den:
-        s -= log_gamma(z)
+        try:
+            s -= log_gamma(z)
+        except PoleAtNonPositiveInteger:
+            return 0.0 + 0.0j
     return cmath.exp(s)
 
 
@@ -266,8 +342,8 @@ def kummer_connection(params: Hyp2F1Params,
              + [G(2-c)G(a+b-c)/(G(a+1-c)G(b+1-c))] U6
 
     Raises DegenerateConnection when c-a-b is an integer (logarithmic
-    case); Gamma poles in the coefficient arguments propagate as
-    PoleAtNonPositiveInteger.
+    case). A Gamma pole in a denominator makes that coefficient 0; one
+    in a numerator propagates as PoleAtNonPositiveInteger.
     """
     a, b, c = params.a, params.b, params.c
     cab = c - a - b
@@ -284,16 +360,22 @@ def kummer_connection(params: Hyp2F1Params,
     )
 
 
-def u2_value(params: Hyp2F1Params, y: complex) -> complex:
-    """U2 = F(a, b, a+b-c+1; 1-y), the y ~ 1 solution analytic at y=1."""
-    a, b, c = params.a, params.b, params.c
-    return eval_2f1(Hyp2F1Params(a, b, a + b - c + 1), 1 - complex(y))
+def _scalar_or_array(y):
+    return complex(y) if np.ndim(y) == 0 else np.asarray(y, dtype=complex)
 
 
-def u6_value(params: Hyp2F1Params, y: complex) -> complex:
-    """U6 = (1-y)^(c-a-b) F(c-a, c-b, c-a-b+1; 1-y)."""
+def u2_value(params: Hyp2F1Params, y):
+    """U2 = F(a, b, a+b-c+1; 1-y), the y ~ 1 solution analytic at y=1;
+    y may be a scalar or an array."""
     a, b, c = params.a, params.b, params.c
-    y = complex(y)
+    return eval_2f1(Hyp2F1Params(a, b, a + b - c + 1), 1 - _scalar_or_array(y))
+
+
+def u6_value(params: Hyp2F1Params, y):
+    """U6 = (1-y)^(c-a-b) F(c-a, c-b, c-a-b+1; 1-y); y may be a scalar
+    or an array."""
+    a, b, c = params.a, params.b, params.c
+    y = _scalar_or_array(y)
     cab = c - a - b
     return (1 - y) ** cab * eval_2f1(Hyp2F1Params(c - a, c - b, cab + 1), 1 - y)
 

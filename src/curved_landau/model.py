@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hyp2f1 import Hyp2F1Params, series_with_derivatives
+from .hyp2f1 import Hyp2F1Params, _series_or_connection
 
 __all__ = [
     "DomainError",
@@ -124,10 +124,18 @@ class SigmaBranch(Enum):
     PLUS_P = "plus_p"
 
 
+def _logistic(t):
+    """1 / (1 + e^-t) as complex, to full relative precision for every
+    real t (0 once e^-t overflows)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t)) + 0.0j
+
+
 class Variable(Enum):
     """Coordinate-to-argument maps for the four solution families."""
 
     YZ = "yz"        # y = (1 + tanh z)/2,  z real        -> y in (0,1)
+                     #   = e^z / (2 cosh z), 1 - y = e^-z / (2 cosh z)
     YR = "yr"        # y = (1 + cosh r)/2,  r > 0         -> y in (1,inf)
     YZ_S3 = "yz_s3"  # y = (1 + i tan z)/2, |z| < pi/2    -> Re y = 1/2
     YR_S3 = "yr_s3"  # y = (1 + cos r)/2,   r in (0,pi)   -> y in (0,1)
@@ -135,12 +143,21 @@ class Variable(Enum):
     def y_of(self, x):
         x = np.asarray(x, dtype=float)
         if self is Variable.YZ:
-            return (1.0 + np.tanh(x)) / 2.0 + 0.0j
+            return _logistic(2.0 * x)
         if self is Variable.YR:
             return (1.0 + np.cosh(x)) / 2.0 + 0.0j
         if self is Variable.YZ_S3:
             return (1.0 + 1j * np.tan(x)) / 2.0
         return (1.0 + np.cos(x)) / 2.0 + 0.0j
+
+    def y_pair(self, x):
+        """(y, 1 - y) at x; on YZ both keep full relative precision (1 - y
+        is not formed by cancellation as y -> 1)."""
+        if self is Variable.YZ:
+            x = np.asarray(x, dtype=float)
+            return _logistic(2.0 * x), _logistic(-2.0 * x)
+        y = self.y_of(x)
+        return y, 1 - y
 
     def dy_dx(self, x):
         x = np.asarray(x, dtype=float)
@@ -207,7 +224,9 @@ class SolutionForm:
 
     Powers are principal-branch; on Yr (y > 1) the factor (1-y)^exp_c
     therefore carries the constant phase exp(i*pi*exp_c). Pair factors
-    are stated for exactly this convention.
+    are stated for exactly this convention. A non-terminating F is summed
+    directly at Re y <= 0.9 and through the 1-y connection above
+    (hyp2f1._series_or_connection).
     """
 
     exp_a: complex
@@ -216,31 +235,42 @@ class SolutionForm:
     variable: Variable
 
     def value_y(self, y):
-        f = series_with_derivatives(self.params, y)[0]
         y = np.asarray(y, dtype=complex)
-        return y ** self.exp_a * (1 - y) ** self.exp_c * f
+        return self._form(y, 1 - y, 0)[0]
 
     def derivs_y(self, y):
         """(G, dG/dy, d2G/dy2) for the full form G."""
         y = np.asarray(y, dtype=complex)
-        f0, f1, f2 = series_with_derivatives(self.params, y)
+        return tuple(self._form(y, 1 - y, 2))
+
+    def _form(self, y, w, dmax: int):
+        """G and its first dmax y-derivatives at y = 1 - w. Raises
+        EvaluationDomain rather than return a non-finite value."""
+        if not self.params.terminating and np.any(w == 0):
+            raise EvaluationDomain("1 - y underflows to 0; the form's "
+                                   "hypergeometric factor is singular there")
         A, C = self.exp_a, self.exp_c
-        pref = y ** A * (1 - y) ** C
-        lg1 = A / y - C / (1 - y)
-        lg2 = A * (A - 1) / y**2 - 2 * A * C / (y * (1 - y)) + C * (C - 1) / (1 - y) ** 2
-        g0 = pref * f0
-        g1 = pref * (lg1 * f0 + f1)
-        g2 = pref * (lg2 * f0 + 2 * lg1 * f1 + f2)
-        return g0, g1, g2
+        with np.errstate(all="ignore"):
+            f = _series_or_connection(self.params, y, w, dmax)
+            pref = y ** A * w ** C
+            out = [pref * f[0]]
+            if dmax:
+                lg1 = A / y - C / w
+                lg2 = A * (A - 1) / y**2 - 2 * A * C / (y * w) + C * (C - 1) / w ** 2
+                out += [pref * (lg1 * f[0] + f[1]),
+                        pref * (lg2 * f[0] + 2 * lg1 * f[1] + f[2])]
+        if not all(np.isfinite(g).all() for g in out):
+            raise EvaluationDomain("form value or y-derivative not representable "
+                                   "at some point (y or 1 - y too close to 0)")
+        return out
 
     def evaluate(self, x):
         """Form value at coordinate points (z or r per `variable`)."""
-        return self.value_y(self.variable.y_of(x))
+        return self._form(*self.variable.y_pair(x), 0)[0]
 
     def evaluate_with_derivs(self, x):
         """(G, dG/dx, d2G/dx2) via exact chain rule through y(x)."""
-        y = self.variable.y_of(x)
-        g0, gy, gyy = self.derivs_y(y)
+        g0, gy, gyy = self._form(*self.variable.y_pair(x), 2)
         y1 = self.variable.dy_dx(x)
         y2 = self.variable.d2y_dx2(x)
         return g0, gy * y1, gyy * y1**2 + gy * y2

@@ -727,9 +727,8 @@ def axial_connection_check(p: float, lam: float,
         raise DomainError(f"integration failed: {ivp.message}")
     z_num = ivp.y[0] + 1j * ivp.y[1]
     pref = ys ** complex(sol.exp_a) * (1.0 - ys) ** complex(sol.exp_c)
-    z_pred = pref * np.array(
-        [coeff.to_u2 * u2_value(params, y) + coeff.to_u6 * u6_value(params, y)
-         for y in ys])
+    z_pred = pref * (coeff.to_u2 * u2_value(params, ys)
+                     + coeff.to_u6 * u6_value(params, ys))
     scale = float(np.max(np.abs(z_pred)))
     diff = np.abs(z_num - z_pred)
     return ResidualReport(float(np.max(diff)) / scale,

@@ -144,6 +144,20 @@ def test_kummer_connection_reconstructs_series():
     joined = (coeff.to_u2 * u2_value(params, y)
               + coeff.to_u6 * u6_value(params, y))
     assert abs(eval_2f1(params, y) - joined) < 1e-12
+    # array arguments give the scalar values, point by point
+    ys = np.array([y, 0.3 - 0.2j, 0.9])
+    for fn in (eval_2f1, u2_value, u6_value):
+        loop = np.array([fn(params, v) for v in ys])
+        assert np.allclose(fn(params, ys), loop, rtol=1e-15, atol=0)
+
+
+def test_kummer_connection_denominator_pole_gives_zero():
+    # c - a = -1 poles Gamma(c - a): F = to_u6 * U6 alone (Euler)
+    params = Hyp2F1Params(1.3, 0.4 + 0.2j, 0.3)
+    coeff = kummer_connection(params, KummerBranch.U1)
+    assert coeff.to_u2 == 0
+    y = 0.6 + 0.1j
+    assert abs(eval_2f1(params, y) - coeff.to_u6 * u6_value(params, y)) < 1e-12
 
 
 def test_kummer_connection_u5_branch():
