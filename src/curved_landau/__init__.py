@@ -27,14 +27,12 @@ from .model import (
     DomainError,
     EvaluationDomain,
     Geometry,
-    InadmissibleState,
     InadmissibleVariant,
     MasslessUnsupported,
     ModelConfig,
     NegativeDiscriminant,
     NonPositiveLambda,
     NonTerminating,
-    QuantumNumbers,
     RegionVerdict,
     SigmaBranch,
     SolutionForm,
@@ -119,9 +117,9 @@ __all__ = [
     "__version__",
     # model
     "Component", "DomainError", "EvaluationDomain", "Geometry",
-    "InadmissibleState", "InadmissibleVariant", "MasslessUnsupported",
-    "ModelConfig", "NegativeDiscriminant", "NonPositiveLambda",
-    "NonTerminating", "QuantumNumbers", "RegionVerdict", "SigmaBranch",
+    "InadmissibleVariant", "MasslessUnsupported", "ModelConfig",
+    "NegativeDiscriminant", "NonPositiveLambda", "NonTerminating",
+    "RegionVerdict", "SigmaBranch",
     "SolutionForm", "SpectrumEntry", "SubthresholdEnergy",
     "SupportTooCloseToSingularity", "TruncationTooSmall", "UnifiedReport",
     "Variable", "Variant", "ZeroLambda",

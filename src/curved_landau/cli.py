@@ -35,7 +35,7 @@ from . import checks
 from . import lobachevsky as lob
 from . import spherical as sph
 from .hyp2f1 import KummerBranch
-from .model import Component, DomainError, InadmissibleState
+from .model import Component, DomainError
 
 __all__ = ["main"]
 
@@ -93,16 +93,6 @@ def _single_odd(parser: argparse.ArgumentParser, text: str, flag: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _render_csv(meta: Dict[str, object], columns: Sequence[str],
                 records: Sequence[Dict[str, object]]) -> str:
     buf = io.StringIO()
@@ -111,8 +101,11 @@ def _render_csv(meta: Dict[str, object], columns: Sequence[str],
             buf.write(f"# {key}: {value}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for record in records:
-        writer.writerow([_csv_cell(record[c]) for c in columns])
+    # csv writes None as "" and floats by repr; only bools need spelling
+    writer.writerows(
+        [("true" if v else "false") if v is True or v is False else v
+         for v in (record[c] for c in columns)]
+        for record in records)
     return buf.getvalue()
 
 
@@ -235,39 +228,35 @@ def _cmd_wavefunction(args, parser: argparse.ArgumentParser) -> int:
         return 4
     lam_sq = entry.lambda_sq
     meta_extra: Dict[str, object] = {}
-    try:
-        if radial:
-            builder = (lob.h3_radial_solution if args.model == "h3"
-                       else sph.s3_radial_solution)
-            solution = builder(two_m, args.B, lam_sq, component, entry.variant)
-            window = _H3_R_WINDOW if args.model == "h3" else _S3_R_WINDOW
-            coordinate = "r"
+    if radial:
+        builder = (lob.h3_radial_solution if args.model == "h3"
+                   else sph.s3_radial_solution)
+        solution = builder(two_m, args.B, lam_sq, component, entry.variant)
+        window = _H3_R_WINDOW if args.model == "h3" else _S3_R_WINDOW
+        coordinate = "r"
+    else:
+        lam = math.sqrt(lam_sq)
+        if args.model == "h3":
+            if args.p is None:
+                parser.error("hyperbolic axial components need --p "
+                             "(the axial momentum is continuous)")
+            if args.p <= 0.0:
+                parser.error("--p must be > 0")
+            solution = lob.h3_axial_solution(args.p, lam,
+                                             KummerBranch.U1, component)
+            window = _H3_Z_WINDOW
+            meta_extra["p"] = args.p
         else:
-            lam = math.sqrt(lam_sq)
-            if args.model == "h3":
-                if args.p is None:
-                    parser.error("hyperbolic axial components need --p "
-                                 "(the axial momentum is continuous)")
-                if args.p <= 0.0:
-                    parser.error("--p must be > 0")
-                solution = lob.h3_axial_solution(args.p, lam,
-                                                 KummerBranch.U1, component)
-                window = _H3_Z_WINDOW
-                meta_extra["p"] = args.p
-            else:
-                if args.nz is None:
-                    parser.error("spherical axial components need --nz")
-                if args.nz < 0:
-                    parser.error("--nz must be >= 0")
-                p = sph.s3_axial_quantize(lam, args.nz)
-                solution = sph.s3_axial_solution(p, lam, component)
-                window = _S3_Z_WINDOW
-                meta_extra["nz"] = args.nz
-                meta_extra["p"] = p
-            coordinate = "z"
-    except InadmissibleState as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+            if args.nz is None:
+                parser.error("spherical axial components need --nz")
+            if args.nz < 0:
+                parser.error("--nz must be >= 0")
+            p = sph.s3_axial_quantize(lam, args.nz)
+            solution = sph.s3_axial_solution(p, lam, component)
+            window = _S3_Z_WINDOW
+            meta_extra["nz"] = args.nz
+            meta_extra["p"] = p
+        coordinate = "z"
     xs = np.linspace(window[0], window[1], args.samples)
     values = solution.evaluate(xs)
     records = [{"coordinate": float(x), "re_value": float(v.real),

@@ -23,7 +23,6 @@ __all__ = [
     "DomainError",
     "ZeroLambda",
     "InadmissibleVariant",
-    "InadmissibleState",
     "SubthresholdEnergy",
     "MasslessUnsupported",
     "NonTerminating",
@@ -38,7 +37,6 @@ __all__ = [
     "SigmaBranch",
     "Variable",
     "ModelConfig",
-    "QuantumNumbers",
     "SolutionForm",
     "SpectrumEntry",
     "RegionVerdict",
@@ -56,10 +54,6 @@ class ZeroLambda(DomainError):
 
 class InadmissibleVariant(DomainError):
     """Requested variant is outside its m-range or finiteness rule."""
-
-
-class InadmissibleState(DomainError):
-    """Quantum numbers do not label an admissible bound state."""
 
 
 class SubthresholdEnergy(DomainError):
@@ -197,25 +191,6 @@ class ModelConfig:
             raise DomainError("M must be >= 0")
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise DomainError("rho must be > 0")
-
-
-@dataclass
-class QuantumNumbers:
-    two_m: int
-    n: int = 0
-    n_z: int = 0
-    sigma_branch: SigmaBranch = SigmaBranch.MINUS_P
-    variant: Optional[Variant] = None
-
-    def __post_init__(self) -> None:
-        if self.two_m % 2 == 0:
-            raise DomainError(f"two_m = {self.two_m} must be odd (m half-integer)")
-        if self.n < 0 or self.n_z < 0:
-            raise DomainError("n and n_z must be >= 0")
-
-    @property
-    def m(self) -> float:
-        return self.two_m / 2.0
 
 
 @dataclass

@@ -16,6 +16,10 @@ phi carrying the exact endpoint exponents (indicial roots), which turns
 the singular problem into a flux-form symmetric tridiagonal matrix on
 cell centers; eigenvalues come from LAPACK's deterministic
 Sturm-sequence bisection.
+
+scipy is imported inside the eigensolvers and the connection check,
+the only callers that need it, so importing this module (and the
+package and its CLI) loads numpy and the standard library alone.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from enum import Enum
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import lobachevsky as lob
 from . import spherical as sph
@@ -216,8 +218,7 @@ def _s3_weight_curvature(r: np.ndarray, s0: float, spi: float) -> np.ndarray:
     return g * g - s0 / (4.0 * a * a) - spi / (4.0 * b * b)
 
 
-def _weighted_tridiagonal(faces, centers, F, W, v_tilde, h,
-                          natural_hi: bool):
+def _weighted_tridiagonal(F, W, v_tilde, h, natural_hi: bool):
     """Flux-form symmetric tridiagonal for -(F w')'/W + v_tilde w.
 
     F carries the squared endpoint weight on faces (F[0] = 0 encodes
@@ -237,6 +238,8 @@ def _weighted_tridiagonal(faces, centers, F, W, v_tilde, h,
 def _bound_mass_guard(d, e, centers, lo, hi) -> None:
     """Raise TruncationTooSmall if the ground state leaks into the
     outer 10% of the domain."""
+    from scipy.linalg import eigh_tridiagonal
+
     _, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
     w = np.abs(vecs[:, 0]) ** 2
     tail = centers >= hi - 0.1 * (hi - lo)
@@ -254,6 +257,8 @@ def radial_eigenvalues_h3(m: float, B: float, component: Component,
     grid.lo may be 0: the endpoint exponent max(m, 1-m) (R1; reflected
     for R2) is factored out exactly, so no inner inset is needed.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if component not in (Component.R1, Component.R2):
         raise DomainError("component must be R1 or R2")
     if grid.lo < 0.0:
@@ -271,8 +276,7 @@ def radial_eigenvalues_h3(m: float, B: float, component: Component,
     W = _h3_weight(centers, s) ** 2
     v_tilde = (lob.radial_potential(centers, m, B, component)
                - _h3_weight_curvature(centers, s))
-    d, e = _weighted_tridiagonal(faces, centers, F, W, v_tilde, h,
-                                 natural_hi=False)
+    d, e = _weighted_tridiagonal(F, W, v_tilde, h, natural_hi=False)
     gersh_lo = float(np.min(d - np.abs(np.r_[0.0, e]) - np.abs(np.r_[e, 0.0]))) - 1.0
     vals = eigvalsh_tridiagonal(d, e, select="v",
                                 select_range=(gersh_lo, B * B))
@@ -293,6 +297,8 @@ def radial_eigenvalues_s3(m: float, B: float, component: Component,
     Endpoint exponents are factored out exactly at both poles, so the
     grid may span the full (0, pi) (lo = 0, hi = pi allowed).
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if component not in (Component.R1, Component.R2):
         raise DomainError("component must be R1 or R2")
     if grid.lo < 0.0 or grid.hi > math.pi + 1e-12:
@@ -316,8 +322,7 @@ def radial_eigenvalues_s3(m: float, B: float, component: Component,
     W = _s3_weight(centers, s0, spi) ** 2
     v_tilde = (sph.s3_radial_potential(centers, m, B, component)
                - _s3_weight_curvature(centers, s0, spi))
-    d, e = _weighted_tridiagonal(faces, centers, F, W, v_tilde, h,
-                                 natural_hi=at_pole)
+    d, e = _weighted_tridiagonal(F, W, v_tilde, h, natural_hi=at_pole)
     k = min(max_count, grid.points - 2, d.size) - 1
     vals = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, k))
     if vals.size and grid.hi < math.pi - 0.01:
@@ -351,7 +356,7 @@ def _check_domain(solution: SolutionForm, xs: np.ndarray) -> None:
     if solution.params.terminating:
         return
     y = solution.variable.y_of(xs)
-    if np.max(np.abs(y)) >= 1.0 - 1e-12:
+    if np.max(np.abs(y)) >= 1.0:
         raise EvaluationDomain(
             "non-terminating series needs |y| < 1 along the grid image")
 
@@ -695,6 +700,8 @@ def axial_connection_check(p: float, lam: float,
     4 y^2 (1-y)^2 Z'' + 2 y (1-y)(1-2y) Z'
     + (p^2 + i p (2y-1) - 4 lam^2 y (1-y)) Z = 0.
     """
+    from scipy.integrate import solve_ivp
+
     if p == 0.0:
         raise DomainError("p must be nonzero")
     if lam == 0.0:

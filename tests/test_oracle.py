@@ -8,6 +8,7 @@ import pytest
 from curved_landau.hyp2f1 import DegenerateConnection, KummerBranch
 from curved_landau.lobachevsky import (
     RadialPair as H3Pair,
+    h3_axial_pair_factor,
     h3_axial_solution,
     h3_quantize,
     h3_radial_pair_factor,
@@ -16,6 +17,7 @@ from curved_landau.lobachevsky import (
 from curved_landau.model import (
     Component,
     DomainError,
+    EvaluationDomain,
     Geometry,
     ModelConfig,
     SupportTooCloseToSingularity,
@@ -226,6 +228,23 @@ def test_ode_residual_argument_guards():
         # non-terminating series driven onto |y| ~ 1
         ode_residual(z1, OdeEquation.H3_AXIAL_Z1, Grid1D(-40.0, 40.0, 100),
                      p=0.7, lam=1.3)
+    with pytest.raises(EvaluationDomain):
+        # tanh(19) rounds to 1, so y = 1 lies on the grid image
+        ode_residual(z1, OdeEquation.H3_AXIAL_Z1, Grid1D(-2.0, 19.0, 1500),
+                     p=0.7, lam=1.3)
+
+
+@pytest.mark.parametrize("component, equation", [
+    (Component.Z1, OdeEquation.H3_AXIAL_Z1),
+    (Component.Z2, OdeEquation.H3_AXIAL_Z2),
+])
+def test_axial_residual_exact_past_old_domain_edge(component, equation):
+    # z = 15 puts 1 - y near 1e-13, inside the old |y| < 1 - 1e-12 refusal
+    p, lam = 0.7, 1.3
+    sol = h3_axial_solution(p, lam, KummerBranch.U1, component)
+    rep = ode_residual(sol, equation, Grid1D(-2.0, 15.0, 1500), p=p, lam=lam)
+    assert rep.max_abs < 1e-13
+    assert abs(rep.convergence_order - 2.0) < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +259,12 @@ def _h3_pair():
     s2 = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R2, Variant.V4P)
     fac = h3_radial_pair_factor(1, 5.0, lam, H3Pair.V1_V4P)
     return (s1, s2, fac), lam
+
+
+def _h3_axial_pair(p, lam):
+    z1 = h3_axial_solution(p, lam, KummerBranch.U1, Component.Z1)
+    z2 = h3_axial_solution(p, lam, KummerBranch.U1, Component.Z2)
+    return z1, z2, h3_axial_pair_factor(p, lam, KummerBranch.U1)
 
 
 def test_system_residual_exact_and_scaled_fault():
@@ -268,6 +293,21 @@ def test_system_residual_guards():
     with pytest.raises(DomainError):
         first_order_system_residual(pair, SystemKind.H3_AXIAL,
                                     Grid1D(-1.0, 1.0, 100), lam=lam)  # no p
+    with pytest.raises(EvaluationDomain):
+        first_order_system_residual(_h3_axial_pair(0.7, 1.3),
+                                    SystemKind.H3_AXIAL,
+                                    Grid1D(-2.0, 19.0, 1500), lam=1.3, p=0.7)
+
+
+def test_axial_system_residual_exact_past_old_domain_edge():
+    p, lam, hi = 0.7, 1.3, 15.0
+    rep = first_order_system_residual(_h3_axial_pair(p, lam),
+                                      SystemKind.H3_AXIAL,
+                                      Grid1D(-2.0, hi, 1500), lam=lam, p=p)
+    # the stretch cosh z multiplies f' + i p f, whose O(1) terms cancel,
+    # so rounding in them shows up scaled by cosh(hi)
+    assert rep.max_abs < 10 * np.finfo(float).eps * math.cosh(hi)
+    assert abs(rep.convergence_order - 2.0) < 0.1
 
 
 # ---------------------------------------------------------------------------
