@@ -7,7 +7,8 @@ Layers:
   complex parameters (series, derivatives, connection coefficients,
   contiguous relations).
 * :mod:`curved_landau.model` — shared vocabulary: enums, solution
-  forms, spectrum/region/report records, error taxonomy.
+  forms, spectrum/region/report records, the per-space GeometryRecord
+  (``Geometry.H3.record``), error taxonomy.
 * :mod:`curved_landau.lobachevsky` — the hyperbolic (pseudosphere)
   model: radial/axial solutions, quantization, pair factors, flat
   limit, helicity link.
@@ -29,7 +30,6 @@ from .model import (
     Geometry,
     InadmissibleVariant,
     MasslessUnsupported,
-    ModelConfig,
     NegativeDiscriminant,
     NonPositiveLambda,
     NonTerminating,
@@ -96,13 +96,10 @@ from .spherical import (
     s3_unified_report,
 )
 from .oracle import (
-    Boundary,
     EigenReport,
     Grid1D,
     Grid2D,
-    OdeEquation,
     ResidualReport,
-    SystemKind,
     axial_connection_check,
     commutator_residual,
     first_order_system_residual,
@@ -117,8 +114,8 @@ __all__ = [
     "__version__",
     # model
     "Component", "DomainError", "EvaluationDomain", "Geometry",
-    "InadmissibleVariant", "MasslessUnsupported", "ModelConfig",
-    "NegativeDiscriminant", "NonPositiveLambda", "NonTerminating",
+    "InadmissibleVariant", "MasslessUnsupported", "NegativeDiscriminant",
+    "NonPositiveLambda", "NonTerminating",
     "RegionVerdict", "SigmaBranch",
     "SolutionForm", "SpectrumEntry", "SubthresholdEnergy",
     "SupportTooCloseToSingularity", "TruncationTooSmall", "UnifiedReport",
@@ -142,8 +139,8 @@ __all__ = [
     "s3_radial_potential", "s3_radial_solution", "s3_total_energy",
     "s3_unified_report",
     # oracle
-    "Boundary", "EigenReport", "Grid1D", "Grid2D", "OdeEquation",
-    "ResidualReport", "SystemKind", "axial_connection_check",
+    "EigenReport", "Grid1D", "Grid2D", "ResidualReport",
+    "axial_connection_check",
     "commutator_residual", "first_order_system_residual",
     "gaussian_bump_spinor", "ode_residual", "radial_eigenvalues_h3",
     "radial_eigenvalues_s3",

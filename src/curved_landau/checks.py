@@ -34,7 +34,7 @@ from . import hyp2f1 as hyp
 from . import lobachevsky as lob
 from . import spherical as sph
 from . import oracle
-from .model import Component, DomainError, Geometry, ModelConfig, Variant
+from .model import Component, DomainError, Geometry, Variant
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suites"]
 
@@ -164,10 +164,8 @@ def _suite_axial(tol: Optional[float]) -> List[CheckResult]:
         exact_p = max(exact_p, abs(p - (lam + n_z + 0.5)))
         z1 = sph.s3_axial_solution(p, lam, Component.Z1)
         z2 = sph.s3_axial_solution(p, lam, Component.Z2)
-        r1 = oracle.ode_residual(z1, oracle.OdeEquation.S3_AXIAL_Z1, grid,
-                                 p=p, lam=lam)
-        r2 = oracle.ode_residual(z2, oracle.OdeEquation.S3_AXIAL_Z2, grid,
-                                 p=p, lam=lam)
+        r1 = oracle.ode_residual(z1, Component.Z1, grid, p=p, lam=lam)
+        r2 = oracle.ode_residual(z2, Component.Z2, grid, p=p, lam=lam)
         worst = max(worst, r1.max_abs, r2.max_abs)
     out.append(_result("axial/s3-polynomial-solutions", worst, threshold,
                        "lam=sqrt(3), n_z=0..2"))
@@ -177,10 +175,8 @@ def _suite_axial(tol: Optional[float]) -> List[CheckResult]:
     z1 = lob.h3_axial_solution(p, lam, hyp.KummerBranch.U1, Component.Z1)
     z2 = lob.h3_axial_solution(p, lam, hyp.KummerBranch.U1, Component.Z2)
     grid_h = oracle.Grid1D(-2.0, 2.0, 1500)
-    r1 = oracle.ode_residual(z1, oracle.OdeEquation.H3_AXIAL_Z1, grid_h,
-                             p=p, lam=lam)
-    r2 = oracle.ode_residual(z2, oracle.OdeEquation.H3_AXIAL_Z2, grid_h,
-                             p=p, lam=lam)
+    r1 = oracle.ode_residual(z1, Component.Z1, grid_h, p=p, lam=lam)
+    r2 = oracle.ode_residual(z2, Component.Z2, grid_h, p=p, lam=lam)
     out.append(_result("axial/h3-series-solutions", max(r1.max_abs, r2.max_abs),
                        threshold, "p=0.7, lam=1.3"))
     orders = [abs(r.convergence_order - 2.0) for r in (r1, r2)]
@@ -192,14 +188,13 @@ def _suite_axial(tol: Optional[float]) -> List[CheckResult]:
 def _suite_commutator(tol: Optional[float]) -> List[CheckResult]:
     spinor = oracle.gaussian_bump_spinor(2.0, 0.0, 0.5)
     grid = oracle.Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80)
-    rep = oracle.commutator_residual(ModelConfig(Geometry.H3, 5.0), spinor,
-                                     grid, two_m=1)
-    fault = oracle.commutator_residual(ModelConfig(Geometry.H3, 5.0), spinor,
-                                       grid, two_m=1, flat_helicity=True)
+    rep = oracle.commutator_residual(Geometry.H3, 5.0, spinor, grid, two_m=1)
+    fault = oracle.commutator_residual(Geometry.H3, 5.0, spinor, grid,
+                                       two_m=1, flat_helicity=True)
     spinor_s = oracle.gaussian_bump_spinor(1.5, 0.0, 0.3)
     grid_s = oracle.Grid2D(0.05, math.pi - 0.05, -1.2, 1.2, 80, 80)
-    rep_s = oracle.commutator_residual(ModelConfig(Geometry.S3, 1.0), spinor_s,
-                                       grid_s, two_m=1)
+    rep_s = oracle.commutator_residual(Geometry.S3, 1.0, spinor_s, grid_s,
+                                       two_m=1)
     return [
         _result("commutator/h3-order", abs(rep.convergence_order - 2.0),
                 tol or 0.3, f"order {rep.convergence_order:.3f}"),
@@ -226,19 +221,16 @@ def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
         return (s1, s2, fac), dict(lam=lam, two_m=two_m, B=B)
 
     pair, kw = h3_pair(1, 5.0, 2, lob.RadialPair.V1_V4P, Variant.V1, Variant.V4P)
-    base = oracle.first_order_system_residual(pair, oracle.SystemKind.H3_RADIAL,
-                                              grid_h3, **kw)
+    base = oracle.first_order_system_residual(pair, grid_h3, **kw)
     out.append(_result("pairs/h3-radial-1-4p", base.max_abs, threshold,
                        "B=5, m=1/2, n=2"))
     scaled = oracle.first_order_system_residual(
-        (pair[0], pair[1], 2.0 * pair[2]), oracle.SystemKind.H3_RADIAL,
-        grid_h3, **kw)
+        (pair[0], pair[1], 2.0 * pair[2]), grid_h3, **kw)
     out.append(_result("pairs/h3-scaled-factor-rejected",
                        base.max_abs / scaled.max_abs, 0.01,
                        f"x2 factor residual {scaled.max_abs:.3g}"))
     pair, kw = h3_pair(-1, 5.0, 1, lob.RadialPair.V2_V3P, Variant.V2, Variant.V3P)
-    rep = oracle.first_order_system_residual(pair, oracle.SystemKind.H3_RADIAL,
-                                             grid_h3, **kw)
+    rep = oracle.first_order_system_residual(pair, grid_h3, **kw)
     out.append(_result("pairs/h3-radial-2-3p", rep.max_abs, threshold,
                        "B=5, m=-1/2, n=1"))
 
@@ -247,8 +239,7 @@ def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
     z2 = lob.h3_axial_solution(p, lam, hyp.KummerBranch.U1, Component.Z2)
     fac = lob.h3_axial_pair_factor(p, lam, hyp.KummerBranch.U1)
     rep = oracle.first_order_system_residual(
-        (z1, z2, fac), oracle.SystemKind.H3_AXIAL,
-        oracle.Grid1D(-2.0, 2.0, 1200), lam=lam, p=p)
+        (z1, z2, fac), oracle.Grid1D(-2.0, 2.0, 1200), lam=lam, p=p)
     out.append(_result("pairs/h3-axial", rep.max_abs, threshold,
                        "p=0.7, lam=1.3"))
 
@@ -258,8 +249,7 @@ def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
     z2 = sph.s3_axial_solution(p, lam, Component.Z2)
     fac = sph.s3_axial_pair_factor(p, lam)
     rep = oracle.first_order_system_residual(
-        (z1, z2, fac), oracle.SystemKind.S3_AXIAL,
-        oracle.Grid1D(-1.0, 1.0, 1200), lam=lam, p=p)
+        (z1, z2, fac), oracle.Grid1D(-1.0, 1.0, 1200), lam=lam, p=p)
     out.append(_result("pairs/s3-axial", rep.max_abs, threshold,
                        "lam=sqrt(3), n_z=1"))
 
@@ -278,8 +268,7 @@ def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
         s2 = sph.s3_radial_solution(two_m, B, entry.lambda_sq, Component.R2, v2)
         fac = sph.s3_radial_pair_factor(two_m, B, lam, pair_kind)
         rep = oracle.first_order_system_residual(
-            (s1, s2, fac), oracle.SystemKind.S3_RADIAL, grid_s3,
-            lam=lam, two_m=two_m, B=B)
+            (s1, s2, fac), grid_s3, lam=lam, two_m=two_m, B=B)
         out.append(_result(name, rep.max_abs, threshold,
                            f"B={B}, m={two_m}/2, n={n}"))
     return out

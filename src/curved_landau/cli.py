@@ -35,7 +35,7 @@ from . import checks
 from . import lobachevsky as lob
 from . import spherical as sph
 from .hyp2f1 import KummerBranch
-from .model import Component, DomainError
+from .model import Component, DomainError, Geometry
 
 __all__ = ["main"]
 
@@ -46,13 +46,6 @@ _REGION_COLUMNS = ("model", "B", "two_m", "n", "variant", "admissible",
                    "violated", "lambda_sq", "predicate",
                    "predicate_consistent")
 _WAVE_COLUMNS = ("coordinate", "re_value", "im_value")
-
-# sampling windows, chosen to keep every constructible solution inside
-# its series-convergence domain while approaching the endpoints
-_H3_R_WINDOW = (1e-3, 12.0)
-_H3_Z_WINDOW = (-2.0, 2.0)
-_S3_R_WINDOW = (1e-3, math.pi - 1e-3)
-_S3_Z_WINDOW = (-(math.pi / 2 - 0.1), math.pi / 2 - 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +148,18 @@ def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
     if args.M < 0.0:
         parser.error("--M must be >= 0")
     rho = args.rho
+    geo = Geometry(args.model).record
     records = []
     for two_m in two_ms:
         for n in ns:
-            if args.model == "h3":
-                entry = lob.h3_quantize(two_m, args.B, n, Component.R1)
-                unified = lob.h3_unified_report(two_m, args.B, n)
-            else:
-                entry = sph.s3_quantize(two_m, args.B, n, Component.R1)
-                unified = sph.s3_unified_report(two_m, args.B, n)
+            entry = geo.quantize(two_m, args.B, n, Component.R1)
+            unified = geo.unified_report(two_m, args.B, n)
             lam_sq = entry.lambda_sq
             for n_z in n_zs:
                 p = epsilon = None
-                if (args.model == "s3" and n_z is not None
-                        and entry.admissible and lam_sq is not None
-                        and lam_sq > 0.0):
+                # n_z is set on s3 only
+                if (n_z is not None and entry.admissible
+                        and lam_sq is not None and lam_sq > 0.0):
                     lam = math.sqrt(lam_sq)
                     p = sph.s3_axial_quantize(lam, n_z) / rho
                     if args.M > 0.0:
@@ -218,9 +208,9 @@ def _cmd_wavefunction(args, parser: argparse.ArgumentParser) -> int:
     if args.samples < 2:
         parser.error("--samples must be >= 2")
     radial = component in (Component.R1, Component.R2)
-    quantize = lob.h3_quantize if args.model == "h3" else sph.s3_quantize
-    entry = quantize(two_m, args.B, args.n,
-                     component if radial else Component.R1)
+    geo = Geometry(args.model).record
+    entry = geo.quantize(two_m, args.B, args.n,
+                         component if radial else Component.R1)
     if not entry.admissible or entry.lambda_sq is None:
         reason = entry.violated or "no admissible variant"
         print(f"error: state (two_m={two_m}, n={args.n}, B={args.B}) is "
@@ -229,11 +219,9 @@ def _cmd_wavefunction(args, parser: argparse.ArgumentParser) -> int:
     lam_sq = entry.lambda_sq
     meta_extra: Dict[str, object] = {}
     if radial:
-        builder = (lob.h3_radial_solution if args.model == "h3"
-                   else sph.s3_radial_solution)
-        solution = builder(two_m, args.B, lam_sq, component, entry.variant)
-        window = _H3_R_WINDOW if args.model == "h3" else _S3_R_WINDOW
-        coordinate = "r"
+        solution = geo.radial_solution(two_m, args.B, lam_sq, component,
+                                       entry.variant)
+        window, coordinate = geo.r_window, "r"
     else:
         lam = math.sqrt(lam_sq)
         if args.model == "h3":
@@ -244,7 +232,6 @@ def _cmd_wavefunction(args, parser: argparse.ArgumentParser) -> int:
                 parser.error("--p must be > 0")
             solution = lob.h3_axial_solution(args.p, lam,
                                              KummerBranch.U1, component)
-            window = _H3_Z_WINDOW
             meta_extra["p"] = args.p
         else:
             if args.nz is None:
@@ -253,10 +240,9 @@ def _cmd_wavefunction(args, parser: argparse.ArgumentParser) -> int:
                 parser.error("--nz must be >= 0")
             p = sph.s3_axial_quantize(lam, args.nz)
             solution = sph.s3_axial_solution(p, lam, component)
-            window = _S3_Z_WINDOW
             meta_extra["nz"] = args.nz
             meta_extra["p"] = p
-        coordinate = "z"
+        window, coordinate = geo.z_window, "z"
     xs = np.linspace(window[0], window[1], args.samples)
     values = solution.evaluate(xs)
     records = [{"coordinate": float(x), "re_value": float(v.real),
@@ -318,17 +304,13 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_regions(args, parser: argparse.ArgumentParser) -> int:
     two_ms = _parse_range(parser, args.two_m, "--two-m", odd=True)
     ns = _parse_range(parser, args.n, "--n", minimum=0)
+    geo = Geometry(args.model).record
     records = []
     for two_m in two_ms:
         for n in ns:
-            if args.model == "h3":
-                verdict = lob.h3_admissibility_region(args.B, two_m, n)
-                entry = lob.h3_quantize(two_m, args.B, n, Component.R1)
-                inside = verdict.predicate < 0
-            else:
-                verdict = sph.s3_admissibility_region(args.B, two_m, n)
-                entry = sph.s3_quantize(two_m, args.B, n, Component.R1)
-                inside = verdict.predicate > 0
+            verdict = geo.admissibility_region(args.B, two_m, n)
+            entry = geo.quantize(two_m, args.B, n, Component.R1)
+            inside = geo.region_sign * verdict.predicate > 0
             records.append({
                 "model": args.model,
                 "B": args.B,
@@ -348,17 +330,13 @@ def _cmd_regions(args, parser: argparse.ArgumentParser) -> int:
         "B": args.B,
         "two_m": args.two_m,
         "n": args.n,
-        "predicate": ("|m| - |2B + m| + 2n < 0 marks the bound region"
-                      if args.model == "h3" else
-                      "|m| - |2B - m| + 2n > 0 marks the advertised region"),
+        "predicate": geo.region_predicate,
     }
     if args.B < 0.0:
         meta["note"] = ("reflection (m, B) -> (-m, -B) applied for B < 0; "
                         "verdicts belong to the reflected R2 problem")
     elif args.B == 0.0:
-        meta["note"] = ("B = 0: no magnetic confinement"
-                        if args.model == "h3" else
-                        "B = 0: curvature-only confinement")
+        meta["note"] = geo.zero_field_note
     return _emit(args, meta, _REGION_COLUMNS, records)
 
 

@@ -24,6 +24,7 @@ from .hyp2f1 import ConnectionCoefficients, Hyp2F1Params, KummerBranch, kummer_c
 from .model import (
     Component,
     DomainError,
+    GeometryRecord,
     InadmissibleVariant,
     MasslessUnsupported,
     SigmaBranch,
@@ -38,6 +39,7 @@ from .model import (
 )
 
 __all__ = [
+    "GEOMETRY",
     "RadialPair",
     "mu_potential",
     "mu_potential_prime",
@@ -349,3 +351,17 @@ def helicity_link(epsilon: float, M: float,
     if branch is SigmaBranch.MINUS_P:
         return -p, (epsilon + p) / M
     return p, (epsilon - p) / M
+
+
+GEOMETRY = GeometryRecord(
+    radial_variable=Variable.YR, axial_variable=Variable.YZ,
+    r_max=math.inf, z_max=math.inf, stretch=np.cosh, stretch_prime=np.sinh,
+    mu=mu_potential, mu_prime=mu_potential_prime,
+    radial_potential=radial_potential, quantize=h3_quantize,
+    unified_report=h3_unified_report,
+    admissibility_region=h3_admissibility_region,
+    radial_solution=h3_radial_solution,
+    r_window=(1e-3, 12.0), z_window=(-2.0, 2.0),
+    region_sign=-1.0,
+    region_predicate="|m| - |2B + m| + 2n < 0 marks the bound region",
+    zero_field_note="B = 0: no magnetic confinement")

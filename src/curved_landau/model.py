@@ -10,10 +10,9 @@ oracles consume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +35,7 @@ __all__ = [
     "Variant",
     "SigmaBranch",
     "Variable",
-    "ModelConfig",
+    "GeometryRecord",
     "SolutionForm",
     "SpectrumEntry",
     "RegionVerdict",
@@ -92,6 +91,13 @@ class Geometry(Enum):
     H3 = "h3"
     S3 = "s3"
 
+    @property
+    def record(self) -> "GeometryRecord":
+        """The space's GeometryRecord, built in lobachevsky/spherical."""
+        from . import lobachevsky, spherical
+        return (lobachevsky.GEOMETRY if self is Geometry.H3
+                else spherical.GEOMETRY)
+
 
 class Component(Enum):
     R1 = "r1"
@@ -134,6 +140,10 @@ class Variable(Enum):
     YZ_S3 = "yz_s3"  # y = (1 + i tan z)/2, |z| < pi/2    -> Re y = 1/2
     YR_S3 = "yr_s3"  # y = (1 + cos r)/2,   r in (0,pi)   -> y in (0,1)
 
+    @property
+    def geometry(self) -> Geometry:
+        return Geometry.H3 if self in (Variable.YZ, Variable.YR) else Geometry.S3
+
     def y_of(self, x):
         x = np.asarray(x, dtype=float)
         if self is Variable.YZ:
@@ -174,23 +184,39 @@ class Variable(Enum):
         return -np.cos(x) / 2.0 + 0.0j
 
 
-@dataclass
-class ModelConfig:
-    """Geometry, field strength B (= eB in curvature-radius units),
-    particle mass M >= 0, curvature radius rho > 0."""
+@dataclass(frozen=True)
+class GeometryRecord:
+    """What the oracle and the CLI need of one space. H3 and S3 are one
+    problem with sinh <-> sin and cosh <-> cos; the two instances are
+    built from the functions of lobachevsky.py and spherical.py.
 
-    geometry: Geometry
-    B: float
-    M: float = 0.0
-    rho: float = 1.0
+    r runs over (0, r_max) and z over (-z_max, z_max); the axial stretch
+    is c(z) = cosh z or cos z. mu, mu_prime take (r, m, B), and
+    radial_potential (r, m, B, component). The CLI samples wavefunctions
+    on r_window and z_window, chosen to keep every constructible solution
+    inside its series-convergence domain while approaching the endpoints.
+    region_sign is the sign of admissibility_region's figure predicate
+    inside the bound region.
+    """
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.B):
-            raise DomainError("B must be finite")
-        if not (self.M >= 0.0 and math.isfinite(self.M)):
-            raise DomainError("M must be >= 0")
-        if not (self.rho > 0.0 and math.isfinite(self.rho)):
-            raise DomainError("rho must be > 0")
+    radial_variable: Variable
+    axial_variable: Variable
+    r_max: float
+    z_max: float
+    stretch: Callable
+    stretch_prime: Callable
+    mu: Callable
+    mu_prime: Callable
+    radial_potential: Callable
+    quantize: Callable
+    unified_report: Callable
+    admissibility_region: Callable
+    radial_solution: Callable
+    r_window: Tuple[float, float]
+    z_window: Tuple[float, float]
+    region_sign: float
+    region_predicate: str
+    zero_field_note: str
 
 
 @dataclass

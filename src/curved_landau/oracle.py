@@ -25,37 +25,30 @@ package and its CLI) loads numpy and the standard library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import lobachevsky as lob
 from . import spherical as sph
-from .hyp2f1 import KummerBranch, u2_value, u6_value
+from .hyp2f1 import DegenerateConnection, KummerBranch, u2_value, u6_value
 from .model import (
     Component,
     DomainError,
     EvaluationDomain,
     Geometry,
-    ModelConfig,
     SolutionForm,
     SupportTooCloseToSingularity,
     TruncationTooSmall,
-    Variable,
     ZeroLambda,
 )
-from .hyp2f1 import DegenerateConnection
 
 __all__ = [
-    "Boundary",
     "Grid1D",
     "Grid2D",
     "ResidualReport",
     "EigenReport",
-    "OdeEquation",
-    "SystemKind",
     "radial_eigenvalues_h3",
     "radial_eigenvalues_s3",
     "ode_residual",
@@ -67,10 +60,6 @@ __all__ = [
 
 _SINGULAR_INSET = 0.05
 _EDGE_TRIM = 3
-
-
-class Boundary(Enum):
-    DIRICHLET = "dirichlet"
 
 
 @dataclass(frozen=True)
@@ -127,9 +116,12 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """max_abs and l2 are normalized by the sup of the inputs;
-    convergence_order (when measured) comes from two finite-difference
-    refinements and is floored at 0."""
+    """max_abs and l2 of a residual relative to its inputs: to the sup
+    of the form (ODE), the sum of the magnitudes of each equation's
+    terms at each point (first-order systems: an exact pair reads at
+    rounding level however large the terms grow), or the sup of the
+    test spinor (commutator). convergence_order (when measured) comes
+    from two finite-difference refinements and is floored at 0."""
 
     max_abs: float
     l2: float
@@ -145,50 +137,12 @@ class ResidualReport:
 @dataclass(frozen=True)
 class EigenReport:
     eigenvalues: Tuple[float, ...]
-    boundary: Boundary
     truncation: str
 
     def __post_init__(self) -> None:
         vals = self.eigenvalues
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise DomainError("eigenvalues must be ascending")
-
-
-class OdeEquation(Enum):
-    """Second-order equations the residual evaluator knows.
-
-    Axial, pseudosphere:
-        Z'' + tanh z Z' + (p^2 +- i p tanh z - lambda^2 sech^2 z) Z = 0
-        ('+' for Z1, '-' for Z2).
-    Axial, sphere (the ip sign flips with the stretch derivative):
-        Z'' - tan z Z' + (p^2 -+ i p tan z - lambda^2 sec^2 z) Z = 0
-        ('-' for Z1, '+' for Z2).
-    Radial: -R'' + (mu^2 +- mu') R = lambda^2 R ('+' for R1).
-    """
-
-    H3_AXIAL_Z1 = "h3-axial-z1"
-    H3_AXIAL_Z2 = "h3-axial-z2"
-    H3_RADIAL_R1 = "h3-radial-r1"
-    H3_RADIAL_R2 = "h3-radial-r2"
-    S3_AXIAL_Z1 = "s3-axial-z1"
-    S3_AXIAL_Z2 = "s3-axial-z2"
-    S3_RADIAL_R1 = "s3-radial-r1"
-    S3_RADIAL_R2 = "s3-radial-r2"
-
-
-class SystemKind(Enum):
-    """First-order systems coupling a (f1, f2) pair through lambda.
-
-    Axial: stretch (f1' + i p f1) = lambda f2,
-           stretch (f2' - i p f2) = lambda f1
-    with stretch = cosh z / cos z. Radial (same form on both spaces):
-    f2' + mu f2 + lambda f1 = 0, f1' - mu f1 - lambda f2 = 0.
-    """
-
-    H3_AXIAL = "h3-axial"
-    H3_RADIAL = "h3-radial"
-    S3_AXIAL = "s3-axial"
-    S3_RADIAL = "s3-radial"
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +238,7 @@ def radial_eigenvalues_h3(m: float, B: float, component: Component,
     if vals.size:
         _bound_mass_guard(d, e, centers, grid.lo, grid.hi)
     vals = vals[: grid.points - 2]
-    return EigenReport(tuple(float(v) for v in vals), Boundary.DIRICHLET,
+    return EigenReport(tuple(float(v) for v in vals),
                        f"r truncated to [{grid.lo:g}, {grid.hi:g}], "
                        f"{grid.points} points")
 
@@ -327,7 +281,7 @@ def radial_eigenvalues_s3(m: float, B: float, component: Component,
     vals = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, k))
     if vals.size and grid.hi < math.pi - 0.01:
         _bound_mass_guard(d, e, centers, grid.lo, grid.hi)
-    return EigenReport(tuple(float(v) for v in vals), Boundary.DIRICHLET,
+    return EigenReport(tuple(float(v) for v in vals),
                        f"r truncated to [{grid.lo:g}, {grid.hi:g}], "
                        f"{grid.points} points")
 
@@ -335,21 +289,6 @@ def radial_eigenvalues_s3(m: float, B: float, component: Component,
 # ---------------------------------------------------------------------------
 # ODE residuals
 # ---------------------------------------------------------------------------
-
-_AXIAL_EQS = {
-    OdeEquation.H3_AXIAL_Z1: (Variable.YZ, +1.0),
-    OdeEquation.H3_AXIAL_Z2: (Variable.YZ, -1.0),
-    # the ip-term sign flips between the geometries because
-    # (1/cos)' = +sin/cos^2 while (1/cosh)' = -sinh/cosh^2
-    OdeEquation.S3_AXIAL_Z1: (Variable.YZ_S3, -1.0),
-    OdeEquation.S3_AXIAL_Z2: (Variable.YZ_S3, +1.0),
-}
-_RADIAL_EQS = {
-    OdeEquation.H3_RADIAL_R1: (Variable.YR, Component.R1),
-    OdeEquation.H3_RADIAL_R2: (Variable.YR, Component.R2),
-    OdeEquation.S3_RADIAL_R1: (Variable.YR_S3, Component.R1),
-    OdeEquation.S3_RADIAL_R2: (Variable.YR_S3, Component.R2),
-}
 
 
 def _check_domain(solution: SolutionForm, xs: np.ndarray) -> None:
@@ -361,30 +300,9 @@ def _check_domain(solution: SolutionForm, xs: np.ndarray) -> None:
             "non-terminating series needs |y| < 1 along the grid image")
 
 
-def _axial_residual_fn(equation: OdeEquation, p: float, lam: float):
-    _, sign = _AXIAL_EQS[equation]
-    hyperbolic = equation in (OdeEquation.H3_AXIAL_Z1, OdeEquation.H3_AXIAL_Z2)
-
-    def res(x, g, g1, g2):
-        if hyperbolic:
-            t, s2 = np.tanh(x), 1.0 / np.cosh(x) ** 2
-            return g2 + t * g1 + (p * p + sign * 1j * p * t - lam * lam * s2) * g
-        t, s2 = np.tan(x), 1.0 / np.cos(x) ** 2
-        return g2 - t * g1 + (p * p + sign * 1j * p * t - lam * lam * s2) * g
-
-    return res
-
-
-def _radial_residual_fn(equation: OdeEquation, m: float, B: float,
-                        lambda_sq: float):
-    variable, component = _RADIAL_EQS[equation]
-    potential = (lob.radial_potential if variable is Variable.YR
-                 else sph.s3_radial_potential)
-
-    def res(x, g, g1, g2):
-        return -g2 + (potential(x, m, B, component) - lambda_sq) * g
-
-    return res
+def _check_radial_grid(rec, grid: Grid1D) -> None:
+    if not (grid.lo > 0.0 and grid.hi < rec.r_max):
+        raise DomainError(f"radial grid must stay inside (0, {rec.r_max:g})")
 
 
 def _fd_sup(solution: SolutionForm, grid: Grid1D, res_fn) -> float:
@@ -407,11 +325,17 @@ def _order_from(coarse: float, fine: float) -> float:
     return max(0.0, math.log2(coarse / fine))
 
 
-def ode_residual(solution: SolutionForm, equation: OdeEquation, grid: Grid1D,
+def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
                  *, p: Optional[float] = None, lam: Optional[float] = None,
                  two_m: Optional[int] = None, B: Optional[float] = None,
                  lambda_sq: Optional[float] = None) -> ResidualReport:
-    """Substitute `solution` into the named equation.
+    """Substitute `solution` as `component` into its second-order
+    equation, on the space and coordinate of solution.variable. With the
+    axial stretch c = cosh z (H3) or cos z (S3):
+
+        Axial:  Z'' + (c'/c) Z' + (p^2 +- i p c'/c - lambda^2/c^2) Z = 0
+                ('+' for Z1, '-' for Z2).
+        Radial: -R'' + (mu^2 +- mu') R = lambda^2 R ('+' for R1).
 
     max_abs / l2 use the analytic derivatives of the constructed form
     (term-wise series differentiation plus exact chain rule), so an
@@ -419,24 +343,30 @@ def ode_residual(solution: SolutionForm, equation: OdeEquation, grid: Grid1D,
     measured on the independent finite-difference pathway at h and h/2
     and is ~2 for an exact solution, ~0 for a wrong one.
     """
-    if equation in _AXIAL_EQS:
-        variable, _ = _AXIAL_EQS[equation]
+    rec = solution.variable.geometry.record
+    axial = component in (Component.Z1, Component.Z2)
+    if solution.variable is not (rec.axial_variable if axial
+                                 else rec.radial_variable):
+        raise DomainError(f"solution is parametrized on "
+                          f"{solution.variable.name}, not on the "
+                          f"coordinate of {component.name}")
+    if axial:
         if p is None or lam is None:
             raise DomainError("axial equations need p and lam")
-        res_fn = _axial_residual_fn(equation, p, lam)
+        sign = 1.0 if component is Component.Z1 else -1.0
+
+        def res_fn(x, g, g1, g2):
+            c = rec.stretch(x)
+            t = rec.stretch_prime(x) / c
+            return g2 + t * g1 + (p * p + sign * 1j * p * t - lam * lam / c ** 2) * g
     else:
-        variable, _ = _RADIAL_EQS[equation]
         if two_m is None or B is None or lambda_sq is None:
             raise DomainError("radial equations need two_m, B and lambda_sq")
-        if variable is Variable.YR and grid.lo <= 0.0:
-            raise DomainError("radial grid needs lo > 0 (mu ~ m/r)")
-        if variable is Variable.YR_S3 and not (grid.lo > 0.0 and grid.hi < math.pi):
-            raise DomainError("spherical radial grid must stay inside (0, pi)")
-        res_fn = _radial_residual_fn(equation, two_m / 2.0, B, lambda_sq)
-    if solution.variable is not variable:
-        raise DomainError(
-            f"solution is parametrized on {solution.variable.name}, "
-            f"but {equation.value} lives on {variable.name}")
+        _check_radial_grid(rec, grid)
+        m = two_m / 2.0
+
+        def res_fn(x, g, g1, g2):
+            return -g2 + (rec.radial_potential(x, m, B, component) - lambda_sq) * g
     xs = grid.nodes()
     _check_domain(solution, xs)
     g, g1, g2 = solution.evaluate_with_derivs(xs)
@@ -455,64 +385,60 @@ def ode_residual(solution: SolutionForm, equation: OdeEquation, grid: Grid1D,
 # ---------------------------------------------------------------------------
 
 
-def _system_residual_fns(system: SystemKind, *, p=None, lam=None,
-                         two_m=None, B=None):
-    if system in (SystemKind.H3_AXIAL, SystemKind.S3_AXIAL):
-        if p is None:
-            raise DomainError("axial systems need p")
-        stretch = np.cosh if system is SystemKind.H3_AXIAL else np.cos
-
-        def res1(x, f1, d1, f2):
-            return stretch(x) * (d1 + 1j * p * f1) - lam * f2
-
-        def res2(x, f2, d2, f1):
-            return stretch(x) * (d2 - 1j * p * f2) - lam * f1
-
-        return res1, res2
-    if two_m is None or B is None:
-        raise DomainError("radial systems need two_m and B")
-    mu_fn = (lob.mu_potential if system is SystemKind.H3_RADIAL
-             else sph.s3_mu_potential)
-    m = two_m / 2.0
-
-    def res1(x, f1, d1, f2):
-        return d1 - mu_fn(x, m, B) * f1 - lam * f2
-
-    def res2(x, f2, d2, f1):
-        return d2 + mu_fn(x, m, B) * f2 + lam * f1
-
-    return res1, res2
-
-
 def first_order_system_residual(
-        pair: Tuple[SolutionForm, SolutionForm, complex], system: SystemKind,
-        grid: Grid1D, *, lam: float, p: Optional[float] = None,
-        two_m: Optional[int] = None, B: Optional[float] = None) -> ResidualReport:
-    """Residual of both coupled equations for (f1, ratio * f2).
+        pair: Tuple[SolutionForm, SolutionForm, complex], grid: Grid1D, *,
+        lam: float, p: Optional[float] = None, two_m: Optional[int] = None,
+        B: Optional[float] = None) -> ResidualReport:
+    """Residual of both coupled equations for (f1, ratio * f2), on the
+    space and coordinate of the pair's forms. With the axial stretch
+    c = cosh z (H3) or cos z (S3):
 
-    The relative factor is part of the claim under test: the correct
-    factor brings both residuals to rounding level; any rescaling
-    leaves an O(1) defect.
+        Axial:  c (f1' + i p f1) = lambda f2,  c (f2' - i p f2) = lambda f1.
+        Radial: f1' - mu f1 = lambda f2,       f2' + mu f2 = -lambda f1.
+
+    Each equation's residual is divided, point by point, by the sum of
+    the magnitudes of its terms (|c| (|f'| + |p f|) + |lambda f_other|
+    axial, |f'| + |mu f| + |lambda f_other| radial; 1e-300 where all
+    vanish), so an exact pair reads at rounding level wherever the
+    terms are large and cancel. The relative factor is part of the claim
+    under test: the correct factor brings both residuals to rounding
+    level; any rescaling leaves an O(1) defect.
     """
     if lam == 0.0:
         raise ZeroLambda("first-order systems decouple at lambda = 0")
     sol1, sol2, ratio = pair
-    if system in (SystemKind.H3_RADIAL, SystemKind.S3_RADIAL):
-        if grid.lo <= 0.0:
-            raise DomainError("radial grid needs lo > 0")
-        if system is SystemKind.S3_RADIAL and grid.hi >= math.pi:
-            raise DomainError("spherical radial grid must stay inside (0, pi)")
-    res1_fn, res2_fn = _system_residual_fns(system, p=p, lam=lam,
-                                            two_m=two_m, B=B)
+    if sol2.variable is not sol1.variable:
+        raise DomainError("the pair's forms live on different coordinates")
+    rec = sol1.variable.geometry.record
+    if sol1.variable is rec.axial_variable:
+        if p is None:
+            raise DomainError("axial systems need p")
+
+        def terms(x, f1, d1, f2, d2):
+            c = rec.stretch(x)
+            return ((c * d1, 1j * p * c * f1, -lam * f2),
+                    (c * d2, -1j * p * c * f2, -lam * f1))
+    else:
+        if two_m is None or B is None:
+            raise DomainError("radial systems need two_m and B")
+        _check_radial_grid(rec, grid)
+        m = two_m / 2.0
+
+        def terms(x, f1, d1, f2, d2):
+            mu = rec.mu(x, m, B)
+            return (d1, -mu * f1, -lam * f2), (d2, mu * f2, lam * f1)
+
+    def relative(x, f1, d1, f2, d2):
+        """Both equations' residuals over the sums of their terms' sizes."""
+        return [np.abs(sum(eq)) / np.maximum(sum(np.abs(t) for t in eq), 1e-300)
+                for eq in terms(x, f1, d1, f2, d2)]
+
     xs = grid.nodes()
     _check_domain(sol1, xs)
     _check_domain(sol2, xs)
     g1, d1, _ = sol1.evaluate_with_derivs(xs)
     g2, d2, _ = sol2.evaluate_with_derivs(xs)
-    g2, d2 = ratio * g2, ratio * d2
-    r1 = res1_fn(xs, g1, d1, g2)
-    r2 = res2_fn(xs, g2, d2, g1)
-    scale = max(float(np.max(np.abs(g1))), float(np.max(np.abs(g2))), 1e-300)
+    r1, r2 = relative(xs, g1, d1, ratio * g2, ratio * d2)
 
     def fd_sup(g: Grid1D) -> float:
         x = g.nodes()
@@ -520,15 +446,12 @@ def first_order_system_residual(
         h = g.spacing
         c1 = (v1[2:] - v1[:-2]) / (2.0 * h)
         c2 = (v2[2:] - v2[:-2]) / (2.0 * h)
-        rr1 = res1_fn(x[1:-1], v1[1:-1], c1, v2[1:-1])
-        rr2 = res2_fn(x[1:-1], v2[1:-1], c2, v1[1:-1])
-        s = max(float(np.max(np.abs(v1))), float(np.max(np.abs(v2))), 1e-300)
-        return max(float(np.max(np.abs(rr1))), float(np.max(np.abs(rr2)))) / s
+        return max(float(np.max(r))
+                   for r in relative(x[1:-1], v1[1:-1], c1, v2[1:-1], c2))
 
     order = _order_from(fd_sup(grid), fd_sup(grid.refined()))
-    sup = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))) / scale
-    l2 = float(np.sqrt(grid.spacing
-                       * (np.sum(np.abs(r1) ** 2) + np.sum(np.abs(r2) ** 2)))) / scale
+    sup = max(float(np.max(r1)), float(np.max(r2)))
+    l2 = float(np.sqrt(grid.spacing * (np.sum(r1 ** 2) + np.sum(r2 ** 2))))
     return ResidualReport(sup, l2, order)
 
 
@@ -573,7 +496,7 @@ def gaussian_bump_spinor(r0: float, z0: float, width: float,
     return spinor
 
 
-def commutator_residual(model: ModelConfig,
+def commutator_residual(geometry: Geometry, B: float,
                         test_spinor: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         grid2d: Grid2D, *, two_m: int = 1,
                         flat_helicity: bool = False,
@@ -582,7 +505,8 @@ def commutator_residual(model: ModelConfig,
 
     H = stretch^-1 (i g1 d_r - g2 mu) + i g3 d_z and
     Sigma = stretch^-1 (g23 d_r + i g31 mu) + g12 d_z with
-    stretch = cosh z (pseudosphere) or cos z (sphere).
+    stretch = cosh z (pseudosphere) or cos z (sphere); mu, mu' and the
+    stretch come from geometry.record.
 
     H Sigma psi is evaluated by composing the finite-difference
     operators; Sigma H psi is evaluated from its hand-expanded
@@ -603,22 +527,17 @@ def commutator_residual(model: ModelConfig,
     The reported convergence_order averages log2 ratios over `levels`
     grids (x1, x2, x4 ...); max_abs/l2 come from the finest level.
     """
-    if grid2d.r_lo < _SINGULAR_INSET:
+    if not math.isfinite(B):
+        raise DomainError("B must be finite")
+    rec = geometry.record
+    if (grid2d.r_lo < _SINGULAR_INSET
+            or grid2d.r_hi > rec.r_max - _SINGULAR_INSET
+            or max(-grid2d.z_lo, grid2d.z_hi) > rec.z_max - _SINGULAR_INSET):
         raise SupportTooCloseToSingularity(
-            "grid touches the r = 0 coordinate singularity")
-    if model.geometry is Geometry.S3:
-        if (grid2d.r_hi > math.pi - _SINGULAR_INSET
-                or grid2d.z_lo < -math.pi / 2 + _SINGULAR_INSET
-                or grid2d.z_hi > math.pi / 2 - _SINGULAR_INSET):
-            raise SupportTooCloseToSingularity(
-                "grid touches a spherical coordinate singularity")
+            "grid touches a coordinate singularity")
     if levels < 1:
         raise DomainError("levels must be >= 1")
     m = two_m / 2.0
-    hyperbolic = model.geometry is Geometry.H3
-    mu_fn = lob.mu_potential if hyperbolic else sph.s3_mu_potential
-    mu_prime_fn = (lob.mu_potential_prime if hyperbolic
-                   else sph.s3_mu_potential_prime)
     gamma123 = _G1 @ _G2 @ _G3
 
     def residual_at(g: Grid2D) -> float:
@@ -627,13 +546,12 @@ def commutator_residual(model: ModelConfig,
         psi = np.asarray(test_spinor(R, Z), dtype=complex)
         if psi.shape != (4,) + R.shape:
             raise DomainError("test spinor must return shape (4, nr, nz)")
-        mu = mu_fn(rs, m, model.B)[None, :, None]
-        mu_p = mu_prime_fn(rs, m, model.B)[None, :, None]
-        stretch = np.cosh(zs) if hyperbolic else np.cos(zs)
+        mu = rec.mu(rs, m, B)[None, :, None]
+        mu_p = rec.mu_prime(rs, m, B)[None, :, None]
+        stretch = rec.stretch(zs)
         inv = (1.0 / stretch)[None, None, :]
         # d(1/stretch)/dz
-        inv_p = (-np.sinh(zs) / np.cosh(zs) ** 2 if hyperbolic
-                 else np.sin(zs) / np.cos(zs) ** 2)[None, None, :]
+        inv_p = (-rec.stretch_prime(zs) / stretch ** 2)[None, None, :]
 
         def d_r(f):
             return np.gradient(f, rs, axis=1, edge_order=2)

@@ -25,6 +25,7 @@ from .hyp2f1 import Hyp2F1Params
 from .model import (
     Component,
     DomainError,
+    GeometryRecord,
     InadmissibleVariant,
     NegativeDiscriminant,
     NonPositiveLambda,
@@ -39,6 +40,7 @@ from .model import (
 )
 
 __all__ = [
+    "GEOMETRY",
     "RadialPair",
     "s3_mu_potential",
     "s3_mu_potential_prime",
@@ -160,7 +162,7 @@ def s3_axial_pair_factor(p: float, lam: float) -> complex:
     c = 0.5 - p
     if abs(c) < 1e-12:
         raise DomainError("c = 0 (p = 1/2)")
-    return 1j * (lam) * (-lam) / (lam * c)
+    return -1j * lam / c
 
 
 _R1_VARIANTS = (Variant.V1, Variant.V2, Variant.V3)
@@ -340,3 +342,19 @@ def s3_admissibility_region(B: float, two_m: int, n: int) -> RegionVerdict:
         note += "; predicate disagrees with the exact inequality here"
     return RegionVerdict(entry.admissible, entry.variant, entry.violated,
                          predicate, note)
+
+
+GEOMETRY = GeometryRecord(
+    radial_variable=Variable.YR_S3, axial_variable=Variable.YZ_S3,
+    r_max=math.pi, z_max=math.pi / 2, stretch=np.cos,
+    stretch_prime=lambda z: -np.sin(z),
+    mu=s3_mu_potential, mu_prime=s3_mu_potential_prime,
+    radial_potential=s3_radial_potential, quantize=s3_quantize,
+    unified_report=s3_unified_report,
+    admissibility_region=s3_admissibility_region,
+    radial_solution=s3_radial_solution,
+    r_window=(1e-3, math.pi - 1e-3),
+    z_window=(-(math.pi / 2 - 0.1), math.pi / 2 - 0.1),
+    region_sign=1.0,
+    region_predicate="|m| - |2B - m| + 2n > 0 marks the advertised region",
+    zero_field_note="B = 0: curvature-only confinement")

@@ -16,7 +16,7 @@ from curved_landau import lobachevsky as lob
 from curved_landau import oracle
 from curved_landau import spherical as sph
 from curved_landau.hyp2f1 import KummerBranch
-from curved_landau.model import Component, Geometry, ModelConfig, Variant
+from curved_landau.model import Component, Geometry, Variant
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -118,16 +118,16 @@ def test_criterion_04_hypergeometric_identities():
 def test_criterion_05_commutator_convergence():
     start = time.perf_counter()
     h3_rep = oracle.commutator_residual(
-        ModelConfig(Geometry.H3, 5.0),
+        Geometry.H3, 5.0,
         oracle.gaussian_bump_spinor(2.0, 0.0, 0.5),
         oracle.Grid2D(0.05, 4.0, -2.0, 2.0, 100, 100), two_m=1, levels=3)
     s3_rep = oracle.commutator_residual(
-        ModelConfig(Geometry.S3, 1.0),
+        Geometry.S3, 1.0,
         oracle.gaussian_bump_spinor(1.5, 0.0, 0.3),
         oracle.Grid2D(0.05, math.pi - 0.05, -1.2, 1.2, 100, 100),
         two_m=1, levels=3)
     fault_rep = oracle.commutator_residual(
-        ModelConfig(Geometry.H3, 5.0),
+        Geometry.H3, 5.0,
         oracle.gaussian_bump_spinor(2.0, 0.0, 0.5),
         oracle.Grid2D(0.05, 4.0, -2.0, 2.0, 100, 100), two_m=1, levels=3,
         flat_helicity=True)
@@ -158,7 +158,7 @@ def test_criterion_05_commutator_convergence():
 def test_criterion_06_first_order_systems():
     grid_h3 = oracle.Grid1D(0.3, 8.0, 1200)
     grid_s3 = oracle.Grid1D(0.2, math.pi - 0.2, 1200)
-    cases = []  # (label, pair_tuple, system, grid, kwargs)
+    cases = []  # (label, pair_tuple, grid, kwargs)
 
     for two_m, B, n, pair_kind, v1, v2 in (
             (1, 5.0, 2, lob.RadialPair.V1_V4P, Variant.V1, Variant.V4P),
@@ -170,8 +170,8 @@ def test_criterion_06_first_order_systems():
                 lob.h3_radial_solution(two_m, B, entry.lambda_sq,
                                        Component.R2, v2),
                 lob.h3_radial_pair_factor(two_m, B, lam, pair_kind))
-        cases.append((f"h3 {pair_kind.name}", pair, oracle.SystemKind.H3_RADIAL,
-                      grid_h3, dict(lam=lam, two_m=two_m, B=B)))
+        cases.append((f"h3 {pair_kind.name}", pair, grid_h3,
+                      dict(lam=lam, two_m=two_m, B=B)))
 
     for two_m, B, n, pair_kind, v1, v2 in (
             (-1, 1.0, 0, sph.RadialPair.V1_V3P, Variant.V1, Variant.V3P),
@@ -184,15 +184,15 @@ def test_criterion_06_first_order_systems():
                 sph.s3_radial_solution(two_m, B, entry.lambda_sq,
                                        Component.R2, v2),
                 sph.s3_radial_pair_factor(two_m, B, lam, pair_kind))
-        cases.append((f"s3 {pair_kind.name}", pair, oracle.SystemKind.S3_RADIAL,
-                      grid_s3, dict(lam=lam, two_m=two_m, B=B)))
+        cases.append((f"s3 {pair_kind.name}", pair, grid_s3,
+                      dict(lam=lam, two_m=two_m, B=B)))
 
     worst_good, worst_label = 0.0, ""
     min_bad = math.inf
-    for label, pair, system, grid, kwargs in cases:
-        good = oracle.first_order_system_residual(pair, system, grid, **kwargs)
+    for label, pair, grid, kwargs in cases:
+        good = oracle.first_order_system_residual(pair, grid, **kwargs)
         bad = oracle.first_order_system_residual(
-            (pair[0], pair[1], 2.0 * pair[2]), system, grid, **kwargs)
+            (pair[0], pair[1], 2.0 * pair[2]), grid, **kwargs)
         if good.max_abs > worst_good:
             worst_good, worst_label = good.max_abs, label
         min_bad = min(min_bad, bad.max_abs)
@@ -234,11 +234,9 @@ def test_criterion_08_s3_axial_polynomials():
     for n_z in (0, 1, 2):
         p = sph.s3_axial_quantize(lam, n_z)
         assert p == lam + n_z + 0.5  # quantization exact, no rounding
-        for component, equation in (
-                (Component.Z1, oracle.OdeEquation.S3_AXIAL_Z1),
-                (Component.Z2, oracle.OdeEquation.S3_AXIAL_Z2)):
+        for component in (Component.Z1, Component.Z2):
             solution = sph.s3_axial_solution(p, lam, component)
-            rep = oracle.ode_residual(solution, equation, grid, p=p, lam=lam)
+            rep = oracle.ode_residual(solution, component, grid, p=p, lam=lam)
             worst = max(worst, rep.max_abs)
     ok = worst <= 1e-8
     _report(8, ok, f"lam=sqrt(3), n_z=0..2, both components: worst ODE "

@@ -19,20 +19,16 @@ from curved_landau.model import (
     DomainError,
     EvaluationDomain,
     Geometry,
-    ModelConfig,
     SupportTooCloseToSingularity,
     TruncationTooSmall,
     Variant,
     ZeroLambda,
 )
 from curved_landau.oracle import (
-    Boundary,
     EigenReport,
     Grid1D,
     Grid2D,
-    OdeEquation,
     ResidualReport,
-    SystemKind,
     axial_connection_check,
     commutator_residual,
     first_order_system_residual,
@@ -77,7 +73,7 @@ def test_report_guards():
     with pytest.raises(DomainError):
         ResidualReport(float("nan"), 0.0)
     with pytest.raises(DomainError):
-        EigenReport((3.0, 1.0), Boundary.DIRICHLET, "")
+        EigenReport((3.0, 1.0), "")
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +95,6 @@ def test_h3_spectrum_positive_m():
     # ladder includes the inadmissible lambda^2 = 0 borderline state:
     # the second-order solver cannot see the first-order pairing defect
     _assert_matches_ladder(rep.eigenvalues, [0.0, 9.0, 16.0, 21.0, 24.0])
-    assert rep.boundary is Boundary.DIRICHLET
 
 
 def test_h3_spectrum_negative_m():
@@ -173,11 +168,11 @@ def test_h3_radial_residual_exact_and_faulted():
     sol = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R1,
                              entry.variant)
     grid = Grid1D(0.3, 8.0, 1200)
-    rep = ode_residual(sol, OdeEquation.H3_RADIAL_R1, grid,
+    rep = ode_residual(sol, Component.R1, grid,
                        two_m=1, B=5.0, lambda_sq=entry.lambda_sq)
     assert rep.max_abs < 1e-10
     assert abs(rep.convergence_order - 2.0) < 0.3
-    fault = ode_residual(sol, OdeEquation.H3_RADIAL_R1, grid,
+    fault = ode_residual(sol, Component.R1, grid,
                          two_m=1, B=5.0, lambda_sq=entry.lambda_sq + 0.1)
     assert fault.max_abs > 1e-3
     assert fault.convergence_order < 0.5
@@ -187,7 +182,7 @@ def test_s3_radial_residual_exact():
     entry = s3_quantize(-1, 1.0, 1, Component.R1)
     sol = s3_radial_solution(-1, 1.0, entry.lambda_sq, Component.R1,
                              entry.variant)
-    rep = ode_residual(sol, OdeEquation.S3_RADIAL_R1,
+    rep = ode_residual(sol, Component.R1,
                        Grid1D(0.2, math.pi - 0.2, 1200),
                        two_m=-1, B=1.0, lambda_sq=entry.lambda_sq)
     assert rep.max_abs < 1e-10
@@ -197,13 +192,13 @@ def test_s3_radial_residual_exact():
 def test_axial_residuals_exact():
     p, lam = 0.7, 1.3
     z2 = h3_axial_solution(p, lam, KummerBranch.U1, Component.Z2)
-    rep = ode_residual(z2, OdeEquation.H3_AXIAL_Z2, Grid1D(-2.0, 2.0, 1000),
+    rep = ode_residual(z2, Component.Z2, Grid1D(-2.0, 2.0, 1000),
                        p=p, lam=lam)
     assert rep.max_abs < 1e-8
     lam = math.sqrt(3.0)
     p = s3_axial_quantize(lam, 2)
     z1 = s3_axial_solution(p, lam, Component.Z1)
-    rep = ode_residual(z1, OdeEquation.S3_AXIAL_Z1, Grid1D(-1.3, 1.3, 1000),
+    rep = ode_residual(z1, Component.Z1, Grid1D(-1.3, 1.3, 1000),
                        p=p, lam=lam)
     assert rep.max_abs < 1e-10
     assert abs(rep.convergence_order - 2.0) < 0.3
@@ -214,37 +209,83 @@ def test_ode_residual_argument_guards():
     sol = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R1,
                              entry.variant)
     with pytest.raises(DomainError):
-        ode_residual(sol, OdeEquation.H3_RADIAL_R1, Grid1D(0.3, 8.0, 100),
+        ode_residual(sol, Component.R1, Grid1D(0.3, 8.0, 100),
                      two_m=1, B=5.0)  # lambda_sq missing
     with pytest.raises(DomainError):
-        ode_residual(sol, OdeEquation.H3_RADIAL_R1, Grid1D(0.0, 8.0, 100),
+        ode_residual(sol, Component.R1, Grid1D(0.0, 8.0, 100),
                      two_m=1, B=5.0, lambda_sq=16.0)  # grid touches r = 0
     with pytest.raises(DomainError):
-        # solution lives on the radial variable, equation is axial
-        ode_residual(sol, OdeEquation.H3_AXIAL_Z1, Grid1D(-1.0, 1.0, 100),
+        # solution lives on the radial variable, component is axial
+        ode_residual(sol, Component.Z1, Grid1D(-1.0, 1.0, 100),
                      p=1.0, lam=1.0)
     z1 = h3_axial_solution(0.7, 1.3, KummerBranch.U1, Component.Z1)
     with pytest.raises(DomainError):
         # non-terminating series driven onto |y| ~ 1
-        ode_residual(z1, OdeEquation.H3_AXIAL_Z1, Grid1D(-40.0, 40.0, 100),
+        ode_residual(z1, Component.Z1, Grid1D(-40.0, 40.0, 100),
                      p=0.7, lam=1.3)
     with pytest.raises(EvaluationDomain):
         # tanh(19) rounds to 1, so y = 1 lies on the grid image
-        ode_residual(z1, OdeEquation.H3_AXIAL_Z1, Grid1D(-2.0, 19.0, 1500),
+        ode_residual(z1, Component.Z1, Grid1D(-2.0, 19.0, 1500),
                      p=0.7, lam=1.3)
 
 
-@pytest.mark.parametrize("component, equation", [
-    (Component.Z1, OdeEquation.H3_AXIAL_Z1),
-    (Component.Z2, OdeEquation.H3_AXIAL_Z2),
-])
-def test_axial_residual_exact_past_old_domain_edge(component, equation):
+@pytest.mark.parametrize("component", [Component.Z1, Component.Z2])
+def test_axial_residual_exact_past_old_domain_edge(component):
     # z = 15 puts 1 - y near 1e-13, inside the old |y| < 1 - 1e-12 refusal
     p, lam = 0.7, 1.3
     sol = h3_axial_solution(p, lam, KummerBranch.U1, component)
-    rep = ode_residual(sol, equation, Grid1D(-2.0, 15.0, 1500), p=p, lam=lam)
+    rep = ode_residual(sol, component, Grid1D(-2.0, 15.0, 1500), p=p, lam=lam)
     assert rep.max_abs < 1e-13
     assert abs(rep.convergence_order - 2.0) < 0.1
+
+
+def _axial_z1(geometry):
+    """(Z1 form, its equation's keywords, grid) on the given space."""
+    if geometry is Geometry.H3:
+        p, lam = 0.7, 1.3
+        return (h3_axial_solution(p, lam, KummerBranch.U1, Component.Z1),
+                dict(p=p, lam=lam), Grid1D(-2.0, 2.0, 1000))
+    lam = math.sqrt(3.0)
+    p = s3_axial_quantize(lam, 2)
+    return (s3_axial_solution(p, lam, Component.Z1), dict(p=p, lam=lam),
+            Grid1D(-1.3, 1.3, 1000))
+
+
+def _radial_r1(geometry):
+    """(R1 bound-state form, its equation's keywords, grid)."""
+    if geometry is Geometry.H3:
+        two_m, B, n, quantize, build = 1, 5.0, 2, h3_quantize, h3_radial_solution
+        grid = Grid1D(0.3, 8.0, 1200)
+    else:
+        two_m, B, n, quantize, build = -1, 1.0, 1, s3_quantize, s3_radial_solution
+        grid = Grid1D(0.2, math.pi - 0.2, 1200)
+    entry = quantize(two_m, B, n, Component.R1)
+    sol = build(two_m, B, entry.lambda_sq, Component.R1, entry.variant)
+    return sol, dict(two_m=two_m, B=B, lambda_sq=entry.lambda_sq), grid
+
+
+@pytest.mark.parametrize("geometry", [Geometry.H3, Geometry.S3])
+def test_partner_equation_rejects_the_form(geometry):
+    # Z1/Z2 (and R1/R2) equations differ in the sign of one term only;
+    # a form metered as its partner must fail, so a flipped sign cannot
+    # pass unnoticed
+    for (sol, kw, grid), partner in ((_axial_z1(geometry), Component.Z2),
+                                     (_radial_r1(geometry), Component.R2)):
+        rep = ode_residual(sol, partner, grid, **kw)
+        assert rep.max_abs > 1e-3
+        assert rep.convergence_order < 0.5
+
+
+@pytest.mark.parametrize("geometry", [Geometry.H3, Geometry.S3])
+def test_component_must_match_the_form_coordinate(geometry):
+    z1, axial_kw, axial_grid = _axial_z1(geometry)
+    r1, radial_kw, radial_grid = _radial_r1(geometry)
+    with pytest.raises(DomainError):
+        ode_residual(r1, Component.Z1, axial_grid, **axial_kw)
+    with pytest.raises(DomainError):
+        ode_residual(z1, Component.R2, radial_grid, **radial_kw)
+    with pytest.raises(DomainError):
+        first_order_system_residual((z1, r1, 1.0), axial_grid, lam=1.0, p=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +311,12 @@ def _h3_axial_pair(p, lam):
 def test_system_residual_exact_and_scaled_fault():
     pair, lam = _h3_pair()
     grid = Grid1D(0.3, 8.0, 1200)
-    rep = first_order_system_residual(pair, SystemKind.H3_RADIAL, grid,
+    rep = first_order_system_residual(pair, grid,
                                       lam=lam, two_m=1, B=5.0)
     assert rep.max_abs < 1e-8
     assert abs(rep.convergence_order - 2.0) < 0.3
     bad = (pair[0], pair[1], 2.0 * pair[2])
-    rep = first_order_system_residual(bad, SystemKind.H3_RADIAL, grid,
+    rep = first_order_system_residual(bad, grid,
                                       lam=lam, two_m=1, B=5.0)
     assert rep.max_abs > 0.1
 
@@ -283,31 +324,29 @@ def test_system_residual_exact_and_scaled_fault():
 def test_system_residual_guards():
     pair, lam = _h3_pair()
     with pytest.raises(ZeroLambda):
-        first_order_system_residual(pair, SystemKind.H3_RADIAL,
-                                    Grid1D(0.3, 8.0, 100), lam=0.0,
+        first_order_system_residual(pair, Grid1D(0.3, 8.0, 100), lam=0.0,
                                     two_m=1, B=5.0)
     with pytest.raises(DomainError):
-        first_order_system_residual(pair, SystemKind.H3_RADIAL,
-                                    Grid1D(0.0, 8.0, 100), lam=lam,
+        first_order_system_residual(pair, Grid1D(0.0, 8.0, 100), lam=lam,
                                     two_m=1, B=5.0)
     with pytest.raises(DomainError):
-        first_order_system_residual(pair, SystemKind.H3_AXIAL,
-                                    Grid1D(-1.0, 1.0, 100), lam=lam)  # no p
+        first_order_system_residual(_h3_axial_pair(0.7, 1.3),
+                                    Grid1D(-1.0, 1.0, 100), lam=1.3)  # no p
     with pytest.raises(EvaluationDomain):
         first_order_system_residual(_h3_axial_pair(0.7, 1.3),
-                                    SystemKind.H3_AXIAL,
                                     Grid1D(-2.0, 19.0, 1500), lam=1.3, p=0.7)
 
 
 def test_axial_system_residual_exact_past_old_domain_edge():
-    p, lam, hi = 0.7, 1.3, 15.0
-    rep = first_order_system_residual(_h3_axial_pair(p, lam),
-                                      SystemKind.H3_AXIAL,
-                                      Grid1D(-2.0, hi, 1500), lam=lam, p=p)
-    # the stretch cosh z multiplies f' + i p f, whose O(1) terms cancel,
-    # so rounding in them shows up scaled by cosh(hi)
-    assert rep.max_abs < 10 * np.finfo(float).eps * math.cosh(hi)
-    assert abs(rep.convergence_order - 2.0) < 0.1
+    # cosh z multiplies f' + i p f, whose terms grow like cosh(hi) and
+    # cancel; the pointwise normalization keeps an exact pair at
+    # rounding level however wide the grid
+    p, lam = 0.7, 1.3
+    for hi in (15.0, 18.0):
+        rep = first_order_system_residual(_h3_axial_pair(p, lam),
+                                          Grid1D(-2.0, hi, 1500), lam=lam, p=p)
+        assert rep.max_abs <= 1e-13
+        assert abs(rep.convergence_order - 2.0) < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +356,7 @@ def test_axial_system_residual_exact_past_old_domain_edge():
 
 def test_commutator_second_order_h3():
     spinor = gaussian_bump_spinor(2.0, 0.0, 0.5)
-    rep = commutator_residual(ModelConfig(Geometry.H3, 5.0), spinor,
+    rep = commutator_residual(Geometry.H3, 5.0, spinor,
                               Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80), two_m=1)
     assert abs(rep.convergence_order - 2.0) < 0.3
 
@@ -325,7 +364,7 @@ def test_commutator_second_order_h3():
 def test_commutator_second_order_s3():
     spinor = gaussian_bump_spinor(1.5, 0.0, 0.3)
     rep = commutator_residual(
-        ModelConfig(Geometry.S3, 1.0), spinor,
+        Geometry.S3, 1.0, spinor,
         Grid2D(0.05, math.pi - 0.05, -1.2, 1.2, 80, 80), two_m=1)
     assert abs(rep.convergence_order - 2.0) < 0.3
 
@@ -336,14 +375,14 @@ def test_commutator_constant_spinor():
     def spinor(r, z):
         return np.broadcast_to(amps[:, None, None], (4,) + r.shape).copy()
 
-    rep = commutator_residual(ModelConfig(Geometry.H3, 5.0), spinor,
+    rep = commutator_residual(Geometry.H3, 5.0, spinor,
                               Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80), two_m=1)
     assert abs(rep.convergence_order - 2.0) < 0.3
 
 
 def test_commutator_flat_fault_detected():
     spinor = gaussian_bump_spinor(2.0, 0.0, 0.5)
-    rep = commutator_residual(ModelConfig(Geometry.H3, 5.0), spinor,
+    rep = commutator_residual(Geometry.H3, 5.0, spinor,
                               Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80),
                               two_m=1, flat_helicity=True)
     assert rep.max_abs > 0.01
@@ -353,11 +392,18 @@ def test_commutator_flat_fault_detected():
 def test_commutator_singular_support_rejected():
     spinor = gaussian_bump_spinor(1.0, 0.0, 0.3)
     with pytest.raises(SupportTooCloseToSingularity):
-        commutator_residual(ModelConfig(Geometry.H3, 5.0), spinor,
+        commutator_residual(Geometry.H3, 5.0, spinor,
                             Grid2D(0.01, 4.0, -2.0, 2.0, 80, 80))
     with pytest.raises(SupportTooCloseToSingularity):
-        commutator_residual(ModelConfig(Geometry.S3, 1.0), spinor,
+        commutator_residual(Geometry.S3, 1.0, spinor,
                             Grid2D(0.05, math.pi - 0.05, -1.6, 1.6, 80, 80))
+
+
+def test_commutator_needs_finite_field():
+    spinor = gaussian_bump_spinor(2.0, 0.0, 0.5)
+    with pytest.raises(DomainError):
+        commutator_residual(Geometry.H3, math.inf, spinor,
+                            Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80))
 
 
 def test_bump_spinor_amplitude_guard():
