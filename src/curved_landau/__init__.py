@@ -7,13 +7,14 @@ Layers:
   complex parameters (series, derivatives, connection coefficients,
   contiguous relations).
 * :mod:`curved_landau.model` — shared vocabulary: enums, solution
-  forms, spectrum/region/report records, the per-space GeometryRecord
-  (``Geometry.H3.record``), error taxonomy.
+  forms, records, error taxonomy, and the per-space GeometryRecord
+  (``Geometry.H3.record``): mu, quantization, radial solutions, audit
+  and region verdict, written once from kappa and a variant table.
 * :mod:`curved_landau.lobachevsky` — the hyperbolic (pseudosphere)
-  model: radial/axial solutions, quantization, pair factors, flat
-  limit, helicity link.
-* :mod:`curved_landau.spherical` — the spherical model: fully discrete
-  two-index spectrum, variant tables, pair factors, total energy.
+  model: variant table, axial solutions, pair factors, flat limit,
+  helicity link.
+* :mod:`curved_landau.spherical` — the spherical model: variant
+  table, axial quantization and solutions, pair factors, total energy.
 * :mod:`curved_landau.oracle` — independent numerics: finite-volume
   eigensolvers, ODE/system residuals, commutator convergence, series
   connection integration.
@@ -67,33 +68,23 @@ from .hyp2f1 import (
 from .lobachevsky import (
     RadialPair as H3RadialPair,
     flat_limit,
-    h3_admissibility_region,
     h3_axial_connection,
     h3_axial_pair_factor,
     h3_axial_solution,
     h3_quantize,
     h3_radial_pair_factor,
     h3_radial_solution,
-    h3_unified_report,
     helicity_link,
-    mu_potential,
-    mu_potential_prime,
-    radial_potential,
 )
 from .spherical import (
     RadialPair as S3RadialPair,
-    s3_admissibility_region,
     s3_axial_pair_factor,
     s3_axial_quantize,
     s3_axial_solution,
-    s3_mu_potential,
-    s3_mu_potential_prime,
     s3_quantize,
     s3_radial_pair_factor,
-    s3_radial_potential,
     s3_radial_solution,
     s3_total_energy,
-    s3_unified_report,
 )
 from .oracle import (
     EigenReport,
@@ -127,17 +118,13 @@ __all__ = [
     "eval_2f1", "kummer_connection", "log_gamma", "series_with_derivatives",
     "u2_value", "u5_value", "u6_value",
     # lobachevsky
-    "H3RadialPair", "flat_limit", "h3_admissibility_region",
-    "h3_axial_connection", "h3_axial_pair_factor", "h3_axial_solution",
-    "h3_quantize", "h3_radial_pair_factor", "h3_radial_solution",
-    "h3_unified_report", "helicity_link", "mu_potential",
-    "mu_potential_prime", "radial_potential",
+    "H3RadialPair", "flat_limit", "h3_axial_connection",
+    "h3_axial_pair_factor", "h3_axial_solution", "h3_quantize",
+    "h3_radial_pair_factor", "h3_radial_solution", "helicity_link",
     # spherical
-    "S3RadialPair", "s3_admissibility_region", "s3_axial_pair_factor",
-    "s3_axial_quantize", "s3_axial_solution", "s3_mu_potential",
-    "s3_mu_potential_prime", "s3_quantize", "s3_radial_pair_factor",
-    "s3_radial_potential", "s3_radial_solution", "s3_total_energy",
-    "s3_unified_report",
+    "S3RadialPair", "s3_axial_pair_factor", "s3_axial_quantize",
+    "s3_axial_solution", "s3_quantize", "s3_radial_pair_factor",
+    "s3_radial_solution", "s3_total_energy",
     # oracle
     "EigenReport", "Grid1D", "Grid2D", "ResidualReport",
     "axial_connection_check",

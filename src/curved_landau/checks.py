@@ -11,7 +11,8 @@ radial
     spectra on both spaces.
 axial
     Constructed axial solutions substituted into their second-order
-    equations; the spherical quantization rule checked exactly.
+    equations; the spherical quantization rule checked exactly; the
+    hyperbolic connection coefficients against an integrated solution.
 commutator
     Convergence order of the helicity-commutator residual, plus the
     flat-operator fault that must fail to converge.
@@ -182,6 +183,11 @@ def _suite_axial(tol: Optional[float]) -> List[CheckResult]:
     orders = [abs(r.convergence_order - 2.0) for r in (r1, r2)]
     out.append(_result("axial/h3-fd-order", max(orders), 0.3,
                        "finite-difference pathway"))
+    # the connection coefficients that evaluate the forms at Re y > 0.9,
+    # against an integration of the axial ODE that does not use them
+    rep = oracle.axial_connection_check(p, lam)
+    out.append(_result("axial/h3-connection-vs-ode", rep.max_abs, threshold,
+                       "p=0.7, lam=1.3, y in [0.9, 0.95]"))
     return out
 
 

@@ -309,8 +309,6 @@ def _cmd_regions(args, parser: argparse.ArgumentParser) -> int:
     for two_m in two_ms:
         for n in ns:
             verdict = geo.admissibility_region(args.B, two_m, n)
-            entry = geo.quantize(two_m, args.B, n, Component.R1)
-            inside = geo.region_sign * verdict.predicate > 0
             records.append({
                 "model": args.model,
                 "B": args.B,
@@ -319,9 +317,9 @@ def _cmd_regions(args, parser: argparse.ArgumentParser) -> int:
                 "variant": verdict.variant.value if verdict.variant else None,
                 "admissible": verdict.admissible,
                 "violated": verdict.violated,
-                "lambda_sq": entry.lambda_sq,
+                "lambda_sq": verdict.lambda_sq,
                 "predicate": verdict.predicate,
-                "predicate_consistent": inside == verdict.admissible,
+                "predicate_consistent": verdict.predicate_consistent,
             })
     meta = {
         "generator": f"curved-landau {__version__}",

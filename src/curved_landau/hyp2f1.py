@@ -194,12 +194,42 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
 
 def _checked_series(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     """_series_array under the domain rules of eval_2f1: finite
-    arguments, and |y| < 1 unless the series terminates."""
+    arguments, and |y| < 1 unless the series terminates.
+
+    A non-terminating series at points with Re y < 0 is summed through
+    Pfaff's transformation (DLMF 15.8.1),
+
+        F(a, b; c; y) = w^-a F(a, c - b; c; x),  w = 1 - y,  x = y/(y - 1),
+
+    with F' and F'' by the exact chain rule (dx/dy = -1/w^2). There
+    |x| < |y|, and the terms no longer alternate into the cancellation
+    that costs the direct sum up to ~1e6 |F| in its largest term.
+    """
     big = float(np.max(np.abs(y), initial=0.0))
     _require_finite(complex(big))
-    if not params.terminating and big >= 1.0:
+    if params.terminating:
+        return _series_array(params, y, dmax)
+    if big >= 1.0:
         raise NonConvergent(f"|y| = {big:.6g} >= 1 and series does not terminate")
-    return _series_array(params, y, dmax)
+    left = y.real < 0.0
+    if not left.any():
+        return _series_array(params, y, dmax)
+    out = [np.empty(y.shape, dtype=complex) for _ in range(dmax + 1)]
+    right = ~left
+    if right.any():
+        for o, v in zip(out, _series_array(params, y[right], dmax)):
+            o[right] = v
+    a, b, c = params.a, params.b, params.c
+    w = 1 - y[left]
+    g = _series_array(Hyp2F1Params(a, c - b, c), -y[left] / w, dmax)
+    pref = w ** -a
+    out[0][left] = pref * g[0]
+    if dmax >= 1:
+        out[1][left] = pref * (a / w * g[0] - g[1] / w**2)
+    if dmax >= 2:
+        out[2][left] = pref * (a * (a + 1) / w**2 * g[0]
+                               - 2 * (a + 1) / w**3 * g[1] + g[2] / w**4)
+    return out
 
 
 def eval_2f1(params: Hyp2F1Params, y):

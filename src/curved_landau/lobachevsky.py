@@ -1,10 +1,9 @@
 """Hyperbolic (H3) model layer.
 
-Radial potential mu(r), exact axial and radial solution forms, the
-per-variant quantization rules with admissibility verdicts, relative
-factors coupling the two radial (and axial) components, the unified
-level formula audit, the flat-space limit, and the helicity/energy
-link.
+The radial variant table behind the space's GeometryRecord (kappa = -1,
+sinh, cosh), exact axial solution forms, relative factors coupling the
+two radial (and axial) components, the flat-space limit, and the
+helicity/energy link.
 
 Conventions: B = eB and M in curvature-radius units, m half-integer
 passed as two_m = 2m (odd int) wherever variant ranges matter; the
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -27,12 +26,11 @@ from .model import (
     GeometryRecord,
     InadmissibleVariant,
     MasslessUnsupported,
+    RadialVariant,
     SigmaBranch,
     SolutionForm,
     SpectrumEntry,
-    RegionVerdict,
     SubthresholdEnergy,
-    UnifiedReport,
     Variable,
     Variant,
     ZeroLambda,
@@ -41,22 +39,15 @@ from .model import (
 __all__ = [
     "GEOMETRY",
     "RadialPair",
-    "mu_potential",
-    "mu_potential_prime",
-    "radial_potential",
     "h3_axial_solution",
     "h3_axial_connection",
     "h3_axial_pair_factor",
     "h3_radial_solution",
     "h3_quantize",
     "h3_radial_pair_factor",
-    "h3_admissibility_region",
-    "h3_unified_report",
     "flat_limit",
     "helicity_link",
 ]
-
-_SMALL_R = 1e-4
 
 
 class RadialPair(Enum):
@@ -64,42 +55,6 @@ class RadialPair(Enum):
 
     V1_V4P = "1-4p"
     V2_V3P = "2-3p"
-
-
-def mu_potential(r, m: float, B: float):
-    """mu(r) = (m - B(cosh r - 1))/sinh r, the radial gauge potential.
-
-    Accepts scalar or array r > 0. Below r = 1e-4 the series branch
-    m/r - (m/6 + B/2) r + (7m/360 + B/24) r^3 is used to avoid 0/0
-    cancellation.
-    """
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("r must be > 0")
-    small = arr < _SMALL_R
-    rs = np.where(small, 1.0, arr)
-    direct = (m - B * (np.cosh(rs) - 1.0)) / np.sinh(rs)
-    series = m / arr - (m / 6.0 + B / 2.0) * arr + (7.0 * m / 360.0 + B / 24.0) * arr**3
-    out = np.where(small, series, direct)
-    return float(out) if np.isscalar(r) else out
-
-
-def mu_potential_prime(r, m: float, B: float):
-    """d(mu)/dr = (B - (m + B) cosh r)/sinh^2 r."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("r must be > 0")
-    out = (B - (m + B) * np.cosh(arr)) / np.sinh(arr) ** 2
-    return float(out) if np.isscalar(r) else out
-
-
-def radial_potential(r, m: float, B: float, component: Component):
-    """Effective potential of the second-order radial equation:
-    mu^2 + mu' for R1, mu^2 - mu' for R2 (so -R'' + V R = lambda^2 R)."""
-    mu = mu_potential(r, m, B)
-    mup = mu_potential_prime(r, m, B)
-    sign = 1.0 if component is Component.R1 else -1.0
-    return mu * mu + sign * mup
 
 
 def h3_axial_solution(p: float, lam: float, branch: KummerBranch,
@@ -153,109 +108,44 @@ def h3_axial_pair_factor(p: float, lam: float, pair: KummerBranch) -> complex:
     return ap * bp / (lam * cp)
 
 
-def _r1_variant(two_m: int, B: float) -> Optional[Variant]:
-    if two_m >= 1:
-        return Variant.V1
-    if two_m / 2.0 > 0.5 - B:
-        return Variant.V2
-    return None
-
-
-def _r2_variant(two_m: int, B: float) -> Optional[Variant]:
-    if two_m >= -1:
-        return Variant.V4P
-    if two_m / 2.0 > 0.5 - B:
-        return Variant.V3P
-    return None
+# The four radial variants for B >= 0, with sqrt(B^2 - lambda^2) = rhs.
+# quantize selects in order, which picks each variant on its m-range:
+# R1 takes 1 for m >= 1/2, else 2; R2 takes 4' for m >= -1/2, else 3'.
+# No row covers m <= 1/2 - B (off the bound-state ladder).
+_VARIANTS = (
+    RadialVariant(Variant.V1, Component.R1, lambda two_m, B: two_m >= 1,
+                  lambda two_m, B: two_m >= 1, "m >= 1/2",
+                  lambda m, B: (-B - m / 2, m / 2, -B, -2 * B - m + 0.5),
+                  lambda m, B, n: B - n, "n < B"),
+    RadialVariant(Variant.V2, Component.R1, lambda two_m, B: two_m / 2.0 > 0.5 - B,
+                  lambda two_m, B: two_m <= 1 and two_m / 2.0 > 0.5 - B,
+                  "1/2 - B < m <= 1/2",
+                  lambda m, B: (-B - m / 2, (1 - m) / 2, -B - m + 0.5,
+                                -2 * B - m + 0.5),
+                  lambda m, B, n: B + m - 0.5 - n, "n < B + m - 1/2"),
+    RadialVariant(Variant.V4P, Component.R2, lambda two_m, B: two_m >= -1,
+                  lambda two_m, B: two_m >= -1, "m >= -1/2",
+                  lambda m, B: ((1 - 2 * B - m) / 2, (m + 1) / 2, -B + 1,
+                                -2 * B - m + 1.5),
+                  lambda m, B, n: B - n - 1, "n + 1 < B"),
+    RadialVariant(Variant.V3P, Component.R2, lambda two_m, B: two_m / 2.0 > 0.5 - B,
+                  lambda two_m, B: two_m <= -1 and two_m / 2.0 > 0.5 - B,
+                  "1/2 - B < m <= -1/2",
+                  lambda m, B: ((1 - 2 * B - m) / 2, -m / 2, -B - m + 0.5,
+                                -2 * B - m + 1.5),
+                  lambda m, B, n: B + m - 0.5 - n, "n < B + m - 1/2"),
+)
 
 
 def h3_radial_solution(two_m: int, B: float, lambda_sq: float,
                        component: Component, variant: Variant) -> SolutionForm:
-    """Radial solution form on y = (1 + cosh r)/2 for the requested
-    variant. The square root sqrt(B^2 - lambda_sq) must be real; bound
-    states additionally make the a-parameter a non-positive integer."""
-    m = two_m / 2.0
-    if lambda_sq > B * B:
-        raise InadmissibleVariant("lambda_sq <= B^2 violated (above the continuum edge)")
-    sq = math.sqrt(B * B - lambda_sq)
-    half = 0.5
-    if variant is Variant.V1:
-        if component is not Component.R1:
-            raise DomainError("variant 1 is an R1 variant")
-        if two_m < 1:
-            raise InadmissibleVariant("variant 1 requires m >= 1/2")
-        return SolutionForm(-B - m / 2, m / 2,
-                            Hyp2F1Params(-B + sq, -B - sq, -2 * B - m + half),
-                            Variable.YR)
-    if variant is Variant.V2:
-        if component is not Component.R1:
-            raise DomainError("variant 2 is an R1 variant")
-        if not (two_m <= 1 and m > half - B):
-            raise InadmissibleVariant("variant 2 requires 1/2 - B < m <= 1/2")
-        base = -B - m + half
-        return SolutionForm(-B - m / 2, (1 - m) / 2,
-                            Hyp2F1Params(base + sq, base - sq, -2 * B - m + half),
-                            Variable.YR)
-    if variant is Variant.V4P:
-        if component is not Component.R2:
-            raise DomainError("variant 4' is an R2 variant")
-        if two_m < -1:
-            raise InadmissibleVariant("variant 4' requires m >= -1/2")
-        return SolutionForm((1 - 2 * B - m) / 2, (m + 1) / 2,
-                            Hyp2F1Params(-B + 1 + sq, -B + 1 - sq, -2 * B - m + 1.5),
-                            Variable.YR)
-    if variant is Variant.V3P:
-        if component is not Component.R2:
-            raise DomainError("variant 3' is an R2 variant")
-        if not (two_m <= -1 and m > half - B):
-            raise InadmissibleVariant("variant 3' requires 1/2 - B < m <= -1/2")
-        base = -B - m + half
-        return SolutionForm((1 - 2 * B - m) / 2, -m / 2,
-                            Hyp2F1Params(base + sq, base - sq, -2 * B - m + 1.5),
-                            Variable.YR)
-    raise DomainError(f"variant {variant} is not a hyperbolic radial variant")
+    """GEOMETRY.radial_solution on y = (1 + cosh r)/2."""
+    return GEOMETRY.radial_solution(two_m, B, lambda_sq, component, variant)
 
 
 def h3_quantize(two_m: int, B: float, n: int, component: Component) -> SpectrumEntry:
-    """Quantized lambda^2 for level n of the selected radial component.
-
-    Variant is selected from m's range; inadmissible entries come back
-    with `admissible=False` and the violated inequality named, never as
-    an exception. B < 0 is handled by the reflection
-    (m, B) -> (-m, -B) which swaps R1 and R2. The borderline
-    lambda^2 = 0 levels are classified inadmissible: they solve the
-    second-order equation but the component pairing diverges as
-    1/lambda.
-    """
-    if two_m % 2 == 0:
-        raise DomainError("two_m must be odd")
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if component not in (Component.R1, Component.R2):
-        raise DomainError("component must be R1 or R2")
-    if B < 0.0:
-        other = Component.R2 if component is Component.R1 else Component.R1
-        return h3_quantize(-two_m, -B, n, other)
-    m = two_m / 2.0
-    if component is Component.R1:
-        variant = _r1_variant(two_m, B)
-        rhs_of = {Variant.V1: B - n, Variant.V2: B + m - 0.5 - n}
-        cond_of = {Variant.V1: "n < B", Variant.V2: "n < B + m - 1/2"}
-    else:
-        variant = _r2_variant(two_m, B)
-        rhs_of = {Variant.V4P: B - n - 1, Variant.V3P: B + m - 0.5 - n}
-        cond_of = {Variant.V4P: "n + 1 < B", Variant.V3P: "n < B + m - 1/2"}
-    if variant is None:
-        return SpectrumEntry(None, None, None, None, False, violated="1/2 - B < m")
-    rhs = rhs_of[variant]
-    lambda_sq = B * B - rhs * rhs
-    if rhs <= 0.0:
-        return SpectrumEntry(lambda_sq, None, None, variant, False,
-                             violated=cond_of[variant])
-    if lambda_sq <= 0.0:
-        return SpectrumEntry(lambda_sq, None, None, variant, False,
-                             violated="lambda_sq > 0")
-    return SpectrumEntry(lambda_sq, None, None, variant, True)
+    """GEOMETRY.quantize: lambda^2 = B^2 - rhs^2 below the edge B^2."""
+    return GEOMETRY.quantize(two_m, B, n, component)
 
 
 def h3_radial_pair_factor(two_m: int, B: float, lam: float,
@@ -271,50 +161,12 @@ def h3_radial_pair_factor(two_m: int, B: float, lam: float,
     if pair is RadialPair.V1_V4P:
         if two_m < 1:
             raise InadmissibleVariant("pair (1,4') requires m >= 1/2")
-        a, b, c = -B + sq, -B - sq, -2 * B - m + 0.5
-        return a * b / (1j * lam * c)
+        _, _, s, c = GEOMETRY.row(Variant.V1).exponents(m, B)
+        return (s - sq) * (s + sq) / (1j * lam * c)
     if not (two_m <= -1 and m > 0.5 - B):
         raise InadmissibleVariant("pair (2,3') requires 1/2 - B < m <= -1/2")
-    base = -B - m + 0.5
-    ap, bp, cp = base + sq, base - sq, -2 * B - m + 0.5
-    return (ap - cp) * (bp - cp) / (1j * lam * cp)
-
-
-def h3_admissibility_region(B: float, two_m: int, n: int) -> RegionVerdict:
-    """Per-variant admissibility verdict plus the figure predicate
-    |m| - |2B + m| + 2n (negative inside the advertised bound region).
-    The two disagree by 1/2 on some boundary entries; both are reported.
-    """
-    note = "figure predicate < 0 marks the bound region"
-    mw, Bw = two_m / 2.0, B
-    if B < 0.0:
-        mw, Bw = -mw, -B
-        note += "; reflection (m,B) -> (-m,-B) applied for B < 0"
-    elif B == 0.0:
-        note += "; B = 0: no bound states"
-    entry = h3_quantize(two_m, B, n, Component.R1)
-    predicate = abs(mw) - abs(2 * Bw + mw) + 2 * n
-    if (predicate < 0) != entry.admissible:
-        note += "; predicate disagrees with the exact inequality here"
-    return RegionVerdict(entry.admissible, entry.variant, entry.violated,
-                         predicate, note)
-
-
-def h3_unified_report(two_m: int, B: float, n: int) -> UnifiedReport:
-    """Audit of the unified level formula
-    sqrt(B^2 - lambda^2) = -|2B + m|/2 + |m|/2 + n against the selected
-    variant's right-hand side. Magnitudes are compared (the unified form
-    flips the sign of the square root for m > 0); the residual
-    half-integer offset on m < 0 rows is flagged."""
-    m = two_m / 2.0
-    unified = -abs(2 * B + m) / 2 + abs(m) / 2 + n
-    entry = h3_quantize(two_m, B, n, Component.R1)
-    if entry.variant is None:
-        return UnifiedReport(unified, None, None, None, None)
-    variant_rhs = B - n if entry.variant is Variant.V1 else B + m - 0.5 - n
-    discrepancy = abs(unified) - variant_rhs
-    return UnifiedReport(unified, variant_rhs, entry.variant, discrepancy,
-                         abs(discrepancy) > 1e-9)
+    _, _, s, c = GEOMETRY.row(Variant.V2).exponents(m, B)
+    return (s - sq - c) * (s + sq - c) / (1j * lam * c)
 
 
 def flat_limit(b_physical: float, n: int, rho: float) -> Tuple[float, float]:
@@ -355,13 +207,8 @@ def helicity_link(epsilon: float, M: float,
 
 GEOMETRY = GeometryRecord(
     radial_variable=Variable.YR, axial_variable=Variable.YZ,
-    r_max=math.inf, z_max=math.inf, stretch=np.cosh, stretch_prime=np.sinh,
-    mu=mu_potential, mu_prime=mu_potential_prime,
-    radial_potential=radial_potential, quantize=h3_quantize,
-    unified_report=h3_unified_report,
-    admissibility_region=h3_admissibility_region,
-    radial_solution=h3_radial_solution,
+    r_max=math.inf, z_max=math.inf, kappa=-1.0, sine=np.sinh, cosine=np.cosh,
+    variants=_VARIANTS, positive_exponents=False,
     r_window=(1e-3, 12.0), z_window=(-2.0, 2.0),
-    region_sign=-1.0,
     region_predicate="|m| - |2B + m| + 2n < 0 marks the bound region",
     zero_field_note="B = 0: no magnetic confinement")

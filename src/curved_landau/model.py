@@ -10,6 +10,7 @@ oracles consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Tuple
@@ -35,6 +36,7 @@ __all__ = [
     "Variant",
     "SigmaBranch",
     "Variable",
+    "RadialVariant",
     "GeometryRecord",
     "SolutionForm",
     "SpectrumEntry",
@@ -71,7 +73,7 @@ class NonPositiveLambda(DomainError):
     """lambda <= 0 on the canonical branch; use the symmetric branch."""
 
 
-class NegativeDiscriminant(DomainError):
+class NegativeDiscriminant(InadmissibleVariant):
     """Square-root argument of a quantization relation is negative."""
 
 
@@ -184,39 +186,229 @@ class Variable(Enum):
         return -np.cos(x) / 2.0 + 0.0j
 
 
+_SMALL_R = 1e-4
+# Tail of pi beyond double precision; (math.pi - r) + _PI_TAIL gives the
+# distance to the far pole of S3 at full precision (the 1/d pole
+# amplifies the ~1.2e-16 representation error of math.pi by 1/d otherwise).
+_PI_TAIL = 1.2246467991473532e-16
+
+
+def _partner(component: Component) -> Component:
+    return Component.R2 if component is Component.R1 else Component.R1
+
+
+@dataclass(frozen=True)
+class RadialVariant:
+    """One row of a space's radial variant table, for B >= 0.
+
+    The row's form is y^A (1-y)^C F(s - q, s + q; c; y) with
+    q = sqrt(B^2 + kappa lambda^2); it terminates at q = rhs. quantize
+    takes the first row of the component whose `selects(two_m, B)`
+    holds; radial_solution demands `in_range(two_m, B)` (`range_text`).
+    `exponents(m, B)` is (A, C, s, c) and `rhs(m, B, n)` the termination
+    value; `violated` names the inequality that fails when rhs <= 0.
+    Each row writes s, c and rhs as its closed form states them rather
+    than deriving them from A and C, which would change their rounding.
+    """
+
+    variant: Variant
+    component: Component
+    selects: Callable[[int, float], bool]
+    in_range: Callable[[int, float], bool]
+    range_text: str
+    exponents: Callable[[float, float], Tuple[float, float, float, float]]
+    rhs: Callable[[float, float, int], float]
+    violated: str
+
+
 @dataclass(frozen=True)
 class GeometryRecord:
-    """What the oracle and the CLI need of one space. H3 and S3 are one
-    problem with sinh <-> sin and cosh <-> cos; the two instances are
-    built from the functions of lobachevsky.py and spherical.py.
-
-    r runs over (0, r_max) and z over (-z_max, z_max); the axial stretch
-    is c(z) = cosh z or cos z. mu, mu_prime take (r, m, B), and
-    radial_potential (r, m, B, component). The CLI samples wavefunctions
-    on r_window and z_window, chosen to keep every constructible solution
-    inside its series-convergence domain while approaching the endpoints.
-    region_sign is the sign of admissibility_region's figure predicate
-    inside the bound region.
+    """One space: H3 and S3 are one problem with curvature sign kappa =
+    -1 / +1 and trig pair (sinh, cosh) / (sin, cos), from which, with the
+    space's variant table, every method below is written once. r runs
+    over (0, r_max), z over (-z_max, z_max). positive_exponents is the
+    compact space's finiteness rule (A > 0 and C > 0 at both poles). The
+    CLI samples wavefunctions on r_window and z_window, which keep every
+    constructible solution inside its series-convergence domain, and
+    prints region_predicate and zero_field_note with `regions`.
     """
 
     radial_variable: Variable
     axial_variable: Variable
     r_max: float
     z_max: float
-    stretch: Callable
-    stretch_prime: Callable
-    mu: Callable
-    mu_prime: Callable
-    radial_potential: Callable
-    quantize: Callable
-    unified_report: Callable
-    admissibility_region: Callable
-    radial_solution: Callable
+    kappa: float
+    sine: Callable
+    cosine: Callable
+    variants: Tuple[RadialVariant, ...]
+    positive_exponents: bool
     r_window: Tuple[float, float]
     z_window: Tuple[float, float]
-    region_sign: float
     region_predicate: str
     zero_field_note: str
+
+    def stretch(self, z):
+        """Axial stretch c(z) = cosh z (H3) or cos z (S3)."""
+        return self.cosine(z)
+
+    def stretch_prime(self, z):
+        """c'(z) = sinh z (H3) or -sin z (S3)."""
+        return -self.kappa * self.sine(z)
+
+    def _radius(self, r):
+        arr = np.asarray(r, dtype=float)
+        if np.any(arr <= 0.0) or np.any(arr >= self.r_max):
+            raise DomainError(f"r must lie in (0, {self.r_max:g})")
+        return arr
+
+    def mu(self, r, m: float, B: float):
+        """mu(r) = (m - kappa B (1 - cos r))/sin r, the radial gauge
+        potential (cosh, sinh on H3), for scalar or array r.
+
+        Below r = 1e-4 the series m/r + (kappa m/6 - B/2) r
+        + (7m/360 - kappa B/24) r^3 avoids the 0/0 cancellation; on S3,
+        within 1e-4 of the far pole, (m - 2B)/d + ((m - 2B)/6 + B/2) d
+        with d = pi - r.
+        """
+        arr = self._radius(r)
+        k = self.kappa
+        d = (self.r_max - arr) + _PI_TAIL
+        lo, hi = arr < _SMALL_R, d < _SMALL_R
+        rs = np.where(lo | hi, 1.0, arr)
+        direct = (m - k * B * (1.0 - self.cosine(rs))) / self.sine(rs)
+        near0 = (m / arr + (k * m / 6.0 - B / 2.0) * arr
+                 + (7.0 * m / 360.0 - k * B / 24.0) * arr**3)
+        out = np.where(lo, near0, direct)
+        if np.any(hi):
+            near_pi = (m - 2 * B) / d + ((m - 2 * B) / 6.0 + B / 2.0) * d
+            out = np.where(hi, near_pi, out)
+        return float(out) if np.isscalar(r) else out
+
+    def mu_prime(self, r, m: float, B: float):
+        """d(mu)/dr = (-kappa B - (m - kappa B) cos r)/sin^2 r."""
+        arr = self._radius(r)
+        kB = self.kappa * B
+        out = (-kB - (m - kB) * self.cosine(arr)) / self.sine(arr) ** 2
+        return float(out) if np.isscalar(r) else out
+
+    def radial_potential(self, r, m: float, B: float, component: Component):
+        """Effective potential of the second-order radial equation:
+        mu^2 + mu' for R1, mu^2 - mu' for R2 (so -R'' + V R = lambda^2 R)."""
+        mu = self.mu(r, m, B)
+        mup = self.mu_prime(r, m, B)
+        sign = 1.0 if component is Component.R1 else -1.0
+        return mu * mu + sign * mup
+
+    def row(self, variant: Variant) -> RadialVariant:
+        """The variant's row of this space's table."""
+        for row in self.variants:
+            if row.variant is variant:
+                return row
+        raise DomainError(f"variant {variant.value} is not a "
+                          f"{self.radial_variable.geometry.name} radial variant")
+
+    def quantize(self, two_m: int, B: float, n: int,
+                 component: Component) -> SpectrumEntry:
+        """Quantized lambda^2 = kappa (rhs^2 - B^2) for level n of the
+        radial component, rhs from the first row of the component whose
+        selection holds.
+
+        Inadmissible entries come back with `admissible=False` and the
+        violated inequality named, never as an exception: no row (H3,
+        m <= 1/2 - B), rhs <= 0, or lambda^2 <= 0. The lambda^2 = 0
+        borderline levels solve the second-order equation, but the
+        component pairing diverges as 1/lambda. B < 0 is handled by the
+        reflection (m, B) -> (-m, -B), which swaps R1 and R2.
+        """
+        if two_m % 2 == 0:
+            raise DomainError("two_m must be odd")
+        if n < 0:
+            raise DomainError("n must be >= 0")
+        if component not in (Component.R1, Component.R2):
+            raise DomainError("component must be R1 or R2")
+        if B < 0.0:
+            return self.quantize(-two_m, -B, n, _partner(component))
+        for row in self.variants:
+            if row.component is component and row.selects(two_m, B):
+                break
+        else:
+            return SpectrumEntry(None, None, False, violated="1/2 - B < m")
+        rhs = row.rhs(two_m / 2.0, B, n)
+        # kappa*rhs^2 - kappa*B^2, not kappa*(rhs^2 - B^2): +0.0 at H3 zero modes
+        lambda_sq = self.kappa * rhs * rhs - self.kappa * B * B
+        if rhs <= 0.0:
+            return SpectrumEntry(lambda_sq, row.variant, False, row.violated)
+        if lambda_sq <= 0.0:
+            return SpectrumEntry(lambda_sq, row.variant, False, "lambda_sq > 0")
+        return SpectrumEntry(lambda_sq, row.variant, True)
+
+    def radial_solution(self, two_m: int, B: float, lambda_sq: float,
+                        component: Component, variant: Variant) -> SolutionForm:
+        """The variant's form y^A (1-y)^C F(s - q, s + q; c; y) at
+        lambda_sq, q = sqrt(B^2 + kappa lambda_sq). Bound states make
+        s + q (H3) or s - q (S3) a non-positive integer. B < 0 takes the
+        reflection (m, B) -> (-m, -B) with R1 <-> R2, as quantize does, so
+        the variant quantize names builds the state it quantized."""
+        if component not in (Component.R1, Component.R2):
+            raise DomainError("component must be R1 or R2")
+        if B < 0.0:
+            two_m, B, component = -two_m, -B, _partner(component)
+        row = self.row(variant)
+        if row.component is not component:
+            raise DomainError(f"variant {variant.value} is an "
+                              f"{row.component.name} variant")
+        disc = B * B + self.kappa * lambda_sq
+        if disc < 0.0:
+            sign = "+" if self.kappa > 0 else "-"
+            raise NegativeDiscriminant(f"B^2 {sign} lambda_sq < 0")
+        if not row.in_range(two_m, B):
+            raise InadmissibleVariant(
+                f"variant {variant.value} requires {row.range_text}")
+        A, C, s, c = row.exponents(two_m / 2.0, B)
+        if self.positive_exponents and min(A, C) <= 0.0:
+            raise InadmissibleVariant(f"variant {variant.value}: exponents "
+                                      f"A = {A}, C = {C} must be > 0")
+        q = math.sqrt(disc)
+        return SolutionForm(A, C, Hyp2F1Params(s - q, s + q, c),
+                            self.radial_variable)
+
+    def unified_report(self, two_m: int, B: float, n: int) -> UnifiedReport:
+        """Audit of the unified level formula
+        q = kappa |2B - kappa m|/2 + |m|/2 + n (H3: -|2B + m|/2 + |m|/2 + n,
+        S3: |2B - m|/2 + |m|/2 + n) against the rhs of the R1 variant that
+        quantize selects, evaluated at (m, B). Magnitudes are compared (on
+        H3 the unified form flips the sign of the root for m > 0); the
+        residual half-integer offset is flagged (H3: m < 0 rows; S3: off
+        the variant-2 range)."""
+        m = two_m / 2.0
+        unified = self.kappa * abs(2 * B - self.kappa * m) / 2 + abs(m) / 2 + n
+        entry = self.quantize(two_m, B, n, Component.R1)
+        if entry.variant is None:
+            return UnifiedReport(unified, None, None, None, None)
+        variant_rhs = self.row(entry.variant).rhs(m, B, n)
+        discrepancy = abs(unified) - variant_rhs
+        return UnifiedReport(unified, variant_rhs, entry.variant, discrepancy,
+                             abs(discrepancy) > 1e-9)
+
+    def admissibility_region(self, B: float, two_m: int, n: int) -> RegionVerdict:
+        """Verdict of the R1 level plus the figure predicate
+        |m| - |2B - kappa m| + 2n, which kappa * predicate > 0 advertises
+        as the bound region. The two disagree on part of the lattice (by
+        1/2 on H3 boundary entries); both are reported."""
+        note = self.region_predicate
+        mw, Bw = two_m / 2.0, B
+        if B < 0.0:
+            mw, Bw = -mw, -B
+            note += "; reflection (m,B) -> (-m,-B) applied for B < 0"
+        elif B == 0.0:
+            note += "; " + self.zero_field_note
+        entry = self.quantize(two_m, B, n, Component.R1)
+        predicate = abs(mw) - abs(2 * Bw - self.kappa * mw) + 2 * n
+        consistent = (self.kappa * predicate > 0) == entry.admissible
+        if not consistent:
+            note += "; predicate disagrees with the exact inequality here"
+        return RegionVerdict(entry.admissible, entry.variant, entry.violated,
+                             entry.lambda_sq, predicate, consistent, note)
 
 
 @dataclass
@@ -279,13 +471,10 @@ class SolutionForm:
 
 @dataclass
 class SpectrumEntry:
-    """One quantized level. p is None for the hyperbolic model (the
-    axial momentum stays continuous there); epsilon is populated only
-    when p is known. lambda_sq is None when no variant covers (m, B)."""
+    """One quantized radial level. lambda_sq is None when no variant
+    covers (m, B)."""
 
     lambda_sq: Optional[float]
-    p: Optional[float]
-    epsilon: Optional[float]
     variant: Optional[Variant]
     admissible: bool
     violated: Optional[str] = None
@@ -293,12 +482,16 @@ class SpectrumEntry:
 
 @dataclass
 class RegionVerdict:
-    """Admissibility verdict plus the figure predicate for cross-checks."""
+    """Admissibility verdict and level plus the figure predicate for
+    cross-checks; predicate_consistent says whether the predicate's side
+    agrees with the verdict."""
 
     admissible: bool
     variant: Optional[Variant]
     violated: Optional[str]
+    lambda_sq: Optional[float]
     predicate: float
+    predicate_consistent: bool
     note: str = ""
 
 

@@ -17,9 +17,9 @@ the singular problem into a flux-form symmetric tridiagonal matrix on
 cell centers; eigenvalues come from LAPACK's deterministic
 Sturm-sequence bisection.
 
-scipy is imported inside the eigensolvers and the connection check,
-the only callers that need it, so importing this module (and the
-package and its CLI) loads numpy and the standard library alone.
+scipy is imported inside the eigensolvers, the only callers that need
+it, so importing this module (and the package and its CLI) loads numpy
+and the standard library alone.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def radial_eigenvalues_h3(m: float, B: float, component: Component,
         raise DomainError("component must be R1 or R2")
     if grid.lo < 0.0:
         raise DomainError("grid.lo must be >= 0")
-    mu_hi = lob.mu_potential(grid.hi, m, B)
+    mu_hi = lob.GEOMETRY.mu(grid.hi, m, B)
     if abs(mu_hi * mu_hi - B * B) > 1e-3 * max(1.0, B * B):
         raise DomainError(
             "grid.hi too small: mu^2 has not reached its asymptote B^2")
@@ -228,7 +228,7 @@ def radial_eigenvalues_h3(m: float, B: float, component: Component,
     F = _h3_weight(faces, s) ** 2
     F[0] = 0.0
     W = _h3_weight(centers, s) ** 2
-    v_tilde = (lob.radial_potential(centers, m, B, component)
+    v_tilde = (lob.GEOMETRY.radial_potential(centers, m, B, component)
                - _h3_weight_curvature(centers, s))
     d, e = _weighted_tridiagonal(F, W, v_tilde, h, natural_hi=False)
     gersh_lo = float(np.min(d - np.abs(np.r_[0.0, e]) - np.abs(np.r_[e, 0.0]))) - 1.0
@@ -274,7 +274,7 @@ def radial_eigenvalues_s3(m: float, B: float, component: Component,
     if at_pole:
         F[-1] = 0.0
     W = _s3_weight(centers, s0, spi) ** 2
-    v_tilde = (sph.s3_radial_potential(centers, m, B, component)
+    v_tilde = (sph.GEOMETRY.radial_potential(centers, m, B, component)
                - _s3_weight_curvature(centers, s0, spi))
     d, e = _weighted_tridiagonal(F, W, v_tilde, h, natural_hi=at_pole)
     k = min(max_count, grid.points - 2, d.size) - 1
@@ -610,16 +610,17 @@ def commutator_residual(geometry: Geometry, B: float,
 
 def axial_connection_check(p: float, lam: float,
                            grid: Optional[Grid1D] = None) -> ResidualReport:
-    """Integrate the hyperbolic axial equation in the y variable from
-    y = 0.1 and compare against the two-term recombination around
-    y = 1 predicted by the connection coefficients.
+    """Integrate the hyperbolic axial equation from y = 0.1 and compare
+    against the two-term recombination around y = 1 predicted by the
+    connection coefficients.
 
-    Z(y) = y^((1+ip)/2) (1-y)^(ip/2) F(a, b, c; y) solves
-    4 y^2 (1-y)^2 Z'' + 2 y (1-y)(1-2y) Z'
-    + (p^2 + i p (2y-1) - 4 lam^2 y (1-y)) Z = 0.
+    Z = y^((1+ip)/2) (1-y)^(ip/2) F(a, b, c; y) solves, on
+    z = atanh(2y - 1), where the equation is smooth on the whole line,
+    Z'' + tanh z Z' + (p^2 + i p tanh z - lam^2 / cosh^2 z) Z = 0.
+    Classical fourth-order Runge-Kutta steps carry Z from y = 0.1 to each
+    grid node; a step of at most 2e-3 / max(1, |p|, lam) in z keeps the
+    integration error below ~1e-12 of the solution.
     """
-    from scipy.integrate import solve_ivp
-
     if p == 0.0:
         raise DomainError("p must be nonzero")
     if lam == 0.0:
@@ -633,29 +634,33 @@ def axial_connection_check(p: float, lam: float,
     params = sol.params
     coeff = lob.h3_axial_connection(p, lam, KummerBranch.U1)
 
-    def rhs(y, state):
-        zr, zi, dr, di = state
-        z = zr + 1j * zi
-        dz = dr + 1j * di
-        denom = 4.0 * y * y * (1.0 - y) ** 2
-        coef1 = 2.0 * y * (1.0 - y) * (1.0 - 2.0 * y)
-        coef0 = p * p + 1j * p * (2.0 * y - 1.0) - 4.0 * lam * lam * y * (1.0 - y)
-        d2 = -(coef1 * dz + coef0 * z) / denom
-        return [dr, di, d2.real, d2.imag]
+    def rhs(z, f, df):
+        t = math.tanh(z)
+        return df, -(t * df + (p * p + 1j * p * t - lam * lam / math.cosh(z) ** 2) * f)
 
-    y0 = 0.1
-    z0, dz0, _ = sol.derivs_y(y0)
+    z = math.atanh(2 * 0.1 - 1)
+    g0, g1, _ = sol.evaluate_with_derivs(np.array([z]))
+    f, df = complex(g0[0]), complex(g1[0])
+    h_max = 2e-3 / max(1.0, abs(p), abs(lam))
     ys = grid.nodes()
-    ivp = solve_ivp(rhs, (y0, grid.hi), [z0.real, z0.imag, dz0.real, dz0.imag],
-                    t_eval=ys, method="DOP853", rtol=1e-11, atol=1e-13)
-    if not ivp.success:
-        raise DomainError(f"integration failed: {ivp.message}")
-    z_num = ivp.y[0] + 1j * ivp.y[1]
+    z_num = []
+    for target in np.arctanh(2 * ys - 1):
+        steps = max(1, math.ceil((target - z) / h_max))
+        h = (target - z) / steps
+        for _ in range(steps):
+            k1 = rhs(z, f, df)
+            k2 = rhs(z + h / 2, f + h / 2 * k1[0], df + h / 2 * k1[1])
+            k3 = rhs(z + h / 2, f + h / 2 * k2[0], df + h / 2 * k2[1])
+            k4 = rhs(z + h, f + h * k3[0], df + h * k3[1])
+            f += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            df += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            z += h
+        z_num.append(f)
     pref = ys ** complex(sol.exp_a) * (1.0 - ys) ** complex(sol.exp_c)
     z_pred = pref * (coeff.to_u2 * u2_value(params, ys)
                      + coeff.to_u6 * u6_value(params, ys))
     scale = float(np.max(np.abs(z_pred)))
-    diff = np.abs(z_num - z_pred)
+    diff = np.abs(np.array(z_num) - z_pred)
     return ResidualReport(float(np.max(diff)) / scale,
                           float(np.sqrt(grid.spacing * np.sum(diff ** 2))) / scale,
                           None)

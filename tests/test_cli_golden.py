@@ -56,11 +56,152 @@ GOLDEN = [
      "fb064892bc84500b67ceb796fbda715ea864b95c918dd0d111d2f7408ee7e76b"),
 ]
 
+# The whole lattice |two_m| <= 41, n <= 60 at nine fields on both
+# models: pins every variant row, the B < 0 reflection and the B = 0
+# notes, not only a few points.
+LATTICE = [
+    ('spectrum --model h3 --B 0 --two-m=-41..41 --n 0..60',
+     '6160ea28c28d3051070150615770a7b8c26a3fa6f84dbd3e282d74fa8876c2ef'),
+    ('regions --model h3 --B 0 --two-m=-41..41 --n 0..60',
+     '9764515e5ab400d4d9e57c58088a07dd4c9d580c94cccf41a804e28ee554349a'),
+    ('spectrum --model h3 --B 0.3 --two-m=-41..41 --n 0..60',
+     'cb7c1ac8926da3fabb2ff91a7491f4b469b141aa09cef7e9803259d17d6f2297'),
+    ('regions --model h3 --B 0.3 --two-m=-41..41 --n 0..60',
+     '1a868c6a5ca31c176c329691d4cf6faac61e0ed85d11077a0fcf18504c6fe1de'),
+    ('spectrum --model h3 --B 0.5 --two-m=-41..41 --n 0..60',
+     'a6f64a6a1c35acf5cddee36f24f0d9fff3c6be7b1c77a2a0660d51ab100a1a9f'),
+    ('regions --model h3 --B 0.5 --two-m=-41..41 --n 0..60',
+     '1ed9678259a2fe1b527e79fa49e298dd843e7d93994a6fe87dd5c084056154a1'),
+    ('spectrum --model h3 --B 2.5 --two-m=-41..41 --n 0..60',
+     'e0c3e4b65a6605459c92970cdb09b4b3aa388ce11cf0c9f703be028b8a6d608c'),
+    ('regions --model h3 --B 2.5 --two-m=-41..41 --n 0..60',
+     '197cfcb6dd76718ec2e6ab5b0f5e07419725d9dd43ecab217640dda08555013e'),
+    ('spectrum --model h3 --B 7.3 --two-m=-41..41 --n 0..60',
+     '8bebd46d7352c588a68c34f3d6db4305611f91e4c6c2f9089b236d2c0c549881'),
+    ('regions --model h3 --B 7.3 --two-m=-41..41 --n 0..60',
+     '832f940d2a1a391a8bef5931a1fd56f7a37f2b29d7cb100fbd7bc695094b7953'),
+    ('spectrum --model h3 --B 50 --two-m=-41..41 --n 0..60',
+     '5020e6d40888b7a3bbc21d909b06a6028caae1b42143763a89959cd63f0ff896'),
+    ('regions --model h3 --B 50 --two-m=-41..41 --n 0..60',
+     'a0917674dd28d1b7f5e077f57996b85d93a70f86e31f116f153b3bb541e3dc1d'),
+    ('spectrum --model h3 --B -0.3 --two-m=-41..41 --n 0..60',
+     'da7dcb1d497eb1f751f71b28041585b9a2f3fcbfe95a58a4b28ba8bd14b4a1fa'),
+    ('regions --model h3 --B -0.3 --two-m=-41..41 --n 0..60',
+     'c67004d38267d076992f390c6524b843b2122369c6ff96b3c122fed5f3a1d389'),
+    ('spectrum --model h3 --B -2.5 --two-m=-41..41 --n 0..60',
+     'c6cfb70d0a9973c6d3c4803186a80e976c2b703d33674deddbaffe81c854ecf2'),
+    ('regions --model h3 --B -2.5 --two-m=-41..41 --n 0..60',
+     '6543bfb87a8c42cca5d3754cfb853a91f6e01c316ec52a85dffa36df259b77d1'),
+    ('spectrum --model h3 --B -20 --two-m=-41..41 --n 0..60',
+     'd8d3b6906e19eb87415f9fe5f72a7056d7263675fe159646574514bba277e354'),
+    ('regions --model h3 --B -20 --two-m=-41..41 --n 0..60',
+     '01c939b10909ebe31a1d01b17b84b344a67beb6dfa9071cbb3d2659faa52ce33'),
+    ('spectrum --model s3 --B 0 --two-m=-41..41 --n 0..60',
+     '893c9b35d5169cf68f1a451722510853ba025dd16a00b55ec4d8dcd2e769f081'),
+    ('regions --model s3 --B 0 --two-m=-41..41 --n 0..60',
+     '15b64243c746e9dbec0d5b92d8ba9ad181d56c247f36c9c253f05fbb1f7980c1'),
+    ('spectrum --model s3 --B 0.3 --two-m=-41..41 --n 0..60',
+     '95a8c0e70bb4424f4251ec0c56909a7d285648e716fde56b62552a4e2d5e47e9'),
+    ('regions --model s3 --B 0.3 --two-m=-41..41 --n 0..60',
+     'fa0dcb9332485190ca86aaea6bfa38815ddab1857b1271662e29a9cda709eb6b'),
+    ('spectrum --model s3 --B 0.5 --two-m=-41..41 --n 0..60',
+     'a54f0eaea5fb131548f5a0395e03323daea8f10ac9dc7e52853f967974a234dd'),
+    ('regions --model s3 --B 0.5 --two-m=-41..41 --n 0..60',
+     '24f4e9ffb0676bc76e1388dd76f3a5399951f1736e1b5d0ef33b1089f250c593'),
+    ('spectrum --model s3 --B 2.5 --two-m=-41..41 --n 0..60',
+     'e9f1ca5d4cfad7918b2ba03992ae65d7f3a993d8ecc671485e1011039b06db22'),
+    ('regions --model s3 --B 2.5 --two-m=-41..41 --n 0..60',
+     'f316054757689f0675c3db359fd3535fd5f4986a8dad222d2b38c22ea8fb7254'),
+    ('spectrum --model s3 --B 7.3 --two-m=-41..41 --n 0..60',
+     'c9f81f6059b8fbcf0db95d48bb6631d948289b12f3cb54bb0ba4a01aa3a9748b'),
+    ('regions --model s3 --B 7.3 --two-m=-41..41 --n 0..60',
+     '80119e63bba66adad265046ab552ce68f84552b8698a41b9983df7dcf7dc2b3c'),
+    ('spectrum --model s3 --B 50 --two-m=-41..41 --n 0..60',
+     '8dade1e8f25f77aa822210d607c2f896270d50f577881f471b16fb7a9720e594'),
+    ('regions --model s3 --B 50 --two-m=-41..41 --n 0..60',
+     'f2fa40ce48524e397b5f98d97dd66d55e3d65a77d4faed4e1ba968202ba9d504'),
+    ('spectrum --model s3 --B -0.3 --two-m=-41..41 --n 0..60',
+     '99a51488522ab0ac71946b12a8a55debf054dddf57e82471d484d4533947306f'),
+    ('regions --model s3 --B -0.3 --two-m=-41..41 --n 0..60',
+     'a7a315ef390f4453af497570fbe1fa1e40f7545cca3bbe450d30135aa989892f'),
+    ('spectrum --model s3 --B -2.5 --two-m=-41..41 --n 0..60',
+     '0452b432f868f4d0604bd5c700accfc37468bacd3ff8dcdece8b5c32349b796e'),
+    ('regions --model s3 --B -2.5 --two-m=-41..41 --n 0..60',
+     'd8f65ee855e1e2b3f3a342e93d4b9a579eaa5b350a5b70a33187e38ff6be9890'),
+    ('spectrum --model s3 --B -20 --two-m=-41..41 --n 0..60',
+     '88c350dc0c67e9decf21cbf89c7c06e53219bac57d870430a1577436808aeae9'),
+    ('regions --model s3 --B -20 --two-m=-41..41 --n 0..60',
+     'ff283fc1b2277adb8bb690284e001ef629217f4408f5e4748832e4a4778e5e44'),
+]
 
-@pytest.mark.parametrize("command, digest", GOLDEN,
-                         ids=[c for c, _ in GOLDEN])
-def test_default_output_is_byte_identical(capsys, command, digest):
+# One radial state per variant row at B >= 0 (h3: 1, 2, 4', 3';
+# s3: 1, 2, 3, 4', 1', 3'), plus B = 0 and small-B states.
+RADIAL_WAVEFUNCTIONS = [
+    ('wavefunction --model h3 --component r1 --B 5 --two-m=3 --n 2',
+     'b5da1d450ce246d3f3da8b5777507dd85f3fd75b4ed52a0f84daa5bccdc39ed6'),
+    ('wavefunction --model h3 --component r1 --B 5 --two-m=-3 --n 1',
+     'ec64db62fe969249ebcb520df5752cf5006e9bb07a0edf08d212aec13b36cf60'),
+    ('wavefunction --model h3 --component r2 --B 5 --two-m=-1 --n 1',
+     'cde505ba2fc1554f0ce09ae2bd88aca31e507139321ea24e734bab514816d692'),
+    ('wavefunction --model h3 --component r2 --B 5 --two-m=-5 --n 0',
+     'd52de7ced3c275237c6ed4a28b2cfe51a543b9c51c37eb2fe2622fd48ae0baa0'),
+    ('wavefunction --model h3 --component r1 --B 7.3 --two-m=7 --n 4',
+     '259cbb77383ad689806fc24a608da53ebf9068ee74b602d1ac859c10321c0405'),
+    ('wavefunction --model h3 --component r2 --B 2.5 --two-m=1 --n 0',
+     '59e141557accf2e3e2ad5569c355b1ba8f54e2d172743e84f9101726a64a6659'),
+    ('wavefunction --model s3 --component r1 --B 2.5 --two-m=-3 --n 1',
+     '693443997917a4f28f7778430c71d5ea60588e1641323ddf7baf19b55d3d0be3'),
+    ('wavefunction --model s3 --component r1 --B 2.5 --two-m=3 --n 1',
+     'a58961c23c7c7fce862653b9b43132ca4e7276825744c7bcf407f772f142aaa3'),
+    ('wavefunction --model s3 --component r1 --B 2.5 --two-m=11 --n 0',
+     'c7cf4b34c8ab54941fd02a4e8db1b00b18838b01455c38d1b457be4b9e8f49d6'),
+    ('wavefunction --model s3 --component r2 --B 2.5 --two-m=1 --n 2',
+     '45cdd49aa5d0a46c7d3df0787ebc6ddbb5772638c7cc667f59e9a1da6201231c'),
+    ('wavefunction --model s3 --component r2 --B 2.5 --two-m=11 --n 1',
+     'fb6f13c2b48610e8c2e499d16eb7f72f88870f23eb9ec511156fdfcdc4d7ca02'),
+    ('wavefunction --model s3 --component r1 --B 0 --two-m=1 --n 1',
+     '7afe0159681c98972452a05ace30bf09a07ac7d1171d0cbda95b79a03bdc974c'),
+    ('wavefunction --model s3 --component r2 --B 0.3 --two-m=-5 --n 3',
+     'f5be988df86efe9d01b518a1f6b18ba797023027fbfdad8d8f56ba396353376e'),
+]
+
+
+# B < 0 radial states build the reflected state quantize names (variant
+# 4' of (m, B) = (1/2, 5) and variant 1 of (-3/2, 2.5)); their samples
+# equal those of the reflected commands byte for byte.
+NEGATIVE_FIELD_WAVEFUNCTIONS = [
+    ("wavefunction --model h3 --component r1 --B -5 --two-m=-1 --n 1",
+     "b5be85ea75dc9cbc67123af45f6c7082af08498f5d0c1e99b2e54d915eec0966"),
+    ("wavefunction --model s3 --component r2 --B -2.5 --two-m=3 --n 1",
+     "4318c364ebdc4c0d0dbe6486df0be8f946820a70f4d58d3f1e2c0d43a3aab814"),
+]
+
+def _check(capsys, command, digest):
     code = cli.main(command.split())
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN,
+                         ids=[c for c, _ in GOLDEN])
+def test_default_output_is_byte_identical(capsys, command, digest):
+    _check(capsys, command, digest)
+
+
+@pytest.mark.parametrize("command, digest", LATTICE,
+                         ids=[c for c, _ in LATTICE])
+def test_lattice_output_is_byte_identical(capsys, command, digest):
+    _check(capsys, command, digest)
+
+
+@pytest.mark.parametrize("command, digest", RADIAL_WAVEFUNCTIONS,
+                         ids=[c for c, _ in RADIAL_WAVEFUNCTIONS])
+def test_radial_wavefunction_is_byte_identical(capsys, command, digest):
+    _check(capsys, command, digest)
+
+
+@pytest.mark.parametrize("command, digest", NEGATIVE_FIELD_WAVEFUNCTIONS,
+                         ids=[c for c, _ in NEGATIVE_FIELD_WAVEFUNCTIONS])
+def test_negative_field_wavefunction_is_byte_identical(capsys, command, digest):
+    _check(capsys, command, digest)

@@ -1,10 +1,10 @@
 """The closed-form commands run without scipy.
 
-scipy is imported only inside the oracle's eigensolvers and its
-connection check. Each command here runs in a fresh interpreter where
-``sys.modules["scipy"] = None`` makes any scipy import fail; it must
-still exit 0 and print what a normal run prints. The radial verify
-suite, which calls the eigensolvers, is the counter-case.
+scipy is imported only inside the oracle's eigensolvers. Each command
+here runs in a fresh interpreter where ``sys.modules["scipy"] = None``
+makes any scipy import fail; it must still exit 0 and print what a
+normal run prints. The radial verify suite, which calls the
+eigensolvers, is the counter-case.
 """
 
 import os
@@ -38,6 +38,7 @@ COMMANDS = [
     "wavefunction --model h3 --component z1 --B 5 --two-m=1 --n 1 --p 0.7",
     "wavefunction --model s3 --component z2 --B 2.5 --two-m=1 --n 1 --nz 1",
     "verify --suite flat-limit",
+    "verify --suite axial",
 ]
 
 

@@ -7,20 +7,16 @@ import pytest
 
 from curved_landau.hyp2f1 import KummerBranch, kummer_connection
 from curved_landau.lobachevsky import (
+    GEOMETRY,
     RadialPair,
     flat_limit,
-    h3_admissibility_region,
     h3_axial_connection,
     h3_axial_pair_factor,
     h3_axial_solution,
     h3_quantize,
     h3_radial_pair_factor,
     h3_radial_solution,
-    h3_unified_report,
     helicity_link,
-    mu_potential,
-    mu_potential_prime,
-    radial_potential,
 )
 from curved_landau.model import (
     Component,
@@ -41,24 +37,24 @@ from curved_landau.model import (
 
 def test_mu_value_zero_field():
     # mu = (m - B(cosh r - 1))/sinh r -> m/sinh r at B = 0
-    assert abs(mu_potential(1.0, 0.5, 0.0) - 0.5 / math.sinh(1.0)) < 1e-15
+    assert abs(GEOMETRY.mu(1.0, 0.5, 0.0) - 0.5 / math.sinh(1.0)) < 1e-15
 
 
 def test_mu_prime_matches_finite_difference():
     rs = np.linspace(0.3, 6.0, 25)
     h = 1e-6
     for m, B in ((0.5, 5.0), (-1.5, 2.0)):
-        fd = (mu_potential(rs + h, m, B) - mu_potential(rs - h, m, B)) / (2 * h)
-        an = mu_potential_prime(rs, m, B)
+        fd = (GEOMETRY.mu(rs + h, m, B) - GEOMETRY.mu(rs - h, m, B)) / (2 * h)
+        an = GEOMETRY.mu_prime(rs, m, B)
         assert np.max(np.abs(fd - an)) < 1e-7
 
 
 def test_radial_potential_combines_mu_and_slope():
     r, m, B = 1.7, 0.5, 5.0
-    mu = mu_potential(r, m, B)
-    mup = mu_potential_prime(r, m, B)
-    assert abs(radial_potential(r, m, B, Component.R1) - (mu * mu + mup)) < 1e-14
-    assert abs(radial_potential(r, m, B, Component.R2) - (mu * mu - mup)) < 1e-14
+    mu = GEOMETRY.mu(r, m, B)
+    mup = GEOMETRY.mu_prime(r, m, B)
+    assert abs(GEOMETRY.radial_potential(r, m, B, Component.R1) - (mu * mu + mup)) < 1e-14
+    assert abs(GEOMETRY.radial_potential(r, m, B, Component.R2) - (mu * mu - mup)) < 1e-14
 
 
 def test_constructed_solution_satisfies_radial_equation():
@@ -66,7 +62,7 @@ def test_constructed_solution_satisfies_radial_equation():
     sol = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R1, entry.variant)
     rs = np.linspace(0.4, 7.0, 60)
     g, _, g2 = sol.evaluate_with_derivs(rs)
-    v = radial_potential(rs, 0.5, 5.0, Component.R1)
+    v = GEOMETRY.radial_potential(rs, 0.5, 5.0, Component.R1)
     residual = -g2 + (v - entry.lambda_sq) * g
     assert np.max(np.abs(residual)) < 1e-10 * np.max(np.abs(g))
 
@@ -204,7 +200,7 @@ def test_radial_pair_system():
     g1, d1, _ = r1.evaluate_with_derivs(rs)
     g2, d2, _ = r2.evaluate_with_derivs(rs)
     g2, d2 = fac * g2, fac * d2
-    mu = mu_potential(rs, 0.5, 5.0)
+    mu = GEOMETRY.mu(rs, 0.5, 5.0)
     res1 = d1 - mu * g1 - lam * g2
     res2 = d2 + mu * g2 + lam * g1
     scale = max(np.max(np.abs(g1)), np.max(np.abs(g2)))
@@ -223,7 +219,7 @@ def test_radial_pair_factor_zero_lambda():
 
 
 def test_region_predicate_value():
-    verdict = h3_admissibility_region(5.0, 1, 2)
+    verdict = GEOMETRY.admissibility_region(5.0, 1, 2)
     assert abs(verdict.predicate - (-6.0)) < 1e-12
     assert verdict.admissible
     assert "disagrees" not in verdict.note
@@ -232,19 +228,19 @@ def test_region_predicate_value():
 def test_region_boundary_disagreement_is_reported():
     # n = 0 at m = 1/2 sits strictly inside the figure strip but its
     # level is the inadmissible lambda^2 = 0 borderline state
-    verdict = h3_admissibility_region(5.0, 1, 0)
+    verdict = GEOMETRY.admissibility_region(5.0, 1, 0)
     assert verdict.predicate < 0
     assert not verdict.admissible
     assert "disagrees" in verdict.note
 
 
 def test_region_reflection_notes():
-    verdict = h3_admissibility_region(-5.0, 1, 1)
+    verdict = GEOMETRY.admissibility_region(-5.0, 1, 1)
     assert "reflection" in verdict.note
 
 
 def test_unified_report_exact_on_positive_m():
-    report = h3_unified_report(1, 5.0, 1)
+    report = GEOMETRY.unified_report(1, 5.0, 1)
     assert abs(report.unified_rhs - (-4.0)) < 1e-12
     assert abs(report.variant_rhs - 4.0) < 1e-12
     assert abs(report.discrepancy) < 1e-12
@@ -252,7 +248,7 @@ def test_unified_report_exact_on_positive_m():
 
 
 def test_unified_report_flags_half_offset_on_negative_m():
-    report = h3_unified_report(-1, 5.0, 1)
+    report = GEOMETRY.unified_report(-1, 5.0, 1)
     assert report.variant is Variant.V2
     assert abs(abs(report.discrepancy) - 0.5) < 1e-12
     assert report.flagged is True

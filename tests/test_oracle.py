@@ -189,6 +189,31 @@ def test_s3_radial_residual_exact():
     assert abs(rep.convergence_order - 2.0) < 0.3
 
 
+@pytest.mark.parametrize("geometry, grid", [
+    (Geometry.H3, Grid1D(0.3, 8.0, 600)),
+    (Geometry.S3, Grid1D(0.2, math.pi - 0.2, 600))], ids=["H3", "S3"])
+def test_negative_field_radial_forms_solve_their_equation(geometry, grid):
+    # quantize reflects (m, B) -> (-m, -B) with R1 <-> R2 and names the
+    # reflected variant; radial_solution must build that same state,
+    # which then solves the equation at the caller's (two_m, B, component)
+    rec = geometry.record
+    count = 0
+    for B in (-0.7, -2.5, -5.0):
+        for two_m in range(-9, 10, 2):
+            for n in range(5):
+                for component in (Component.R1, Component.R2):
+                    entry = rec.quantize(two_m, B, n, component)
+                    if not entry.admissible:
+                        continue
+                    sol = rec.radial_solution(two_m, B, entry.lambda_sq,
+                                              component, entry.variant)
+                    rep = ode_residual(sol, component, grid, two_m=two_m, B=B,
+                                       lambda_sq=entry.lambda_sq)
+                    assert rep.max_abs <= 1e-8, (two_m, B, n, component)
+                    count += 1
+    assert count == {Geometry.H3: 86, Geometry.S3: 289}[geometry]
+
+
 def test_axial_residuals_exact():
     p, lam = 0.7, 1.3
     z2 = h3_axial_solution(p, lam, KummerBranch.U1, Component.Z2)

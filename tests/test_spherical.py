@@ -17,19 +17,15 @@ from curved_landau.model import (
     ZeroLambda,
 )
 from curved_landau.spherical import (
+    GEOMETRY,
     RadialPair,
-    s3_admissibility_region,
     s3_axial_pair_factor,
     s3_axial_quantize,
     s3_axial_solution,
-    s3_mu_potential,
-    s3_mu_potential_prime,
     s3_quantize,
     s3_radial_pair_factor,
-    s3_radial_potential,
     s3_radial_solution,
     s3_total_energy,
-    s3_unified_report,
 )
 
 
@@ -40,7 +36,7 @@ from curved_landau.spherical import (
 
 def test_mu_value_at_equator():
     # mu = (m - B(1 - cos r))/sin r
-    assert abs(s3_mu_potential(math.pi / 2, 0.5, 1.0) - (-0.5)) < 1e-15
+    assert abs(GEOMETRY.mu(math.pi / 2, 0.5, 1.0) - (-0.5)) < 1e-15
 
 
 def test_mu_series_guards_match_high_precision():
@@ -49,33 +45,33 @@ def test_mu_series_guards_match_high_precision():
         for r in (5e-5, 1e-4 * 0.999, math.pi - 5e-5, math.pi - 1e-4 * 0.999):
             rr = mpmath.mpf(r)
             exact = float((m - B * (1 - mpmath.cos(rr))) / mpmath.sin(rr))
-            got = s3_mu_potential(r, m, B)
+            got = GEOMETRY.mu(r, m, B)
             assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact)), (m, B, r)
 
 
 def test_mu_domain_guards():
     for r in (0.0, math.pi, -0.1, 3.2):
         with pytest.raises(DomainError):
-            s3_mu_potential(r, 0.5, 1.0)
+            GEOMETRY.mu(r, 0.5, 1.0)
         with pytest.raises(DomainError):
-            s3_mu_potential_prime(r, 0.5, 1.0)
+            GEOMETRY.mu_prime(r, 0.5, 1.0)
 
 
 def test_mu_prime_matches_finite_difference():
     rs = np.linspace(0.3, 2.8, 25)
     h = 1e-6
     for m, B in ((0.5, 1.0), (-2.5, 3.0)):
-        fd = (s3_mu_potential(rs + h, m, B)
-              - s3_mu_potential(rs - h, m, B)) / (2 * h)
-        assert np.max(np.abs(fd - s3_mu_potential_prime(rs, m, B))) < 1e-7
+        fd = (GEOMETRY.mu(rs + h, m, B)
+              - GEOMETRY.mu(rs - h, m, B)) / (2 * h)
+        assert np.max(np.abs(fd - GEOMETRY.mu_prime(rs, m, B))) < 1e-7
 
 
 def test_radial_potential_combines_mu_and_slope():
     r, m, B = 1.2, 0.5, 1.0
-    mu = s3_mu_potential(r, m, B)
-    mup = s3_mu_potential_prime(r, m, B)
-    assert abs(s3_radial_potential(r, m, B, Component.R1) - (mu * mu + mup)) < 1e-14
-    assert abs(s3_radial_potential(r, m, B, Component.R2) - (mu * mu - mup)) < 1e-14
+    mu = GEOMETRY.mu(r, m, B)
+    mup = GEOMETRY.mu_prime(r, m, B)
+    assert abs(GEOMETRY.radial_potential(r, m, B, Component.R1) - (mu * mu + mup)) < 1e-14
+    assert abs(GEOMETRY.radial_potential(r, m, B, Component.R2) - (mu * mu - mup)) < 1e-14
 
 
 def test_constructed_solution_satisfies_radial_equation():
@@ -84,7 +80,7 @@ def test_constructed_solution_satisfies_radial_equation():
                              entry.variant)
     rs = np.linspace(0.2, math.pi - 0.2, 60)
     g, _, g2 = sol.evaluate_with_derivs(rs)
-    v = s3_radial_potential(rs, 0.5, 1.0, Component.R1)
+    v = GEOMETRY.radial_potential(rs, 0.5, 1.0, Component.R1)
     residual = -g2 + (v - entry.lambda_sq) * g
     assert np.max(np.abs(residual)) < 1e-10 * np.max(np.abs(g))
 
@@ -272,7 +268,7 @@ def _radial_system_residual(two_m, B, n, pair, v1, v2):
     g1, d1, _ = r1.evaluate_with_derivs(rs)
     g2, d2, _ = r2.evaluate_with_derivs(rs)
     g2, d2 = fac * g2, fac * d2
-    mu = s3_mu_potential(rs, m, B)
+    mu = GEOMETRY.mu(rs, m, B)
     res1 = d1 - mu * g1 - lam * g2
     res2 = d2 + mu * g2 + lam * g1
     scale = max(np.max(np.abs(g1)), np.max(np.abs(g2)))
@@ -315,35 +311,35 @@ def test_total_energy_value():
 
 def test_unified_report_exact_on_variant2_range():
     for n in range(4):
-        report = s3_unified_report(1, 1.0, n)
+        report = GEOMETRY.unified_report(1, 1.0, n)
         assert report.variant is Variant.V2
         assert abs(report.discrepancy) < 1e-12
         assert report.flagged is False
 
 
 def test_unified_report_flags_half_offset_outside_variant2():
-    report = s3_unified_report(-1, 1.0, 1)
+    report = GEOMETRY.unified_report(-1, 1.0, 1)
     assert abs(abs(report.discrepancy) - 0.5) < 1e-12
     assert report.flagged is True
-    report = s3_unified_report(7, 1.0, 1)  # m > 2B side
+    report = GEOMETRY.unified_report(7, 1.0, 1)  # m > 2B side
     assert abs(abs(report.discrepancy) - 0.5) < 1e-12
     assert report.flagged is True
 
 
 def test_region_consistent_inside_variant2_strip():
-    verdict = s3_admissibility_region(1.0, 1, 1)
+    verdict = GEOMETRY.admissibility_region(1.0, 1, 1)
     assert verdict.admissible
     assert verdict.predicate > 0
     assert "disagrees" not in verdict.note
 
 
 def test_region_disagreement_on_negative_m():
-    verdict = s3_admissibility_region(1.0, -1, 0)
+    verdict = GEOMETRY.admissibility_region(1.0, -1, 0)
     assert verdict.admissible  # lambda^2 = 3 > 0
     assert verdict.predicate < 0  # advertised strip excludes it
     assert "disagrees" in verdict.note
 
 
 def test_region_reflection_note():
-    verdict = s3_admissibility_region(-1.0, 1, 1)
+    verdict = GEOMETRY.admissibility_region(-1.0, 1, 1)
     assert "reflection" in verdict.note
