@@ -8,15 +8,16 @@ Layers:
   contiguous relations).
 * :mod:`curved_landau.model` — shared vocabulary: enums, solution
   forms, records, error taxonomy, and the per-space GeometryRecord
-  (``Geometry.H3.record``): mu, quantization, radial solutions, audit
-  and region verdict, written once from kappa and a variant table.
+  (``Geometry.H3.record``): mu, quantization, radial solutions and pair
+  factors, audit and region verdict, written once from kappa and the
+  space's variant and pair tables.
 * :mod:`curved_landau.lobachevsky` — the hyperbolic (pseudosphere)
-  model: variant table, axial solutions, pair factors, flat limit,
+  model: variant and pair tables, axial solutions, flat limit,
   helicity link.
-* :mod:`curved_landau.spherical` — the spherical model: variant
-  table, axial quantization and solutions, pair factors, total energy.
-* :mod:`curved_landau.oracle` — independent numerics: finite-volume
-  eigensolvers, ODE/system residuals, commutator convergence, series
+* :mod:`curved_landau.spherical` — the spherical model: variant and
+  pair tables, axial quantization and solutions, total energy.
+* :mod:`curved_landau.oracle` — independent numerics: a finite-volume
+  eigensolver, ODE/system residuals, commutator convergence, series
   connection integration.
 * :mod:`curved_landau.checks` — named verification suites.
 * :mod:`curved_landau.cli` — the ``curved-landau`` command.
@@ -72,7 +73,6 @@ from .lobachevsky import (
     h3_axial_pair_factor,
     h3_axial_solution,
     h3_quantize,
-    h3_radial_pair_factor,
     h3_radial_solution,
     helicity_link,
 )
@@ -82,7 +82,6 @@ from .spherical import (
     s3_axial_quantize,
     s3_axial_solution,
     s3_quantize,
-    s3_radial_pair_factor,
     s3_radial_solution,
     s3_total_energy,
 )
@@ -120,11 +119,10 @@ __all__ = [
     # lobachevsky
     "H3RadialPair", "flat_limit", "h3_axial_connection",
     "h3_axial_pair_factor", "h3_axial_solution", "h3_quantize",
-    "h3_radial_pair_factor", "h3_radial_solution", "helicity_link",
+    "h3_radial_solution", "helicity_link",
     # spherical
     "S3RadialPair", "s3_axial_pair_factor", "s3_axial_quantize",
-    "s3_axial_solution", "s3_quantize", "s3_radial_pair_factor",
-    "s3_radial_solution", "s3_total_energy",
+    "s3_axial_solution", "s3_quantize", "s3_radial_solution", "s3_total_energy",
     # oracle
     "EigenReport", "Grid1D", "Grid2D", "ResidualReport",
     "axial_connection_check",

@@ -218,15 +218,16 @@ def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
     grid_h3 = oracle.Grid1D(0.3, 8.0, 1200)
     grid_s3 = oracle.Grid1D(0.2, math.pi - 0.2, 1200)
 
-    def h3_pair(two_m, B, n, pair, v1, v2):
-        entry = lob.h3_quantize(two_m, B, n, Component.R1)
+    def radial_pair(rec, two_m, B, n, pair, v1, v2):
+        entry = rec.quantize(two_m, B, n, Component.R1)
         lam = math.sqrt(entry.lambda_sq)
-        s1 = lob.h3_radial_solution(two_m, B, entry.lambda_sq, Component.R1, v1)
-        s2 = lob.h3_radial_solution(two_m, B, entry.lambda_sq, Component.R2, v2)
-        fac = lob.h3_radial_pair_factor(two_m, B, lam, pair)
+        s1 = rec.radial_solution(two_m, B, entry.lambda_sq, Component.R1, v1)
+        s2 = rec.radial_solution(two_m, B, entry.lambda_sq, Component.R2, v2)
+        fac = rec.pair_factor(two_m, B, lam, pair)
         return (s1, s2, fac), dict(lam=lam, two_m=two_m, B=B)
 
-    pair, kw = h3_pair(1, 5.0, 2, lob.RadialPair.V1_V4P, Variant.V1, Variant.V4P)
+    pair, kw = radial_pair(lob.GEOMETRY, 1, 5.0, 2, lob.RadialPair.V1_V4P,
+                           Variant.V1, Variant.V4P)
     base = oracle.first_order_system_residual(pair, grid_h3, **kw)
     out.append(_result("pairs/h3-radial-1-4p", base.max_abs, threshold,
                        "B=5, m=1/2, n=2"))
@@ -235,7 +236,8 @@ def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
     out.append(_result("pairs/h3-scaled-factor-rejected",
                        base.max_abs / scaled.max_abs, 0.01,
                        f"x2 factor residual {scaled.max_abs:.3g}"))
-    pair, kw = h3_pair(-1, 5.0, 1, lob.RadialPair.V2_V3P, Variant.V2, Variant.V3P)
+    pair, kw = radial_pair(lob.GEOMETRY, -1, 5.0, 1, lob.RadialPair.V2_V3P,
+                           Variant.V2, Variant.V3P)
     rep = oracle.first_order_system_residual(pair, grid_h3, **kw)
     out.append(_result("pairs/h3-radial-2-3p", rep.max_abs, threshold,
                        "B=5, m=-1/2, n=1"))
@@ -267,14 +269,9 @@ def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
         ("pairs/s3-radial-3-1p", 7, 1.0, 0, sph.RadialPair.V3_V1P,
          Variant.V3, Variant.V1P),
     ]
-    for name, two_m, B, n, pair_kind, v1, v2 in s3_cases:
-        entry = sph.s3_quantize(two_m, B, n, Component.R1)
-        lam = math.sqrt(entry.lambda_sq)
-        s1 = sph.s3_radial_solution(two_m, B, entry.lambda_sq, Component.R1, v1)
-        s2 = sph.s3_radial_solution(two_m, B, entry.lambda_sq, Component.R2, v2)
-        fac = sph.s3_radial_pair_factor(two_m, B, lam, pair_kind)
-        rep = oracle.first_order_system_residual(
-            (s1, s2, fac), grid_s3, lam=lam, two_m=two_m, B=B)
+    for name, two_m, B, n, *case in s3_cases:
+        pair, kw = radial_pair(sph.GEOMETRY, two_m, B, n, *case)
+        rep = oracle.first_order_system_residual(pair, grid_s3, **kw)
         out.append(_result(name, rep.max_abs, threshold,
                            f"B={B}, m={two_m}/2, n={n}"))
     return out

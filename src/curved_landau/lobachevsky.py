@@ -1,8 +1,8 @@
 """Hyperbolic (H3) model layer.
 
-The radial variant table behind the space's GeometryRecord (kappa = -1,
-sinh, cosh), exact axial solution forms, relative factors coupling the
-two radial (and axial) components, the flat-space limit, and the
+The radial variant and pair tables behind the space's GeometryRecord
+(kappa = -1, sinh, cosh), exact axial solution forms and the relative
+factor coupling the two axial components, the flat-space limit, and the
 helicity/energy link.
 
 Conventions: B = eB and M in curvature-radius units, m half-integer
@@ -24,8 +24,8 @@ from .model import (
     Component,
     DomainError,
     GeometryRecord,
-    InadmissibleVariant,
     MasslessUnsupported,
+    RadialPairRow,
     RadialVariant,
     SigmaBranch,
     SolutionForm,
@@ -44,17 +44,9 @@ __all__ = [
     "h3_axial_pair_factor",
     "h3_radial_solution",
     "h3_quantize",
-    "h3_radial_pair_factor",
     "flat_limit",
     "helicity_link",
 ]
-
-
-class RadialPair(Enum):
-    """Coupled (R1, R2) variant pairs sharing one spectrum."""
-
-    V1_V4P = "1-4p"
-    V2_V3P = "2-3p"
 
 
 def h3_axial_solution(p: float, lam: float, branch: KummerBranch,
@@ -137,6 +129,18 @@ _VARIANTS = (
 )
 
 
+class RadialPair(Enum):
+    """Coupled (R1, R2) variant pairs sharing one spectrum, with their
+    rows for GEOMETRY.pair_factor: (1,4') is ab/(i lam c) with V1's
+    (a, b, c), (2,3') is (a-c)(b-c)/(i lam c) with V2's."""
+
+    V1_V4P = RadialPairRow("1-4p", Variant.V1, False,
+                           lambda two_m, B: two_m >= 1, "m >= 1/2")
+    V2_V3P = RadialPairRow("2-3p", Variant.V2, True,
+                           lambda two_m, B: two_m <= -1 and two_m / 2.0 > 0.5 - B,
+                           "1/2 - B < m <= -1/2")
+
+
 def h3_radial_solution(two_m: int, B: float, lambda_sq: float,
                        component: Component, variant: Variant) -> SolutionForm:
     """GEOMETRY.radial_solution on y = (1 + cosh r)/2."""
@@ -146,27 +150,6 @@ def h3_radial_solution(two_m: int, B: float, lambda_sq: float,
 def h3_quantize(two_m: int, B: float, n: int, component: Component) -> SpectrumEntry:
     """GEOMETRY.quantize: lambda^2 = B^2 - rhs^2 below the edge B^2."""
     return GEOMETRY.quantize(two_m, B, n, component)
-
-
-def h3_radial_pair_factor(two_m: int, B: float, lam: float,
-                          pair: RadialPair) -> complex:
-    """Ratio r2/r1 coupling the radial pair into the first-order system:
-    pair (1,4'): ab/(i lam c); pair (2,3'): (a'-c')(b'-c')/(i lam c')."""
-    if lam == 0.0:
-        raise ZeroLambda("pair decouples at lambda = 0")
-    m = two_m / 2.0
-    if lam * lam > B * B:
-        raise DomainError("lambda^2 <= B^2 required")
-    sq = math.sqrt(B * B - lam * lam)
-    if pair is RadialPair.V1_V4P:
-        if two_m < 1:
-            raise InadmissibleVariant("pair (1,4') requires m >= 1/2")
-        _, _, s, c = GEOMETRY.row(Variant.V1).exponents(m, B)
-        return (s - sq) * (s + sq) / (1j * lam * c)
-    if not (two_m <= -1 and m > 0.5 - B):
-        raise InadmissibleVariant("pair (2,3') requires 1/2 - B < m <= -1/2")
-    _, _, s, c = GEOMETRY.row(Variant.V2).exponents(m, B)
-    return (s - sq - c) * (s + sq - c) / (1j * lam * c)
 
 
 def flat_limit(b_physical: float, n: int, rho: float) -> Tuple[float, float]:

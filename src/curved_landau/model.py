@@ -37,6 +37,7 @@ __all__ = [
     "SigmaBranch",
     "Variable",
     "RadialVariant",
+    "RadialPairRow",
     "GeometryRecord",
     "SolutionForm",
     "SpectrumEntry",
@@ -146,23 +147,18 @@ class Variable(Enum):
     def geometry(self) -> Geometry:
         return Geometry.H3 if self in (Variable.YZ, Variable.YR) else Geometry.S3
 
-    def y_of(self, x):
-        x = np.asarray(x, dtype=float)
-        if self is Variable.YZ:
-            return _logistic(2.0 * x)
-        if self is Variable.YR:
-            return (1.0 + np.cosh(x)) / 2.0 + 0.0j
-        if self is Variable.YZ_S3:
-            return (1.0 + 1j * np.tan(x)) / 2.0
-        return (1.0 + np.cos(x)) / 2.0 + 0.0j
-
     def y_pair(self, x):
         """(y, 1 - y) at x; on YZ both keep full relative precision (1 - y
         is not formed by cancellation as y -> 1)."""
+        x = np.asarray(x, dtype=float)
         if self is Variable.YZ:
-            x = np.asarray(x, dtype=float)
             return _logistic(2.0 * x), _logistic(-2.0 * x)
-        y = self.y_of(x)
+        if self is Variable.YR:
+            y = (1.0 + np.cosh(x)) / 2.0 + 0.0j
+        elif self is Variable.YZ_S3:
+            y = (1.0 + 1j * np.tan(x)) / 2.0
+        else:
+            y = (1.0 + np.cos(x)) / 2.0 + 0.0j
         return y, 1 - y
 
     def dy_dx(self, x):
@@ -193,13 +189,10 @@ _SMALL_R = 1e-4
 _PI_TAIL = 1.2246467991473532e-16
 
 
-def _partner(component: Component) -> Component:
-    return Component.R2 if component is Component.R1 else Component.R1
-
-
 @dataclass(frozen=True)
 class RadialVariant:
-    """One row of a space's radial variant table, for B >= 0.
+    """One row of a space's radial variant table, written for B >= 0;
+    GeometryRecord reaches B < 0 through (m, B) -> (-m, -B), R1 <-> R2.
 
     The row's form is y^A (1-y)^C F(s - q, s + q; c; y) with
     q = sqrt(B^2 + kappa lambda^2); it terminates at q = rhs. quantize
@@ -219,6 +212,20 @@ class RadialVariant:
     exponents: Callable[[float, float], Tuple[float, float, float, float]]
     rhs: Callable[[float, float, int], float]
     violated: str
+
+
+@dataclass(frozen=True)
+class RadialPairRow:
+    """One coupled (R1, R2) radial pair, the value of a RadialPair
+    member, written for B >= 0 like the variant rows: pair_factor takes
+    (s, c) from the `primary` row, shifts the roots s -+ q by c when
+    `shifted` and demands `in_range(two_m, B)` (`range_text`)."""
+
+    label: str
+    primary: Variant
+    shifted: bool
+    in_range: Callable[[int, float], bool]
+    range_text: str
 
 
 @dataclass(frozen=True)
@@ -299,6 +306,22 @@ class GeometryRecord:
         sign = 1.0 if component is Component.R1 else -1.0
         return mu * mu + sign * mup
 
+    @staticmethod
+    def _reflect(two_m: int, B: float, component: Component):
+        """Where the B >= 0 tables answer: B < 0 takes (m, B) -> (-m, -B),
+        which swaps R1 and R2."""
+        if B < 0.0:
+            return -two_m, -B, Component.R1 if component is Component.R2 else Component.R2
+        return two_m, B, component
+
+    def _root(self, B: float, lambda_sq: float) -> float:
+        """q = sqrt(B^2 + kappa lambda_sq) of the variant forms."""
+        disc = B * B + self.kappa * lambda_sq
+        if disc < 0.0:
+            sign = "+" if self.kappa > 0 else "-"
+            raise NegativeDiscriminant(f"B^2 {sign} lambda_sq < 0")
+        return math.sqrt(disc)
+
     def row(self, variant: Variant) -> RadialVariant:
         """The variant's row of this space's table."""
         for row in self.variants:
@@ -317,8 +340,8 @@ class GeometryRecord:
         violated inequality named, never as an exception: no row (H3,
         m <= 1/2 - B), rhs <= 0, or lambda^2 <= 0. The lambda^2 = 0
         borderline levels solve the second-order equation, but the
-        component pairing diverges as 1/lambda. B < 0 is handled by the
-        reflection (m, B) -> (-m, -B), which swaps R1 and R2.
+        component pairing diverges as 1/lambda. B < 0 is answered at the
+        reflected point (_reflect).
         """
         if two_m % 2 == 0:
             raise DomainError("two_m must be odd")
@@ -326,8 +349,7 @@ class GeometryRecord:
             raise DomainError("n must be >= 0")
         if component not in (Component.R1, Component.R2):
             raise DomainError("component must be R1 or R2")
-        if B < 0.0:
-            return self.quantize(-two_m, -B, n, _partner(component))
+        two_m, B, component = self._reflect(two_m, B, component)
         for row in self.variants:
             if row.component is component and row.selects(two_m, B):
                 break
@@ -346,21 +368,17 @@ class GeometryRecord:
                         component: Component, variant: Variant) -> SolutionForm:
         """The variant's form y^A (1-y)^C F(s - q, s + q; c; y) at
         lambda_sq, q = sqrt(B^2 + kappa lambda_sq). Bound states make
-        s + q (H3) or s - q (S3) a non-positive integer. B < 0 takes the
-        reflection (m, B) -> (-m, -B) with R1 <-> R2, as quantize does, so
-        the variant quantize names builds the state it quantized."""
+        s + q (H3) or s - q (S3) a non-positive integer. B < 0 is built at
+        the reflected point, as quantize answers it, so the variant
+        quantize names builds the state it quantized."""
         if component not in (Component.R1, Component.R2):
             raise DomainError("component must be R1 or R2")
-        if B < 0.0:
-            two_m, B, component = -two_m, -B, _partner(component)
+        two_m, B, component = self._reflect(two_m, B, component)
         row = self.row(variant)
         if row.component is not component:
             raise DomainError(f"variant {variant.value} is an "
                               f"{row.component.name} variant")
-        disc = B * B + self.kappa * lambda_sq
-        if disc < 0.0:
-            sign = "+" if self.kappa > 0 else "-"
-            raise NegativeDiscriminant(f"B^2 {sign} lambda_sq < 0")
+        q = self._root(B, lambda_sq)
         if not row.in_range(two_m, B):
             raise InadmissibleVariant(
                 f"variant {variant.value} requires {row.range_text}")
@@ -368,24 +386,26 @@ class GeometryRecord:
         if self.positive_exponents and min(A, C) <= 0.0:
             raise InadmissibleVariant(f"variant {variant.value}: exponents "
                                       f"A = {A}, C = {C} must be > 0")
-        q = math.sqrt(disc)
         return SolutionForm(A, C, Hyp2F1Params(s - q, s + q, c),
                             self.radial_variable)
 
     def unified_report(self, two_m: int, B: float, n: int) -> UnifiedReport:
         """Audit of the unified level formula
         q = kappa |2B - kappa m|/2 + |m|/2 + n (H3: -|2B + m|/2 + |m|/2 + n,
-        S3: |2B - m|/2 + |m|/2 + n) against the rhs of the R1 variant that
-        quantize selects, evaluated at (m, B). Magnitudes are compared (on
-        H3 the unified form flips the sign of the root for m > 0); the
-        residual half-integer offset is flagged (H3: m < 0 rows; S3: off
-        the variant-2 range)."""
+        S3: |2B - m|/2 + |m|/2 + n) at (m, B) against the rhs of the
+        variant that quantize selects for R1, at the point where quantize
+        evaluates it. Magnitudes are compared (on H3 the unified form
+        flips the sign of the root for m > 0); the residual offset is
+        flagged (H3: m < 0 rows; S3: off the variant-2 range; B < 0: every
+        row, since the reflected level is an R2 level, which the R1
+        formula misses by 1/2 to 1)."""
         m = two_m / 2.0
         unified = self.kappa * abs(2 * B - self.kappa * m) / 2 + abs(m) / 2 + n
         entry = self.quantize(two_m, B, n, Component.R1)
         if entry.variant is None:
             return UnifiedReport(unified, None, None, None, None)
-        variant_rhs = self.row(entry.variant).rhs(m, B, n)
+        two_m, B, _ = self._reflect(two_m, B, Component.R1)
+        variant_rhs = self.row(entry.variant).rhs(two_m / 2.0, B, n)
         discrepancy = abs(unified) - variant_rhs
         return UnifiedReport(unified, variant_rhs, entry.variant, discrepancy,
                              abs(discrepancy) > 1e-9)
@@ -393,22 +413,47 @@ class GeometryRecord:
     def admissibility_region(self, B: float, two_m: int, n: int) -> RegionVerdict:
         """Verdict of the R1 level plus the figure predicate
         |m| - |2B - kappa m| + 2n, which kappa * predicate > 0 advertises
-        as the bound region. The two disagree on part of the lattice (by
-        1/2 on H3 boundary entries); both are reported."""
+        as the bound region, both at the reflected point for B < 0. The
+        two disagree on part of the lattice (by 1/2 on H3 boundary
+        entries); both are reported."""
         note = self.region_predicate
-        mw, Bw = two_m / 2.0, B
         if B < 0.0:
-            mw, Bw = -mw, -B
             note += "; reflection (m,B) -> (-m,-B) applied for B < 0"
         elif B == 0.0:
             note += "; " + self.zero_field_note
         entry = self.quantize(two_m, B, n, Component.R1)
+        two_mw, Bw, _ = self._reflect(two_m, B, Component.R1)
+        mw = two_mw / 2.0
         predicate = abs(mw) - abs(2 * Bw - self.kappa * mw) + 2 * n
         consistent = (self.kappa * predicate > 0) == entry.admissible
         if not consistent:
             note += "; predicate disagrees with the exact inequality here"
         return RegionVerdict(entry.admissible, entry.variant, entry.violated,
                              entry.lambda_sq, predicate, consistent, note)
+
+    def pair_factor(self, two_m: int, B: float, lam: float, pair: Enum) -> complex:
+        """Ratio r2/r1 coupling the R1 and R2 forms of `pair` (a member of
+        the space's RadialPair) into the first-order radial system: with
+        (s, c) of the pair's primary row, q = sqrt(B^2 + kappa lam^2) and
+        d = c if the pair is shifted else 0, k = phase (s - q - d)
+        (s + q - d)/(lam c), phase -i on H3 and -1 on S3. The factor is
+        -1/k where the primary row is the caller's R2 row: S3 (3,1'), and
+        every pair at B < 0, whose R1 and R2 forms the reflection swaps."""
+        if lam == 0.0:
+            raise ZeroLambda("pair decouples at lambda = 0")
+        spec = pair.value
+        two_m, B, component = self._reflect(two_m, B, Component.R1)
+        q = self._root(B, lam * lam)
+        if not spec.in_range(two_m, B):
+            raise InadmissibleVariant(
+                f"pair ({spec.label}) requires {spec.range_text}")
+        primary = self.row(spec.primary)
+        _, _, s, c = primary.exponents(two_m / 2.0, B)
+        d = c if spec.shifted else 0.0
+        num = (-1j if self.kappa < 0 else -1.0) * ((s - q - d) * (s + q - d))
+        if primary.component is component:
+            return num / (lam * c)
+        return -(lam * c) / num
 
 
 @dataclass
@@ -497,7 +542,8 @@ class RegionVerdict:
 
 @dataclass
 class UnifiedReport:
-    """Unified-formula right-hand side vs the variant formula.
+    """Unified-formula right-hand side at (m, B) vs the rhs of the level
+    quantize selects, at the reflected point for B < 0.
 
     discrepancy = |unified_rhs| - variant_rhs (the magnitude comparison
     absorbs the sign convention of the square root); flagged when the

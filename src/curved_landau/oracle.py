@@ -17,7 +17,7 @@ the singular problem into a flux-form symmetric tridiagonal matrix on
 cell centers; eigenvalues come from LAPACK's deterministic
 Sturm-sequence bisection.
 
-scipy is imported inside the eigensolvers, the only callers that need
+scipy is imported inside the eigensolver, the only caller that needs
 it, so importing this module (and the package and its CLI) loads numpy
 and the standard library alone.
 """
@@ -150,45 +150,6 @@ class EigenReport:
 # ---------------------------------------------------------------------------
 
 
-def _h3_weight(r: np.ndarray, s: float) -> np.ndarray:
-    return np.tanh(r / 2.0) ** s
-
-
-def _h3_weight_curvature(r: np.ndarray, s: float) -> np.ndarray:
-    """phi''/phi for phi = tanh(r/2)^s."""
-    t = np.tanh(r / 2.0)
-    sech2 = 1.0 - t * t
-    return s * (s - 1) * sech2 * sech2 / (4.0 * t * t) - s * sech2 / 2.0
-
-
-def _s3_weight(r: np.ndarray, s0: float, spi: float) -> np.ndarray:
-    return np.sin(r / 2.0) ** s0 * np.cos(r / 2.0) ** spi
-
-
-def _s3_weight_curvature(r: np.ndarray, s0: float, spi: float) -> np.ndarray:
-    """phi''/phi for phi = sin(r/2)^s0 cos(r/2)^spi."""
-    a, b = np.sin(r / 2.0), np.cos(r / 2.0)
-    g = s0 * b / (2.0 * a) - spi * a / (2.0 * b)
-    return g * g - s0 / (4.0 * a * a) - spi / (4.0 * b * b)
-
-
-def _weighted_tridiagonal(F, W, v_tilde, h, natural_hi: bool):
-    """Flux-form symmetric tridiagonal for -(F w')'/W + v_tilde w.
-
-    F carries the squared endpoint weight on faces (F[0] = 0 encodes
-    the regular/limit-point condition at the inner endpoint), W the
-    squared weight on centers. A ghost Dirichlet row closes the outer
-    end unless natural_hi (used when the outer face itself is a regular
-    singular endpoint with F -> 0).
-    """
-    h2 = h * h
-    d = (F[:-1] + F[1:]) / (h2 * W) + v_tilde
-    e = -F[1:-1] / (h2 * np.sqrt(W[:-1] * W[1:]))
-    if not natural_hi:
-        d[-1] = (F[-2] + 2.0 * F[-1]) / (h2 * W[-1]) + v_tilde[-1]
-    return d, e
-
-
 def _bound_mass_guard(d, e, centers, lo, hi) -> None:
     """Raise TruncationTooSmall if the ground state leaks into the
     outer 10% of the domain."""
@@ -203,87 +164,85 @@ def _bound_mass_guard(d, e, centers, lo, hi) -> None:
             "of the truncated domain; increase hi")
 
 
-def radial_eigenvalues_h3(m: float, B: float, component: Component,
-                          grid: Grid1D) -> EigenReport:
-    """Bound-state lambda^2 values (below the continuum edge B^2) of
-    -R'' + (mu^2 +- mu') R = lambda^2 R on (0, grid.hi).
+def _radial_eigenvalues(rec, m: float, B: float, component: Component,
+                        grid: Grid1D, max_count: int) -> EigenReport:
+    """Lowest lambda^2 values, at most max_count, of
+    -R'' + (mu^2 +- mu') R = lambda^2 R on the grid, in rec's space.
 
-    grid.lo may be 0: the endpoint exponent max(m, 1-m) (R1; reflected
-    for R2) is factored out exactly, so no inner inset is needed.
+    phi = sine(r/2)^s0 cosine(r/2)^s1: s0 is the inner endpoint's larger
+    indicial root; on a finite interval s1 is the far pole's, whose face
+    closes the grid naturally when grid.hi reaches it (else a ghost
+    Dirichlet row does), and on H3 s1 = -s0, phi = tanh(r/2)^s0. With
+    kappa < 0 only values below the continuum edge B^2 count, and
+    grid.hi must reach mu^2 ~ B^2.
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
     if component not in (Component.R1, Component.R2):
         raise DomainError("component must be R1 or R2")
-    if grid.lo < 0.0:
-        raise DomainError("grid.lo must be >= 0")
-    mu_hi = lob.GEOMETRY.mu(grid.hi, m, B)
-    if abs(mu_hi * mu_hi - B * B) > 1e-3 * max(1.0, B * B):
+    if grid.lo < 0.0 or grid.hi > rec.r_max + 1e-12:
+        raise DomainError(f"grid must lie within [0, {rec.r_max:g}]")
+    if max_count < 1:
+        raise DomainError("max_count must be >= 1")
+    edge = B * B
+    if rec.kappa < 0.0 and (abs(rec.mu(grid.hi, m, B) ** 2 - edge)
+                            > 1e-3 * max(1.0, edge)):
         raise DomainError(
             "grid.hi too small: mu^2 has not reached its asymptote B^2")
-    s = max(m, 1.0 - m) if component is Component.R1 else max(-m, 1.0 + m)
+    x0, x1 = (m, 2 * B - m) if component is Component.R1 else (-m, m - 2 * B)
+    finite = math.isfinite(rec.r_max)
+    s0 = max(x0, 1.0 - x0)
+    s1 = max(x1, 1.0 - x1) if finite else -s0
+
+    def weight(r):  # phi
+        return (rec.sine(r / 2.0) ** s0 * rec.cosine(r / 2.0) ** s1 if finite
+                else np.tanh(r / 2.0) ** s0)
+
     faces = grid.nodes()
     h = grid.spacing
     centers = faces[:-1] + h / 2.0
-    F = _h3_weight(faces, s) ** 2
-    F[0] = 0.0
-    W = _h3_weight(centers, s) ** 2
-    v_tilde = (lob.GEOMETRY.radial_potential(centers, m, B, component)
-               - _h3_weight_curvature(centers, s))
-    d, e = _weighted_tridiagonal(F, W, v_tilde, h, natural_hi=False)
-    gersh_lo = float(np.min(d - np.abs(np.r_[0.0, e]) - np.abs(np.r_[e, 0.0]))) - 1.0
-    vals = eigvalsh_tridiagonal(d, e, select="v",
-                                select_range=(gersh_lo, B * B))
-    vals = vals[vals < B * B]
-    if vals.size:
+    at_pole = grid.hi > rec.r_max - 1e-9
+    F = np.zeros_like(faces)  # phi^2 on faces, 0 at r = 0 and at a far pole
+    inner = slice(1, -1 if at_pole else None)
+    F[inner] = weight(faces[inner]) ** 2
+    W = weight(centers) ** 2
+    # phi''/phi = g^2 + g' with g = phi'/phi
+    a, b, k1 = rec.sine(centers / 2.0), rec.cosine(centers / 2.0), rec.kappa * s1
+    g = s0 * b / (2.0 * a) - k1 * a / (2.0 * b)
+    v_tilde = (rec.radial_potential(centers, m, B, component)
+               - (g * g - s0 / (4.0 * a * a) - k1 / (4.0 * b * b)))
+    # flux form -(F w')'/W + v_tilde w on cell centers
+    h2 = h * h
+    d = (F[:-1] + F[1:]) / (h2 * W) + v_tilde
+    e = -F[1:-1] / (h2 * np.sqrt(W[:-1] * W[1:]))
+    if not at_pole:
+        d[-1] = (F[-2] + 2.0 * F[-1]) / (h2 * W[-1]) + v_tilde[-1]
+    count = min(max_count, grid.points - 2)
+    if rec.kappa < 0.0:
+        gersh_lo = float(np.min(d - np.abs(np.r_[0.0, e]) - np.abs(np.r_[e, 0.0]))) - 1.0
+        vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(gersh_lo, edge))
+        vals = vals[vals < edge][:count]
+    else:
+        vals = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
+    if vals.size and grid.hi < rec.r_max - 0.01:
         _bound_mass_guard(d, e, centers, grid.lo, grid.hi)
-    vals = vals[: grid.points - 2]
     return EigenReport(tuple(float(v) for v in vals),
                        f"r truncated to [{grid.lo:g}, {grid.hi:g}], "
                        f"{grid.points} points")
+
+
+def radial_eigenvalues_h3(m: float, B: float, component: Component,
+                          grid: Grid1D) -> EigenReport:
+    """Bound-state lambda^2 values (below the continuum edge B^2) of the
+    hyperbolic radial operator on (0, grid.hi); grid.lo may be 0."""
+    return _radial_eigenvalues(lob.GEOMETRY, m, B, component, grid, grid.points)
 
 
 def radial_eigenvalues_s3(m: float, B: float, component: Component,
                           grid: Grid1D, max_count: int = 8) -> EigenReport:
-    """Lowest lambda^2 values of the spherical radial operator on
-    (0, pi); the spectrum is fully discrete.
-
-    Endpoint exponents are factored out exactly at both poles, so the
-    grid may span the full (0, pi) (lo = 0, hi = pi allowed).
-    """
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    if component not in (Component.R1, Component.R2):
-        raise DomainError("component must be R1 or R2")
-    if grid.lo < 0.0 or grid.hi > math.pi + 1e-12:
-        raise DomainError("grid must lie within [0, pi]")
-    if max_count < 1:
-        raise DomainError("max_count must be >= 1")
-    if component is Component.R1:
-        s0, spi = max(m, 1.0 - m), max(2 * B - m, m + 1.0 - 2 * B)
-    else:
-        s0, spi = max(-m, 1.0 + m), max(2 * B - m + 1.0, m - 2 * B)
-    faces = grid.nodes()
-    h = grid.spacing
-    centers = faces[:-1] + h / 2.0
-    at_pole = grid.hi > math.pi - 1e-9
-    F = np.empty_like(faces)
-    inner = slice(1, -1 if at_pole else None)
-    F[inner] = _s3_weight(faces[inner], s0, spi) ** 2
-    F[0] = 0.0
-    if at_pole:
-        F[-1] = 0.0
-    W = _s3_weight(centers, s0, spi) ** 2
-    v_tilde = (sph.GEOMETRY.radial_potential(centers, m, B, component)
-               - _s3_weight_curvature(centers, s0, spi))
-    d, e = _weighted_tridiagonal(F, W, v_tilde, h, natural_hi=at_pole)
-    k = min(max_count, grid.points - 2, d.size) - 1
-    vals = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, k))
-    if vals.size and grid.hi < math.pi - 0.01:
-        _bound_mass_guard(d, e, centers, grid.lo, grid.hi)
-    return EigenReport(tuple(float(v) for v in vals),
-                       f"r truncated to [{grid.lo:g}, {grid.hi:g}], "
-                       f"{grid.points} points")
+    """Lowest lambda^2 values of the spherical radial operator on a grid
+    within [0, pi]; the spectrum is fully discrete."""
+    return _radial_eigenvalues(sph.GEOMETRY, m, B, component, grid, max_count)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +253,7 @@ def radial_eigenvalues_s3(m: float, B: float, component: Component,
 def _check_domain(solution: SolutionForm, xs: np.ndarray) -> None:
     if solution.params.terminating:
         return
-    y = solution.variable.y_of(xs)
+    y = solution.variable.y_pair(xs)[0]
     if np.max(np.abs(y)) >= 1.0:
         raise EvaluationDomain(
             "non-terminating series needs |y| < 1 along the grid image")

@@ -25,9 +25,9 @@ from .model import (
     Component,
     DomainError,
     GeometryRecord,
-    InadmissibleVariant,
     NonPositiveLambda,
     NonTerminating,
+    RadialPairRow,
     RadialVariant,
     SolutionForm,
     SpectrumEntry,
@@ -44,17 +44,8 @@ __all__ = [
     "s3_axial_pair_factor",
     "s3_radial_solution",
     "s3_quantize",
-    "s3_radial_pair_factor",
     "s3_total_energy",
 ]
-
-class RadialPair(Enum):
-    """Coupled (R1, R2) variant pairs sharing one spectrum."""
-
-    V1_V3P = "1-3p"
-    V2_V4P = "2-4p"
-    V3_V1P = "3-1p"
-
 
 def s3_axial_quantize(lam: float, n_z: int, symmetric: bool = False) -> float:
     """p = lambda + n_z + 1/2 on the canonical lambda > 0 branch.
@@ -155,6 +146,20 @@ _VARIANTS = (
 )
 
 
+class RadialPair(Enum):
+    """Coupled (R1, R2) variant pairs sharing one spectrum, with their
+    rows for GEOMETRY.pair_factor: (1,3') is -(a-c)(b-c)/(lam c) and
+    (2,4') -ab/(lam c) with V1's and V2's (a, b, c); (3,1') is
+    lam c/((a-c)(b-c)) with the (a, b, c) of the R2 row 1'."""
+
+    V1_V3P = RadialPairRow("1-3p", Variant.V1, True,
+                           lambda two_m, B: two_m <= 1, "m <= 1/2")
+    V2_V4P = RadialPairRow("2-4p", Variant.V2, False,
+                           lambda two_m, B: two_m >= 1, "m >= 1/2")
+    V3_V1P = RadialPairRow("3-1p", Variant.V1P, True,
+                           lambda two_m, B: two_m / 2.0 > 2 * B, "m > 2B")
+
+
 def s3_radial_solution(two_m: int, B: float, lambda_sq: float,
                        component: Component, variant: Variant) -> SolutionForm:
     """GEOMETRY.radial_solution on y = (1 + cos r)/2."""
@@ -164,34 +169,6 @@ def s3_radial_solution(two_m: int, B: float, lambda_sq: float,
 def s3_quantize(two_m: int, B: float, n: int, component: Component) -> SpectrumEntry:
     """GEOMETRY.quantize: lambda^2 = rhs^2 - B^2, fully discrete."""
     return GEOMETRY.quantize(two_m, B, n, component)
-
-
-def s3_radial_pair_factor(two_m: int, B: float, lam: float,
-                          pair: RadialPair) -> complex:
-    """Ratio r2/r1 coupling the radial pair into the first-order system:
-
-        (1,3'): -(a-c)(b-c)/(lam c)           [V1 R1 parameters]
-        (2,4'): -a'b'/(lam c')                [V2 R1 parameters]
-        (3,1'): lam g'/((a'-g')(b'-g'))       [V1' R2 parameters]
-    """
-    if lam == 0.0:
-        raise ZeroLambda("pair decouples at lambda = 0")
-    m = two_m / 2.0
-    sq = math.sqrt(B * B + lam * lam)
-    if pair is RadialPair.V1_V3P:
-        if two_m > 1:
-            raise InadmissibleVariant("pair (1,3') requires m <= 1/2")
-        _, _, s, c = GEOMETRY.row(Variant.V1).exponents(m, B)
-        return -(s - sq - c) * (s + sq - c) / (lam * c)
-    if pair is RadialPair.V2_V4P:
-        if two_m < 1:
-            raise InadmissibleVariant("pair (2,4') requires m >= 1/2")
-        _, _, s, c = GEOMETRY.row(Variant.V2).exponents(m, B)
-        return -(s - sq) * (s + sq) / (lam * c)
-    if two_m / 2.0 <= 2 * B:
-        raise InadmissibleVariant("pair (3,1') requires m > 2B")
-    _, _, s, g = GEOMETRY.row(Variant.V1P).exponents(m, B)
-    return lam * g / ((s - sq - g) * (s + sq - g))
 
 
 def s3_total_energy(M: float, lam: float, n_z: int) -> float:

@@ -169,7 +169,7 @@ def test_criterion_06_first_order_systems():
                                        Component.R1, v1),
                 lob.h3_radial_solution(two_m, B, entry.lambda_sq,
                                        Component.R2, v2),
-                lob.h3_radial_pair_factor(two_m, B, lam, pair_kind))
+                lob.GEOMETRY.pair_factor(two_m, B, lam, pair_kind))
         cases.append((f"h3 {pair_kind.name}", pair, grid_h3,
                       dict(lam=lam, two_m=two_m, B=B)))
 
@@ -183,7 +183,7 @@ def test_criterion_06_first_order_systems():
                                        Component.R1, v1),
                 sph.s3_radial_solution(two_m, B, entry.lambda_sq,
                                        Component.R2, v2),
-                sph.s3_radial_pair_factor(two_m, B, lam, pair_kind))
+                sph.GEOMETRY.pair_factor(two_m, B, lam, pair_kind))
         cases.append((f"s3 {pair_kind.name}", pair, grid_s3,
                       dict(lam=lam, two_m=two_m, B=B)))
 

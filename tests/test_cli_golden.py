@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from curved_landau import cli
+from curved_landau.model import Component, Geometry
 
 GOLDEN = [
     ("spectrum --model h3 --B 5 --two-m=-9..9 --n 0..5",
@@ -54,6 +55,8 @@ GOLDEN = [
      "e0e4104c5dbd0de316c0801d224a21ce01e510bf649b47f1a82e9082586e96f0"),
     ("wavefunction --model s3 --component z2 --B 2.5 --two-m=1 --n 1 --nz 1",
      "fb064892bc84500b67ceb796fbda715ea864b95c918dd0d111d2f7408ee7e76b"),
+    ("verify --suite radial",
+     "465988d77ecad4cda06426bb1eabae90ac30bf0b5072c903b6bfeb4b304fcca2"),
 ]
 
 # The whole lattice |two_m| <= 41, n <= 60 at nine fields on both
@@ -205,3 +208,29 @@ def test_radial_wavefunction_is_byte_identical(capsys, command, digest):
                          ids=[c for c, _ in NEGATIVE_FIELD_WAVEFUNCTIONS])
 def test_negative_field_wavefunction_is_byte_identical(capsys, command, digest):
     _check(capsys, command, digest)
+
+
+# (model, B) of every lattice spectrum above.
+AUDIT_FIELDS = [(c.split()[2], float(c.split()[4]))
+                for c, _ in LATTICE if c.startswith("spectrum")]
+
+
+@pytest.mark.parametrize("model, B", AUDIT_FIELDS,
+                         ids=[f"{m} B={B:g}" for m, B in AUDIT_FIELDS])
+def test_unified_audit_reads_the_quantized_level(model, B):
+    """The audit's variant_rhs is the rhs that quantize squared, at
+    every row of the lattice with a variant: kappa rhs^2 - kappa B^2 is
+    the row's lambda_sq exactly, and rhs > 0 wherever the row is
+    admissible. At B < 0 both read the reflected R2 level."""
+    rec = Geometry(model).record
+    kappa = rec.kappa
+    for two_m in range(-41, 42, 2):
+        for n in range(61):
+            entry = rec.quantize(two_m, B, n, Component.R1)
+            rhs = rec.unified_report(two_m, B, n).variant_rhs
+            if entry.variant is None:
+                continue
+            assert kappa * rhs * rhs - kappa * B * B == entry.lambda_sq, \
+                (two_m, n, rhs, entry.lambda_sq)
+            if entry.admissible:
+                assert rhs > 0.0, (two_m, n, rhs)

@@ -14,7 +14,6 @@ from curved_landau.lobachevsky import (
     h3_axial_pair_factor,
     h3_axial_solution,
     h3_quantize,
-    h3_radial_pair_factor,
     h3_radial_solution,
     helicity_link,
 )
@@ -195,7 +194,7 @@ def test_radial_pair_system():
     lam = math.sqrt(entry.lambda_sq)
     r1 = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R1, Variant.V1)
     r2 = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R2, Variant.V4P)
-    fac = h3_radial_pair_factor(1, 5.0, lam, RadialPair.V1_V4P)
+    fac = GEOMETRY.pair_factor(1, 5.0, lam, RadialPair.V1_V4P)
     rs = np.linspace(0.4, 6.0, 40)
     g1, d1, _ = r1.evaluate_with_derivs(rs)
     g2, d2, _ = r2.evaluate_with_derivs(rs)
@@ -210,7 +209,7 @@ def test_radial_pair_system():
 
 def test_radial_pair_factor_zero_lambda():
     with pytest.raises(ZeroLambda):
-        h3_radial_pair_factor(1, 5.0, 0.0, RadialPair.V1_V4P)
+        GEOMETRY.pair_factor(1, 5.0, 0.0, RadialPair.V1_V4P)
 
 
 # ---------------------------------------------------------------------------

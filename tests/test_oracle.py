@@ -7,11 +7,11 @@ import pytest
 
 from curved_landau.hyp2f1 import DegenerateConnection, KummerBranch
 from curved_landau.lobachevsky import (
+    GEOMETRY as H3_GEOMETRY,
     RadialPair as H3Pair,
     h3_axial_pair_factor,
     h3_axial_solution,
     h3_quantize,
-    h3_radial_pair_factor,
     h3_radial_solution,
 )
 from curved_landau.model import (
@@ -19,6 +19,7 @@ from curved_landau.model import (
     DomainError,
     EvaluationDomain,
     Geometry,
+    InadmissibleVariant,
     SupportTooCloseToSingularity,
     TruncationTooSmall,
     Variant,
@@ -38,6 +39,7 @@ from curved_landau.oracle import (
     radial_eigenvalues_s3,
 )
 from curved_landau.spherical import (
+    RadialPair as S3Pair,
     s3_axial_quantize,
     s3_axial_solution,
     s3_quantize,
@@ -323,7 +325,7 @@ def _h3_pair():
     lam = math.sqrt(entry.lambda_sq)
     s1 = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R1, Variant.V1)
     s2 = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R2, Variant.V4P)
-    fac = h3_radial_pair_factor(1, 5.0, lam, H3Pair.V1_V4P)
+    fac = H3_GEOMETRY.pair_factor(1, 5.0, lam, H3Pair.V1_V4P)
     return (s1, s2, fac), lam
 
 
@@ -372,6 +374,46 @@ def test_axial_system_residual_exact_past_old_domain_edge():
                                           Grid1D(-2.0, hi, 1500), lam=lam, p=p)
         assert rep.max_abs <= 1e-13
         assert abs(rep.convergence_order - 2.0) < 0.1
+
+
+@pytest.mark.parametrize("geometry, pairs, grid, count", [
+    (Geometry.H3, H3Pair, Grid1D(0.3, 8.0, 600), 37),
+    (Geometry.S3, S3Pair, Grid1D(0.2, math.pi - 0.2, 600), 145),
+], ids=["h3", "s3"])
+def test_negative_field_pairs_solve_their_system(geometry, pairs, grid, count):
+    """At B < 0 the reflection swaps a pair's components: the R1 form
+    is built from the pair's R2 variant and the R2 form from its R1
+    variant. pair_factor, called at the caller's (two_m, B), must couple
+    them to rounding level. Every admissible level of the sweep is
+    metered on each pair that carries its variant and whose two forms
+    build; `count` keeps the sweep from going empty."""
+    rec = geometry.record
+    metered = 0
+    for B in (-0.7, -2.5, -5.0):
+        for two_m in range(-9, 10, 2):
+            for n in range(5):
+                entry = rec.quantize(two_m, B, n, Component.R1)
+                if not entry.admissible:
+                    continue
+                lam = math.sqrt(entry.lambda_sq)
+                for pair in pairs:
+                    v1, v2 = (Variant[name] for name in pair.name.split("_"))
+                    if entry.variant not in (v1, v2):
+                        continue
+                    try:
+                        r1 = rec.radial_solution(two_m, B, entry.lambda_sq,
+                                                 Component.R1, v2)
+                        r2 = rec.radial_solution(two_m, B, entry.lambda_sq,
+                                                 Component.R2, v1)
+                    except InadmissibleVariant:
+                        continue
+                    fac = rec.pair_factor(two_m, B, lam, pair)
+                    rep = first_order_system_residual(
+                        (r1, r2, fac), grid, lam=lam, two_m=two_m, B=B)
+                    assert rep.max_abs <= 1e-9, (two_m, B, n, pair.name,
+                                                 rep.max_abs)
+                    metered += 1
+    assert metered == count
 
 
 # ---------------------------------------------------------------------------

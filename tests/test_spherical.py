@@ -23,7 +23,6 @@ from curved_landau.spherical import (
     s3_axial_quantize,
     s3_axial_solution,
     s3_quantize,
-    s3_radial_pair_factor,
     s3_radial_solution,
     s3_total_energy,
 )
@@ -263,7 +262,7 @@ def _radial_system_residual(two_m, B, n, pair, v1, v2):
     m = two_m / 2.0
     r1 = s3_radial_solution(two_m, B, entry.lambda_sq, Component.R1, v1)
     r2 = s3_radial_solution(two_m, B, entry.lambda_sq, Component.R2, v2)
-    fac = s3_radial_pair_factor(two_m, B, lam, pair)
+    fac = GEOMETRY.pair_factor(two_m, B, lam, pair)
     rs = np.linspace(0.25, math.pi - 0.25, 40)
     g1, d1, _ = r1.evaluate_with_derivs(rs)
     g2, d2, _ = r2.evaluate_with_derivs(rs)
@@ -286,13 +285,13 @@ def test_radial_pair_systems():
 
 def test_radial_pair_factor_guards():
     with pytest.raises(ZeroLambda):
-        s3_radial_pair_factor(1, 1.0, 0.0, RadialPair.V2_V4P)
+        GEOMETRY.pair_factor(1, 1.0, 0.0, RadialPair.V2_V4P)
     with pytest.raises(InadmissibleVariant):
-        s3_radial_pair_factor(3, 1.0, 2.0, RadialPair.V1_V3P)
+        GEOMETRY.pair_factor(3, 1.0, 2.0, RadialPair.V1_V3P)
     with pytest.raises(InadmissibleVariant):
-        s3_radial_pair_factor(-1, 1.0, 2.0, RadialPair.V2_V4P)
+        GEOMETRY.pair_factor(-1, 1.0, 2.0, RadialPair.V2_V4P)
     with pytest.raises(InadmissibleVariant):
-        s3_radial_pair_factor(1, 1.0, 2.0, RadialPair.V3_V1P)
+        GEOMETRY.pair_factor(1, 1.0, 2.0, RadialPair.V3_V1P)
 
 
 # ---------------------------------------------------------------------------
