@@ -35,7 +35,7 @@ from . import hyp2f1 as hyp
 from . import lobachevsky as lob
 from . import spherical as sph
 from . import oracle
-from .model import Component, DomainError, Geometry, Variant
+from .model import Component, DomainError, Geometry
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suites"]
 
@@ -129,27 +129,28 @@ def _worst_match(found: Sequence[float], targets: Sequence[float]) -> float:
 
 def _suite_radial(tol: Optional[float]) -> List[CheckResult]:
     threshold = tol or 0.005
-    out = []
     grid_h3 = oracle.Grid1D(0.0, 12.0, 4000)
-    rep = oracle.radial_eigenvalues_h3(0.5, 5.0, Component.R1, grid_h3)
-    found = [v for v in rep.eigenvalues if v > 1.0]
-    out.append(_result("radial/h3-B5-m+1/2",
-                       _worst_match(found[:4], [9, 16, 21, 24]), threshold,
-                       f"eigenvalues {found[:4]}"))
-    rep = oracle.radial_eigenvalues_h3(-0.5, 5.0, Component.R1, grid_h3)
-    found = [v for v in rep.eigenvalues if v > 1.0]
-    out.append(_result("radial/h3-B5-m-1/2",
-                       _worst_match(found[:4], [9, 16, 21, 24]), threshold,
-                       f"eigenvalues {found[:4]}"))
     grid_s3 = oracle.Grid1D(0.0, math.pi, 4000)
-    rep = oracle.radial_eigenvalues_s3(0.5, 1.0, Component.R1, grid_s3)
-    out.append(_result("radial/s3-B1-m+1/2",
-                       _worst_match(rep.eigenvalues[1:4], [3.0, 8.0, 15.0]),
-                       threshold, f"eigenvalues {rep.eigenvalues[:4]}"))
-    rep = oracle.radial_eigenvalues_s3(-0.5, 1.0, Component.R1, grid_s3)
-    out.append(_result("radial/s3-B1-m-1/2",
-                       _worst_match(rep.eigenvalues[:3], [3.0, 8.0, 15.0]),
-                       threshold, f"eigenvalues {rep.eigenvalues[:3]}"))
+
+    def above_one(ev):  # drops the H3 zero mode, as a list
+        return [v for v in ev if v > 1.0][:4]
+    # (name, eigensolver, m, B, grid, levels shown, first level compared,
+    # closed-form levels); m = +1/2 on S3 skips its zero mode
+    cases = [
+        ("radial/h3-B5-m+1/2", oracle.radial_eigenvalues_h3, 0.5, 5.0,
+         grid_h3, above_one, 0, [9, 16, 21, 24]),
+        ("radial/h3-B5-m-1/2", oracle.radial_eigenvalues_h3, -0.5, 5.0,
+         grid_h3, above_one, 0, [9, 16, 21, 24]),
+        ("radial/s3-B1-m+1/2", oracle.radial_eigenvalues_s3, 0.5, 1.0,
+         grid_s3, lambda ev: ev[:4], 1, [3.0, 8.0, 15.0]),
+        ("radial/s3-B1-m-1/2", oracle.radial_eigenvalues_s3, -0.5, 1.0,
+         grid_s3, lambda ev: ev[:3], 0, [3.0, 8.0, 15.0]),
+    ]
+    out = []
+    for name, solve, m, B, grid, shown, first, targets in cases:
+        levels = shown(solve(m, B, Component.R1, grid).eigenvalues)
+        out.append(_result(name, _worst_match(levels[first:], targets),
+                           threshold, f"eigenvalues {levels}"))
     return out
 
 
@@ -212,35 +213,38 @@ def _suite_commutator(tol: Optional[float]) -> List[CheckResult]:
     ]
 
 
+# (record, two_m, B, n, pair): one admissible level per radial pair,
+# with B written as the check's detail prints it
+_RADIAL_PAIR_CASES = (
+    (lob.GEOMETRY, 1, 5, 2, lob.RadialPair.V1_V4P),
+    (lob.GEOMETRY, -1, 5, 1, lob.RadialPair.V2_V3P),
+    (sph.GEOMETRY, -1, 1.0, 0, sph.RadialPair.V1_V3P),
+    (sph.GEOMETRY, 1, 1.0, 1, sph.RadialPair.V2_V4P),
+    (sph.GEOMETRY, 7, 1.0, 0, sph.RadialPair.V3_V1P),
+)
+
+
 def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
     threshold = tol or 1e-8
-    out = []
-    grid_h3 = oracle.Grid1D(0.3, 8.0, 1200)
-    grid_s3 = oracle.Grid1D(0.2, math.pi - 0.2, 1200)
-
-    def radial_pair(rec, two_m, B, n, pair, v1, v2):
-        entry = rec.quantize(two_m, B, n, Component.R1)
-        lam = math.sqrt(entry.lambda_sq)
-        s1 = rec.radial_solution(two_m, B, entry.lambda_sq, Component.R1, v1)
-        s2 = rec.radial_solution(two_m, B, entry.lambda_sq, Component.R2, v2)
-        fac = rec.pair_factor(two_m, B, lam, pair)
-        return (s1, s2, fac), dict(lam=lam, two_m=two_m, B=B)
-
-    pair, kw = radial_pair(lob.GEOMETRY, 1, 5.0, 2, lob.RadialPair.V1_V4P,
-                           Variant.V1, Variant.V4P)
-    base = oracle.first_order_system_residual(pair, grid_h3, **kw)
-    out.append(_result("pairs/h3-radial-1-4p", base.max_abs, threshold,
-                       "B=5, m=1/2, n=2"))
-    scaled = oracle.first_order_system_residual(
-        (pair[0], pair[1], 2.0 * pair[2]), grid_h3, **kw)
-    out.append(_result("pairs/h3-scaled-factor-rejected",
-                       base.max_abs / scaled.max_abs, 0.01,
-                       f"x2 factor residual {scaled.max_abs:.3g}"))
-    pair, kw = radial_pair(lob.GEOMETRY, -1, 5.0, 1, lob.RadialPair.V2_V3P,
-                           Variant.V2, Variant.V3P)
-    rep = oracle.first_order_system_residual(pair, grid_h3, **kw)
-    out.append(_result("pairs/h3-radial-2-3p", rep.max_abs, threshold,
-                       "B=5, m=-1/2, n=1"))
+    grids = {Geometry.H3: oracle.Grid1D(0.3, 8.0, 1200),
+             Geometry.S3: oracle.Grid1D(0.2, math.pi - 0.2, 1200)}
+    radial = []
+    for rec, two_m, B, n, pair in _RADIAL_PAIR_CASES:
+        space = rec.radial_variable.geometry
+        lambda_sq = rec.quantize(two_m, B, n, Component.R1).lambda_sq
+        forms = rec.radial_pair(two_m, B, lambda_sq, pair)
+        kw = dict(lam=math.sqrt(lambda_sq), two_m=two_m, B=B)
+        rep = oracle.first_order_system_residual(forms, grids[space], **kw)
+        spec = pair.value
+        radial.append(_result(
+            f"pairs/{space.value}-radial-{spec.r1.value}-{spec.r2.value}",
+            rep.max_abs, threshold, f"B={B}, m={two_m}/2, n={n}"))
+        if len(radial) == 1:  # the scaled-factor fault rides on the first
+            scaled = oracle.first_order_system_residual(
+                (forms[0], forms[1], 2.0 * forms[2]), grids[space], **kw)
+            radial.append(_result("pairs/h3-scaled-factor-rejected",
+                                  rep.max_abs / scaled.max_abs, 0.01,
+                                  f"x2 factor residual {scaled.max_abs:.3g}"))
 
     p, lam = 0.7, 1.3
     z1 = lob.h3_axial_solution(p, lam, hyp.KummerBranch.U1, Component.Z1)
@@ -248,8 +252,7 @@ def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
     fac = lob.h3_axial_pair_factor(p, lam, hyp.KummerBranch.U1)
     rep = oracle.first_order_system_residual(
         (z1, z2, fac), oracle.Grid1D(-2.0, 2.0, 1200), lam=lam, p=p)
-    out.append(_result("pairs/h3-axial", rep.max_abs, threshold,
-                       "p=0.7, lam=1.3"))
+    axial = [_result("pairs/h3-axial", rep.max_abs, threshold, "p=0.7, lam=1.3")]
 
     lam = math.sqrt(3.0)
     p = sph.s3_axial_quantize(lam, 1)
@@ -258,23 +261,9 @@ def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
     fac = sph.s3_axial_pair_factor(p, lam)
     rep = oracle.first_order_system_residual(
         (z1, z2, fac), oracle.Grid1D(-1.0, 1.0, 1200), lam=lam, p=p)
-    out.append(_result("pairs/s3-axial", rep.max_abs, threshold,
-                       "lam=sqrt(3), n_z=1"))
-
-    s3_cases = [
-        ("pairs/s3-radial-1-3p", -1, 1.0, 0, sph.RadialPair.V1_V3P,
-         Variant.V1, Variant.V3P),
-        ("pairs/s3-radial-2-4p", 1, 1.0, 1, sph.RadialPair.V2_V4P,
-         Variant.V2, Variant.V4P),
-        ("pairs/s3-radial-3-1p", 7, 1.0, 0, sph.RadialPair.V3_V1P,
-         Variant.V3, Variant.V1P),
-    ]
-    for name, two_m, B, n, *case in s3_cases:
-        pair, kw = radial_pair(sph.GEOMETRY, two_m, B, n, *case)
-        rep = oracle.first_order_system_residual(pair, grid_s3, **kw)
-        out.append(_result(name, rep.max_abs, threshold,
-                           f"B={B}, m={two_m}/2, n={n}"))
-    return out
+    axial.append(_result("pairs/s3-axial", rep.max_abs, threshold,
+                         "lam=sqrt(3), n_z=1"))
+    return radial[:3] + axial + radial[3:]  # axial after the H3 radial pairs
 
 
 def _suite_flat_limit(tol: Optional[float]) -> List[CheckResult]:

@@ -158,8 +158,7 @@ def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
             for n_z in n_zs:
                 p = epsilon = None
                 # n_z is set on s3 only
-                if (n_z is not None and entry.admissible
-                        and lam_sq is not None and lam_sq > 0.0):
+                if n_z is not None and entry.admissible:
                     lam = math.sqrt(lam_sq)
                     p = sph.s3_axial_quantize(lam, n_z) / rho
                     if args.M > 0.0:
@@ -211,7 +210,7 @@ def _cmd_wavefunction(args, parser: argparse.ArgumentParser) -> int:
     geo = Geometry(args.model).record
     entry = geo.quantize(two_m, args.B, args.n,
                          component if radial else Component.R1)
-    if not entry.admissible or entry.lambda_sq is None:
+    if not entry.admissible:
         reason = entry.violated or "no admissible variant"
         print(f"error: state (two_m={two_m}, n={args.n}, B={args.B}) is "
               f"not a bound state: {reason}", file=sys.stderr)

@@ -134,9 +134,9 @@ class RadialPair(Enum):
     rows for GEOMETRY.pair_factor: (1,4') is ab/(i lam c) with V1's
     (a, b, c), (2,3') is (a-c)(b-c)/(i lam c) with V2's."""
 
-    V1_V4P = RadialPairRow("1-4p", Variant.V1, False,
+    V1_V4P = RadialPairRow(Variant.V1, Variant.V4P, Variant.V1, False,
                            lambda two_m, B: two_m >= 1, "m >= 1/2")
-    V2_V3P = RadialPairRow("2-3p", Variant.V2, True,
+    V2_V3P = RadialPairRow(Variant.V2, Variant.V3P, Variant.V2, True,
                            lambda two_m, B: two_m <= -1 and two_m / 2.0 > 0.5 - B,
                            "1/2 - B < m <= -1/2")
 
@@ -191,7 +191,7 @@ def helicity_link(epsilon: float, M: float,
 GEOMETRY = GeometryRecord(
     radial_variable=Variable.YR, axial_variable=Variable.YZ,
     r_max=math.inf, z_max=math.inf, kappa=-1.0, sine=np.sinh, cosine=np.cosh,
-    variants=_VARIANTS, positive_exponents=False,
+    variants=_VARIANTS, pairs=RadialPair,
     r_window=(1e-3, 12.0), z_window=(-2.0, 2.0),
     region_predicate="|m| - |2B + m| + 2n < 0 marks the bound region",
     zero_field_note="B = 0: no magnetic confinement")

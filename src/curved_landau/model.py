@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Type
 
 import numpy as np
 
@@ -134,52 +134,38 @@ def _logistic(t):
         return 1.0 / (1.0 + np.exp(-t)) + 0.0j
 
 
+def _with_complement(y):
+    return y, 1 - y
+
+
 class Variable(Enum):
-    """Coordinate-to-argument maps for the four solution families."""
+    """Coordinate-to-argument maps for the four solution families. Each
+    member carries its space and, as data, its maps of coordinates x
+    (taken as a float array): y_pair(x) = (y, 1 - y), dy_dx(x) and
+    d2y_dx2(x). On YZ both y and 1 - y keep full relative precision
+    (1 - y is not formed by cancellation as y -> 1)."""
 
-    YZ = "yz"        # y = (1 + tanh z)/2,  z real        -> y in (0,1)
-                     #   = e^z / (2 cosh z), 1 - y = e^-z / (2 cosh z)
-    YR = "yr"        # y = (1 + cosh r)/2,  r > 0         -> y in (1,inf)
-    YZ_S3 = "yz_s3"  # y = (1 + i tan z)/2, |z| < pi/2    -> Re y = 1/2
-    YR_S3 = "yr_s3"  # y = (1 + cos r)/2,   r in (0,pi)   -> y in (0,1)
+    YZ = ("yz", Geometry.H3,  # y = (1 + tanh z)/2 = e^z / (2 cosh z) in (0, 1)
+          lambda x: (_logistic(2.0 * x), _logistic(-2.0 * x)),
+          lambda x: 0.5 / np.cosh(x) ** 2 + 0.0j,
+          lambda x: -np.tanh(x) / np.cosh(x) ** 2 + 0.0j)
+    YR = ("yr", Geometry.H3,  # y = (1 + cosh r)/2 in (1, inf) for r > 0
+          lambda x: _with_complement((1.0 + np.cosh(x)) / 2.0 + 0.0j),
+          lambda x: np.sinh(x) / 2.0 + 0.0j, lambda x: np.cosh(x) / 2.0 + 0.0j)
+    YZ_S3 = ("yz_s3", Geometry.S3,  # y = (1 + i tan z)/2, Re y = 1/2, |z| < pi/2
+             lambda x: _with_complement((1.0 + 1j * np.tan(x)) / 2.0),
+             lambda x: 0.5j / np.cos(x) ** 2, lambda x: 1j * np.tan(x) / np.cos(x) ** 2)
+    YR_S3 = ("yr_s3", Geometry.S3,  # y = (1 + cos r)/2 in (0, 1) for r in (0, pi)
+             lambda x: _with_complement((1.0 + np.cos(x)) / 2.0 + 0.0j),
+             lambda x: -np.sin(x) / 2.0 + 0.0j, lambda x: -np.cos(x) / 2.0 + 0.0j)
 
-    @property
-    def geometry(self) -> Geometry:
-        return Geometry.H3 if self in (Variable.YZ, Variable.YR) else Geometry.S3
-
-    def y_pair(self, x):
-        """(y, 1 - y) at x; on YZ both keep full relative precision (1 - y
-        is not formed by cancellation as y -> 1)."""
-        x = np.asarray(x, dtype=float)
-        if self is Variable.YZ:
-            return _logistic(2.0 * x), _logistic(-2.0 * x)
-        if self is Variable.YR:
-            y = (1.0 + np.cosh(x)) / 2.0 + 0.0j
-        elif self is Variable.YZ_S3:
-            y = (1.0 + 1j * np.tan(x)) / 2.0
-        else:
-            y = (1.0 + np.cos(x)) / 2.0 + 0.0j
-        return y, 1 - y
-
-    def dy_dx(self, x):
-        x = np.asarray(x, dtype=float)
-        if self is Variable.YZ:
-            return 0.5 / np.cosh(x) ** 2 + 0.0j
-        if self is Variable.YR:
-            return np.sinh(x) / 2.0 + 0.0j
-        if self is Variable.YZ_S3:
-            return 0.5j / np.cos(x) ** 2
-        return -np.sin(x) / 2.0 + 0.0j
-
-    def d2y_dx2(self, x):
-        x = np.asarray(x, dtype=float)
-        if self is Variable.YZ:
-            return -np.tanh(x) / np.cosh(x) ** 2 + 0.0j
-        if self is Variable.YR:
-            return np.cosh(x) / 2.0 + 0.0j
-        if self is Variable.YZ_S3:
-            return 1j * np.tan(x) / np.cos(x) ** 2
-        return -np.cos(x) / 2.0 + 0.0j
+    def __new__(cls, value, geometry, *maps):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.geometry = geometry
+        member.y_pair, member.dy_dx, member.d2y_dx2 = (
+            lambda x, f=f: f(np.asarray(x, dtype=float)) for f in maps)
+        return member
 
 
 _SMALL_R = 1e-4
@@ -216,12 +202,14 @@ class RadialVariant:
 
 @dataclass(frozen=True)
 class RadialPairRow:
-    """One coupled (R1, R2) radial pair, the value of a RadialPair
-    member, written for B >= 0 like the variant rows: pair_factor takes
-    (s, c) from the `primary` row, shifts the roots s -+ q by c when
-    `shifted` and demands `in_range(two_m, B)` (`range_text`)."""
+    """The R1 variant r1 and R2 variant r2 sharing one spectrum, the
+    value of a RadialPair member, written for B >= 0 like the variant
+    rows: pair_factor takes (s, c) from the `primary` row (r1 or r2),
+    shifts the roots s -+ q by c when `shifted` and demands
+    `in_range(two_m, B)` (`range_text`)."""
 
-    label: str
+    r1: Variant
+    r2: Variant
     primary: Variant
     shifted: bool
     in_range: Callable[[int, float], bool]
@@ -232,11 +220,11 @@ class RadialPairRow:
 class GeometryRecord:
     """One space: H3 and S3 are one problem with curvature sign kappa =
     -1 / +1 and trig pair (sinh, cosh) / (sin, cos), from which, with the
-    space's variant table, every method below is written once. r runs
-    over (0, r_max), z over (-z_max, z_max). positive_exponents is the
-    compact space's finiteness rule (A > 0 and C > 0 at both poles). The
-    CLI samples wavefunctions on r_window and z_window, which keep every
-    constructible solution inside its series-convergence domain, and
+    space's variant and pair tables (`variants`; `pairs`, its RadialPair
+    enum), every method below is written once. r runs over (0, r_max), z
+    over (-z_max, z_max); forms on the compact space (finite r_max) need
+    A, C > 0. The CLI samples wavefunctions on r_window and z_window,
+    inside every constructible solution's series-convergence domain, and
     prints region_predicate and zero_field_note with `regions`.
     """
 
@@ -248,7 +236,7 @@ class GeometryRecord:
     sine: Callable
     cosine: Callable
     variants: Tuple[RadialVariant, ...]
-    positive_exponents: bool
+    pairs: Type[Enum]
     r_window: Tuple[float, float]
     z_window: Tuple[float, float]
     region_predicate: str
@@ -383,7 +371,7 @@ class GeometryRecord:
             raise InadmissibleVariant(
                 f"variant {variant.value} requires {row.range_text}")
         A, C, s, c = row.exponents(two_m / 2.0, B)
-        if self.positive_exponents and min(A, C) <= 0.0:
+        if math.isfinite(self.r_max) and min(A, C) <= 0.0:
             raise InadmissibleVariant(f"variant {variant.value}: exponents "
                                       f"A = {A}, C = {C} must be > 0")
         return SolutionForm(A, C, Hyp2F1Params(s - q, s + q, c),
@@ -439,14 +427,17 @@ class GeometryRecord:
         (s + q - d)/(lam c), phase -i on H3 and -1 on S3. The factor is
         -1/k where the primary row is the caller's R2 row: S3 (3,1'), and
         every pair at B < 0, whose R1 and R2 forms the reflection swaps."""
+        if not isinstance(pair, self.pairs):
+            raise DomainError(f"{pair} is not in the "
+                              f"{self.radial_variable.geometry.name} pair table")
         if lam == 0.0:
             raise ZeroLambda("pair decouples at lambda = 0")
         spec = pair.value
         two_m, B, component = self._reflect(two_m, B, Component.R1)
         q = self._root(B, lam * lam)
         if not spec.in_range(two_m, B):
-            raise InadmissibleVariant(
-                f"pair ({spec.label}) requires {spec.range_text}")
+            raise InadmissibleVariant(f"pair ({spec.r1.value}-{spec.r2.value}) "
+                                      f"requires {spec.range_text}")
         primary = self.row(spec.primary)
         _, _, s, c = primary.exponents(two_m / 2.0, B)
         d = c if spec.shifted else 0.0
@@ -454,6 +445,21 @@ class GeometryRecord:
         if primary.component is component:
             return num / (lam * c)
         return -(lam * c) / num
+
+    def radial_pair(self, two_m: int, B: float, lambda_sq: float,
+                    pair: Enum) -> Tuple[SolutionForm, SolutionForm, complex]:
+        """(R1 form, R2 form, pair_factor) of `pair` at lambda_sq, as
+        first_order_system_residual meters them. At B < 0 the reflection
+        builds R1 from the pair's R2 variant and R2 from its R1 variant."""
+        if lambda_sq < 0.0:
+            raise DomainError("lambda_sq must be >= 0")
+        factor = self.pair_factor(two_m, B, math.sqrt(lambda_sq), pair)
+        spec = pair.value
+        _, _, first = self._reflect(two_m, B, Component.R1)
+        v1, v2 = (spec.r1, spec.r2) if first is Component.R1 else (spec.r2, spec.r1)
+        return (self.radial_solution(two_m, B, lambda_sq, Component.R1, v1),
+                self.radial_solution(two_m, B, lambda_sq, Component.R2, v2),
+                factor)
 
 
 @dataclass

@@ -152,11 +152,11 @@ class RadialPair(Enum):
     (2,4') -ab/(lam c) with V1's and V2's (a, b, c); (3,1') is
     lam c/((a-c)(b-c)) with the (a, b, c) of the R2 row 1'."""
 
-    V1_V3P = RadialPairRow("1-3p", Variant.V1, True,
+    V1_V3P = RadialPairRow(Variant.V1, Variant.V3P, Variant.V1, True,
                            lambda two_m, B: two_m <= 1, "m <= 1/2")
-    V2_V4P = RadialPairRow("2-4p", Variant.V2, False,
+    V2_V4P = RadialPairRow(Variant.V2, Variant.V4P, Variant.V2, False,
                            lambda two_m, B: two_m >= 1, "m >= 1/2")
-    V3_V1P = RadialPairRow("3-1p", Variant.V1P, True,
+    V3_V1P = RadialPairRow(Variant.V3, Variant.V1P, Variant.V1P, True,
                            lambda two_m, B: two_m / 2.0 > 2 * B, "m > 2B")
 
 
@@ -182,7 +182,7 @@ def s3_total_energy(M: float, lam: float, n_z: int) -> float:
 GEOMETRY = GeometryRecord(
     radial_variable=Variable.YR_S3, axial_variable=Variable.YZ_S3,
     r_max=math.pi, z_max=math.pi / 2, kappa=1.0, sine=np.sin, cosine=np.cos,
-    variants=_VARIANTS, positive_exponents=True,
+    variants=_VARIANTS, pairs=RadialPair,
     r_window=(1e-3, math.pi - 1e-3),
     z_window=(-(math.pi / 2 - 0.1), math.pi / 2 - 0.1),
     region_predicate="|m| - |2B - m| + 2n > 0 marks the advertised region",

@@ -57,6 +57,8 @@ GOLDEN = [
      "fb064892bc84500b67ceb796fbda715ea864b95c918dd0d111d2f7408ee7e76b"),
     ("verify --suite radial",
      "465988d77ecad4cda06426bb1eabae90ac30bf0b5072c903b6bfeb4b304fcca2"),
+    ("verify --suite pairs",
+     "015348063885e6acafdc1821f1d440df98aa3fca1299044245c808ec1d5bc342"),
 ]
 
 # The whole lattice |two_m| <= 41, n <= 60 at nine fields on both

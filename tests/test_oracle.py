@@ -416,6 +416,99 @@ def test_negative_field_pairs_solve_their_system(geometry, pairs, grid, count):
     assert metered == count
 
 
+def test_pair_of_the_other_space_is_rejected():
+    """Both tables have V1 and V2 rows, so a foreign member would
+    otherwise read a factor off the wrong row."""
+    s3 = Geometry.S3.record
+    with pytest.raises(DomainError, match="pair table"):
+        H3_GEOMETRY.pair_factor(1, 5.0, 3.0, S3Pair.V2_V4P)
+    with pytest.raises(DomainError, match="pair table"):
+        s3.pair_factor(1, 1.0, 2.0, H3Pair.V1_V4P)
+    with pytest.raises(DomainError, match="pair table"):
+        H3_GEOMETRY.radial_pair(1, 5.0, 9.0, S3Pair.V2_V4P)
+    with pytest.raises(DomainError, match="pair table"):
+        s3.radial_pair(1, 1.0, 3.0, H3Pair.V1_V4P)
+
+
+def _bits(x):
+    return repr(complex(x))
+
+
+def _assert_same_triple(got, want):
+    for g, w in zip(got[:2], want[:2]):
+        assert g.variable is w.variable
+        assert [_bits(v) for v in (g.exp_a, g.exp_c, g.params.a, g.params.b,
+                                   g.params.c)] == \
+            [_bits(v) for v in (w.exp_a, w.exp_c, w.params.a, w.params.b,
+                                w.params.c)]
+    assert _bits(got[2]) == _bits(want[2])
+
+
+@pytest.mark.parametrize("geometry, pairs, grid, count", [
+    (Geometry.H3, H3Pair, Grid1D(0.3, 8.0, 600), 37),
+    (Geometry.S3, S3Pair, Grid1D(0.2, math.pi - 0.2, 600), 145),
+], ids=["h3", "s3"])
+def test_radial_pair_is_the_explicit_construction(geometry, pairs, grid, count):
+    """radial_pair at B < 0 builds R1 from the row's R2 variant and R2
+    from its R1 variant, with pair_factor at the caller's (two_m, B):
+    the same forms and factor bit for bit, over the sweep of
+    test_negative_field_pairs_solve_their_system."""
+    rec = geometry.record
+    metered = 0
+    for B in (-0.7, -2.5, -5.0):
+        for two_m in range(-9, 10, 2):
+            for n in range(5):
+                entry = rec.quantize(two_m, B, n, Component.R1)
+                if not entry.admissible:
+                    continue
+                lam_sq = entry.lambda_sq
+                for pair in pairs:
+                    row = pair.value
+                    if entry.variant not in (row.r1, row.r2):
+                        continue
+                    try:
+                        want = (rec.radial_solution(two_m, B, lam_sq,
+                                                    Component.R1, row.r2),
+                                rec.radial_solution(two_m, B, lam_sq,
+                                                    Component.R2, row.r1))
+                    except InadmissibleVariant:
+                        continue
+                    lam = math.sqrt(lam_sq)
+                    want += (rec.pair_factor(two_m, B, lam, pair),)
+                    got = rec.radial_pair(two_m, B, lam_sq, pair)
+                    _assert_same_triple(got, want)
+                    rep = first_order_system_residual(
+                        got, grid, lam=lam, two_m=two_m, B=B)
+                    assert rep.max_abs <= 1e-9, (two_m, B, n, pair.name)
+                    metered += 1
+    assert metered == count
+
+
+@pytest.mark.parametrize("geometry, two_m, B, n, pair", [
+    (Geometry.H3, 1, 5.0, 2, H3Pair.V1_V4P),
+    (Geometry.H3, -1, 5.0, 1, H3Pair.V2_V3P),
+    (Geometry.S3, -1, 1.0, 0, S3Pair.V1_V3P),
+    (Geometry.S3, 1, 1.0, 1, S3Pair.V2_V4P),
+    (Geometry.S3, 7, 1.0, 0, S3Pair.V3_V1P),
+], ids=lambda v: getattr(v, "name", None))
+def test_radial_pair_of_the_verify_levels(geometry, two_m, B, n, pair):
+    """At B > 0 radial_pair is (R1 of the row's r1, R2 of its r2,
+    pair_factor) at each level the pairs suite meters."""
+    rec = geometry.record
+    grid = (Grid1D(0.3, 8.0, 1200) if geometry is Geometry.H3
+            else Grid1D(0.2, math.pi - 0.2, 1200))
+    lam_sq = rec.quantize(two_m, B, n, Component.R1).lambda_sq
+    lam = math.sqrt(lam_sq)
+    row = pair.value
+    want = (rec.radial_solution(two_m, B, lam_sq, Component.R1, row.r1),
+            rec.radial_solution(two_m, B, lam_sq, Component.R2, row.r2),
+            rec.pair_factor(two_m, B, lam, pair))
+    got = rec.radial_pair(two_m, B, lam_sq, pair)
+    _assert_same_triple(got, want)
+    rep = first_order_system_residual(got, grid, lam=lam, two_m=two_m, B=B)
+    assert rep.max_abs <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Commutator convergence
 # ---------------------------------------------------------------------------
