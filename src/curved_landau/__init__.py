@@ -8,14 +8,15 @@ Layers:
   contiguous relations).
 * :mod:`curved_landau.model` — shared vocabulary: enums, solution
   forms, records, error taxonomy, and the per-space GeometryRecord
-  (``Geometry.H3.record``): mu, quantization, radial solutions and pair
-  factors, audit and region verdict, written once from kappa and the
-  space's variant and pair tables.
+  (``Geometry.H3.record``): mu, quantization, radial and axial
+  solutions and pairs, audit and region verdict, written once from
+  kappa, the axial (p, lambda) -> (P, L) map and the space's variant
+  and pair tables.
 * :mod:`curved_landau.lobachevsky` — the hyperbolic (pseudosphere)
-  model: variant and pair tables, axial solutions, flat limit,
-  helicity link.
+  model: variant and pair tables, axial data and the U5 axial basis,
+  flat limit, helicity link.
 * :mod:`curved_landau.spherical` — the spherical model: variant and
-  pair tables, axial quantization and solutions, total energy.
+  pair tables, axial data and quantization, total energy.
 * :mod:`curved_landau.oracle` — independent numerics: a finite-volume
   eigensolver, ODE/system residuals, commutator convergence, series
   connection integration.
@@ -69,7 +70,6 @@ from .hyp2f1 import (
 from .lobachevsky import (
     RadialPair as H3RadialPair,
     flat_limit,
-    h3_axial_connection,
     h3_axial_pair_factor,
     h3_axial_solution,
     h3_quantize,
@@ -78,7 +78,6 @@ from .lobachevsky import (
 )
 from .spherical import (
     RadialPair as S3RadialPair,
-    s3_axial_pair_factor,
     s3_axial_quantize,
     s3_axial_solution,
     s3_quantize,
@@ -117,12 +116,11 @@ __all__ = [
     "eval_2f1", "kummer_connection", "log_gamma", "series_with_derivatives",
     "u2_value", "u5_value", "u6_value",
     # lobachevsky
-    "H3RadialPair", "flat_limit", "h3_axial_connection",
-    "h3_axial_pair_factor", "h3_axial_solution", "h3_quantize",
-    "h3_radial_solution", "helicity_link",
+    "H3RadialPair", "flat_limit", "h3_axial_pair_factor", "h3_axial_solution",
+    "h3_quantize", "h3_radial_solution", "helicity_link",
     # spherical
-    "S3RadialPair", "s3_axial_pair_factor", "s3_axial_quantize",
-    "s3_axial_solution", "s3_quantize", "s3_radial_solution", "s3_total_energy",
+    "S3RadialPair", "s3_axial_quantize", "s3_axial_solution", "s3_quantize",
+    "s3_radial_solution", "s3_total_energy",
     # oracle
     "EigenReport", "Grid1D", "Grid2D", "ResidualReport",
     "axial_connection_check",

@@ -32,9 +32,7 @@ import numpy as np
 
 from . import __version__
 from . import checks
-from . import lobachevsky as lob
 from . import spherical as sph
-from .hyp2f1 import KummerBranch
 from .model import Component, DomainError, Geometry
 
 __all__ = ["main"]
@@ -206,6 +204,10 @@ def _cmd_wavefunction(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--n must be >= 0")
     if args.samples < 2:
         parser.error("--samples must be >= 2")
+    if args.model == "s3" and args.p is not None:
+        parser.error("--p applies to the hyperbolic model only (s3 takes --nz)")
+    if args.model == "h3" and args.nz is not None:
+        parser.error("--nz applies to the spherical model only (h3 takes --p)")
     radial = component in (Component.R1, Component.R2)
     geo = Geometry(args.model).record
     entry = geo.quantize(two_m, args.B, args.n,
@@ -223,24 +225,20 @@ def _cmd_wavefunction(args, parser: argparse.ArgumentParser) -> int:
         window, coordinate = geo.r_window, "r"
     else:
         lam = math.sqrt(lam_sq)
-        if args.model == "h3":
-            if args.p is None:
-                parser.error("hyperbolic axial components need --p "
-                             "(the axial momentum is continuous)")
+        if args.p is not None:
             if args.p <= 0.0:
                 parser.error("--p must be > 0")
-            solution = lob.h3_axial_solution(args.p, lam,
-                                             KummerBranch.U1, component)
-            meta_extra["p"] = args.p
-        else:
-            if args.nz is None:
-                parser.error("spherical axial components need --nz")
+            p = args.p
+        elif args.nz is not None:
             if args.nz < 0:
                 parser.error("--nz must be >= 0")
             p = sph.s3_axial_quantize(lam, args.nz)
-            solution = sph.s3_axial_solution(p, lam, component)
             meta_extra["nz"] = args.nz
-            meta_extra["p"] = p
+        else:
+            parser.error("axial components need --p on h3 (the momentum is "
+                         "continuous) or --nz on s3 (it is quantized)")
+        meta_extra["p"] = p
+        solution = geo.axial_solution(p, lam, component)
         window, coordinate = geo.z_window, "z"
     xs = np.linspace(window[0], window[1], args.samples)
     values = solution.evaluate(xs)
@@ -285,9 +283,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     failures = [r for r in results if not r.passed]
     print(f"{len(results) - len(failures)}/{len(results)} checks passed")
     if failures:
-        worst = max(failures, key=lambda r: (r.value / r.threshold
-                                             if r.threshold > 0
-                                             else math.inf))
+        worst = max(failures, key=lambda r: r.value / r.threshold)
         print(f"worst offender: {worst.name} "
               f"(value {worst.value:.6g}, threshold {worst.threshold:.6g})",
               file=sys.stderr)
@@ -406,7 +402,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="|".join(checks.SUITE_NAMES + ("all",)),
                         help="suite to run (repeatable; default all)")
     verify.add_argument("--tol", type=float, default=None,
-                        help="uniform tolerance override for every check")
+                        help="tolerance override (finite, > 0) for every "
+                             "check but the four with fixed thresholds: "
+                             "axial/s3-quantization-exact, axial/h3-fd-order, "
+                             "pairs/h3-scaled-factor-rejected and "
+                             "commutator/flat-fault-detected")
     verify.set_defaults(func=_cmd_verify)
 
     regions = subs.add_parser(

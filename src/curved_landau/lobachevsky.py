@@ -1,9 +1,9 @@
 """Hyperbolic (H3) model layer.
 
-The radial variant and pair tables behind the space's GeometryRecord
-(kappa = -1, sinh, cosh), exact axial solution forms and the relative
-factor coupling the two axial components, the flat-space limit, and the
-helicity/energy link.
+The radial variant and pair tables and the axial data behind the
+space's GeometryRecord (kappa = -1, sinh, cosh), the second (U5) axial
+basis and its pair factor, the flat-space limit, and the helicity/energy
+link.
 
 Conventions: B = eB and M in curvature-radius units, m half-integer
 passed as two_m = 2m (odd int) wherever variant ranges matter; the
@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .hyp2f1 import ConnectionCoefficients, Hyp2F1Params, KummerBranch, kummer_connection
+from .hyp2f1 import Hyp2F1Params, KummerBranch
 from .model import (
     Component,
     DomainError,
@@ -40,7 +40,6 @@ __all__ = [
     "GEOMETRY",
     "RadialPair",
     "h3_axial_solution",
-    "h3_axial_connection",
     "h3_axial_pair_factor",
     "h3_radial_solution",
     "h3_quantize",
@@ -53,51 +52,41 @@ def h3_axial_solution(p: float, lam: float, branch: KummerBranch,
                       component: Component = Component.Z1) -> SolutionForm:
     """Axial solution forms on y = (1 + tanh z)/2.
 
-    `branch` picks the basis solution: U1 decays as y^(ip/2 + 1/2) at
-    z -> -infinity, U5 oscillates with unit modulus as y^(-ip/2). Both
-    the Z1 and Z2 members of each coupled pair are constructible; no
-    quantization applies (p stays continuous).
+    `branch` picks the basis solution: U1 (GEOMETRY.axial_solution)
+    decays as y^(ip/2 + 1/2) at z -> -infinity, U5 oscillates with unit
+    modulus as y^(-ip/2). Both the Z1 and Z2 members of each coupled
+    pair are constructible; no quantization applies (p stays continuous).
     """
-    ip, il = 1j * p, 1j * lam
     if branch is KummerBranch.U1:
-        a, b, c = ip + 0.5 + il, ip + 0.5 - il, ip + 1.5
-        if component is Component.Z1:
-            return SolutionForm((1 + ip) / 2, ip / 2, Hyp2F1Params(a, b, c), Variable.YZ)
-        if component is Component.Z2:
-            return SolutionForm(ip / 2, (1 + ip) / 2, Hyp2F1Params(a, b, c - 1), Variable.YZ)
-    else:
-        if component is Component.Z1:
-            return SolutionForm(-ip / 2, ip / 2,
-                                Hyp2F1Params(il, -il, 0.5 - ip), Variable.YZ)
-        if component is Component.Z2:
-            return SolutionForm((1 - ip) / 2, (1 + ip) / 2,
-                                Hyp2F1Params(1 + il, 1 - il, 1.5 - ip), Variable.YZ)
-    raise DomainError("axial component must be Z1 or Z2")
-
-
-def h3_axial_connection(p: float, lam: float,
-                        which: KummerBranch) -> ConnectionCoefficients:
-    """Asymptotic amplitudes (z -> +infinity) of the chosen y ~ 0 axial
-    solution over the y ~ 1 Kummer basis. With a, b, c of the axial
-    family, c - a - b = 1/2 - ip, never an integer for real p, so the
-    connection is non-degenerate on the physical line."""
+        return GEOMETRY.axial_solution(p, lam, component)
     ip, il = 1j * p, 1j * lam
-    params = Hyp2F1Params(ip + 0.5 + il, ip + 0.5 - il, ip + 1.5)
-    return kummer_connection(params, which)
+    if component is Component.Z1:
+        return SolutionForm(-ip / 2, ip / 2,
+                            Hyp2F1Params(il, -il, 0.5 - ip), Variable.YZ)
+    if component is Component.Z2:
+        return SolutionForm((1 - ip) / 2, (1 + ip) / 2,
+                            Hyp2F1Params(1 + il, 1 - il, 1.5 - ip), Variable.YZ)
+    raise DomainError("axial component must be Z1 or Z2")
 
 
 def h3_axial_pair_factor(p: float, lam: float, pair: KummerBranch) -> complex:
     """Ratio z2/z1 coupling (Z1, Z2) of the chosen branch into the
-    first-order axial system. U1: lam (c-1)/((a-c+1)(b-c+1)) which
-    reduces to (ip + 1/2)/lam; U5: a'b'/(lam c') = lam/(1/2 - ip)."""
+    first-order axial system. U1: GEOMETRY.axial_pair's factor
+    (_axial_factor); U5: a'b'/(lam c') = lam/(1/2 - ip)."""
+    if pair is KummerBranch.U1:
+        return GEOMETRY.axial_pair(p, lam)[2]
     if lam == 0.0:
         raise ZeroLambda("pair decouples at lambda = 0")
     ip, il = 1j * p, 1j * lam
-    if pair is KummerBranch.U1:
-        a, b, c = ip + 0.5 + il, ip + 0.5 - il, ip + 1.5
-        return lam * (c - 1) / ((a - c + 1) * (b - c + 1))
     ap, bp, cp = il, -il, 0.5 - ip
     return ap * bp / (lam * cp)
+
+
+def _axial_factor(P: complex, L: complex, lam: float) -> complex:
+    """lam (c-1)/((a-c+1)(b-c+1)) with the Z1 (upper) a, b, c, which
+    reduces to (ip + 1/2)/lam; kept unreduced, which rounds differently."""
+    a, b, c = P + 0.5 + L, P + 0.5 - L, P + 0.5 + 1
+    return lam * (c - 1) / ((a - c + 1) * (b - c + 1))
 
 
 # The four radial variants for B >= 0, with sqrt(B^2 - lambda^2) = rhs.
@@ -192,6 +181,8 @@ GEOMETRY = GeometryRecord(
     radial_variable=Variable.YR, axial_variable=Variable.YZ,
     r_max=math.inf, z_max=math.inf, kappa=-1.0, sine=np.sinh, cosine=np.cosh,
     variants=_VARIANTS, pairs=RadialPair,
+    axial_pl=lambda p, lam: (1j * p, 1j * lam), axial_upper=Component.Z1,
+    axial_factor=_axial_factor,
     r_window=(1e-3, 12.0), z_window=(-2.0, 2.0),
     region_predicate="|m| - |2B + m| + 2n < 0 marks the bound region",
     zero_field_note="B = 0: no magnetic confinement")

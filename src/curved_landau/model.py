@@ -223,9 +223,11 @@ class GeometryRecord:
     space's variant and pair tables (`variants`; `pairs`, its RadialPair
     enum), every method below is written once. r runs over (0, r_max), z
     over (-z_max, z_max); forms on the compact space (finite r_max) need
-    A, C > 0. The CLI samples wavefunctions on r_window and z_window,
-    inside every constructible solution's series-convergence domain, and
-    prints region_predicate and zero_field_note with `regions`.
+    A, C > 0. Axial forms take (P, L) = axial_pl(p, lam), the upper shape
+    for axial_upper and the z2/z1 factor axial_factor(P, L, lam). The CLI
+    samples wavefunctions on r_window and z_window, inside every
+    constructible solution's series-convergence domain, and prints
+    region_predicate and zero_field_note with `regions`.
     """
 
     radial_variable: Variable
@@ -237,6 +239,9 @@ class GeometryRecord:
     cosine: Callable
     variants: Tuple[RadialVariant, ...]
     pairs: Type[Enum]
+    axial_pl: Callable[[float, float], Tuple[complex, complex]]
+    axial_upper: Component
+    axial_factor: Callable[[complex, complex, float], complex]
     r_window: Tuple[float, float]
     z_window: Tuple[float, float]
     region_predicate: str
@@ -460,6 +465,38 @@ class GeometryRecord:
         return (self.radial_solution(two_m, B, lambda_sq, Component.R1, v1),
                 self.radial_solution(two_m, B, lambda_sq, Component.R2, v2),
                 factor)
+
+    def axial_solution(self, p: float, lam: float, component: Component) -> SolutionForm:
+        """The axial form of `component` at (p, lam). With (P, L) =
+        axial_pl(p, lam) and c = P + 1/2, the axial_upper component is
+        y^((1+P)/2) (1-y)^(P/2) F(c + L, c - L; c + 1; y), the other
+        y^(P/2) (1-y)^((1+P)/2) F(c + L, c - L; c; y). On the compact
+        space (finite z_max) p must be > 0 and F must terminate
+        (p = +-lam + n_z + 1/2) for the form to stay finite at the ends."""
+        compact = math.isfinite(self.z_max)
+        if compact and p <= 0.0:
+            raise DomainError("p must be > 0")
+        if component not in (Component.Z1, Component.Z2):
+            raise DomainError("axial component must be Z1 or Z2")
+        P, L = self.axial_pl(p, lam)
+        c = P + 0.5
+        upper = component is self.axial_upper
+        ends = ((1 + P) / 2, P / 2) if upper else (P / 2, (1 + P) / 2)
+        form = SolutionForm(*ends, Hyp2F1Params(c + L, c - L, c + 1 if upper else c),
+                            self.axial_variable)
+        if compact and not form.params.terminating:
+            raise NonTerminating(f"finiteness at z = +-{self.z_max:g} needs a terminating"
+                                 " series: p must satisfy p = +-lambda + n_z + 1/2")
+        return form
+
+    def axial_pair(self, p: float, lam: float) -> Tuple[SolutionForm, SolutionForm, complex]:
+        """(Z1 form, Z2 form, axial_factor) at (p, lam), as
+        first_order_system_residual meters them."""
+        if lam == 0.0:
+            raise ZeroLambda("pair decouples at lambda = 0")
+        factor = self.axial_factor(*self.axial_pl(p, lam), lam)
+        return (self.axial_solution(p, lam, Component.Z1),
+                self.axial_solution(p, lam, Component.Z2), factor)
 
 
 @dataclass

@@ -30,9 +30,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import lobachevsky as lob
-from . import spherical as sph
-from .hyp2f1 import DegenerateConnection, KummerBranch, u2_value, u6_value
+from .hyp2f1 import (DegenerateConnection, KummerBranch, kummer_connection,
+                     u2_value, u6_value)
 from .model import (
     Component,
     DomainError,
@@ -235,14 +234,14 @@ def radial_eigenvalues_h3(m: float, B: float, component: Component,
                           grid: Grid1D) -> EigenReport:
     """Bound-state lambda^2 values (below the continuum edge B^2) of the
     hyperbolic radial operator on (0, grid.hi); grid.lo may be 0."""
-    return _radial_eigenvalues(lob.GEOMETRY, m, B, component, grid, grid.points)
+    return _radial_eigenvalues(Geometry.H3.record, m, B, component, grid, grid.points)
 
 
 def radial_eigenvalues_s3(m: float, B: float, component: Component,
                           grid: Grid1D, max_count: int = 8) -> EigenReport:
     """Lowest lambda^2 values of the spherical radial operator on a grid
     within [0, pi]; the spectrum is fully discrete."""
-    return _radial_eigenvalues(sph.GEOMETRY, m, B, component, grid, max_count)
+    return _radial_eigenvalues(Geometry.S3.record, m, B, component, grid, max_count)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +570,9 @@ def axial_connection_check(p: float, lam: float,
                            grid: Optional[Grid1D] = None) -> ResidualReport:
     """Integrate the hyperbolic axial equation from y = 0.1 and compare
     against the two-term recombination around y = 1 predicted by the
-    connection coefficients.
+    connection coefficients. With a, b, c of the axial family,
+    c - a - b = 1/2 - ip is never an integer for real p, so the
+    connection is non-degenerate on the physical line.
 
     Z = y^((1+ip)/2) (1-y)^(ip/2) F(a, b, c; y) solves, on
     z = atanh(2y - 1), where the equation is smooth on the whole line,
@@ -589,9 +590,9 @@ def axial_connection_check(p: float, lam: float,
         grid = Grid1D(0.90, 0.95, 16)
     if not (0.5 < grid.lo and grid.hi < 1.0):
         raise DomainError("comparison grid must lie in (0.5, 1)")
-    sol = lob.h3_axial_solution(p, lam, KummerBranch.U1, Component.Z1)
+    sol = Geometry.H3.record.axial_solution(p, lam, Component.Z1)
     params = sol.params
-    coeff = lob.h3_axial_connection(p, lam, KummerBranch.U1)
+    coeff = kummer_connection(params, KummerBranch.U1)
 
     def rhs(z, f, df):
         t = math.tanh(z)

@@ -20,20 +20,17 @@ from enum import Enum
 
 import numpy as np
 
-from .hyp2f1 import Hyp2F1Params
 from .model import (
     Component,
     DomainError,
     GeometryRecord,
     NonPositiveLambda,
-    NonTerminating,
     RadialPairRow,
     RadialVariant,
     SolutionForm,
     SpectrumEntry,
     Variable,
     Variant,
-    ZeroLambda,
 )
 
 __all__ = [
@@ -41,7 +38,6 @@ __all__ = [
     "RadialPair",
     "s3_axial_solution",
     "s3_axial_quantize",
-    "s3_axial_pair_factor",
     "s3_radial_solution",
     "s3_quantize",
     "s3_total_energy",
@@ -67,39 +63,14 @@ def s3_axial_quantize(lam: float, n_z: int, symmetric: bool = False) -> float:
 
 def s3_axial_solution(p: float, lam: float,
                       component: Component = Component.Z1) -> SolutionForm:
-    """Axial solution on the complex line y = (1 + i tan z)/2.
-
-    |y| is unbounded as z -> +-pi/2, so only terminating parameter sets
-    are evaluable there; non-quantized (p, lambda) combinations raise
-    NonTerminating. Z1 carries (a,b,c) with a = -p + 1/2 + lambda,
-    c = 1/2 - p; Z2 the same (a,b) with c + 1.
-    """
-    if p <= 0.0:
-        raise DomainError("p must be > 0")
-    a = -p + 0.5 + lam
-    b = -p + 0.5 - lam
-    c = -p + 0.5
-    if component is Component.Z1:
-        params = Hyp2F1Params(a, b, c)
-        exp_a, exp_c = -p / 2, (1 - p) / 2
-    elif component is Component.Z2:
-        params = Hyp2F1Params(a, b, c + 1)
-        exp_a, exp_c = (1 - p) / 2, -p / 2
-    else:
-        raise DomainError("axial component must be Z1 or Z2")
-    if not params.terminating:
-        raise NonTerminating(
-            "finiteness at z = +-pi/2 needs a terminating series: "
-            "p must satisfy p = +-lambda + n_z + 1/2")
-    return SolutionForm(exp_a, exp_c, params, Variable.YZ_S3)
+    """GEOMETRY.axial_solution on y = (1 + i tan z)/2: quantized p only."""
+    return GEOMETRY.axial_solution(p, lam, component)
 
 
-def s3_axial_pair_factor(p: float, lam: float) -> complex:
-    """Ratio z2/z1 = i(a-c)(b-c)/(lam c) = -i lam/c coupling (Z1, Z2)
-    into the first-order axial system; c = 1/2 - p."""
-    if lam == 0.0:
-        raise ZeroLambda("pair decouples at lambda = 0")
-    c = 0.5 - p
+def _axial_factor(P: float, L: float, lam: float) -> complex:
+    """Ratio z2/z1 = i(a-c)(b-c)/(lam c) = -i lam/c with the Z1 (lower)
+    c = P + 1/2 = 1/2 - p."""
+    c = P + 0.5
     if abs(c) < 1e-12:
         raise DomainError("c = 0 (p = 1/2)")
     return -1j * lam / c
@@ -183,6 +154,8 @@ GEOMETRY = GeometryRecord(
     radial_variable=Variable.YR_S3, axial_variable=Variable.YZ_S3,
     r_max=math.pi, z_max=math.pi / 2, kappa=1.0, sine=np.sin, cosine=np.cos,
     variants=_VARIANTS, pairs=RadialPair,
+    axial_pl=lambda p, lam: (-p, lam), axial_upper=Component.Z2,
+    axial_factor=_axial_factor,
     r_window=(1e-3, math.pi - 1e-3),
     z_window=(-(math.pi / 2 - 0.1), math.pi / 2 - 0.1),
     region_predicate="|m| - |2B - m| + 2n > 0 marks the advertised region",

@@ -39,6 +39,13 @@ def test_tolerance_override_applies_to_every_check():
     assert not any(r.passed for r in results)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # 0 would read as "no override", -1 and nan fail every check
+    with pytest.raises(DomainError, match="tol"):
+        checks.run_suites(["flat-limit"], tol=tol)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(DomainError):
         checks.run_suites(["nonesuch"])

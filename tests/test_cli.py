@@ -242,6 +242,24 @@ def test_wavefunction_h3_axial_needs_p(capsys):
     assert len(records) == 32
 
 
+def test_wavefunction_refuses_p_on_s3(capsys):
+    code, out, err = _run(capsys, [
+        "wavefunction", "--model", "s3", "--component", "z1",
+        "--B", "2.5", "--two-m", "1", "--n", "1", "--nz", "2", "--p", "0.7"])
+    assert code == 2
+    assert out == ""
+    assert "--p applies to the hyperbolic model only" in err
+
+
+def test_wavefunction_refuses_nz_on_h3(capsys):
+    code, out, err = _run(capsys, [
+        "wavefunction", "--model", "h3", "--component", "z1",
+        "--B", "5", "--two-m", "1", "--n", "1", "--p", "0.7", "--nz", "3"])
+    assert code == 2
+    assert out == ""
+    assert "--nz applies to the spherical model only" in err
+
+
 def test_wavefunction_inadmissible_state_exit_4(capsys):
     code, out, err = _run(capsys, [
         "wavefunction", "--model", "h3", "--component", "r1",
@@ -271,6 +289,15 @@ def test_verify_failure_names_worst_offender(capsys):
     assert "FAIL" in out
     assert "worst offender" in err
     assert "flat-limit" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_verify_rejects_a_tolerance_that_is_not_positive(capsys, tol):
+    code, out, err = _run(capsys, ["verify", "--suite", "flat-limit",
+                                   f"--tol={tol}"])
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
 
 
 def test_verify_unknown_suite_rejected(capsys):

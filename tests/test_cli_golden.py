@@ -59,6 +59,8 @@ GOLDEN = [
      "465988d77ecad4cda06426bb1eabae90ac30bf0b5072c903b6bfeb4b304fcca2"),
     ("verify --suite pairs",
      "015348063885e6acafdc1821f1d440df98aa3fca1299044245c808ec1d5bc342"),
+    ("verify --suite axial",
+     "9607686c27ca3cba879ed258cf4aaa1b6038b8dce604eee7a2e703ea3ce4023b"),
 ]
 
 # The whole lattice |two_m| <= 41, n <= 60 at nine fields on both
@@ -181,6 +183,48 @@ NEGATIVE_FIELD_WAVEFUNCTIONS = [
      "4318c364ebdc4c0d0dbe6486df0be8f946820a70f4d58d3f1e2c0d43a3aab814"),
 ]
 
+# Axial wavefunctions over a lattice, one digest per (model, component,
+# B) over every command's exit code and stdout, so refused states (exit
+# 4) are pinned too: h3 at p in {0.3, 0.7, 1.3, 2.5}, two_m in
+# {-3, 1, 3}, n <= 2; s3 at n_z <= 20, two_m in {-3, 1, 3}, n <= 1.
+AXIAL_WAVEFUNCTIONS = [
+    ("h3", "z1", "2.5",
+     "583440990dbf4c5de98fb45712339ad2e51114ae8e7720e71c8f4bca20141edb"),
+    ("h3", "z1", "5",
+     "3bb90e4fcc5ecfb38dfbcaed17ad8967d1b487109ddf644e4b0db4adcb357dc7"),
+    ("h3", "z1", "-5",
+     "3244ee4d233718e456f2a9e2ec2c804e79a4187692a0abf17f769f7cde8e67f5"),
+    ("h3", "z2", "2.5",
+     "4619cf0f6617f114fd5813bfaac50aa35cc2d2fd6c9cb23f720e4618048beaf7"),
+    ("h3", "z2", "5",
+     "97889eda5907aad86a106d24bc316f62ca594f32d0e2948209473b9486555a75"),
+    ("h3", "z2", "-5",
+     "e5fa1459434d03e126a44377891c77a5b77d2874741a2b145f7a1c5e204602e0"),
+    ("s3", "z1", "0.5",
+     "5dc7fefa43f6346ae917b12b2355b00b27e04a251ef31e3314e2e2e5a22e0b88"),
+    ("s3", "z1", "2.5",
+     "cc5c1ccacef49a7cd272b605e035637a489131fece15113b87810629af3b397f"),
+    ("s3", "z1", "-2",
+     "0fede504e41f71c6aa29814e8cec936745f89b2c2c7ad2525dd0ed6656bef723"),
+    ("s3", "z2", "0.5",
+     "35d0ed5d7896de89789927cd7bf2d65209b23d916d0b95fbe412a082585a9a37"),
+    ("s3", "z2", "2.5",
+     "815c3e1668339c87e98b7cf97e2b5f345ef18b058e774956e2daf5ac858fa77f"),
+    ("s3", "z2", "-2",
+     "39a90a994c5d22c298844558732bf96e0eb7f518a7cdb831c8fa4ea4360f8716"),
+]
+
+
+def _axial_commands(model, component, B):
+    axial = ([f"--p {p}" for p in ("0.3", "0.7", "1.3", "2.5")]
+             if model == "h3" else [f"--nz {n_z}" for n_z in range(21)])
+    for two_m in (-3, 1, 3):
+        for n in range(3 if model == "h3" else 2):
+            for flag in axial:
+                yield (f"wavefunction --model {model} --component {component} "
+                       f"--B {B} --two-m={two_m} --n {n} {flag}")
+
+
 def _check(capsys, command, digest):
     code = cli.main(command.split())
     out = capsys.readouterr().out
@@ -210,6 +254,18 @@ def test_radial_wavefunction_is_byte_identical(capsys, command, digest):
                          ids=[c for c, _ in NEGATIVE_FIELD_WAVEFUNCTIONS])
 def test_negative_field_wavefunction_is_byte_identical(capsys, command, digest):
     _check(capsys, command, digest)
+
+
+@pytest.mark.parametrize("model, component, B, digest", AXIAL_WAVEFUNCTIONS,
+                         ids=[" ".join(c[:3]) for c in AXIAL_WAVEFUNCTIONS])
+def test_axial_wavefunction_is_byte_identical(capsys, model, component, B,
+                                              digest):
+    h = hashlib.sha256()
+    for command in _axial_commands(model, component, B):
+        code = cli.main(command.split())
+        out = capsys.readouterr().out
+        h.update(f"{command}\n{code}\n{out}".encode("utf-8"))
+    assert h.hexdigest() == digest
 
 
 # (model, B) of every lattice spectrum above.

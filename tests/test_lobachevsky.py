@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from curved_landau.hyp2f1 import KummerBranch, kummer_connection
+from curved_landau.hyp2f1 import KummerBranch
 from curved_landau.lobachevsky import (
     GEOMETRY,
     RadialPair,
     flat_limit,
-    h3_axial_connection,
     h3_axial_pair_factor,
     h3_axial_solution,
     h3_quantize,
@@ -175,13 +174,20 @@ def test_axial_pair_factor_zero_lambda():
         h3_axial_pair_factor(0.7, 0.0, KummerBranch.U1)
 
 
-def test_axial_connection_equals_generic_connection():
+def test_axial_u1_forms_are_the_axial_family():
+    # (P, L) = (ip, i lam): Z1 has the upper shape, Z2 the lower one
     p, lam = 2.0, 1.0
-    z1 = h3_axial_solution(p, lam, KummerBranch.U1, Component.Z1)
-    ours = h3_axial_connection(p, lam, KummerBranch.U1)
-    generic = kummer_connection(z1.params, KummerBranch.U1)
-    assert abs(ours.to_u2 - generic.to_u2) < 1e-14 * abs(generic.to_u2)
-    assert abs(ours.to_u6 - generic.to_u6) < 1e-14 * abs(generic.to_u6)
+    ip, il = 1j * p, 1j * lam
+    z1 = GEOMETRY.axial_solution(p, lam, Component.Z1)
+    z2 = GEOMETRY.axial_solution(p, lam, Component.Z2)
+    a, b, c = ip + 0.5 + il, ip + 0.5 - il, ip + 1.5
+    assert (z1.params.a, z1.params.b, z1.params.c) == (a, b, c)
+    assert (z2.params.a, z2.params.b, z2.params.c) == (a, b, c - 1)
+    assert (z1.exp_a, z1.exp_c) == ((1 + ip) / 2, ip / 2)
+    assert (z2.exp_a, z2.exp_c) == (ip / 2, (1 + ip) / 2)
+    # the unreduced closed form agrees with its reduction (ip + 1/2)/lam
+    factor = h3_axial_pair_factor(p, lam, KummerBranch.U1)
+    assert abs(factor - (ip + 0.5) / lam) < 1e-15 * abs(factor)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from curved_landau.hyp2f1 import DegenerateConnection, KummerBranch
+from curved_landau.hyp2f1 import DegenerateConnection
 from curved_landau.lobachevsky import (
     GEOMETRY as H3_GEOMETRY,
     RadialPair as H3Pair,
-    h3_axial_pair_factor,
-    h3_axial_solution,
     h3_quantize,
     h3_radial_solution,
 )
@@ -20,6 +18,7 @@ from curved_landau.model import (
     EvaluationDomain,
     Geometry,
     InadmissibleVariant,
+    NonTerminating,
     SupportTooCloseToSingularity,
     TruncationTooSmall,
     Variant,
@@ -39,9 +38,9 @@ from curved_landau.oracle import (
     radial_eigenvalues_s3,
 )
 from curved_landau.spherical import (
+    GEOMETRY as S3_GEOMETRY,
     RadialPair as S3Pair,
     s3_axial_quantize,
-    s3_axial_solution,
     s3_quantize,
     s3_radial_solution,
 )
@@ -218,13 +217,13 @@ def test_negative_field_radial_forms_solve_their_equation(geometry, grid):
 
 def test_axial_residuals_exact():
     p, lam = 0.7, 1.3
-    z2 = h3_axial_solution(p, lam, KummerBranch.U1, Component.Z2)
+    z2 = H3_GEOMETRY.axial_solution(p, lam, Component.Z2)
     rep = ode_residual(z2, Component.Z2, Grid1D(-2.0, 2.0, 1000),
                        p=p, lam=lam)
     assert rep.max_abs < 1e-8
     lam = math.sqrt(3.0)
     p = s3_axial_quantize(lam, 2)
-    z1 = s3_axial_solution(p, lam, Component.Z1)
+    z1 = S3_GEOMETRY.axial_solution(p, lam, Component.Z1)
     rep = ode_residual(z1, Component.Z1, Grid1D(-1.3, 1.3, 1000),
                        p=p, lam=lam)
     assert rep.max_abs < 1e-10
@@ -245,7 +244,7 @@ def test_ode_residual_argument_guards():
         # solution lives on the radial variable, component is axial
         ode_residual(sol, Component.Z1, Grid1D(-1.0, 1.0, 100),
                      p=1.0, lam=1.0)
-    z1 = h3_axial_solution(0.7, 1.3, KummerBranch.U1, Component.Z1)
+    z1 = H3_GEOMETRY.axial_solution(0.7, 1.3, Component.Z1)
     with pytest.raises(DomainError):
         # non-terminating series driven onto |y| ~ 1
         ode_residual(z1, Component.Z1, Grid1D(-40.0, 40.0, 100),
@@ -260,7 +259,7 @@ def test_ode_residual_argument_guards():
 def test_axial_residual_exact_past_old_domain_edge(component):
     # z = 15 puts 1 - y near 1e-13, inside the old |y| < 1 - 1e-12 refusal
     p, lam = 0.7, 1.3
-    sol = h3_axial_solution(p, lam, KummerBranch.U1, component)
+    sol = H3_GEOMETRY.axial_solution(p, lam, component)
     rep = ode_residual(sol, component, Grid1D(-2.0, 15.0, 1500), p=p, lam=lam)
     assert rep.max_abs < 1e-13
     assert abs(rep.convergence_order - 2.0) < 0.1
@@ -269,13 +268,12 @@ def test_axial_residual_exact_past_old_domain_edge(component):
 def _axial_z1(geometry):
     """(Z1 form, its equation's keywords, grid) on the given space."""
     if geometry is Geometry.H3:
-        p, lam = 0.7, 1.3
-        return (h3_axial_solution(p, lam, KummerBranch.U1, Component.Z1),
-                dict(p=p, lam=lam), Grid1D(-2.0, 2.0, 1000))
-    lam = math.sqrt(3.0)
-    p = s3_axial_quantize(lam, 2)
-    return (s3_axial_solution(p, lam, Component.Z1), dict(p=p, lam=lam),
-            Grid1D(-1.3, 1.3, 1000))
+        p, lam, grid = 0.7, 1.3, Grid1D(-2.0, 2.0, 1000)
+    else:
+        lam = math.sqrt(3.0)
+        p, grid = s3_axial_quantize(lam, 2), Grid1D(-1.3, 1.3, 1000)
+    return (geometry.record.axial_solution(p, lam, Component.Z1),
+            dict(p=p, lam=lam), grid)
 
 
 def _radial_r1(geometry):
@@ -329,12 +327,6 @@ def _h3_pair():
     return (s1, s2, fac), lam
 
 
-def _h3_axial_pair(p, lam):
-    z1 = h3_axial_solution(p, lam, KummerBranch.U1, Component.Z1)
-    z2 = h3_axial_solution(p, lam, KummerBranch.U1, Component.Z2)
-    return z1, z2, h3_axial_pair_factor(p, lam, KummerBranch.U1)
-
-
 def test_system_residual_exact_and_scaled_fault():
     pair, lam = _h3_pair()
     grid = Grid1D(0.3, 8.0, 1200)
@@ -357,10 +349,10 @@ def test_system_residual_guards():
         first_order_system_residual(pair, Grid1D(0.0, 8.0, 100), lam=lam,
                                     two_m=1, B=5.0)
     with pytest.raises(DomainError):
-        first_order_system_residual(_h3_axial_pair(0.7, 1.3),
+        first_order_system_residual(H3_GEOMETRY.axial_pair(0.7, 1.3),
                                     Grid1D(-1.0, 1.0, 100), lam=1.3)  # no p
     with pytest.raises(EvaluationDomain):
-        first_order_system_residual(_h3_axial_pair(0.7, 1.3),
+        first_order_system_residual(H3_GEOMETRY.axial_pair(0.7, 1.3),
                                     Grid1D(-2.0, 19.0, 1500), lam=1.3, p=0.7)
 
 
@@ -370,7 +362,7 @@ def test_axial_system_residual_exact_past_old_domain_edge():
     # rounding level however wide the grid
     p, lam = 0.7, 1.3
     for hi in (15.0, 18.0):
-        rep = first_order_system_residual(_h3_axial_pair(p, lam),
+        rep = first_order_system_residual(H3_GEOMETRY.axial_pair(p, lam),
                                           Grid1D(-2.0, hi, 1500), lam=lam, p=p)
         assert rep.max_abs <= 1e-13
         assert abs(rep.convergence_order - 2.0) < 0.1
@@ -507,6 +499,70 @@ def test_radial_pair_of_the_verify_levels(geometry, two_m, B, n, pair):
     _assert_same_triple(got, want)
     rep = first_order_system_residual(got, grid, lam=lam, two_m=two_m, B=B)
     assert rep.max_abs <= 1e-9
+
+
+def _axial_states(geometry, n_zs=range(7)):
+    """(p, lam) sweep at three lam each: h3 p in [0.2, 2], s3 the
+    quantized levels n_zs (n_z <= 6 unless given; the levels above are
+    the expected failure below)."""
+    if geometry is Geometry.H3:
+        return [(p, lam) for lam in (0.3, 1.3, 3.1)
+                for p in (0.2, 0.65, 1.1, 1.55, 2.0)]
+    return [(s3_axial_quantize(lam, n_z), lam)
+            for lam in (0.4, math.sqrt(3.0), 4.5) for n_z in n_zs]
+
+
+_AXIAL_GRIDS = {Geometry.H3: Grid1D(-2.0, 2.0, 400),
+                Geometry.S3: Grid1D(-1.3, 1.3, 400)}
+
+
+def _assert_axial_pairs_exact(geometry, states):
+    rec, grid = geometry.record, _AXIAL_GRIDS[geometry]
+    for p, lam in states:
+        z1, z2, factor = rec.axial_pair(p, lam)
+        for component, form in ((Component.Z1, z1), (Component.Z2, z2)):
+            rep = ode_residual(form, component, grid, p=p, lam=lam)
+            assert rep.max_abs <= 1e-10, (p, lam, component)
+        rep = first_order_system_residual((z1, z2, factor), grid, lam=lam, p=p)
+        assert rep.max_abs <= 1e-12, (p, lam)
+
+
+@pytest.mark.parametrize("geometry", [Geometry.H3, Geometry.S3])
+def test_axial_pair_solves_its_equations(geometry):
+    """Both forms of axial_pair solve their second-order equations and,
+    with the pair's factor, the first-order system, on both spaces."""
+    _assert_axial_pairs_exact(geometry, _axial_states(geometry))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "terminating s3 axial series lose digits to cancellation from n_z = 7 "
+    "(lam = 4.5) to n_z = 9 (lam = 0.4); values are off by up to 3e-6 of "
+    "the sup-norm at n_z = 20"))
+def test_axial_pair_solves_its_equations_at_high_s3_levels():
+    _assert_axial_pairs_exact(Geometry.S3,
+                              _axial_states(Geometry.S3, range(7, 21)))
+
+
+@pytest.mark.parametrize("geometry", [Geometry.H3, Geometry.S3])
+def test_axial_pair_refuses_zero_lambda(geometry):
+    with pytest.raises(ZeroLambda):
+        geometry.record.axial_pair(1.5, 0.0)
+
+
+def test_axial_solution_guards():
+    s3, h3 = Geometry.S3.record, H3_GEOMETRY
+    # p = 1 is no level of lam = sqrt(3): the compact space refuses it,
+    # the open one builds its continuum form
+    for component in (Component.Z1, Component.Z2):
+        with pytest.raises(NonTerminating):
+            s3.axial_solution(1.0, math.sqrt(3.0), component)
+        assert not h3.axial_solution(1.0, math.sqrt(3.0),
+                                     component).params.terminating
+    with pytest.raises(DomainError, match="p must be > 0"):
+        s3.axial_solution(-1.0, math.sqrt(3.0), Component.Z1)
+    for rec in (s3, h3):
+        with pytest.raises(DomainError, match="Z1 or Z2"):
+            rec.axial_solution(2.5, 1.0, Component.R1)
 
 
 # ---------------------------------------------------------------------------

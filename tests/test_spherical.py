@@ -19,7 +19,6 @@ from curved_landau.model import (
 from curved_landau.spherical import (
     GEOMETRY,
     RadialPair,
-    s3_axial_pair_factor,
     s3_axial_quantize,
     s3_axial_solution,
     s3_quantize,
@@ -211,6 +210,22 @@ def test_axial_solution_requires_termination():
         s3_axial_solution(-1.0, math.sqrt(3.0), Component.Z1)
 
 
+def test_axial_forms_are_the_axial_family():
+    # (P, L) = (-p, lam): Z1 has the lower shape, Z2 the upper one
+    lam = math.sqrt(3.0)
+    p = s3_axial_quantize(lam, 2)
+    z1 = GEOMETRY.axial_solution(p, lam, Component.Z1)
+    z2 = GEOMETRY.axial_solution(p, lam, Component.Z2)
+    a, b, c = -p + 0.5 + lam, -p + 0.5 - lam, -p + 0.5
+    assert (z1.params.a, z1.params.b, z1.params.c) == (a, b, c)
+    assert (z2.params.a, z2.params.b, z2.params.c) == (a, b, c + 1)
+    assert (z1.exp_a, z1.exp_c) == (-p / 2, (1 - p) / 2)
+    assert (z2.exp_a, z2.exp_c) == ((1 - p) / 2, -p / 2)
+    assert z1.params.degree == 2
+    _, _, factor = GEOMETRY.axial_pair(p, lam)
+    assert factor == -1j * lam / c
+
+
 def test_axial_solutions_satisfy_equations():
     lam = math.sqrt(3.0)
     zs = np.linspace(-1.3, 1.3, 40)
@@ -230,9 +245,7 @@ def test_axial_solutions_satisfy_equations():
 def test_axial_system_with_pair_factor():
     lam = math.sqrt(3.0)
     p = s3_axial_quantize(lam, 1)
-    z1 = s3_axial_solution(p, lam, Component.Z1)
-    z2 = s3_axial_solution(p, lam, Component.Z2)
-    fac = s3_axial_pair_factor(p, lam)
+    z1, z2, fac = GEOMETRY.axial_pair(p, lam)
     zs = np.linspace(-1.3, 1.3, 30)
     g1, d1, _ = z1.evaluate_with_derivs(zs)
     g2, d2, _ = z2.evaluate_with_derivs(zs)
@@ -246,9 +259,9 @@ def test_axial_system_with_pair_factor():
 
 def test_axial_pair_factor_guards():
     with pytest.raises(ZeroLambda):
-        s3_axial_pair_factor(2.0, 0.0)
+        GEOMETRY.axial_pair(2.0, 0.0)
     with pytest.raises(DomainError):
-        s3_axial_pair_factor(0.5, 1.0)  # c = 1/2 - p = 0
+        GEOMETRY.axial_pair(0.5, 1.0)  # c = 1/2 - p = 0
 
 
 # ---------------------------------------------------------------------------
