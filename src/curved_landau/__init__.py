@@ -5,7 +5,7 @@ Layers:
 
 * :mod:`curved_landau.hyp2f1` — Gauss-series special functions on
   complex parameters (series, derivatives, connection coefficients,
-  contiguous relations).
+  the c-raising contiguous relation).
 * :mod:`curved_landau.model` — shared vocabulary: enums, solution
   forms, records, error taxonomy, and the per-space GeometryRecord
   (``Geometry.H3.record``): mu, quantization, radial and axial
@@ -57,7 +57,6 @@ from .hyp2f1 import (
     KummerBranch,
     NonConvergent,
     PoleAtNonPositiveInteger,
-    contiguous_lower_c,
     contiguous_raise_c,
     eval_2f1,
     kummer_connection,
@@ -112,8 +111,8 @@ __all__ = [
     # hyp2f1
     "ConnectionCoefficients", "DegenerateConnection", "Hyp2F1Error",
     "Hyp2F1Params", "InvalidC", "KummerBranch", "NonConvergent",
-    "PoleAtNonPositiveInteger", "contiguous_lower_c", "contiguous_raise_c",
-    "eval_2f1", "kummer_connection", "log_gamma", "series_with_derivatives",
+    "PoleAtNonPositiveInteger", "contiguous_raise_c", "eval_2f1",
+    "kummer_connection", "log_gamma", "series_with_derivatives",
     "u2_value", "u5_value", "u6_value",
     # lobachevsky
     "H3RadialPair", "flat_limit", "h3_axial_pair_factor", "h3_axial_solution",

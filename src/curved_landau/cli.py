@@ -85,7 +85,7 @@ def _single_odd(parser: argparse.ArgumentParser, text: str, flag: str) -> int:
 
 
 def _render_csv(meta: Dict[str, object], columns: Sequence[str],
-                records: Sequence[Dict[str, object]]) -> str:
+                records: Sequence[tuple]) -> str:
     buf = io.StringIO()
     for key, value in meta.items():
         if value is not None:
@@ -95,22 +95,25 @@ def _render_csv(meta: Dict[str, object], columns: Sequence[str],
     # csv writes None as "" and floats by repr; only bools need spelling
     writer.writerows(
         [("true" if v else "false") if v is True or v is False else v
-         for v in (record[c] for c in columns)]
+         for v in record]
         for record in records)
     return buf.getvalue()
 
 
 def _render_json(meta: Dict[str, object], columns: Sequence[str],
-                 records: Sequence[Dict[str, object]]) -> str:
-    payload = {"meta": dict(meta), "columns": list(columns),
-               "records": [dict(r) for r in records]}
+                 records: Sequence[tuple]) -> str:
+    payload = {"meta": meta, "columns": list(columns),
+               "records": [dict(zip(columns, r)) for r in records]}
     return json.dumps(payload, indent=2) + "\n"
 
 
 def _emit(args, meta: Dict[str, object], columns: Sequence[str],
-          records: Sequence[Dict[str, object]]) -> int:
+          records: Sequence[tuple]) -> int:
+    """Write records (tuples in `columns` order) under the generator and
+    command header and the subcommand's metadata."""
+    meta = {"generator": f"curved-landau {__version__}",
+            "command": args.subcommand, **meta}
     if args.stamp:
-        meta = dict(meta)
         meta["stamp"] = datetime.now(timezone.utc).isoformat(
             timespec="seconds")
     text = (_render_csv(meta, columns, records) if args.format == "csv"
@@ -161,26 +164,13 @@ def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
                     p = sph.s3_axial_quantize(lam, n_z) / rho
                     if args.M > 0.0:
                         epsilon = sph.s3_total_energy(args.M, lam, n_z) / rho
-                records.append({
-                    "model": args.model,
-                    "B": args.B,
-                    "M": args.M,
-                    "two_m": two_m,
-                    "n": n,
-                    "n_z": n_z,
-                    "variant": entry.variant.value if entry.variant else None,
-                    "lambda_sq": (lam_sq / rho ** 2
-                                  if lam_sq is not None else None),
-                    "p": p,
-                    "epsilon": epsilon,
-                    "admissible": entry.admissible,
-                    "violated": entry.violated,
-                    "unified_rhs": unified.unified_rhs,
-                    "unified_discrepancy_flag": unified.flagged,
-                })
+                records.append((
+                    args.model, args.B, args.M, two_m, n, n_z,
+                    entry.variant.value if entry.variant else None,
+                    lam_sq / rho ** 2 if lam_sq is not None else None,
+                    p, epsilon, entry.admissible, entry.violated,
+                    unified.unified_rhs, unified.flagged))
     meta = {
-        "generator": f"curved-landau {__version__}",
-        "command": "spectrum",
         "model": args.model,
         "B": args.B,
         "M": args.M,
@@ -209,6 +199,8 @@ def _cmd_wavefunction(args, parser: argparse.ArgumentParser) -> int:
     if args.model == "h3" and args.nz is not None:
         parser.error("--nz applies to the spherical model only (h3 takes --p)")
     radial = component in (Component.R1, Component.R2)
+    if radial and (args.nz is not None or args.p is not None):
+        parser.error("--nz/--p apply to axial components only")
     geo = Geometry(args.model).record
     entry = geo.quantize(two_m, args.B, args.n,
                          component if radial else Component.R1)
@@ -242,11 +234,9 @@ def _cmd_wavefunction(args, parser: argparse.ArgumentParser) -> int:
         window, coordinate = geo.z_window, "z"
     xs = np.linspace(window[0], window[1], args.samples)
     values = solution.evaluate(xs)
-    records = [{"coordinate": float(x), "re_value": float(v.real),
-                "im_value": float(v.imag)} for x, v in zip(xs, values)]
+    records = [(float(x), float(v.real), float(v.imag))
+               for x, v in zip(xs, values)]
     meta = {
-        "generator": f"curved-landau {__version__}",
-        "command": "wavefunction",
         "model": args.model,
         "component": component.value,
         "B": args.B,
@@ -304,21 +294,12 @@ def _cmd_regions(args, parser: argparse.ArgumentParser) -> int:
     for two_m in two_ms:
         for n in ns:
             verdict = geo.admissibility_region(args.B, two_m, n)
-            records.append({
-                "model": args.model,
-                "B": args.B,
-                "two_m": two_m,
-                "n": n,
-                "variant": verdict.variant.value if verdict.variant else None,
-                "admissible": verdict.admissible,
-                "violated": verdict.violated,
-                "lambda_sq": verdict.lambda_sq,
-                "predicate": verdict.predicate,
-                "predicate_consistent": verdict.predicate_consistent,
-            })
+            records.append((
+                args.model, args.B, two_m, n,
+                verdict.variant.value if verdict.variant else None,
+                verdict.admissible, verdict.violated, verdict.lambda_sq,
+                verdict.predicate, verdict.predicate_consistent))
     meta = {
-        "generator": f"curved-landau {__version__}",
-        "command": "regions",
         "model": args.model,
         "B": args.B,
         "two_m": args.two_m,
@@ -357,11 +338,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"curved-landau {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    models = [g.value for g in Geometry]
 
     spectrum = subs.add_parser(
         "spectrum", help="quantized transversal levels over quantum-number "
                          "ranges, with admissibility verdicts")
-    spectrum.add_argument("--model", choices=("h3", "s3"), required=True)
+    spectrum.add_argument("--model", choices=models, required=True)
     spectrum.add_argument("--B", type=float, required=True,
                           help="magnetic field in curvature units")
     spectrum.add_argument("--M", type=float, default=0.0,
@@ -381,8 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
     wave = subs.add_parser(
         "wavefunction", help="sample one solution component on its "
                              "coordinate window")
-    wave.add_argument("--model", choices=("h3", "s3"), required=True)
-    wave.add_argument("--component", choices=("r1", "r2", "z1", "z2"),
+    wave.add_argument("--model", choices=models, required=True)
+    wave.add_argument("--component", choices=[c.value for c in Component],
                       required=True)
     wave.add_argument("--B", type=float, required=True)
     wave.add_argument("--two-m", required=True, metavar="INT")
@@ -412,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     regions = subs.add_parser(
         "regions", help="admissibility lattice over (two_m, n) as "
                         "scatter data")
-    regions.add_argument("--model", choices=("h3", "s3"), required=True)
+    regions.add_argument("--model", choices=models, required=True)
     regions.add_argument("--B", type=float, required=True)
     regions.add_argument("--two-m", required=True, metavar="INT|LO..HI")
     regions.add_argument("--n", required=True, metavar="INT|LO..HI")

@@ -3,9 +3,9 @@
 Series evaluation of 2F1 with complex parameters (including the
 terminating polynomial cases that carry all bound states), a
 self-contained principal-branch log-gamma, Kummer connection
-coefficients between the y ~ 0 and y ~ 1 solution bases, and the two
-contiguous-parameter derivative identities used to couple first-order
-solution pairs.
+coefficients between the y ~ 0 and y ~ 1 solution bases, and the
+c-raising contiguous derivative identity used to couple first-order
+solution pairs (taken at c - 1, it is the c-lowering one).
 
 Everything here is pure and reentrant: no caching, no mutation of
 shared state.
@@ -37,7 +37,6 @@ __all__ = [
     "u2_value",
     "u5_value",
     "u6_value",
-    "contiguous_lower_c",
     "contiguous_raise_c",
 ]
 
@@ -417,32 +416,17 @@ def u5_value(params: Hyp2F1Params, y: complex) -> complex:
     return y ** (1 - c) * eval_2f1(Hyp2F1Params(a + 1 - c, b + 1 - c, 2 - c), y)
 
 
-def contiguous_lower_c(params: Hyp2F1Params, y: complex) -> complex:
-    """Left-hand side of the c-lowering contiguous identity,
-
-        (c-1-a-b) F(a,b,c-1;y) + (1-y) F'(a,b,c-1;y)
-            = ((a-c+1)(b-c+1)/(c-1)) F(a,b,c;y),
-
-    evaluated by term-wise differentiated series. (This is the raise
-    identity reindexed c -> c-1; the constant prefix is the one that
-    balances the leading coefficients at y = 0.)
-    """
-    a, b, c = params.a, params.b, params.c
-    if abs(c - 1) <= _TERM_TOL:
-        raise InvalidC("c = 1: lowered parameter hits the denominator pole")
-    low = Hyp2F1Params(a, b, c - 1)
-    y = complex(y)
-    f, fp, _ = series_with_derivatives(low, y)
-    return (c - 1 - a - b) * f + (1 - y) * fp
-
-
 def contiguous_raise_c(params: Hyp2F1Params, y: complex) -> complex:
     """Left-hand side of the c-raising contiguous identity,
 
         (c-a-b) F(a,b,c;y) + (1-y) F'(a,b,c;y)
             = ((a-c)(b-c)/c) F(a,b,c+1;y),
 
-    evaluated by term-wise differentiated series.
+    evaluated by term-wise differentiated series. At params.shifted(dc=-1)
+    it is the left-hand side of the c-lowering identity,
+
+        (c-1-a-b) F(a,b,c-1;y) + (1-y) F'(a,b,c-1;y)
+            = ((a-c+1)(b-c+1)/(c-1)) F(a,b,c;y).
     """
     a, b, c = params.a, params.b, params.c
     if abs(c) <= _TERM_TOL:

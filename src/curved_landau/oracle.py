@@ -8,7 +8,9 @@ the coupled first-order systems; a grid commutator check confirms that
 the generalized helicity operator commutes with the reduced
 Hamiltonian; and a connection-formula check integrates the axial
 equation across the interval and compares with the two-term
-recombination near y = 1.
+recombination near y = 1. Each residual meter reports the sup of its
+residual relative to its inputs and, where it is measured, the
+convergence order of a finite-difference pathway.
 
 Eigensolver design: the radial operators -u'' + V u with V ~ C/r^2 at
 the endpoints are discretized after the substitution u = phi * w with
@@ -115,28 +117,25 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """max_abs and l2 of a residual relative to its inputs: to the sup
+    """max_abs: the sup of a residual relative to its inputs: to the sup
     of the form (ODE), the sum of the magnitudes of each equation's
     terms at each point (first-order systems: an exact pair reads at
-    rounding level however large the terms grow), or the sup of the
-    test spinor (commutator). convergence_order (when measured) comes
-    from two finite-difference refinements and is floored at 0."""
+    rounding level however large the terms grow), the sup of the test
+    spinor (commutator) or the sup of the predicted solution
+    (connection). convergence_order (when measured) comes from
+    finite-difference refinements and is floored at 0."""
 
     max_abs: float
-    l2: float
     convergence_order: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.max_abs) and self.max_abs >= 0):
             raise DomainError("max_abs must be finite and >= 0")
-        if not (math.isfinite(self.l2) and self.l2 >= 0):
-            raise DomainError("l2 must be finite and >= 0")
 
 
 @dataclass(frozen=True)
 class EigenReport:
     eigenvalues: Tuple[float, ...]
-    truncation: str
 
     def __post_init__(self) -> None:
         vals = self.eigenvalues
@@ -225,9 +224,7 @@ def _radial_eigenvalues(rec, m: float, B: float, component: Component,
         vals = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
     if vals.size and grid.hi < rec.r_max - 0.01:
         _bound_mass_guard(d, e, centers, grid.lo, grid.hi)
-    return EigenReport(tuple(float(v) for v in vals),
-                       f"r truncated to [{grid.lo:g}, {grid.hi:g}], "
-                       f"{grid.points} points")
+    return EigenReport(tuple(float(v) for v in vals))
 
 
 def radial_eigenvalues_h3(m: float, B: float, component: Component,
@@ -263,17 +260,18 @@ def _check_radial_grid(rec, grid: Grid1D) -> None:
         raise DomainError(f"radial grid must stay inside (0, {rec.r_max:g})")
 
 
-def _fd_sup(solution: SolutionForm, grid: Grid1D, res_fn) -> float:
-    """Sup of the residual with derivatives replaced by central
-    differences of the sampled values (pure finite-difference pathway,
-    independent of the analytic derivative formulas)."""
-    xs = grid.nodes()
-    g = solution.evaluate(xs)
-    h = grid.spacing
-    g1 = (g[2:] - g[:-2]) / (2.0 * h)
-    g2 = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (h * h)
-    r = res_fn(xs[1:-1], g[1:-1], g1, g2)
-    scale = float(np.max(np.abs(g)))
+def _central_differences(f: np.ndarray, h: float):
+    """Samples f on the interior nodes with their central first and
+    second differences at spacing h: the finite-difference pathway of
+    the residual meters, independent of the analytic derivative
+    formulas."""
+    return (f[1:-1], (f[2:] - f[:-2]) / (2.0 * h),
+            (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h))
+
+
+def _sup_over_scale(r: np.ndarray, f: np.ndarray) -> float:
+    """sup |r| relative to sup |f| (taken as 1 where f vanishes)."""
+    scale = float(np.max(np.abs(f)))
     return float(np.max(np.abs(r))) / (scale if scale > 0 else 1.0)
 
 
@@ -295,7 +293,7 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
                 ('+' for Z1, '-' for Z2).
         Radial: -R'' + (mu^2 +- mu') R = lambda^2 R ('+' for R1).
 
-    max_abs / l2 use the analytic derivatives of the constructed form
+    max_abs uses the analytic derivatives of the constructed form
     (term-wise series differentiation plus exact chain rule), so an
     exact solution sits at rounding level; convergence_order is
     measured on the independent finite-difference pathway at h and h/2
@@ -327,15 +325,16 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
             return -g2 + (rec.radial_potential(x, m, B, component) - lambda_sq) * g
     xs = grid.nodes()
     _check_domain(solution, xs)
-    g, g1, g2 = solution.evaluate_with_derivs(xs)
-    r = res_fn(xs, g, g1, g2)
-    scale = float(np.max(np.abs(g)))
-    scale = scale if scale > 0 else 1.0
-    order = _order_from(_fd_sup(solution, grid, res_fn),
-                        _fd_sup(solution, grid.refined(), res_fn))
-    return ResidualReport(float(np.max(np.abs(r))) / scale,
-                          float(np.sqrt(grid.spacing * np.sum(np.abs(r) ** 2))) / scale,
-                          order)
+    analytic = solution.evaluate_with_derivs(xs)
+
+    def fd_sup(at: Grid1D) -> float:
+        x = at.nodes()
+        f = solution.evaluate(x)
+        return _sup_over_scale(
+            res_fn(x[1:-1], *_central_differences(f, at.spacing)), f)
+
+    return ResidualReport(_sup_over_scale(res_fn(xs, *analytic), analytic[0]),
+                          _order_from(fd_sup(grid), fd_sup(grid.refined())))
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +397,14 @@ def first_order_system_residual(
     g2, d2, _ = sol2.evaluate_with_derivs(xs)
     r1, r2 = relative(xs, g1, d1, ratio * g2, ratio * d2)
 
-    def fd_sup(g: Grid1D) -> float:
-        x = g.nodes()
-        v1, v2 = sol1.evaluate(x), ratio * sol2.evaluate(x)
-        h = g.spacing
-        c1 = (v1[2:] - v1[:-2]) / (2.0 * h)
-        c2 = (v2[2:] - v2[:-2]) / (2.0 * h)
-        return max(float(np.max(r))
-                   for r in relative(x[1:-1], v1[1:-1], c1, v2[1:-1], c2))
+    def fd_sup(at: Grid1D) -> float:
+        x = at.nodes()
+        v1, c1, _ = _central_differences(sol1.evaluate(x), at.spacing)
+        v2, c2, _ = _central_differences(ratio * sol2.evaluate(x), at.spacing)
+        return max(float(np.max(r)) for r in relative(x[1:-1], v1, c1, v2, c2))
 
-    order = _order_from(fd_sup(grid), fd_sup(grid.refined()))
-    sup = max(float(np.max(r1)), float(np.max(r2)))
-    l2 = float(np.sqrt(grid.spacing * (np.sum(r1 ** 2) + np.sum(r2 ** 2))))
-    return ResidualReport(sup, l2, order)
+    return ResidualReport(max(float(np.max(r1)), float(np.max(r2))),
+                          _order_from(fd_sup(grid), fd_sup(grid.refined())))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +477,7 @@ def commutator_residual(geometry: Geometry, B: float,
     of 0.
 
     The reported convergence_order averages log2 ratios over `levels`
-    grids (x1, x2, x4 ...); max_abs/l2 come from the finest level.
+    grids (x1, x2, x4 ...); max_abs comes from the finest level.
     """
     if not math.isfinite(B):
         raise DomainError("B must be finite")
@@ -557,8 +551,7 @@ def commutator_residual(geometry: Geometry, B: float,
     residuals = [residual_at(grid2d.scaled(2 ** k)) for k in range(levels)]
     orders = [_order_from(a, b) for a, b in zip(residuals, residuals[1:])]
     order = sum(orders) / len(orders) if orders else None
-    finest = residuals[-1]
-    return ResidualReport(finest, finest, order)
+    return ResidualReport(residuals[-1], order)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +612,4 @@ def axial_connection_check(p: float, lam: float,
     pref = ys ** complex(sol.exp_a) * (1.0 - ys) ** complex(sol.exp_c)
     z_pred = pref * (coeff.to_u2 * u2_value(params, ys)
                      + coeff.to_u6 * u6_value(params, ys))
-    scale = float(np.max(np.abs(z_pred)))
-    diff = np.abs(np.array(z_num) - z_pred)
-    return ResidualReport(float(np.max(diff)) / scale,
-                          float(np.sqrt(grid.spacing * np.sum(diff ** 2))) / scale,
-                          None)
+    return ResidualReport(_sup_over_scale(np.array(z_num) - z_pred, z_pred))

@@ -12,6 +12,14 @@ def test_suite_names_are_stable():
                                   "pairs", "flat-limit")
 
 
+def test_axial_values_do_not_depend_on_case_order(monkeypatch):
+    # axial/h3-fd-order reads the h3 case's reports, wherever it sits
+    forward = {r.name: r.value for r in checks.run_suites(["axial"])}
+    monkeypatch.setattr(checks, "_AXIAL_CASES", checks._AXIAL_CASES[::-1])
+    backward = {r.name: r.value for r in checks.run_suites(["axial"])}
+    assert backward == forward
+
+
 def test_flat_limit_suite_passes_and_reports():
     results = checks.run_suites(["flat-limit"])
     assert results

@@ -260,6 +260,19 @@ def test_wavefunction_refuses_nz_on_h3(capsys):
     assert "--nz applies to the spherical model only" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--model", "s3", "--component", "r1", "--B", "2.5", "--two-m=1",
+     "--n", "1", "--nz", "3"],
+    ["--model", "h3", "--component", "r2", "--B", "5", "--two-m=3",
+     "--n", "1", "--p", "0.7"],
+], ids=["s3-r1-nz", "h3-r2-p"])
+def test_wavefunction_refuses_axial_flags_on_radial_components(capsys, argv):
+    code, out, err = _run(capsys, ["wavefunction"] + argv)
+    assert code == 2
+    assert out == ""
+    assert "--nz/--p apply to axial components only" in err
+
+
 def test_wavefunction_inadmissible_state_exit_4(capsys):
     code, out, err = _run(capsys, [
         "wavefunction", "--model", "h3", "--component", "r1",

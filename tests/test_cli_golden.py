@@ -61,6 +61,21 @@ GOLDEN = [
      "015348063885e6acafdc1821f1d440df98aa3fca1299044245c808ec1d5bc342"),
     ("verify --suite axial",
      "9607686c27ca3cba879ed258cf4aaa1b6038b8dce604eee7a2e703ea3ce4023b"),
+    ("regions --model h3 --B 5 --two-m=-7..7 --n 0..4 --format json",
+     "57223c0ee07375be5358f4edfc55d6f0c0a5ddcbb00cdb6beb6d5d735e5a1d15"),
+    ("regions --model s3 --B -2 --two-m=-7..7 --n 0..4 --format json",
+     "37e75b6821a4f445d0977280b2b41323d7c7342eb65f38998960a906a484ff76"),
+    ("regions --model h3 --B 0 --two-m=-7..7 --n 0..4 --format json",
+     "88780ae96480a5e10cc9d89fca0a43d96b265c2a157f598a06731751db651452"),
+    ("wavefunction --model h3 --component r1 --B 5 --two-m=1 --n 1 "
+     "--format json",
+     "b406d823720f357c4a09284b76d69d8c221f3cc2570017aa81318187ef9772e9"),
+    ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3 "
+     "--format json",
+     "1a9ad0145c13a88cd2f101252ccb7764f2eb6c45ecdd69426c806660de6ed5c0"),
+    ("wavefunction --model s3 --component z1 --B 2.5 --two-m=1 --n 1 --nz 2 "
+     "--format json",
+     "97cb5b6da21b172051a4a09ae2e412312c14240e91b149b757582703c2f1adfd"),
 ]
 
 # The whole lattice |two_m| <= 41, n <= 60 at nine fields on both

@@ -70,11 +70,11 @@ def test_grid_guards():
 
 def test_report_guards():
     with pytest.raises(DomainError):
-        ResidualReport(-1.0, 0.0)
+        ResidualReport(-1.0)
     with pytest.raises(DomainError):
-        ResidualReport(float("nan"), 0.0)
+        ResidualReport(float("nan"))
     with pytest.raises(DomainError):
-        EigenReport((3.0, 1.0), "")
+        EigenReport((3.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
