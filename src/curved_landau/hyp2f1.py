@@ -134,52 +134,39 @@ class ConnectionCoefficients:
     to_u6: complex
 
 
+_BLOCK = 16       # terms per block of a non-terminating sum
+_COLUMNS = 4096   # points per pass, which bounds the block work arrays
+
+
 def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     """F and its first dmax y-derivatives, summed simultaneously over an
-    array of arguments. Terminating series are summed exactly; otherwise
-    convergence requires every element's terms, in each of the dmax + 1
-    sums, to stay below _SERIES_TOL relative for 3 consecutive terms
-    (the k-th term of the j-th derivative carries an extra factor ~k^j,
-    so watching F alone would cut F'' short by ~k^2 * _SERIES_TOL)."""
+    array of arguments. Terminating series are summed exactly (the k-th
+    term of the j-th derivative is k!/(k-j)! t_k / y^j); non-terminating
+    ones by _blocked_series, which stops each point on its own."""
     a, b, c = params.a, params.b, params.c
     y = np.asarray(y, dtype=complex)
     out = [np.zeros(y.shape, dtype=complex) for _ in range(dmax + 1)]
     if params.terminating and params.degree == 0:
         out[0][...] = 1.0
         return out
-    term = np.ones(y.shape, dtype=complex)
     # y appears in denominators of the derivative accumulators; guard
     # exact zeros (the series derivatives at y=0 are handled via the k
     # offset below, and 0-division never contributes there).
     ysafe = np.where(y == 0, 1.0, y)
     ysafe2 = ysafe**2
-    k = 0
-    calm = 0
-    while True:
-        out[0] += term
-        steps = [term]  # this term's contribution to each sum in out
-        if dmax >= 1 and k >= 1:
-            steps.append(k * term / ysafe)
-            out[1] += steps[-1]
-        if dmax >= 2 and k >= 2:
-            steps.append(k * (k - 1) * term / ysafe2)
-            out[2] += steps[-1]
-        if params.terminating and k >= params.degree:
-            break
-        if not params.terminating:
-            if all(np.all(np.abs(step) <= _SERIES_TOL * np.maximum(np.abs(acc), 1.0))
-                   for acc, step in zip(out, steps)):
-                calm += 1
-                if calm >= 3:
-                    break
-            else:
-                calm = 0
-            if k >= _SERIES_CAP:
-                raise NonConvergent(
-                    f"series cap {_SERIES_CAP} hit at |y|max = "
-                    f"{float(np.max(np.abs(y))):.6g}")
-        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * y
-        k += 1
+    if params.terminating:
+        term = np.ones(y.shape, dtype=complex)
+        for k in range(params.degree + 1):
+            out[0] += term
+            if dmax >= 1 and k >= 1:
+                out[1] += k * term / ysafe
+            if dmax >= 2 and k >= 2:
+                out[2] += k * (k - 1) * term / ysafe2
+            if k < params.degree:
+                term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * y
+    else:
+        _blocked_series(params, y.ravel(), (ysafe.ravel(), ysafe2.ravel()),
+                        [o.reshape(-1) for o in out])
     if dmax >= 1:
         # derivative contributions at exact y = 0 reduce to single terms
         zero = (y == 0)
@@ -189,6 +176,93 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
                 num = a * (a + 1) * b * (b + 1)
                 out[2][zero] = 0.0 if num == 0 else num / (c * (c + 1))
     return out
+
+
+def _blocked_series(params: Hyp2F1Params, y: np.ndarray, ysafe, out) -> None:
+    """Sum a non-terminating series into the flat arrays out[j], the j-th
+    y-derivative at the flat y (ysafe: y and y^2 with zeros set to 1),
+    _BLOCK terms at a time.
+
+    A block runs the term recurrence t_k+1 = t_k (a+k)(b+k) y /
+    ((c+k)(k+1)) one row per k and forms the partial sums by sequential
+    cumsums seeded with the running sums, so each partial sum is the
+    one a term-by-term loop forms. A point stops at the first k where,
+    for 3 consecutive terms, every sum's step is at most _SERIES_TOL
+    max(|sum|, 1) (the k-th term of the j-th derivative carries an
+    extra factor ~k^j, so watching F alone would cut F'' short by
+    ~k^2 * _SERIES_TOL). It takes its sums at that k and leaves the
+    work arrays, so its value does not depend on the other points. A
+    point still running at k = _SERIES_CAP raises NonConvergent.
+    """
+    a, b, c = params.a, params.b, params.c
+    cap = _SERIES_CAP
+    nsum = len(out)
+    width = min(y.size, _COLUMNS)
+    if not width:
+        return
+    # per sum, row 0 holds the running sum and rows 1.. the block's steps,
+    # which the cumsum turns into partial sums in place
+    work = np.empty((nsum, _BLOCK + 1, width), dtype=complex)
+    weight = np.empty((_BLOCK, 1), dtype=complex)  # k!/(k-j)! per row
+    term = np.empty(width, dtype=complex)  # the first term of the next block
+    scratch = np.empty((_BLOCK, width), dtype=complex)
+    # |step| and the bound it must meet share scratch's memory, which is
+    # free again once a block's steps are formed
+    step, bound = scratch.view(float)[:, :width], scratch.view(float)[:, width:]
+    for lo in range(0, y.size, width):
+        live = np.arange(lo, min(lo + width, y.size))
+        yv, ys = y[live], [s[live] for s in ysafe[:nsum - 1]]
+        m = live.size
+        work[:, 0, :m] = 0.0
+        work[0, 1, :m] = 1.0
+        calm = np.zeros((2, m), dtype=bool)  # the last two terms were small
+        k0 = 0
+        while m:
+            nb = max(1, min(_BLOCK, cap - k0 + 1))
+            ks = range(k0, k0 + nb)
+            w = work[:, :nb + 1, :m]
+            # no complex product or quotient runs in place: on one-element
+            # arrays an in-place numpy product can round differently from
+            # the fresh one a term-by-term loop forms
+            for r, k in enumerate(ks, start=1):
+                coef = (a + k) * (b + k) / ((c + k) * (k + 1))
+                np.multiply(w[0, r], coef, out=scratch[0, :m])
+                np.multiply(scratch[0, :m], yv,
+                            out=w[0, r + 1] if r < nb else term[:m])
+            for j in range(1, nsum):
+                weight[:nb, 0] = [math.perm(k, j) for k in ks]
+                np.multiply(weight[:nb], w[0, 1:], out=scratch[:nb, :m])
+                np.divide(scratch[:nb, :m], ys[j - 1], out=w[j, 1:])
+            run = np.ones((nb + 2, m), dtype=bool)
+            run[:2] = calm
+            sizes, bounds = step[:nb, :m], bound[:nb, :m]
+            for acc in w:
+                np.abs(acc[1:], out=sizes)
+                np.cumsum(acc, axis=0, out=acc)
+                np.abs(acc[1:], out=bounds)
+                np.maximum(bounds, 1.0, out=bounds)
+                bounds *= _SERIES_TOL
+                run[2:] &= sizes <= bounds
+            done = run[2:] & run[1:-1] & run[:-2]
+            hit = done.any(axis=0)
+            k0 += nb
+            if k0 > cap and not hit.all():
+                raise NonConvergent(
+                    f"series cap {cap} hit at |y|max = "
+                    f"{float(np.max(np.abs(y))):.6g}")
+            if hit.any():
+                rows, cols = done.argmax(axis=0)[hit] + 1, np.flatnonzero(hit)
+                for j, o in enumerate(out):
+                    o[live[cols]] = w[j, rows, cols]
+                keep = ~hit
+                live, yv, calm = live[keep], yv[keep], run[-2:, keep]
+                ys = [s[keep] for s in ys]
+                carry, nxt = w[:, nb, keep], term[:m][keep]
+            else:
+                carry, nxt, calm = w[:, nb], term[:m], run[-2:]
+            m = live.size
+            work[:, 0, :m] = carry
+            work[0, 1, :m] = nxt
 
 
 def _checked_series(params: Hyp2F1Params, y: np.ndarray, dmax: int):
@@ -235,8 +309,9 @@ def eval_2f1(params: Hyp2F1Params, y):
     """Gauss series F(a,b,c;y); y may be a scalar or an array.
 
     Terminating parameter sets are summed exactly (valid for all y);
-    otherwise |y| < 1 is required and summation stops once the relative
-    term stays below 1e-16 for 3 consecutive terms (cap 10,000).
+    otherwise |y| < 1 is required and each point stops on its own once
+    its relative term stays below 1e-16 for 3 consecutive terms (cap
+    10,000), so a value does not depend on the other points of the call.
     """
     arr = np.asarray(y, dtype=complex)
     f = _checked_series(params, arr, 0)[0]

@@ -424,12 +424,24 @@ def _gamma(k: int) -> np.ndarray:
     return g
 
 
-_G1, _G2, _G3 = _gamma(1), _gamma(2), _gamma(3)
-_G23, _G31, _G12 = _G2 @ _G3, _G3 @ _G1, _G1 @ _G2
+def _table(mat: np.ndarray):
+    """(mat, rows, phases) for a signed permutation mat (one entry of
+    modulus 1 per row and column): row a of mat @ psi is
+    phases[a] * psi[rows[a]]."""
+    rows = np.abs(mat).argmax(axis=1)
+    return mat, rows, mat[np.arange(4), rows][:, None, None]
 
 
-def _apply(mat: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,b...->a...", mat, psi)
+_G1, _G2, _G3 = (_table(_gamma(k)) for k in (1, 2, 3))
+_G23, _G31, _G12 = (_table(x[0] @ y[0])
+                    for x, y in ((_G2, _G3), (_G3, _G1), (_G1, _G2)))
+_G123 = _table(_G12[0] @ _G3[0])
+
+
+def _apply(g, psi: np.ndarray) -> np.ndarray:
+    """g[0] @ psi over the leading spinor axis, by g's table."""
+    _, rows, phases = g
+    return phases * psi[rows]
 
 
 def gaussian_bump_spinor(r0: float, z0: float, width: float,
@@ -471,6 +483,12 @@ def commutator_residual(geometry: Geometry, B: float,
     gamma factors are signed permutations and the commutation is a
     structural operator identity, independent of mu and stretch).
 
+    The derivatives are central differences (second order at the
+    edges) at each grid's uniform spacing, and psi's first derivatives
+    serve both Sigma psi and the expansion. Each gamma product acts on
+    the spinor axis through its (row, phase) table: row a of g psi is
+    phase_a psi[row_a], which is g psi bit for bit.
+
     With flat_helicity=True, Sigma drops the stretch factor (the
     flat-space operator); the expansion is adjusted consistently, so
     the residual then converges to the true nonzero commutator instead
@@ -490,10 +508,11 @@ def commutator_residual(geometry: Geometry, B: float,
     if levels < 1:
         raise DomainError("levels must be >= 1")
     m = two_m / 2.0
-    gamma123 = _G1 @ _G2 @ _G3
 
     def residual_at(g: Grid2D) -> float:
         rs, zs = g.axes()
+        hr = (g.r_hi - g.r_lo) / (g.r_points - 1)
+        hz = (g.z_hi - g.z_lo) / (g.z_points - 1)
         R, Z = np.meshgrid(rs, zs, indexing="ij")
         psi = np.asarray(test_spinor(R, Z), dtype=complex)
         if psi.shape != (4,) + R.shape:
@@ -506,20 +525,20 @@ def commutator_residual(geometry: Geometry, B: float,
         inv_p = (-rec.stretch_prime(zs) / stretch ** 2)[None, None, :]
 
         def d_r(f):
-            return np.gradient(f, rs, axis=1, edge_order=2)
+            return np.gradient(f, hr, axis=1, edge_order=2)
 
         def d_z(f):
-            return np.gradient(f, zs, axis=2, edge_order=2)
+            return np.gradient(f, hz, axis=2, edge_order=2)
 
         def H(f):
             return (inv * (1j * _apply(_G1, d_r(f)) - mu * _apply(_G2, f))
                     + 1j * _apply(_G3, d_z(f)))
 
-        def S(f):
-            radial = _apply(_G23, d_r(f)) + 1j * mu * _apply(_G31, f)
+        def S(f, f_r, f_z):  # f_r, f_z: the derivatives of f
+            radial = _apply(_G23, f_r) + 1j * mu * _apply(_G31, f)
             if not flat_helicity:
                 radial = inv * radial
-            return radial + _apply(_G12, d_z(f))
+            return radial + _apply(_G12, f_z)
 
         psi_r, psi_z = d_r(psi), d_z(psi)
         psi_rr, psi_zz, psi_rz = d_r(psi_r), d_z(psi_z), d_z(psi_r)
@@ -528,17 +547,17 @@ def commutator_residual(geometry: Geometry, B: float,
         # z-derivative of 1/stretch contributes inv' (i g2 psi_r
         # + mu g1 psi), and the mixed terms cancel (curved case) or
         # survive with weight (inv - 1) (flat case).
-        block_rr = (1j * _apply(gamma123, psi_rr)
+        block_rr = (1j * _apply(_G123, psi_rr)
                     - mu_p * _apply(_G3, psi)
-                    - 1j * mu * mu * _apply(gamma123, psi))
+                    - 1j * mu * mu * _apply(_G123, psi))
         block_invp = inv_p * (1j * _apply(_G2, psi_r) + mu * _apply(_G1, psi))
-        expanded = 1j * _apply(gamma123, psi_zz) + block_invp
+        expanded = 1j * _apply(_G123, psi_zz) + block_invp
         if flat_helicity:
             expanded = expanded + inv * block_rr + (inv - 1.0) * (
                 1j * _apply(_G2, psi_rz) + mu * _apply(_G1, psi_z))
         else:
             expanded = expanded + inv * inv * block_rr
-        comm = H(S(psi)) - expanded
+        comm = H(S(psi, psi_r, psi_z)) - expanded
         # Trim a fixed *fraction* so every refinement level compares the
         # same physical region (mu' grows like 1/r^2 toward r_lo, so a
         # fixed cell count would slide the window into worse territory).

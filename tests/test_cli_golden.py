@@ -44,9 +44,9 @@ GOLDEN = [
     ("wavefunction --model h3 --component r2 --B 5 --two-m=3 --n 2",
      "384d843dd2fc6715092912dfbed4df88eb74801346cfb694f188ef4dde1d346e"),
     ("wavefunction --model h3 --component z1 --B 5 --two-m=1 --n 1 --p 0.7",
-     "de0e198a111c58e7bb0ccd3a5982857e7129c5492087d28e4364e9052d9e999b"),
+     "7a9f676716fa00da9396d870fbcdad365088d757cc63b9ab0f15e4dd0e4f9a68"),
     ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3",
-     "4f14223cbe5a06b44bf3a9e8d75516844882d46168e8909d5bcb36cc9ae6ce8c"),
+     "a137340add1068ad8360d0136500bcafb4a67d872671b37d137d3ff94336cc40"),
     ("wavefunction --model s3 --component r1 --B 2.5 --two-m=1 --n 1",
      "4e9ad18ea8779f41ef73bbd9d864104ab070b1fb2bb34093ffc4bcbddb2932f5"),
     ("wavefunction --model s3 --component r2 --B 2.5 --two-m=-3 --n 2",
@@ -60,7 +60,9 @@ GOLDEN = [
     ("verify --suite pairs",
      "015348063885e6acafdc1821f1d440df98aa3fca1299044245c808ec1d5bc342"),
     ("verify --suite axial",
-     "9607686c27ca3cba879ed258cf4aaa1b6038b8dce604eee7a2e703ea3ce4023b"),
+     "d7411d4593a052d96475138c977c77815e2675582cc7e5542cb3da343b590e70"),
+    ("verify --suite commutator",
+     "a5456b44a57bafe73425ee8ce6fa8ffee48b0751a867e09d9edd28c383ab28af"),
     ("regions --model h3 --B 5 --two-m=-7..7 --n 0..4 --format json",
      "57223c0ee07375be5358f4edfc55d6f0c0a5ddcbb00cdb6beb6d5d735e5a1d15"),
     ("regions --model s3 --B -2 --two-m=-7..7 --n 0..4 --format json",
@@ -72,7 +74,7 @@ GOLDEN = [
      "b406d823720f357c4a09284b76d69d8c221f3cc2570017aa81318187ef9772e9"),
     ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3 "
      "--format json",
-     "1a9ad0145c13a88cd2f101252ccb7764f2eb6c45ecdd69426c806660de6ed5c0"),
+     "778e6f622533ef6f1462664bd8aadace2ab175e4ecbdbab9a8247234a7d271fc"),
     ("wavefunction --model s3 --component z1 --B 2.5 --two-m=1 --n 1 --nz 2 "
      "--format json",
      "97cb5b6da21b172051a4a09ae2e412312c14240e91b149b757582703c2f1adfd"),
@@ -204,17 +206,17 @@ NEGATIVE_FIELD_WAVEFUNCTIONS = [
 # {-3, 1, 3}, n <= 2; s3 at n_z <= 20, two_m in {-3, 1, 3}, n <= 1.
 AXIAL_WAVEFUNCTIONS = [
     ("h3", "z1", "2.5",
-     "583440990dbf4c5de98fb45712339ad2e51114ae8e7720e71c8f4bca20141edb"),
+     "00bd184f0a7376e6da91afdb3569a6727013875c7920df463dd3063831033cfc"),
     ("h3", "z1", "5",
-     "3bb90e4fcc5ecfb38dfbcaed17ad8967d1b487109ddf644e4b0db4adcb357dc7"),
+     "9452b6a283a38d0469188d2f2dff03d60e97830c676476a1df5c1f4124c2477e"),
     ("h3", "z1", "-5",
-     "3244ee4d233718e456f2a9e2ec2c804e79a4187692a0abf17f769f7cde8e67f5"),
+     "38eb109788210395e828993bfc16cf5afb5256b5ba3c3030a73843762133d9a5"),
     ("h3", "z2", "2.5",
-     "4619cf0f6617f114fd5813bfaac50aa35cc2d2fd6c9cb23f720e4618048beaf7"),
+     "be829bb0af048e2ee10bacf94db40c7943971ee3afb88afcf510584cb709ebcb"),
     ("h3", "z2", "5",
-     "97889eda5907aad86a106d24bc316f62ca594f32d0e2948209473b9486555a75"),
+     "f7cddffd67d41dd7a7d944db538b989c543ec232b7d292f85b0fbff9f41493db"),
     ("h3", "z2", "-5",
-     "e5fa1459434d03e126a44377891c77a5b77d2874741a2b145f7a1c5e204602e0"),
+     "0c85a470318379c695bfc5054ae7ae41b026cacf136d37bd7d5ae7452ccc8b1d"),
     ("s3", "z1", "0.5",
      "5dc7fefa43f6346ae917b12b2355b00b27e04a251ef31e3314e2e2e5a22e0b88"),
     ("s3", "z1", "2.5",

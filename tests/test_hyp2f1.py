@@ -9,6 +9,7 @@ import mpmath
 import scipy.special
 from hypothesis import assume, example, given, settings, strategies as st
 
+from curved_landau import hyp2f1 as hyp
 from curved_landau.hyp2f1 import (
     DegenerateConnection,
     Hyp2F1Error,
@@ -285,3 +286,59 @@ def test_contiguous_guards():
         contiguous_raise_c(Hyp2F1Params(0.3, 0.4, 1e-13), 0.2)
     with pytest.raises(InvalidC):
         contiguous_raise_c(Hyp2F1Params(0.3, 0.4, 1.0 + 1e-13).shifted(dc=-1), 0.2)
+
+
+# ---------------------------------------------------------------------------
+# Per-point stopping
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(_safe_params(), st.lists(_disc_y(), min_size=2, max_size=12))
+@example(Hyp2F1Params(0.2, 0.45, 0.83), [0.05, -0.05, 0.69j, 0.6 + 0.3j])
+def test_batch_values_do_not_depend_on_the_other_points(params, ys):
+    # each point stops at its own k, so a slow point in the call does not
+    # extend the sums of the fast ones
+    batch = series_with_derivatives(params, np.array(ys))
+    for i, y in enumerate(ys):
+        alone = series_with_derivatives(params, y)
+        for k in range(3):
+            assert np.array(batch[k][i]).tobytes() == np.array(alone[k]).tobytes(), (y, k)
+
+
+def _term_by_term(params, y):
+    """F, F', F'' at one point, summed one term at a time until every
+    step has stayed <= 1e-16 max(|sum|, 1) for three terms in a row."""
+    a, b, c = params.a, params.b, params.c
+    y = np.array([y])
+    term, sums = np.ones(1, dtype=complex), np.zeros((3, 1), dtype=complex)
+    calm = k = 0
+    while calm < 3:
+        steps = [term, k * term / y, k * (k - 1) * term / y**2]
+        sums += steps
+        small = all(abs(step[0]) <= 1e-16 * max(abs(acc[0]), 1.0)
+                    for step, acc in zip(steps, sums))
+        calm = calm + 1 if small else 0
+        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * y
+        k += 1
+    return sums[:, 0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_safe_params(), st.lists(_disc_y(), min_size=1, max_size=6))
+def test_blocked_sums_match_the_term_by_term_loop(params, ys):
+    blocked = hyp._series_array(params, np.array(ys), 2)
+    for i, y in enumerate(ys):
+        assert [blocked[k][i] for k in range(3)] == list(_term_by_term(params, y)), y
+
+
+def test_one_point_at_the_series_cap_fails_the_batch(monkeypatch):
+    params = Hyp2F1Params(0.5, 0.7, 1.3)
+    ys = np.array([0.1, 0.2j, 0.95, 0.3])
+    series_with_derivatives(params, ys)  # converges under the real cap
+    monkeypatch.setattr(hyp, "_SERIES_CAP", 40)
+    series_with_derivatives(params, ys[[0, 1, 3]])
+    with pytest.raises(NonConvergent, match="series cap 40"):
+        series_with_derivatives(params, ys)
+    with pytest.raises(NonConvergent, match="series cap 40"):
+        eval_2f1(params, ys)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from curved_landau import oracle
 from curved_landau.hyp2f1 import DegenerateConnection
 from curved_landau.lobachevsky import (
     GEOMETRY as H3_GEOMETRY,
@@ -568,6 +569,20 @@ def test_axial_solution_guards():
 # ---------------------------------------------------------------------------
 # Commutator convergence
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["_G1", "_G2", "_G3", "_G23", "_G31", "_G12",
+                                  "_G123"])
+def test_gamma_products_apply_as_signed_permutations(name):
+    g = getattr(oracle, name)
+    mat = g[0]
+    nonzero = mat != 0
+    assert (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
+    assert set(mat[nonzero].tolist()) <= {1, -1, 1j, -1j}
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=(4, 9, 11)) + 1j * rng.normal(size=(4, 9, 11))
+    assert np.array_equal(oracle._apply(g, psi),
+                          np.einsum("ab,b...->a...", mat, psi))
 
 
 def test_commutator_second_order_h3():
