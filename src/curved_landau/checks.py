@@ -135,21 +135,26 @@ def _suite_radial(tol: Optional[float]) -> List[CheckResult]:
 
     def above_one(ev):  # drops the H3 zero mode, as a list
         return [v for v in ev if v > 1.0][:4]
-    # (name, eigensolver, m, B, grid, levels shown, first level compared,
-    # closed-form levels); m = +1/2 on S3 skips its zero mode
+    # (name, eigensolver, space, m, B, grid, levels shown, first level
+    # compared); m = +1/2 on S3 skips its zero mode
     cases = [
-        ("radial/h3-B5-m+1/2", oracle.radial_eigenvalues_h3, 0.5, 5.0,
-         grid_h3, above_one, 0, [9, 16, 21, 24]),
-        ("radial/h3-B5-m-1/2", oracle.radial_eigenvalues_h3, -0.5, 5.0,
-         grid_h3, above_one, 0, [9, 16, 21, 24]),
-        ("radial/s3-B1-m+1/2", oracle.radial_eigenvalues_s3, 0.5, 1.0,
-         grid_s3, lambda ev: ev[:4], 1, [3.0, 8.0, 15.0]),
-        ("radial/s3-B1-m-1/2", oracle.radial_eigenvalues_s3, -0.5, 1.0,
-         grid_s3, lambda ev: ev[:3], 0, [3.0, 8.0, 15.0]),
+        ("radial/h3-B5-m+1/2", oracle.radial_eigenvalues_h3, Geometry.H3, 0.5, 5.0,
+         grid_h3, above_one, 0),
+        ("radial/h3-B5-m-1/2", oracle.radial_eigenvalues_h3, Geometry.H3, -0.5, 5.0,
+         grid_h3, above_one, 0),
+        ("radial/s3-B1-m+1/2", oracle.radial_eigenvalues_s3, Geometry.S3, 0.5, 1.0,
+         grid_s3, lambda ev: ev[:4], 1),
+        ("radial/s3-B1-m-1/2", oracle.radial_eigenvalues_s3, Geometry.S3, -0.5, 1.0,
+         grid_s3, lambda ev: ev[:3], 0),
     ]
     out = []
-    for name, solve, m, B, grid, shown, first, targets in cases:
+    for name, solve, space, m, B, grid, shown, first in cases:
         levels = shown(solve(m, B, Component.R1, grid).eigenvalues)
+        # the admissible closed-form levels n = 0..4, which skip the
+        # lambda^2 = 0 modes as `shown` and `first` do
+        entries = [space.record.quantize(round(2 * m), B, n, Component.R1)
+                   for n in range(5)]
+        targets = [e.lambda_sq for e in entries if e.admissible]
         out.append(_result(name, _worst_match(levels[first:], targets),
                            threshold, f"eigenvalues {levels}"))
     return out

@@ -12,7 +12,8 @@ Output conventions shared by the table-producing subcommands:
   bytes. A wall-clock stamp line is added only under ``--stamp``.
 * Record order is fixed by the (two_m, n, n_z) lexicographic sort.
 
-Exit codes: 0 success, 1 verification failures, 2 invalid arguments,
+Exit codes: 0 success, 1 verification failures, 2 invalid arguments
+(including a state outside the evaluators' domain or series range),
 3 unwritable output, 4 inadmissible state requested.
 """
 
@@ -33,6 +34,7 @@ import numpy as np
 from . import __version__
 from . import checks
 from . import spherical as sph
+from .hyp2f1 import Hyp2F1Error
 from .model import Component, DomainError, Geometry
 
 __all__ = ["main"]
@@ -70,6 +72,17 @@ def _parse_range(parser: argparse.ArgumentParser, text: str, flag: str,
     if minimum is not None and values[0] < minimum:
         parser.error(f"{flag}: values must be >= {minimum}")
     return values
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the physical parameters: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _single_odd(parser: argparse.ArgumentParser, text: str, flag: str) -> int:
@@ -344,9 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "spectrum", help="quantized transversal levels over quantum-number "
                          "ranges, with admissibility verdicts")
     spectrum.add_argument("--model", choices=models, required=True)
-    spectrum.add_argument("--B", type=float, required=True,
+    spectrum.add_argument("--B", type=_finite_float, required=True,
                           help="magnetic field in curvature units")
-    spectrum.add_argument("--M", type=float, default=0.0,
+    spectrum.add_argument("--M", type=_finite_float, default=0.0,
                           help="mass (s3 energies need M > 0; default 0)")
     spectrum.add_argument("--two-m", required=True, metavar="INT|LO..HI",
                           help="twice the angular quantum number m (odd)")
@@ -354,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="radial level index range")
     spectrum.add_argument("--nz", default=None, metavar="INT|LO..HI",
                           help="axial level index range (s3 only)")
-    spectrum.add_argument("--rho", type=float, default=1.0,
+    spectrum.add_argument("--rho", type=_finite_float, default=1.0,
                           help="curvature radius: reported lambda_sq scales "
                                "by 1/rho^2, p and epsilon by 1/rho")
     _add_output_flags(spectrum)
@@ -366,13 +379,13 @@ def _build_parser() -> argparse.ArgumentParser:
     wave.add_argument("--model", choices=models, required=True)
     wave.add_argument("--component", choices=[c.value for c in Component],
                       required=True)
-    wave.add_argument("--B", type=float, required=True)
+    wave.add_argument("--B", type=_finite_float, required=True)
     wave.add_argument("--two-m", required=True, metavar="INT")
     wave.add_argument("--n", type=int, required=True,
                       help="radial level index (sets lambda^2)")
     wave.add_argument("--nz", type=int, default=None,
                       help="axial level index (s3 axial components)")
-    wave.add_argument("--p", type=float, default=None,
+    wave.add_argument("--p", type=_finite_float, default=None,
                       help="axial momentum (h3 axial components; continuous)")
     wave.add_argument("--samples", type=int, default=200)
     _add_output_flags(wave)
@@ -395,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "regions", help="admissibility lattice over (two_m, n) as "
                         "scatter data")
     regions.add_argument("--model", choices=models, required=True)
-    regions.add_argument("--B", type=float, required=True)
+    regions.add_argument("--B", type=_finite_float, required=True)
     regions.add_argument("--two-m", required=True, metavar="INT|LO..HI")
     regions.add_argument("--n", required=True, metavar="INT|LO..HI")
     _add_output_flags(regions)
@@ -413,7 +426,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None
                                                         else 2)
-    except DomainError as exc:
+    except (DomainError, Hyp2F1Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -5,7 +5,11 @@ terminating polynomial cases that carry all bound states), a
 self-contained principal-branch log-gamma, Kummer connection
 coefficients between the y ~ 0 and y ~ 1 solution bases, and the
 c-raising contiguous derivative identity used to couple first-order
-solution pairs (taken at c - 1, it is the c-lowering one).
+solution pairs (taken at c - 1, it is the c-lowering one). Every sum,
+the solution forms' included, goes through eval_2f1 or
+series_with_derivatives to one dispatcher, _sum, which picks the regime
+of each point: polynomial, direct series, Pfaff's transformation or the
+connection around y = 1.
 
 Everything here is pure and reentrant: no caching, no mutation of
 shared state.
@@ -265,128 +269,120 @@ def _blocked_series(params: Hyp2F1Params, y: np.ndarray, ysafe, out) -> None:
             work[0, 1, :m] = nxt
 
 
-def _checked_series(params: Hyp2F1Params, y: np.ndarray, dmax: int):
-    """_series_array under the domain rules of eval_2f1: finite
-    arguments, and |y| < 1 unless the series terminates.
-
-    A non-terminating series at points with Re y < 0 is summed through
-    Pfaff's transformation (DLMF 15.8.1),
-
-        F(a, b; c; y) = w^-a F(a, c - b; c; x),  w = 1 - y,  x = y/(y - 1),
-
-    with F' and F'' by the exact chain rule (dx/dy = -1/w^2). There
-    |x| < |y|, and the terms no longer alternate into the cancellation
-    that costs the direct sum up to ~1e6 |F| in its largest term.
-    """
-    big = float(np.max(np.abs(y), initial=0.0))
-    _require_finite(complex(big))
-    if params.terminating:
-        return _series_array(params, y, dmax)
-    if big >= 1.0:
-        raise NonConvergent(f"|y| = {big:.6g} >= 1 and series does not terminate")
-    left = y.real < 0.0
-    if not left.any():
-        return _series_array(params, y, dmax)
-    out = [np.empty(y.shape, dtype=complex) for _ in range(dmax + 1)]
-    right = ~left
-    if right.any():
-        for o, v in zip(out, _series_array(params, y[right], dmax)):
-            o[right] = v
-    a, b, c = params.a, params.b, params.c
-    w = 1 - y[left]
-    g = _series_array(Hyp2F1Params(a, c - b, c), -y[left] / w, dmax)
-    pref = w ** -a
-    out[0][left] = pref * g[0]
-    if dmax >= 1:
-        out[1][left] = pref * (a / w * g[0] - g[1] / w**2)
-    if dmax >= 2:
-        out[2][left] = pref * (a * (a + 1) / w**2 * g[0]
-                               - 2 * (a + 1) / w**3 * g[1] + g[2] / w**4)
-    return out
-
-
-def eval_2f1(params: Hyp2F1Params, y):
-    """Gauss series F(a,b,c;y); y may be a scalar or an array.
-
-    Terminating parameter sets are summed exactly (valid for all y);
-    otherwise |y| < 1 is required and each point stops on its own once
-    its relative term stays below 1e-16 for 3 consecutive terms (cap
-    10,000), so a value does not depend on the other points of the call.
-    """
-    arr = np.asarray(y, dtype=complex)
-    f = _checked_series(params, arr, 0)[0]
-    return complex(f) if arr.shape == () else f
-
-
-def series_with_derivatives(params: Hyp2F1Params, y) -> tuple:
-    """(F, dF/dy, d2F/dy2) by term-wise differentiated series; y may be
-    a scalar or an array. Same domain rules as eval_2f1."""
-    arr = np.asarray(y, dtype=complex)
-    f0, f1, f2 = _checked_series(params, arr, 2)
-    if arr.shape == ():
-        return complex(f0), complex(f1), complex(f2)
-    return f0, f1, f2
-
-
-# Re y above which _series_or_connection sums a non-terminating F in the
-# y ~ 1 basis. The split is set by accuracy: near y = 1/2 the two
-# connection terms grow like exp(pi*lam) and cancel, while the direct
-# series needs ever more terms, and the k^2-weighted terms of F'' more
-# still, as y -> 1. Worst error of the h3 axial forms and both
-# z-derivatives (Z1 and Z2 on the U1 and U5 branches, 16 draws of p in
-# [0.2, 2], lam from B in {2, 3.5, 5}, 86 points on |z| <= 10) against
-# mpmath at 30 digits, relative to the sup-norm, by split: 0.5 1.1e-11,
-# 0.7 2.9e-12, 0.8 1.2e-12, 0.85 5.1e-13, 0.9 2.2e-13, 0.95 1.2e-13.
+# Re y above which _sum takes a non-terminating F in the y ~ 1 basis.
+# The split is set by accuracy: near y = 1/2 the two connection terms
+# grow like exp(pi*lam) and cancel, while the direct series needs ever
+# more terms, and the k^2-weighted terms of F'' more still, as y -> 1.
+# Worst error of the h3 axial forms and both z-derivatives (Z1 and Z2 on
+# the U1 and U5 branches, 16 draws of p in [0.2, 2], lam from B in
+# {2, 3.5, 5}, 86 points on |z| <= 10) against mpmath at 30 digits,
+# relative to the sup-norm, by split: 0.5 1.1e-11, 0.7 2.9e-12,
+# 0.8 1.2e-12, 0.85 5.1e-13, 0.9 2.2e-13, 0.95 1.2e-13.
 _CONNECTION_SPLIT = 0.9
 
 
-def _series_or_connection(params: Hyp2F1Params, y, w, dmax: int):
-    """[F, dF/dy, d2F/dy2][:dmax + 1] (dmax 0 or 2) at y = 1 - w; w is
-    passed separately so that it keeps its relative precision as y -> 1.
+def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
+    """[F, dF/dy, d2F/dy2][:dmax + 1] (dmax 0 or 2) at the complex
+    arrays y and w = 1 - y. This is the one place a regime is chosen,
+    point by point:
 
-    A non-terminating F at points inside the unit disc with
-    Re y > _CONNECTION_SPLIT is summed in the y ~ 1 basis (DLMF 15.10.21),
+    * terminating: the polynomial, at every y;
+    * non-terminating: the point must lie in the unit disc, tested as
+      2 Re w > |w|^2, which is |y| < 1 without the rounding of
+      y = 1 - w (NonConvergent otherwise);
+    * non-terminating, Re y > _CONNECTION_SPLIT and s = c - a - b not an
+      integer: the y ~ 1 basis (DLMF 15.10.21),
 
-        F = to_u2 G(w) + to_u6 w^s H(w),   s = c - a - b,
-        G = F(a, b; 1 - s; w),  H = F(c - a, c - b; 1 + s; w),
+          F = to_u2 G(w) + to_u6 w^s H(w),
+          G = F(a, b; 1 - s; w),  H = F(c - a, c - b; 1 + s; w),
 
-    and differentiated exactly (d/dy = -d/dw). Every other point, and
-    every point when s is an integer, takes the direct series. Each sum
-    goes through eval_2f1 or series_with_derivatives, with their domain
-    rules.
+      differentiated exactly (d/dy = -d/dw);
+    * non-terminating, Re y < 0: Pfaff's transformation (DLMF 15.8.1),
+
+          F = w^-a F(a, c - b; c; x),  x = y/(y - 1) = -y/w,
+
+      with F' and F'' by the exact chain rule (dx/dy = -1/w^2): there
+      |x| < |y|, and the terms no longer alternate into the cancellation
+      that costs the direct series up to ~1e6 |F| in its largest term;
+    * the rest: the direct series.
     """
-    def sums(p, x):
-        return [eval_2f1(p, x)] if dmax == 0 else list(series_with_derivatives(p, x))
-
-    y = np.asarray(y, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    _require_finite(complex(np.max(np.abs(y), initial=0.0)))
     if params.terminating:
-        return sums(params, y)
-    # 2 Re w > |w|^2 is |y| < 1 without the rounding of y = 1 - w
-    far = (y.real > _CONNECTION_SPLIT) & (2.0 * w.real > np.abs(w) ** 2)
-    if not far.any():
-        return sums(params, y)
-    try:
-        coeff = kummer_connection(params, KummerBranch.U1)
-    except DegenerateConnection:
-        return sums(params, y)
-    out = [np.empty(y.shape, dtype=complex) for _ in range(dmax + 1)]
-    near = ~far
-    if near.any():
-        for o, v in zip(out, sums(params, y[near])):
-            o[near] = v
+        return _series_array(params, y, dmax)
+    with np.errstate(over="ignore"):  # |w|^2 of a point far outside
+        inside = 2.0 * w.real > np.abs(w) ** 2
+    if not inside.all():
+        big = float(np.max(np.abs(y[~inside])))
+        raise NonConvergent(f"|y| = {big:.6g} >= 1 and series does not terminate")
     a, b, c = params.a, params.b, params.c
     s = c - a - b
-    wf = w[far]
-    g = sums(Hyp2F1Params(a, b, 1 - s), wf)
-    h = sums(Hyp2F1Params(c - a, c - b, 1 + s), wf)
-    u2, u6 = coeff.to_u2, coeff.to_u6 * wf ** s
-    out[0][far] = u2 * g[0] + u6 * h[0]
-    if dmax:
-        out[1][far] = -u2 * g[1] - u6 * (s / wf * h[0] + h[1])
-        out[2][far] = u2 * g[2] + u6 * (s * (s - 1) / wf**2 * h[0]
-                                        + 2 * s / wf * h[1] + h[2])
+    far = y.real > _CONNECTION_SPLIT
+    if far.any():
+        try:
+            coeff = kummer_connection(params, KummerBranch.U1)
+        except DegenerateConnection:
+            far = np.zeros_like(far)
+    left = y.real < 0.0
+    if not (far.any() or left.any()):
+        return _series_array(params, y, dmax)
+    out = [np.empty(y.shape, dtype=complex) for _ in range(dmax + 1)]
+    near = ~(far | left)
+    if near.any():
+        for o, v in zip(out, _series_array(params, y[near], dmax)):
+            o[near] = v
+    if left.any():
+        wl = w[left]
+        g = _series_array(Hyp2F1Params(a, c - b, c), -y[left] / wl, dmax)
+        pref = wl ** -a
+        out[0][left] = pref * g[0]
+        if dmax:
+            out[1][left] = pref * (a / wl * g[0] - g[1] / wl**2)
+            out[2][left] = pref * (a * (a + 1) / wl**2 * g[0]
+                                   - 2 * (a + 1) / wl**3 * g[1] + g[2] / wl**4)
+    if far.any():
+        wf = w[far]
+        g = _series_array(Hyp2F1Params(a, b, 1 - s), wf, dmax)
+        h = _series_array(Hyp2F1Params(c - a, c - b, 1 + s), wf, dmax)
+        u2, u6 = coeff.to_u2, coeff.to_u6 * wf ** s
+        out[0][far] = u2 * g[0] + u6 * h[0]
+        if dmax:
+            out[1][far] = -u2 * g[1] - u6 * (s / wf * h[0] + h[1])
+            out[2][far] = u2 * g[2] + u6 * (s * (s - 1) / wf**2 * h[0]
+                                            + 2 * s / wf * h[1] + h[2])
     return out
+
+
+def _points(y, w=None):
+    """(y, w = 1 - y) as complex scalars, or from array input complex
+    arrays. A given w is the caller's 1 - y, which keeps its relative
+    precision as y -> 1, where 1 - y formed here would not."""
+    y = complex(y) if np.ndim(y) == 0 else np.asarray(y, dtype=complex)
+    return y, 1 - y if w is None else w
+
+
+def eval_2f1(params: Hyp2F1Params, y, w=None):
+    """Gauss hypergeometric function F(a,b,c;y) at a scalar or array y.
+    w, if given, is 1 - y as the caller holds it (default 1 - y); it is
+    data and selects no regime. Terminating parameters are summed
+    exactly at every y; otherwise y must lie in the unit disc, each point
+    takes its regime (_sum: direct, Pfaff at Re y < 0, the connection at
+    Re y > 0.9), and a series stops per point once its relative term
+    stays below 1e-16 for 3 consecutive terms (cap 10,000), so a value
+    does not depend on the other points of the call."""
+    y, w = _points(y, w)
+    f = _sum(params, np.asarray(y), np.asarray(w, dtype=complex), 0)[0]
+    return complex(f) if np.ndim(y) == 0 else f
+
+
+def series_with_derivatives(params: Hyp2F1Params, y, w=None) -> tuple:
+    """(F, dF/dy, d2F/dy2) by term-wise differentiated series, with the
+    exact chain rule through Pfaff's map or the connection; y, w and the
+    domain rules as in eval_2f1."""
+    y, w = _points(y, w)
+    f0, f1, f2 = _sum(params, np.asarray(y), np.asarray(w, dtype=complex), 2)
+    if np.ndim(y) == 0:
+        return complex(f0), complex(f1), complex(f2)
+    return f0, f1, f2
 
 
 # Bernoulli numbers B_2..B_14 for the asymptotic log-gamma tail
@@ -464,30 +460,28 @@ def kummer_connection(params: Hyp2F1Params,
     )
 
 
-def _scalar_or_array(y):
-    return complex(y) if np.ndim(y) == 0 else np.asarray(y, dtype=complex)
-
-
 def u2_value(params: Hyp2F1Params, y):
     """U2 = F(a, b, a+b-c+1; 1-y), the y ~ 1 solution analytic at y=1;
     y may be a scalar or an array."""
     a, b, c = params.a, params.b, params.c
-    return eval_2f1(Hyp2F1Params(a, b, a + b - c + 1), 1 - _scalar_or_array(y))
+    y, w = _points(y)
+    return eval_2f1(Hyp2F1Params(a, b, a + b - c + 1), w, y)
 
 
 def u6_value(params: Hyp2F1Params, y):
     """U6 = (1-y)^(c-a-b) F(c-a, c-b, c-a-b+1; 1-y); y may be a scalar
     or an array."""
     a, b, c = params.a, params.b, params.c
-    y = _scalar_or_array(y)
+    y, w = _points(y)
     cab = c - a - b
-    return (1 - y) ** cab * eval_2f1(Hyp2F1Params(c - a, c - b, cab + 1), 1 - y)
+    return w ** cab * eval_2f1(Hyp2F1Params(c - a, c - b, cab + 1), w, y)
 
 
-def u5_value(params: Hyp2F1Params, y: complex) -> complex:
-    """U5 = y^(1-c) F(a+1-c, b+1-c, 2-c; y), the second y ~ 0 solution."""
+def u5_value(params: Hyp2F1Params, y):
+    """U5 = y^(1-c) F(a+1-c, b+1-c, 2-c; y), the second y ~ 0 solution;
+    y may be a scalar or an array."""
     a, b, c = params.a, params.b, params.c
-    y = complex(y)
+    y = _points(y)[0]
     return y ** (1 - c) * eval_2f1(Hyp2F1Params(a + 1 - c, b + 1 - c, 2 - c), y)
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Tuple, Type
 
 import numpy as np
 
-from .hyp2f1 import Hyp2F1Params, _series_or_connection
+from .hyp2f1 import Hyp2F1Params, eval_2f1, series_with_derivatives
 
 __all__ = [
     "DomainError",
@@ -334,7 +334,7 @@ class GeometryRecord:
         m <= 1/2 - B), rhs <= 0, or lambda^2 <= 0. The lambda^2 = 0
         borderline levels solve the second-order equation, but the
         component pairing diverges as 1/lambda. B < 0 is answered at the
-        reflected point (_reflect).
+        reflected point (_reflect). Non-finite B or lambda^2: DomainError.
         """
         if two_m % 2 == 0:
             raise DomainError("two_m must be odd")
@@ -342,6 +342,8 @@ class GeometryRecord:
             raise DomainError("n must be >= 0")
         if component not in (Component.R1, Component.R2):
             raise DomainError("component must be R1 or R2")
+        if not math.isfinite(B):
+            raise DomainError(f"B must be finite, got {B}")
         two_m, B, component = self._reflect(two_m, B, component)
         for row in self.variants:
             if row.component is component and row.selects(two_m, B):
@@ -351,6 +353,8 @@ class GeometryRecord:
         rhs = row.rhs(two_m / 2.0, B, n)
         # kappa*rhs^2 - kappa*B^2, not kappa*(rhs^2 - B^2): +0.0 at H3 zero modes
         lambda_sq = self.kappa * rhs * rhs - self.kappa * B * B
+        if not math.isfinite(lambda_sq):
+            raise DomainError(f"lambda_sq is not finite at B = {B}, n = {n}")
         if rhs <= 0.0:
             return SpectrumEntry(lambda_sq, row.variant, False, row.violated)
         if lambda_sq <= 0.0:
@@ -505,9 +509,8 @@ class SolutionForm:
 
     Powers are principal-branch; on Yr (y > 1) the factor (1-y)^exp_c
     therefore carries the constant phase exp(i*pi*exp_c). Pair factors
-    are stated for exactly this convention. A non-terminating F is summed
-    directly at Re y <= 0.9 and through the 1-y connection above
-    (hyp2f1._series_or_connection).
+    are stated for exactly this convention. F and its y-derivatives come
+    from eval_2f1 and series_with_derivatives at the map's own 1 - y.
     """
 
     exp_a: complex
@@ -532,7 +535,8 @@ class SolutionForm:
                                    "hypergeometric factor is singular there")
         A, C = self.exp_a, self.exp_c
         with np.errstate(all="ignore"):
-            f = _series_or_connection(self.params, y, w, dmax)
+            f = (series_with_derivatives(self.params, y, w) if dmax
+                 else (eval_2f1(self.params, y, w),))
             pref = y ** A * w ** C
             out = [pref * f[0]]
             if dmax:

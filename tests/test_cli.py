@@ -389,3 +389,44 @@ def test_unwritable_output_exit_3(tmp_path, capsys):
 def test_missing_subcommand_exit_2(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Fields and evaluator failures
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "h3", "--B", "nan", "--two-m", "1", "--n", "0..2"],
+    ["spectrum", "--model", "h3", "--B", "1e308", "--two-m", "1", "--n", "0..2"],
+    ["spectrum", "--model", "h3", "--B", "5", "--rho", "nan", "--two-m", "1",
+     "--n", "0..2"],
+    ["spectrum", "--model", "h3", "--B", "5", "--rho", "inf", "--two-m", "1",
+     "--n", "0..2"],
+    ["spectrum", "--model", "s3", "--B", "1", "--M", "nan", "--two-m", "1",
+     "--n", "1", "--nz", "0"],
+    ["regions", "--model", "s3", "--B", "nan", "--two-m", "1", "--n", "0..2"],
+    ["regions", "--model", "h3", "--B=-1e200", "--two-m", "1", "--n", "0..2"],
+    ["wavefunction", "--model", "h3", "--component", "z1", "--B", "5",
+     "--two-m", "1", "--n", "1", "--p", "nan"],
+    ["wavefunction", "--model", "s3", "--component", "r1", "--B", "inf",
+     "--two-m", "1", "--n", "1"],
+], ids=["spectrum-B-nan", "spectrum-B-overflow", "spectrum-rho-nan",
+        "spectrum-rho-inf", "spectrum-M-nan", "regions-B-nan",
+        "regions-B-overflow", "wavefunction-p-nan", "wavefunction-B-inf"])
+def test_non_finite_or_overflowing_fields_exit_2(capsys, argv):
+    # these used to print admissible rows with a nan (or 0.0) lambda_sq
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_evaluator_error_exits_2_with_one_error_line(capsys):
+    # the h3 axial series at p = 1e6 runs past the series cap
+    code, out, err = _run(capsys, [
+        "wavefunction", "--model", "h3", "--component", "z1", "--B", "5",
+        "--two-m", "1", "--n", "1", "--p", "1e6"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: series cap") and err.count("\n") == 1

@@ -99,8 +99,10 @@ def test_connection_joins_the_direct_series_at_the_split(branch, component):
 def test_edge_parameters_fall_back_or_drop_a_term(params):
     form = SolutionForm(0.0, 0.0, params, Variable.YZ)
     ys = np.array([0.5, 0.95, 0.99 + 0.01j])
-    direct = np.array([hyp.eval_2f1(params, y) for y in ys])
-    assert np.allclose(form.value_y(ys), direct, rtol=1e-12, atol=0)
+    a, b, c = (mpmath.mpmathify(v) for v in (params.a, params.b, params.c))
+    with mpmath.workdps(_DPS):
+        ref = [complex(mpmath.hyp2f1(a, b, c, mpmath.mpmathify(y))) for y in ys]
+    assert np.allclose(form.value_y(ys), ref, rtol=1e-12, atol=0)
 
 
 def test_no_check_comes_near_the_series_cap(monkeypatch):

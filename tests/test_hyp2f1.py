@@ -26,6 +26,7 @@ from curved_landau.hyp2f1 import (
     u5_value,
     u6_value,
 )
+from curved_landau.model import SolutionForm, Variable
 
 
 def _far_from_int(x: float, gap: float = 0.15) -> bool:
@@ -281,6 +282,61 @@ def test_pfaff_route_matches_reference_with_derivatives():
                                     for y in ys], rtol=0, atol=0)
 
 
+def _mp_derivs(params, y):
+    """(F, F', F'') at y in mpmath, F' and F'' from 2F1 at shifted
+    parameters."""
+    a, b, c = (mpmath.mpmathify(v) for v in (params.a, params.b, params.c))
+    y = mpmath.mpmathify(y)
+    return [complex(mpmath.hyp2f1(a, b, c, y)),
+            complex(a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, y)),
+            complex(a * (a + 1) * b * (b + 1) / (c * (c + 1))
+                    * mpmath.hyp2f1(a + 2, b + 2, c + 2, y))]
+
+
+@pytest.mark.parametrize("params", [Hyp2F1Params(0.5 + 0.3j, 0.7, 1.9),
+                                    Hyp2F1Params(1.3, 0.4 + 0.2j, 2.1 - 0.5j)])
+def test_entry_points_take_the_connection_near_one(params):
+    # the direct series runs past the 10,000-term cap at 0.999; every
+    # entry point sums Re y > 0.9 in the y ~ 1 basis
+    ys = [0.999, 0.9999, 0.995 + 0.05j]
+    arr = series_with_derivatives(params, np.array(ys))
+    with mpmath.workdps(30):
+        for i, y in enumerate(ys):
+            ref = _mp_derivs(params, y)
+            got = series_with_derivatives(params, y)
+            assert abs(eval_2f1(params, y) - ref[0]) <= 1e-13 * abs(ref[0]), y
+            for k in range(3):
+                assert abs(got[k] - ref[k]) <= 1e-13 * abs(ref[k]), (y, k)
+                assert arr[k][i] == got[k], (y, k)
+
+
+@st.composite
+def _band_points(draw):
+    """Points of the unit disc, at least one in each regime band of the
+    non-terminating sums: Re y < 0 (Pfaff), 0 < Re y <= 0.9 (direct
+    series) and Re y > 0.9 (the connection around y = 1)."""
+    def point(lo, hi, radius):
+        x = draw(st.floats(min_value=lo, max_value=hi))
+        h = math.sqrt(radius ** 2 - x * x)
+        return complex(x, draw(st.floats(min_value=-h, max_value=h)))
+    bands = [(-0.9, -0.01, 0.9), (0.01, 0.9, 0.9), (0.9 + 1e-9, 0.9999, 0.9999)]
+    ys = [point(*band) for band in bands]
+    extra = draw(st.lists(st.sampled_from(bands), max_size=5))
+    return ys + [point(*band) for band in extra]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_safe_params(), _band_points())
+def test_forms_sum_as_the_entry_points_do(params, ys):
+    # one regime policy: a bare form F on the axial map takes the same
+    # path, and so the same values, as series_with_derivatives
+    ys = np.array(ys)
+    form = SolutionForm(0, 0, params, Variable.YZ).derivs_y(ys)
+    kernel = series_with_derivatives(params, ys)
+    for k in range(3):
+        assert np.array_equal(form[k], kernel[k]), k
+
+
 def test_contiguous_guards():
     with pytest.raises(InvalidC):
         contiguous_raise_c(Hyp2F1Params(0.3, 0.4, 1e-13), 0.2)
@@ -334,7 +390,7 @@ def test_blocked_sums_match_the_term_by_term_loop(params, ys):
 
 def test_one_point_at_the_series_cap_fails_the_batch(monkeypatch):
     params = Hyp2F1Params(0.5, 0.7, 1.3)
-    ys = np.array([0.1, 0.2j, 0.95, 0.3])
+    ys = np.array([0.1, 0.2j, 0.9, 0.3])
     series_with_derivatives(params, ys)  # converges under the real cap
     monkeypatch.setattr(hyp, "_SERIES_CAP", 40)
     series_with_derivatives(params, ys[[0, 1, 3]])

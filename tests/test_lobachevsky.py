@@ -19,6 +19,7 @@ from curved_landau.lobachevsky import (
 from curved_landau.model import (
     Component,
     DomainError,
+    Geometry,
     InadmissibleVariant,
     MasslessUnsupported,
     SigmaBranch,
@@ -114,6 +115,15 @@ def test_quantize_argument_guards():
         h3_quantize(2, 5.0, 1, Component.R1)
     with pytest.raises(DomainError):
         h3_quantize(1, 5.0, -1, Component.R1)
+
+
+@pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf, 1e308, -1e200])
+@pytest.mark.parametrize("geo", [Geometry.H3, Geometry.S3])
+def test_quantize_refuses_a_field_whose_level_is_not_finite(geo, B):
+    # nan or overflowing lambda^2 used to come back as an admissible level
+    for component in (Component.R1, Component.R2):
+        with pytest.raises(DomainError):
+            geo.record.quantize(1, B, 0, component)
 
 
 def test_radial_solution_guards():
