@@ -162,6 +162,12 @@ def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
     if args.M < 0.0:
         parser.error("--M must be >= 0")
     rho = args.rho
+    try:
+        rho_sq = rho ** 2
+    except OverflowError:
+        rho_sq = math.inf
+    if not 0.0 < rho_sq < math.inf:
+        raise DomainError(f"--rho {rho!r}: rho^2 is not a finite positive float")
     geo = Geometry(args.model).record
     records = []
     for two_m in two_ms:
@@ -177,11 +183,16 @@ def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
                     p = sph.s3_axial_quantize(lam, n_z) / rho
                     if args.M > 0.0:
                         epsilon = sph.s3_total_energy(args.M, lam, n_z) / rho
+                scaled_sq = lam_sq / rho_sq if lam_sq is not None else None
+                if not all(math.isfinite(v) for v in (scaled_sq, p, epsilon)
+                           if v is not None):
+                    raise DomainError(f"--rho {rho!r}: the scaled lambda_sq, p "
+                                      f"or epsilon of two_m={two_m}, n={n} is "
+                                      f"not finite")
                 records.append((
                     args.model, args.B, args.M, two_m, n, n_z,
                     entry.variant.value if entry.variant else None,
-                    lam_sq / rho ** 2 if lam_sq is not None else None,
-                    p, epsilon, entry.admissible, entry.violated,
+                    scaled_sq, p, epsilon, entry.admissible, entry.violated,
                     unified.unified_rhs, unified.flagged))
     meta = {
         "model": args.model,

@@ -47,6 +47,7 @@ __all__ = [
 _TERM_TOL = 1e-12     # distance to a non-positive integer that counts as exact
 _SERIES_TOL = 1e-16   # relative term size considered converged
 _SERIES_CAP = 10_000  # hard cap on summed terms
+_TINY = math.sqrt(np.finfo(float).tiny)  # |y| below which y^2 is subnormal
 
 
 class Hyp2F1Error(ValueError):
@@ -153,10 +154,12 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     if params.terminating and params.degree == 0:
         out[0][...] = 1.0
         return out
-    # y appears in denominators of the derivative accumulators; guard
-    # exact zeros (the series derivatives at y=0 are handled via the k
-    # offset below, and 0-division never contributes there).
-    ysafe = np.where(y == 0, 1.0, y)
+    # y and y^2 divide the derivative accumulators. Where |y| < _TINY,
+    # 1/y^2 overflows, so those points sum with ysafe = 1 and take the
+    # exact y = 0 limits ab/c and (a)_2 (b)_2/(c)_2 below, off by a
+    # relative ~|y| < 1.5e-154.
+    tiny = np.abs(y) < _TINY
+    ysafe = np.where(tiny, 1.0, y)
     ysafe2 = ysafe**2
     if params.terminating:
         term = np.ones(y.shape, dtype=complex)
@@ -172,13 +175,11 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
         _blocked_series(params, y.ravel(), (ysafe.ravel(), ysafe2.ravel()),
                         [o.reshape(-1) for o in out])
     if dmax >= 1:
-        # derivative contributions at exact y = 0 reduce to single terms
-        zero = (y == 0)
-        if np.any(zero):
-            out[1][zero] = a * b / c
+        if np.any(tiny):
+            out[1][tiny] = a * b / c
             if dmax >= 2:
                 num = a * (a + 1) * b * (b + 1)
-                out[2][zero] = 0.0 if num == 0 else num / (c * (c + 1))
+                out[2][tiny] = 0.0 if num == 0 else num / (c * (c + 1))
     return out
 
 

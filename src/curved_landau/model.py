@@ -79,7 +79,9 @@ class NegativeDiscriminant(InadmissibleVariant):
 
 
 class EvaluationDomain(DomainError):
-    """Variable transform leaves the convergence domain of the series."""
+    """A solution form is not representable at a point: 1 - y underflows
+    to 0 under a non-terminating series, or a value or y-derivative of
+    the form is not a finite float (y or 1 - y too close to 0)."""
 
 
 class TruncationTooSmall(ValueError):
@@ -225,9 +227,11 @@ class GeometryRecord:
     over (-z_max, z_max); forms on the compact space (finite r_max) need
     A, C > 0. Axial forms take (P, L) = axial_pl(p, lam), the upper shape
     for axial_upper and the z2/z1 factor axial_factor(P, L, lam). The CLI
-    samples wavefunctions on r_window and z_window, inside every
-    constructible solution's series-convergence domain, and prints
-    region_predicate and zero_field_note with `regions`.
+    samples wavefunctions on r_window and z_window, an output choice
+    (where the states are worth plotting) rather than a bound of the
+    series, and prints region_predicate and zero_field_note with
+    `regions`. mu, mu_prime and radial_potential raise DomainError for r
+    outside (0, r_max) (_radius).
     """
 
     radial_variable: Variable

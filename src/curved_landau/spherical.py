@@ -143,11 +143,15 @@ def s3_quantize(two_m: int, B: float, n: int, component: Component) -> SpectrumE
 
 
 def s3_total_energy(M: float, lam: float, n_z: int) -> float:
-    """epsilon = sqrt(M^2 + p^2) with p = lambda + n_z + 1/2."""
+    """epsilon = sqrt(M^2 + p^2) with p = lambda + n_z + 1/2; DomainError
+    where M^2 + p^2 is not a finite float."""
     if M <= 0.0:
         raise DomainError("M must be > 0")
     p = s3_axial_quantize(lam, n_z)
-    return math.sqrt(M * M + p * p)
+    energy_sq = M * M + p * p
+    if not math.isfinite(energy_sq):
+        raise DomainError(f"M^2 + p^2 is not finite at M = {M}, p = {p}")
+    return math.sqrt(energy_sq)
 
 
 GEOMETRY = GeometryRecord(

@@ -422,6 +422,28 @@ def test_non_finite_or_overflowing_fields_exit_2(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("rho", ["1e200", "1e-200", "1e-160", "1.5e-154"])
+def test_extreme_rho_exits_2_with_one_error_line(capsys, rho):
+    # rho^2 overflows or underflows to 0 (these ended in a traceback), or
+    # lambda_sq / rho^2 overflows (this printed lambda_sq=inf, exit 0)
+    code, out, err = _run(capsys, [
+        "spectrum", "--model", "h3", "--B", "5", "--two-m", "1", "--n", "1",
+        "--rho", rho])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --rho") and err.count("\n") == 1
+
+
+def test_overflowing_energy_exits_2(capsys):
+    # M^2 overflows: this printed epsilon=inf, exit 0
+    code, out, err = _run(capsys, [
+        "spectrum", "--model", "s3", "--B", "1", "--M", "1e200", "--two-m", "1",
+        "--n", "1", "--nz", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: M^2 + p^2 is not finite") and err.count("\n") == 1
+
+
 def test_evaluator_error_exits_2_with_one_error_line(capsys):
     # the h3 axial series at p = 1e6 runs past the series cap
     code, out, err = _run(capsys, [

@@ -129,3 +129,13 @@ def test_far_ends_of_the_line_raise_instead_of_nan():
         form.evaluate(np.array([0.0, 400.0]))     # 1 - y underflows to 0
     with pytest.raises(EvaluationDomain):
         form.evaluate_with_derivs(np.array([-400.0, 0.0]))   # y underflows
+
+
+@pytest.mark.parametrize("z", [178.0, 300.0, -178.0, -300.0])
+def test_derivatives_refuse_where_y_squared_underflows(z):
+    # y or 1 - y is below 1.5e-154 here, so y^2 leaves the normal floats;
+    # the kernel takes the y = 0 limits and the form's second derivative
+    # overflows, instead of summing NaN steps up to the series cap
+    form = h3_axial_solution(0.7, 1.3, KummerBranch.U1, Component.Z1)
+    with pytest.raises(EvaluationDomain):
+        form.evaluate_with_derivs(np.array([z]))

@@ -103,6 +103,20 @@ def test_derivatives_at_zero_argument():
     assert abs(f2 - a * (a + 1) * b * (b + 1) / (c * (c + 1))) < 1e-15
 
 
+@pytest.mark.parametrize("params", [Hyp2F1Params(0.7, 1.3, 2.1),
+                                    Hyp2F1Params(-3, 1.3, 2.1)])
+def test_derivatives_where_y_squared_underflows(params):
+    # below |y| = 1.5e-154, 1/y^2 overflows; such points take the y = 0
+    # limits, which are exact to ~|y| there
+    a, b, c = params.a, params.b, params.c
+    ys = np.array([1e-300, -1e-200j, 1e-160, 1.4e-154])
+    f0, f1, f2 = series_with_derivatives(params, ys)
+    assert np.allclose(f0, 1.0, rtol=0, atol=1e-150)
+    assert np.allclose(f1, a * b / c, rtol=1e-15, atol=0)
+    assert np.allclose(f2, a * (a + 1) * b * (b + 1) / (c * (c + 1)),
+                       rtol=1e-15, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # log Gamma
 # ---------------------------------------------------------------------------

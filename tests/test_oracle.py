@@ -246,13 +246,14 @@ def test_ode_residual_argument_guards():
         ode_residual(sol, Component.Z1, Grid1D(-1.0, 1.0, 100),
                      p=1.0, lam=1.0)
     z1 = H3_GEOMETRY.axial_solution(0.7, 1.3, Component.Z1)
-    with pytest.raises(DomainError):
-        # non-terminating series driven onto |y| ~ 1
-        ode_residual(z1, Component.Z1, Grid1D(-40.0, 40.0, 100),
-                     p=0.7, lam=1.3)
+    for grid in (Grid1D(-40.0, 40.0, 100), Grid1D(-2.0, 19.0, 1500)):
+        # the grid image reaches y = 1 after rounding, where the
+        # connection still sums the form exactly
+        rep = ode_residual(z1, Component.Z1, grid, p=0.7, lam=1.3)
+        assert rep.max_abs <= 1e-13
     with pytest.raises(EvaluationDomain):
-        # tanh(19) rounds to 1, so y = 1 lies on the grid image
-        ode_residual(z1, Component.Z1, Grid1D(-2.0, 19.0, 1500),
+        # 1 - y underflows to 0 past z ~ 372
+        ode_residual(z1, Component.Z1, Grid1D(-2.0, 400.0, 1500),
                      p=0.7, lam=1.3)
 
 
@@ -352,9 +353,13 @@ def test_system_residual_guards():
     with pytest.raises(DomainError):
         first_order_system_residual(H3_GEOMETRY.axial_pair(0.7, 1.3),
                                     Grid1D(-1.0, 1.0, 100), lam=1.3)  # no p
+    for grid in (Grid1D(-40.0, 40.0, 100), Grid1D(-2.0, 19.0, 1500)):
+        rep = first_order_system_residual(H3_GEOMETRY.axial_pair(0.7, 1.3),
+                                          grid, lam=1.3, p=0.7)
+        assert rep.max_abs <= 1e-13
     with pytest.raises(EvaluationDomain):
         first_order_system_residual(H3_GEOMETRY.axial_pair(0.7, 1.3),
-                                    Grid1D(-2.0, 19.0, 1500), lam=1.3, p=0.7)
+                                    Grid1D(-2.0, 400.0, 1500), lam=1.3, p=0.7)
 
 
 def test_axial_system_residual_exact_past_old_domain_edge():

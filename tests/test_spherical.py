@@ -317,8 +317,10 @@ def test_total_energy_value():
     assert abs(s3_total_energy(1.0, lam, 0) - 2.4458231349729433) < 1e-14
     p = lam + 0.5
     assert s3_total_energy(2.0, lam, 0) == math.sqrt(4.0 + p * p)
-    with pytest.raises(DomainError):
-        s3_total_energy(0.0, lam, 0)
+    # M <= 0, and M^2 + p^2 overflowing (sqrt would return inf) or nan
+    for M in (0.0, 1e200, 1.4e154, float("nan")):
+        with pytest.raises(DomainError):
+            s3_total_energy(M, lam, 0)
 
 
 def test_unified_report_exact_on_variant2_range():
