@@ -8,8 +8,8 @@ c-raising contiguous derivative identity used to couple first-order
 solution pairs (taken at c - 1, it is the c-lowering one). Every sum,
 the solution forms' included, goes through eval_2f1 or
 series_with_derivatives to one dispatcher, _sum, which picks the regime
-of each point: polynomial, direct series, Pfaff's transformation or the
-connection around y = 1.
+of each point: polynomial, direct series, Pfaff's transformation, Taylor
+polynomials about y0 = 0.6 and 0.8 or the connection around y = 1.
 
 Everything here is pure and reentrant: no caching, no mutation of
 shared state.
@@ -281,6 +281,113 @@ def _blocked_series(params: Hyp2F1Params, y: np.ndarray, ysafe, out) -> None:
 # 0.8 1.2e-12, 0.85 5.1e-13, 0.9 2.2e-13, 0.95 1.2e-13.
 _CONNECTION_SPLIT = 0.9
 
+# The Taylor regime on 1/2 < Re y <= _CONNECTION_SPLIT: discs of radius
+# _TAYLOR_RADIUS about the real centres, where the direct series needs
+# up to ~370 terms and the Taylor series about the centre (radius of
+# convergence 0.4 and 0.2) ~35 and ~65 on the h3 axial forms. A centre
+# whose coefficient recurrence runs past _TAYLOR_DEGREE_CAP terms, or
+# whose terms at the disc's edge sum to more than _TAYLOR_GATE times the
+# centre value (of F, F' or F''), leaves its disc to the direct series:
+# those terms cancel. Without the gate, at Re(a + b - c) ~ 11, points
+# 0.095 from 0.8 lost F'' to 6e-11 of max(1, |F''|), where the direct
+# series reads 5e-15.
+_TAYLOR_CENTRES = (0.6, 0.8)
+_TAYLOR_RADIUS = 0.1
+_TAYLOR_GATE = 16.0
+_TAYLOR_DEGREE_CAP = 200
+
+
+def _centre_sums(params: Hyp2F1Params, y0: float) -> list:
+    """[F, F', F''] at the real point y0 by one scalar direct sum, which
+    stops and meets the series cap by _blocked_series's rule. Every point
+    of the disc inherits the centre's error, up to ~20x larger at the
+    disc's edge, so the sum runs in np.longdouble, extended precision
+    where the platform has it: summed in double, the centre values left
+    hyp-suite draws at up to 1.6e-13 of max(1, |F''|), against 7e-15."""
+    ext, tol = np.clongdouble, _SERIES_TOL
+    a, b, c, y = ext(params.a), ext(params.b), ext(params.c), np.longdouble(y0)
+    term, s0, s1, s2 = ext(1), ext(0), ext(0), ext(0)
+    calm = k = 0
+    while calm < 3:
+        if k > _SERIES_CAP:
+            raise NonConvergent(f"series cap {_SERIES_CAP} hit at |y|max = {y0:.6g}")
+        step1 = k * term / y
+        step2 = (k - 1) * step1 / y
+        s0, s1, s2 = s0 + term, s1 + step1, s2 + step2
+        # F'' is the last to settle, so it is tested first
+        if (abs(step2) <= tol * max(abs(s2), 1.0) and abs(step1) <= tol * max(abs(s1), 1.0)
+                and abs(term) <= tol * max(abs(s0), 1.0)):
+            calm += 1
+        else:
+            calm = 0
+        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * y
+        k += 1
+    return [complex(s0), complex(s1), complex(s2)]
+
+
+def _taylor_rows(params: Hyp2F1Params, y0: float) -> Optional[np.ndarray]:
+    """Coefficients of F, F' and F'' as polynomials in t = y - y0, one row
+    each (row j, column k: the t^k coefficient of the j-th derivative),
+    or None where the degree cap or the cancellation gate refuses.
+
+    The Taylor coefficients f_k of F about y0 start from the centre sums
+    (f_0, f_1, f_2 = F, F', F''/2) and follow from the hypergeometric ODE
+    (DLMF 3.7(ii)):
+
+        f_k+2 = -[((1 - 2 y0) k + c - (a + b + 1) y0) (k + 1) f_k+1
+                  - (k + a)(k + b) f_k] / (y0 (1 - y0)(k + 1)(k + 2)).
+
+    The degree is the first k after which, for 3 consecutive terms, the
+    k^j-weighted terms k!/(k-j)! |f_k| R^(k-j) of every derivative at the
+    disc's edge R stay below _SERIES_TOL max(|F^(j)(y0)|, 1). Everything
+    here depends on the parameters and y0 alone, never on the points.
+    """
+    a, b, c = params.a, params.b, params.c
+    centre = _centre_sums(params, y0)
+    f = [centre[0], centre[1], centre[2] / 2]
+    lin, const, den = 1 - 2 * y0, c - (a + b + 1) * y0, y0 * (1 - y0)
+    r = _TAYLOR_RADIUS
+    b0, b1, b2 = (_SERIES_TOL * max(abs(v), 1.0) for v in centre)
+    m0 = m1 = m2 = 0.0  # the terms' sums at the disc's edge
+    edge = 1.0  # r^k
+    calm = k = 0
+    while calm < 3:
+        if k > _TAYLOR_DEGREE_CAP:
+            return None
+        if k >= 3:
+            i = k - 2
+            f.append(-((lin * i + const) * (i + 1) * f[i + 1]
+                       - (i + a) * (i + b) * f[i]) / (den * (i + 1) * (i + 2)))
+        t0 = abs(f[k]) * edge
+        t1 = k * t0 / r
+        t2 = (k - 1) * t1 / r
+        m0, m1, m2 = m0 + t0, m1 + t1, m2 + t2
+        calm = calm + 1 if t2 <= b2 and t1 <= b1 and t0 <= b0 else 0
+        edge *= r
+        k += 1
+    if any(m > _TAYLOR_GATE * abs(v) for m, v in zip((m0, m1, m2), centre)):
+        return None
+    f = np.array(f)
+    ks = np.arange(f.size)
+    rows = np.zeros((3, f.size), dtype=complex)
+    rows[0] = f
+    rows[1, :-1] = ks[1:] * f[1:]
+    rows[2, :-2] = ks[2:] * (ks[2:] - 1) * f[2:]
+    return rows
+
+
+def _horner(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The polynomials of rows at the points t, by Horner's rule. Every
+    complex product is a fresh one over one flat array (on a one-element
+    array, an in-place or 2-D product can round differently), so a value
+    does not depend on the other points."""
+    d, m = rows.shape[0], t.size
+    tt = np.tile(t, d)
+    acc = np.repeat(rows[:, -1:], m, axis=1)
+    for k in range(rows.shape[1] - 2, -1, -1):
+        acc = (acc.reshape(-1) * tt).reshape(d, m) + rows[:, k:k + 1]
+    return acc
+
 
 def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
     """[F, dF/dy, d2F/dy2][:dmax + 1] (dmax 0 or 2) at the complex
@@ -305,6 +412,11 @@ def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
       with F' and F'' by the exact chain rule (dx/dy = -1/w^2): there
       |x| < |y|, and the terms no longer alternate into the cancellation
       that costs the direct series up to ~1e6 |F| in its largest term;
+    * non-terminating, 1/2 < Re y <= _CONNECTION_SPLIT and |y - y0| <
+      _TAYLOR_RADIUS for a centre y0 in _TAYLOR_CENTRES: the Taylor
+      polynomials of F, F' and F'' about y0 (_taylor_rows), by Horner's
+      rule, unless the degree cap or the cancellation gate leaves that
+      disc to the direct series;
     * the rest: the direct series.
     """
     _require_finite(complex(np.max(np.abs(y), initial=0.0)))
@@ -324,13 +436,25 @@ def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
         except DegenerateConnection:
             far = np.zeros_like(far)
     left = y.real < 0.0
-    if not (far.any() or left.any()):
+    near = ~(far | left)
+    band = near & (y.real > 0.5) & (y.real <= _CONNECTION_SPLIT)
+    discs = []
+    for y0 in _TAYLOR_CENTRES:
+        disc = band & (np.abs(y - y0) < _TAYLOR_RADIUS)
+        if disc.any():
+            rows = _taylor_rows(params, y0)
+            if rows is not None:
+                discs.append((disc, y0, rows[:dmax + 1]))
+                near &= ~disc
+    if near.all():
         return _series_array(params, y, dmax)
     out = [np.empty(y.shape, dtype=complex) for _ in range(dmax + 1)]
-    near = ~(far | left)
     if near.any():
         for o, v in zip(out, _series_array(params, y[near], dmax)):
             o[near] = v
+    for disc, y0, rows in discs:
+        for o, v in zip(out, _horner(rows, y[disc] - y0)):
+            o[disc] = v
     if left.any():
         wl = w[left]
         g = _series_array(Hyp2F1Params(a, c - b, c), -y[left] / wl, dmax)
@@ -366,10 +490,12 @@ def eval_2f1(params: Hyp2F1Params, y, w=None):
     w, if given, is 1 - y as the caller holds it (default 1 - y); it is
     data and selects no regime. Terminating parameters are summed
     exactly at every y; otherwise y must lie in the unit disc, each point
-    takes its regime (_sum: direct, Pfaff at Re y < 0, the connection at
+    takes its regime (_sum: direct, Pfaff at Re y < 0, Taylor polynomials
+    within 0.1 of 0.6 and 0.8 on 1/2 < Re y <= 0.9, the connection at
     Re y > 0.9), and a series stops per point once its relative term
-    stays below 1e-16 for 3 consecutive terms (cap 10,000), so a value
-    does not depend on the other points of the call."""
+    stays below 1e-16 for 3 consecutive terms (cap 10,000). A Taylor
+    polynomial's degree depends on the parameters alone, so a value does
+    not depend on the other points of the call."""
     y, w = _points(y, w)
     f = _sum(params, np.asarray(y), np.asarray(w, dtype=complex), 0)[0]
     return complex(f) if np.ndim(y) == 0 else f

@@ -44,9 +44,9 @@ GOLDEN = [
     ("wavefunction --model h3 --component r2 --B 5 --two-m=3 --n 2",
      "384d843dd2fc6715092912dfbed4df88eb74801346cfb694f188ef4dde1d346e"),
     ("wavefunction --model h3 --component z1 --B 5 --two-m=1 --n 1 --p 0.7",
-     "7a9f676716fa00da9396d870fbcdad365088d757cc63b9ab0f15e4dd0e4f9a68"),
+     "2a89ee945a568b3a87828b1c89e2ef6fab957740827db5adc57efd21848d70b0"),
     ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3",
-     "a137340add1068ad8360d0136500bcafb4a67d872671b37d137d3ff94336cc40"),
+     "84868b89d77e27c56348abaec956b70cc4e1c9cbd47145980232063bed42b503"),
     ("wavefunction --model s3 --component r1 --B 2.5 --two-m=1 --n 1",
      "4e9ad18ea8779f41ef73bbd9d864104ab070b1fb2bb34093ffc4bcbddb2932f5"),
     ("wavefunction --model s3 --component r2 --B 2.5 --two-m=-3 --n 2",
@@ -60,7 +60,7 @@ GOLDEN = [
     ("verify --suite pairs",
      "015348063885e6acafdc1821f1d440df98aa3fca1299044245c808ec1d5bc342"),
     ("verify --suite axial",
-     "d7411d4593a052d96475138c977c77815e2675582cc7e5542cb3da343b590e70"),
+     "952fa5f481103c7fd9339351fa81580f39423bf9518020c76256f22112e3162d"),
     ("verify --suite commutator",
      "a5456b44a57bafe73425ee8ce6fa8ffee48b0751a867e09d9edd28c383ab28af"),
     ("regions --model h3 --B 5 --two-m=-7..7 --n 0..4 --format json",
@@ -74,7 +74,7 @@ GOLDEN = [
      "b406d823720f357c4a09284b76d69d8c221f3cc2570017aa81318187ef9772e9"),
     ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3 "
      "--format json",
-     "778e6f622533ef6f1462664bd8aadace2ab175e4ecbdbab9a8247234a7d271fc"),
+     "9a5bf522c652a84dd631970cd1223886b4e7cc8c615faee115d973c95a1d191d"),
     ("wavefunction --model s3 --component z1 --B 2.5 --two-m=1 --n 1 --nz 2 "
      "--format json",
      "97cb5b6da21b172051a4a09ae2e412312c14240e91b149b757582703c2f1adfd"),
@@ -206,17 +206,17 @@ NEGATIVE_FIELD_WAVEFUNCTIONS = [
 # {-3, 1, 3}, n <= 2; s3 at n_z <= 20, two_m in {-3, 1, 3}, n <= 1.
 AXIAL_WAVEFUNCTIONS = [
     ("h3", "z1", "2.5",
-     "00bd184f0a7376e6da91afdb3569a6727013875c7920df463dd3063831033cfc"),
+     "cb46968e695353936d770ec310fd975279941a40754c7f5ceae3ab8ea7ca6058"),
     ("h3", "z1", "5",
-     "9452b6a283a38d0469188d2f2dff03d60e97830c676476a1df5c1f4124c2477e"),
+     "7285adba8c11d9c8be40f89382311acceb883fe432004d76b4340a8f07367d7a"),
     ("h3", "z1", "-5",
-     "38eb109788210395e828993bfc16cf5afb5256b5ba3c3030a73843762133d9a5"),
+     "de60768d2adf31270de67e282318a336871e25de322e7a64abde28c379e7a114"),
     ("h3", "z2", "2.5",
-     "be829bb0af048e2ee10bacf94db40c7943971ee3afb88afcf510584cb709ebcb"),
+     "a6c26486e634f0192c306b6115c818607da17f07bbece93b40997425cf826697"),
     ("h3", "z2", "5",
-     "f7cddffd67d41dd7a7d944db538b989c543ec232b7d292f85b0fbff9f41493db"),
+     "80342c2379c56a1910371c8fa866005bacd43722310f58eb48736f005a60fff4"),
     ("h3", "z2", "-5",
-     "0c85a470318379c695bfc5054ae7ae41b026cacf136d37bd7d5ae7452ccc8b1d"),
+     "74712b03ec13af75df216c7583ee9541e086d3dfa0770fc467e9b8e21183da0b"),
     ("s3", "z1", "0.5",
      "5dc7fefa43f6346ae917b12b2355b00b27e04a251ef31e3314e2e2e5a22e0b88"),
     ("s3", "z1", "2.5",

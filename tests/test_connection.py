@@ -81,6 +81,24 @@ def test_h3_axial_forms_match_mpmath_on_the_whole_window(B, n, lam, p):
                                * np.max(np.abs(ref[0])))
 
 
+# 86 points on |z| <= 10 and 16 more on the Taylor discs' band
+# 1/2 < y <= 0.9
+_ZS_DISCS = np.concatenate([np.linspace(-10.0, 10.0, 86),
+                            np.arctanh(2 * np.linspace(0.5, 0.9, 17)[1:] - 1)])
+
+
+@pytest.mark.parametrize("B, n, lam, p", _axial_cases())
+def test_h3_axial_forms_match_mpmath_through_the_taylor_discs(B, n, lam, p):
+    for branch in (KummerBranch.U1, KummerBranch.U5):
+        for component in (Component.Z1, Component.Z2):
+            form = h3_axial_solution(p, lam, branch, component)
+            got = form.evaluate_with_derivs(_ZS_DISCS)
+            ref = _reference(form, _ZS_DISCS)
+            for k in range(3):
+                err = np.max(np.abs(got[k] - ref[k])) / np.max(np.abs(ref[k]))
+                assert err <= 2.2e-13, (branch, component, k, err)
+
+
 @pytest.mark.parametrize("branch", [KummerBranch.U1, KummerBranch.U5])
 @pytest.mark.parametrize("component", [Component.Z1, Component.Z2])
 def test_connection_joins_the_direct_series_at_the_split(branch, component):

@@ -9,7 +9,7 @@ import mpmath
 import scipy.special
 from hypothesis import assume, example, given, settings, strategies as st
 
-from curved_landau import hyp2f1 as hyp
+from curved_landau import checks, hyp2f1 as hyp
 from curved_landau.hyp2f1 import (
     DegenerateConnection,
     Hyp2F1Error,
@@ -217,6 +217,10 @@ def _disc_y(draw, lens=False):
         # |y| <= 0.8 and |1 - y| <= 0.8, where all three series converge
         rho = draw(st.floats(min_value=0.0, max_value=0.3))
         centre = 0.5
+    elif draw(st.booleans()):
+        # near the real axis on 1/2 < Re y <= 0.9: the Taylor discs
+        return complex(draw(st.floats(min_value=0.5, max_value=0.9, exclude_min=True)),
+                       draw(st.floats(min_value=-0.05, max_value=0.05)))
     else:
         rho = draw(st.floats(min_value=0.05, max_value=0.7))
         centre = 0.0
@@ -328,12 +332,14 @@ def test_entry_points_take_the_connection_near_one(params):
 def _band_points(draw):
     """Points of the unit disc, at least one in each regime band of the
     non-terminating sums: Re y < 0 (Pfaff), 0 < Re y <= 0.9 (direct
-    series) and Re y > 0.9 (the connection around y = 1)."""
-    def point(lo, hi, radius):
+    series), 1/2 < Re y <= 0.9 near the real axis (the Taylor discs) and
+    Re y > 0.9 (the connection around y = 1)."""
+    def point(lo, hi, radius, height=1.0):
         x = draw(st.floats(min_value=lo, max_value=hi))
-        h = math.sqrt(radius ** 2 - x * x)
+        h = min(math.sqrt(radius ** 2 - x * x), height)
         return complex(x, draw(st.floats(min_value=-h, max_value=h)))
-    bands = [(-0.9, -0.01, 0.9), (0.01, 0.9, 0.9), (0.9 + 1e-9, 0.9999, 0.9999)]
+    bands = [(-0.9, -0.01, 0.9), (0.01, 0.9, 0.9), (0.5 + 1e-9, 0.9, 0.9, 0.05),
+             (0.9 + 1e-9, 0.9999, 0.9999)]
     ys = [point(*band) for band in bands]
     extra = draw(st.lists(st.sampled_from(bands), max_size=5))
     return ys + [point(*band) for band in extra]
@@ -366,14 +372,19 @@ def test_contiguous_guards():
 @settings(max_examples=60, deadline=None)
 @given(_safe_params(), st.lists(_disc_y(), min_size=2, max_size=12))
 @example(Hyp2F1Params(0.2, 0.45, 0.83), [0.05, -0.05, 0.69j, 0.6 + 0.3j])
+@example(Hyp2F1Params(0.2, 0.45, 0.83), [0.55, 0.62 + 0.03j, 0.3, 0.75, 0.9])
 def test_batch_values_do_not_depend_on_the_other_points(params, ys):
     # each point stops at its own k, so a slow point in the call does not
-    # extend the sums of the fast ones
-    batch = series_with_derivatives(params, np.array(ys))
-    for i, y in enumerate(ys):
-        alone = series_with_derivatives(params, y)
-        for k in range(3):
-            assert np.array(batch[k][i]).tobytes() == np.array(alone[k]).tobytes(), (y, k)
+    # extend the sums of the fast ones; a Taylor polynomial's degree
+    # depends on the parameters alone
+    for entry in (series_with_derivatives, eval_2f1):
+        batch = entry(params, np.array(ys))
+        batch = batch if isinstance(batch, tuple) else (batch,)
+        for i, y in enumerate(ys):
+            alone = entry(params, y)
+            alone = alone if isinstance(alone, tuple) else (alone,)
+            for k in range(len(batch)):
+                assert np.array(batch[k][i]).tobytes() == np.array(alone[k]).tobytes(), (y, k)
 
 
 def _term_by_term(params, y):
@@ -403,8 +414,10 @@ def test_blocked_sums_match_the_term_by_term_loop(params, ys):
 
 
 def test_one_point_at_the_series_cap_fails_the_batch(monkeypatch):
+    # y = 0.5 lies outside the Taylor discs and needs more than 40 direct
+    # terms; a disc point fails through its centre's direct sum
     params = Hyp2F1Params(0.5, 0.7, 1.3)
-    ys = np.array([0.1, 0.2j, 0.9, 0.3])
+    ys = np.array([0.1, 0.2j, 0.5, 0.3])
     series_with_derivatives(params, ys)  # converges under the real cap
     monkeypatch.setattr(hyp, "_SERIES_CAP", 40)
     series_with_derivatives(params, ys[[0, 1, 3]])
@@ -412,3 +425,60 @@ def test_one_point_at_the_series_cap_fails_the_batch(monkeypatch):
         series_with_derivatives(params, ys)
     with pytest.raises(NonConvergent, match="series cap 40"):
         eval_2f1(params, ys)
+    with pytest.raises(NonConvergent, match="series cap 40 hit at .* 0.8$"):
+        eval_2f1(params, np.array([0.1, 0.85]))
+
+
+# ---------------------------------------------------------------------------
+# Taylor discs about 0.6 and 0.8
+# ---------------------------------------------------------------------------
+
+
+def _in_a_disc(rng, centre):
+    """A point drawn uniformly from the Taylor disc about centre."""
+    while True:
+        rho = hyp._TAYLOR_RADIUS * math.sqrt(rng.uniform())
+        y = centre + rho * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        if y.real > 0.5:
+            return y
+
+
+def test_taylor_discs_match_mpmath_on_hyp_suite_draws():
+    # the draws the gate leaves to the direct series are held to 1e-13;
+    # the Taylor sums, seeded by centre sums in extended precision, to
+    # 1e-14 (from centre sums in double they read 6e-14 here, which is
+    # what a platform whose long double is a double gets)
+    rng = np.random.default_rng(20261018)
+    taken, taylor_err = 0, 0.0
+    with mpmath.workdps(30):
+        for i in range(300):
+            params = checks._random_params(rng)
+            centre = hyp._TAYLOR_CENTRES[i % 2]
+            y = _in_a_disc(rng, centre)
+            got = series_with_derivatives(params, y)
+            ref = _mp_derivs(params, y)
+            err = max(abs(got[k] - ref[k]) / max(1.0, abs(ref[k])) for k in range(3))
+            assert err <= 1e-13, (params, y, err)
+            if hyp._taylor_rows(params, centre) is not None:
+                taken += 1
+                taylor_err = max(taylor_err, err)
+    assert taken >= 200
+    if np.finfo(np.longdouble).eps < 1e-18:
+        assert taylor_err <= 1e-14
+
+
+def test_cancelling_taylor_terms_keep_the_direct_series(monkeypatch):
+    # Re(a + b - c) ~ 11: the Taylor terms at the disc's edge sum to far
+    # more than the centre value, so the gate leaves these points to the
+    # direct series, value for value; without the gate the Taylor sums
+    # take them
+    params = Hyp2F1Params(4.7 - 1.2j, 4.1 + 0.9j, -2.3 + 0.4j)
+    ys = np.array([0.52, 0.6 + 0.09j, 0.7, 0.71, 0.8 - 0.05j, 0.89])
+    direct = hyp._series_array(params, ys, 2)
+    kernel = series_with_derivatives(params, ys)
+    for k in range(3):
+        assert np.array_equal(kernel[k], direct[k]), k
+    assert np.array_equal(eval_2f1(params, ys), hyp._series_array(params, ys, 0)[0])
+    monkeypatch.setattr(hyp, "_TAYLOR_GATE", math.inf)
+    ungated = series_with_derivatives(params, ys)
+    assert not any(np.array_equal(ungated[k], direct[k]) for k in range(3))
