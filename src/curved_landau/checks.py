@@ -2,9 +2,7 @@
 
 Every check is normalized to "value <= threshold passes". A tolerance
 override (finite and > 0) replaces the threshold of every check except
-four whose thresholds are fixed: axial/s3-quantization-exact,
-axial/h3-fd-order, pairs/h3-scaled-factor-rejected and
-commutator/flat-fault-detected. Suites:
+those named in FIXED_THRESHOLDS. Suites:
 
 hyp
     Randomized special-function identities (Euler transformation, both
@@ -40,10 +38,17 @@ from . import spherical as sph
 from . import oracle
 from .model import Component, DomainError, Geometry
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suites"]
+__all__ = ["CheckResult", "FIXED_THRESHOLDS", "SUITE_NAMES", "run_suites"]
 
 _RNG_SEED = 20250301
 _DRAWS = 100
+
+# the checks whose thresholds a tolerance override leaves alone: each
+# asserts an exact identity or a convergence order, not an accuracy
+FIXED_THRESHOLDS = ("axial/s3-quantization-exact", "axial/h3-fd-order",
+                    "pairs/h3-scaled-factor-rejected",
+                    "commutator/flat-fault-detected")
+_S3_EXACT, _H3_FD_ORDER, _SCALED_FACTOR, _FLAT_FAULT = FIXED_THRESHOLDS
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ def _random_y(rng: np.random.Generator, lo=0.2, hi=0.8,
             return y
 
 
-def _suite_hyp(tol: Optional[float]) -> List[CheckResult]:
+def _suite_hyp() -> List[CheckResult]:
     rng = np.random.default_rng(_RNG_SEED)
     euler = contig_lo = contig_hi = recon = 0.0
     for _ in range(_DRAWS):
@@ -113,13 +118,10 @@ def _suite_hyp(tol: Optional[float]) -> List[CheckResult]:
         recon = max(recon, abs(f_lens - (t2 + t6))
                     / max(1.0, abs(f_lens), abs(t2), abs(t6)))
     return [
-        _result("hyp/euler-transformation", euler, tol or 1e-9,
-                f"{_DRAWS} draws"),
-        _result("hyp/contiguous-raise", contig_hi, tol or 1e-9,
-                f"{_DRAWS} draws"),
-        _result("hyp/contiguous-lower", contig_lo, tol or 1e-9,
-                f"{_DRAWS} draws"),
-        _result("hyp/two-term-recombination", recon, tol or 1e-9,
+        _result("hyp/euler-transformation", euler, 1e-9, f"{_DRAWS} draws"),
+        _result("hyp/contiguous-raise", contig_hi, 1e-9, f"{_DRAWS} draws"),
+        _result("hyp/contiguous-lower", contig_lo, 1e-9, f"{_DRAWS} draws"),
+        _result("hyp/two-term-recombination", recon, 1e-9,
                 f"{_DRAWS} draws, 0.2 <= |y| <= 0.8 and |1 - y| <= 0.8"),
     ]
 
@@ -128,8 +130,7 @@ def _worst_match(found: Sequence[float], targets: Sequence[float]) -> float:
     return max(abs(v - t) / max(1.0, abs(t)) for v, t in zip(found, targets))
 
 
-def _suite_radial(tol: Optional[float]) -> List[CheckResult]:
-    threshold = tol or 0.005
+def _suite_radial() -> List[CheckResult]:
     grid_h3 = oracle.Grid1D(0.0, 12.0, 4000)
     grid_s3 = oracle.Grid1D(0.0, math.pi, 4000)
 
@@ -156,7 +157,7 @@ def _suite_radial(tol: Optional[float]) -> List[CheckResult]:
                    for n in range(5)]
         targets = [e.lambda_sq for e in entries if e.admissible]
         out.append(_result(name, _worst_match(levels[first:], targets),
-                           threshold, f"eigenvalues {levels}"))
+                           0.005, f"eigenvalues {levels}"))
     return out
 
 
@@ -171,8 +172,7 @@ _AXIAL_CASES = (
 )
 
 
-def _suite_axial(tol: Optional[float]) -> List[CheckResult]:
-    threshold = tol or 1e-8
+def _suite_axial() -> List[CheckResult]:
     out = []
     reports = {}
     for rec, name, detail, width, states in _AXIAL_CASES:
@@ -181,7 +181,7 @@ def _suite_axial(tol: Optional[float]) -> List[CheckResult]:
                                              grid, p=p, lam=lam)
                          for p, lam in states for c in (Component.Z1, Component.Z2)]
         out.append(_result(name, max(r.max_abs for r in reports[name]),
-                           threshold, detail))
+                           1e-8, detail))
     exact_p = max(abs(sph.s3_axial_quantize(_LAM_S3, n_z) - (_LAM_S3 + n_z + 0.5))
                   for n_z in range(3))
     orders = [abs(r.convergence_order - 2.0)
@@ -189,15 +189,14 @@ def _suite_axial(tol: Optional[float]) -> List[CheckResult]:
     # the connection coefficients that evaluate the forms at Re y > 0.9,
     # against an integration of the axial ODE that does not use them
     rep = oracle.axial_connection_check(0.7, 1.3)
-    out.insert(1, _result("axial/s3-quantization-exact", exact_p, 1e-15,
-                          "p = lam + n_z + 1/2"))
+    out.insert(1, _result(_S3_EXACT, exact_p, 1e-15, "p = lam + n_z + 1/2"))
     return out + [
-        _result("axial/h3-fd-order", max(orders), 0.3, "finite-difference pathway"),
-        _result("axial/h3-connection-vs-ode", rep.max_abs, threshold,
+        _result(_H3_FD_ORDER, max(orders), 0.3, "finite-difference pathway"),
+        _result("axial/h3-connection-vs-ode", rep.max_abs, 1e-8,
                 "p=0.7, lam=1.3, y in [0.9, 0.95]")]
 
 
-def _suite_commutator(tol: Optional[float]) -> List[CheckResult]:
+def _suite_commutator() -> List[CheckResult]:
     spinor = oracle.gaussian_bump_spinor(2.0, 0.0, 0.5)
     grid = oracle.Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80)
     rep = oracle.commutator_residual(Geometry.H3, 5.0, spinor, grid, two_m=1)
@@ -209,10 +208,10 @@ def _suite_commutator(tol: Optional[float]) -> List[CheckResult]:
                                        two_m=1)
     return [
         _result("commutator/h3-order", abs(rep.convergence_order - 2.0),
-                tol or 0.3, f"order {rep.convergence_order:.3f}"),
+                0.3, f"order {rep.convergence_order:.3f}"),
         _result("commutator/s3-order", abs(rep_s.convergence_order - 2.0),
-                tol or 0.3, f"order {rep_s.convergence_order:.3f}"),
-        _result("commutator/flat-fault-detected", fault.convergence_order,
+                0.3, f"order {rep_s.convergence_order:.3f}"),
+        _result(_FLAT_FAULT, fault.convergence_order,
                 0.5, f"flat-operator order {fault.convergence_order:.4f} "
                 f"(residual {fault.max_abs:.3g} must not converge)"),
     ]
@@ -235,8 +234,7 @@ _AXIAL_PAIR_CASES = (
 )
 
 
-def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
-    threshold = tol or 1e-8
+def _suite_pairs() -> List[CheckResult]:
     grids = {Geometry.H3: oracle.Grid1D(0.3, 8.0, 1200),
              Geometry.S3: oracle.Grid1D(0.2, math.pi - 0.2, 1200)}
     radial = []
@@ -249,12 +247,11 @@ def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
         spec = pair.value
         radial.append(_result(
             f"pairs/{space.value}-radial-{spec.r1.value}-{spec.r2.value}",
-            rep.max_abs, threshold, f"B={B}, m={two_m}/2, n={n}"))
+            rep.max_abs, 1e-8, f"B={B}, m={two_m}/2, n={n}"))
         if len(radial) == 1:  # the scaled-factor fault rides on the first
             scaled = oracle.first_order_system_residual(
                 (forms[0], forms[1], 2.0 * forms[2]), grids[space], **kw)
-            radial.append(_result("pairs/h3-scaled-factor-rejected",
-                                  rep.max_abs / scaled.max_abs, 0.01,
+            radial.append(_result(_SCALED_FACTOR, rep.max_abs / scaled.max_abs, 0.01,
                                   f"x2 factor residual {scaled.max_abs:.3g}"))
 
     axial = []
@@ -263,19 +260,18 @@ def _suite_pairs(tol: Optional[float]) -> List[CheckResult]:
             rec.axial_pair(p, lam), oracle.Grid1D(-width, width, 1200),
             lam=lam, p=p)
         axial.append(_result(f"pairs/{rec.axial_variable.geometry.value}-axial",
-                             rep.max_abs, threshold, detail))
+                             rep.max_abs, 1e-8, detail))
     return radial[:3] + axial + radial[3:]  # axial after the H3 radial pairs
 
 
-def _suite_flat_limit(tol: Optional[float]) -> List[CheckResult]:
-    threshold = tol or 1e-12
+def _suite_flat_limit() -> List[CheckResult]:
     worst = 0.0
     for n in (1, 2, 3):
         for rho in (10.0, 30.0, 100.0):
             lam_sq_physical, flat_target = lob.flat_limit(1.0, n, rho)
             gap = abs(lam_sq_physical - flat_target)
             worst = max(worst, abs(gap - n * n / rho ** 2))
-    return [_result("flat-limit/quadratic-gap", worst, threshold,
+    return [_result("flat-limit/quadratic-gap", worst, 1e-12,
                     "b=1, n in {1,2,3}, rho in {10,30,100}")]
 
 
@@ -293,8 +289,8 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suites(names: Sequence[str],
                tol: Optional[float] = None) -> List[CheckResult]:
     """Run the named suites ("all" expands to every suite) with an
-    optional tolerance override, which must be finite and > 0 and leaves
-    the four fixed thresholds named in the module docstring alone."""
+    optional tolerance override, which must be finite and > 0 and
+    replaces every threshold but those in FIXED_THRESHOLDS."""
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     expanded: List[str] = []
@@ -308,5 +304,8 @@ def run_suites(names: Sequence[str],
                               f"choose from {', '.join(SUITE_NAMES)} or all")
     results: List[CheckResult] = []
     for name in dict.fromkeys(expanded):
-        results.extend(_SUITES[name](tol))
-    return results
+        results.extend(_SUITES[name]())
+    if tol is None:
+        return results
+    return [r if r.name in FIXED_THRESHOLDS
+            else _result(r.name, r.value, tol, r.detail) for r in results]

@@ -407,12 +407,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", action="append", default=None,
                         metavar="|".join(checks.SUITE_NAMES + ("all",)),
                         help="suite to run (repeatable; default all)")
+    *others, last = checks.FIXED_THRESHOLDS
     verify.add_argument("--tol", type=float, default=None,
                         help="tolerance override (finite, > 0) for every "
                              "check but the four with fixed thresholds: "
-                             "axial/s3-quantization-exact, axial/h3-fd-order, "
-                             "pairs/h3-scaled-factor-rejected and "
-                             "commutator/flat-fault-detected")
+                             f"{', '.join(others)} and {last}")
     verify.set_defaults(func=_cmd_verify)
 
     regions = subs.add_parser(

@@ -126,8 +126,8 @@ class Hyp2F1Params:
                 f"c = {self.c} is a non-positive integer and the series "
                 f"does not terminate before the vanishing denominator")
 
-    def shifted(self, da: int = 0, db: int = 0, dc: int = 0) -> "Hyp2F1Params":
-        return Hyp2F1Params(self.a + da, self.b + db, self.c + dc)
+    def shifted(self, dc: int) -> "Hyp2F1Params":
+        return Hyp2F1Params(self.a, self.b, self.c + dc)
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,15 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     """F and its first dmax y-derivatives, summed simultaneously over an
     array of arguments. Terminating series are summed exactly (the k-th
     term of the j-th derivative is k!/(k-j)! t_k / y^j); non-terminating
-    ones by _blocked_series, which stops each point on its own."""
+    ones by _blocked_series, which stops each point on its own.
+
+    The polynomial loop, _blocked_series and _centre_sums stay three
+    loops because each is the fastest for its case, measured on a 2-core
+    x86-64 VM: polynomials summed by _blocked_series ran 1.8-5.7x slower
+    than the loop below (1500 points, degree 1-30) and took the `states`
+    benchmark's op_p50_ref from 0.16 to 0.24; one plain term loop per
+    point for the non-terminating sums doubled a `verify` pass (the hyp
+    suite from 0.5 s to 1.25 s)."""
     a, b, c = params.a, params.b, params.c
     y = np.asarray(y, dtype=complex)
     out = [np.zeros(y.shape, dtype=complex) for _ in range(dmax + 1)]
@@ -278,7 +286,11 @@ def _blocked_series(params: Hyp2F1Params, y: np.ndarray, ysafe, out) -> None:
 # the U1 and U5 branches, 16 draws of p in [0.2, 2], lam from B in
 # {2, 3.5, 5}, 86 points on |z| <= 10) against mpmath at 30 digits,
 # relative to the sup-norm, by split: 0.5 1.1e-11, 0.7 2.9e-12,
-# 0.8 1.2e-12, 0.85 5.1e-13, 0.9 2.2e-13, 0.95 1.2e-13.
+# 0.8 1.2e-12, 0.85 5.1e-13, 0.9 2.2e-13, 0.95 1.2e-13. Points next to
+# the split read worse: on the grid of tests/test_connection.py, which
+# adds z = atanh(0.8) -+ 1e-9, the worst at 0.9 is 4.07e-13, F'' of the
+# U5 Z2 form at B = 5, n = 4 (lam = 4.899), p = 0.701, at z = atanh(0.8)
+# + 1e-9, just inside the connection side.
 _CONNECTION_SPLIT = 0.9
 
 # The Taylor regime on 1/2 < Re y <= _CONNECTION_SPLIT: discs of radius
@@ -303,7 +315,9 @@ def _centre_sums(params: Hyp2F1Params, y0: float) -> list:
     of the disc inherits the centre's error, up to ~20x larger at the
     disc's edge, so the sum runs in np.longdouble, extended precision
     where the platform has it: summed in double, the centre values left
-    hyp-suite draws at up to 1.6e-13 of max(1, |F''|), against 7e-15."""
+    hyp-suite draws at up to 1.6e-13 of max(1, |F''|), against 7e-15.
+    It stays a scalar loop rather than a call of _blocked_series, which
+    on this one long-double point ran ~4x slower (see _series_array)."""
     ext, tol = np.clongdouble, _SERIES_TOL
     a, b, c, y = ext(params.a), ext(params.b), ext(params.c), np.longdouble(y0)
     term, s0, s1, s2 = ext(1), ext(0), ext(0), ext(0)

@@ -417,20 +417,13 @@ class GeometryRecord:
         as the bound region, both at the reflected point for B < 0. The
         two disagree on part of the lattice (by 1/2 on H3 boundary
         entries); both are reported."""
-        note = self.region_predicate
-        if B < 0.0:
-            note += "; reflection (m,B) -> (-m,-B) applied for B < 0"
-        elif B == 0.0:
-            note += "; " + self.zero_field_note
         entry = self.quantize(two_m, B, n, Component.R1)
         two_mw, Bw, _ = self._reflect(two_m, B, Component.R1)
         mw = two_mw / 2.0
         predicate = abs(mw) - abs(2 * Bw - self.kappa * mw) + 2 * n
         consistent = (self.kappa * predicate > 0) == entry.admissible
-        if not consistent:
-            note += "; predicate disagrees with the exact inequality here"
         return RegionVerdict(entry.admissible, entry.variant, entry.violated,
-                             entry.lambda_sq, predicate, consistent, note)
+                             entry.lambda_sq, predicate, consistent)
 
     def pair_factor(self, two_m: int, B: float, lam: float, pair: Enum) -> complex:
         """Ratio r2/r1 coupling the R1 and R2 forms of `pair` (a member of
@@ -588,7 +581,6 @@ class RegionVerdict:
     lambda_sq: Optional[float]
     predicate: float
     predicate_consistent: bool
-    note: str = ""
 
 
 @dataclass

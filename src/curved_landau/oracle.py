@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -427,18 +427,16 @@ def _apply(g, psi: np.ndarray) -> np.ndarray:
     return phases * psi[rows]
 
 
-def gaussian_bump_spinor(r0: float, z0: float, width: float,
-                         amplitudes: Sequence[complex] = (1.0, 0.6 - 0.3j,
-                                                          -0.4j, 0.25)
+# the test spinor's four component amplitudes, all nonzero
+_BUMP_AMPLITUDES = np.array([1.0, 0.6 - 0.3j, -0.4j, 0.25], dtype=complex)
+
+
+def gaussian_bump_spinor(r0: float, z0: float, width: float
                          ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Product-Gaussian test spinor centered at (r0, z0)."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.shape != (4,):
-        raise DomainError("need exactly 4 component amplitudes")
-
     def spinor(r: np.ndarray, z: np.ndarray) -> np.ndarray:
         bump = np.exp(-((r - r0) ** 2 + (z - z0) ** 2) / (2.0 * width ** 2))
-        return amps[:, None, None] * bump[None, :, :]
+        return _BUMP_AMPLITUDES[:, None, None] * bump[None, :, :]
 
     return spinor
 
@@ -446,8 +444,7 @@ def gaussian_bump_spinor(r0: float, z0: float, width: float,
 def commutator_residual(geometry: Geometry, B: float,
                         test_spinor: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         grid2d: Grid2D, *, two_m: int = 1,
-                        flat_helicity: bool = False,
-                        levels: int = 3) -> ResidualReport:
+                        flat_helicity: bool = False) -> ResidualReport:
     """Grid sup-norm of (H Sigma - Sigma H) psi.
 
     H = stretch^-1 (i g1 d_r - g2 mu) + i g3 d_z and
@@ -477,8 +474,8 @@ def commutator_residual(geometry: Geometry, B: float,
     the residual then converges to the true nonzero commutator instead
     of 0.
 
-    The reported convergence_order averages log2 ratios over `levels`
-    grids (x1, x2, x4 ...); max_abs comes from the finest level.
+    The reported convergence_order averages the two log2 ratios over
+    three grids (x1, x2, x4); max_abs comes from the finest one.
     """
     if not math.isfinite(B):
         raise DomainError("B must be finite")
@@ -488,8 +485,6 @@ def commutator_residual(geometry: Geometry, B: float,
             or max(-grid2d.z_lo, grid2d.z_hi) > rec.z_max - _SINGULAR_INSET):
         raise SupportTooCloseToSingularity(
             "grid touches a coordinate singularity")
-    if levels < 1:
-        raise DomainError("levels must be >= 1")
     m = two_m / 2.0
 
     def residual_at(g: Grid2D) -> float:
@@ -550,10 +545,9 @@ def commutator_residual(geometry: Geometry, B: float,
         scale = float(np.max(np.abs(psi))) or 1.0
         return float(np.max(np.abs(core))) / scale
 
-    residuals = [residual_at(grid2d.scaled(2 ** k)) for k in range(levels)]
+    residuals = [residual_at(grid2d.scaled(2 ** k)) for k in range(3)]
     orders = [_order_from(a, b) for a, b in zip(residuals, residuals[1:])]
-    order = sum(orders) / len(orders) if orders else None
-    return ResidualReport(residuals[-1], order)
+    return ResidualReport(residuals[-1], sum(orders) / len(orders))
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +555,13 @@ def commutator_residual(geometry: Geometry, B: float,
 # ---------------------------------------------------------------------------
 
 
-def axial_connection_check(p: float, lam: float,
-                           grid: Optional[Grid1D] = None) -> ResidualReport:
+def axial_connection_check(p: float, lam: float) -> ResidualReport:
     """Integrate the hyperbolic axial equation from y = 0.1 and compare
     against the two-term recombination around y = 1 predicted by the
-    connection coefficients. With a, b, c of the axial family,
-    c - a - b = 1/2 - ip is never an integer for real p, so the
-    connection is non-degenerate on the physical line.
+    connection coefficients, on 16 nodes of y in [0.90, 0.95]. With
+    a, b, c of the axial family, c - a - b = 1/2 - ip is never an
+    integer for real p, so the connection is non-degenerate on the
+    physical line.
 
     Z = y^((1+ip)/2) (1-y)^(ip/2) F(a, b, c; y) solves, on
     z = atanh(2y - 1), where the equation is smooth on the whole line,
@@ -581,10 +575,6 @@ def axial_connection_check(p: float, lam: float,
     if lam == 0.0:
         raise DegenerateConnection(
             "lambda = 0 makes the upper parameters coincide (a = b)")
-    if grid is None:
-        grid = Grid1D(0.90, 0.95, 16)
-    if not (0.5 < grid.lo and grid.hi < 1.0):
-        raise DomainError("comparison grid must lie in (0.5, 1)")
     sol = Geometry.H3.record.axial_solution(p, lam, Component.Z1)
     params = sol.params
     coeff = kummer_connection(params, KummerBranch.U1)
@@ -597,7 +587,7 @@ def axial_connection_check(p: float, lam: float,
     g0, g1, _ = sol.evaluate_with_derivs(np.array([z]))
     f, df = complex(g0[0]), complex(g1[0])
     h_max = 2e-3 / max(1.0, abs(p), abs(lam))
-    ys = grid.nodes()
+    ys = Grid1D(0.90, 0.95, 16).nodes()
     z_num = []
     for target in np.arctanh(2 * ys - 1):
         steps = max(1, math.ceil((target - z) / h_max))

@@ -47,6 +47,19 @@ def test_tolerance_override_applies_to_every_check():
     assert not any(r.passed for r in results)
 
 
+def test_tolerance_override_spares_exactly_the_four_fixed_thresholds():
+    fixed = {"axial/s3-quantization-exact": 1e-15, "axial/h3-fd-order": 0.3,
+             "pairs/h3-scaled-factor-rejected": 0.01,
+             "commutator/flat-fault-detected": 0.5}
+    results = checks.run_suites(["all"], tol=1e-30)
+    assert len(results) == 25
+    assert {r.name: r.threshold for r in results
+            if r.threshold != 1e-30} == fixed
+    for r in results:
+        assert r.passed == (r.value <= r.threshold)
+        assert r.passed == (r.name in fixed)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_tolerance_must_be_finite_and_positive(tol):
     # 0 would read as "no override", -1 and nan fail every check

@@ -63,6 +63,10 @@ GOLDEN = [
      "952fa5f481103c7fd9339351fa81580f39423bf9518020c76256f22112e3162d"),
     ("verify --suite commutator",
      "a5456b44a57bafe73425ee8ce6fa8ffee48b0751a867e09d9edd28c383ab28af"),
+    ("verify --suite hyp",
+     "4d309bc9abf10d70bd72db9409f1c4cf4dfc35aba20aa517a41bcca388d6310b"),
+    ("verify --suite flat-limit",
+     "590153e3aa81029c18132f4f70b9f3342d0a7331221e72f5aa76fd3bd4e648ca"),
     ("regions --model h3 --B 5 --two-m=-7..7 --n 0..4 --format json",
      "57223c0ee07375be5358f4edfc55d6f0c0a5ddcbb00cdb6beb6d5d735e5a1d15"),
     ("regions --model s3 --B -2 --two-m=-7..7 --n 0..4 --format json",

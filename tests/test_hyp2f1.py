@@ -26,7 +26,8 @@ from curved_landau.hyp2f1 import (
     u5_value,
     u6_value,
 )
-from curved_landau.model import SolutionForm, Variable
+from curved_landau.lobachevsky import h3_axial_solution
+from curved_landau.model import Component, SolutionForm, Variable
 
 
 def _far_from_int(x: float, gap: float = 0.15) -> bool:
@@ -364,6 +365,13 @@ def test_contiguous_guards():
         contiguous_raise_c(Hyp2F1Params(0.3, 0.4, 1.0 + 1e-13).shifted(dc=-1), 0.2)
 
 
+def test_contiguous_raise_refuses_c_zero():
+    # c = 0 passes construction only where the series stops at once (a or
+    # b = 0), and then the identity's (a-c)(b-c)/c would divide by 0
+    with pytest.raises(InvalidC, match="c = 0"):
+        contiguous_raise_c(Hyp2F1Params(0, 0.5, 0), 0.2)
+
+
 # ---------------------------------------------------------------------------
 # Per-point stopping
 # ---------------------------------------------------------------------------
@@ -482,3 +490,18 @@ def test_cancelling_taylor_terms_keep_the_direct_series(monkeypatch):
     monkeypatch.setattr(hyp, "_TAYLOR_GATE", math.inf)
     ungated = series_with_derivatives(params, ys)
     assert not any(np.array_equal(ungated[k], direct[k]) for k in range(3))
+
+
+def test_taylor_degree_cap_keeps_the_direct_series(monkeypatch):
+    # at p = 100 the Taylor series about 0.8 needs more than
+    # _TAYLOR_DEGREE_CAP terms, so the cap refuses that disc even with the
+    # gate off, and the kernel sums its points directly, value for value
+    monkeypatch.setattr(hyp, "_TAYLOR_GATE", math.inf)
+    params = h3_axial_solution(100, 1.3, KummerBranch.U1, Component.Z1).params
+    assert hyp._taylor_rows(params, 0.8) is None
+    assert hyp._taylor_rows(params, 0.6) is not None
+    ys = np.array([0.75, 0.8, 0.83 + 0.02j, 0.88])
+    direct = hyp._series_array(params, ys, 2)
+    kernel = series_with_derivatives(params, ys)
+    for k in range(3):
+        assert np.array_equal(kernel[k], direct[k]), k

@@ -135,6 +135,12 @@ def test_radial_solution_guards():
         h3_radial_solution(1, 5.0, 26.0, Component.R1, Variant.V1)
 
 
+def test_radial_solution_refuses_a_spherical_variant():
+    # V3 is a row of the S3 table only
+    with pytest.raises(DomainError, match="not a H3 radial variant"):
+        h3_radial_solution(1, 5.0, 9.0, Component.R1, Variant.V3)
+
+
 # ---------------------------------------------------------------------------
 # Axial family
 # ---------------------------------------------------------------------------
@@ -237,7 +243,7 @@ def test_region_predicate_value():
     verdict = GEOMETRY.admissibility_region(5.0, 1, 2)
     assert abs(verdict.predicate - (-6.0)) < 1e-12
     assert verdict.admissible
-    assert "disagrees" not in verdict.note
+    assert verdict.predicate_consistent
 
 
 def test_region_boundary_disagreement_is_reported():
@@ -246,12 +252,14 @@ def test_region_boundary_disagreement_is_reported():
     verdict = GEOMETRY.admissibility_region(5.0, 1, 0)
     assert verdict.predicate < 0
     assert not verdict.admissible
-    assert "disagrees" in verdict.note
+    assert not verdict.predicate_consistent
 
 
-def test_region_reflection_notes():
+def test_region_reflection_applied():
+    # B < 0 answers at (-m, -B), where R1 becomes R2
     verdict = GEOMETRY.admissibility_region(-5.0, 1, 1)
-    assert "reflection" in verdict.note
+    assert verdict.predicate == GEOMETRY.admissibility_region(5.0, -1, 1).predicate
+    assert verdict.lambda_sq == GEOMETRY.quantize(-1, 5.0, 1, Component.R2).lambda_sq
 
 
 def test_unified_report_exact_on_positive_m():

@@ -642,11 +642,6 @@ def test_commutator_needs_finite_field():
                             Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80))
 
 
-def test_bump_spinor_amplitude_guard():
-    with pytest.raises(DomainError):
-        gaussian_bump_spinor(1.0, 0.0, 0.5, amplitudes=(1.0, 2.0))
-
-
 # ---------------------------------------------------------------------------
 # Axial connection integration
 # ---------------------------------------------------------------------------
@@ -668,5 +663,3 @@ def test_connection_guards():
         axial_connection_check(2.0, 0.0)
     with pytest.raises(DomainError):
         axial_connection_check(0.0, 1.0)
-    with pytest.raises(DomainError):
-        axial_connection_check(2.0, 1.0, Grid1D(0.1, 0.2, 16))

@@ -344,16 +344,18 @@ def test_region_consistent_inside_variant2_strip():
     verdict = GEOMETRY.admissibility_region(1.0, 1, 1)
     assert verdict.admissible
     assert verdict.predicate > 0
-    assert "disagrees" not in verdict.note
+    assert verdict.predicate_consistent
 
 
 def test_region_disagreement_on_negative_m():
     verdict = GEOMETRY.admissibility_region(1.0, -1, 0)
     assert verdict.admissible  # lambda^2 = 3 > 0
     assert verdict.predicate < 0  # advertised strip excludes it
-    assert "disagrees" in verdict.note
+    assert not verdict.predicate_consistent
 
 
-def test_region_reflection_note():
+def test_region_reflection_applied():
+    # B < 0 answers at (-m, -B), where R1 becomes R2
     verdict = GEOMETRY.admissibility_region(-1.0, 1, 1)
-    assert "reflection" in verdict.note
+    assert verdict.predicate == GEOMETRY.admissibility_region(1.0, -1, 1).predicate
+    assert verdict.lambda_sq == GEOMETRY.quantize(-1, 1.0, 1, Component.R2).lambda_sq
