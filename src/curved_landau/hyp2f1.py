@@ -10,6 +10,9 @@ the solution forms' included, goes through eval_2f1 or
 series_with_derivatives to one dispatcher, _sum, which picks the regime
 of each point: polynomial, direct series, Pfaff's transformation, Taylor
 polynomials about y0 = 0.6 and 0.8 or the connection around y = 1.
+Every non-terminating series, the centre sums of the Taylor regime and
+the inner sums of Pfaff's map and the connection included, is one set
+of polynomial rows summed by Horner's rule to the degree a radius needs.
 
 Everything here is pure and reentrant: no caching, no mutation of
 shared state.
@@ -18,6 +21,7 @@ shared state.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,7 +49,7 @@ __all__ = [
 ]
 
 _TERM_TOL = 1e-12     # distance to a non-positive integer that counts as exact
-_SERIES_TOL = 1e-16   # relative term size considered converged
+_SERIES_TOL = 1e-16   # weighted term size at a sum's radius counted as converged
 _SERIES_CAP = 10_000  # hard cap on summed terms
 _TINY = math.sqrt(np.finfo(float).tiny)  # |y| below which y^2 is subnormal
 
@@ -139,27 +143,98 @@ class ConnectionCoefficients:
     to_u6: complex
 
 
-_BLOCK = 16       # terms per block of a non-terminating sum
-_COLUMNS = 4096   # points per pass, which bounds the block work arrays
+# Outer radii of the |y| rings a non-terminating sum is cut into; the
+# last ring takes every point left below |y| = 1. Each ring is summed to
+# the degree its outer radius needs, so a point sums at most ~2x the
+# terms its own |y| would need, and its value depends on its ring alone.
+_RINGS = (1 / 16, 1 / 8, 1 / 4) + tuple(1 - 2.0 ** -j for j in range(1, 9)) + (1.0,)
+
+
+def _truncated_rows(coeffs, r: float, bounds, cap: int):
+    """A power series sum_k f_k t^k, its coefficients drawn from the
+    iterator coeffs, cut at the first K after which, for 3 consecutive k,
+    the weighted terms k!/(k-j)! |f_k| r^(k-j) of every derivative j <
+    len(bounds) stay at most bounds[j] (the k^j weight makes F'' settle
+    last, so watching F alone would cut F'' short by ~k^2 bounds[0]).
+
+    Returns (rows, sums): row j, column k holds the t^k coefficient of
+    the j-th derivative, and sums[j] the sum over k of its weighted
+    terms, each of which bounds that term's size at |t| <= r. None past
+    degree cap; coeffs must not run out before either."""
+    f, sums = [], [0.0] * len(bounds)
+    edge = 1.0  # r^k
+    calm = 0
+    for k, fk in enumerate(coeffs):
+        if k > cap:
+            return None
+        f.append(fk)
+        term, small = float(abs(fk)) * edge, True
+        for j, bound in enumerate(bounds):
+            if j:
+                term = term * (k - j + 1) / r
+            sums[j] += term
+            small = small and term <= bound
+        calm = calm + 1 if small else 0
+        if calm == 3:
+            break
+        edge *= r
+    f = np.array(f)
+    ks = np.arange(f.size)
+    rows = np.zeros((len(bounds), f.size), dtype=f.dtype)
+    rows[0] = f
+    weight = np.ones(f.size)
+    for j in range(1, len(bounds)):
+        weight = weight * (ks - j + 1)  # k!/(k-j)!
+        rows[j, :-j] = (weight * f)[j:]
+    return rows, sums
+
+
+def _series_rows(params: Hyp2F1Params, r: float, dmax: int,
+                 dtype=complex) -> np.ndarray:
+    """The rows of F about 0 and of its first dmax derivatives, to the
+    degree the radius r needs by _truncated_rows' rule with every bound
+    _SERIES_TOL, the recurrence t_k+1 = t_k (a+k)(b+k)/((c+k)(k+1)) run
+    in dtype. Raises NonConvergent past _SERIES_CAP terms."""
+    a, b, c = (dtype(v) for v in (params.a, params.b, params.c))
+
+    def coeffs():
+        t, k = dtype(1), 0
+        while True:
+            yield t
+            t = t * ((a + k) * (b + k) / ((c + k) * (k + 1)))
+            k += 1
+    cut = _truncated_rows(coeffs(), r, [_SERIES_TOL] * (dmax + 1), _SERIES_CAP)
+    if cut is None:
+        raise NonConvergent(f"series cap {_SERIES_CAP} hit at |y|max = {r:.6g}")
+    return cut[0]
 
 
 def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
-    """F and its first dmax y-derivatives, summed simultaneously over an
-    array of arguments. Terminating series are summed exactly (the k-th
-    term of the j-th derivative is k!/(k-j)! t_k / y^j); non-terminating
-    ones by _blocked_series, which stops each point on its own.
+    """F and its first dmax y-derivatives over an array of arguments.
 
-    The polynomial loop, _blocked_series and _centre_sums stay three
-    loops because each is the fastest for its case, measured on a 2-core
-    x86-64 VM: polynomials summed by _blocked_series ran 1.8-5.7x slower
-    than the loop below (1500 points, degree 1-30) and took the `states`
-    benchmark's op_p50_ref from 0.16 to 0.24; one plain term loop per
-    point for the non-terminating sums doubled a `verify` pass (the hyp
-    suite from 0.5 s to 1.25 s)."""
+    A non-terminating series is cut into the |y| rings of _RINGS, and
+    each ring's points are summed by Horner's rule (_horner) to the one
+    degree its outer radius needs (_series_rows), with no per-point stop:
+    a value depends on the parameters, dmax and its ring alone. A ring
+    whose degree passes _SERIES_CAP refuses all its points.
+
+    A terminating series is summed exactly, term by term (the k-th term
+    of the j-th derivative is k!/(k-j)! t_k / y^j). It stays a loop of
+    its own because Horner's rule on these low-degree polynomials took
+    the traced hyp2f1.terminating_s of a `states` pass from ~10.4 to
+    ~16.5 ms, and its op_p50_ref up ~6 % (2-core x86-64 VM)."""
     a, b, c = params.a, params.b, params.c
     y = np.asarray(y, dtype=complex)
     out = [np.zeros(y.shape, dtype=complex) for _ in range(dmax + 1)]
-    if params.terminating and params.degree == 0:
+    if not params.terminating:
+        ring = np.searchsorted(_RINGS[:-1], np.abs(y))
+        for i in np.unique(ring):
+            at = ring == i
+            rows = _series_rows(params, _RINGS[i], dmax)
+            for o, v in zip(out, _horner(rows, y[at])):
+                o[at] = v
+        return out
+    if params.degree == 0:
         out[0][...] = 1.0
         return out
     # y and y^2 divide the derivative accumulators. Where |y| < _TINY,
@@ -169,113 +244,21 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     tiny = np.abs(y) < _TINY
     ysafe = np.where(tiny, 1.0, y)
     ysafe2 = ysafe**2
-    if params.terminating:
-        term = np.ones(y.shape, dtype=complex)
-        for k in range(params.degree + 1):
-            out[0] += term
-            if dmax >= 1 and k >= 1:
-                out[1] += k * term / ysafe
-            if dmax >= 2 and k >= 2:
-                out[2] += k * (k - 1) * term / ysafe2
-            if k < params.degree:
-                term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * y
-    else:
-        _blocked_series(params, y.ravel(), (ysafe.ravel(), ysafe2.ravel()),
-                        [o.reshape(-1) for o in out])
-    if dmax >= 1:
-        if np.any(tiny):
-            out[1][tiny] = a * b / c
-            if dmax >= 2:
-                num = a * (a + 1) * b * (b + 1)
-                out[2][tiny] = 0.0 if num == 0 else num / (c * (c + 1))
+    term = np.ones(y.shape, dtype=complex)
+    for k in range(params.degree + 1):
+        out[0] += term
+        if dmax >= 1 and k >= 1:
+            out[1] += k * term / ysafe
+        if dmax >= 2 and k >= 2:
+            out[2] += k * (k - 1) * term / ysafe2
+        if k < params.degree:
+            term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * y
+    if dmax >= 1 and np.any(tiny):
+        out[1][tiny] = a * b / c
+        if dmax >= 2:
+            num = a * (a + 1) * b * (b + 1)
+            out[2][tiny] = 0.0 if num == 0 else num / (c * (c + 1))
     return out
-
-
-def _blocked_series(params: Hyp2F1Params, y: np.ndarray, ysafe, out) -> None:
-    """Sum a non-terminating series into the flat arrays out[j], the j-th
-    y-derivative at the flat y (ysafe: y and y^2 with zeros set to 1),
-    _BLOCK terms at a time.
-
-    A block runs the term recurrence t_k+1 = t_k (a+k)(b+k) y /
-    ((c+k)(k+1)) one row per k and forms the partial sums by sequential
-    cumsums seeded with the running sums, so each partial sum is the
-    one a term-by-term loop forms. A point stops at the first k where,
-    for 3 consecutive terms, every sum's step is at most _SERIES_TOL
-    max(|sum|, 1) (the k-th term of the j-th derivative carries an
-    extra factor ~k^j, so watching F alone would cut F'' short by
-    ~k^2 * _SERIES_TOL). It takes its sums at that k and leaves the
-    work arrays, so its value does not depend on the other points. A
-    point still running at k = _SERIES_CAP raises NonConvergent.
-    """
-    a, b, c = params.a, params.b, params.c
-    cap = _SERIES_CAP
-    nsum = len(out)
-    width = min(y.size, _COLUMNS)
-    if not width:
-        return
-    # per sum, row 0 holds the running sum and rows 1.. the block's steps,
-    # which the cumsum turns into partial sums in place
-    work = np.empty((nsum, _BLOCK + 1, width), dtype=complex)
-    weight = np.empty((_BLOCK, 1), dtype=complex)  # k!/(k-j)! per row
-    term = np.empty(width, dtype=complex)  # the first term of the next block
-    scratch = np.empty((_BLOCK, width), dtype=complex)
-    # |step| and the bound it must meet share scratch's memory, which is
-    # free again once a block's steps are formed
-    step, bound = scratch.view(float)[:, :width], scratch.view(float)[:, width:]
-    for lo in range(0, y.size, width):
-        live = np.arange(lo, min(lo + width, y.size))
-        yv, ys = y[live], [s[live] for s in ysafe[:nsum - 1]]
-        m = live.size
-        work[:, 0, :m] = 0.0
-        work[0, 1, :m] = 1.0
-        calm = np.zeros((2, m), dtype=bool)  # the last two terms were small
-        k0 = 0
-        while m:
-            nb = max(1, min(_BLOCK, cap - k0 + 1))
-            ks = range(k0, k0 + nb)
-            w = work[:, :nb + 1, :m]
-            # no complex product or quotient runs in place: on one-element
-            # arrays an in-place numpy product can round differently from
-            # the fresh one a term-by-term loop forms
-            for r, k in enumerate(ks, start=1):
-                coef = (a + k) * (b + k) / ((c + k) * (k + 1))
-                np.multiply(w[0, r], coef, out=scratch[0, :m])
-                np.multiply(scratch[0, :m], yv,
-                            out=w[0, r + 1] if r < nb else term[:m])
-            for j in range(1, nsum):
-                weight[:nb, 0] = [math.perm(k, j) for k in ks]
-                np.multiply(weight[:nb], w[0, 1:], out=scratch[:nb, :m])
-                np.divide(scratch[:nb, :m], ys[j - 1], out=w[j, 1:])
-            run = np.ones((nb + 2, m), dtype=bool)
-            run[:2] = calm
-            sizes, bounds = step[:nb, :m], bound[:nb, :m]
-            for acc in w:
-                np.abs(acc[1:], out=sizes)
-                np.cumsum(acc, axis=0, out=acc)
-                np.abs(acc[1:], out=bounds)
-                np.maximum(bounds, 1.0, out=bounds)
-                bounds *= _SERIES_TOL
-                run[2:] &= sizes <= bounds
-            done = run[2:] & run[1:-1] & run[:-2]
-            hit = done.any(axis=0)
-            k0 += nb
-            if k0 > cap and not hit.all():
-                raise NonConvergent(
-                    f"series cap {cap} hit at |y|max = "
-                    f"{float(np.max(np.abs(y))):.6g}")
-            if hit.any():
-                rows, cols = done.argmax(axis=0)[hit] + 1, np.flatnonzero(hit)
-                for j, o in enumerate(out):
-                    o[live[cols]] = w[j, rows, cols]
-                keep = ~hit
-                live, yv, calm = live[keep], yv[keep], run[-2:, keep]
-                ys = [s[keep] for s in ys]
-                carry, nxt = w[:, nb, keep], term[:m][keep]
-            else:
-                carry, nxt, calm = w[:, nb], term[:m], run[-2:]
-            m = live.size
-            work[:, 0, :m] = carry
-            work[0, 1, :m] = nxt
 
 
 # Re y above which _sum takes a non-terminating F in the y ~ 1 basis.
@@ -283,19 +266,19 @@ def _blocked_series(params: Hyp2F1Params, y: np.ndarray, ysafe, out) -> None:
 # grow like exp(pi*lam) and cancel, while the direct series needs ever
 # more terms, and the k^2-weighted terms of F'' more still, as y -> 1.
 # Worst error of the h3 axial forms and both z-derivatives (Z1 and Z2 on
-# the U1 and U5 branches, 16 draws of p in [0.2, 2], lam from B in
-# {2, 3.5, 5}, 86 points on |z| <= 10) against mpmath at 30 digits,
-# relative to the sup-norm, by split: 0.5 1.1e-11, 0.7 2.9e-12,
-# 0.8 1.2e-12, 0.85 5.1e-13, 0.9 2.2e-13, 0.95 1.2e-13. Points next to
+# the U1 and U5 branches, the 11 (B, n, lam, p) of tests/test_connection.py's
+# _axial_cases, 86 points on |z| <= 10) against mpmath at 30 digits,
+# relative to the sup-norm, by split: 0.5 4.7e-11, 0.7 4.6e-12,
+# 0.8 1.4e-12, 0.85 4.9e-13, 0.9 1.9e-13, 0.95 7.9e-14. Points next to
 # the split read worse: on the grid of tests/test_connection.py, which
-# adds z = atanh(0.8) -+ 1e-9, the worst at 0.9 is 4.07e-13, F'' of the
+# adds z = atanh(0.8) -+ 1e-9, the worst at 0.9 is 4.25e-13, F'' of the
 # U5 Z2 form at B = 5, n = 4 (lam = 4.899), p = 0.701, at z = atanh(0.8)
 # + 1e-9, just inside the connection side.
 _CONNECTION_SPLIT = 0.9
 
 # The Taylor regime on 1/2 < Re y <= _CONNECTION_SPLIT: discs of radius
-# _TAYLOR_RADIUS about the real centres, where the direct series needs
-# up to ~370 terms and the Taylor series about the centre (radius of
+# _TAYLOR_RADIUS about the real centres, where the direct series' rings
+# need up to ~740 terms and the Taylor series about the centre (radius of
 # convergence 0.4 and 0.2) ~35 and ~65 on the h3 axial forms. A centre
 # whose coefficient recurrence runs past _TAYLOR_DEGREE_CAP terms, or
 # whose terms at the disc's edge sum to more than _TAYLOR_GATE times the
@@ -310,39 +293,21 @@ _TAYLOR_DEGREE_CAP = 200
 
 
 def _centre_sums(params: Hyp2F1Params, y0: float) -> list:
-    """[F, F', F''] at the real point y0 by one scalar direct sum, which
-    stops and meets the series cap by _blocked_series's rule. Every point
-    of the disc inherits the centre's error, up to ~20x larger at the
-    disc's edge, so the sum runs in np.longdouble, extended precision
-    where the platform has it: summed in double, the centre values left
-    hyp-suite draws at up to 1.6e-13 of max(1, |F''|), against 7e-15.
-    It stays a scalar loop rather than a call of _blocked_series, which
-    on this one long-double point ran ~4x slower (see _series_array)."""
-    ext, tol = np.clongdouble, _SERIES_TOL
-    a, b, c, y = ext(params.a), ext(params.b), ext(params.c), np.longdouble(y0)
-    term, s0, s1, s2 = ext(1), ext(0), ext(0), ext(0)
-    calm = k = 0
-    while calm < 3:
-        if k > _SERIES_CAP:
-            raise NonConvergent(f"series cap {_SERIES_CAP} hit at |y|max = {y0:.6g}")
-        step1 = k * term / y
-        step2 = (k - 1) * step1 / y
-        s0, s1, s2 = s0 + term, s1 + step1, s2 + step2
-        # F'' is the last to settle, so it is tested first
-        if (abs(step2) <= tol * max(abs(s2), 1.0) and abs(step1) <= tol * max(abs(s1), 1.0)
-                and abs(term) <= tol * max(abs(s0), 1.0)):
-            calm += 1
-        else:
-            calm = 0
-        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * y
-        k += 1
-    return [complex(s0), complex(s1), complex(s2)]
+    """[F, F', F''] at the real point y0: the series rows to the degree y0
+    needs (_series_rows), built and summed term by term in np.clongdouble,
+    extended precision where the platform has it. Every point of the disc
+    inherits the centre's error, up to ~20x larger at the disc's edge:
+    summed in double, the centre values left hyp-suite draws at up to
+    1.6e-13 of max(1, |F''|), against 7e-15. At one point the sum of the
+    terms is ~7x faster than _horner."""
+    rows = _series_rows(params, y0, 2, np.clongdouble)
+    return [complex(v) for v in rows @ np.longdouble(y0) ** np.arange(rows.shape[1])]
 
 
 def _taylor_rows(params: Hyp2F1Params, y0: float) -> Optional[np.ndarray]:
-    """Coefficients of F, F' and F'' as polynomials in t = y - y0, one row
-    each (row j, column k: the t^k coefficient of the j-th derivative),
-    or None where the degree cap or the cancellation gate refuses.
+    """F, F' and F'' as polynomials in t = y - y0 (rows as _truncated_rows
+    makes them), or None where the degree cap or the cancellation gate
+    refuses.
 
     The Taylor coefficients f_k of F about y0 start from the centre sums
     (f_0, f_1, f_2 = F, F', F''/2) and follow from the hypergeometric ODE
@@ -351,43 +316,26 @@ def _taylor_rows(params: Hyp2F1Params, y0: float) -> Optional[np.ndarray]:
         f_k+2 = -[((1 - 2 y0) k + c - (a + b + 1) y0) (k + 1) f_k+1
                   - (k + a)(k + b) f_k] / (y0 (1 - y0)(k + 1)(k + 2)).
 
-    The degree is the first k after which, for 3 consecutive terms, the
-    k^j-weighted terms k!/(k-j)! |f_k| R^(k-j) of every derivative at the
-    disc's edge R stay below _SERIES_TOL max(|F^(j)(y0)|, 1). Everything
-    here depends on the parameters and y0 alone, never on the points.
+    The degree follows _truncated_rows' rule at the disc's edge, with the
+    bounds _SERIES_TOL max(|F^(j)(y0)|, 1). Everything here depends on
+    the parameters and y0 alone, never on the points.
     """
     a, b, c = params.a, params.b, params.c
     centre = _centre_sums(params, y0)
-    f = [centre[0], centre[1], centre[2] / 2]
     lin, const, den = 1 - 2 * y0, c - (a + b + 1) * y0, y0 * (1 - y0)
-    r = _TAYLOR_RADIUS
-    b0, b1, b2 = (_SERIES_TOL * max(abs(v), 1.0) for v in centre)
-    m0 = m1 = m2 = 0.0  # the terms' sums at the disc's edge
-    edge = 1.0  # r^k
-    calm = k = 0
-    while calm < 3:
-        if k > _TAYLOR_DEGREE_CAP:
-            return None
-        if k >= 3:
-            i = k - 2
-            f.append(-((lin * i + const) * (i + 1) * f[i + 1]
-                       - (i + a) * (i + b) * f[i]) / (den * (i + 1) * (i + 2)))
-        t0 = abs(f[k]) * edge
-        t1 = k * t0 / r
-        t2 = (k - 1) * t1 / r
-        m0, m1, m2 = m0 + t0, m1 + t1, m2 + t2
-        calm = calm + 1 if t2 <= b2 and t1 <= b1 and t0 <= b0 else 0
-        edge *= r
-        k += 1
-    if any(m > _TAYLOR_GATE * abs(v) for m, v in zip((m0, m1, m2), centre)):
+
+    def coeffs():
+        f = [centre[0], centre[1], centre[2] / 2]
+        yield from f
+        for k in itertools.count(1):
+            f.append(-((lin * k + const) * (k + 1) * f[k + 1]
+                       - (k + a) * (k + b) * f[k]) / (den * (k + 1) * (k + 2)))
+            yield f[-1]
+    bounds = [_SERIES_TOL * max(abs(v), 1.0) for v in centre]
+    cut = _truncated_rows(coeffs(), _TAYLOR_RADIUS, bounds, _TAYLOR_DEGREE_CAP)
+    if cut is None or any(m > _TAYLOR_GATE * abs(v) for m, v in zip(cut[1], centre)):
         return None
-    f = np.array(f)
-    ks = np.arange(f.size)
-    rows = np.zeros((3, f.size), dtype=complex)
-    rows[0] = f
-    rows[1, :-1] = ks[1:] * f[1:]
-    rows[2, :-2] = ks[2:] * (ks[2:] - 1) * f[2:]
-    return rows
+    return cut[0]
 
 
 def _horner(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -431,7 +379,7 @@ def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
       polynomials of F, F' and F'' about y0 (_taylor_rows), by Horner's
       rule, unless the degree cap or the cancellation gate leaves that
       disc to the direct series;
-    * the rest: the direct series.
+    * the rest: the direct series, summed by |y| rings (_series_array).
     """
     _require_finite(complex(np.max(np.abs(y), initial=0.0)))
     if params.terminating:
@@ -506,9 +454,10 @@ def eval_2f1(params: Hyp2F1Params, y, w=None):
     exactly at every y; otherwise y must lie in the unit disc, each point
     takes its regime (_sum: direct, Pfaff at Re y < 0, Taylor polynomials
     within 0.1 of 0.6 and 0.8 on 1/2 < Re y <= 0.9, the connection at
-    Re y > 0.9), and a series stops per point once its relative term
-    stays below 1e-16 for 3 consecutive terms (cap 10,000). A Taylor
-    polynomial's degree depends on the parameters alone, so a value does
+    Re y > 0.9), and a series is summed to the degree at which its
+    terms, weighted for each derivative asked for, stay below 1e-16 at
+    the outer radius of the point's |y| ring (cap 10,000 terms). The
+    degree depends on the parameters and the ring alone, so a value does
     not depend on the other points of the call."""
     y, w = _points(y, w)
     f = _sum(params, np.asarray(y), np.asarray(w, dtype=complex), 0)[0]

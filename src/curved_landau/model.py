@@ -177,6 +177,17 @@ _SMALL_R = 1e-4
 _PI_TAIL = 1.2246467991473532e-16
 
 
+def _require_quantum_numbers(two_m, n=0) -> None:
+    """DomainError unless two_m is an odd integer and n a non-negative
+    one (int or numpy integer): a float such as 1.5 would select a
+    variant row and return a level or form for a state that does not
+    exist."""
+    if not isinstance(two_m, (int, np.integer)) or two_m % 2 == 0:
+        raise DomainError(f"two_m must be an odd integer, got {two_m!r}")
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"n must be an integer >= 0, got {n!r}")
+
+
 @dataclass(frozen=True)
 class RadialVariant:
     """One row of a space's radial variant table, written for B >= 0;
@@ -340,10 +351,7 @@ class GeometryRecord:
         component pairing diverges as 1/lambda. B < 0 is answered at the
         reflected point (_reflect). Non-finite B or lambda^2: DomainError.
         """
-        if two_m % 2 == 0:
-            raise DomainError("two_m must be odd")
-        if n < 0:
-            raise DomainError("n must be >= 0")
+        _require_quantum_numbers(two_m, n)
         if component not in (Component.R1, Component.R2):
             raise DomainError("component must be R1 or R2")
         if not math.isfinite(B):
@@ -372,6 +380,7 @@ class GeometryRecord:
         s + q (H3) or s - q (S3) a non-positive integer. B < 0 is built at
         the reflected point, as quantize answers it, so the variant
         quantize names builds the state it quantized."""
+        _require_quantum_numbers(two_m)
         if component not in (Component.R1, Component.R2):
             raise DomainError("component must be R1 or R2")
         two_m, B, component = self._reflect(two_m, B, component)
@@ -433,6 +442,7 @@ class GeometryRecord:
         (s + q - d)/(lam c), phase -i on H3 and -1 on S3. The factor is
         -1/k where the primary row is the caller's R2 row: S3 (3,1'), and
         every pair at B < 0, whose R1 and R2 forms the reflection swaps."""
+        _require_quantum_numbers(two_m)
         if not isinstance(pair, self.pairs):
             raise DomainError(f"{pair} is not in the "
                               f"{self.radial_variable.geometry.name} pair table")

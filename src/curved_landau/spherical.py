@@ -124,7 +124,7 @@ class RadialPair(Enum):
     lam c/((a-c)(b-c)) with the (a, b, c) of the R2 row 1'."""
 
     V1_V3P = RadialPairRow(Variant.V1, Variant.V3P, Variant.V1, True,
-                           lambda two_m, B: two_m <= 1, "m <= 1/2")
+                           lambda two_m, B: two_m <= -1, "m <= -1/2")
     V2_V4P = RadialPairRow(Variant.V2, Variant.V4P, Variant.V2, False,
                            lambda two_m, B: two_m >= 1, "m >= 1/2")
     V3_V1P = RadialPairRow(Variant.V3, Variant.V1P, Variant.V1P, True,

@@ -44,9 +44,9 @@ GOLDEN = [
     ("wavefunction --model h3 --component r2 --B 5 --two-m=3 --n 2",
      "384d843dd2fc6715092912dfbed4df88eb74801346cfb694f188ef4dde1d346e"),
     ("wavefunction --model h3 --component z1 --B 5 --two-m=1 --n 1 --p 0.7",
-     "2a89ee945a568b3a87828b1c89e2ef6fab957740827db5adc57efd21848d70b0"),
+     "1191b729fcdc7617e89d84b70dd008cda02ba051f33d9a9eb62ae0fc3515ff10"),
     ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3",
-     "84868b89d77e27c56348abaec956b70cc4e1c9cbd47145980232063bed42b503"),
+     "eac05e01ad6013d0efd6bef8506086d8d4dce38ff8e0d6341df7520b6ff0e1b3"),
     ("wavefunction --model s3 --component r1 --B 2.5 --two-m=1 --n 1",
      "4e9ad18ea8779f41ef73bbd9d864104ab070b1fb2bb34093ffc4bcbddb2932f5"),
     ("wavefunction --model s3 --component r2 --B 2.5 --two-m=-3 --n 2",
@@ -58,13 +58,13 @@ GOLDEN = [
     ("verify --suite radial",
      "465988d77ecad4cda06426bb1eabae90ac30bf0b5072c903b6bfeb4b304fcca2"),
     ("verify --suite pairs",
-     "015348063885e6acafdc1821f1d440df98aa3fca1299044245c808ec1d5bc342"),
+     "64981a9b2f6ac80054590494b7b68d9108df4d514f165dfe5e84f96a39543ae9"),
     ("verify --suite axial",
-     "952fa5f481103c7fd9339351fa81580f39423bf9518020c76256f22112e3162d"),
+     "b14dbed7b8c4b949a8169683bd5a198bf40df198ad5a5780666b451ec853ae5c"),
     ("verify --suite commutator",
      "a5456b44a57bafe73425ee8ce6fa8ffee48b0751a867e09d9edd28c383ab28af"),
     ("verify --suite hyp",
-     "4d309bc9abf10d70bd72db9409f1c4cf4dfc35aba20aa517a41bcca388d6310b"),
+     "3ce2d0b6d1408e33720790f8fd419a477b3db7f7cd85bfa529df4d0875d0cf0c"),
     ("verify --suite flat-limit",
      "590153e3aa81029c18132f4f70b9f3342d0a7331221e72f5aa76fd3bd4e648ca"),
     ("regions --model h3 --B 5 --two-m=-7..7 --n 0..4 --format json",
@@ -78,7 +78,7 @@ GOLDEN = [
      "b406d823720f357c4a09284b76d69d8c221f3cc2570017aa81318187ef9772e9"),
     ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3 "
      "--format json",
-     "9a5bf522c652a84dd631970cd1223886b4e7cc8c615faee115d973c95a1d191d"),
+     "d2462f1d321cf414d1aa2ad41ddc75a780390924814e558b504af6ad7f259e91"),
     ("wavefunction --model s3 --component z1 --B 2.5 --two-m=1 --n 1 --nz 2 "
      "--format json",
      "97cb5b6da21b172051a4a09ae2e412312c14240e91b149b757582703c2f1adfd"),
@@ -210,17 +210,17 @@ NEGATIVE_FIELD_WAVEFUNCTIONS = [
 # {-3, 1, 3}, n <= 2; s3 at n_z <= 20, two_m in {-3, 1, 3}, n <= 1.
 AXIAL_WAVEFUNCTIONS = [
     ("h3", "z1", "2.5",
-     "cb46968e695353936d770ec310fd975279941a40754c7f5ceae3ab8ea7ca6058"),
+     "7d1c14dc31bd64db2be375df3ede95716fb438380eabc91f60a176c4fa8c97e7"),
     ("h3", "z1", "5",
-     "7285adba8c11d9c8be40f89382311acceb883fe432004d76b4340a8f07367d7a"),
+     "26527c76d3a863657ea421d285b7f24e6bad898757e372aeb545472cb395b5a8"),
     ("h3", "z1", "-5",
-     "de60768d2adf31270de67e282318a336871e25de322e7a64abde28c379e7a114"),
+     "9913bcc2f8e3cdf639fcb735500e3743695593385976481e1f2551319e8bcc4b"),
     ("h3", "z2", "2.5",
-     "a6c26486e634f0192c306b6115c818607da17f07bbece93b40997425cf826697"),
+     "1acb8399478ac83ef9d442ccaf795898cbd5d039808715f0485c9841832a0fc9"),
     ("h3", "z2", "5",
-     "80342c2379c56a1910371c8fa866005bacd43722310f58eb48736f005a60fff4"),
+     "9aaece59ebd753fc62627767a8903f5a046bc034685f08ca6a6577f1dfdcda8a"),
     ("h3", "z2", "-5",
-     "74712b03ec13af75df216c7583ee9541e086d3dfa0770fc467e9b8e21183da0b"),
+     "61a150828a5e159049a4096021e239bd244fdca9f747b9103100e9450899adb3"),
     ("s3", "z1", "0.5",
      "5dc7fefa43f6346ae917b12b2355b00b27e04a251ef31e3314e2e2e5a22e0b88"),
     ("s3", "z1", "2.5",

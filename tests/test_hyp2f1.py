@@ -329,6 +329,35 @@ def test_entry_points_take_the_connection_near_one(params):
                 assert arr[k][i] == got[k], (y, k)
 
 
+def _term_mass(params, r):
+    """sum_k k!/(k-j)! |t_k| r^(k-j) for j = 0, 1, 2, the sizes of the
+    terms of F, F' and F'' at |y| = r <= 0.9, where t_k = (a)_k (b)_k /
+    ((c)_k k!): a series' rounding error scales with it, not with |F|."""
+    ks = np.arange(3000)
+    ratio = (params.a + ks) * (params.b + ks) / ((params.c + ks) * (ks + 1))
+    t = np.abs(np.cumprod(np.r_[1, ratio[:-1]]))
+    weights = (1, ks, ks * (ks - 1))
+    return [float(np.sum(weights[j] * t * r ** (ks - j))) for j in range(3)]
+
+
+def test_direct_series_matches_mpmath_on_hyp_suite_draws():
+    # 0 <= Re y <= 1/2 is summed by the direct series alone; each error
+    # is held to 16 eps times the sizes of the terms it sums
+    rng = np.random.default_rng(20261019)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(30):
+        for _ in range(400):
+            params = checks._random_params(rng)
+            y = checks._random_y(rng)
+            while not 0.0 <= y.real <= 0.5:
+                y = checks._random_y(rng)
+            got = series_with_derivatives(params, y)
+            ref = _mp_derivs(params, y)
+            mass = _term_mass(params, abs(y))
+            for k in range(3):
+                assert abs(got[k] - ref[k]) <= 16 * eps * mass[k], (params, y, k)
+
+
 @st.composite
 def _band_points(draw):
     """Points of the unit disc, at least one in each regime band of the
@@ -373,7 +402,7 @@ def test_contiguous_raise_refuses_c_zero():
 
 
 # ---------------------------------------------------------------------------
-# Per-point stopping
+# Ring sums
 # ---------------------------------------------------------------------------
 
 
@@ -415,22 +444,32 @@ def _term_by_term(params, y):
 
 @settings(max_examples=30, deadline=None)
 @given(_safe_params(), st.lists(_disc_y(), min_size=1, max_size=6))
-def test_blocked_sums_match_the_term_by_term_loop(params, ys):
-    blocked = hyp._series_array(params, np.array(ys), 2)
+def test_ring_sums_match_the_term_by_term_loop(params, ys):
+    # Horner's rule to the ring's degree and the forward sum to the
+    # point's own stop differ by roundoff in the terms' sizes, which grows
+    # with the hundreds of steps of the term recurrence (worst seen: 20 eps
+    # at y = 0.875, where every term is positive)
+    rings = hyp._series_array(params, np.array(ys), 2)
+    eps = np.finfo(float).eps
     for i, y in enumerate(ys):
-        assert [blocked[k][i] for k in range(3)] == list(_term_by_term(params, y)), y
+        ref, mass = _term_by_term(params, y), _term_mass(params, abs(y))
+        for k in range(3):
+            assert abs(rings[k][i] - ref[k]) <= 64 * eps * max(mass[k], 1.0), (y, k)
 
 
 def test_one_point_at_the_series_cap_fails_the_batch(monkeypatch):
-    # y = 0.5 lies outside the Taylor discs and needs more than 40 direct
-    # terms; a disc point fails through its centre's direct sum
+    # under a cap of 40 terms the rings up to |y| = 1/4 converge and the
+    # ring (1/4, 1/2] does not, so 0.26 fails with 0.5, although its own
+    # sum would stop within 40 terms; a disc point fails through its
+    # centre's direct sum
     params = Hyp2F1Params(0.5, 0.7, 1.3)
-    ys = np.array([0.1, 0.2j, 0.5, 0.3])
+    ys = np.array([0.1, 0.2j, 0.5, 0.24])
     series_with_derivatives(params, ys)  # converges under the real cap
     monkeypatch.setattr(hyp, "_SERIES_CAP", 40)
     series_with_derivatives(params, ys[[0, 1, 3]])
-    with pytest.raises(NonConvergent, match="series cap 40"):
-        series_with_derivatives(params, ys)
+    for y in (ys, 0.26):
+        with pytest.raises(NonConvergent, match="series cap 40 hit at .* 0.5$"):
+            series_with_derivatives(params, y)
     with pytest.raises(NonConvergent, match="series cap 40"):
         eval_2f1(params, ys)
     with pytest.raises(NonConvergent, match="series cap 40 hit at .* 0.8$"):

@@ -155,6 +155,12 @@ def test_quantize_argument_guards():
         s3_quantize(1, 1.0, -2, Component.R1)
     with pytest.raises(DomainError):
         s3_quantize(1, 1.0, 1, Component.Z1)
+    # a non-integer quantum number used to select a row and return a level
+    with pytest.raises(DomainError, match="two_m must be an odd integer"):
+        GEOMETRY.quantize(1.5, 1.0, 1, Component.R1)
+    with pytest.raises(DomainError, match="n must be an integer"):
+        GEOMETRY.quantize(1, 1.0, 1.5, Component.R1)
+    assert GEOMETRY.quantize(np.int64(1), 1.0, np.int32(1), Component.R1).admissible
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +179,8 @@ def test_radial_solution_guards():
     with pytest.raises(InadmissibleVariant):
         # variant 1 at m = 3/2: C = (1-m)/2 < 0
         s3_radial_solution(3, 1.0, 3.0, Component.R1, Variant.V1)
+    with pytest.raises(DomainError, match="two_m must be an odd integer"):
+        GEOMETRY.radial_solution(2, 1.0, 4.0, Component.R1, Variant.V2)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +309,11 @@ def test_radial_pair_factor_guards():
         GEOMETRY.pair_factor(1, 1.0, 0.0, RadialPair.V2_V4P)
     with pytest.raises(InadmissibleVariant):
         GEOMETRY.pair_factor(3, 1.0, 2.0, RadialPair.V1_V3P)
+    with pytest.raises(InadmissibleVariant):
+        # 3' exists only for m <= -1/2
+        GEOMETRY.pair_factor(1, 1.0, 2.0, RadialPair.V1_V3P)
+    with pytest.raises(DomainError, match="two_m must be an odd integer"):
+        GEOMETRY.pair_factor(2, 1.0, 2.0, RadialPair.V2_V4P)
     with pytest.raises(InadmissibleVariant):
         GEOMETRY.pair_factor(-1, 1.0, 2.0, RadialPair.V2_V4P)
     with pytest.raises(InadmissibleVariant):
