@@ -13,8 +13,8 @@ Layers:
   kappa, the axial (p, lambda) -> (P, L) map and the space's variant
   and pair tables.
 * :mod:`curved_landau.lobachevsky` — the hyperbolic (pseudosphere)
-  model: variant and pair tables, axial data and the U5 axial basis,
-  flat limit, helicity link.
+  model: variant and pair tables, axial data (its second Kummer basis
+  U5 is the record's U1 algebra at -p), flat limit, helicity link.
 * :mod:`curved_landau.spherical` — the spherical model: variant and
   pair tables, axial data and quantization, total energy.
 * :mod:`curved_landau.oracle` — independent numerics: a finite-volume
@@ -63,13 +63,11 @@ from .hyp2f1 import (
     log_gamma,
     series_with_derivatives,
     u2_value,
-    u5_value,
     u6_value,
 )
 from .lobachevsky import (
     RadialPair as H3RadialPair,
     flat_limit,
-    h3_axial_pair_factor,
     h3_axial_solution,
     h3_quantize,
     h3_radial_solution,
@@ -113,10 +111,10 @@ __all__ = [
     "Hyp2F1Params", "InvalidC", "KummerBranch", "NonConvergent",
     "PoleAtNonPositiveInteger", "contiguous_raise_c", "eval_2f1",
     "kummer_connection", "log_gamma", "series_with_derivatives",
-    "u2_value", "u5_value", "u6_value",
+    "u2_value", "u6_value",
     # lobachevsky
-    "H3RadialPair", "flat_limit", "h3_axial_pair_factor", "h3_axial_solution",
-    "h3_quantize", "h3_radial_solution", "helicity_link",
+    "H3RadialPair", "flat_limit", "h3_axial_solution", "h3_quantize",
+    "h3_radial_solution", "helicity_link",
     # spherical
     "S3RadialPair", "s3_axial_quantize", "s3_axial_solution", "s3_quantize",
     "s3_radial_solution", "s3_total_energy",

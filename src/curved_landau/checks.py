@@ -112,7 +112,7 @@ def _suite_hyp() -> List[CheckResult]:
         contig_lo = max(contig_lo, abs(lhs - rhs) / max(1.0, abs(rhs)))
         y_lens = _random_y(rng, lens=True)
         f_lens = hyp.eval_2f1(params, y_lens)
-        coeff = hyp.kummer_connection(params, hyp.KummerBranch.U1)
+        coeff = hyp.kummer_connection(params)
         t2 = coeff.to_u2 * hyp.u2_value(params, y_lens)
         t6 = coeff.to_u6 * hyp.u6_value(params, y_lens)
         recon = max(recon, abs(f_lens - (t2 + t6))

@@ -43,7 +43,6 @@ __all__ = [
     "log_gamma",
     "kummer_connection",
     "u2_value",
-    "u5_value",
     "u6_value",
     "contiguous_raise_c",
 ]
@@ -75,8 +74,9 @@ class DegenerateConnection(Hyp2F1Error):
 
 
 class KummerBranch(Enum):
-    """Which of Kummer's y ~ 0 solutions is being connected: U1 is the
-    plain series F(a,b,c;y), U5 is y^(1-c) F(a+1-c, b+1-c, 2-c; y)."""
+    """Which of Kummer's y ~ 0 solutions an H3 axial form is built on
+    (lobachevsky.h3_axial_solution): U1 is the plain series F(a,b,c;y),
+    U5 is y^(1-c) F(a+1-c, b+1-c, 2-c; y)."""
 
     U1 = "u1"
     U5 = "u5"
@@ -269,11 +269,11 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
 # the U1 and U5 branches, the 11 (B, n, lam, p) of tests/test_connection.py's
 # _axial_cases, 86 points on |z| <= 10) against mpmath at 30 digits,
 # relative to the sup-norm, by split: 0.5 4.7e-11, 0.7 4.6e-12,
-# 0.8 1.4e-12, 0.85 4.9e-13, 0.9 1.9e-13, 0.95 7.9e-14. Points next to
+# 0.8 1.4e-12, 0.85 4.9e-13, 0.9 1.8e-13, 0.95 7.8e-14. Points next to
 # the split read worse: on the grid of tests/test_connection.py, which
 # adds z = atanh(0.8) -+ 1e-9, the worst at 0.9 is 4.25e-13, F'' of the
-# U5 Z2 form at B = 5, n = 4 (lam = 4.899), p = 0.701, at z = atanh(0.8)
-# + 1e-9, just inside the connection side.
+# U1 Z1 and U5 Z2 forms at B = 5, n = 4 (lam = 4.899), p = 0.701, at
+# z = atanh(0.8) + 1e-9, just inside the connection side.
 _CONNECTION_SPLIT = 0.9
 
 # The Taylor regime on 1/2 < Re y <= _CONNECTION_SPLIT: discs of radius
@@ -394,7 +394,7 @@ def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
     far = y.real > _CONNECTION_SPLIT
     if far.any():
         try:
-            coeff = kummer_connection(params, KummerBranch.U1)
+            coeff = kummer_connection(params)
         except DegenerateConnection:
             far = np.zeros_like(far)
     left = y.real < 0.0
@@ -523,13 +523,11 @@ def _gamma_ratio(num, den) -> complex:
     return cmath.exp(s)
 
 
-def kummer_connection(params: Hyp2F1Params,
-                      which: KummerBranch) -> ConnectionCoefficients:
-    """Connection coefficients expanding U1 or U5 over the y ~ 1 basis:
+def kummer_connection(params: Hyp2F1Params) -> ConnectionCoefficients:
+    """Connection coefficients expanding U1 = F(a,b,c;y) over the y ~ 1
+    basis:
 
         U1 = [G(c)G(c-a-b)/(G(c-a)G(c-b))] U2 + [G(c)G(a+b-c)/(G(a)G(b))] U6
-        U5 = [G(2-c)G(c-a-b)/(G(1-a)G(1-b))] U2
-             + [G(2-c)G(a+b-c)/(G(a+1-c)G(b+1-c))] U6
 
     Raises DegenerateConnection when c-a-b is an integer (logarithmic
     case). A Gamma pole in a denominator makes that coefficient 0; one
@@ -539,14 +537,9 @@ def kummer_connection(params: Hyp2F1Params,
     cab = c - a - b
     if abs(cab.imag) <= _TERM_TOL and abs(cab.real - round(cab.real)) <= _TERM_TOL:
         raise DegenerateConnection(f"c-a-b = {cab} is an integer")
-    if which is KummerBranch.U1:
-        return ConnectionCoefficients(
-            to_u2=_gamma_ratio((c, cab), (c - a, c - b)),
-            to_u6=_gamma_ratio((c, -cab), (a, b)),
-        )
     return ConnectionCoefficients(
-        to_u2=_gamma_ratio((2 - c, cab), (1 - a, 1 - b)),
-        to_u6=_gamma_ratio((2 - c, -cab), (a + 1 - c, b + 1 - c)),
+        to_u2=_gamma_ratio((c, cab), (c - a, c - b)),
+        to_u6=_gamma_ratio((c, -cab), (a, b)),
     )
 
 
@@ -565,14 +558,6 @@ def u6_value(params: Hyp2F1Params, y):
     y, w = _points(y)
     cab = c - a - b
     return w ** cab * eval_2f1(Hyp2F1Params(c - a, c - b, cab + 1), w, y)
-
-
-def u5_value(params: Hyp2F1Params, y):
-    """U5 = y^(1-c) F(a+1-c, b+1-c, 2-c; y), the second y ~ 0 solution;
-    y may be a scalar or an array."""
-    a, b, c = params.a, params.b, params.c
-    y = _points(y)[0]
-    return y ** (1 - c) * eval_2f1(Hyp2F1Params(a + 1 - c, b + 1 - c, 2 - c), y)
 
 
 def contiguous_raise_c(params: Hyp2F1Params, y: complex) -> complex:

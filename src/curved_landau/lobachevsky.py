@@ -1,9 +1,9 @@
 """Hyperbolic (H3) model layer.
 
 The radial variant and pair tables and the axial data behind the
-space's GeometryRecord (kappa = -1, sinh, cosh), the second (U5) axial
-basis and its pair factor, the flat-space limit, and the helicity/energy
-link.
+space's GeometryRecord (kappa = -1, sinh, cosh), the two Kummer bases
+U1 and U5 of the axial equation (one algebra, at p and -p), the
+flat-space limit, and the helicity/energy link.
 
 Conventions: B = eB and M in curvature-radius units, m half-integer
 passed as two_m = 2m (odd int) wherever variant ranges matter; the
@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .hyp2f1 import Hyp2F1Params, KummerBranch
+from .hyp2f1 import KummerBranch
 from .model import (
     Component,
     DomainError,
@@ -33,19 +33,20 @@ from .model import (
     SubthresholdEnergy,
     Variable,
     Variant,
-    ZeroLambda,
 )
 
 __all__ = [
     "GEOMETRY",
     "RadialPair",
     "h3_axial_solution",
-    "h3_axial_pair_factor",
     "h3_radial_solution",
     "h3_quantize",
     "flat_limit",
     "helicity_link",
 ]
+
+
+_OTHER_AXIAL = {Component.Z1: Component.Z2, Component.Z2: Component.Z1}
 
 
 def h3_axial_solution(p: float, lam: float, branch: KummerBranch,
@@ -54,37 +55,19 @@ def h3_axial_solution(p: float, lam: float, branch: KummerBranch,
 
     `branch` picks the basis solution: U1 (GEOMETRY.axial_solution)
     decays as y^(ip/2 + 1/2) at z -> -infinity, U5 oscillates with unit
-    modulus as y^(-ip/2). Both the Z1 and Z2 members of each coupled
-    pair are constructible; no quantization applies (p stays continuous).
+    modulus as y^(-ip/2). U5 is the record's other component at -p, so
+    the U5 pair's z2/z1 factor is 1 / GEOMETRY.axial_pair(-p, lam)[2].
+    No quantization applies (p stays continuous).
     """
-    if branch is KummerBranch.U1:
-        return GEOMETRY.axial_solution(p, lam, component)
-    ip, il = 1j * p, 1j * lam
-    if component is Component.Z1:
-        return SolutionForm(-ip / 2, ip / 2,
-                            Hyp2F1Params(il, -il, 0.5 - ip), Variable.YZ)
-    if component is Component.Z2:
-        return SolutionForm((1 - ip) / 2, (1 + ip) / 2,
-                            Hyp2F1Params(1 + il, 1 - il, 1.5 - ip), Variable.YZ)
-    raise DomainError("axial component must be Z1 or Z2")
-
-
-def h3_axial_pair_factor(p: float, lam: float, pair: KummerBranch) -> complex:
-    """Ratio z2/z1 coupling (Z1, Z2) of the chosen branch into the
-    first-order axial system. U1: GEOMETRY.axial_pair's factor
-    (_axial_factor); U5: a'b'/(lam c') = lam/(1/2 - ip)."""
-    if pair is KummerBranch.U1:
-        return GEOMETRY.axial_pair(p, lam)[2]
-    if lam == 0.0:
-        raise ZeroLambda("pair decouples at lambda = 0")
-    ip, il = 1j * p, 1j * lam
-    ap, bp, cp = il, -il, 0.5 - ip
-    return ap * bp / (lam * cp)
+    if branch is KummerBranch.U5:
+        p, component = -p, _OTHER_AXIAL.get(component, component)
+    return GEOMETRY.axial_solution(p, lam, component)
 
 
 def _axial_factor(P: complex, L: complex, lam: float) -> complex:
-    """lam (c-1)/((a-c+1)(b-c+1)) with the Z1 (upper) a, b, c, which
-    reduces to (ip + 1/2)/lam; kept unreduced, which rounds differently."""
+    """lam (c-1)/((a-c+1)(b-c+1)) with a, b, c = c + L, c - L, c + 1 of
+    the Z1 (upper) form before Euler's transformation, which reduces to
+    (ip + 1/2)/lam; kept unreduced, which rounds differently."""
     a, b, c = P + 0.5 + L, P + 0.5 - L, P + 0.5 + 1
     return lam * (c - 1) / ((a - c + 1) * (b - c + 1))
 

@@ -71,7 +71,7 @@ class NonTerminating(DomainError):
 
 
 class NonPositiveLambda(DomainError):
-    """lambda <= 0 on the canonical branch; use the symmetric branch."""
+    """lambda <= 0 where the positive separation constant is required."""
 
 
 class NegativeDiscriminant(InadmissibleVariant):
@@ -237,11 +237,11 @@ class GeometryRecord:
     enum), every method below is written once. r runs over (0, r_max), z
     over (-z_max, z_max); forms on the compact space (finite r_max) need
     A, C > 0. Axial forms take (P, L) = axial_pl(p, lam), the upper shape
-    for axial_upper and the z2/z1 factor axial_factor(P, L, lam). The CLI
-    samples wavefunctions on r_window and z_window, an output choice
-    (where the states are worth plotting) rather than a bound of the
-    series, and prints region_predicate and zero_field_note with
-    `regions`. mu, mu_prime and radial_potential raise DomainError for r
+    for axial_upper (in Euler's form on the open space) and the z2/z1
+    factor axial_factor(P, L, lam). The CLI samples wavefunctions on
+    r_window and z_window, an output choice (where the states are worth
+    plotting) rather than a bound of the series, and prints
+    region_predicate and zero_field_note with `regions`. mu, mu_prime and radial_potential raise DomainError for r
     outside (0, r_max) (_radius).
     """
 
@@ -483,7 +483,11 @@ class GeometryRecord:
         y^((1+P)/2) (1-y)^(P/2) F(c + L, c - L; c + 1; y), the other
         y^(P/2) (1-y)^((1+P)/2) F(c + L, c - L; c; y). On the compact
         space (finite z_max) p must be > 0 and F must terminate
-        (p = +-lam + n_z + 1/2) for the form to stay finite at the ends."""
+        (p = +-lam + n_z + 1/2) for the form to stay finite at the ends.
+        On the open space the forms are built in Euler's form (DLMF
+        15.8.1), y^((1+P)/2) (1-y)^((1-P)/2) F(1 + L, 1 - L; c + 1; y)
+        and y^(P/2) (1-y)^(-P/2) F(L, -L; c; y), whose numerators do not
+        grow with p; at -p they are the second Kummer basis, Z1 <-> Z2."""
         compact = math.isfinite(self.z_max)
         if compact and p <= 0.0:
             raise DomainError("p must be > 0")
@@ -492,9 +496,14 @@ class GeometryRecord:
         P, L = self.axial_pl(p, lam)
         c = P + 0.5
         upper = component is self.axial_upper
-        ends = ((1 + P) / 2, P / 2) if upper else (P / 2, (1 + P) / 2)
-        form = SolutionForm(*ends, Hyp2F1Params(c + L, c - L, c + 1 if upper else c),
-                            self.axial_variable)
+        if compact:
+            ends = ((1 + P) / 2, P / 2) if upper else (P / 2, (1 + P) / 2)
+            params = Hyp2F1Params(c + L, c - L, c + 1 if upper else c)
+        else:
+            ends = ((1 + P) / 2, (1 - P) / 2) if upper else (P / 2, -P / 2)
+            params = (Hyp2F1Params(1 + L, 1 - L, c + 1) if upper
+                      else Hyp2F1Params(L, -L, c))
+        form = SolutionForm(*ends, params, self.axial_variable)
         if compact and not form.params.terminating:
             raise NonTerminating(f"finiteness at z = +-{self.z_max:g} needs a terminating"
                                  " series: p must satisfy p = +-lambda + n_z + 1/2")

@@ -32,8 +32,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .hyp2f1 import (DegenerateConnection, KummerBranch, kummer_connection,
-                     u2_value, u6_value)
+from .hyp2f1 import DegenerateConnection, kummer_connection, u2_value, u6_value
 from .model import (
     Component,
     DomainError,
@@ -559,11 +558,11 @@ def axial_connection_check(p: float, lam: float) -> ResidualReport:
     """Integrate the hyperbolic axial equation from y = 0.1 and compare
     against the two-term recombination around y = 1 predicted by the
     connection coefficients, on 16 nodes of y in [0.90, 0.95]. With
-    a, b, c of the axial family, c - a - b = 1/2 - ip is never an
-    integer for real p, so the connection is non-degenerate on the
-    physical line.
+    a, b, c = 1 + i lam, 1 - i lam, ip + 3/2 of the record's Z1 form,
+    c - a - b = ip - 1/2 is never an integer for real p, so the
+    connection is non-degenerate on the physical line.
 
-    Z = y^((1+ip)/2) (1-y)^(ip/2) F(a, b, c; y) solves, on
+    Z = y^((1+ip)/2) (1-y)^((1-ip)/2) F(a, b, c; y) solves, on
     z = atanh(2y - 1), where the equation is smooth on the whole line,
     Z'' + tanh z Z' + (p^2 + i p tanh z - lam^2 / cosh^2 z) Z = 0.
     Classical fourth-order Runge-Kutta steps carry Z from y = 0.1 to each
@@ -577,7 +576,7 @@ def axial_connection_check(p: float, lam: float) -> ResidualReport:
             "lambda = 0 makes the upper parameters coincide (a = b)")
     sol = Geometry.H3.record.axial_solution(p, lam, Component.Z1)
     params = sol.params
-    coeff = kummer_connection(params, KummerBranch.U1)
+    coeff = kummer_connection(params)
 
     def rhs(z, f, df):
         t = math.tanh(z)

@@ -10,7 +10,7 @@ variant whose endpoint exponent is the larger (regular) indicial root
 is selected.
 
 Square roots are sqrt(B^2 + lambda^2) (no continuum on a compact
-space); lambda > 0 is the canonical branch. GEOMETRY has kappa = +1.
+space); lambda is taken > 0. GEOMETRY has kappa = +1.
 """
 
 from __future__ import annotations
@@ -43,21 +43,13 @@ __all__ = [
     "s3_total_energy",
 ]
 
-def s3_axial_quantize(lam: float, n_z: int, symmetric: bool = False) -> float:
-    """p = lambda + n_z + 1/2 on the canonical lambda > 0 branch.
-
-    The symmetric termination condition (flag) serves lambda < 0 and
-    gives p = -lambda + n_z + 1/2.
-    """
+def s3_axial_quantize(lam: float, n_z: int) -> float:
+    """p = lambda + n_z + 1/2 for the positive separation constant
+    lambda."""
     if n_z < 0:
         raise DomainError("n_z must be >= 0")
-    if symmetric:
-        if lam >= 0.0:
-            raise DomainError("symmetric branch applies to lambda < 0")
-        return -lam + n_z + 0.5
     if lam <= 0.0:
-        raise NonPositiveLambda(
-            "canonical branch needs lambda > 0; use symmetric=True for lambda < 0")
+        raise NonPositiveLambda("lambda must be > 0 (the positive root of lambda^2)")
     return lam + n_z + 0.5
 
 

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 
+import mpmath
 import pytest
 
 from curved_landau import cli
@@ -445,10 +446,35 @@ def test_overflowing_energy_exits_2(capsys):
 
 
 def test_evaluator_error_exits_2_with_one_error_line(capsys):
-    # the h3 axial series at p = 1e6 runs past the series cap
-    code, out, err = _run(capsys, [
+    # the h3 axial series at p = 1e4 and 1e6 runs past the series cap
+    for p in ("1e4", "1e6"):
+        code, out, err = _run(capsys, [
+            "wavefunction", "--model", "h3", "--component", "z1", "--B", "5",
+            "--two-m", "1", "--n", "1", "--p", p])
+        assert code == 2, p
+        assert out == ""
+        assert err.startswith("error: series cap") and err.count("\n") == 1
+
+
+def test_h3_axial_wavefunction_at_large_p_matches_mpmath(capsys):
+    # the sums at p = 100 once returned ~1e30 of the sup-norm with exit 0;
+    # the reference is the form before Euler's transformation,
+    # y^((1+ip)/2) (1-y)^(ip/2) F(c + i lam, c - i lam; c + 1; y) with
+    # c = ip + 1/2, at 40 digits
+    code, out, _ = _run(capsys, [
         "wavefunction", "--model", "h3", "--component", "z1", "--B", "5",
-        "--two-m", "1", "--n", "1", "--p", "1e6"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: series cap") and err.count("\n") == 1
+        "--two-m", "1", "--n", "1", "--p", "100"])
+    assert code == 0
+    meta, _, rows = _parse_csv(out)
+    lam = math.sqrt(float(meta["lambda_sq"]))
+    got, ref = [], []
+    with mpmath.workdps(40):
+        c, il = mpmath.mpc(0.5, 100), mpmath.mpc(0, lam)
+        for z, re, im in rows:
+            y = 1 / (1 + mpmath.exp(-2 * mpmath.mpf(z)))
+            ref.append(complex(mpmath.power(y, (c + 0.5) / 2)
+                               * mpmath.power(1 - y, (c - 0.5) / 2)
+                               * mpmath.hyp2f1(c + il, c - il, c + 1, y)))
+            got.append(complex(float(re), float(im)))
+    err = max(abs(g - r) for g, r in zip(got, ref))
+    assert err <= 1e-12 * max(abs(r) for r in ref), err

@@ -44,9 +44,9 @@ GOLDEN = [
     ("wavefunction --model h3 --component r2 --B 5 --two-m=3 --n 2",
      "384d843dd2fc6715092912dfbed4df88eb74801346cfb694f188ef4dde1d346e"),
     ("wavefunction --model h3 --component z1 --B 5 --two-m=1 --n 1 --p 0.7",
-     "1191b729fcdc7617e89d84b70dd008cda02ba051f33d9a9eb62ae0fc3515ff10"),
+     "e9f1b784a08d322a71f8444e8053e07b5b2fbeab9fba38c48b44f45cfb7f8d09"),
     ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3",
-     "eac05e01ad6013d0efd6bef8506086d8d4dce38ff8e0d6341df7520b6ff0e1b3"),
+     "dc5e94564f5f53b5bb6bb16a47c914da7c1315220e3a5f3eb5e780ffb909b7f6"),
     ("wavefunction --model s3 --component r1 --B 2.5 --two-m=1 --n 1",
      "4e9ad18ea8779f41ef73bbd9d864104ab070b1fb2bb34093ffc4bcbddb2932f5"),
     ("wavefunction --model s3 --component r2 --B 2.5 --two-m=-3 --n 2",
@@ -58,9 +58,9 @@ GOLDEN = [
     ("verify --suite radial",
      "465988d77ecad4cda06426bb1eabae90ac30bf0b5072c903b6bfeb4b304fcca2"),
     ("verify --suite pairs",
-     "64981a9b2f6ac80054590494b7b68d9108df4d514f165dfe5e84f96a39543ae9"),
+     "8f63e9354093e65cd536de0f3dc750823a6ec1668b546cc46539f5e4930224fa"),
     ("verify --suite axial",
-     "b14dbed7b8c4b949a8169683bd5a198bf40df198ad5a5780666b451ec853ae5c"),
+     "bc2746a434f0644dfedd8029b4f24397e7130cf623d68f16a78db10df5aef9da"),
     ("verify --suite commutator",
      "a5456b44a57bafe73425ee8ce6fa8ffee48b0751a867e09d9edd28c383ab28af"),
     ("verify --suite hyp",
@@ -78,7 +78,7 @@ GOLDEN = [
      "b406d823720f357c4a09284b76d69d8c221f3cc2570017aa81318187ef9772e9"),
     ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3 "
      "--format json",
-     "d2462f1d321cf414d1aa2ad41ddc75a780390924814e558b504af6ad7f259e91"),
+     "bf4679c7ec3b6c29237fed3970731a008934af59ac4daa6bcc61c865f5454b2a"),
     ("wavefunction --model s3 --component z1 --B 2.5 --two-m=1 --n 1 --nz 2 "
      "--format json",
      "97cb5b6da21b172051a4a09ae2e412312c14240e91b149b757582703c2f1adfd"),
@@ -210,17 +210,17 @@ NEGATIVE_FIELD_WAVEFUNCTIONS = [
 # {-3, 1, 3}, n <= 2; s3 at n_z <= 20, two_m in {-3, 1, 3}, n <= 1.
 AXIAL_WAVEFUNCTIONS = [
     ("h3", "z1", "2.5",
-     "7d1c14dc31bd64db2be375df3ede95716fb438380eabc91f60a176c4fa8c97e7"),
+     "591933e9b9d8ad93ca18175fa58b09ef886917a912275077ae7100326d3a8f1b"),
     ("h3", "z1", "5",
-     "26527c76d3a863657ea421d285b7f24e6bad898757e372aeb545472cb395b5a8"),
+     "96bb7c9bb9aa567a8e88bbb214fadb71a21516079da1e0bed198aff7a454803d"),
     ("h3", "z1", "-5",
-     "9913bcc2f8e3cdf639fcb735500e3743695593385976481e1f2551319e8bcc4b"),
+     "3c27a7452b78f8938f1556d6ed326064b5b197275cb34c51666c38068e9ec00a"),
     ("h3", "z2", "2.5",
-     "1acb8399478ac83ef9d442ccaf795898cbd5d039808715f0485c9841832a0fc9"),
+     "4c503ad97760c162dd8eebf2ddb87f8818858ffb22ac77188a9998107d62a244"),
     ("h3", "z2", "5",
-     "9aaece59ebd753fc62627767a8903f5a046bc034685f08ca6a6577f1dfdcda8a"),
+     "ad0443f0a7baaef81a9d18315c03143625614e142f7836c0e0c1e96609527752"),
     ("h3", "z2", "-5",
-     "61a150828a5e159049a4096021e239bd244fdca9f747b9103100e9450899adb3"),
+     "802e38fb3d4f31b6dc84fb077a6d1ab651ad49d74b8868dd09f8071d612581a3"),
     ("s3", "z1", "0.5",
      "5dc7fefa43f6346ae917b12b2355b00b27e04a251ef31e3314e2e2e5a22e0b88"),
     ("s3", "z1", "2.5",

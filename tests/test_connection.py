@@ -67,7 +67,14 @@ def _reference(form, zs):
     return np.array(out).T
 
 
-@pytest.mark.parametrize("B, n, lam, p", _axial_cases())
+# (B, n, lam, p) at large p, where the numerators c +- i lam of the
+# forms before Euler's transformation grew with p and their sums lost
+# every digit by p = 100; B and n are not used
+_LARGE_P = [(None, None, lam, p) for p in (10.0, 30.0, 100.0)
+            for lam in (0.4, 1.3, 4.9)]
+
+
+@pytest.mark.parametrize("B, n, lam, p", _axial_cases() + _LARGE_P)
 def test_h3_axial_forms_match_mpmath_on_the_whole_window(B, n, lam, p):
     for branch in (KummerBranch.U1, KummerBranch.U5):
         for component in (Component.Z1, Component.Z2):

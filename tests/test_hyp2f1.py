@@ -15,7 +15,6 @@ from curved_landau.hyp2f1 import (
     Hyp2F1Error,
     Hyp2F1Params,
     InvalidC,
-    KummerBranch,
     NonConvergent,
     contiguous_raise_c,
     eval_2f1,
@@ -23,11 +22,9 @@ from curved_landau.hyp2f1 import (
     log_gamma,
     series_with_derivatives,
     u2_value,
-    u5_value,
     u6_value,
 )
-from curved_landau.lobachevsky import h3_axial_solution
-from curved_landau.model import Component, SolutionForm, Variable
+from curved_landau.model import SolutionForm, Variable
 
 
 def _far_from_int(x: float, gap: float = 0.15) -> bool:
@@ -157,7 +154,7 @@ def test_log_gamma_pole_rejected():
 def test_kummer_connection_reconstructs_series():
     params = Hyp2F1Params(0.4 + 0.3j, -0.6, 1.3 - 0.2j)
     y = 0.55 + 0.1j
-    coeff = kummer_connection(params, KummerBranch.U1)
+    coeff = kummer_connection(params)
     joined = (coeff.to_u2 * u2_value(params, y)
               + coeff.to_u6 * u6_value(params, y))
     assert abs(eval_2f1(params, y) - joined) < 1e-12
@@ -171,25 +168,16 @@ def test_kummer_connection_reconstructs_series():
 def test_kummer_connection_denominator_pole_gives_zero():
     # c - a = -1 poles Gamma(c - a): F = to_u6 * U6 alone (Euler)
     params = Hyp2F1Params(1.3, 0.4 + 0.2j, 0.3)
-    coeff = kummer_connection(params, KummerBranch.U1)
+    coeff = kummer_connection(params)
     assert coeff.to_u2 == 0
     y = 0.6 + 0.1j
     assert abs(eval_2f1(params, y) - coeff.to_u6 * u6_value(params, y)) < 1e-12
 
 
-def test_kummer_connection_u5_branch():
-    params = Hyp2F1Params(0.4, 1.9, 0.7)
-    y = 0.5
-    coeff = kummer_connection(params, KummerBranch.U5)
-    joined = (coeff.to_u2 * u2_value(params, y)
-              + coeff.to_u6 * u6_value(params, y))
-    assert abs(u5_value(params, y) - joined) < 1e-12
-
-
 def test_degenerate_connection_rejected():
     # c - a - b exactly integer -> logarithmic case
     with pytest.raises(DegenerateConnection):
-        kummer_connection(Hyp2F1Params(0.5, 0.5, 2.0), KummerBranch.U1)
+        kummer_connection(Hyp2F1Params(0.5, 0.5, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +264,7 @@ def test_contiguous_lower_identity(params, y):
 @given(_safe_params(), _disc_y(lens=True))
 def test_two_term_recombination(params, y):
     f = eval_2f1(params, y)
-    coeff = kummer_connection(params, KummerBranch.U1)
+    coeff = kummer_connection(params)
     t2 = coeff.to_u2 * u2_value(params, y)
     t6 = coeff.to_u6 * u6_value(params, y)
     assert abs(f - (t2 + t6)) <= 1e-9 * max(1.0, abs(f), abs(t2), abs(t6))
@@ -411,9 +399,10 @@ def test_contiguous_raise_refuses_c_zero():
 @example(Hyp2F1Params(0.2, 0.45, 0.83), [0.05, -0.05, 0.69j, 0.6 + 0.3j])
 @example(Hyp2F1Params(0.2, 0.45, 0.83), [0.55, 0.62 + 0.03j, 0.3, 0.75, 0.9])
 def test_batch_values_do_not_depend_on_the_other_points(params, ys):
-    # each point stops at its own k, so a slow point in the call does not
-    # extend the sums of the fast ones; a Taylor polynomial's degree
-    # depends on the parameters alone
+    # a point's sum has the degree of its |y| ring, which the ring's outer
+    # radius and the parameters fix, so a slow point in the call does not
+    # extend the sums of the fast ones in other rings; a Taylor
+    # polynomial's degree depends on the parameters alone
     for entry in (series_with_derivatives, eval_2f1):
         batch = entry(params, np.array(ys))
         batch = batch if isinstance(batch, tuple) else (batch,)
@@ -532,11 +521,14 @@ def test_cancelling_taylor_terms_keep_the_direct_series(monkeypatch):
 
 
 def test_taylor_degree_cap_keeps_the_direct_series(monkeypatch):
-    # at p = 100 the Taylor series about 0.8 needs more than
-    # _TAYLOR_DEGREE_CAP terms, so the cap refuses that disc even with the
-    # gate off, and the kernel sums its points directly, value for value
+    # with the h3 axial Z1 parameters at p = 100 before Euler's
+    # transformation, (c + i lam, c - i lam; c + 1) with c = ip + 1/2, the
+    # Taylor series about 0.8 needs more than _TAYLOR_DEGREE_CAP terms, so
+    # the cap refuses that disc even with the gate off, and the kernel sums
+    # its points directly, value for value
     monkeypatch.setattr(hyp, "_TAYLOR_GATE", math.inf)
-    params = h3_axial_solution(100, 1.3, KummerBranch.U1, Component.Z1).params
+    c, il = 100j + 0.5, 1.3j
+    params = Hyp2F1Params(c + il, c - il, c + 1)
     assert hyp._taylor_rows(params, 0.8) is None
     assert hyp._taylor_rows(params, 0.6) is not None
     ys = np.array([0.75, 0.8, 0.83 + 0.02j, 0.88])

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from curved_landau.hyp2f1 import KummerBranch
+from curved_landau.hyp2f1 import Hyp2F1Params, KummerBranch
 from curved_landau.lobachevsky import (
     GEOMETRY,
     RadialPair,
     flat_limit,
-    h3_axial_pair_factor,
     h3_axial_solution,
     h3_quantize,
     h3_radial_solution,
@@ -23,7 +22,9 @@ from curved_landau.model import (
     InadmissibleVariant,
     MasslessUnsupported,
     SigmaBranch,
+    SolutionForm,
     SubthresholdEnergy,
+    Variable,
     Variant,
     ZeroLambda,
 )
@@ -173,7 +174,8 @@ def test_axial_system_with_pair_factor():
     for branch in (KummerBranch.U1, KummerBranch.U5):
         z1 = h3_axial_solution(p, lam, branch, Component.Z1)
         z2 = h3_axial_solution(p, lam, branch, Component.Z2)
-        fac = h3_axial_pair_factor(p, lam, branch)
+        fac = (GEOMETRY.axial_pair(p, lam)[2] if branch is KummerBranch.U1
+               else 1 / GEOMETRY.axial_pair(-p, lam)[2])
         zs = np.linspace(-1.5, 1.5, 30)
         g1, d1, _ = z1.evaluate_with_derivs(zs)
         g2, d2, _ = z2.evaluate_with_derivs(zs)
@@ -187,22 +189,31 @@ def test_axial_system_with_pair_factor():
 
 def test_axial_pair_factor_zero_lambda():
     with pytest.raises(ZeroLambda):
-        h3_axial_pair_factor(0.7, 0.0, KummerBranch.U1)
+        GEOMETRY.axial_pair(0.7, 0.0)
 
 
 def test_axial_u1_forms_are_the_axial_family():
-    # (P, L) = (ip, i lam): Z1 has the upper shape, Z2 the lower one
+    # (P, L) = (ip, i lam): Z1 has the upper shape, Z2 the lower one, both
+    # in Euler's form
     p, lam = 2.0, 1.0
     ip, il = 1j * p, 1j * lam
     z1 = GEOMETRY.axial_solution(p, lam, Component.Z1)
     z2 = GEOMETRY.axial_solution(p, lam, Component.Z2)
-    a, b, c = ip + 0.5 + il, ip + 0.5 - il, ip + 1.5
-    assert (z1.params.a, z1.params.b, z1.params.c) == (a, b, c)
-    assert (z2.params.a, z2.params.b, z2.params.c) == (a, b, c - 1)
-    assert (z1.exp_a, z1.exp_c) == ((1 + ip) / 2, ip / 2)
-    assert (z2.exp_a, z2.exp_c) == (ip / 2, (1 + ip) / 2)
+    c = ip + 0.5
+    assert (z1.params.a, z1.params.b, z1.params.c) == (1 + il, 1 - il, c + 1)
+    assert (z2.params.a, z2.params.b, z2.params.c) == (il, -il, c)
+    assert (z1.exp_a, z1.exp_c) == ((1 + ip) / 2, (1 - ip) / 2)
+    assert (z2.exp_a, z2.exp_c) == (ip / 2, -ip / 2)
+    # the same functions as the shapes before Euler's transformation
+    a, b = c + il, c - il
+    before = (SolutionForm((1 + ip) / 2, ip / 2, Hyp2F1Params(a, b, c + 1), Variable.YZ),
+              SolutionForm(ip / 2, (1 + ip) / 2, Hyp2F1Params(a, b, c), Variable.YZ))
+    zs = np.linspace(-2.0, 2.0, 41)
+    for form, old in zip((z1, z2), before):
+        ref = old.evaluate(zs)
+        assert np.max(np.abs(form.evaluate(zs) - ref)) < 1e-13 * np.max(np.abs(ref))
     # the unreduced closed form agrees with its reduction (ip + 1/2)/lam
-    factor = h3_axial_pair_factor(p, lam, KummerBranch.U1)
+    factor = GEOMETRY.axial_pair(p, lam)[2]
     assert abs(factor - (ip + 0.5) / lam) < 1e-15 * abs(factor)
 
 

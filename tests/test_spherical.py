@@ -204,13 +204,6 @@ def test_axial_quantization_guards():
         s3_axial_quantize(1.0, -1)
 
 
-def test_axial_symmetric_branch():
-    lam = math.sqrt(3.0)
-    assert s3_axial_quantize(-lam, 1, symmetric=True) == lam + 1.5
-    with pytest.raises(DomainError):
-        s3_axial_quantize(lam, 1, symmetric=True)
-
-
 def test_axial_solution_requires_termination():
     with pytest.raises(NonTerminating):
         s3_axial_solution(1.0, math.sqrt(3.0), Component.Z1)
