@@ -9,12 +9,13 @@ Layers:
 * :mod:`curved_landau.model` — shared vocabulary: enums, solution
   forms, records, error taxonomy, and the per-space GeometryRecord
   (``Geometry.H3.record``): mu, quantization, radial and axial
-  solutions and pairs, audit and region verdict, written once from
-  kappa, the axial (p, lambda) -> (P, L) map and the space's variant
-  and pair tables.
+  solutions and pairs, and the audit of each quantized level (unified
+  formula and figure predicate), written once from kappa, the axial
+  (p, lambda) -> (P, L) map and the space's variant and pair tables.
 * :mod:`curved_landau.lobachevsky` — the hyperbolic (pseudosphere)
   model: variant and pair tables, axial data (its second Kummer basis
-  U5 is the record's U1 algebra at -p), flat limit, helicity link.
+  U5 is the record's U1 algebra at -p), the flat limit of its
+  quantized level, helicity link.
 * :mod:`curved_landau.spherical` — the spherical model: variant and
   pair tables, axial data and quantization, total energy.
 * :mod:`curved_landau.oracle` — independent numerics: a finite-volume
@@ -32,18 +33,17 @@ from .model import (
     EvaluationDomain,
     Geometry,
     InadmissibleVariant,
+    LevelAudit,
     MasslessUnsupported,
     NegativeDiscriminant,
     NonPositiveLambda,
     NonTerminating,
-    RegionVerdict,
     SigmaBranch,
     SolutionForm,
     SpectrumEntry,
     SubthresholdEnergy,
     SupportTooCloseToSingularity,
     TruncationTooSmall,
-    UnifiedReport,
     Variable,
     Variant,
     ZeroLambda,
@@ -100,11 +100,10 @@ __all__ = [
     "__version__",
     # model
     "Component", "DomainError", "EvaluationDomain", "Geometry",
-    "InadmissibleVariant", "MasslessUnsupported", "NegativeDiscriminant",
-    "NonPositiveLambda", "NonTerminating",
-    "RegionVerdict", "SigmaBranch",
-    "SolutionForm", "SpectrumEntry", "SubthresholdEnergy",
-    "SupportTooCloseToSingularity", "TruncationTooSmall", "UnifiedReport",
+    "InadmissibleVariant", "LevelAudit", "MasslessUnsupported",
+    "NegativeDiscriminant", "NonPositiveLambda", "NonTerminating",
+    "SigmaBranch", "SolutionForm", "SpectrumEntry", "SubthresholdEnergy",
+    "SupportTooCloseToSingularity", "TruncationTooSmall",
     "Variable", "Variant", "ZeroLambda",
     # hyp2f1
     "ConnectionCoefficients", "DegenerateConnection", "Hyp2F1Error",

@@ -172,8 +172,8 @@ def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
     records = []
     for two_m in two_ms:
         for n in ns:
-            entry = geo.quantize(two_m, args.B, n, Component.R1)
-            unified = geo.unified_report(two_m, args.B, n)
+            audit = geo.audit(two_m, args.B, n)
+            entry = audit.entry
             lam_sq = entry.lambda_sq
             for n_z in n_zs:
                 p = epsilon = None
@@ -193,7 +193,7 @@ def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
                     args.model, args.B, args.M, two_m, n, n_z,
                     entry.variant.value if entry.variant else None,
                     scaled_sq, p, epsilon, entry.admissible, entry.violated,
-                    unified.unified_rhs, unified.flagged))
+                    audit.unified_rhs, audit.flagged))
     meta = {
         "model": args.model,
         "B": args.B,
@@ -317,12 +317,13 @@ def _cmd_regions(args, parser: argparse.ArgumentParser) -> int:
     records = []
     for two_m in two_ms:
         for n in ns:
-            verdict = geo.admissibility_region(args.B, two_m, n)
+            audit = geo.audit(two_m, args.B, n)
+            entry = audit.entry
             records.append((
                 args.model, args.B, two_m, n,
-                verdict.variant.value if verdict.variant else None,
-                verdict.admissible, verdict.violated, verdict.lambda_sq,
-                verdict.predicate, verdict.predicate_consistent))
+                entry.variant.value if entry.variant else None,
+                entry.admissible, entry.violated, entry.lambda_sq,
+                audit.predicate, audit.predicate_consistent))
     meta = {
         "model": args.model,
         "B": args.B,

@@ -64,14 +64,6 @@ def h3_axial_solution(p: float, lam: float, branch: KummerBranch,
     return GEOMETRY.axial_solution(p, lam, component)
 
 
-def _axial_factor(P: complex, L: complex, lam: float) -> complex:
-    """lam (c-1)/((a-c+1)(b-c+1)) with a, b, c = c + L, c - L, c + 1 of
-    the Z1 (upper) form before Euler's transformation, which reduces to
-    (ip + 1/2)/lam; kept unreduced, which rounds differently."""
-    a, b, c = P + 0.5 + L, P + 0.5 - L, P + 0.5 + 1
-    return lam * (c - 1) / ((a - c + 1) * (b - c + 1))
-
-
 # The four radial variants for B >= 0, with sqrt(B^2 - lambda^2) = rhs.
 # quantize selects in order, which picks each variant on its m-range:
 # R1 takes 1 for m >= 1/2, else 2; R2 takes 4' for m >= -1/2, else 3'.
@@ -128,17 +120,17 @@ def flat_limit(b_physical: float, n: int, rho: float) -> Tuple[float, float]:
     """Ground-family level at field b on a pseudosphere of radius rho,
     re-expressed in physical units, against its flat-space limit 2bn.
 
-    lambda0_sq = (B^2 - (B-n)^2)/rho^2 with B = b rho^2, which equals
-    2bn - n^2/rho^2 identically, so |lambda0_sq - 2bn| = n^2/rho^2.
+    The level is GEOMETRY.quantize's R1 lambda0_sq at two_m = 1 and
+    B = b rho^2 (variant 1, rhs = B - n), divided by rho^2. It equals
+    (B^2 - (B-n)^2)/rho^2 = 2bn - n^2/rho^2 identically, so
+    |lambda0_sq - 2bn| = n^2/rho^2.
     """
     if rho <= 0.0:
         raise DomainError("rho must be > 0")
     if b_physical <= 0.0:
         raise DomainError("b_physical must be > 0")
-    if n < 0:
-        raise DomainError("n must be >= 0")
     B = b_physical * rho * rho
-    lambda_sq = B * B - (B - n) ** 2
+    lambda_sq = GEOMETRY.quantize(1, B, n, Component.R1).lambda_sq
     return lambda_sq / (rho * rho), 2.0 * b_physical * n
 
 
@@ -165,7 +157,6 @@ GEOMETRY = GeometryRecord(
     r_max=math.inf, z_max=math.inf, kappa=-1.0, sine=np.sinh, cosine=np.cosh,
     variants=_VARIANTS, pairs=RadialPair,
     axial_pl=lambda p, lam: (1j * p, 1j * lam), axial_upper=Component.Z1,
-    axial_factor=_axial_factor,
     r_window=(1e-3, 12.0), z_window=(-2.0, 2.0),
     region_predicate="|m| - |2B + m| + 2n < 0 marks the bound region",
     zero_field_note="B = 0: no magnetic confinement")

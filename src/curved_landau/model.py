@@ -41,8 +41,7 @@ __all__ = [
     "GeometryRecord",
     "SolutionForm",
     "SpectrumEntry",
-    "RegionVerdict",
-    "UnifiedReport",
+    "LevelAudit",
 ]
 
 
@@ -71,7 +70,8 @@ class NonTerminating(DomainError):
 
 
 class NonPositiveLambda(DomainError):
-    """lambda <= 0 where the positive separation constant is required."""
+    """lambda is not a finite float > 0 where the positive separation
+    constant is required."""
 
 
 class NegativeDiscriminant(InadmissibleVariant):
@@ -177,15 +177,20 @@ _SMALL_R = 1e-4
 _PI_TAIL = 1.2246467991473532e-16
 
 
+def _require_level(n, name: str = "n") -> None:
+    """DomainError unless the level n (or n_z) is a non-negative integer
+    (int or numpy integer): a float such as 1.5 would select a variant
+    row and return a level or form for a state that does not exist."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"{name} must be an integer >= 0, got {n!r}")
+
+
 def _require_quantum_numbers(two_m, n=0) -> None:
-    """DomainError unless two_m is an odd integer and n a non-negative
-    one (int or numpy integer): a float such as 1.5 would select a
-    variant row and return a level or form for a state that does not
-    exist."""
+    """DomainError unless two_m is an odd integer and n a level
+    (_require_level)."""
     if not isinstance(two_m, (int, np.integer)) or two_m % 2 == 0:
         raise DomainError(f"two_m must be an odd integer, got {two_m!r}")
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"n must be an integer >= 0, got {n!r}")
+    _require_level(n)
 
 
 @dataclass(frozen=True)
@@ -236,12 +241,14 @@ class GeometryRecord:
     space's variant and pair tables (`variants`; `pairs`, its RadialPair
     enum), every method below is written once. r runs over (0, r_max), z
     over (-z_max, z_max); forms on the compact space (finite r_max) need
-    A, C > 0. Axial forms take (P, L) = axial_pl(p, lam), the upper shape
-    for axial_upper (in Euler's form on the open space) and the z2/z1
-    factor axial_factor(P, L, lam). The CLI samples wavefunctions on
-    r_window and z_window, an output choice (where the states are worth
-    plotting) rather than a bound of the series, and prints
-    region_predicate and zero_field_note with `regions`. mu, mu_prime and radial_potential raise DomainError for r
+    A, C > 0. Axial forms take (P, L) = axial_pl(p, lam) and the upper
+    shape for axial_upper (in Euler's form on the open space); the z2/z1
+    factor follows from both (axial_pair). audit reads each level once
+    from quantize for the unified formula and the figure predicate. The
+    CLI samples wavefunctions on r_window and z_window, an output choice
+    (where the states are worth plotting) rather than a bound of the
+    series, and prints region_predicate and zero_field_note with
+    `regions`. mu, mu_prime and radial_potential raise DomainError for r
     outside (0, r_max) (_radius).
     """
 
@@ -256,7 +263,6 @@ class GeometryRecord:
     pairs: Type[Enum]
     axial_pl: Callable[[float, float], Tuple[complex, complex]]
     axial_upper: Component
-    axial_factor: Callable[[complex, complex, float], complex]
     r_window: Tuple[float, float]
     z_window: Tuple[float, float]
     region_predicate: str
@@ -399,40 +405,35 @@ class GeometryRecord:
         return SolutionForm(A, C, Hyp2F1Params(s - q, s + q, c),
                             self.radial_variable)
 
-    def unified_report(self, two_m: int, B: float, n: int) -> UnifiedReport:
-        """Audit of the unified level formula
-        q = kappa |2B - kappa m|/2 + |m|/2 + n (H3: -|2B + m|/2 + |m|/2 + n,
-        S3: |2B - m|/2 + |m|/2 + n) at (m, B) against the rhs of the
-        variant that quantize selects for R1, at the point where quantize
-        evaluates it. Magnitudes are compared (on H3 the unified form
-        flips the sign of the root for m > 0); the residual offset is
-        flagged (H3: m < 0 rows; S3: off the variant-2 range; B < 0: every
-        row, since the reflected level is an R2 level, which the R1
-        formula misses by 1/2 to 1)."""
+    def audit(self, two_m: int, B: float, n: int) -> LevelAudit:
+        """The R1 level quantize gives at (two_m, B, n), audited two ways.
+
+        The unified level formula q = kappa |2B - kappa m|/2 + |m|/2 + n
+        (H3: -|2B + m|/2 + |m|/2 + n, S3: |2B - m|/2 + |m|/2 + n), taken
+        at (m, B), against the rhs of the level's variant, taken where
+        quantize evaluates it. Magnitudes are compared (on H3 the unified
+        form flips the sign of the root for m > 0); the residual offset
+        is flagged (H3: m < 0 rows; S3: off the variant-2 range; B < 0:
+        every row, since the reflected level is an R2 level, which the R1
+        formula misses by 1/2 to 1).
+
+        The figure predicate |m| - |2B - kappa m| + 2n, which kappa *
+        predicate > 0 advertises as the bound region, at the reflected
+        point for B < 0. It disagrees with the level's verdict on part of
+        the lattice (by 1/2 on H3 boundary entries); both are reported."""
+        entry = self.quantize(two_m, B, n, Component.R1)
         m = two_m / 2.0
         unified = self.kappa * abs(2 * B - self.kappa * m) / 2 + abs(m) / 2 + n
-        entry = self.quantize(two_m, B, n, Component.R1)
-        if entry.variant is None:
-            return UnifiedReport(unified, None, None, None, None)
         two_m, B, _ = self._reflect(two_m, B, Component.R1)
-        variant_rhs = self.row(entry.variant).rhs(two_m / 2.0, B, n)
-        discrepancy = abs(unified) - variant_rhs
-        return UnifiedReport(unified, variant_rhs, entry.variant, discrepancy,
-                             abs(discrepancy) > 1e-9)
-
-    def admissibility_region(self, B: float, two_m: int, n: int) -> RegionVerdict:
-        """Verdict of the R1 level plus the figure predicate
-        |m| - |2B - kappa m| + 2n, which kappa * predicate > 0 advertises
-        as the bound region, both at the reflected point for B < 0. The
-        two disagree on part of the lattice (by 1/2 on H3 boundary
-        entries); both are reported."""
-        entry = self.quantize(two_m, B, n, Component.R1)
-        two_mw, Bw, _ = self._reflect(two_m, B, Component.R1)
-        mw = two_mw / 2.0
-        predicate = abs(mw) - abs(2 * Bw - self.kappa * mw) + 2 * n
+        m = two_m / 2.0
+        predicate = abs(m) - abs(2 * B - self.kappa * m) + 2 * n
         consistent = (self.kappa * predicate > 0) == entry.admissible
-        return RegionVerdict(entry.admissible, entry.variant, entry.violated,
-                             entry.lambda_sq, predicate, consistent)
+        if entry.variant is None:
+            return LevelAudit(entry, unified, None, None, None, predicate, consistent)
+        variant_rhs = self.row(entry.variant).rhs(m, B, n)
+        discrepancy = abs(unified) - variant_rhs
+        return LevelAudit(entry, unified, variant_rhs, discrepancy,
+                          abs(discrepancy) > 1e-9, predicate, consistent)
 
     def pair_factor(self, two_m: int, B: float, lam: float, pair: Enum) -> complex:
         """Ratio r2/r1 coupling the R1 and R2 forms of `pair` (a member of
@@ -510,11 +511,19 @@ class GeometryRecord:
         return form
 
     def axial_pair(self, p: float, lam: float) -> Tuple[SolutionForm, SolutionForm, complex]:
-        """(Z1 form, Z2 form, axial_factor) at (p, lam), as
-        first_order_system_residual meters them."""
+        """(Z1 form, Z2 form, z2/z1 factor) at (p, lam), as
+        first_order_system_residual meters them. With (P, L) =
+        axial_pl(p, lam) and c = P + 1/2, the upper form over the lower
+        is k = -i L/c: the factor is k where Z2 is the upper form (S3)
+        and 1/k = c/(-i L) where Z1 is (H3). c = 0 (S3 p = 1/2) raises
+        DomainError."""
         if lam == 0.0:
             raise ZeroLambda("pair decouples at lambda = 0")
-        factor = self.axial_factor(*self.axial_pl(p, lam), lam)
+        P, L = self.axial_pl(p, lam)
+        c = P + 0.5
+        if abs(c) < 1e-12:
+            raise DomainError("c = 0 (p = 1/2)")
+        factor = -1j * L / c if self.axial_upper is Component.Z2 else c / (-1j * L)
         return (self.axial_solution(p, lam, Component.Z1),
                 self.axial_solution(p, lam, Component.Z2), factor)
 
@@ -589,31 +598,17 @@ class SpectrumEntry:
 
 
 @dataclass
-class RegionVerdict:
-    """Admissibility verdict and level plus the figure predicate for
-    cross-checks; predicate_consistent says whether the predicate's side
-    agrees with the verdict."""
+class LevelAudit:
+    """GeometryRecord.audit of one R1 level: the quantized `entry`, the
+    unified-formula right-hand side at (m, B) against the rhs of the
+    entry's variant (discrepancy = |unified_rhs| - variant_rhs, flagged
+    beyond 1e-9; all three None without a variant), and the figure
+    predicate with whether its side agrees with entry.admissible."""
 
-    admissible: bool
-    variant: Optional[Variant]
-    violated: Optional[str]
-    lambda_sq: Optional[float]
-    predicate: float
-    predicate_consistent: bool
-
-
-@dataclass
-class UnifiedReport:
-    """Unified-formula right-hand side at (m, B) vs the rhs of the level
-    quantize selects, at the reflected point for B < 0.
-
-    discrepancy = |unified_rhs| - variant_rhs (the magnitude comparison
-    absorbs the sign convention of the square root); flagged when the
-    residual offset exceeds 1e-9.
-    """
-
+    entry: SpectrumEntry
     unified_rhs: float
     variant_rhs: Optional[float]
-    variant: Optional[Variant]
     discrepancy: Optional[float]
     flagged: Optional[bool]
+    predicate: float
+    predicate_consistent: bool

@@ -31,6 +31,7 @@ from .model import (
     SpectrumEntry,
     Variable,
     Variant,
+    _require_level,
 )
 
 __all__ = [
@@ -45,11 +46,11 @@ __all__ = [
 
 def s3_axial_quantize(lam: float, n_z: int) -> float:
     """p = lambda + n_z + 1/2 for the positive separation constant
-    lambda."""
-    if n_z < 0:
-        raise DomainError("n_z must be >= 0")
-    if lam <= 0.0:
-        raise NonPositiveLambda("lambda must be > 0 (the positive root of lambda^2)")
+    lambda and a level n_z (an integer >= 0, as model checks n)."""
+    _require_level(n_z, "n_z")
+    if not 0.0 < lam < math.inf:
+        raise NonPositiveLambda(f"lambda must be finite and > 0 (the positive "
+                                f"root of lambda^2), got {lam!r}")
     return lam + n_z + 0.5
 
 
@@ -57,15 +58,6 @@ def s3_axial_solution(p: float, lam: float,
                       component: Component = Component.Z1) -> SolutionForm:
     """GEOMETRY.axial_solution on y = (1 + i tan z)/2: quantized p only."""
     return GEOMETRY.axial_solution(p, lam, component)
-
-
-def _axial_factor(P: float, L: float, lam: float) -> complex:
-    """Ratio z2/z1 = i(a-c)(b-c)/(lam c) = -i lam/c with the Z1 (lower)
-    c = P + 1/2 = 1/2 - p."""
-    c = P + 0.5
-    if abs(c) < 1e-12:
-        raise DomainError("c = 0 (p = 1/2)")
-    return -1j * lam / c
 
 
 def _sphere(A: float, C: float):
@@ -151,7 +143,6 @@ GEOMETRY = GeometryRecord(
     r_max=math.pi, z_max=math.pi / 2, kappa=1.0, sine=np.sin, cosine=np.cos,
     variants=_VARIANTS, pairs=RadialPair,
     axial_pl=lambda p, lam: (-p, lam), axial_upper=Component.Z2,
-    axial_factor=_axial_factor,
     r_window=(1e-3, math.pi - 1e-3),
     z_window=(-(math.pi / 2 - 0.1), math.pi / 2 - 0.1),
     region_predicate="|m| - |2B - m| + 2n > 0 marks the advertised region",

@@ -9,13 +9,10 @@ test always names the criterion that broke.
 import math
 import time
 
-import pytest
-
 from curved_landau import checks, cli
 from curved_landau import lobachevsky as lob
 from curved_landau import oracle
 from curved_landau import spherical as sph
-from curved_landau.hyp2f1 import KummerBranch
 from curved_landau.model import Component, Geometry, Variant
 
 
@@ -254,8 +251,8 @@ def test_criterion_09_unified_formula_audit():
     flagged_h3, clean_h3, off_ladder = 0, 0, 0
     for two_m in range(-7, 9, 2):
         for n in range(5):
-            rep = lob.GEOMETRY.unified_report(two_m, 5.0, n)
-            assert rep.variant is not None
+            rep = lob.GEOMETRY.audit(two_m, 5.0, n)
+            assert rep.entry.variant is not None
             if rep.variant_rhs < 0.0:
                 # below the ladder the magnitude comparison folds;
                 # the discrepancy must still be caught
@@ -273,13 +270,13 @@ def test_criterion_09_unified_formula_audit():
     flagged_s3, clean_s3 = 0, 0
     for two_m in range(-9, 11, 2):
         for n in range(5):
-            rep = sph.GEOMETRY.unified_report(two_m, 1.0, n)
+            rep = sph.GEOMETRY.audit(two_m, 1.0, n)
             if two_m < 0 or two_m / 2.0 > 2.0:  # V1 and V3 ranges
                 assert rep.flagged, (two_m, n)
                 assert abs(abs(rep.discrepancy) - 0.5) <= 1e-12
                 flagged_s3 += 1
             else:  # variant-2 range: 1/2 <= m <= 2B - 1/2
-                assert rep.variant is Variant.V2
+                assert rep.entry.variant is Variant.V2
                 assert not rep.flagged, (two_m, n)
                 assert abs(rep.discrepancy) <= 1e-12
                 clean_s3 += 1

@@ -1,10 +1,13 @@
 """Contract tests for the verification-suite runner (cheap suites only;
 the expensive suites run in full inside the acceptance tests)."""
 
+import dataclasses
+
 import pytest
 
 from curved_landau import checks
-from curved_landau.model import DomainError
+from curved_landau import lobachevsky as lob
+from curved_landau.model import DomainError, Variant
 
 
 def test_suite_names_are_stable():
@@ -27,6 +30,19 @@ def test_flat_limit_suite_passes_and_reports():
         assert r.name.startswith("flat-limit/")
         assert r.passed
         assert 0.0 <= r.value <= r.threshold
+
+
+def test_flat_limit_suite_meters_the_quantized_level(monkeypatch):
+    # a variant-1 rhs off by 1e-6 shifts lambda^2/rho^2 by ~2e-6 b
+    v1 = lob.GEOMETRY.row(Variant.V1)
+    rhs = v1.rhs
+    off = dataclasses.replace(v1, rhs=lambda m, B, n: rhs(m, B, n) + 1e-6)
+    rows = tuple(off if r is v1 else r for r in lob.GEOMETRY.variants)
+    monkeypatch.setattr(lob, "GEOMETRY",
+                        dataclasses.replace(lob.GEOMETRY, variants=rows))
+    [result] = checks.run_suites(["flat-limit"])
+    assert not result.passed
+    assert result.value > 1e-6
 
 
 def test_hyp_suite_passes():

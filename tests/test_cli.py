@@ -9,6 +9,7 @@ import mpmath
 import pytest
 
 from curved_landau import cli
+from curved_landau.model import GeometryRecord
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,24 @@ def test_spectrum_h3_ladder(capsys):
         assert r["n_z"] is None
         assert r["unified_discrepancy_flag"] is False
     assert "\r" not in out  # LF only
+
+
+@pytest.mark.parametrize("model, nz", [("h3", None), ("s3", "0..2")])
+def test_spectrum_quantizes_each_level_once(capsys, monkeypatch, model, nz):
+    calls = []
+    quantize = GeometryRecord.quantize
+
+    def counted(self, two_m, B, n, component):
+        calls.append((two_m, n))
+        return quantize(self, two_m, B, n, component)
+
+    monkeypatch.setattr(GeometryRecord, "quantize", counted)
+    argv = ["spectrum", "--model", model, "--B", "2.5", "--two-m=-3..3",
+            "--n", "0..4"] + (["--nz", nz] if nz else [])
+    code, _, _ = _run(capsys, argv)
+    assert code == 0
+    assert sorted(calls) == [(two_m, n) for two_m in (-3, -1, 1, 3)
+                             for n in range(5)]
 
 
 def test_spectrum_sorted_and_odd_only(capsys):

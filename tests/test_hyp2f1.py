@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import mpmath
 import scipy.special
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curved_landau import checks, hyp2f1 as hyp
 from curved_landau.hyp2f1 import (

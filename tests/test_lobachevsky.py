@@ -212,9 +212,10 @@ def test_axial_u1_forms_are_the_axial_family():
     for form, old in zip((z1, z2), before):
         ref = old.evaluate(zs)
         assert np.max(np.abs(form.evaluate(zs) - ref)) < 1e-13 * np.max(np.abs(ref))
-    # the unreduced closed form agrees with its reduction (ip + 1/2)/lam
-    factor = GEOMETRY.axial_pair(p, lam)[2]
-    assert abs(factor - (ip + 0.5) / lam) < 1e-15 * abs(factor)
+    # the z2/z1 factor is 1/k = c/(-i L) = (1/2 + ip)/lam exactly, also
+    # at p = 900, lam = 0.1, where (p + lam) - p cancels
+    for p, lam in ((p, lam), (900.0, 0.1)):
+        assert GEOMETRY.axial_pair(p, lam)[2] == (0.5 + 1j * p) / lam
 
 
 # ---------------------------------------------------------------------------
@@ -251,30 +252,30 @@ def test_radial_pair_factor_zero_lambda():
 
 
 def test_region_predicate_value():
-    verdict = GEOMETRY.admissibility_region(5.0, 1, 2)
+    verdict = GEOMETRY.audit(1, 5.0, 2)
     assert abs(verdict.predicate - (-6.0)) < 1e-12
-    assert verdict.admissible
+    assert verdict.entry.admissible
     assert verdict.predicate_consistent
 
 
 def test_region_boundary_disagreement_is_reported():
     # n = 0 at m = 1/2 sits strictly inside the figure strip but its
     # level is the inadmissible lambda^2 = 0 borderline state
-    verdict = GEOMETRY.admissibility_region(5.0, 1, 0)
+    verdict = GEOMETRY.audit(1, 5.0, 0)
     assert verdict.predicate < 0
-    assert not verdict.admissible
+    assert not verdict.entry.admissible
     assert not verdict.predicate_consistent
 
 
 def test_region_reflection_applied():
     # B < 0 answers at (-m, -B), where R1 becomes R2
-    verdict = GEOMETRY.admissibility_region(-5.0, 1, 1)
-    assert verdict.predicate == GEOMETRY.admissibility_region(5.0, -1, 1).predicate
-    assert verdict.lambda_sq == GEOMETRY.quantize(-1, 5.0, 1, Component.R2).lambda_sq
+    verdict = GEOMETRY.audit(1, -5.0, 1)
+    assert verdict.predicate == GEOMETRY.audit(-1, 5.0, 1).predicate
+    assert verdict.entry.lambda_sq == GEOMETRY.quantize(-1, 5.0, 1, Component.R2).lambda_sq
 
 
 def test_unified_report_exact_on_positive_m():
-    report = GEOMETRY.unified_report(1, 5.0, 1)
+    report = GEOMETRY.audit(1, 5.0, 1)
     assert abs(report.unified_rhs - (-4.0)) < 1e-12
     assert abs(report.variant_rhs - 4.0) < 1e-12
     assert abs(report.discrepancy) < 1e-12
@@ -282,8 +283,8 @@ def test_unified_report_exact_on_positive_m():
 
 
 def test_unified_report_flags_half_offset_on_negative_m():
-    report = GEOMETRY.unified_report(-1, 5.0, 1)
-    assert report.variant is Variant.V2
+    report = GEOMETRY.audit(-1, 5.0, 1)
+    assert report.entry.variant is Variant.V2
     assert abs(abs(report.discrepancy) - 0.5) < 1e-12
     assert report.flagged is True
 

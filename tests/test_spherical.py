@@ -202,6 +202,14 @@ def test_axial_quantization_guards():
         s3_axial_quantize(-1.0, 0)
     with pytest.raises(DomainError):
         s3_axial_quantize(1.0, -1)
+    # n_z must be an integer level, as quantize demands of n; lambda finite
+    for lam, n_z in ((1.0, 1.5), (1.0, 2.0), (float("nan"), 0),
+                     (float("inf"), 0)):
+        with pytest.raises(DomainError):
+            s3_axial_quantize(lam, n_z)
+    with pytest.raises(DomainError):
+        s3_total_energy(1.0, 1.0, 1.5)
+    assert s3_axial_quantize(1.0, np.int64(2)) == 3.5
 
 
 def test_axial_solution_requires_termination():
@@ -331,37 +339,37 @@ def test_total_energy_value():
 
 def test_unified_report_exact_on_variant2_range():
     for n in range(4):
-        report = GEOMETRY.unified_report(1, 1.0, n)
-        assert report.variant is Variant.V2
+        report = GEOMETRY.audit(1, 1.0, n)
+        assert report.entry.variant is Variant.V2
         assert abs(report.discrepancy) < 1e-12
         assert report.flagged is False
 
 
 def test_unified_report_flags_half_offset_outside_variant2():
-    report = GEOMETRY.unified_report(-1, 1.0, 1)
+    report = GEOMETRY.audit(-1, 1.0, 1)
     assert abs(abs(report.discrepancy) - 0.5) < 1e-12
     assert report.flagged is True
-    report = GEOMETRY.unified_report(7, 1.0, 1)  # m > 2B side
+    report = GEOMETRY.audit(7, 1.0, 1)  # m > 2B side
     assert abs(abs(report.discrepancy) - 0.5) < 1e-12
     assert report.flagged is True
 
 
 def test_region_consistent_inside_variant2_strip():
-    verdict = GEOMETRY.admissibility_region(1.0, 1, 1)
-    assert verdict.admissible
+    verdict = GEOMETRY.audit(1, 1.0, 1)
+    assert verdict.entry.admissible
     assert verdict.predicate > 0
     assert verdict.predicate_consistent
 
 
 def test_region_disagreement_on_negative_m():
-    verdict = GEOMETRY.admissibility_region(1.0, -1, 0)
-    assert verdict.admissible  # lambda^2 = 3 > 0
+    verdict = GEOMETRY.audit(-1, 1.0, 0)
+    assert verdict.entry.admissible  # lambda^2 = 3 > 0
     assert verdict.predicate < 0  # advertised strip excludes it
     assert not verdict.predicate_consistent
 
 
 def test_region_reflection_applied():
     # B < 0 answers at (-m, -B), where R1 becomes R2
-    verdict = GEOMETRY.admissibility_region(-1.0, 1, 1)
-    assert verdict.predicate == GEOMETRY.admissibility_region(1.0, -1, 1).predicate
-    assert verdict.lambda_sq == GEOMETRY.quantize(-1, 1.0, 1, Component.R2).lambda_sq
+    verdict = GEOMETRY.audit(1, -1.0, 1)
+    assert verdict.predicate == GEOMETRY.audit(-1, 1.0, 1).predicate
+    assert verdict.entry.lambda_sq == GEOMETRY.quantize(-1, 1.0, 1, Component.R2).lambda_sq
