@@ -24,6 +24,7 @@ from .model import (
     Component,
     DomainError,
     GeometryRecord,
+    InadmissibleVariant,
     MasslessUnsupported,
     RadialPairRow,
     RadialVariant,
@@ -95,14 +96,11 @@ _VARIANTS = (
 
 class RadialPair(Enum):
     """Coupled (R1, R2) variant pairs sharing one spectrum, with their
-    rows for GEOMETRY.pair_factor: (1,4') is ab/(i lam c) with V1's
-    (a, b, c), (2,3') is (a-c)(b-c)/(i lam c) with V2's."""
+    rows for GEOMETRY.radial_pair: (1,4') has the factor ab/(i lam c)
+    with V1's (a, b, c), (2,3') (a-c)(b-c)/(i lam c) with V2's."""
 
-    V1_V4P = RadialPairRow(Variant.V1, Variant.V4P, Variant.V1, False,
-                           lambda two_m, B: two_m >= 1, "m >= 1/2")
-    V2_V3P = RadialPairRow(Variant.V2, Variant.V3P, Variant.V2, True,
-                           lambda two_m, B: two_m <= -1 and two_m / 2.0 > 0.5 - B,
-                           "1/2 - B < m <= -1/2")
+    V1_V4P = RadialPairRow(Variant.V1, Variant.V4P, Variant.V1, False)
+    V2_V3P = RadialPairRow(Variant.V2, Variant.V3P, Variant.V2, True)
 
 
 def h3_radial_solution(two_m: int, B: float, lambda_sq: float,
@@ -123,15 +121,18 @@ def flat_limit(b_physical: float, n: int, rho: float) -> Tuple[float, float]:
     The level is GEOMETRY.quantize's R1 lambda0_sq at two_m = 1 and
     B = b rho^2 (variant 1, rhs = B - n), divided by rho^2. It equals
     (B^2 - (B-n)^2)/rho^2 = 2bn - n^2/rho^2 identically, so
-    |lambda0_sq - 2bn| = n^2/rho^2.
+    |lambda0_sq - 2bn| = n^2/rho^2. A level that is not bound (n = 0,
+    n >= B) raises InadmissibleVariant naming the violated inequality.
     """
     if rho <= 0.0:
         raise DomainError("rho must be > 0")
     if b_physical <= 0.0:
         raise DomainError("b_physical must be > 0")
     B = b_physical * rho * rho
-    lambda_sq = GEOMETRY.quantize(1, B, n, Component.R1).lambda_sq
-    return lambda_sq / (rho * rho), 2.0 * b_physical * n
+    entry = GEOMETRY.quantize(1, B, n, Component.R1)
+    if not entry.admissible:
+        raise InadmissibleVariant(f"n = {n} is not bound at B = {B:g}: {entry.violated}")
+    return entry.lambda_sq / (rho * rho), 2.0 * b_physical * n
 
 
 def helicity_link(epsilon: float, M: float,
@@ -139,14 +140,18 @@ def helicity_link(epsilon: float, M: float,
     """(sigma, ratio) of the plane-wave helicity reduction: the
     generalized helicity eigenvalue sigma = -p (MinusP) or +p (PlusP)
     with p = sqrt(epsilon^2 - M^2), and the lower-to-upper bispinor
-    ratio (epsilon + p)/M resp. (epsilon - p)/M."""
+    ratio (epsilon + p)/M resp. (epsilon - p)/M. DomainError unless
+    epsilon^2 - M^2 is a finite float (so epsilon and M are finite)."""
     if M == 0.0:
         raise MasslessUnsupported("M = 0 has no finite bispinor ratio")
     if M < 0.0:
         raise DomainError("M must be > 0")
     if epsilon < M:
         raise SubthresholdEnergy(f"epsilon = {epsilon} below mass {M}")
-    p = math.sqrt(epsilon * epsilon - M * M)
+    p_sq = epsilon * epsilon - M * M
+    if not math.isfinite(p_sq):  # nan passes the comparisons above
+        raise DomainError(f"epsilon^2 - M^2 is not finite at {epsilon}, {M}")
+    p = math.sqrt(p_sq)
     if branch is SigmaBranch.MINUS_P:
         return -p, (epsilon + p) / M
     return p, (epsilon - p) / M

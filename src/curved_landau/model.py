@@ -222,16 +222,13 @@ class RadialVariant:
 class RadialPairRow:
     """The R1 variant r1 and R2 variant r2 sharing one spectrum, the
     value of a RadialPair member, written for B >= 0 like the variant
-    rows: pair_factor takes (s, c) from the `primary` row (r1 or r2),
-    shifts the roots s -+ q by c when `shifted` and demands
-    `in_range(two_m, B)` (`range_text`)."""
+    rows. `primary` (r1 or r2) and `shifted` name the contiguous relation
+    tying the two forms (radial_pair); the pair exists where both build."""
 
     r1: Variant
     r2: Variant
     primary: Variant
     shifted: bool
-    in_range: Callable[[int, float], bool]
-    range_text: str
 
 
 @dataclass(frozen=True)
@@ -241,7 +238,8 @@ class GeometryRecord:
     space's variant and pair tables (`variants`; `pairs`, its RadialPair
     enum), every method below is written once. r runs over (0, r_max), z
     over (-z_max, z_max); forms on the compact space (finite r_max) need
-    A, C > 0. Axial forms take (P, L) = axial_pl(p, lam) and the upper
+    A, C > 0. radial_pair reads a pair's r2/r1 factor off the two forms
+    it builds. Axial forms take (P, L) = axial_pl(p, lam) and the upper
     shape for axial_upper (in Euler's form on the open space); the z2/z1
     factor follows from both (axial_pair). audit reads each level once
     from quantize for the unified formula and the figure predicate. The
@@ -435,48 +433,33 @@ class GeometryRecord:
         return LevelAudit(entry, unified, variant_rhs, discrepancy,
                           abs(discrepancy) > 1e-9, predicate, consistent)
 
-    def pair_factor(self, two_m: int, B: float, lam: float, pair: Enum) -> complex:
-        """Ratio r2/r1 coupling the R1 and R2 forms of `pair` (a member of
-        the space's RadialPair) into the first-order radial system: with
-        (s, c) of the pair's primary row, q = sqrt(B^2 + kappa lam^2) and
-        d = c if the pair is shifted else 0, k = phase (s - q - d)
-        (s + q - d)/(lam c), phase -i on H3 and -1 on S3. The factor is
-        -1/k where the primary row is the caller's R2 row: S3 (3,1'), and
-        every pair at B < 0, whose R1 and R2 forms the reflection swaps."""
-        _require_quantum_numbers(two_m)
+    def radial_pair(self, two_m: int, B: float, lambda_sq: float,
+                    pair: Enum) -> Tuple[SolutionForm, SolutionForm, complex]:
+        """(R1 form, R2 form, r2/r1 factor) of `pair`, a member of the
+        space's RadialPair, at lambda_sq, as first_order_system_residual
+        meters them. The pair exists where both forms build; at B < 0 R1
+        is built from the pair's R2 variant and R2 from its R1 variant.
+        With (a, b, c) of the primary variant's form and d = c if shifted
+        else 0, k = phase (a - d)(b - d)/(lam c), phase -i on H3 and -1 on
+        S3, is the factor where that form is R1 and -1/k where it is R2."""
         if not isinstance(pair, self.pairs):
             raise DomainError(f"{pair} is not in the "
                               f"{self.radial_variable.geometry.name} pair table")
-        if lam == 0.0:
+        if lambda_sq == 0.0:
             raise ZeroLambda("pair decouples at lambda = 0")
-        spec = pair.value
-        two_m, B, component = self._reflect(two_m, B, Component.R1)
-        q = self._root(B, lam * lam)
-        if not spec.in_range(two_m, B):
-            raise InadmissibleVariant(f"pair ({spec.r1.value}-{spec.r2.value}) "
-                                      f"requires {spec.range_text}")
-        primary = self.row(spec.primary)
-        _, _, s, c = primary.exponents(two_m / 2.0, B)
-        d = c if spec.shifted else 0.0
-        num = (-1j if self.kappa < 0 else -1.0) * ((s - q - d) * (s + q - d))
-        if primary.component is component:
-            return num / (lam * c)
-        return -(lam * c) / num
-
-    def radial_pair(self, two_m: int, B: float, lambda_sq: float,
-                    pair: Enum) -> Tuple[SolutionForm, SolutionForm, complex]:
-        """(R1 form, R2 form, pair_factor) of `pair` at lambda_sq, as
-        first_order_system_residual meters them. At B < 0 the reflection
-        builds R1 from the pair's R2 variant and R2 from its R1 variant."""
         if lambda_sq < 0.0:
-            raise DomainError("lambda_sq must be >= 0")
-        factor = self.pair_factor(two_m, B, math.sqrt(lambda_sq), pair)
+            raise DomainError("lambda_sq must be > 0")
         spec = pair.value
-        _, _, first = self._reflect(two_m, B, Component.R1)
-        v1, v2 = (spec.r1, spec.r2) if first is Component.R1 else (spec.r2, spec.r1)
-        return (self.radial_solution(two_m, B, lambda_sq, Component.R1, v1),
-                self.radial_solution(two_m, B, lambda_sq, Component.R2, v2),
-                factor)
+        v1, v2 = (spec.r2, spec.r1) if B < 0.0 else (spec.r1, spec.r2)
+        r1 = self.radial_solution(two_m, B, lambda_sq, Component.R1, v1)
+        r2 = self.radial_solution(two_m, B, lambda_sq, Component.R2, v2)
+        params = (r1 if spec.primary is v1 else r2).params
+        # radial parameters are real; as floats k keeps its signed zeros
+        a, b, c = params.a.real, params.b.real, params.c.real
+        d = c if spec.shifted else 0.0
+        lam = math.sqrt(lambda_sq)
+        num = (-1j if self.kappa < 0 else -1.0) * ((a - d) * (b - d))
+        return r1, r2, num / (lam * c) if spec.primary is v1 else -(lam * c) / num
 
     def axial_solution(self, p: float, lam: float, component: Component) -> SolutionForm:
         """The axial form of `component` at (p, lam). With (P, L) =

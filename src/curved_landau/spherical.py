@@ -103,16 +103,13 @@ _VARIANTS = (
 
 class RadialPair(Enum):
     """Coupled (R1, R2) variant pairs sharing one spectrum, with their
-    rows for GEOMETRY.pair_factor: (1,3') is -(a-c)(b-c)/(lam c) and
-    (2,4') -ab/(lam c) with V1's and V2's (a, b, c); (3,1') is
-    lam c/((a-c)(b-c)) with the (a, b, c) of the R2 row 1'."""
+    rows for GEOMETRY.radial_pair: factor -(a-c)(b-c)/(lam c) for (1,3')
+    and -ab/(lam c) for (2,4') with V1's and V2's (a, b, c), and
+    lam c/((a-c)(b-c)) for (3,1') with those of the R2 row 1'."""
 
-    V1_V3P = RadialPairRow(Variant.V1, Variant.V3P, Variant.V1, True,
-                           lambda two_m, B: two_m <= -1, "m <= -1/2")
-    V2_V4P = RadialPairRow(Variant.V2, Variant.V4P, Variant.V2, False,
-                           lambda two_m, B: two_m >= 1, "m >= 1/2")
-    V3_V1P = RadialPairRow(Variant.V3, Variant.V1P, Variant.V1P, True,
-                           lambda two_m, B: two_m / 2.0 > 2 * B, "m > 2B")
+    V1_V3P = RadialPairRow(Variant.V1, Variant.V3P, Variant.V1, True)
+    V2_V4P = RadialPairRow(Variant.V2, Variant.V4P, Variant.V2, False)
+    V3_V1P = RadialPairRow(Variant.V3, Variant.V1P, Variant.V1P, True)
 
 
 def s3_radial_solution(two_m: int, B: float, lambda_sq: float,

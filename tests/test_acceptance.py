@@ -166,7 +166,7 @@ def test_criterion_06_first_order_systems():
                                        Component.R1, v1),
                 lob.h3_radial_solution(two_m, B, entry.lambda_sq,
                                        Component.R2, v2),
-                lob.GEOMETRY.pair_factor(two_m, B, lam, pair_kind))
+                lob.GEOMETRY.radial_pair(two_m, B, entry.lambda_sq, pair_kind)[2])
         cases.append((f"h3 {pair_kind.name}", pair, grid_h3,
                       dict(lam=lam, two_m=two_m, B=B)))
 
@@ -180,7 +180,7 @@ def test_criterion_06_first_order_systems():
                                        Component.R1, v1),
                 sph.s3_radial_solution(two_m, B, entry.lambda_sq,
                                        Component.R2, v2),
-                sph.GEOMETRY.pair_factor(two_m, B, lam, pair_kind))
+                sph.GEOMETRY.radial_pair(two_m, B, entry.lambda_sq, pair_kind)[2])
         cases.append((f"s3 {pair_kind.name}", pair, grid_s3,
                       dict(lam=lam, two_m=two_m, B=B)))
 

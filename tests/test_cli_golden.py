@@ -58,7 +58,7 @@ GOLDEN = [
     ("verify --suite radial",
      "465988d77ecad4cda06426bb1eabae90ac30bf0b5072c903b6bfeb4b304fcca2"),
     ("verify --suite pairs",
-     "5cfb2830d8380e0c03b7d2e9f4207a14ad7d074c0a85ed1e896c2f2b35ca18d7"),
+     "b726115bb2b463b787de36a293298993e5b2f9d5d393b1e21cc29c38fa30e6f8"),
     ("verify --suite axial",
      "bc2746a434f0644dfedd8029b4f24397e7130cf623d68f16a78db10df5aef9da"),
     ("verify --suite commutator",

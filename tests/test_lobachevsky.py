@@ -228,7 +228,7 @@ def test_radial_pair_system():
     lam = math.sqrt(entry.lambda_sq)
     r1 = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R1, Variant.V1)
     r2 = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R2, Variant.V4P)
-    fac = GEOMETRY.pair_factor(1, 5.0, lam, RadialPair.V1_V4P)
+    fac = GEOMETRY.radial_pair(1, 5.0, entry.lambda_sq, RadialPair.V1_V4P)[2]
     rs = np.linspace(0.4, 6.0, 40)
     g1, d1, _ = r1.evaluate_with_derivs(rs)
     g2, d2, _ = r2.evaluate_with_derivs(rs)
@@ -243,7 +243,7 @@ def test_radial_pair_system():
 
 def test_radial_pair_factor_zero_lambda():
     with pytest.raises(ZeroLambda):
-        GEOMETRY.pair_factor(1, 5.0, 0.0, RadialPair.V1_V4P)
+        GEOMETRY.radial_pair(1, 5.0, 0.0, RadialPair.V1_V4P)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +306,10 @@ def test_flat_limit_guards():
         flat_limit(1.0, 1, 0.0)
     with pytest.raises(DomainError):
         flat_limit(1.0, -1, 10.0)
+    # levels that are not bound: n > B, n = B, and the lambda^2 = 0 borderline
+    for n, violated in ((150, "n < B"), (100, "n < B"), (0, "lambda_sq > 0")):
+        with pytest.raises(InadmissibleVariant, match=violated):
+            flat_limit(1.0, n, 10.0)
 
 
 def test_helicity_link_values():
@@ -322,3 +326,7 @@ def test_helicity_link_guards():
         helicity_link(2.0, 3.0, SigmaBranch.MINUS_P)
     with pytest.raises(DomainError):
         helicity_link(5.0, -3.0, SigmaBranch.MINUS_P)
+    for epsilon, M in ((math.nan, 1.0), (2.0, math.nan), (math.inf, 1.0),
+                       (2.0, math.inf), (1e200, 1.0)):
+        with pytest.raises(DomainError):
+            helicity_link(epsilon, M, SigmaBranch.MINUS_P)

@@ -325,7 +325,7 @@ def _h3_pair():
     lam = math.sqrt(entry.lambda_sq)
     s1 = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R1, Variant.V1)
     s2 = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R2, Variant.V4P)
-    fac = H3_GEOMETRY.pair_factor(1, 5.0, lam, H3Pair.V1_V4P)
+    fac = H3_GEOMETRY.radial_pair(1, 5.0, entry.lambda_sq, H3Pair.V1_V4P)[2]
     return (s1, s2, fac), lam
 
 
@@ -405,7 +405,7 @@ def test_negative_field_pairs_solve_their_system(geometry, pairs, grid, count):
                                                  Component.R2, v1)
                     except InadmissibleVariant:
                         continue
-                    fac = rec.pair_factor(two_m, B, lam, pair)
+                    fac = rec.radial_pair(two_m, B, entry.lambda_sq, pair)[2]
                     rep = first_order_system_residual(
                         (r1, r2, fac), grid, lam=lam, two_m=two_m, B=B)
                     assert rep.max_abs <= 1e-9, (two_m, B, n, pair.name,
@@ -419,13 +419,28 @@ def test_pair_of_the_other_space_is_rejected():
     otherwise read a factor off the wrong row."""
     s3 = Geometry.S3.record
     with pytest.raises(DomainError, match="pair table"):
-        H3_GEOMETRY.pair_factor(1, 5.0, 3.0, S3Pair.V2_V4P)
-    with pytest.raises(DomainError, match="pair table"):
-        s3.pair_factor(1, 1.0, 2.0, H3Pair.V1_V4P)
-    with pytest.raises(DomainError, match="pair table"):
         H3_GEOMETRY.radial_pair(1, 5.0, 9.0, S3Pair.V2_V4P)
     with pytest.raises(DomainError, match="pair table"):
         s3.radial_pair(1, 1.0, 3.0, H3Pair.V1_V4P)
+
+
+def _closed_form_factor(rec, two_m, B, lambda_sq, pair):
+    """The pair's r2/r1 factor from its primary row's exponents, without
+    the record's pair code: at the reflected point (-m, -B for B < 0),
+    q = sqrt(B^2 + kappa lambda_sq), d = c if the row is shifted else 0,
+    k = phase (s - q - d)(s + q - d)/(lam c) with phase -i on H3 and -1
+    on S3; -1/k where the primary row is the caller's R2 row."""
+    row = pair.value
+    callers_r1 = row.r2 if B < 0.0 else row.r1
+    if B < 0.0:
+        two_m, B = -two_m, -B
+    primary = {v.variant: v for v in rec.variants}[row.primary]
+    _, _, s, c = primary.exponents(two_m / 2.0, B)
+    q = math.sqrt(B * B + rec.kappa * lambda_sq)
+    d = c if row.shifted else 0.0
+    lam = math.sqrt(lambda_sq)
+    num = (-1j if rec.kappa < 0 else -1.0) * ((s - q - d) * (s + q - d))
+    return num / (lam * c) if row.primary is callers_r1 else -(lam * c) / num
 
 
 def _bits(x):
@@ -448,8 +463,8 @@ def _assert_same_triple(got, want):
 ], ids=["h3", "s3"])
 def test_radial_pair_is_the_explicit_construction(geometry, pairs, grid, count):
     """radial_pair at B < 0 builds R1 from the row's R2 variant and R2
-    from its R1 variant, with pair_factor at the caller's (two_m, B):
-    the same forms and factor bit for bit, over the sweep of
+    from its R1 variant, with the closed-form factor at the caller's
+    (two_m, B): the same forms and factor bit for bit, over the sweep of
     test_negative_field_pairs_solve_their_system."""
     rec = geometry.record
     metered = 0
@@ -472,7 +487,7 @@ def test_radial_pair_is_the_explicit_construction(geometry, pairs, grid, count):
                     except InadmissibleVariant:
                         continue
                     lam = math.sqrt(lam_sq)
-                    want += (rec.pair_factor(two_m, B, lam, pair),)
+                    want += (_closed_form_factor(rec, two_m, B, lam_sq, pair),)
                     got = rec.radial_pair(two_m, B, lam_sq, pair)
                     _assert_same_triple(got, want)
                     rep = first_order_system_residual(
@@ -491,7 +506,7 @@ def test_radial_pair_is_the_explicit_construction(geometry, pairs, grid, count):
 ], ids=lambda v: getattr(v, "name", None))
 def test_radial_pair_of_the_verify_levels(geometry, two_m, B, n, pair):
     """At B > 0 radial_pair is (R1 of the row's r1, R2 of its r2,
-    pair_factor) at each level the pairs suite meters."""
+    closed-form factor) at each level the pairs suite meters."""
     rec = geometry.record
     grid = (Grid1D(0.3, 8.0, 1200) if geometry is Geometry.H3
             else Grid1D(0.2, math.pi - 0.2, 1200))
@@ -500,11 +515,58 @@ def test_radial_pair_of_the_verify_levels(geometry, two_m, B, n, pair):
     row = pair.value
     want = (rec.radial_solution(two_m, B, lam_sq, Component.R1, row.r1),
             rec.radial_solution(two_m, B, lam_sq, Component.R2, row.r2),
-            rec.pair_factor(two_m, B, lam, pair))
+            _closed_form_factor(rec, two_m, B, lam_sq, pair))
     got = rec.radial_pair(two_m, B, lam_sq, pair)
     _assert_same_triple(got, want)
     rep = first_order_system_residual(got, grid, lam=lam, two_m=two_m, B=B)
     assert rep.max_abs <= 1e-9
+
+
+def test_radial_pair_exists_where_both_forms_build():
+    """Over both spaces, both signs of B and two_m in -9..9 at every
+    admissible R1 level n <= 4, radial_pair raises InadmissibleVariant
+    exactly where radial_solution refuses one of the pair's two
+    variants (as the reflection assigns them) and nothing else; every
+    pair it builds solves its system. S3 (2,4') at m = 5/2, B = 1 has
+    c = 0 in variant 2's form, which needs m < 2B."""
+    grids = {Geometry.H3: Grid1D(0.3, 8.0, 600),
+             Geometry.S3: Grid1D(0.2, math.pi - 0.2, 600)}
+    built = refused = 0
+    for geometry, grid in grids.items():
+        rec = geometry.record
+        for B in (-5.0, -2.5, -0.7, 0.7, 1.0, 2.5, 5.0):
+            for two_m in range(-9, 10, 2):
+                for n in range(5):
+                    entry = rec.quantize(two_m, B, n, Component.R1)
+                    if not entry.admissible:
+                        continue
+                    lam_sq = entry.lambda_sq
+                    for pair in rec.pairs:
+                        row = pair.value
+                        v1, v2 = (row.r2, row.r1) if B < 0 else (row.r1, row.r2)
+                        try:
+                            rec.radial_solution(two_m, B, lam_sq, Component.R1, v1)
+                            rec.radial_solution(two_m, B, lam_sq, Component.R2, v2)
+                        except InadmissibleVariant:
+                            with pytest.raises(InadmissibleVariant):
+                                rec.radial_pair(two_m, B, lam_sq, pair)
+                            refused += 1
+                            continue
+                        rep = first_order_system_residual(
+                            rec.radial_pair(two_m, B, lam_sq, pair), grid,
+                            lam=math.sqrt(lam_sq), two_m=two_m, B=B)
+                        assert rep.max_abs <= 1e-9, (geometry, two_m, B, n, pair.name)
+                        built += 1
+    assert (built, refused) == (423, 760)
+
+
+def test_radial_pair_factor_at_the_forms_root():
+    """At S3 (m = 1/2, B = 1, lambda^2 = 3) the forms' root is
+    q = sqrt(1 + 3) = 2 exactly; with V2's s = 1 and c = 2 the factor is
+    -(s - q)(s + q)/(lam c) there, not at q = sqrt(1 + sqrt(3)^2), which
+    is one ulp off."""
+    factor = S3_GEOMETRY.radial_pair(1, 1.0, 3.0, S3Pair.V2_V4P)[2]
+    assert factor == -((1.0 - 2.0) * (1.0 + 2.0)) / (math.sqrt(3.0) * 2.0)
 
 
 def _axial_states(geometry, n_zs=range(7)):

@@ -284,7 +284,7 @@ def _radial_system_residual(two_m, B, n, pair, v1, v2):
     m = two_m / 2.0
     r1 = s3_radial_solution(two_m, B, entry.lambda_sq, Component.R1, v1)
     r2 = s3_radial_solution(two_m, B, entry.lambda_sq, Component.R2, v2)
-    fac = GEOMETRY.pair_factor(two_m, B, lam, pair)
+    fac = GEOMETRY.radial_pair(two_m, B, entry.lambda_sq, pair)[2]
     rs = np.linspace(0.25, math.pi - 0.25, 40)
     g1, d1, _ = r1.evaluate_with_derivs(rs)
     g2, d2, _ = r2.evaluate_with_derivs(rs)
@@ -307,18 +307,18 @@ def test_radial_pair_systems():
 
 def test_radial_pair_factor_guards():
     with pytest.raises(ZeroLambda):
-        GEOMETRY.pair_factor(1, 1.0, 0.0, RadialPair.V2_V4P)
+        GEOMETRY.radial_pair(1, 1.0, 0.0, RadialPair.V2_V4P)
     with pytest.raises(InadmissibleVariant):
-        GEOMETRY.pair_factor(3, 1.0, 2.0, RadialPair.V1_V3P)
+        GEOMETRY.radial_pair(3, 1.0, 4.0, RadialPair.V1_V3P)
     with pytest.raises(InadmissibleVariant):
         # 3' exists only for m <= -1/2
-        GEOMETRY.pair_factor(1, 1.0, 2.0, RadialPair.V1_V3P)
+        GEOMETRY.radial_pair(1, 1.0, 4.0, RadialPair.V1_V3P)
     with pytest.raises(DomainError, match="two_m must be an odd integer"):
-        GEOMETRY.pair_factor(2, 1.0, 2.0, RadialPair.V2_V4P)
+        GEOMETRY.radial_pair(2, 1.0, 4.0, RadialPair.V2_V4P)
     with pytest.raises(InadmissibleVariant):
-        GEOMETRY.pair_factor(-1, 1.0, 2.0, RadialPair.V2_V4P)
+        GEOMETRY.radial_pair(-1, 1.0, 4.0, RadialPair.V2_V4P)
     with pytest.raises(InadmissibleVariant):
-        GEOMETRY.pair_factor(1, 1.0, 2.0, RadialPair.V3_V1P)
+        GEOMETRY.radial_pair(1, 1.0, 4.0, RadialPair.V3_V1P)
 
 
 # ---------------------------------------------------------------------------
