@@ -150,51 +150,113 @@ class ConnectionCoefficients:
 _RINGS = (1 / 16, 1 / 8, 1 / 4) + tuple(1 - 2.0 ** -j for j in range(1, 9)) + (1.0,)
 
 
-def _truncated_rows(coeffs, r: float, bounds, cap: int):
-    """A power series sum_k f_k t^k, its coefficients drawn from the
-    iterator coeffs, cut at the first K after which, for 3 consecutive k,
-    the weighted terms k!/(k-j)! |f_k| r^(k-j) of every derivative j <
-    len(bounds) stay at most bounds[j] (the k^j weight makes F'' settle
-    last, so watching F alone would cut F'' short by ~k^2 bounds[0]).
+class _Run:
+    """The coefficients f_0, f_1, ... of one recurrence, drawn from the
+    iterator coeffs in dtype as the cuts ask for them and kept, so that
+    every ring of a call cuts its rows from one run. The run ends before
+    its first coefficient that is not finite: no later weighted term can
+    be small, so no cut lies past it."""
 
-    Returns (rows, sums): row j, column k holds the t^k coefficient of
-    the j-th derivative, and sums[j] the sum over k of its weighted
-    terms, each of which bounds that term's size at |t| <= r. None past
-    degree cap; coeffs must not run out before either."""
-    f, sums = [], [0.0] * len(bounds)
-    edge = 1.0  # r^k
-    calm = 0
-    for k, fk in enumerate(coeffs):
-        if k > cap:
+    def __init__(self, coeffs, dtype=complex):
+        self._coeffs, self._dtype = coeffs, dtype
+        self.f = np.empty(0, dtype)
+        self.ended = False
+
+    def upto(self, n: int) -> np.ndarray:
+        """The first n coefficients, or all the run has where it ended
+        before n; made where not made yet."""
+        if n > self.f.size and not self.ended:
+            more = np.array(list(itertools.islice(self._coeffs, n - self.f.size)),
+                            self._dtype)
+            bad = ~np.isfinite(more)
+            if bad.any():
+                more, self.ended = more[:bad.argmax()], True
+            self.f = np.concatenate([self.f, more]) if self.f.size else more
+        return self.f[:n]
+
+
+# the most coefficients a cut draws at once
+_CHUNK_CAP = 256
+
+
+def _chunks(r: float):
+    """The sizes of the chunks of coefficients a cut at radius r draws:
+    first a bit past the degree at which r^k falls to _SERIES_TOL (the
+    cut of a series of unit coefficients), then each twice the last, up
+    to _CHUNK_CAP."""
+    size = _CHUNK_CAP
+    if r < 1.0:
+        size = math.ceil(1.3 * math.log(_SERIES_TOL) / math.log(r)) + 8
+    while True:
+        yield min(size, _CHUNK_CAP)
+        size *= 2
+
+
+def _truncated_rows(run: _Run, r: float, bounds, cap: int):
+    """A power series sum_k f_k t^k, its coefficients taken from run, cut
+    at the first K after which, for 3 consecutive k, the weighted terms
+    k!/(k-j)! |f_k| r^(k-j) of every derivative j < len(bounds) stay at
+    most bounds[j] (the k^j weight makes F'' settle last, so watching F
+    alone would cut F'' short by ~k^2 bounds[0]).
+
+    Returns (rows, terms): row j, column k of rows holds the t^k
+    coefficient of the j-th derivative, and of terms its weighted term,
+    which bounds that term's size at |t| <= r. None past degree cap, or
+    where the run ends first.
+
+    The cut is found a chunk of coefficients at a time (_chunks), with
+    the same bits as a step per coefficient: r^k by a running product
+    (cumprod), |f_k| by hypot as Python's abs takes it, and each
+    weighted term from the one before it. A term past the float range is
+    inf, never small, as Python's float arithmetic makes it."""
+    chunks = []  # the weighted terms, by chunk
+    calm, k0 = b"", 0  # the smalls that end the last chunk, at most 2
+    for size in _chunks(r):
+        f = run.upto(min(k0 + size, cap + 1))[k0:]
+        if not f.size:
             return None
-        f.append(fk)
-        term, small = float(abs(fk)) * edge, True
-        for j, bound in enumerate(bounds):
-            if j:
-                term = term * (k - j + 1) / r
-            sums[j] += term
-            small = small and term <= bound
-        calm = calm + 1 if small else 0
-        if calm == 3:
-            break
-        edge *= r
-    f = np.array(f)
-    ks = np.arange(f.size)
-    rows = np.zeros((len(bounds), f.size), dtype=f.dtype)
+        stop = k0 + f.size
+        edges = np.full(stop, r)  # r^k, as a running product from 1
+        edges[0] = 1.0
+        edges.cumprod(out=edges)
+        terms = np.empty((len(bounds), f.size))
+        mag = np.hypot(f.real, f.imag).astype(float, copy=False)  # abs(f_k)
+        ks = np.arange(k0, stop, dtype=float)
+        with np.errstate(over="ignore"):
+            np.multiply(mag, edges[k0:], out=terms[0])
+            for j in range(1, len(bounds)):  # times k!/(k-j)! / r^j
+                np.multiply(terms[j - 1], ks - (j - 1) if j > 1 else ks,
+                            out=terms[j])
+                terms[j] /= r
+        small = (terms <= np.reshape(bounds, (-1, 1))).all(axis=0)
+        chunks.append(terms)
+        # the first k that ends three smalls in a row, one byte per k
+        small = calm + small.tobytes()
+        hit = small.find(b"\1\1\1")
+        if hit >= 0:
+            cut = k0 + hit + 2 - len(calm)
+            terms = np.concatenate(chunks, axis=1) if len(chunks) > 1 else terms
+            return _derivative_rows(run.f[:cut + 1], len(bounds)), terms[:, :cut + 1]
+        calm = small[-2:].rpartition(b"\0")[2]
+        k0 = stop
+
+
+def _derivative_rows(f: np.ndarray, count: int) -> np.ndarray:
+    """Row j, column k: the t^k coefficient of the j-th derivative of
+    sum_k f_k t^k, for j < count."""
+    rows = np.zeros((count, f.size), dtype=f.dtype)
     rows[0] = f
-    weight = np.ones(f.size)
-    for j in range(1, len(bounds)):
-        weight = weight * (ks - j + 1)  # k!/(k-j)!
-        rows[j, :-j] = (weight * f)[j:]
-    return rows, sums
+    ks = weight = np.arange(f.size, dtype=float)
+    for j in range(1, count):
+        if j > 1:
+            weight = weight * (ks - (j - 1))  # k!/(k-j)!, exact
+        np.multiply(f[j:], weight[j:], out=rows[j, :-j])
+    return rows
 
 
-def _series_rows(params: Hyp2F1Params, r: float, dmax: int,
-                 dtype=complex) -> np.ndarray:
-    """The rows of F about 0 and of its first dmax derivatives, to the
-    degree the radius r needs by _truncated_rows' rule with every bound
-    _SERIES_TOL, the recurrence t_k+1 = t_k (a+k)(b+k)/((c+k)(k+1)) run
-    in dtype. Raises NonConvergent past _SERIES_CAP terms."""
+def _series_run(params: Hyp2F1Params, dtype=complex) -> _Run:
+    """The coefficients of F about 0, by the recurrence
+    t_k+1 = t_k (a+k)(b+k)/((c+k)(k+1)) run in dtype."""
     a, b, c = (dtype(v) for v in (params.a, params.b, params.c))
 
     def coeffs():
@@ -203,7 +265,15 @@ def _series_rows(params: Hyp2F1Params, r: float, dmax: int,
             yield t
             t = t * ((a + k) * (b + k) / ((c + k) * (k + 1)))
             k += 1
-    cut = _truncated_rows(coeffs(), r, [_SERIES_TOL] * (dmax + 1), _SERIES_CAP)
+    return _Run(coeffs(), dtype)
+
+
+def _series_rows(run: _Run, r: float, dmax: int) -> np.ndarray:
+    """The rows of F about 0 (run: _series_run) and of its first dmax
+    derivatives, to the degree the radius r needs by _truncated_rows'
+    rule with every bound _SERIES_TOL. Raises NonConvergent past
+    _SERIES_CAP terms."""
+    cut = _truncated_rows(run, r, [_SERIES_TOL] * (dmax + 1), _SERIES_CAP)
     if cut is None:
         raise NonConvergent(f"series cap {_SERIES_CAP} hit at |y|max = {r:.6g}")
     return cut[0]
@@ -215,8 +285,10 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     A non-terminating series is cut into the |y| rings of _RINGS, and
     each ring's points are summed by Horner's rule (_horner) to the one
     degree its outer radius needs (_series_rows), with no per-point stop:
-    a value depends on the parameters, dmax and its ring alone. A ring
-    whose degree passes _SERIES_CAP refuses all its points.
+    a value depends on the parameters, dmax and its ring alone. The
+    coefficient recurrence runs once per call (_series_run), and every
+    ring cuts its rows from that one run, with the bits a run of its own
+    gives. A ring whose degree passes _SERIES_CAP refuses all its points.
 
     A terminating series is summed exactly, term by term (the k-th term
     of the j-th derivative is k!/(k-j)! t_k / y^j). It stays a loop of
@@ -228,9 +300,10 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     out = [np.zeros(y.shape, dtype=complex) for _ in range(dmax + 1)]
     if not params.terminating:
         ring = np.searchsorted(_RINGS[:-1], np.abs(y))
+        run = _series_run(params)
         for i in np.unique(ring):
             at = ring == i
-            rows = _series_rows(params, _RINGS[i], dmax)
+            rows = _series_rows(run, _RINGS[i], dmax)
             for o, v in zip(out, _horner(rows, y[at])):
                 o[at] = v
         return out
@@ -300,51 +373,69 @@ def _centre_sums(params: Hyp2F1Params, y0: float) -> list:
     summed in double, the centre values left hyp-suite draws at up to
     1.6e-13 of max(1, |F''|), against 7e-15. At one point the sum of the
     terms is ~7x faster than _horner."""
-    rows = _series_rows(params, y0, 2, np.clongdouble)
+    rows = _series_rows(_series_run(params, np.clongdouble), y0, 2)
     return [complex(v) for v in rows @ np.longdouble(y0) ** np.arange(rows.shape[1])]
+
+
+def _taylor_coeffs(params: Hyp2F1Params, y0: float, centre: list):
+    """The Taylor coefficients f_k of F about y0, from the centre sums
+    [F, F', F''] (f_0, f_1, f_2 = F, F', F''/2) on by the hypergeometric
+    ODE (DLMF 3.7(ii)):
+
+        f_k+2 = -[((1 - 2 y0) k + c - (a + b + 1) y0) (k + 1) f_k+1
+                  - (k + a)(k + b) f_k] / (y0 (1 - y0)(k + 1)(k + 2))."""
+    a, b, c = params.a, params.b, params.c
+    lin, const, den = 1 - 2 * y0, c - (a + b + 1) * y0, y0 * (1 - y0)
+    f = [centre[0], centre[1], centre[2] / 2]
+    yield from f
+    for k in itertools.count(1):
+        f.append(-((lin * k + const) * (k + 1) * f[k + 1]
+                   - (k + a) * (k + b) * f[k]) / (den * (k + 1) * (k + 2)))
+        yield f[-1]
 
 
 def _taylor_rows(params: Hyp2F1Params, y0: float) -> Optional[np.ndarray]:
     """F, F' and F'' as polynomials in t = y - y0 (rows as _truncated_rows
-    makes them), or None where the degree cap or the cancellation gate
-    refuses.
-
-    The Taylor coefficients f_k of F about y0 start from the centre sums
-    (f_0, f_1, f_2 = F, F', F''/2) and follow from the hypergeometric ODE
-    (DLMF 3.7(ii)):
-
-        f_k+2 = -[((1 - 2 y0) k + c - (a + b + 1) y0) (k + 1) f_k+1
-                  - (k + a)(k + b) f_k] / (y0 (1 - y0)(k + 1)(k + 2)).
+    makes them, from _taylor_coeffs), or None where the degree cap or the
+    cancellation gate refuses.
 
     The degree follows _truncated_rows' rule at the disc's edge, with the
-    bounds _SERIES_TOL max(|F^(j)(y0)|, 1). Everything here depends on
-    the parameters and y0 alone, never on the points.
+    bounds _SERIES_TOL max(|F^(j)(y0)|, 1); the gate sums each
+    derivative's weighted terms in order. Everything here depends on the
+    parameters and y0 alone, never on the points.
     """
-    a, b, c = params.a, params.b, params.c
     centre = _centre_sums(params, y0)
-    lin, const, den = 1 - 2 * y0, c - (a + b + 1) * y0, y0 * (1 - y0)
-
-    def coeffs():
-        f = [centre[0], centre[1], centre[2] / 2]
-        yield from f
-        for k in itertools.count(1):
-            f.append(-((lin * k + const) * (k + 1) * f[k + 1]
-                       - (k + a) * (k + b) * f[k]) / (den * (k + 1) * (k + 2)))
-            yield f[-1]
     bounds = [_SERIES_TOL * max(abs(v), 1.0) for v in centre]
-    cut = _truncated_rows(coeffs(), _TAYLOR_RADIUS, bounds, _TAYLOR_DEGREE_CAP)
-    if cut is None or any(m > _TAYLOR_GATE * abs(v) for m, v in zip(cut[1], centre)):
+    cut = _truncated_rows(_Run(_taylor_coeffs(params, y0, centre)),
+                          _TAYLOR_RADIUS, bounds, _TAYLOR_DEGREE_CAP)
+    if cut is None:
+        return None
+    sums = cut[1].cumsum(axis=1)[:, -1]
+    if any(m > _TAYLOR_GATE * abs(v) for m, v in zip(sums, centre)):
         return None
     return cut[0]
+
+
+# calls of at most this many points take _horner's flat loop
+_NARROW = 4
 
 
 def _horner(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The polynomials of rows at the points t, by Horner's rule. Every
     complex product is a fresh one over one flat array (on a one-element
     array, an in-place or 2-D product can round differently), so a value
-    does not depend on the other points."""
+    does not depend on the other points. A narrow call (at most _NARROW
+    points) adds each step's coefficients from one contiguous row made
+    up front, with no reshape per step: the same products and sums, so
+    the same bits."""
     d, m = rows.shape[0], t.size
     tt = np.tile(t, d)
+    if m <= _NARROW:
+        steps = np.repeat(rows.T, m, axis=1)  # steps[k]: acc's layout of rows[:, k]
+        acc = steps[-1]
+        for step in steps[-2::-1]:
+            acc = acc * tt + step
+        return acc.reshape(d, m)
     acc = np.repeat(rows[:, -1:], m, axis=1)
     for k in range(rows.shape[1] - 2, -1, -1):
         acc = (acc.reshape(-1) * tt).reshape(d, m) + rows[:, k:k + 1]

@@ -407,23 +407,45 @@ def _gamma(k: int) -> np.ndarray:
 
 
 def _table(mat: np.ndarray):
-    """(mat, rows, phases) for a signed permutation mat (one entry of
-    modulus 1 per row and column): row a of mat @ psi is
-    phases[a] * psi[rows[a]]."""
-    rows = np.abs(mat).argmax(axis=1)
-    return mat, rows, mat[np.arange(4), rows][:, None, None]
+    """Per output component a, (row, phase) of a signed permutation mat
+    (one entry of modulus 1 per row and column): component a of
+    mat @ psi is phase * psi[row]."""
+    return tuple((int(b), complex(mat[a, b]))
+                 for a, b in enumerate(np.abs(mat).argmax(axis=1)))
 
 
-_G1, _G2, _G3 = (_table(_gamma(k)) for k in (1, 2, 3))
-_G23, _G31, _G12 = (_table(x[0] @ y[0])
-                    for x, y in ((_G2, _G3), (_G3, _G1), (_G1, _G2)))
-_G123 = _table(_G12[0] @ _G3[0])
+_GAMMAS = tuple(_gamma(k) for k in (1, 2, 3))
+_G1, _G2, _G3 = (_table(g) for g in _GAMMAS)
+_G23, _G31, _G12 = (_table(_GAMMAS[x] @ _GAMMAS[y])
+                    for x, y in ((1, 2), (2, 0), (0, 1)))
+_G123 = _table(_GAMMAS[0] @ _GAMMAS[1] @ _GAMMAS[2])
 
 
-def _apply(g, psi: np.ndarray) -> np.ndarray:
-    """g[0] @ psi over the leading spinor axis, by g's table."""
-    _, rows, phases = g
-    return phases * psi[rows]
+def _term(g, a: int, comps, coef=1):
+    """coef times component a of g psi, psi given by its components
+    comps: coef phase comps[row]. coef is a unit (1, -1, i, -i) or a
+    unit times a real array; times the unit phase it has one zero part,
+    so the product rounds as coef (phase comps[row]) does, and a unit
+    coefficient is exact."""
+    row, phase = g[a]
+    coef = coef * phase
+    return comps[row] if np.isscalar(coef) and coef == 1 else coef * comps[row]
+
+
+def _gradient(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """np.gradient(f, h, axis=axis, edge_order=2) of a complex array,
+    with the same bits up to the sign of a zero, on real views of its
+    real and imaginary parts: central differences inside, the
+    second-order one-sided ones at the edges. numpy divides a complex by
+    the real 2h as a product with 1/(2h), and so does this."""
+    out = np.empty_like(f)
+    w, o = (x.view(float).reshape(f.shape + (2,)).swapaxes(0, axis)
+            for x in (f, out))
+    np.subtract(w[2:], w[:-2], out=o[1:-1])
+    o[1:-1] *= 1.0 / (2.0 * h)
+    o[0] = -1.5 / h * w[0] + 2.0 / h * w[1] + -0.5 / h * w[2]
+    o[-1] = 0.5 / h * w[-3] + -2.0 / h * w[-2] + 1.5 / h * w[-1]
+    return out
 
 
 # the test spinor's four component amplitudes, all nonzero
@@ -432,12 +454,125 @@ _BUMP_AMPLITUDES = np.array([1.0, 0.6 - 0.3j, -0.4j, 0.25], dtype=complex)
 
 def gaussian_bump_spinor(r0: float, z0: float, width: float
                          ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Product-Gaussian test spinor centered at (r0, z0)."""
+    """Product-Gaussian test spinor centered at (r0, z0). Raises
+    DomainError unless r0 and z0 are finite and width is finite and > 0."""
+    if not (math.isfinite(r0) and math.isfinite(z0)):
+        raise DomainError("bump centre must be finite")
+    if not (math.isfinite(width) and width > 0.0):
+        raise DomainError("bump width must be finite and > 0")
+
     def spinor(r: np.ndarray, z: np.ndarray) -> np.ndarray:
         bump = np.exp(-((r - r0) ** 2 + (z - z0) ** 2) / (2.0 * width ** 2))
         return _BUMP_AMPLITUDES[:, None, None] * bump[None, :, :]
 
     return spinor
+
+
+# The probe composes its operators on blocks of at most _STRIP core rows
+# (all core columns), each with _HALO more cells on every side: a core
+# value reads its neighbours' within two cells (the composed and the
+# second derivatives), so the halo feeds it, the one-sided edge
+# differences stay in the halo, and a block's arrays stay small enough
+# for the cache. _HALO must not pass _EDGE_TRIM.
+_HALO = 2
+_STRIP = 32
+
+
+def _commutator_block(psi, hr: float, hz: float, mu, mu_p, inv, inv_p,
+                      flat_helicity: bool) -> float:
+    """max |(H Sigma - Sigma H) psi| over a block less _HALO cells on each
+    side, with psi's components and the coefficients given on the block
+    (mu, mu' as columns, 1/stretch and its z-derivative as rows). Each
+    term is formed one spinor component at a time, and its sums and
+    products run in the order of the full-spinor expressions for
+    H Sigma psi and the expansion, so the value has their bits."""
+    mu2 = mu * mu
+    inv2 = inv * inv
+
+    def d_r(f):
+        return _gradient(f, hr, 0)
+
+    def d_z(f):
+        return _gradient(f, hz, 1)
+
+    psi_r = [d_r(f) for f in psi]
+    psi_z = [d_z(f) for f in psi]
+    mu_psi = [mu * f for f in psi]
+    sigma = []  # Sigma psi
+    for a in range(4):
+        s = _term(_G23, a, psi_r) + _term(_G31, a, mu_psi, 1j)
+        if not flat_helicity:
+            s *= inv
+        s += _term(_G12, a, psi_z)
+        sigma.append(s)
+    sigma_r = [d_r(f) for f in sigma]
+    sigma_z = [d_z(f) for f in sigma]
+    mu_sigma = [mu * f for f in sigma]
+    psi_rr = [d_r(f) for f in psi_r]
+    psi_zz = [d_z(f) for f in psi_z]
+    if flat_helicity:
+        psi_rz = [d_z(f) for f in psi_r]
+        mu_psi_z = [mu * f for f in psi_z]
+    inner = (slice(_HALO, -_HALO),) * 2
+    core = []
+    for a in range(4):
+        comm = _term(_G1, a, sigma_r, 1j) - _term(_G2, a, mu_sigma)
+        comm *= inv
+        comm += _term(_G3, a, sigma_z, 1j)  # H Sigma psi
+        # Sigma H expanded: the radial-radial block collapses to
+        # i G psi_rr - mu' g3 psi - i mu^2 G psi (G = g1 g2 g3), the
+        # z-derivative of 1/stretch contributes inv' (i g2 psi_r
+        # + mu g1 psi), and the mixed terms cancel (curved case) or
+        # survive with weight (inv - 1) (flat case).
+        block_rr = _term(_G123, a, psi_rr, 1j) - _term(_G3, a, psi, mu_p)
+        block_rr -= _term(_G123, a, psi, 1j * mu2)
+        expanded = _term(_G2, a, psi_r, 1j) + _term(_G1, a, mu_psi)
+        expanded *= inv_p
+        expanded += _term(_G123, a, psi_zz, 1j)
+        if flat_helicity:
+            block_rr *= inv
+            expanded += block_rr
+            mixed = _term(_G2, a, psi_rz, 1j) + _term(_G1, a, mu_psi_z)
+            mixed *= inv - 1.0
+            expanded += mixed
+        else:
+            block_rr *= inv2
+            expanded += block_rr
+        comm -= expanded
+        core.append(np.max(np.abs(comm[inner])))
+    return float(np.max(core))
+
+
+def _commutator_sup(rec, B: float, m: float, test_spinor, g: Grid2D,
+                    flat_helicity: bool) -> float:
+    """commutator_residual's residual on the one grid g."""
+    rs, zs = g.axes()
+    hr = (g.r_hi - g.r_lo) / (g.r_points - 1)
+    hz = (g.z_hi - g.z_lo) / (g.z_points - 1)
+    R, Z = np.meshgrid(rs, zs, indexing="ij")
+    psi = np.asarray(test_spinor(R, Z), dtype=complex)
+    if psi.shape != (4,) + R.shape:
+        raise DomainError("test spinor must return shape (4, nr, nz)")
+    mu = rec.mu(rs, m, B)[:, None]
+    mu_p = rec.mu_prime(rs, m, B)[:, None]
+    stretch = rec.stretch(zs)
+    inv = (1.0 / stretch)[None, :]
+    # d(1/stretch)/dz
+    inv_p = (-rec.stretch_prime(zs) / stretch ** 2)[None, :]
+    # Trim a fixed *fraction* so every refinement level compares the
+    # same physical region (mu' grows like 1/r^2 toward r_lo, so a
+    # fixed cell count would slide the window into worse territory).
+    tr = max(_EDGE_TRIM, g.r_points // 20)
+    tz = max(_EDGE_TRIM, g.z_points // 20)
+    cols = slice(tz - _HALO, g.z_points - tz + _HALO)
+    worst = []
+    for lo in range(tr, g.r_points - tr, _STRIP):
+        rows = slice(lo - _HALO, min(lo + _STRIP, g.r_points - tr) + _HALO)
+        worst.append(_commutator_block(
+            psi[:, rows, cols], hr, hz, mu[rows], mu_p[rows],
+            inv[:, cols], inv_p[:, cols], flat_helicity))
+    scale = float(np.max(np.abs(psi))) or 1.0
+    return float(np.max(worst)) / scale
 
 
 def commutator_residual(geometry: Geometry, B: float,
@@ -464,9 +599,17 @@ def commutator_residual(geometry: Geometry, B: float,
 
     The derivatives are central differences (second order at the
     edges) at each grid's uniform spacing, and psi's first derivatives
-    serve both Sigma psi and the expansion. Each gamma product acts on
-    the spinor axis through its (row, phase) table: row a of g psi is
-    phase_a psi[row_a], which is g psi bit for bit.
+    serve both Sigma psi and the expansion. The sup is taken over the
+    core left by trimming a twentieth (at least three cells) of each
+    axis from each end, relative to the sup of psi over the grid.
+
+    The probe works one spinor component at a time, on blocks of the
+    core with a two-cell halo (_commutator_block). Each gamma product
+    acts through its table: component a of g psi is phase_a
+    psi[row_a], and the unit phase folds into the term's coefficient.
+    Every product so formed has a factor with a zero part, so it rounds
+    as the full-spinor product with g does, and the residual has the
+    bits of the full-spinor, full-grid evaluation.
 
     With flat_helicity=True, Sigma drops the stretch factor (the
     flat-space operator); the expansion is adjusted consistently, so
@@ -484,67 +627,9 @@ def commutator_residual(geometry: Geometry, B: float,
             or max(-grid2d.z_lo, grid2d.z_hi) > rec.z_max - _SINGULAR_INSET):
         raise SupportTooCloseToSingularity(
             "grid touches a coordinate singularity")
-    m = two_m / 2.0
-
-    def residual_at(g: Grid2D) -> float:
-        rs, zs = g.axes()
-        hr = (g.r_hi - g.r_lo) / (g.r_points - 1)
-        hz = (g.z_hi - g.z_lo) / (g.z_points - 1)
-        R, Z = np.meshgrid(rs, zs, indexing="ij")
-        psi = np.asarray(test_spinor(R, Z), dtype=complex)
-        if psi.shape != (4,) + R.shape:
-            raise DomainError("test spinor must return shape (4, nr, nz)")
-        mu = rec.mu(rs, m, B)[None, :, None]
-        mu_p = rec.mu_prime(rs, m, B)[None, :, None]
-        stretch = rec.stretch(zs)
-        inv = (1.0 / stretch)[None, None, :]
-        # d(1/stretch)/dz
-        inv_p = (-rec.stretch_prime(zs) / stretch ** 2)[None, None, :]
-
-        def d_r(f):
-            return np.gradient(f, hr, axis=1, edge_order=2)
-
-        def d_z(f):
-            return np.gradient(f, hz, axis=2, edge_order=2)
-
-        def H(f):
-            return (inv * (1j * _apply(_G1, d_r(f)) - mu * _apply(_G2, f))
-                    + 1j * _apply(_G3, d_z(f)))
-
-        def S(f, f_r, f_z):  # f_r, f_z: the derivatives of f
-            radial = _apply(_G23, f_r) + 1j * mu * _apply(_G31, f)
-            if not flat_helicity:
-                radial = inv * radial
-            return radial + _apply(_G12, f_z)
-
-        psi_r, psi_z = d_r(psi), d_z(psi)
-        psi_rr, psi_zz, psi_rz = d_r(psi_r), d_z(psi_z), d_z(psi_r)
-        # Sigma H expanded: the radial-radial block collapses to
-        # i G psi_rr - mu' g3 psi - i mu^2 G psi (G = g1 g2 g3), the
-        # z-derivative of 1/stretch contributes inv' (i g2 psi_r
-        # + mu g1 psi), and the mixed terms cancel (curved case) or
-        # survive with weight (inv - 1) (flat case).
-        block_rr = (1j * _apply(_G123, psi_rr)
-                    - mu_p * _apply(_G3, psi)
-                    - 1j * mu * mu * _apply(_G123, psi))
-        block_invp = inv_p * (1j * _apply(_G2, psi_r) + mu * _apply(_G1, psi))
-        expanded = 1j * _apply(_G123, psi_zz) + block_invp
-        if flat_helicity:
-            expanded = expanded + inv * block_rr + (inv - 1.0) * (
-                1j * _apply(_G2, psi_rz) + mu * _apply(_G1, psi_z))
-        else:
-            expanded = expanded + inv * inv * block_rr
-        comm = H(S(psi, psi_r, psi_z)) - expanded
-        # Trim a fixed *fraction* so every refinement level compares the
-        # same physical region (mu' grows like 1/r^2 toward r_lo, so a
-        # fixed cell count would slide the window into worse territory).
-        tr = max(_EDGE_TRIM, g.r_points // 20)
-        tz = max(_EDGE_TRIM, g.z_points // 20)
-        core = comm[:, tr:-tr, tz:-tz]
-        scale = float(np.max(np.abs(psi))) or 1.0
-        return float(np.max(np.abs(core))) / scale
-
-    residuals = [residual_at(grid2d.scaled(2 ** k)) for k in range(3)]
+    residuals = [_commutator_sup(rec, B, two_m / 2.0, test_spinor,
+                                 grid2d.scaled(2 ** k), flat_helicity)
+                 for k in range(3)]
     orders = [_order_from(a, b) for a, b in zip(residuals, residuals[1:])]
     return ResidualReport(residuals[-1], sum(orders) / len(orders))
 

@@ -466,6 +466,148 @@ def test_one_point_at_the_series_cap_fails_the_batch(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The chunked cut against a step per coefficient
+# ---------------------------------------------------------------------------
+
+
+def _cut_term_by_term(coeffs, r, bounds, cap):
+    """The cut rule of _truncated_rows one coefficient at a time, as the
+    kernel ran it before it drew its coefficients in chunks: (rows, sums)
+    with sums[j] the running sum of derivative j's weighted terms, or
+    None past degree cap."""
+    f, sums = [], [0.0] * len(bounds)
+    edge, calm = 1.0, 0
+    for k, fk in enumerate(coeffs):
+        if k > cap:
+            return None
+        f.append(fk)
+        term, small = float(abs(fk)) * edge, True
+        for j, bound in enumerate(bounds):
+            if j:
+                term = term * (k - j + 1) / r
+            sums[j] += term
+            small = small and term <= bound
+        calm = calm + 1 if small else 0
+        if calm == 3:
+            break
+        edge *= r
+    f = np.array(f)
+    ks = np.arange(f.size)
+    rows = np.zeros((len(bounds), f.size), dtype=f.dtype)
+    rows[0] = f
+    weight = np.ones(f.size)
+    for j in range(1, len(bounds)):
+        weight = weight * (ks - j + 1)
+        rows[j, :-j] = (weight * f)[j:]
+    return rows, sums
+
+
+def _ratio_coeffs(params, dtype=complex):
+    """The series coefficients about 0 by their own recurrence, in dtype."""
+    a, b, c = (dtype(v) for v in (params.a, params.b, params.c))
+    t, k = dtype(1), 0
+    while True:
+        yield t
+        t = t * ((a + k) * (b + k) / ((c + k) * (k + 1)))
+        k += 1
+
+
+def _same_bits(x, y):
+    """Equal values with equal signs, so equal bits but for the padding
+    of a long double."""
+    return x.dtype == y.dtype and x.shape == y.shape and all(
+        np.array_equal(u, v) and np.array_equal(np.signbit(u), np.signbit(v))
+        for u, v in ((x.real, y.real), (x.imag, y.imag)))
+
+
+def _assert_same_cut(got, ref):
+    if ref is None:
+        assert got is None
+        return
+    rows, terms = got
+    assert rows.shape == ref[0].shape  # the degree
+    assert _same_bits(rows, ref[0])
+    assert np.cumsum(terms, axis=1)[:, -1].tolist() == ref[1]
+
+
+def _cut_cases():
+    """Hyp-suite draws, the h3 axial Z1 parameters at p = 0.7, 100 and 1000
+    before Euler's transformation (at p = 1000 the coefficients about 0
+    leave the float range past the cut of the innermost ring, which the
+    kernel refuses the others for), and a slowly converging series."""
+    rng = np.random.default_rng(20261019)
+    cases = [checks._random_params(rng) for _ in range(6)]
+    for p in (0.7, 100.0, 1000.0):
+        c = 0.5 + 1j * p
+        cases.append(Hyp2F1Params(c + 1.3j, c - 1.3j, c + 1))
+    return cases + [Hyp2F1Params(0.2, 0.45, 0.83)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("params", _cut_cases())
+def test_chunked_cut_matches_a_step_per_coefficient(params):
+    # every ring of a call cuts one run: the same degree, row bits and
+    # sums as a fresh step-per-coefficient loop, with every coefficient
+    # the run made past the cuts finite
+    for dmax in (0, 2):
+        bounds = [hyp._SERIES_TOL] * (dmax + 1)
+        run = hyp._series_run(params)
+        for r in hyp._RINGS:
+            _assert_same_cut(hyp._truncated_rows(run, r, bounds, hyp._SERIES_CAP),
+                             _cut_term_by_term(_ratio_coeffs(params), r, bounds,
+                                               hyp._SERIES_CAP))
+        assert np.isfinite(run.f).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("params", _cut_cases()[:7])
+def test_chunked_cut_matches_at_the_taylor_centres(params):
+    # the centre rows, in long double, and the Taylor rows about each
+    # centre, with their bounds, cap and gate
+    for y0 in hyp._TAYLOR_CENTRES:
+        bounds = [hyp._SERIES_TOL] * 3
+        run = hyp._series_run(params, np.clongdouble)
+        _assert_same_cut(hyp._truncated_rows(run, y0, bounds, hyp._SERIES_CAP),
+                         _cut_term_by_term(_ratio_coeffs(params, np.clongdouble),
+                                           y0, bounds, hyp._SERIES_CAP))
+        assert np.isfinite(run.f).all()
+        centre = hyp._centre_sums(params, y0)
+        bounds = [hyp._SERIES_TOL * max(abs(v), 1.0) for v in centre]
+        ref = _cut_term_by_term(hyp._taylor_coeffs(params, y0, centre),
+                                hyp._TAYLOR_RADIUS, bounds, hyp._TAYLOR_DEGREE_CAP)
+        run = hyp._Run(hyp._taylor_coeffs(params, y0, centre))
+        _assert_same_cut(hyp._truncated_rows(run, hyp._TAYLOR_RADIUS, bounds,
+                                             hyp._TAYLOR_DEGREE_CAP), ref)
+        assert np.isfinite(run.f).all()
+        gated = ref is None or any(m > hyp._TAYLOR_GATE * abs(v)
+                                   for m, v in zip(ref[1], centre))
+        rows = hyp._taylor_rows(params, y0)
+        assert rows is None if gated else _same_bits(rows, ref[0])
+
+
+@pytest.mark.parametrize("params", [Hyp2F1Params(0.2, 0.45, 0.83),
+                                    Hyp2F1Params(4.7 - 1.2j, 4.1 + 0.9j, -2.3 + 0.4j),
+                                    Hyp2F1Params(1 + 1.3j, 1 - 1.3j, 1.5 + 0.7j)])
+def test_one_point_has_its_bits_in_every_batch(params):
+    # a point summed alone has the bytes it has inside batches of 2 and 4
+    # points (the flat Horner loop) and of 5 and 1500 (the wide one), in
+    # every regime: rings, discs, Pfaff's map and the connection
+    rng = np.random.default_rng(7)
+    ys = [0.05, 0.3 - 0.2j, 0.45j, 0.62 + 0.03j, 0.79, -0.6 + 0.1j, 0.93 - 0.02j]
+    fill = (0.95 * np.sqrt(rng.uniform(size=1500))
+            * np.exp(2j * np.pi * rng.uniform(size=1500)))
+    for y in ys:
+        alone = [np.array(v).tobytes() for v in series_with_derivatives(params, y)]
+        alone0 = np.array(eval_2f1(params, y)).tobytes()
+        for size in (2, 4, 5, 1500):
+            batch = fill[:size].copy()
+            batch[size // 2] = y
+            got = series_with_derivatives(params, batch)
+            assert [v[size // 2].tobytes() for v in got] == alone, (y, size)
+            assert eval_2f1(params, batch)[size // 2].tobytes() == alone0, (y, size)
+
+
+# ---------------------------------------------------------------------------
 # Taylor discs about 0.6 and 0.8
 # ---------------------------------------------------------------------------
 

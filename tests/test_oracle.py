@@ -638,18 +638,159 @@ def test_axial_solution_guards():
 # ---------------------------------------------------------------------------
 
 
+def _dense_gammas():
+    """gamma_1, gamma_2, gamma_3 as dense 4x4 matrices, [[0, s_k], [-s_k, 0]]
+    with s_k the Pauli matrices, built here apart from the oracle's."""
+    pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+             np.array([[1, 0], [0, -1]]))
+    out = []
+    for s in pauli:
+        g = np.zeros((4, 4), dtype=complex)
+        g[:2, 2:], g[2:, :2] = s, -s
+        out.append(g)
+    return out
+
+
+_D1, _D2, _D3 = _dense_gammas()
+_DENSE = {"_G1": _D1, "_G2": _D2, "_G3": _D3, "_G23": _D2 @ _D3,
+          "_G31": _D3 @ _D1, "_G12": _D1 @ _D2, "_G123": _D1 @ _D2 @ _D3}
+
+
 @pytest.mark.parametrize("name", ["_G1", "_G2", "_G3", "_G23", "_G31", "_G12",
                                   "_G123"])
 def test_gamma_products_apply_as_signed_permutations(name):
-    g = getattr(oracle, name)
-    mat = g[0]
-    nonzero = mat != 0
-    assert (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
-    assert set(mat[nonzero].tolist()) <= {1, -1, 1j, -1j}
+    # component a of g psi is phase * psi[row] for the table's (row, phase),
+    # bit for bit the dense product, with a unit or a real coefficient
+    # folded into the phase
+    table, mat = getattr(oracle, name), _DENSE[name]
+    assert sorted(row for row, _ in table) == [0, 1, 2, 3]
+    assert {phase for _, phase in table} <= {1, -1, 1j, -1j}
     rng = np.random.default_rng(5)
     psi = rng.normal(size=(4, 9, 11)) + 1j * rng.normal(size=(4, 9, 11))
-    assert np.array_equal(oracle._apply(g, psi),
-                          np.einsum("ab,b...->a...", mat, psi))
+    dense = np.einsum("ab,b...->a...", mat, psi)
+    coef = rng.normal(size=(9, 1))
+    for a in range(4):
+        assert np.array_equal(oracle._term(table, a, psi), dense[a])
+        assert np.array_equal(oracle._term(table, a, psi, 1j), 1j * dense[a])
+        assert np.array_equal(oracle._term(table, a, psi, coef), coef * dense[a])
+
+
+def test_gradient_has_numpys_bits():
+    rng = np.random.default_rng(11)
+    for shape in ((3, 7), (16, 5), (41, 40)):
+        f = ((rng.normal(size=shape) + 1j * rng.normal(size=shape))
+             * np.exp(rng.uniform(-30, 30, shape)))
+        for axis in (0, 1):
+            h = rng.uniform(1e-3, 0.5)
+            assert np.array_equal(oracle._gradient(f, h, axis),
+                                  np.gradient(f, h, axis=axis, edge_order=2))
+
+
+def _two_bumps(centres, widths):
+    """A spinor that is no amplitude vector times one function: two
+    Gaussian bumps, each with its own four amplitudes."""
+    amps = (np.array([1.0, 0.6 - 0.3j, -0.4j, 0.25]),
+            np.array([-0.3 + 0.5j, 0.8, 0.2 + 0.1j, -0.9j]))
+
+    def spinor(r, z):
+        out = np.zeros((4,) + r.shape, dtype=complex)
+        for amp, (r0, z0), w in zip(amps, centres, widths):
+            out += amp[:, None, None] * np.exp(-((r - r0) ** 2 + (z - z0) ** 2)
+                                              / (2.0 * w * w))
+        return out
+
+    return spinor
+
+
+def _reference_commutator(rec, B, two_m, spinor, g, flat):
+    """The commutator probe's residual on the one grid g, on the full
+    spinor and the full grid: H and Sigma by dense gamma matrices
+    (einsum) and np.gradient, Sigma H by its expansion, as
+    commutator_residual's docstring states them."""
+    rs, zs = g.axes()
+    hr = (g.r_hi - g.r_lo) / (g.r_points - 1)
+    hz = (g.z_hi - g.z_lo) / (g.z_points - 1)
+    R, Z = np.meshgrid(rs, zs, indexing="ij")
+    psi = spinor(R, Z)
+    m = two_m / 2.0
+    mu = rec.mu(rs, m, B)[None, :, None]
+    mu_p = rec.mu_prime(rs, m, B)[None, :, None]
+    c = rec.stretch(zs)
+    inv = (1.0 / c)[None, None, :]
+    inv_p = (-rec.stretch_prime(zs) / c ** 2)[None, None, :]
+    g1, g2, g3 = _D1, _D2, _D3
+    g123 = g1 @ g2 @ g3
+
+    def gam(mat, f):
+        return np.einsum("ab,bij->aij", mat, f)
+
+    def d_r(f):
+        return np.gradient(f, hr, axis=1, edge_order=2)
+
+    def d_z(f):
+        return np.gradient(f, hz, axis=2, edge_order=2)
+
+    def hamiltonian(f):
+        return inv * (1j * gam(g1, d_r(f)) - mu * gam(g2, f)) + 1j * gam(g3, d_z(f))
+
+    def helicity(f):
+        radial = gam(g2 @ g3, d_r(f)) + 1j * mu * gam(g3 @ g1, f)
+        return (radial if flat else inv * radial) + gam(g1 @ g2, d_z(f))
+
+    psi_r, psi_z = d_r(psi), d_z(psi)
+    block_rr = (1j * gam(g123, d_r(psi_r)) - mu_p * gam(g3, psi)
+                - 1j * mu * mu * gam(g123, psi))
+    expanded = (1j * gam(g123, d_z(psi_z))
+                + inv_p * (1j * gam(g2, psi_r) + mu * gam(g1, psi)))
+    if flat:
+        expanded = expanded + inv * block_rr + (inv - 1.0) * (
+            1j * gam(g2, d_z(psi_r)) + mu * gam(g1, psi_z))
+    else:
+        expanded = expanded + inv * inv * block_rr
+    comm = hamiltonian(helicity(psi)) - expanded
+    tr = max(3, g.r_points // 20)
+    tz = max(3, g.z_points // 20)
+    return float(np.max(np.abs(comm[:, tr:-tr, tz:-tz])) / np.max(np.abs(psi)))
+
+
+@pytest.mark.parametrize("strip", [None, 1])
+@pytest.mark.parametrize("flat", [False, True])
+@pytest.mark.parametrize("space", ["h3", "s3"])
+def test_commutator_probe_matches_a_dense_reference(space, flat, strip,
+                                                     monkeypatch):
+    # per component on cached blocks, the probe reads what the full-spinor
+    # evaluation with dense gamma matrices reads, at every grid level; on
+    # blocks of one core row every core value reads the halo
+    if strip is not None:
+        monkeypatch.setattr(oracle, "_STRIP", strip)
+    if space == "h3":
+        rec, B, two_m = H3_GEOMETRY, 5.0, 1
+        grid = Grid2D(0.05, 4.0, -2.0, 2.0, 40, 36)
+        spinor = _two_bumps(((1.5, -0.4), (2.6, 0.5)), (0.4, 0.6))
+    else:
+        rec, B, two_m = S3_GEOMETRY, 1.0, -3
+        grid = Grid2D(0.05, math.pi - 0.05, -1.2, 1.2, 36, 40)
+        spinor = _two_bumps(((1.2, 0.2), (2.0, -0.3)), (0.35, 0.5))
+    levels = []
+    for k in range(3):
+        g = grid.scaled(2 ** k)
+        got = oracle._commutator_sup(rec, B, two_m / 2.0, spinor, g, flat)
+        ref = _reference_commutator(rec, B, two_m, spinor, g, flat)
+        assert abs(got - ref) <= 1e-12 * ref, (k, got, ref)
+        assert got == ref, (k, got, ref)  # the same bits
+        levels.append(got)
+    rep = commutator_residual(rec.radial_variable.geometry, B, spinor, grid,
+                              two_m=two_m, flat_helicity=flat)
+    assert rep.max_abs == levels[-1]
+
+
+@pytest.mark.parametrize("r0, z0, width", [
+    (2.0, 0.0, 0.0), (2.0, 0.0, -0.5), (2.0, 0.0, math.nan), (2.0, 0.0, math.inf),
+    (math.nan, 0.0, 0.5), (math.inf, 0.0, 0.5), (2.0, math.nan, 0.5),
+    (2.0, -math.inf, 0.5)])
+def test_gaussian_bump_needs_finite_centre_and_positive_width(r0, z0, width):
+    with pytest.raises(DomainError):
+        gaussian_bump_spinor(r0, z0, width)
 
 
 def test_commutator_second_order_h3():
