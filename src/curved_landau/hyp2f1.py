@@ -175,21 +175,34 @@ class _Run:
         return self.f[:n]
 
 
-# the most coefficients a cut draws at once
-_CHUNK_CAP = 256
+# the fewest and the most coefficients a cut draws at once
+_CHUNK_MIN, _CHUNK_MAX = 16, 256
 
 
-def _chunks(r: float):
-    """The sizes of the chunks of coefficients a cut at radius r draws:
-    first a bit past the degree at which r^k falls to _SERIES_TOL (the
-    cut of a series of unit coefficients), then each twice the last, up
-    to _CHUNK_CAP."""
-    size = _CHUNK_CAP
-    if r < 1.0:
-        size = math.ceil(1.3 * math.log(_SERIES_TOL) / math.log(r)) + 8
-    while True:
-        yield min(size, _CHUNK_CAP)
-        size *= 2
+def _first_chunk(r: float) -> int:
+    """The coefficients a cut at radius r draws first: a bit past the
+    degree at which r^k falls to _SERIES_TOL, the cut of a series of unit
+    coefficients."""
+    if r >= 1.0:
+        return _CHUNK_MAX
+    return min(_CHUNK_MAX, math.ceil(1.3 * math.log(_SERIES_TOL) / math.log(r)) + 8)
+
+
+def _next_chunk(terms: np.ndarray, bounds, size: int) -> int:
+    """The coefficients a cut draws next, after a chunk with no cut whose
+    weighted terms are terms: a bit past where each derivative's terms,
+    decaying at their rate over the chunk's last _CHUNK_MIN, fall to its
+    bound; twice the last chunk where they do not decay."""
+    span = min(_CHUNK_MIN, terms.shape[1] - 1)
+    need = 0.0
+    for row, bound in zip(terms, bounds):
+        last, earlier = row[-1], row[-1 - span]
+        if last <= bound:
+            continue
+        if not (span and 0.0 < last < earlier):
+            return min(_CHUNK_MAX, 2 * size)
+        need = max(need, span * math.log(last / bound) / math.log(earlier / last))
+    return min(_CHUNK_MAX, max(_CHUNK_MIN, math.ceil(1.25 * need) + 4))
 
 
 def _truncated_rows(run: _Run, r: float, bounds, cap: int):
@@ -204,14 +217,15 @@ def _truncated_rows(run: _Run, r: float, bounds, cap: int):
     which bounds that term's size at |t| <= r. None past degree cap, or
     where the run ends first.
 
-    The cut is found a chunk of coefficients at a time (_chunks), with
-    the same bits as a step per coefficient: r^k by a running product
-    (cumprod), |f_k| by hypot as Python's abs takes it, and each
-    weighted term from the one before it. A term past the float range is
-    inf, never small, as Python's float arithmetic makes it."""
+    The cut is found a chunk of coefficients at a time (_first_chunk,
+    _next_chunk), with the same bits as a step per coefficient: r^k by a
+    running product (cumprod), |f_k| by hypot as Python's abs takes it,
+    and each weighted term from the one before it. A term past the float
+    range is inf, never small, as Python's float arithmetic makes it."""
     chunks = []  # the weighted terms, by chunk
     calm, k0 = b"", 0  # the smalls that end the last chunk, at most 2
-    for size in _chunks(r):
+    size, limits = _first_chunk(r), np.reshape(bounds, (-1, 1))
+    while True:
         f = run.upto(min(k0 + size, cap + 1))[k0:]
         if not f.size:
             return None
@@ -228,7 +242,7 @@ def _truncated_rows(run: _Run, r: float, bounds, cap: int):
                 np.multiply(terms[j - 1], ks - (j - 1) if j > 1 else ks,
                             out=terms[j])
                 terms[j] /= r
-        small = (terms <= np.reshape(bounds, (-1, 1))).all(axis=0)
+        small = (terms <= limits).all(axis=0)
         chunks.append(terms)
         # the first k that ends three smalls in a row, one byte per k
         small = calm + small.tobytes()
@@ -238,7 +252,7 @@ def _truncated_rows(run: _Run, r: float, bounds, cap: int):
             terms = np.concatenate(chunks, axis=1) if len(chunks) > 1 else terms
             return _derivative_rows(run.f[:cut + 1], len(bounds)), terms[:, :cut + 1]
         calm = small[-2:].rpartition(b"\0")[2]
-        k0 = stop
+        size, k0 = _next_chunk(terms, bounds, size), stop
 
 
 def _derivative_rows(f: np.ndarray, count: int) -> np.ndarray:
