@@ -234,9 +234,9 @@ def _truncated_rows(run: _Run, r: float, bounds, cap: int):
         edges[0] = 1.0
         edges.cumprod(out=edges)
         terms = np.empty((len(bounds), f.size))
-        mag = np.hypot(f.real, f.imag).astype(float, copy=False)  # abs(f_k)
         ks = np.arange(k0, stop, dtype=float)
         with np.errstate(over="ignore"):
+            mag = np.hypot(f.real, f.imag).astype(float, copy=False)  # abs(f_k)
             np.multiply(mag, edges[k0:], out=terms[0])
             for j in range(1, len(bounds)):  # times k!/(k-j)! / r^j
                 np.multiply(terms[j - 1], ks - (j - 1) if j > 1 else ks,
