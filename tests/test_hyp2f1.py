@@ -471,10 +471,10 @@ def test_one_point_at_the_series_cap_fails_the_batch(monkeypatch):
 
 
 def _cut_term_by_term(coeffs, r, bounds, cap):
-    """The cut rule of _truncated_rows one coefficient at a time, as the
-    kernel ran it before it drew its coefficients in chunks: (rows, sums)
-    with sums[j] the running sum of derivative j's weighted terms, or
-    None past degree cap."""
+    """The cut rule of _truncated_rows one coefficient at a time, the
+    reference the chunked cut must match bit for bit: (rows, sums) with
+    sums[j] the running sum of derivative j's weighted terms, or None
+    past degree cap."""
     f, sums = [], [0.0] * len(bounds)
     edge, calm = 1.0, 0
     for k, fk in enumerate(coeffs):
