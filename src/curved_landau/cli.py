@@ -6,8 +6,12 @@ Output conventions shared by the table-producing subcommands:
 * ``--format csv`` (default) or ``--format json``, ``--out PATH``
   (default stdout).
 * CSV files are UTF-8 with LF line endings; ``#``-prefixed metadata
-  lines precede the header row; floats are emitted with ``repr`` so
-  parsing them back is exact.
+  lines precede the header row. The cell rule is csv's: ``None`` is an
+  empty cell, bools are ``true``/``false``, floats are written by
+  ``repr`` (so parsing them back is exact) and ints by ``str``; a str
+  cell is written as is unless it holds one of ``,``, ``"``, CR, LF or
+  NUL, and then exactly as ``csv.writer`` (QUOTE_MINIMAL) writes it.
+  JSON holds the same values.
 * Runs are deterministic: identical arguments produce byte-identical
   bytes. A wall-clock stamp line is added only under ``--stamp``.
 * Record order is fixed by the (two_m, n, n_z) lexicographic sort.
@@ -42,6 +46,8 @@ __all__ = ["main"]
 _COLUMNS = ("model", "B", "M", "two_m", "n", "n_z", "variant", "lambda_sq",
             "p", "epsilon", "admissible", "violated", "unified_rhs",
             "unified_discrepancy_flag")
+# the columns that vary between the rows of one (two_m, n) level
+_AXIAL_SLOTS = tuple(_COLUMNS.index(c) for c in ("n_z", "p", "epsilon"))
 _REGION_COLUMNS = ("model", "B", "two_m", "n", "variant", "admissible",
                    "violated", "lambda_sq", "predicate",
                    "predicate_consistent")
@@ -97,40 +103,98 @@ def _single_odd(parser: argparse.ArgumentParser, text: str, flag: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+# csv.writer quotes a str cell only if it holds one of these; which of
+# them count depends on the Python version, so such cells go to csv itself
+_CSV_SPECIAL = frozenset(',"\r\n\0')
+
+
+def _cell(value: object) -> str:
+    """One CSV cell by the module's cell rule."""
+    if value is None:
+        return ""
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if not isinstance(value, str):
+        return str(value)
+    if _CSV_SPECIAL.isdisjoint(value):
+        return value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(("", value))
+    return buf.getvalue()[1:-1]
+
+
+def _spelled(record: Sequence) -> list:
+    # csv writes None as "" and floats by repr; only bools need spelling
+    return [("true" if v else "false") if v is True or v is False else v
+            for v in record]
+
+
+def _level_lines(level: Sequence[tuple], varying: Sequence[int]) -> str:
+    """The CSV lines of one level (see `_emit`). The cells outside
+    `varying` are formatted once, from the first record, into a
+    %-template; each record fills in only its varying cells. A column of
+    floats fills by %r and one of ints by %s, as `_cell` writes them; any
+    other column goes through `_cell`."""
+    cells = [_cell(v).replace("%", "%%") for v in level[0]]
+    columns = list(zip(*level))
+    fills = []
+    for slot in varying:
+        values = columns[slot]
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            cells[slot] = "%r"
+        else:
+            cells[slot] = "%s"
+            if kinds != {int}:
+                values = list(map(_cell, values))
+        fills.append(values)
+    return "".join(map((",".join(cells) + "\n").__mod__, zip(*fills)))
+
+
 def _render_csv(meta: Dict[str, object], columns: Sequence[str],
-                records: Sequence[tuple]) -> str:
+                records: Sequence, varying: Sequence[int] = ()) -> str:
     buf = io.StringIO()
     for key, value in meta.items():
         if value is not None:
             buf.write(f"# {key}: {value}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    # csv writes None as "" and floats by repr; only bools need spelling
-    writer.writerows(
-        [("true" if v else "false") if v is True or v is False else v
-         for v in record]
-        for record in records)
+    if not varying:
+        writer.writerows(map(_spelled, records))
+        return buf.getvalue()
+    for level in records:
+        if len(level) > 1:
+            buf.write(_level_lines(level, varying))
+        else:  # nothing to share
+            writer.writerow(_spelled(level[0]))
     return buf.getvalue()
 
 
 def _render_json(meta: Dict[str, object], columns: Sequence[str],
-                 records: Sequence[tuple]) -> str:
+                 records: Sequence, varying: Sequence[int] = ()) -> str:
+    if varying:
+        records = [record for level in records for record in level]
     payload = {"meta": meta, "columns": list(columns),
                "records": [dict(zip(columns, r)) for r in records]}
     return json.dumps(payload, indent=2) + "\n"
 
 
 def _emit(args, meta: Dict[str, object], columns: Sequence[str],
-          records: Sequence[tuple]) -> int:
+          records: Sequence, varying: Sequence[int] = ()) -> int:
     """Write records (tuples in `columns` order) under the generator and
-    command header and the subcommand's metadata."""
+    command header and the subcommand's metadata. With `varying` (indices
+    of columns), the records come grouped in levels: lists of records
+    that agree on every column outside `varying`, so that the CSV
+    formats those shared cells once per level."""
     meta = {"generator": f"curved-landau {__version__}",
             "command": args.subcommand, **meta}
     if args.stamp:
         meta["stamp"] = datetime.now(timezone.utc).isoformat(
             timespec="seconds")
-    text = (_render_csv(meta, columns, records) if args.format == "csv"
-            else _render_json(meta, columns, records))
+    render = _render_csv if args.format == "csv" else _render_json
+    text = render(meta, columns, records, varying)
     if args.out is None:
         sys.stdout.write(text)
         return 0
@@ -169,31 +233,36 @@ def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
     if not 0.0 < rho_sq < math.inf:
         raise DomainError(f"--rho {rho!r}: rho^2 is not a finite positive float")
     geo = Geometry(args.model).record
-    records = []
+    levels = []
     for two_m in two_ms:
         for n in ns:
             audit = geo.audit(two_m, args.B, n)
             entry = audit.entry
             lam_sq = entry.lambda_sq
+            scaled_sq = lam_sq / rho_sq if lam_sq is not None else None
+            finite_sq = scaled_sq is None or math.isfinite(scaled_sq)
+            # n_z is set on s3 only
+            lam = (math.sqrt(lam_sq)
+                   if n_zs[0] is not None and entry.admissible else None)
+            variant = entry.variant.value if entry.variant else None
+            level = []
             for n_z in n_zs:
                 p = epsilon = None
-                # n_z is set on s3 only
-                if n_z is not None and entry.admissible:
-                    lam = math.sqrt(lam_sq)
-                    p = sph.s3_axial_quantize(lam, n_z) / rho
+                if lam is not None:
+                    p = sph.s3_axial_quantize(lam, n_z)
                     if args.M > 0.0:
-                        epsilon = sph.s3_total_energy(args.M, lam, n_z) / rho
-                scaled_sq = lam_sq / rho_sq if lam_sq is not None else None
-                if not all(math.isfinite(v) for v in (scaled_sq, p, epsilon)
-                           if v is not None):
+                        epsilon = sph.s3_total_energy(args.M, p) / rho
+                    p /= rho
+                if not (finite_sq and (p is None or math.isfinite(p))
+                        and (epsilon is None or math.isfinite(epsilon))):
                     raise DomainError(f"--rho {rho!r}: the scaled lambda_sq, p "
                                       f"or epsilon of two_m={two_m}, n={n} is "
                                       f"not finite")
-                records.append((
-                    args.model, args.B, args.M, two_m, n, n_z,
-                    entry.variant.value if entry.variant else None,
+                level.append((
+                    args.model, args.B, args.M, two_m, n, n_z, variant,
                     scaled_sq, p, epsilon, entry.admissible, entry.violated,
                     audit.unified_rhs, audit.flagged))
+            levels.append(level)
     meta = {
         "model": args.model,
         "B": args.B,
@@ -203,7 +272,7 @@ def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
         "n": args.n,
         "nz": args.nz,
     }
-    return _emit(args, meta, _COLUMNS, records)
+    return _emit(args, meta, _COLUMNS, levels, _AXIAL_SLOTS)
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,10 @@ class Grid2D:
                 np.linspace(self.z_lo, self.z_hi, self.z_points))
 
     def scaled(self, factor: int) -> "Grid2D":
+        """Same endpoints, spacing divided by `factor` (nodes nest)."""
         return Grid2D(self.r_lo, self.r_hi, self.z_lo, self.z_hi,
-                      self.r_points * factor, self.z_points * factor)
+                      (self.r_points - 1) * factor + 1,
+                      (self.z_points - 1) * factor + 1)
 
 
 @dataclass(frozen=True)
@@ -617,7 +619,8 @@ def commutator_residual(geometry: Geometry, B: float,
     of 0.
 
     The reported convergence_order averages the two log2 ratios over
-    three grids (x1, x2, x4); max_abs comes from the finest one.
+    three nested grids (spacing h, h/2, h/4; `Grid2D.scaled`); max_abs
+    comes from the finest one.
     """
     if not math.isfinite(B):
         raise DomainError("B must be finite")

@@ -123,12 +123,14 @@ def s3_quantize(two_m: int, B: float, n: int, component: Component) -> SpectrumE
     return GEOMETRY.quantize(two_m, B, n, component)
 
 
-def s3_total_energy(M: float, lam: float, n_z: int) -> float:
-    """epsilon = sqrt(M^2 + p^2) with p = lambda + n_z + 1/2; DomainError
-    where M^2 + p^2 is not a finite float."""
+def s3_total_energy(M: float, p: float) -> float:
+    """epsilon = sqrt(M^2 + p^2) of the quantized axial momentum p that
+    s3_axial_quantize returns; DomainError unless M > 0 and p is finite
+    and > 0, or where M^2 + p^2 is not a finite float."""
     if M <= 0.0:
         raise DomainError("M must be > 0")
-    p = s3_axial_quantize(lam, n_z)
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"p must be a finite axial momentum > 0, got {p!r}")
     energy_sq = M * M + p * p
     if not math.isfinite(energy_sq):
         raise DomainError(f"M^2 + p^2 is not finite at M = {M}, p = {p}")

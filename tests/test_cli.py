@@ -2,6 +2,7 @@
 serialization round-trips, determinism, and the exit-code contract."""
 
 import csv
+import io
 import json
 import math
 
@@ -174,22 +175,66 @@ _RT_ARGS = ["spectrum", "--model", "s3", "--B", "1", "--M", "1",
             "--two-m=-3..3", "--n", "0..3", "--nz", "0..1"]
 
 
+# inadmissible levels (empty p and epsilon), B < 0, --rho 3 and --M 0
+_ROUND_TRIPS = [
+    _RT_ARGS,
+    ["spectrum", "--model", "s3", "--B", "2.5", "--M", "0", "--rho", "3",
+     "--two-m=-5..9", "--n", "0..3", "--nz", "0..2"],
+    ["spectrum", "--model", "s3", "--B", "-2", "--M", "1.5", "--rho", "3",
+     "--two-m=-5..5", "--n", "0..3", "--nz", "0..2"],
+    ["spectrum", "--model", "h3", "--B", "-4", "--M", "0", "--rho", "3",
+     "--two-m=-7..7", "--n", "0..5"],
+]
+
+
 def test_csv_json_round_trip(capsys):
-    csv_code, csv_out, _ = _run(capsys, _RT_ARGS)
-    json_code, json_out, _ = _run(capsys, _RT_ARGS + ["--format", "json"])
-    assert csv_code == json_code == 0
-    _, columns, csv_records = _csv_records(csv_out)
-    payload = json.loads(json_out)
-    assert set(payload) == {"meta", "columns", "records"}
-    assert payload["columns"] == list(columns)
-    assert len(payload["records"]) == len(csv_records)
-    for via_csv, via_json in zip(csv_records, payload["records"]):
-        for column in columns:
-            a, b = via_csv[column], via_json[column]
-            if isinstance(a, float):
-                assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
-            else:
-                assert a == b
+    for argv in _ROUND_TRIPS:
+        csv_code, csv_out, _ = _run(capsys, argv)
+        json_code, json_out, _ = _run(capsys, argv + ["--format", "json"])
+        assert csv_code == json_code == 0
+        _, columns, csv_records = _csv_records(csv_out)
+        payload = json.loads(json_out)
+        assert set(payload) == {"meta", "columns", "records"}
+        assert payload["columns"] == list(columns)
+        assert len(payload["records"]) == len(csv_records)
+        # both formats write floats by repr, so every cell reads back
+        # exactly
+        for via_csv, via_json in zip(csv_records, payload["records"]):
+            assert via_csv == via_json, argv
+            for column in columns:
+                assert type(via_csv[column]) is type(via_json[column]), column
+
+
+_AWKWARD = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "nul\0x",
+            "100%", "%s %r %%", "", " padded ", "ünï"]
+
+
+@pytest.mark.parametrize("text", _AWKWARD)
+def test_level_cells_are_written_as_csv_writes_them(text):
+    """Cells formatted once per level read as csv.writer writes them,
+    str cells with a delimiter, a quote, CR, LF, NUL or % included,
+    whether a cell is shared or varies within its level."""
+    columns = ("name", "k", "note", "x", "flag", "tail")
+    varying = (1, 3, 4)
+    levels = [
+        [(text, k, text, 0.1 * k, k % 2 == 0, None) for k in range(3)],
+        [("s", 7, None, x, None, text) for x in (1.5, None, 2.0)],
+        [(text, k, 3, text, True, 2.5) for k in (0, 1)],
+        [(None, "k", "v", -0.0, False, 1e300)],
+    ]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    try:
+        for level in levels:
+            writer.writerows(
+                [("true" if v else "false") if isinstance(v, bool) else v
+                 for v in record] for record in level)
+    except csv.Error:  # Python 3.10 refuses NUL without an escapechar
+        with pytest.raises(csv.Error):
+            cli._render_csv({}, columns, levels, varying)
+        return
+    assert cli._render_csv({}, columns, levels, varying) == expected.getvalue()
 
 
 def test_identical_runs_byte_identical(tmp_path, capsys):

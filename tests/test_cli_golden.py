@@ -62,7 +62,7 @@ GOLDEN = [
     ("verify --suite axial",
      "bc2746a434f0644dfedd8029b4f24397e7130cf623d68f16a78db10df5aef9da"),
     ("verify --suite commutator",
-     "a5456b44a57bafe73425ee8ce6fa8ffee48b0751a867e09d9edd28c383ab28af"),
+     "7090e48626665c3da76ec1d4cf6b7ae75e8021811225c33575a8126adaaee7d4"),
     ("verify --suite hyp",
      "3ce2d0b6d1408e33720790f8fd419a477b3db7f7cd85bfa529df4d0875d0cf0c"),
     ("verify --suite flat-limit",
@@ -160,6 +160,21 @@ LATTICE = [
      '88c350dc0c67e9decf21cbf89c7c06e53219bac57d870430a1577436808aeae9'),
     ('regions --model s3 --B -20 --two-m=-41..41 --n 0..60',
      'ff283fc1b2277adb8bb690284e001ef629217f4408f5e4748832e4a4778e5e44'),
+]
+
+# s3 --nz tables of the size the cli benchmark renders: the 40,000-row
+# table at M = 1 (inadmissible levels with empty p/epsilon included), a
+# --rho 2.5 --M 0 table at B < 0 (empty epsilon) and the 40,000-row
+# table again as JSON.
+TABLES = [
+    ("spectrum --model s3 --B 1 --M 1 --two-m=-21..177 --n 0..39 --nz 0..9",
+     "35c82a2447e566f6126b79ce2f2b0b29b448e177852112940e79ec98d42fe9f1"),
+    ("spectrum --model s3 --B -2.5 --M 0 --rho 2.5 --two-m=-41..41 --n 0..20 "
+     "--nz 0..4",
+     "e9a6f43eed298e280781ff389cd72362614661328bd2588853c81ec9f34afc91"),
+    ("spectrum --model s3 --B 1 --M 1 --two-m=-21..177 --n 0..39 --nz 0..9 "
+     "--format json",
+     "e3a6f293cb5359cdd032cf9a18e006343d065d39d39aa196e2fd124456f9ec78"),
 ]
 
 # One radial state per variant row at B >= 0 (h3: 1, 2, 4', 3';
@@ -263,6 +278,24 @@ def test_default_output_is_byte_identical(capsys, command, digest):
                          ids=[c for c, _ in LATTICE])
 def test_lattice_output_is_byte_identical(capsys, command, digest):
     _check(capsys, command, digest)
+
+
+@pytest.mark.parametrize("command, digest", TABLES,
+                         ids=[c for c, _ in TABLES])
+def test_table_output_is_byte_identical(capsys, command, digest):
+    _check(capsys, command, digest)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_file_bytes_equal_stdout_bytes(tmp_path, capsys, fmt):
+    argv = ("spectrum --model s3 --B 1 --M 1 --two-m=-5..5 --n 0..3 --nz 0..2 "
+            f"--format {fmt}").split()
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    path = tmp_path / "table"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == stdout.encode("utf-8")
 
 
 @pytest.mark.parametrize("command, digest", RADIAL_WAVEFUNCTIONS,

@@ -65,8 +65,13 @@ def test_grid_guards():
     assert fine.points == 201 and fine.spacing == 0.01
     # refined nodes nest inside the coarse ones
     assert np.allclose(fine.nodes()[::2], grid.nodes())
-    g2 = Grid2D(0.0, 1.0, -1.0, 1.0, 20, 30).scaled(2)
-    assert (g2.r_points, g2.z_points) == (40, 60)
+    coarse = Grid2D(0.0, 1.0, -1.0, 1.0, 20, 30)
+    g2 = coarse.scaled(2)
+    assert (g2.r_points, g2.z_points) == (39, 59)
+    # scaled nodes nest inside the coarse ones on both axes
+    for factor in (2, 4):
+        for fine, axis in zip(coarse.scaled(factor).axes(), coarse.axes()):
+            assert np.allclose(fine[::factor], axis)
 
 
 def test_report_guards():

@@ -207,8 +207,6 @@ def test_axial_quantization_guards():
                      (float("inf"), 0)):
         with pytest.raises(DomainError):
             s3_axial_quantize(lam, n_z)
-    with pytest.raises(DomainError):
-        s3_total_energy(1.0, 1.0, 1.5)
     assert s3_axial_quantize(1.0, np.int64(2)) == 3.5
 
 
@@ -328,13 +326,18 @@ def test_radial_pair_factor_guards():
 
 def test_total_energy_value():
     lam = math.sqrt(3.0)
-    assert abs(s3_total_energy(1.0, lam, 0) - 2.4458231349729433) < 1e-14
-    p = lam + 0.5
-    assert s3_total_energy(2.0, lam, 0) == math.sqrt(4.0 + p * p)
+    p = s3_axial_quantize(lam, 0)
+    assert abs(s3_total_energy(1.0, p) - 2.4458231349729433) < 1e-14
+    assert p == lam + 0.5
+    assert s3_total_energy(2.0, p) == math.sqrt(4.0 + p * p)
     # M <= 0, and M^2 + p^2 overflowing (sqrt would return inf) or nan
     for M in (0.0, 1e200, 1.4e154, float("nan")):
         with pytest.raises(DomainError):
-            s3_total_energy(M, lam, 0)
+            s3_total_energy(M, p)
+    # p is a quantized momentum: finite and > 0
+    for bad in (0.0, -2.5, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            s3_total_energy(1.0, bad)
 
 
 def test_unified_report_exact_on_variant2_range():
