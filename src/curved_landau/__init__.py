@@ -4,14 +4,14 @@ field on the two curved 3-spaces of constant curvature.
 Layers:
 
 * :mod:`curved_landau.hyp2f1` — Gauss-series special functions on
-  complex parameters (series, derivatives, connection coefficients,
-  the c-raising contiguous relation).
+  complex parameters (series, derivatives, connection coefficients).
 * :mod:`curved_landau.model` — shared vocabulary: enums, solution
   forms, records, error taxonomy, and the per-space GeometryRecord
   (``Geometry.H3.record``): mu, quantization, radial and axial
   solutions and pairs, and the audit of each quantized level (unified
-  formula and figure predicate), written once from kappa, the axial
-  (p, lambda) -> (P, L) map and the space's variant and pair tables.
+  formula and figure predicate), written once from kappa (which fixes
+  the trig pair and the extents), the axial (p, lambda) -> (P, L) map
+  and the space's variant and pair tables.
 * :mod:`curved_landau.lobachevsky` — the hyperbolic (pseudosphere)
   model: variant and pair tables, axial data (its second Kummer basis
   U5 is the record's U1 algebra at -p), the flat limit of its
@@ -57,7 +57,6 @@ from .hyp2f1 import (
     KummerBranch,
     NonConvergent,
     PoleAtNonPositiveInteger,
-    contiguous_raise_c,
     eval_2f1,
     kummer_connection,
     log_gamma,
@@ -108,9 +107,8 @@ __all__ = [
     # hyp2f1
     "ConnectionCoefficients", "DegenerateConnection", "Hyp2F1Error",
     "Hyp2F1Params", "InvalidC", "KummerBranch", "NonConvergent",
-    "PoleAtNonPositiveInteger", "contiguous_raise_c", "eval_2f1",
-    "kummer_connection", "log_gamma", "series_with_derivatives",
-    "u2_value", "u6_value",
+    "PoleAtNonPositiveInteger", "eval_2f1", "kummer_connection",
+    "log_gamma", "series_with_derivatives", "u2_value", "u6_value",
     # lobachevsky
     "H3RadialPair", "flat_limit", "h3_axial_solution", "h3_quantize",
     "h3_radial_solution", "helicity_link",

@@ -92,6 +92,12 @@ def _random_y(rng: np.random.Generator, lo=0.2, hi=0.8,
             return y
 
 
+def _contiguous_lhs(params: hyp.Hyp2F1Params, y: complex) -> complex:
+    """(c - a - b) F + (1 - y) F': the c-raising contiguous identity's lhs."""
+    f, fp, _ = hyp.series_with_derivatives(params, y)
+    return (params.c - params.a - params.b) * f + (1 - y) * fp
+
+
 def _suite_hyp() -> List[CheckResult]:
     rng = np.random.default_rng(_RNG_SEED)
     euler = contig_lo = contig_hi = recon = 0.0
@@ -104,10 +110,10 @@ def _suite_hyp() -> List[CheckResult]:
         transformed = ((1 - y) ** (c - a - b)
                        * hyp.eval_2f1(hyp.Hyp2F1Params(c - a, c - b, c), y))
         euler = max(euler, abs(f - transformed) / scale)
-        lhs = hyp.contiguous_raise_c(params, y)
+        lhs = _contiguous_lhs(params, y)
         rhs = ((a - c) * (b - c) / c) * hyp.eval_2f1(params.shifted(dc=1), y)
         contig_hi = max(contig_hi, abs(lhs - rhs) / max(1.0, abs(rhs)))
-        lhs = hyp.contiguous_raise_c(params.shifted(dc=-1), y)
+        lhs = _contiguous_lhs(params.shifted(dc=-1), y)
         rhs = ((a - c + 1) * (b - c + 1) / (c - 1)) * f
         contig_lo = max(contig_lo, abs(lhs - rhs) / max(1.0, abs(rhs)))
         y_lens = _random_y(rng, lens=True)
@@ -136,24 +142,24 @@ def _suite_radial() -> List[CheckResult]:
 
     def above_one(ev):  # drops the H3 zero mode, as a list
         return [v for v in ev if v > 1.0][:4]
-    # (name, eigensolver, space, m, B, grid, levels shown, first level
+    # (name, eigensolver, space, two_m, B, grid, levels shown, first level
     # compared); m = +1/2 on S3 skips its zero mode
     cases = [
-        ("radial/h3-B5-m+1/2", oracle.radial_eigenvalues_h3, Geometry.H3, 0.5, 5.0,
+        ("radial/h3-B5-m+1/2", oracle.radial_eigenvalues_h3, Geometry.H3, 1, 5.0,
          grid_h3, above_one, 0),
-        ("radial/h3-B5-m-1/2", oracle.radial_eigenvalues_h3, Geometry.H3, -0.5, 5.0,
+        ("radial/h3-B5-m-1/2", oracle.radial_eigenvalues_h3, Geometry.H3, -1, 5.0,
          grid_h3, above_one, 0),
-        ("radial/s3-B1-m+1/2", oracle.radial_eigenvalues_s3, Geometry.S3, 0.5, 1.0,
+        ("radial/s3-B1-m+1/2", oracle.radial_eigenvalues_s3, Geometry.S3, 1, 1.0,
          grid_s3, lambda ev: ev[:4], 1),
-        ("radial/s3-B1-m-1/2", oracle.radial_eigenvalues_s3, Geometry.S3, -0.5, 1.0,
+        ("radial/s3-B1-m-1/2", oracle.radial_eigenvalues_s3, Geometry.S3, -1, 1.0,
          grid_s3, lambda ev: ev[:3], 0),
     ]
     out = []
-    for name, solve, space, m, B, grid, shown, first in cases:
-        levels = shown(solve(m, B, Component.R1, grid).eigenvalues)
+    for name, solve, space, two_m, B, grid, shown, first in cases:
+        levels = shown(solve(two_m, B, Component.R1, grid).eigenvalues)
         # the admissible closed-form levels n = 0..4, which skip the
         # lambda^2 = 0 modes as `shown` and `first` do
-        entries = [space.record.quantize(round(2 * m), B, n, Component.R1)
+        entries = [space.record.quantize(two_m, B, n, Component.R1)
                    for n in range(5)]
         targets = [e.lambda_sq for e in entries if e.admissible]
         out.append(_result(name, _worst_match(levels[first:], targets),
@@ -182,8 +188,10 @@ def _suite_axial() -> List[CheckResult]:
                          for p, lam in states for c in (Component.Z1, Component.Z2)]
         out.append(_result(name, max(r.max_abs for r in reports[name]),
                            1e-8, detail))
-    exact_p = max(abs(sph.s3_axial_quantize(_LAM_S3, n_z) - (_LAM_S3 + n_z + 0.5))
-                  for n_z in range(3))
+    # the S3 quantization rule against the algebra: Z1 stops at degree n_z
+    degrees = [sph.GEOMETRY.axial_solution(sph.s3_axial_quantize(_LAM_S3, n_z), _LAM_S3,
+                                           Component.Z1).params.degree for n_z in range(3)]
+    exact_p = max(abs(degree - n_z) for n_z, degree in enumerate(degrees))
     orders = [abs(r.convergence_order - 2.0)
               for r in reports["axial/h3-series-solutions"]]
     # the connection coefficients that evaluate the forms at Re y > 0.9,

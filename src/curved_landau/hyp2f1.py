@@ -2,10 +2,8 @@
 
 Series evaluation of 2F1 with complex parameters (including the
 terminating polynomial cases that carry all bound states), a
-self-contained principal-branch log-gamma, Kummer connection
-coefficients between the y ~ 0 and y ~ 1 solution bases, and the
-c-raising contiguous derivative identity used to couple first-order
-solution pairs (taken at c - 1, it is the c-lowering one). Every sum,
+self-contained principal-branch log-gamma, and Kummer connection
+coefficients between the y ~ 0 and y ~ 1 solution bases. Every sum,
 the solution forms' included, goes through eval_2f1 or
 series_with_derivatives to one dispatcher, _sum, which picks the regime
 of each point: polynomial, direct series, Pfaff's transformation, Taylor
@@ -44,7 +42,6 @@ __all__ = [
     "kummer_connection",
     "u2_value",
     "u6_value",
-    "contiguous_raise_c",
 ]
 
 _TERM_TOL = 1e-12     # distance to a non-positive integer that counts as exact
@@ -663,23 +660,3 @@ def u6_value(params: Hyp2F1Params, y):
     y, w = _points(y)
     cab = c - a - b
     return w ** cab * eval_2f1(Hyp2F1Params(c - a, c - b, cab + 1), w, y)
-
-
-def contiguous_raise_c(params: Hyp2F1Params, y: complex) -> complex:
-    """Left-hand side of the c-raising contiguous identity,
-
-        (c-a-b) F(a,b,c;y) + (1-y) F'(a,b,c;y)
-            = ((a-c)(b-c)/c) F(a,b,c+1;y),
-
-    evaluated by term-wise differentiated series. At params.shifted(dc=-1)
-    it is the left-hand side of the c-lowering identity,
-
-        (c-1-a-b) F(a,b,c-1;y) + (1-y) F'(a,b,c-1;y)
-            = ((a-c+1)(b-c+1)/(c-1)) F(a,b,c;y).
-    """
-    a, b, c = params.a, params.b, params.c
-    if abs(c) <= _TERM_TOL:
-        raise InvalidC("c = 0")
-    y = complex(y)
-    f, fp, _ = series_with_derivatives(params, y)
-    return (c - a - b) * f + (1 - y) * fp

@@ -17,8 +17,6 @@ import math
 from enum import Enum
 from typing import Tuple
 
-import numpy as np
-
 from .hyp2f1 import KummerBranch
 from .model import (
     Component,
@@ -159,8 +157,7 @@ def helicity_link(epsilon: float, M: float,
 
 GEOMETRY = GeometryRecord(
     radial_variable=Variable.YR, axial_variable=Variable.YZ,
-    r_max=math.inf, z_max=math.inf, kappa=-1.0, sine=np.sinh, cosine=np.cosh,
-    variants=_VARIANTS, pairs=RadialPair,
+    kappa=-1.0, variants=_VARIANTS, pairs=RadialPair,
     axial_pl=lambda p, lam: (1j * p, 1j * lam), axial_upper=Component.Z1,
     r_window=(1e-3, 12.0), z_window=(-2.0, 2.0),
     region_predicate="|m| - |2B + m| + 2n < 0 marks the bound region",

@@ -11,7 +11,7 @@ oracles consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Tuple, Type
 
@@ -234,12 +234,13 @@ class RadialPairRow:
 @dataclass(frozen=True)
 class GeometryRecord:
     """One space: H3 and S3 are one problem with curvature sign kappa =
-    -1 / +1 and trig pair (sinh, cosh) / (sin, cos), from which, with the
-    space's variant and pair tables (`variants`; `pairs`, its RadialPair
-    enum), every method below is written once. r runs over (0, r_max), z
-    over (-z_max, z_max); forms on the compact space (finite r_max) need
-    A, C > 0. radial_pair reads a pair's r2/r1 factor off the two forms
-    it builds. Axial forms take (P, L) = axial_pl(p, lam) and the upper
+    -1 / +1, from which, with the space's variant and pair tables
+    (`variants`; `pairs`, its RadialPair enum), every method below is
+    written once. kappa alone fixes the trig pair and the extents r in
+    (0, r_max), z in (-z_max, z_max): (sinh, cosh, inf, inf) on the open
+    space, (sin, cos, pi, pi/2) on the compact one, where forms need A,
+    C > 0. radial_pair reads a pair's r2/r1 factor off the two forms it
+    builds. Axial forms take (P, L) = axial_pl(p, lam) and the upper
     shape for axial_upper (in Euler's form on the open space); the z2/z1
     factor follows from both (axial_pair). audit reads each level once
     from quantize for the unified formula and the figure predicate. The
@@ -252,11 +253,7 @@ class GeometryRecord:
 
     radial_variable: Variable
     axial_variable: Variable
-    r_max: float
-    z_max: float
     kappa: float
-    sine: Callable
-    cosine: Callable
     variants: Tuple[RadialVariant, ...]
     pairs: Type[Enum]
     axial_pl: Callable[[float, float], Tuple[complex, complex]]
@@ -265,6 +262,16 @@ class GeometryRecord:
     z_window: Tuple[float, float]
     region_predicate: str
     zero_field_note: str
+    sine: Callable = field(init=False)
+    cosine: Callable = field(init=False)
+    r_max: float = field(init=False)
+    z_max: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        derived = ((np.sinh, np.cosh, math.inf, math.inf) if self.kappa < 0
+                   else (np.sin, np.cos, math.pi, math.pi / 2))
+        for name, value in zip(("sine", "cosine", "r_max", "z_max"), derived):
+            object.__setattr__(self, name, value)
 
     def stretch(self, z):
         """Axial stretch c(z) = cosh z (H3) or cos z (S3)."""

@@ -41,6 +41,7 @@ from .model import (
     SupportTooCloseToSingularity,
     TruncationTooSmall,
     ZeroLambda,
+    _require_quantum_numbers,
 )
 
 __all__ = [
@@ -162,10 +163,11 @@ def _bound_mass_guard(d, e, centers, lo, hi) -> None:
             "of the truncated domain; increase hi")
 
 
-def _radial_eigenvalues(rec, m: float, B: float, component: Component,
+def _radial_eigenvalues(rec, two_m: int, B: float, component: Component,
                         grid: Grid1D, max_count: int) -> EigenReport:
     """Lowest lambda^2 values, at most max_count, of
-    -R'' + (mu^2 +- mu') R = lambda^2 R on the grid, in rec's space.
+    -R'' + (mu^2 +- mu') R = lambda^2 R on the grid, in rec's space, at
+    m = two_m/2 (DomainError unless two_m is an odd integer).
 
     phi = sine(r/2)^s0 cosine(r/2)^s1: s0 is the inner endpoint's larger
     indicial root; on a finite interval s1 is the far pole's, whose face
@@ -176,13 +178,14 @@ def _radial_eigenvalues(rec, m: float, B: float, component: Component,
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
+    _require_quantum_numbers(two_m)
     if component not in (Component.R1, Component.R2):
         raise DomainError("component must be R1 or R2")
     if grid.lo < 0.0 or grid.hi > rec.r_max + 1e-12:
         raise DomainError(f"grid must lie within [0, {rec.r_max:g}]")
     if max_count < 1:
         raise DomainError("max_count must be >= 1")
-    edge = B * B
+    m, edge = two_m / 2.0, B * B
     if rec.kappa < 0.0 and (abs(rec.mu(grid.hi, m, B) ** 2 - edge)
                             > 1e-3 * max(1.0, edge)):
         raise DomainError(
@@ -227,18 +230,18 @@ def _radial_eigenvalues(rec, m: float, B: float, component: Component,
     return EigenReport(tuple(float(v) for v in vals))
 
 
-def radial_eigenvalues_h3(m: float, B: float, component: Component,
+def radial_eigenvalues_h3(two_m: int, B: float, component: Component,
                           grid: Grid1D) -> EigenReport:
     """Bound-state lambda^2 values (below the continuum edge B^2) of the
-    hyperbolic radial operator on (0, grid.hi); grid.lo may be 0."""
-    return _radial_eigenvalues(Geometry.H3.record, m, B, component, grid, grid.points)
+    hyperbolic radial operator at m = two_m/2 on (0, grid.hi), grid.lo >= 0."""
+    return _radial_eigenvalues(Geometry.H3.record, two_m, B, component, grid, grid.points)
 
 
-def radial_eigenvalues_s3(m: float, B: float, component: Component,
+def radial_eigenvalues_s3(two_m: int, B: float, component: Component,
                           grid: Grid1D, max_count: int = 8) -> EigenReport:
-    """Lowest lambda^2 values of the spherical radial operator on a grid
-    within [0, pi]; the spectrum is fully discrete."""
-    return _radial_eigenvalues(Geometry.S3.record, m, B, component, grid, max_count)
+    """Lowest lambda^2 values of the spherical radial operator at
+    m = two_m/2 on a grid within [0, pi]; the spectrum is fully discrete."""
+    return _radial_eigenvalues(Geometry.S3.record, two_m, B, component, grid, max_count)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +548,14 @@ def _commutator_block(psi, hr: float, hz: float, mu, mu_p, inv, inv_p,
     return float(np.max(core))
 
 
+def _core_trim(points: int) -> int:
+    """Cells the probe trims from each end of an axis of `points` nodes: a
+    twentieth of its cells, at least _EDGE_TRIM. Above that floor the trim
+    doubles with the cells of a nested grid (Grid2D.scaled), so every level
+    compares one window (mu' grows like 1/r^2 toward r_lo)."""
+    return max(_EDGE_TRIM, round((points - 1) / 20))
+
+
 def _commutator_sup(rec, B: float, m: float, test_spinor, g: Grid2D,
                     flat_helicity: bool) -> float:
     """commutator_residual's residual on the one grid g."""
@@ -561,11 +572,7 @@ def _commutator_sup(rec, B: float, m: float, test_spinor, g: Grid2D,
     inv = (1.0 / stretch)[None, :]
     # d(1/stretch)/dz
     inv_p = (-rec.stretch_prime(zs) / stretch ** 2)[None, :]
-    # Trim a fixed *fraction* so every refinement level compares the
-    # same physical region (mu' grows like 1/r^2 toward r_lo, so a
-    # fixed cell count would slide the window into worse territory).
-    tr = max(_EDGE_TRIM, g.r_points // 20)
-    tz = max(_EDGE_TRIM, g.z_points // 20)
+    tr, tz = _core_trim(g.r_points), _core_trim(g.z_points)
     cols = slice(tz - _HALO, g.z_points - tz + _HALO)
     worst = []
     for lo in range(tr, g.r_points - tr, _STRIP):
@@ -602,8 +609,10 @@ def commutator_residual(geometry: Geometry, B: float,
     The derivatives are central differences (second order at the
     edges) at each grid's uniform spacing, and psi's first derivatives
     serve both Sigma psi and the expansion. The sup is taken over the
-    core left by trimming a twentieth (at least three cells) of each
-    axis from each end, relative to the sup of psi over the grid.
+    core left by trimming a twentieth of each axis's cells (at least
+    three) from each end, relative to the sup of psi over the grid: on
+    the nested grids that is 4, 8 and 16 cells of an 80-point axis, the
+    same window at every level.
 
     The probe works one spinor component at a time, on blocks of the
     core with a two-cell halo (_commutator_block). Each gamma product

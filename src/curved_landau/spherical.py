@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-import numpy as np
-
 from .model import (
     Component,
     DomainError,
@@ -139,8 +137,7 @@ def s3_total_energy(M: float, p: float) -> float:
 
 GEOMETRY = GeometryRecord(
     radial_variable=Variable.YR_S3, axial_variable=Variable.YZ_S3,
-    r_max=math.pi, z_max=math.pi / 2, kappa=1.0, sine=np.sin, cosine=np.cos,
-    variants=_VARIANTS, pairs=RadialPair,
+    kappa=1.0, variants=_VARIANTS, pairs=RadialPair,
     axial_pl=lambda p, lam: (-p, lam), axial_upper=Component.Z2,
     r_window=(1e-3, math.pi - 1e-3),
     z_window=(-(math.pi / 2 - 0.1), math.pi / 2 - 0.1),

@@ -7,6 +7,7 @@ import pytest
 
 from curved_landau import checks
 from curved_landau import lobachevsky as lob
+from curved_landau import spherical as sph
 from curved_landau.model import DomainError, Variant
 
 
@@ -21,6 +22,28 @@ def test_axial_values_do_not_depend_on_case_order(monkeypatch):
     monkeypatch.setattr(checks, "_AXIAL_CASES", checks._AXIAL_CASES[::-1])
     backward = {r.name: r.value for r in checks.run_suites(["axial"])}
     assert backward == forward
+
+
+def _s3_quantization_result():
+    [result] = [r for r in checks.run_suites(["axial"])
+                if r.name == "axial/s3-quantization-exact"]
+    return result
+
+
+def test_s3_quantization_check_meters_the_rule_against_the_algebra(monkeypatch):
+    # at the quantized p each Z1 series stops at degree n_z; a rule one
+    # step off, or an axial algebra one step off, makes it stop a degree late
+    result = _s3_quantization_result()
+    assert (result.value, result.passed) == (0.0, True)
+    with monkeypatch.context() as patch:
+        patch.setattr(sph, "s3_axial_quantize", lambda lam, n_z: lam + n_z + 1.5)
+        result = _s3_quantization_result()
+    assert (result.value, result.passed) == (1.0, False)
+    assert result.detail == "p = lam + n_z + 1/2"
+    monkeypatch.setattr(sph, "GEOMETRY", dataclasses.replace(
+        sph.GEOMETRY, axial_pl=lambda p, lam: (-p - 1.0, lam)))
+    result = _s3_quantization_result()
+    assert (result.value, result.passed) == (1.0, False)
 
 
 def test_flat_limit_suite_passes_and_reports():

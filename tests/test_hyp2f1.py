@@ -16,7 +16,6 @@ from curved_landau.hyp2f1 import (
     Hyp2F1Params,
     InvalidC,
     NonConvergent,
-    contiguous_raise_c,
     eval_2f1,
     kummer_connection,
     log_gamma,
@@ -245,7 +244,8 @@ def test_euler_transformation(params, y):
 @given(_safe_params(), _disc_y())
 def test_contiguous_raise_identity(params, y):
     a, b, c = params.a, params.b, params.c
-    lhs = contiguous_raise_c(params, y)
+    f, fp, _ = series_with_derivatives(params, y)
+    lhs = (c - a - b) * f + (1 - y) * fp
     rhs = ((a - c) * (b - c) / c) * eval_2f1(params.shifted(dc=1), y)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
@@ -255,7 +255,8 @@ def test_contiguous_raise_identity(params, y):
 @example(*_CANCELLING)
 def test_contiguous_lower_identity(params, y):
     a, b, c = params.a, params.b, params.c
-    lhs = contiguous_raise_c(params.shifted(dc=-1), y)
+    f, fp, _ = series_with_derivatives(params.shifted(dc=-1), y)
+    lhs = (c - 1 - a - b) * f + (1 - y) * fp
     rhs = ((a - c + 1) * (b - c + 1) / (c - 1)) * eval_2f1(params, y)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
@@ -373,20 +374,6 @@ def test_forms_sum_as_the_entry_points_do(params, ys):
     kernel = series_with_derivatives(params, ys)
     for k in range(3):
         assert np.array_equal(form[k], kernel[k]), k
-
-
-def test_contiguous_guards():
-    with pytest.raises(InvalidC):
-        contiguous_raise_c(Hyp2F1Params(0.3, 0.4, 1e-13), 0.2)
-    with pytest.raises(InvalidC):
-        contiguous_raise_c(Hyp2F1Params(0.3, 0.4, 1.0 + 1e-13).shifted(dc=-1), 0.2)
-
-
-def test_contiguous_raise_refuses_c_zero():
-    # c = 0 passes construction only where the series stops at once (a or
-    # b = 0), and then the identity's (a-c)(b-c)/c would divide by 0
-    with pytest.raises(InvalidC, match="c = 0"):
-        contiguous_raise_c(Hyp2F1Params(0, 0.5, 0), 0.2)
 
 
 # ---------------------------------------------------------------------------

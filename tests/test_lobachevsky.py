@@ -1,5 +1,6 @@
 """Hyperbolic model: potentials, variants, quantization, factors, limits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,23 @@ from curved_landau.model import (
 # ---------------------------------------------------------------------------
 # Potentials
 # ---------------------------------------------------------------------------
+
+
+_DERIVED = ("sine", "cosine", "r_max", "z_max")
+
+
+@pytest.mark.parametrize("space, derived", [
+    (Geometry.H3, (np.sinh, np.cosh, math.inf, math.inf)),
+    (Geometry.S3, (np.sin, np.cos, math.pi, math.pi / 2))])
+def test_kappa_alone_fixes_the_trig_pair_and_extents(space, derived):
+    # kappa fixes all four, and flipping it flips them together
+    rec = space.record
+    assert tuple(getattr(rec, name) for name in _DERIVED) == derived
+    assert sum(f.init for f in dataclasses.fields(rec)) == 11
+    other = (Geometry.S3 if space is Geometry.H3 else Geometry.H3).record
+    flipped = dataclasses.replace(rec, kappa=-rec.kappa)
+    assert (tuple(getattr(flipped, name) for name in _DERIVED)
+            == tuple(getattr(other, name) for name in _DERIVED))
 
 
 def test_mu_value_zero_field():

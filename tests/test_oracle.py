@@ -98,71 +98,80 @@ def _assert_matches_ladder(found, analytic, rel=0.005):
 
 
 def test_h3_spectrum_positive_m():
-    rep = radial_eigenvalues_h3(0.5, 5.0, Component.R1, Grid1D(0.0, 12.0, 4000))
+    rep = radial_eigenvalues_h3(1, 5.0, Component.R1, Grid1D(0.0, 12.0, 4000))
     # ladder includes the inadmissible lambda^2 = 0 borderline state:
     # the second-order solver cannot see the first-order pairing defect
     _assert_matches_ladder(rep.eigenvalues, [0.0, 9.0, 16.0, 21.0, 24.0])
 
 
 def test_h3_spectrum_negative_m():
-    rep = radial_eigenvalues_h3(-0.5, 5.0, Component.R1,
+    rep = radial_eigenvalues_h3(-1, 5.0, Component.R1,
                                 Grid1D(0.0, 12.0, 4000))
     _assert_matches_ladder(rep.eigenvalues, [9.0, 16.0, 21.0, 24.0])
 
 
 def test_h3_r2_component_spectrum():
-    rep = radial_eigenvalues_h3(0.5, 5.0, Component.R2,
+    rep = radial_eigenvalues_h3(1, 5.0, Component.R2,
                                 Grid1D(0.0, 12.0, 4000))
     # R2 ladder = R1 ladder shifted by one level (no zero mode)
     _assert_matches_ladder(rep.eigenvalues, [9.0, 16.0, 21.0, 24.0])
 
 
 def test_h3_reflection_equivalence():
-    a = radial_eigenvalues_h3(-0.5, -5.0, Component.R2,
+    a = radial_eigenvalues_h3(-1, -5.0, Component.R2,
                               Grid1D(0.0, 12.0, 3000))
-    b = radial_eigenvalues_h3(0.5, 5.0, Component.R1,
+    b = radial_eigenvalues_h3(1, 5.0, Component.R1,
                               Grid1D(0.0, 12.0, 3000))
     assert len(a.eigenvalues) == len(b.eigenvalues)
     assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-9)
 
 
 def test_h3_zero_field_has_no_bound_states():
-    rep = radial_eigenvalues_h3(0.5, 0.0, Component.R1,
+    rep = radial_eigenvalues_h3(1, 0.0, Component.R1,
                                 Grid1D(0.0, 12.0, 2000))
     assert rep.eigenvalues == ()
 
 
 def test_s3_spectrum_both_signs():
     grid = Grid1D(0.0, math.pi, 4000)
-    rep = radial_eigenvalues_s3(0.5, 1.0, Component.R1, grid, max_count=4)
+    rep = radial_eigenvalues_s3(1, 1.0, Component.R1, grid, max_count=4)
     _assert_matches_ladder(rep.eigenvalues, [0.0, 3.0, 8.0, 15.0])
-    rep = radial_eigenvalues_s3(-0.5, 1.0, Component.R1, grid, max_count=4)
+    rep = radial_eigenvalues_s3(-1, 1.0, Component.R1, grid, max_count=4)
     _assert_matches_ladder(rep.eigenvalues, [3.0, 8.0, 15.0, 24.0])
 
 
 def test_s3_reflection_equivalence():
     grid = Grid1D(0.0, math.pi, 2000)
-    a = radial_eigenvalues_s3(-0.5, -1.0, Component.R2, grid, max_count=3)
-    b = radial_eigenvalues_s3(0.5, 1.0, Component.R1, grid, max_count=3)
+    a = radial_eigenvalues_s3(-1, -1.0, Component.R2, grid, max_count=3)
+    b = radial_eigenvalues_s3(1, 1.0, Component.R1, grid, max_count=3)
     assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-8)
+
+
+@pytest.mark.parametrize("two_m", [0, 2, 0.5, 1.0])
+def test_eigensolvers_take_an_odd_two_m(two_m):
+    # an even or non-integer two_m names no state, as in quantize
+    with pytest.raises(DomainError, match="two_m"):
+        radial_eigenvalues_h3(two_m, 5.0, Component.R1, Grid1D(0.0, 12.0, 400))
+    with pytest.raises(DomainError, match="two_m"):
+        radial_eigenvalues_s3(two_m, 1.0, Component.R1, Grid1D(0.0, math.pi, 400))
 
 
 def test_h3_truncation_guard():
     # weakly bound ground state (B = 1/2): the e^{-B r} tail still
     # carries visible mass at r = 12
     with pytest.raises(TruncationTooSmall):
-        radial_eigenvalues_h3(0.5, 0.5, Component.R1, Grid1D(0.0, 12.0, 2000))
+        radial_eigenvalues_h3(1, 0.5, Component.R1, Grid1D(0.0, 12.0, 2000))
 
 
 def test_h3_asymptote_precondition():
     # window too short for mu^2 to settle at B^2
     with pytest.raises(DomainError):
-        radial_eigenvalues_h3(0.5, 1.2, Component.R1, Grid1D(0.0, 4.0, 2000))
+        radial_eigenvalues_h3(1, 1.2, Component.R1, Grid1D(0.0, 4.0, 2000))
 
 
 def test_s3_truncated_domain_guard():
     with pytest.raises(TruncationTooSmall):
-        radial_eigenvalues_s3(0.5, 1.0, Component.R1, Grid1D(0.0, 2.0, 2000))
+        radial_eigenvalues_s3(1, 1.0, Component.R1, Grid1D(0.0, 2.0, 2000))
 
 
 # ---------------------------------------------------------------------------
@@ -753,9 +762,21 @@ def _reference_commutator(rec, B, two_m, spinor, g, flat):
     else:
         expanded = expanded + inv * inv * block_rr
     comm = hamiltonian(helicity(psi)) - expanded
-    tr = max(3, g.r_points // 20)
-    tz = max(3, g.z_points // 20)
+    tr, tz = oracle._core_trim(g.r_points), oracle._core_trim(g.z_points)
     return float(np.max(np.abs(comm[:, tr:-tr, tz:-tz])) / np.max(np.abs(psi)))
+
+
+def test_probe_core_is_one_window_on_nested_grids():
+    # 80, 159 and 317 points trim 4, 8 and 16 cells: the same (r, z) core
+    grid = Grid2D(0.05, 4.0, -1.2, 1.2, 80, 80)
+    windows = []
+    for k, (points, t) in enumerate(((80, 4), (159, 8), (317, 16))):
+        g = grid.scaled(2 ** k)
+        assert (g.r_points, oracle._core_trim(g.r_points)) == (points, t)
+        rs, zs = g.axes()
+        windows.append((rs[t], rs[-1 - t], zs[t], zs[-1 - t]))
+    for window in windows[1:]:
+        assert np.allclose(window, windows[0], rtol=0.0, atol=1e-14), window
 
 
 @pytest.mark.parametrize("strip", [None, 1])
