@@ -30,12 +30,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import hyp2f1 as hyp
 from . import lobachevsky as lob
 from . import spherical as sph
 from . import oracle
+from ._numpy import np
 from .model import Component, DomainError, Geometry
 
 __all__ = ["CheckResult", "FIXED_THRESHOLDS", "SUITE_NAMES", "run_suites"]

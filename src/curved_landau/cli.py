@@ -17,8 +17,9 @@ Output conventions shared by the table-producing subcommands:
 * Record order is fixed by the (two_m, n, n_z) lexicographic sort.
 
 Exit codes: 0 success, 1 verification failures, 2 invalid arguments
-(including a state outside the evaluators' domain or series range),
-3 unwritable output, 4 inadmissible state requested.
+(including a state outside the evaluators' domain or series range, and
+arguments that need more memory than can be allocated), 3 unwritable
+output, 4 inadmissible state requested.
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ import sys
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from . import checks
 from . import spherical as sph
+from ._numpy import np
 from .hyp2f1 import Hyp2F1Error
 from .model import Component, DomainError, Geometry
 
@@ -508,6 +508,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                                         else 2)
     except (DomainError, Hyp2F1Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. --samples or a range too large to hold
+        detail = str(exc)
+        print("error: the arguments need more memory than can be allocated"
+              + (f": {detail}" if detail else ""), file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0

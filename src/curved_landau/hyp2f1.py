@@ -21,11 +21,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "Hyp2F1Error",
@@ -47,7 +48,7 @@ __all__ = [
 _TERM_TOL = 1e-12     # distance to a non-positive integer that counts as exact
 _SERIES_TOL = 1e-16   # weighted term size at a sum's radius counted as converged
 _SERIES_CAP = 10_000  # hard cap on summed terms
-_TINY = math.sqrt(np.finfo(float).tiny)  # |y| below which y^2 is subnormal
+_TINY = math.sqrt(sys.float_info.min)  # |y| below which y^2 is subnormal
 
 
 class Hyp2F1Error(ValueError):

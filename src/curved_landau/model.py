@@ -11,12 +11,12 @@ oracles consume.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Tuple, Type
 
-import numpy as np
-
+from ._numpy import np
 from .hyp2f1 import Hyp2F1Params, eval_2f1, series_with_derivatives
 
 __all__ = [
@@ -179,16 +179,17 @@ _PI_TAIL = 1.2246467991473532e-16
 
 def _require_level(n, name: str = "n") -> None:
     """DomainError unless the level n (or n_z) is a non-negative integer
-    (int or numpy integer): a float such as 1.5 would select a variant
-    row and return a level or form for a state that does not exist."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    (a numbers.Integral, which numpy's integer types are): a float such as
+    1.5 would select a variant row and return a level or form for a state
+    that does not exist."""
+    if not isinstance(n, numbers.Integral) or n < 0:
         raise DomainError(f"{name} must be an integer >= 0, got {n!r}")
 
 
 def _require_quantum_numbers(two_m, n=0) -> None:
     """DomainError unless two_m is an odd integer and n a level
     (_require_level)."""
-    if not isinstance(two_m, (int, np.integer)) or two_m % 2 == 0:
+    if not isinstance(two_m, numbers.Integral) or two_m % 2 == 0:
         raise DomainError(f"two_m must be an odd integer, got {two_m!r}")
     _require_level(n)
 
@@ -262,16 +263,23 @@ class GeometryRecord:
     z_window: Tuple[float, float]
     region_predicate: str
     zero_field_note: str
-    sine: Callable = field(init=False)
-    cosine: Callable = field(init=False)
     r_max: float = field(init=False)
     z_max: float = field(init=False)
 
     def __post_init__(self) -> None:
-        derived = ((np.sinh, np.cosh, math.inf, math.inf) if self.kappa < 0
-                   else (np.sin, np.cos, math.pi, math.pi / 2))
-        for name, value in zip(("sine", "cosine", "r_max", "z_max"), derived):
+        extents = (math.inf, math.inf) if self.kappa < 0 else (math.pi, math.pi / 2)
+        for name, value in zip(("r_max", "z_max"), extents):
             object.__setattr__(self, name, value)
+
+    @property
+    def sine(self) -> Callable:
+        """np.sinh (kappa < 0) or np.sin (kappa > 0)."""
+        return np.sinh if self.kappa < 0 else np.sin
+
+    @property
+    def cosine(self) -> Callable:
+        """np.cosh (kappa < 0) or np.cos (kappa > 0)."""
+        return np.cosh if self.kappa < 0 else np.cos
 
     def stretch(self, z):
         """Axial stretch c(z) = cosh z (H3) or cos z (S3)."""

@@ -20,8 +20,9 @@ cell centers; eigenvalues come from LAPACK's deterministic
 Sturm-sequence bisection.
 
 scipy is imported inside the eigensolver, the only caller that needs
-it, so importing this module (and the package and its CLI) loads numpy
-and the standard library alone.
+it, and numpy is bound lazily (curved_landau._numpy), so importing this
+module (and the package and its CLI) loads the standard library alone;
+numpy loads at the first numpy call, scipy at the first eigensolve.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .hyp2f1 import DegenerateConnection, kummer_connection, u2_value, u6_value
 from .model import (
     Component,
@@ -398,32 +398,28 @@ def first_order_system_residual(
 # Commutator check
 # ---------------------------------------------------------------------------
 
-_SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
+# Each gamma matrix and product the probe applies is a signed permutation
+# (one entry of modulus 1 per row and column), kept as its table: per
+# output component a, (row, phase), so that component a of g psi is
+# phase * psi[row]. The Pauli matrices sigma_k as tables:
+_PAULI = (((1, 1), (0, 1)), ((1, -1j), (0, 1j)), ((0, 1), (1, -1)))
 
 
-def _gamma(k: int) -> np.ndarray:
-    s = (_SIGMA1, _SIGMA2, _SIGMA3)[k - 1]
-    g = np.zeros((4, 4), dtype=complex)
-    g[:2, 2:] = s
-    g[2:, :2] = -s
-    return g
+def _gamma(k: int):
+    """The table of gamma_k = [[0, sigma_k], [-sigma_k, 0]]."""
+    s = _PAULI[k - 1]
+    return (tuple((row + 2, complex(phase)) for row, phase in s)
+            + tuple((row, -complex(phase)) for row, phase in s))
 
 
-def _table(mat: np.ndarray):
-    """Per output component a, (row, phase) of a signed permutation mat
-    (one entry of modulus 1 per row and column): component a of
-    mat @ psi is phase * psi[row]."""
-    return tuple((int(b), complex(mat[a, b]))
-                 for a, b in enumerate(np.abs(mat).argmax(axis=1)))
+def _product(g, h):
+    """The table of g h: component a of g (h psi) is phase (h psi)[row]."""
+    return tuple((h[row][0], phase * h[row][1]) for row, phase in g)
 
 
-_GAMMAS = tuple(_gamma(k) for k in (1, 2, 3))
-_G1, _G2, _G3 = (_table(g) for g in _GAMMAS)
-_G23, _G31, _G12 = (_table(_GAMMAS[x] @ _GAMMAS[y])
-                    for x, y in ((1, 2), (2, 0), (0, 1)))
-_G123 = _table(_GAMMAS[0] @ _GAMMAS[1] @ _GAMMAS[2])
+_G1, _G2, _G3 = (_gamma(k) for k in (1, 2, 3))
+_G23, _G31, _G12 = _product(_G2, _G3), _product(_G3, _G1), _product(_G1, _G2)
+_G123 = _product(_G12, _G3)
 
 
 def _term(g, a: int, comps, coef=1):
@@ -453,10 +449,6 @@ def _gradient(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-# the test spinor's four component amplitudes, all nonzero
-_BUMP_AMPLITUDES = np.array([1.0, 0.6 - 0.3j, -0.4j, 0.25], dtype=complex)
-
-
 def gaussian_bump_spinor(r0: float, z0: float, width: float
                          ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Product-Gaussian test spinor centered at (r0, z0). Raises
@@ -465,10 +457,13 @@ def gaussian_bump_spinor(r0: float, z0: float, width: float
         raise DomainError("bump centre must be finite")
     if not (math.isfinite(width) and width > 0.0):
         raise DomainError("bump width must be finite and > 0")
+    # the four component amplitudes, all nonzero
+    amplitudes = np.array([1.0, 0.6 - 0.3j, -0.4j, 0.25], dtype=complex)
+    amplitudes = amplitudes[:, None, None]
 
     def spinor(r: np.ndarray, z: np.ndarray) -> np.ndarray:
         bump = np.exp(-((r - r0) ** 2 + (z - z0) ** 2) / (2.0 * width ** 2))
-        return _BUMP_AMPLITUDES[:, None, None] * bump[None, :, :]
+        return amplitudes * bump[None, :, :]
 
     return spinor
 
@@ -548,17 +543,19 @@ def _commutator_block(psi, hr: float, hz: float, mu, mu_p, inv, inv_p,
     return float(np.max(core))
 
 
-def _core_trim(points: int) -> int:
-    """Cells the probe trims from each end of an axis of `points` nodes: a
-    twentieth of its cells, at least _EDGE_TRIM. Above that floor the trim
-    doubles with the cells of a nested grid (Grid2D.scaled), so every level
-    compares one window (mu' grows like 1/r^2 toward r_lo)."""
-    return max(_EDGE_TRIM, round((points - 1) / 20))
+def _core_trim(points: int, factor: int) -> int:
+    """Cells the probe trims from each end of an axis of the grid nested
+    `factor` times finer (Grid2D.scaled) than a coarsest axis of `points`
+    nodes: the coarsest axis's trim, a twentieth of its cells but at least
+    _EDGE_TRIM, times `factor`. So every level compares one window on any
+    grid (mu' grows like 1/r^2 toward r_lo)."""
+    return factor * max(_EDGE_TRIM, round((points - 1) / 20))
 
 
-def _commutator_sup(rec, B: float, m: float, test_spinor, g: Grid2D,
-                    flat_helicity: bool) -> float:
-    """commutator_residual's residual on the one grid g."""
+def _commutator_sup(rec, B: float, m: float, test_spinor, grid: Grid2D,
+                    factor: int, flat_helicity: bool) -> float:
+    """commutator_residual's residual on the one grid grid.scaled(factor)."""
+    g = grid.scaled(factor)
     rs, zs = g.axes()
     hr = (g.r_hi - g.r_lo) / (g.r_points - 1)
     hz = (g.z_hi - g.z_lo) / (g.z_points - 1)
@@ -572,7 +569,8 @@ def _commutator_sup(rec, B: float, m: float, test_spinor, g: Grid2D,
     inv = (1.0 / stretch)[None, :]
     # d(1/stretch)/dz
     inv_p = (-rec.stretch_prime(zs) / stretch ** 2)[None, :]
-    tr, tz = _core_trim(g.r_points), _core_trim(g.z_points)
+    tr = _core_trim(grid.r_points, factor)
+    tz = _core_trim(grid.z_points, factor)
     cols = slice(tz - _HALO, g.z_points - tz + _HALO)
     worst = []
     for lo in range(tr, g.r_points - tr, _STRIP):
@@ -609,10 +607,11 @@ def commutator_residual(geometry: Geometry, B: float,
     The derivatives are central differences (second order at the
     edges) at each grid's uniform spacing, and psi's first derivatives
     serve both Sigma psi and the expansion. The sup is taken over the
-    core left by trimming a twentieth of each axis's cells (at least
-    three) from each end, relative to the sup of psi over the grid: on
-    the nested grids that is 4, 8 and 16 cells of an 80-point axis, the
-    same window at every level.
+    core left by trimming a twentieth of each axis's cells on grid2d (at
+    least three), times the level's refinement factor, from each end,
+    relative to the sup of psi over the grid: 4, 8 and 16 cells of an
+    80-point axis, 3, 6 and 12 of a 40-point one, the same window at
+    every level.
 
     The probe works one spinor component at a time, on blocks of the
     core with a two-cell halo (_commutator_block). Each gamma product
@@ -639,8 +638,8 @@ def commutator_residual(geometry: Geometry, B: float,
             or max(-grid2d.z_lo, grid2d.z_hi) > rec.z_max - _SINGULAR_INSET):
         raise SupportTooCloseToSingularity(
             "grid touches a coordinate singularity")
-    residuals = [_commutator_sup(rec, B, two_m / 2.0, test_spinor,
-                                 grid2d.scaled(2 ** k), flat_helicity)
+    residuals = [_commutator_sup(rec, B, two_m / 2.0, test_spinor, grid2d,
+                                 2 ** k, flat_helicity)
                  for k in range(3)]
     orders = [_order_from(a, b) for a, b in zip(residuals, residuals[1:])]
     return ResidualReport(residuals[-1], sum(orders) / len(orders))

@@ -509,6 +509,21 @@ def test_overflowing_energy_exits_2(capsys):
     assert err.startswith("error: M^2 + p^2 is not finite") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["wavefunction", "--model", "s3", "--component", "r1", "--B", "3",
+     "--two-m", "1", "--n", "1", "--samples", str(10 ** 15)],
+    ["spectrum", "--model", "h3", "--B", "5", "--two-m", "1",
+     "--n", f"0..{10 ** 15}"]], ids=["samples", "range"])
+def test_unallocatable_arguments_exit_2_with_one_error_line(capsys, argv):
+    # 10^15 samples or levels need petabytes, which no 64-bit host can
+    # allocate: these ended in a MemoryError traceback with exit 1
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the arguments need more memory")
+    assert err.count("\n") == 1
+
+
 def test_evaluator_error_exits_2_with_one_error_line(capsys):
     # the h3 axial series at p = 1e4 and 1e6 runs past the series cap
     for p in ("1e4", "1e6"):

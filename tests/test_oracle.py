@@ -716,11 +716,12 @@ def _two_bumps(centres, widths):
     return spinor
 
 
-def _reference_commutator(rec, B, two_m, spinor, g, flat):
-    """The commutator probe's residual on the one grid g, on the full
-    spinor and the full grid: H and Sigma by dense gamma matrices
-    (einsum) and np.gradient, Sigma H by its expansion, as
+def _reference_commutator(rec, B, two_m, spinor, grid, factor, flat):
+    """The commutator probe's residual on the one grid grid.scaled(factor),
+    on the full spinor and the full grid: H and Sigma by dense gamma
+    matrices (einsum) and np.gradient, Sigma H by its expansion, as
     commutator_residual's docstring states them."""
+    g = grid.scaled(factor)
     rs, zs = g.axes()
     hr = (g.r_hi - g.r_lo) / (g.r_points - 1)
     hz = (g.z_hi - g.z_lo) / (g.z_points - 1)
@@ -762,17 +763,23 @@ def _reference_commutator(rec, B, two_m, spinor, g, flat):
     else:
         expanded = expanded + inv * inv * block_rr
     comm = hamiltonian(helicity(psi)) - expanded
-    tr, tz = oracle._core_trim(g.r_points), oracle._core_trim(g.z_points)
+    tr = oracle._core_trim(grid.r_points, factor)
+    tz = oracle._core_trim(grid.z_points, factor)
     return float(np.max(np.abs(comm[:, tr:-tr, tz:-tz])) / np.max(np.abs(psi)))
 
 
-def test_probe_core_is_one_window_on_nested_grids():
-    # 80, 159 and 317 points trim 4, 8 and 16 cells: the same (r, z) core
-    grid = Grid2D(0.05, 4.0, -1.2, 1.2, 80, 80)
+@pytest.mark.parametrize("levels", [((80, 4), (159, 8), (317, 16)),
+                                    ((40, 3), (79, 6), (157, 12))],
+                         ids=["80-points", "40-points"])
+def test_probe_core_is_one_window_on_nested_grids(levels):
+    # 80, 159 and 317 points trim 4, 8 and 16 cells, and the dense
+    # reference's 40, 79 and 157 points (under the floor of 3) 3, 6 and
+    # 12: the same (r, z) core at every level
+    grid = Grid2D(0.05, 4.0, -1.2, 1.2, levels[0][0], levels[0][0])
     windows = []
-    for k, (points, t) in enumerate(((80, 4), (159, 8), (317, 16))):
+    for k, (points, t) in enumerate(levels):
         g = grid.scaled(2 ** k)
-        assert (g.r_points, oracle._core_trim(g.r_points)) == (points, t)
+        assert (g.r_points, oracle._core_trim(grid.r_points, 2 ** k)) == (points, t)
         rs, zs = g.axes()
         windows.append((rs[t], rs[-1 - t], zs[t], zs[-1 - t]))
     for window in windows[1:]:
@@ -799,9 +806,9 @@ def test_commutator_probe_matches_a_dense_reference(space, flat, strip,
         spinor = _two_bumps(((1.2, 0.2), (2.0, -0.3)), (0.35, 0.5))
     levels = []
     for k in range(3):
-        g = grid.scaled(2 ** k)
-        got = oracle._commutator_sup(rec, B, two_m / 2.0, spinor, g, flat)
-        ref = _reference_commutator(rec, B, two_m, spinor, g, flat)
+        got = oracle._commutator_sup(rec, B, two_m / 2.0, spinor, grid,
+                                     2 ** k, flat)
+        ref = _reference_commutator(rec, B, two_m, spinor, grid, 2 ** k, flat)
         assert abs(got - ref) <= 1e-12 * ref, (k, got, ref)
         assert got == ref, (k, got, ref)  # the same bits
         levels.append(got)
