@@ -35,7 +35,7 @@ from . import lobachevsky as lob
 from . import spherical as sph
 from . import oracle
 from ._numpy import np
-from .model import Component, DomainError, Geometry
+from .model import Component, DomainError, Geometry, RadialPair
 
 __all__ = ["CheckResult", "FIXED_THRESHOLDS", "SUITE_NAMES", "run_suites"]
 
@@ -227,11 +227,11 @@ def _suite_commutator() -> List[CheckResult]:
 # (record, two_m, B, n, pair): one admissible level per radial pair,
 # with B written as the check's detail prints it
 _RADIAL_PAIR_CASES = (
-    (lob.GEOMETRY, 1, 5, 2, lob.RadialPair.V1_V4P),
-    (lob.GEOMETRY, -1, 5, 1, lob.RadialPair.V2_V3P),
-    (sph.GEOMETRY, -1, 1.0, 0, sph.RadialPair.V1_V3P),
-    (sph.GEOMETRY, 1, 1.0, 1, sph.RadialPair.V2_V4P),
-    (sph.GEOMETRY, 7, 1.0, 0, sph.RadialPair.V3_V1P),
+    (lob.GEOMETRY, 1, 5, 2, RadialPair.V1_V4P),
+    (lob.GEOMETRY, -1, 5, 1, RadialPair.V2_V3P),
+    (sph.GEOMETRY, -1, 1.0, 0, RadialPair.V1_V3P),
+    (sph.GEOMETRY, 1, 1.0, 1, RadialPair.V2_V4P),
+    (sph.GEOMETRY, 7, 1.0, 0, RadialPair.V3_V1P),
 )
 
 # (record, p, lam, grid half-width, detail): one axial pair per space

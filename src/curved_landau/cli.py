@@ -52,6 +52,17 @@ _REGION_COLUMNS = ("model", "B", "two_m", "n", "variant", "admissible",
                    "violated", "lambda_sq", "predicate",
                    "predicate_consistent")
 _WAVE_COLUMNS = ("coordinate", "re_value", "im_value")
+# Output choices per --model: the r and z windows `wavefunction` samples
+# (not bounds of the series), and the figure text `regions` prints.
+_OUTPUT_CHOICES = {
+    "h3": {"r": (1e-3, 12.0), "z": (-2.0, 2.0),
+           "predicate": "|m| - |2B + m| + 2n < 0 marks the bound region",
+           "zero_field_note": "B = 0: no magnetic confinement"},
+    "s3": {"r": (1e-3, math.pi - 1e-3),
+           "z": (-(math.pi / 2 - 0.1), math.pi / 2 - 0.1),
+           "predicate": "|m| - |2B - m| + 2n > 0 marks the advertised region",
+           "zero_field_note": "B = 0: curvature-only confinement"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +318,6 @@ def _cmd_wavefunction(args, parser: argparse.ArgumentParser) -> int:
     if radial:
         solution = geo.radial_solution(two_m, args.B, lam_sq, component,
                                        entry.variant)
-        window, coordinate = geo.r_window, "r"
     else:
         lam = math.sqrt(lam_sq)
         if args.p is not None:
@@ -324,7 +334,8 @@ def _cmd_wavefunction(args, parser: argparse.ArgumentParser) -> int:
                          "continuous) or --nz on s3 (it is quantized)")
         meta_extra["p"] = p
         solution = geo.axial_solution(p, lam, component)
-        window, coordinate = geo.z_window, "z"
+    coordinate = "r" if radial else "z"
+    window = _OUTPUT_CHOICES[args.model][coordinate]
     xs = np.linspace(window[0], window[1], args.samples)
     values = solution.evaluate(xs)
     records = [(float(x), float(v.real), float(v.imag))
@@ -398,13 +409,13 @@ def _cmd_regions(args, parser: argparse.ArgumentParser) -> int:
         "B": args.B,
         "two_m": args.two_m,
         "n": args.n,
-        "predicate": geo.region_predicate,
+        "predicate": _OUTPUT_CHOICES[args.model]["predicate"],
     }
     if args.B < 0.0:
         meta["note"] = ("reflection (m, B) -> (-m, -B) applied for B < 0; "
                         "verdicts belong to the reflected R2 problem")
     elif args.B == 0.0:
-        meta["note"] = geo.zero_field_note
+        meta["note"] = _OUTPUT_CHOICES[args.model]["zero_field_note"]
     return _emit(args, meta, _REGION_COLUMNS, records)
 
 

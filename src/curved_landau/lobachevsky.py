@@ -1,8 +1,8 @@
 """Hyperbolic (H3) model layer.
 
-The radial variant and pair tables and the axial data behind the
-space's GeometryRecord (kappa = -1, sinh, cosh), the two Kummer bases
-U1 and U5 of the axial equation (one algebra, at p and -p), the
+The space's GeometryRecord, kappa = -1 (which fixes the rest) with the
+radial variant table and the pairs (1,4') and (2,3'), the two Kummer
+bases U1 and U5 of the axial equation (one algebra, at p and -p), the
 flat-space limit, and the helicity/energy link.
 
 Conventions: B = eB and M in curvature-radius units, m half-integer
@@ -14,7 +14,6 @@ B^2 - lambda^2 (bound states live below the continuum edge B^2).
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Tuple
 
 from .hyp2f1 import KummerBranch
@@ -24,19 +23,17 @@ from .model import (
     GeometryRecord,
     InadmissibleVariant,
     MasslessUnsupported,
-    RadialPairRow,
+    RadialPair,
     RadialVariant,
     SigmaBranch,
     SolutionForm,
     SpectrumEntry,
     SubthresholdEnergy,
-    Variable,
     Variant,
 )
 
 __all__ = [
     "GEOMETRY",
-    "RadialPair",
     "h3_axial_solution",
     "h3_radial_solution",
     "h3_quantize",
@@ -90,15 +87,6 @@ _VARIANTS = (
                                 -2 * B - m + 1.5),
                   lambda m, B, n: B + m - 0.5 - n, "n < B + m - 1/2"),
 )
-
-
-class RadialPair(Enum):
-    """Coupled (R1, R2) variant pairs sharing one spectrum, with their
-    rows for GEOMETRY.radial_pair: (1,4') has the factor ab/(i lam c)
-    with V1's (a, b, c), (2,3') (a-c)(b-c)/(i lam c) with V2's."""
-
-    V1_V4P = RadialPairRow(Variant.V1, Variant.V4P, Variant.V1, False)
-    V2_V3P = RadialPairRow(Variant.V2, Variant.V3P, Variant.V2, True)
 
 
 def h3_radial_solution(two_m: int, B: float, lambda_sq: float,
@@ -155,10 +143,5 @@ def helicity_link(epsilon: float, M: float,
     return p, (epsilon - p) / M
 
 
-GEOMETRY = GeometryRecord(
-    radial_variable=Variable.YR, axial_variable=Variable.YZ,
-    kappa=-1.0, variants=_VARIANTS, pairs=RadialPair,
-    axial_pl=lambda p, lam: (1j * p, 1j * lam), axial_upper=Component.Z1,
-    r_window=(1e-3, 12.0), z_window=(-2.0, 2.0),
-    region_predicate="|m| - |2B + m| + 2n < 0 marks the bound region",
-    zero_field_note="B = 0: no magnetic confinement")
+GEOMETRY = GeometryRecord(kappa=-1.0, variants=_VARIANTS,
+                          pairs=(RadialPair.V1_V4P, RadialPair.V2_V3P))

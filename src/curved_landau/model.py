@@ -6,6 +6,9 @@ y^A (1-y)^C F(a,b,c;y) together with the coordinate-to-y map, and can
 evaluate itself and its first two coordinate derivatives in closed form
 (series derivatives plus exact chain rule), which is what the residual
 oracles consume.
+
+GeometryRecord is one space: its curvature sign kappa, which fixes the
+rest, and two tables, its Variant rows and its RadialPair members.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Tuple, Type
+from typing import Callable, Optional, Tuple
 
 from ._numpy import np
 from .hyp2f1 import Hyp2F1Params, eval_2f1, series_with_derivatives
@@ -38,6 +41,7 @@ __all__ = [
     "Variable",
     "RadialVariant",
     "RadialPairRow",
+    "RadialPair",
     "GeometryRecord",
     "SolutionForm",
     "SpectrumEntry",
@@ -232,43 +236,52 @@ class RadialPairRow:
     shifted: bool
 
 
+class RadialPair(Enum):
+    """Coupled (R1, R2) variant pairs sharing one spectrum, both spaces'
+    rows (as in Variant): H3 (1,4') and (2,3'), S3 (1,3'), (2,4') and
+    (3,1'). radial_pair reads each factor off its row."""
+
+    V1_V4P = RadialPairRow(Variant.V1, Variant.V4P, Variant.V1, False)
+    V2_V3P = RadialPairRow(Variant.V2, Variant.V3P, Variant.V2, True)
+    V1_V3P = RadialPairRow(Variant.V1, Variant.V3P, Variant.V1, True)
+    V2_V4P = RadialPairRow(Variant.V2, Variant.V4P, Variant.V2, False)
+    V3_V1P = RadialPairRow(Variant.V3, Variant.V1P, Variant.V1P, True)
+
+
 @dataclass(frozen=True)
 class GeometryRecord:
     """One space: H3 and S3 are one problem with curvature sign kappa =
-    -1 / +1, from which, with the space's variant and pair tables
-    (`variants`; `pairs`, its RadialPair enum), every method below is
-    written once. kappa alone fixes the trig pair and the extents r in
-    (0, r_max), z in (-z_max, z_max): (sinh, cosh, inf, inf) on the open
-    space, (sin, cos, pi, pi/2) on the compact one, where forms need A,
-    C > 0. radial_pair reads a pair's r2/r1 factor off the two forms it
-    builds. Axial forms take (P, L) = axial_pl(p, lam) and the upper
-    shape for axial_upper (in Euler's form on the open space); the z2/z1
-    factor follows from both (axial_pair). audit reads each level once
-    from quantize for the unified formula and the figure predicate. The
-    CLI samples wavefunctions on r_window and z_window, an output choice
-    (where the states are worth plotting) rather than a bound of the
-    series, and prints region_predicate and zero_field_note with
-    `regions`. mu, mu_prime and radial_potential raise DomainError for r
-    outside (0, r_max) (_radius).
+    -1 / +1, from which, with the space's variant table (`variants`) and
+    its RadialPair members (`pairs`), every method below is written once.
+    kappa alone fixes the rest: the trig pair, the extents r in
+    (0, r_max), z in (-z_max, z_max), the coordinate maps, the axial
+    (P, L) = axial_pl(p, lam) and the component with the upper axial
+    shape, axial_upper: (sinh, cosh, inf, inf, YR, YZ, Z1) on the open
+    space, (sin, cos, pi, pi/2, YR_S3, YZ_S3, Z2) on the compact one,
+    where forms need A, C > 0. radial_pair reads a pair's r2/r1 factor
+    off the two forms it builds. Axial forms take the upper shape for
+    axial_upper (in Euler's form on the open space); the z2/z1 factor
+    follows from it and (P, L) (axial_pair). audit reads each level once
+    from quantize for the unified formula and the figure predicate. mu,
+    mu_prime and radial_potential raise DomainError for r outside
+    (0, r_max), NaN included, or a non-finite m or B (_radius).
     """
 
-    radial_variable: Variable
-    axial_variable: Variable
     kappa: float
     variants: Tuple[RadialVariant, ...]
-    pairs: Type[Enum]
-    axial_pl: Callable[[float, float], Tuple[complex, complex]]
-    axial_upper: Component
-    r_window: Tuple[float, float]
-    z_window: Tuple[float, float]
-    region_predicate: str
-    zero_field_note: str
+    pairs: Tuple[RadialPair, ...]
+    radial_variable: Variable = field(init=False)
+    axial_variable: Variable = field(init=False)
+    axial_upper: Component = field(init=False)
     r_max: float = field(init=False)
     z_max: float = field(init=False)
 
     def __post_init__(self) -> None:
-        extents = (math.inf, math.inf) if self.kappa < 0 else (math.pi, math.pi / 2)
-        for name, value in zip(("r_max", "z_max"), extents):
+        derived = ((Variable.YR, Variable.YZ, Component.Z1, math.inf, math.inf)
+                   if self.kappa < 0 else (Variable.YR_S3, Variable.YZ_S3,
+                                           Component.Z2, math.pi, math.pi / 2))
+        for name, value in zip(("radial_variable", "axial_variable",
+                                "axial_upper", "r_max", "z_max"), derived):
             object.__setattr__(self, name, value)
 
     @property
@@ -281,6 +294,10 @@ class GeometryRecord:
         """np.cosh (kappa < 0) or np.cos (kappa > 0)."""
         return np.cosh if self.kappa < 0 else np.cos
 
+    def axial_pl(self, p: float, lam: float) -> Tuple[complex, complex]:
+        """The axial (P, L): (i p, i lam) (kappa < 0) or (-p, lam)."""
+        return (1j * p, 1j * lam) if self.kappa < 0 else (-p, lam)
+
     def stretch(self, z):
         """Axial stretch c(z) = cosh z (H3) or cos z (S3)."""
         return self.cosine(z)
@@ -289,10 +306,14 @@ class GeometryRecord:
         """c'(z) = sinh z (H3) or -sin z (S3)."""
         return -self.kappa * self.sine(z)
 
-    def _radius(self, r):
+    def _radius(self, r, m: float, B: float):
+        """r as a float array; DomainError unless every r lies in
+        (0, r_max) (NaN does not) and m and B are finite."""
         arr = np.asarray(r, dtype=float)
-        if np.any(arr <= 0.0) or np.any(arr >= self.r_max):
+        if not np.all((arr > 0.0) & (arr < self.r_max)):
             raise DomainError(f"r must lie in (0, {self.r_max:g})")
+        if not (math.isfinite(m) and math.isfinite(B)):
+            raise DomainError(f"m and B must be finite, got {m}, {B}")
         return arr
 
     def mu(self, r, m: float, B: float):
@@ -304,7 +325,7 @@ class GeometryRecord:
         within 1e-4 of the far pole, (m - 2B)/d + ((m - 2B)/6 + B/2) d
         with d = pi - r.
         """
-        arr = self._radius(r)
+        arr = self._radius(r, m, B)
         k = self.kappa
         d = (self.r_max - arr) + _PI_TAIL
         lo, hi = arr < _SMALL_R, d < _SMALL_R
@@ -320,7 +341,7 @@ class GeometryRecord:
 
     def mu_prime(self, r, m: float, B: float):
         """d(mu)/dr = (-kappa B - (m - kappa B) cos r)/sin^2 r."""
-        arr = self._radius(r)
+        arr = self._radius(r, m, B)
         kB = self.kappa * B
         out = (-kB - (m - kB) * self.cosine(arr)) / self.sine(arr) ** 2
         return float(out) if np.isscalar(r) else out
@@ -449,15 +470,15 @@ class GeometryRecord:
                           abs(discrepancy) > 1e-9, predicate, consistent)
 
     def radial_pair(self, two_m: int, B: float, lambda_sq: float,
-                    pair: Enum) -> Tuple[SolutionForm, SolutionForm, complex]:
+                    pair: RadialPair) -> Tuple[SolutionForm, SolutionForm, complex]:
         """(R1 form, R2 form, r2/r1 factor) of `pair`, a member of the
-        space's RadialPair, at lambda_sq, as first_order_system_residual
+        record's `pairs`, at lambda_sq, as first_order_system_residual
         meters them. The pair exists where both forms build; at B < 0 R1
         is built from the pair's R2 variant and R2 from its R1 variant.
         With (a, b, c) of the primary variant's form and d = c if shifted
         else 0, k = phase (a - d)(b - d)/(lam c), phase -i on H3 and -1 on
         S3, is the factor where that form is R1 and -1/k where it is R2."""
-        if not isinstance(pair, self.pairs):
+        if pair not in self.pairs:
             raise DomainError(f"{pair} is not in the "
                               f"{self.radial_variable.geometry.name} pair table")
         if lambda_sq == 0.0:

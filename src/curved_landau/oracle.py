@@ -28,6 +28,7 @@ numpy loads at the first numpy call, scipy at the first eigensolve.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -64,17 +65,20 @@ _EDGE_TRIM = 3
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid with `points` nodes on [lo, hi]."""
+    """Uniform grid with `points` nodes on [lo, hi]: DomainError unless
+    lo < hi are finite and points is an integer >= 16."""
 
     lo: float
     hi: float
     points: int
 
     def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise DomainError("grid needs lo < hi")
-        if self.points < 16:
-            raise DomainError("grid needs at least 16 points")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
+                and self.lo < self.hi):
+            raise DomainError("grid needs finite lo < hi")
+        if not isinstance(self.points, numbers.Integral) or self.points < 16:
+            raise DomainError(f"grid needs an integer count of at least 16 "
+                              f"points, got {self.points!r}")
 
     @property
     def spacing(self) -> float:
@@ -90,7 +94,7 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Tensor grid for (r, z) fields."""
+    """Tensor grid for (r, z) fields; each axis is held to Grid1D's rule."""
 
     r_lo: float
     r_hi: float
@@ -100,14 +104,15 @@ class Grid2D:
     z_points: int
 
     def __post_init__(self) -> None:
-        if not (self.r_lo < self.r_hi and self.z_lo < self.z_hi):
-            raise DomainError("grid needs lo < hi on both axes")
-        if min(self.r_points, self.z_points) < 16:
-            raise DomainError("grid needs at least 16 points per axis")
+        self._axis_grids()
+
+    def _axis_grids(self) -> Tuple[Grid1D, Grid1D]:
+        return (Grid1D(self.r_lo, self.r_hi, self.r_points),
+                Grid1D(self.z_lo, self.z_hi, self.z_points))
 
     def axes(self) -> Tuple[np.ndarray, np.ndarray]:
-        return (np.linspace(self.r_lo, self.r_hi, self.r_points),
-                np.linspace(self.z_lo, self.z_hi, self.z_points))
+        r, z = self._axis_grids()
+        return r.nodes(), z.nodes()
 
     def scaled(self, factor: int) -> "Grid2D":
         """Same endpoints, spacing divided by `factor` (nodes nest)."""
@@ -286,9 +291,10 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
     (term-wise series differentiation plus exact chain rule), so an
     exact solution sits at rounding level; convergence_order is
     measured on the independent finite-difference pathway at h and h/2
-    and is ~2 for an exact solution, ~0 for a wrong one. The meter adds
-    no domain rule: a grid point that the form, the 2F1 kernel or mu
-    refuses raises their typed error.
+    and is ~2 for an exact solution, ~0 for a wrong one. Radial
+    equations need an odd integer two_m, the m the form was built at;
+    past that the meter adds no domain rule: a grid point that the form,
+    the 2F1 kernel or mu refuses raises their typed error.
     """
     rec = solution.variable.geometry.record
     axial = component in (Component.Z1, Component.Z2)
@@ -309,6 +315,7 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
     else:
         if two_m is None or B is None or lambda_sq is None:
             raise DomainError("radial equations need two_m, B and lambda_sq")
+        _require_quantum_numbers(two_m)
         m = two_m / 2.0
 
         def res_fn(x, g, g1, g2):
@@ -348,8 +355,8 @@ def first_order_system_residual(
     vanish), so an exact pair reads at rounding level wherever the
     terms are large and cancel. The relative factor is part of the claim
     under test: the correct factor brings both residuals to rounding
-    level; any rescaling leaves an O(1) defect. Grid points are refused
-    as in ode_residual.
+    level; any rescaling leaves an O(1) defect. two_m and grid points
+    are refused as in ode_residual.
     """
     if lam == 0.0:
         raise ZeroLambda("first-order systems decouple at lambda = 0")
@@ -368,6 +375,7 @@ def first_order_system_residual(
     else:
         if two_m is None or B is None:
             raise DomainError("radial systems need two_m and B")
+        _require_quantum_numbers(two_m)
         m = two_m / 2.0
 
         def terms(x, f1, d1, f2, d2):
@@ -628,10 +636,11 @@ def commutator_residual(geometry: Geometry, B: float,
 
     The reported convergence_order averages the two log2 ratios over
     three nested grids (spacing h, h/2, h/4; `Grid2D.scaled`); max_abs
-    comes from the finest one.
+    comes from the finest one. two_m must be an odd integer.
     """
     if not math.isfinite(B):
         raise DomainError("B must be finite")
+    _require_quantum_numbers(two_m)
     rec = geometry.record
     if (grid2d.r_lo < _SINGULAR_INSET
             or grid2d.r_hi > rec.r_max - _SINGULAR_INSET

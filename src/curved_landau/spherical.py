@@ -10,31 +10,30 @@ variant whose endpoint exponent is the larger (regular) indicial root
 is selected.
 
 Square roots are sqrt(B^2 + lambda^2) (no continuum on a compact
-space); lambda is taken > 0. GEOMETRY has kappa = +1.
+space); lambda is taken > 0. GEOMETRY is kappa = +1 (which fixes the
+rest) with the variant table below and the pairs (1,3'), (2,4') and
+(3,1').
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 from .model import (
     Component,
     DomainError,
     GeometryRecord,
     NonPositiveLambda,
-    RadialPairRow,
+    RadialPair,
     RadialVariant,
     SolutionForm,
     SpectrumEntry,
-    Variable,
     Variant,
     _require_level,
 )
 
 __all__ = [
     "GEOMETRY",
-    "RadialPair",
     "s3_axial_solution",
     "s3_axial_quantize",
     "s3_radial_solution",
@@ -99,17 +98,6 @@ _VARIANTS = (
 )
 
 
-class RadialPair(Enum):
-    """Coupled (R1, R2) variant pairs sharing one spectrum, with their
-    rows for GEOMETRY.radial_pair: factor -(a-c)(b-c)/(lam c) for (1,3')
-    and -ab/(lam c) for (2,4') with V1's and V2's (a, b, c), and
-    lam c/((a-c)(b-c)) for (3,1') with those of the R2 row 1'."""
-
-    V1_V3P = RadialPairRow(Variant.V1, Variant.V3P, Variant.V1, True)
-    V2_V4P = RadialPairRow(Variant.V2, Variant.V4P, Variant.V2, False)
-    V3_V1P = RadialPairRow(Variant.V3, Variant.V1P, Variant.V1P, True)
-
-
 def s3_radial_solution(two_m: int, B: float, lambda_sq: float,
                        component: Component, variant: Variant) -> SolutionForm:
     """GEOMETRY.radial_solution on y = (1 + cos r)/2."""
@@ -135,11 +123,6 @@ def s3_total_energy(M: float, p: float) -> float:
     return math.sqrt(energy_sq)
 
 
-GEOMETRY = GeometryRecord(
-    radial_variable=Variable.YR_S3, axial_variable=Variable.YZ_S3,
-    kappa=1.0, variants=_VARIANTS, pairs=RadialPair,
-    axial_pl=lambda p, lam: (-p, lam), axial_upper=Component.Z2,
-    r_window=(1e-3, math.pi - 1e-3),
-    z_window=(-(math.pi / 2 - 0.1), math.pi / 2 - 0.1),
-    region_predicate="|m| - |2B - m| + 2n > 0 marks the advertised region",
-    zero_field_note="B = 0: curvature-only confinement")
+GEOMETRY = GeometryRecord(kappa=1.0, variants=_VARIANTS,
+                          pairs=(RadialPair.V1_V3P, RadialPair.V2_V4P,
+                                 RadialPair.V3_V1P))

@@ -13,7 +13,7 @@ from curved_landau import checks, cli
 from curved_landau import lobachevsky as lob
 from curved_landau import oracle
 from curved_landau import spherical as sph
-from curved_landau.model import Component, Geometry, Variant
+from curved_landau.model import Component, Geometry, RadialPair, Variant
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -158,8 +158,8 @@ def test_criterion_06_first_order_systems():
     cases = []  # (label, pair_tuple, grid, kwargs)
 
     for two_m, B, n, pair_kind, v1, v2 in (
-            (1, 5.0, 2, lob.RadialPair.V1_V4P, Variant.V1, Variant.V4P),
-            (-1, 5.0, 1, lob.RadialPair.V2_V3P, Variant.V2, Variant.V3P)):
+            (1, 5.0, 2, RadialPair.V1_V4P, Variant.V1, Variant.V4P),
+            (-1, 5.0, 1, RadialPair.V2_V3P, Variant.V2, Variant.V3P)):
         entry = lob.h3_quantize(two_m, B, n, Component.R1)
         lam = math.sqrt(entry.lambda_sq)
         pair = (lob.h3_radial_solution(two_m, B, entry.lambda_sq,
@@ -171,9 +171,9 @@ def test_criterion_06_first_order_systems():
                       dict(lam=lam, two_m=two_m, B=B)))
 
     for two_m, B, n, pair_kind, v1, v2 in (
-            (-1, 1.0, 0, sph.RadialPair.V1_V3P, Variant.V1, Variant.V3P),
-            (1, 1.0, 1, sph.RadialPair.V2_V4P, Variant.V2, Variant.V4P),
-            (7, 1.0, 0, sph.RadialPair.V3_V1P, Variant.V3, Variant.V1P)):
+            (-1, 1.0, 0, RadialPair.V1_V3P, Variant.V1, Variant.V3P),
+            (1, 1.0, 1, RadialPair.V2_V4P, Variant.V2, Variant.V4P),
+            (7, 1.0, 0, RadialPair.V3_V1P, Variant.V3, Variant.V1P)):
         entry = sph.s3_quantize(two_m, B, n, Component.R1)
         lam = math.sqrt(entry.lambda_sq)
         pair = (sph.s3_radial_solution(two_m, B, entry.lambda_sq,

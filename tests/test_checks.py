@@ -8,7 +8,7 @@ import pytest
 from curved_landau import checks
 from curved_landau import lobachevsky as lob
 from curved_landau import spherical as sph
-from curved_landau.model import DomainError, Variant
+from curved_landau.model import DomainError, GeometryRecord, Variant
 
 
 def test_suite_names_are_stable():
@@ -40,8 +40,8 @@ def test_s3_quantization_check_meters_the_rule_against_the_algebra(monkeypatch):
         result = _s3_quantization_result()
     assert (result.value, result.passed) == (1.0, False)
     assert result.detail == "p = lam + n_z + 1/2"
-    monkeypatch.setattr(sph, "GEOMETRY", dataclasses.replace(
-        sph.GEOMETRY, axial_pl=lambda p, lam: (-p - 1.0, lam)))
+    monkeypatch.setattr(GeometryRecord, "axial_pl",
+                        lambda self, p, lam: (-p - 1.0, lam))
     result = _s3_quantization_result()
     assert (result.value, result.passed) == (1.0, False)
 

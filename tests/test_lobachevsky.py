@@ -9,7 +9,6 @@ import pytest
 from curved_landau.hyp2f1 import Hyp2F1Params, KummerBranch
 from curved_landau.lobachevsky import (
     GEOMETRY,
-    RadialPair,
     flat_limit,
     h3_axial_solution,
     h3_quantize,
@@ -22,6 +21,7 @@ from curved_landau.model import (
     Geometry,
     InadmissibleVariant,
     MasslessUnsupported,
+    RadialPair,
     SigmaBranch,
     SolutionForm,
     SubthresholdEnergy,
@@ -36,21 +36,47 @@ from curved_landau.model import (
 # ---------------------------------------------------------------------------
 
 
-_DERIVED = ("sine", "cosine", "r_max", "z_max")
+_DERIVED = ("sine", "cosine", "r_max", "z_max", "radial_variable",
+            "axial_variable", "axial_upper")
+
+
+def _derived(rec):
+    """The record's fields and properties that kappa fixes, with its
+    axial (P, L) at (p, lam) = (0.7, 1.3)."""
+    return tuple(getattr(rec, name) for name in _DERIVED) + (rec.axial_pl(0.7, 1.3),)
 
 
 @pytest.mark.parametrize("space, derived", [
-    (Geometry.H3, (np.sinh, np.cosh, math.inf, math.inf)),
-    (Geometry.S3, (np.sin, np.cos, math.pi, math.pi / 2))])
+    (Geometry.H3, (np.sinh, np.cosh, math.inf, math.inf, Variable.YR,
+                   Variable.YZ, Component.Z1, (0.7j, 1.3j))),
+    (Geometry.S3, (np.sin, np.cos, math.pi, math.pi / 2, Variable.YR_S3,
+                   Variable.YZ_S3, Component.Z2, (-0.7, 1.3)))])
 def test_kappa_alone_fixes_the_trig_pair_and_extents(space, derived):
-    # kappa fixes all four, and flipping it flips them together
+    # kappa fixes all eight, and flipping it flips them together; the
+    # record's other two fields are its variant and pair tables
     rec = space.record
-    assert tuple(getattr(rec, name) for name in _DERIVED) == derived
-    assert sum(f.init for f in dataclasses.fields(rec)) == 11
+    assert _derived(rec) == derived
+    assert sum(f.init for f in dataclasses.fields(rec)) == 3
     other = (Geometry.S3 if space is Geometry.H3 else Geometry.H3).record
     flipped = dataclasses.replace(rec, kappa=-rec.kappa)
-    assert (tuple(getattr(flipped, name) for name in _DERIVED)
-            == tuple(getattr(other, name) for name in _DERIVED))
+    assert _derived(flipped) == _derived(other)
+
+
+@pytest.mark.parametrize("space", [Geometry.H3, Geometry.S3], ids=["H3", "S3"])
+@pytest.mark.parametrize("call", [
+    lambda rec: rec.mu(math.nan, 0.5, 1.0),
+    lambda rec: rec.mu_prime(math.nan, 0.5, 1.0),
+    lambda rec: rec.radial_potential([0.5, math.nan], 0.5, 1.0, Component.R1),
+    lambda rec: rec.mu(1.0, math.nan, 5.0),
+    lambda rec: rec.mu(1.0, 0.5, math.inf),
+    lambda rec: rec.mu_prime(1.0, 0.5, -math.inf),
+    lambda rec: rec.radial_potential(1.0, math.inf, 1.0, Component.R2),
+], ids=["mu-r-nan", "mu_prime-r-nan", "potential-r-nan", "mu-m-nan",
+        "mu-B-inf", "mu_prime-B-inf", "potential-m-inf"])
+def test_mu_family_refuses_bad_input(space, call):
+    # no NaN or infinity comes back for a NaN r or a non-finite m or B
+    with pytest.raises(DomainError):
+        call(space.record)
 
 
 def test_mu_value_zero_field():

@@ -9,7 +9,6 @@ from curved_landau import oracle
 from curved_landau.hyp2f1 import DegenerateConnection
 from curved_landau.lobachevsky import (
     GEOMETRY as H3_GEOMETRY,
-    RadialPair as H3Pair,
     h3_quantize,
     h3_radial_solution,
 )
@@ -20,6 +19,7 @@ from curved_landau.model import (
     Geometry,
     InadmissibleVariant,
     NonTerminating,
+    RadialPair,
     SupportTooCloseToSingularity,
     TruncationTooSmall,
     Variant,
@@ -40,7 +40,6 @@ from curved_landau.oracle import (
 )
 from curved_landau.spherical import (
     GEOMETRY as S3_GEOMETRY,
-    RadialPair as S3Pair,
     s3_axial_quantize,
     s3_quantize,
     s3_radial_solution,
@@ -53,12 +52,19 @@ from curved_landau.spherical import (
 
 
 def test_grid_guards():
-    with pytest.raises(DomainError):
-        Grid1D(1.0, 1.0, 100)
-    with pytest.raises(DomainError):
-        Grid1D(0.0, 1.0, 8)
-    with pytest.raises(DomainError):
-        Grid2D(0.0, 1.0, 0.0, 1.0, 100, 8)
+    # bad ends and point counts are refused when the grid is built
+    for make in (lambda: Grid1D(1.0, 1.0, 100),
+                 lambda: Grid1D(0.0, 1.0, 8),
+                 lambda: Grid2D(0.0, 1.0, 0.0, 1.0, 100, 8),
+                 lambda: Grid1D(0.0, math.inf, 16),
+                 lambda: Grid1D(-math.inf, 0.0, 16),
+                 lambda: Grid1D(0.0, math.nan, 16),
+                 lambda: Grid1D(0.0, 1.0, 16.5),
+                 lambda: Grid1D(0.0, 1.0, 16.0),
+                 lambda: Grid2D(0.0, 1.0, 0.0, 1.0, 40.5, 40),
+                 lambda: Grid2D(0.0, 1.0, -math.inf, 1.0, 40, 40)):
+        with pytest.raises(DomainError):
+            make()
     grid = Grid1D(0.0, 2.0, 101)
     assert grid.spacing == 0.02
     fine = grid.refined()
@@ -154,6 +160,25 @@ def test_eigensolvers_take_an_odd_two_m(two_m):
         radial_eigenvalues_h3(two_m, 5.0, Component.R1, Grid1D(0.0, 12.0, 400))
     with pytest.raises(DomainError, match="two_m"):
         radial_eigenvalues_s3(two_m, 1.0, Component.R1, Grid1D(0.0, math.pi, 400))
+
+
+@pytest.mark.parametrize("two_m", [0, 2, 1.5, 1.0])
+def test_meters_take_an_odd_two_m(two_m):
+    # a radial meter or the probe at another m meters no state
+    entry = h3_quantize(1, 5.0, 2, Component.R1)
+    lam_sq = entry.lambda_sq
+    sol = h3_radial_solution(1, 5.0, lam_sq, Component.R1, entry.variant)
+    grid = Grid1D(0.3, 8.0, 100)
+    with pytest.raises(DomainError, match="two_m"):
+        ode_residual(sol, Component.R1, grid, two_m=two_m, B=5.0,
+                     lambda_sq=lam_sq)
+    pair = H3_GEOMETRY.radial_pair(1, 5.0, lam_sq, RadialPair.V1_V4P)
+    with pytest.raises(DomainError, match="two_m"):
+        first_order_system_residual(pair, grid, lam=math.sqrt(lam_sq),
+                                    two_m=two_m, B=5.0)
+    with pytest.raises(DomainError, match="two_m"):
+        commutator_residual(Geometry.H3, 5.0, gaussian_bump_spinor(2.0, 0.0, 0.5),
+                            Grid2D(0.05, 4.0, -2.0, 2.0, 16, 16), two_m=two_m)
 
 
 def test_h3_truncation_guard():
@@ -339,7 +364,7 @@ def _h3_pair():
     lam = math.sqrt(entry.lambda_sq)
     s1 = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R1, Variant.V1)
     s2 = h3_radial_solution(1, 5.0, entry.lambda_sq, Component.R2, Variant.V4P)
-    fac = H3_GEOMETRY.radial_pair(1, 5.0, entry.lambda_sq, H3Pair.V1_V4P)[2]
+    fac = H3_GEOMETRY.radial_pair(1, 5.0, entry.lambda_sq, RadialPair.V1_V4P)[2]
     return (s1, s2, fac), lam
 
 
@@ -388,11 +413,11 @@ def test_axial_system_residual_exact_past_old_domain_edge():
         assert abs(rep.convergence_order - 2.0) < 0.1
 
 
-@pytest.mark.parametrize("geometry, pairs, grid, count", [
-    (Geometry.H3, H3Pair, Grid1D(0.3, 8.0, 600), 37),
-    (Geometry.S3, S3Pair, Grid1D(0.2, math.pi - 0.2, 600), 145),
+@pytest.mark.parametrize("geometry, grid, count", [
+    (Geometry.H3, Grid1D(0.3, 8.0, 600), 37),
+    (Geometry.S3, Grid1D(0.2, math.pi - 0.2, 600), 145),
 ], ids=["h3", "s3"])
-def test_negative_field_pairs_solve_their_system(geometry, pairs, grid, count):
+def test_negative_field_pairs_solve_their_system(geometry, grid, count):
     """At B < 0 the reflection swaps a pair's components: the R1 form
     is built from the pair's R2 variant and the R2 form from its R1
     variant. pair_factor, called at the caller's (two_m, B), must couple
@@ -408,7 +433,7 @@ def test_negative_field_pairs_solve_their_system(geometry, pairs, grid, count):
                 if not entry.admissible:
                     continue
                 lam = math.sqrt(entry.lambda_sq)
-                for pair in pairs:
+                for pair in rec.pairs:
                     v1, v2 = (Variant[name] for name in pair.name.split("_"))
                     if entry.variant not in (v1, v2):
                         continue
@@ -433,9 +458,9 @@ def test_pair_of_the_other_space_is_rejected():
     otherwise read a factor off the wrong row."""
     s3 = Geometry.S3.record
     with pytest.raises(DomainError, match="pair table"):
-        H3_GEOMETRY.radial_pair(1, 5.0, 9.0, S3Pair.V2_V4P)
+        H3_GEOMETRY.radial_pair(1, 5.0, 9.0, RadialPair.V2_V4P)
     with pytest.raises(DomainError, match="pair table"):
-        s3.radial_pair(1, 1.0, 3.0, H3Pair.V1_V4P)
+        s3.radial_pair(1, 1.0, 3.0, RadialPair.V1_V4P)
 
 
 def _closed_form_factor(rec, two_m, B, lambda_sq, pair):
@@ -471,11 +496,11 @@ def _assert_same_triple(got, want):
     assert _bits(got[2]) == _bits(want[2])
 
 
-@pytest.mark.parametrize("geometry, pairs, grid, count", [
-    (Geometry.H3, H3Pair, Grid1D(0.3, 8.0, 600), 37),
-    (Geometry.S3, S3Pair, Grid1D(0.2, math.pi - 0.2, 600), 145),
+@pytest.mark.parametrize("geometry, grid, count", [
+    (Geometry.H3, Grid1D(0.3, 8.0, 600), 37),
+    (Geometry.S3, Grid1D(0.2, math.pi - 0.2, 600), 145),
 ], ids=["h3", "s3"])
-def test_radial_pair_is_the_explicit_construction(geometry, pairs, grid, count):
+def test_radial_pair_is_the_explicit_construction(geometry, grid, count):
     """radial_pair at B < 0 builds R1 from the row's R2 variant and R2
     from its R1 variant, with the closed-form factor at the caller's
     (two_m, B): the same forms and factor bit for bit, over the sweep of
@@ -489,7 +514,7 @@ def test_radial_pair_is_the_explicit_construction(geometry, pairs, grid, count):
                 if not entry.admissible:
                     continue
                 lam_sq = entry.lambda_sq
-                for pair in pairs:
+                for pair in rec.pairs:
                     row = pair.value
                     if entry.variant not in (row.r1, row.r2):
                         continue
@@ -512,11 +537,11 @@ def test_radial_pair_is_the_explicit_construction(geometry, pairs, grid, count):
 
 
 @pytest.mark.parametrize("geometry, two_m, B, n, pair", [
-    (Geometry.H3, 1, 5.0, 2, H3Pair.V1_V4P),
-    (Geometry.H3, -1, 5.0, 1, H3Pair.V2_V3P),
-    (Geometry.S3, -1, 1.0, 0, S3Pair.V1_V3P),
-    (Geometry.S3, 1, 1.0, 1, S3Pair.V2_V4P),
-    (Geometry.S3, 7, 1.0, 0, S3Pair.V3_V1P),
+    (Geometry.H3, 1, 5.0, 2, RadialPair.V1_V4P),
+    (Geometry.H3, -1, 5.0, 1, RadialPair.V2_V3P),
+    (Geometry.S3, -1, 1.0, 0, RadialPair.V1_V3P),
+    (Geometry.S3, 1, 1.0, 1, RadialPair.V2_V4P),
+    (Geometry.S3, 7, 1.0, 0, RadialPair.V3_V1P),
 ], ids=lambda v: getattr(v, "name", None))
 def test_radial_pair_of_the_verify_levels(geometry, two_m, B, n, pair):
     """At B > 0 radial_pair is (R1 of the row's r1, R2 of its r2,
@@ -579,7 +604,7 @@ def test_radial_pair_factor_at_the_forms_root():
     q = sqrt(1 + 3) = 2 exactly; with V2's s = 1 and c = 2 the factor is
     -(s - q)(s + q)/(lam c) there, not at q = sqrt(1 + sqrt(3)^2), which
     is one ulp off."""
-    factor = S3_GEOMETRY.radial_pair(1, 1.0, 3.0, S3Pair.V2_V4P)[2]
+    factor = S3_GEOMETRY.radial_pair(1, 1.0, 3.0, RadialPair.V2_V4P)[2]
     assert factor == -((1.0 - 2.0) * (1.0 + 2.0)) / (math.sqrt(3.0) * 2.0)
 
 

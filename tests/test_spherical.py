@@ -13,12 +13,12 @@ from curved_landau.model import (
     NegativeDiscriminant,
     NonPositiveLambda,
     NonTerminating,
+    RadialPair,
     Variant,
     ZeroLambda,
 )
 from curved_landau.spherical import (
     GEOMETRY,
-    RadialPair,
     s3_axial_quantize,
     s3_axial_solution,
     s3_quantize,
