@@ -181,20 +181,32 @@ _SMALL_R = 1e-4
 _PI_TAIL = 1.2246467991473532e-16
 
 
+def _require_float(k: numbers.Integral, name: str) -> None:
+    """DomainError unless the integer k converts to a float: the level
+    formulas take it in float arithmetic (B - n, two_m / 2.0,
+    lam + n_z + 0.5), where a larger one raises OverflowError."""
+    try:
+        float(k)
+    except OverflowError:
+        raise DomainError(f"{name} is too large for a float") from None
+
+
 def _require_level(n, name: str = "n") -> None:
     """DomainError unless the level n (or n_z) is a non-negative integer
-    (a numbers.Integral, which numpy's integer types are): a float such as
-    1.5 would select a variant row and return a level or form for a state
-    that does not exist."""
+    (a numbers.Integral, which numpy's integer types are) that converts
+    to a float: a float such as 1.5 would select a variant row and return
+    a level or form for a state that does not exist."""
     if not isinstance(n, numbers.Integral) or n < 0:
         raise DomainError(f"{name} must be an integer >= 0, got {n!r}")
+    _require_float(n, name)
 
 
 def _require_quantum_numbers(two_m, n=0) -> None:
-    """DomainError unless two_m is an odd integer and n a level
-    (_require_level)."""
+    """DomainError unless two_m is an odd integer that converts to a
+    float and n a level (_require_level)."""
     if not isinstance(two_m, numbers.Integral) or two_m % 2 == 0:
         raise DomainError(f"two_m must be an odd integer, got {two_m!r}")
+    _require_float(two_m, "two_m")
     _require_level(n)
 
 

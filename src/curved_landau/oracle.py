@@ -188,8 +188,8 @@ def _radial_eigenvalues(rec, two_m: int, B: float, component: Component,
         raise DomainError("component must be R1 or R2")
     if grid.lo < 0.0 or grid.hi > rec.r_max + 1e-12:
         raise DomainError(f"grid must lie within [0, {rec.r_max:g}]")
-    if max_count < 1:
-        raise DomainError("max_count must be >= 1")
+    if not isinstance(max_count, numbers.Integral) or max_count < 1:
+        raise DomainError(f"max_count must be an integer >= 1, got {max_count!r}")
     m, edge = two_m / 2.0, B * B
     if rec.kappa < 0.0 and (abs(rec.mu(grid.hi, m, B) ** 2 - edge)
                             > 1e-3 * max(1.0, edge)):
@@ -269,6 +269,15 @@ def _sup_over_scale(r: np.ndarray, f: np.ndarray) -> float:
     return float(np.max(np.abs(r))) / (scale if scale > 0 else 1.0)
 
 
+def _require_finite(**values) -> None:
+    """DomainError naming the first of values that is not a finite
+    float: a NaN or infinite state would pass every point of the meter
+    and be refused, if at all, by the report it builds."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 def _order_from(coarse: float, fine: float) -> float:
     if fine <= 0 or coarse <= 0:
         return 0.0
@@ -292,9 +301,10 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
     exact solution sits at rounding level; convergence_order is
     measured on the independent finite-difference pathway at h and h/2
     and is ~2 for an exact solution, ~0 for a wrong one. Radial
-    equations need an odd integer two_m, the m the form was built at;
-    past that the meter adds no domain rule: a grid point that the form,
-    the 2F1 kernel or mu refuses raises their typed error.
+    equations need an odd integer two_m, the m the form was built at,
+    and p, lam, B and lambda_sq must be finite; past that the meter adds
+    no domain rule: a grid point that the form, the 2F1 kernel or mu
+    refuses raises their typed error.
     """
     rec = solution.variable.geometry.record
     axial = component in (Component.Z1, Component.Z2)
@@ -306,6 +316,7 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
     if axial:
         if p is None or lam is None:
             raise DomainError("axial equations need p and lam")
+        _require_finite(p=p, lam=lam)
         sign = 1.0 if component is Component.Z1 else -1.0
 
         def res_fn(x, g, g1, g2):
@@ -316,6 +327,7 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
         if two_m is None or B is None or lambda_sq is None:
             raise DomainError("radial equations need two_m, B and lambda_sq")
         _require_quantum_numbers(two_m)
+        _require_finite(B=B, lambda_sq=lambda_sq)
         m = two_m / 2.0
 
         def res_fn(x, g, g1, g2):
@@ -355,9 +367,10 @@ def first_order_system_residual(
     vanish), so an exact pair reads at rounding level wherever the
     terms are large and cancel. The relative factor is part of the claim
     under test: the correct factor brings both residuals to rounding
-    level; any rescaling leaves an O(1) defect. two_m and grid points
-    are refused as in ode_residual.
+    level; any rescaling leaves an O(1) defect. two_m, a non-finite
+    lam, p or B and grid points are refused as in ode_residual.
     """
+    _require_finite(lam=lam)
     if lam == 0.0:
         raise ZeroLambda("first-order systems decouple at lambda = 0")
     sol1, sol2, ratio = pair
@@ -367,6 +380,7 @@ def first_order_system_residual(
     if sol1.variable is rec.axial_variable:
         if p is None:
             raise DomainError("axial systems need p")
+        _require_finite(p=p)
 
         def terms(x, f1, d1, f2, d2):
             c = rec.stretch(x)
@@ -376,6 +390,7 @@ def first_order_system_residual(
         if two_m is None or B is None:
             raise DomainError("radial systems need two_m and B")
         _require_quantum_numbers(two_m)
+        _require_finite(B=B)
         m = two_m / 2.0
 
         def terms(x, f1, d1, f2, d2):

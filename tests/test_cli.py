@@ -509,6 +509,33 @@ def test_overflowing_energy_exits_2(capsys):
     assert err.startswith("error: M^2 + p^2 is not finite") and err.count("\n") == 1
 
 
+_BIG = str(10 ** 400)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--model", "h3", "--B", "5", "--two-m", "1", "--n", _BIG], "n"),
+    (["regions", "--model", "s3", "--B", "2", "--two-m", "1", "--n", _BIG], "n"),
+    (["spectrum", "--model", "s3", "--B", "2", f"--two-m={10 ** 400 + 1}",
+      "--n", "1"], "two_m"),
+    (["regions", "--model", "h3", "--B", "5", f"--two-m={10 ** 400 + 1}",
+      "--n", "0..2"], "two_m"),
+    (["wavefunction", "--model", "h3", "--component", "r1", "--B", "5",
+      "--two-m", "1", "--n", _BIG], "n"),
+    (["wavefunction", "--model", "s3", "--component", "z1", "--B", "2",
+      "--two-m", "1", "--n", "1", "--nz", _BIG], "n_z"),
+    (["spectrum", "--model", "s3", "--B", "2", "--two-m", "1", "--n", "1",
+      "--nz", _BIG], "n_z"),
+], ids=["spectrum-n", "regions-n", "spectrum-two-m", "regions-two-m",
+        "wavefunction-n", "wavefunction-nz", "spectrum-nz"])
+def test_quantum_numbers_past_the_float_range_exit_2(capsys, argv, name):
+    # 10^400 does not convert to a float: these ended in an OverflowError
+    # traceback with exit 1
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name} is too large for a float\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["wavefunction", "--model", "s3", "--component", "r1", "--B", "3",
      "--two-m", "1", "--n", "1", "--samples", str(10 ** 15)],

@@ -58,9 +58,9 @@ GOLDEN = [
     ("verify --suite radial",
      "465988d77ecad4cda06426bb1eabae90ac30bf0b5072c903b6bfeb4b304fcca2"),
     ("verify --suite pairs",
-     "b726115bb2b463b787de36a293298993e5b2f9d5d393b1e21cc29c38fa30e6f8"),
+     "5de68b4ff50361e401ba52f745c8fb47caca790603f4bf0b85bb077758be17f2"),
     ("verify --suite axial",
-     "bc2746a434f0644dfedd8029b4f24397e7130cf623d68f16a78db10df5aef9da"),
+     "89328711ed571975969d36b4b4163bbb70c0e62924476f006d5cc84f6f7c05ad"),
     ("verify --suite commutator",
      "7090e48626665c3da76ec1d4cf6b7ae75e8021811225c33575a8126adaaee7d4"),
     ("verify --suite hyp",

@@ -159,7 +159,7 @@ def test_far_ends_of_the_line_raise_instead_of_nan():
 @pytest.mark.parametrize("z", [178.0, 300.0, -178.0, -300.0])
 def test_derivatives_refuse_where_y_squared_underflows(z):
     # y or 1 - y is below 1.5e-154 here, so y^2 leaves the normal floats;
-    # the kernel takes the y = 0 limits and the form's second derivative
+    # the kernel's F' and F'' stay finite and the form's second derivative
     # overflows, instead of summing NaN steps up to the series cap
     form = h3_axial_solution(0.7, 1.3, KummerBranch.U1, Component.Z1)
     with pytest.raises(EvaluationDomain):

@@ -23,7 +23,8 @@ from curved_landau.hyp2f1 import (
     u2_value,
     u6_value,
 )
-from curved_landau.model import SolutionForm, Variable
+from curved_landau.model import Component, Geometry, SolutionForm, Variable
+from curved_landau.spherical import s3_axial_quantize
 
 
 def _far_from_int(x: float, gap: float = 0.15) -> bool:
@@ -103,8 +104,8 @@ def test_derivatives_at_zero_argument():
 @pytest.mark.parametrize("params", [Hyp2F1Params(0.7, 1.3, 2.1),
                                     Hyp2F1Params(-3, 1.3, 2.1)])
 def test_derivatives_where_y_squared_underflows(params):
-    # below |y| = 1.5e-154, 1/y^2 overflows; such points take the y = 0
-    # limits, which are exact to ~|y| there
+    # below |y| = 1.5e-154, y^2 is subnormal; no sum divides by y, so
+    # F' and F'' read the y = 0 limits to ~|y| there
     a, b, c = params.a, params.b, params.c
     ys = np.array([1e-300, -1e-200j, 1e-160, 1.4e-154])
     f0, f1, f2 = series_with_derivatives(params, ys)
@@ -288,6 +289,61 @@ def test_pfaff_route_matches_reference_with_derivatives():
     for k in range(3):
         assert np.allclose(arr[k], [series_with_derivatives(params, y)[k]
                                     for y in ys], rtol=0, atol=0)
+
+
+def _terminating_forms():
+    """The 35 bound-state forms of the terminating sweep, each with its
+    coordinate window: S3 axial Z1 at lambda = sqrt(3), n_z = 0..12; the
+    admissible H3 R1 levels at two_m = 3, B = 20 and S3 R1 levels at
+    two_m = 7, B = 2.5, n = 0..11."""
+    s3, h3 = Geometry.S3.record, Geometry.H3.record
+    lam = math.sqrt(3.0)
+    for n_z in range(13):
+        p = s3_axial_quantize(lam, n_z)
+        yield s3.axial_solution(p, lam, Component.Z1), (-1.3, 1.3)
+    for rec, two_m, B, window in ((h3, 3, 20.0, (1e-3, 6.0)),
+                                  (s3, 7, 2.5, (1e-3, math.pi - 1e-3))):
+        for n in range(12):
+            entry = rec.quantize(two_m, B, n, Component.R1)
+            if entry.admissible:
+                yield (rec.radial_solution(two_m, B, entry.lambda_sq,
+                                           Component.R1, entry.variant), window)
+
+
+def _mp_polynomial(params, y):
+    """(F, F', F'') of the terminating series at y in mpmath: the
+    polynomial of degree params.degree in params' own (a, b, c), its
+    coefficients (a)_k (b)_k / ((c)_k k!) from rising factorials."""
+    a, b, c = (mpmath.mpmathify(v) for v in (params.a, params.b, params.c))
+    f = [mpmath.rf(a, k) * mpmath.rf(b, k) / (mpmath.rf(c, k) * mpmath.factorial(k))
+         for k in range(params.degree + 1)]
+    out = []
+    for _ in range(3):
+        out.append(complex(mpmath.polyval(f[::-1], y) if f else 0))
+        f = [k * fk for k, fk in enumerate(f)][1:]
+    return out
+
+
+def test_terminating_derivatives_match_mpmath_on_bound_states():
+    # every bound state is a terminating 2F1; F, F' and F'' at each map's
+    # own (y, 1 - y), 41 points per form, against the polynomial at 40
+    # digits, relative to the sup over the form's points. The kernel
+    # reads 3.36e-11, 6.76e-12 and 2.43e-12 here; sums that divide each
+    # term by y and y^2 read 1.69e-11 for F' and 3.52e-12 for F''
+    worst, count = [0.0] * 3, 0
+    with mpmath.workdps(40):
+        for form, (lo, hi) in _terminating_forms():
+            count += 1
+            y, w = form.variable.y_pair(np.linspace(lo, hi, 41))
+            got = series_with_derivatives(form.params, y, w)
+            exact = np.array([_mp_polynomial(form.params, mpmath.mpmathify(v))
+                              for v in y]).T
+            for j in range(3):
+                scale = np.max(np.abs(exact[j]))
+                worst[j] = max(worst[j], np.max(np.abs(got[j] - exact[j]))
+                               / (scale if scale > 0 else 1.0))
+    assert count == 35
+    assert worst[0] <= 5e-11 and worst[1] <= 1e-11 and worst[2] <= 4e-12, worst
 
 
 def _mp_derivs(params, y):

@@ -153,7 +153,8 @@ def test_s3_reflection_equivalence():
     assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-8)
 
 
-@pytest.mark.parametrize("two_m", [0, 2, 0.5, 1.0])
+@pytest.mark.parametrize("two_m", [0, 2, 0.5, 1.0,
+                                   pytest.param(10 ** 400 + 1, id="10**400+1")])
 def test_eigensolvers_take_an_odd_two_m(two_m):
     # an even or non-integer two_m names no state, as in quantize
     with pytest.raises(DomainError, match="two_m"):
@@ -162,9 +163,11 @@ def test_eigensolvers_take_an_odd_two_m(two_m):
         radial_eigenvalues_s3(two_m, 1.0, Component.R1, Grid1D(0.0, math.pi, 400))
 
 
-@pytest.mark.parametrize("two_m", [0, 2, 1.5, 1.0])
+@pytest.mark.parametrize("two_m", [0, 2, 1.5, 1.0,
+                                   pytest.param(10 ** 400 + 1, id="10**400+1")])
 def test_meters_take_an_odd_two_m(two_m):
-    # a radial meter or the probe at another m meters no state
+    # a radial meter or the probe at another m meters no state; an odd
+    # two_m past the float range raised OverflowError
     entry = h3_quantize(1, 5.0, 2, Component.R1)
     lam_sq = entry.lambda_sq
     sol = h3_radial_solution(1, 5.0, lam_sq, Component.R1, entry.variant)
@@ -179,6 +182,57 @@ def test_meters_take_an_odd_two_m(two_m):
     with pytest.raises(DomainError, match="two_m"):
         commutator_residual(Geometry.H3, 5.0, gaussian_bump_spinor(2.0, 0.0, 0.5),
                             Grid2D(0.05, 4.0, -2.0, 2.0, 16, 16), two_m=two_m)
+
+
+@pytest.mark.parametrize("max_count", [1.5, 2.0])
+def test_eigensolver_takes_an_integer_max_count(max_count):
+    # a float count reached scipy, which raised its bare ValueError
+    with pytest.raises(DomainError, match="max_count must be an integer"):
+        radial_eigenvalues_s3(1, 1.0, Component.R1, Grid1D(0.0, math.pi, 400),
+                              max_count=max_count)
+
+
+def _meter_calls():
+    """Each state argument of both meters, as (argument, call taking its
+    value), by case name; the other arguments hold an H3 state."""
+    entry = h3_quantize(1, 5.0, 2, Component.R1)
+    lam_sq = entry.lambda_sq
+    radial = h3_radial_solution(1, 5.0, lam_sq, Component.R1, entry.variant)
+    rgrid, zgrid = Grid1D(0.3, 8.0, 100), Grid1D(-1.0, 1.0, 40)
+    axial = H3_GEOMETRY.axial_solution(0.7, 1.3, Component.Z1)
+    rpair = H3_GEOMETRY.radial_pair(1, 5.0, lam_sq, RadialPair.V1_V4P)
+    zpair = H3_GEOMETRY.axial_pair(0.7, 1.3)
+    lam = math.sqrt(lam_sq)
+    return {
+        "ode-p": ("p", lambda v: ode_residual(axial, Component.Z1, zgrid,
+                                              p=v, lam=1.3)),
+        "ode-lam": ("lam", lambda v: ode_residual(axial, Component.Z1, zgrid,
+                                                  p=0.7, lam=v)),
+        "ode-B": ("B", lambda v: ode_residual(radial, Component.R1, rgrid,
+                                              two_m=1, B=v, lambda_sq=lam_sq)),
+        "ode-lambda_sq": ("lambda_sq", lambda v: ode_residual(
+            radial, Component.R1, rgrid, two_m=1, B=5.0, lambda_sq=v)),
+        "axial-system-lam": ("lam", lambda v: first_order_system_residual(
+            zpair, zgrid, lam=v, p=0.7)),
+        "axial-system-p": ("p", lambda v: first_order_system_residual(
+            zpair, zgrid, lam=1.3, p=v)),
+        "radial-system-lam": ("lam", lambda v: first_order_system_residual(
+            rpair, rgrid, lam=v, two_m=1, B=5.0)),
+        "radial-system-B": ("B", lambda v: first_order_system_residual(
+            rpair, rgrid, lam=lam, two_m=1, B=v)),
+    }
+
+
+@pytest.mark.parametrize("case", ["ode-p", "ode-lam", "ode-B", "ode-lambda_sq",
+                                  "axial-system-lam", "axial-system-p",
+                                  "radial-system-lam", "radial-system-B"])
+def test_meters_refuse_a_non_finite_state(case):
+    # a NaN or infinite state ran every point and was refused by the
+    # report ("max_abs must be finite"), by mu, or after RuntimeWarnings
+    name, call = _meter_calls()[case]
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            call(bad)
 
 
 def test_h3_truncation_guard():

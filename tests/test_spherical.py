@@ -9,6 +9,7 @@ import pytest
 from curved_landau.model import (
     Component,
     DomainError,
+    Geometry,
     InadmissibleVariant,
     NegativeDiscriminant,
     NonPositiveLambda,
@@ -161,6 +162,26 @@ def test_quantize_argument_guards():
     with pytest.raises(DomainError, match="n must be an integer"):
         GEOMETRY.quantize(1, 1.0, 1.5, Component.R1)
     assert GEOMETRY.quantize(np.int64(1), 1.0, np.int32(1), Component.R1).admissible
+
+
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_quantum_numbers_past_the_float_range_are_refused(geometry):
+    # B - n, two_m / 2.0 and lam + n_z + 0.5 raised OverflowError
+    rec, big = geometry.record, 10 ** 400
+    entry = rec.quantize(1, 5.0, 1, Component.R1)
+    with pytest.raises(DomainError, match="^n is too large for a float"):
+        rec.quantize(1, 5.0, big, Component.R1)
+    with pytest.raises(DomainError, match="^n is too large for a float"):
+        rec.audit(1, 5.0, big)
+    with pytest.raises(DomainError, match="^two_m is too large for a float"):
+        rec.quantize(big + 1, 5.0, 1, Component.R2)
+    with pytest.raises(DomainError, match="^two_m is too large for a float"):
+        rec.audit(big + 1, 5.0, 1)
+    with pytest.raises(DomainError, match="^two_m is too large for a float"):
+        rec.radial_solution(big + 1, 5.0, entry.lambda_sq, Component.R1,
+                            entry.variant)
+    with pytest.raises(DomainError, match="^n_z is too large for a float"):
+        s3_axial_quantize(1.5, big)
 
 
 # ---------------------------------------------------------------------------
