@@ -1,7 +1,9 @@
 """Bound states of a charged spin-1/2 particle in a uniform magnetic
 field on the two curved 3-spaces of constant curvature.
 
-Layers:
+The package root is the user API: the model's vocabulary, the two
+spaces' quantization and solutions, and the Gauss-series special
+functions they are built from. Layers:
 
 * :mod:`curved_landau.hyp2f1` — Gauss-series special functions on
   complex parameters (series, derivatives, connection coefficients).
@@ -20,11 +22,15 @@ Layers:
   helicity link.
 * :mod:`curved_landau.spherical` — the spherical model: variant table
   and pairs, axial quantization, total energy.
+* :mod:`curved_landau.cli` — the ``curved-landau`` command.
+
+The verification layer is not imported here and is reached by module:
+
 * :mod:`curved_landau.oracle` — independent numerics: a finite-volume
   eigensolver, ODE/system residuals, commutator convergence, series
   connection integration.
-* :mod:`curved_landau.checks` — named verification suites.
-* :mod:`curved_landau.cli` — the ``curved-landau`` command.
+* :mod:`curved_landau.checks` — named verification suites. Only the
+  radial, axial, commutator and pairs suites load the oracle.
 """
 
 __version__ = "1.0.0"
@@ -52,7 +58,6 @@ from .model import (
     ZeroLambda,
 )
 from .hyp2f1 import (
-    ConnectionCoefficients,
     DegenerateConnection,
     Hyp2F1Error,
     Hyp2F1Params,
@@ -61,11 +66,8 @@ from .hyp2f1 import (
     NonConvergent,
     PoleAtNonPositiveInteger,
     eval_2f1,
-    kummer_connection,
     log_gamma,
     series_with_derivatives,
-    u2_value,
-    u6_value,
 )
 from .lobachevsky import (
     flat_limit,
@@ -81,20 +83,6 @@ from .spherical import (
     s3_radial_solution,
     s3_total_energy,
 )
-from .oracle import (
-    EigenReport,
-    Grid1D,
-    Grid2D,
-    ResidualReport,
-    axial_connection_check,
-    commutator_residual,
-    first_order_system_residual,
-    gaussian_bump_spinor,
-    ode_residual,
-    radial_eigenvalues_h3,
-    radial_eigenvalues_s3,
-)
-from .checks import CheckResult, SUITE_NAMES, run_suites
 
 __all__ = [
     "__version__",
@@ -106,22 +94,13 @@ __all__ = [
     "SubthresholdEnergy", "SupportTooCloseToSingularity",
     "TruncationTooSmall", "Variable", "Variant", "ZeroLambda",
     # hyp2f1
-    "ConnectionCoefficients", "DegenerateConnection", "Hyp2F1Error",
-    "Hyp2F1Params", "InvalidC", "KummerBranch", "NonConvergent",
-    "PoleAtNonPositiveInteger", "eval_2f1", "kummer_connection",
-    "log_gamma", "series_with_derivatives", "u2_value", "u6_value",
+    "DegenerateConnection", "Hyp2F1Error", "Hyp2F1Params", "InvalidC",
+    "KummerBranch", "NonConvergent", "PoleAtNonPositiveInteger",
+    "eval_2f1", "log_gamma", "series_with_derivatives",
     # lobachevsky
     "flat_limit", "h3_axial_solution", "h3_quantize",
     "h3_radial_solution", "helicity_link",
     # spherical
     "s3_axial_quantize", "s3_axial_solution", "s3_quantize",
     "s3_radial_solution", "s3_total_energy",
-    # oracle
-    "EigenReport", "Grid1D", "Grid2D", "ResidualReport",
-    "axial_connection_check",
-    "commutator_residual", "first_order_system_residual",
-    "gaussian_bump_spinor", "ode_residual", "radial_eigenvalues_h3",
-    "radial_eigenvalues_s3",
-    # checks
-    "CheckResult", "SUITE_NAMES", "run_suites",
 ]

@@ -1,4 +1,8 @@
-"""Named verification suites driven by the command-line ``verify``.
+"""Named verification suites driven by the command-line ``verify``,
+reached as ``curved_landau.checks`` (the package root does not import
+them). The radial, axial, commutator and pairs suites meter with
+``curved_landau.oracle`` and import it when they run; hyp and
+flat-limit do not load it.
 
 Every check is normalized to "value <= threshold passes". A tolerance
 override (finite and > 0) replaces the threshold of every check except
@@ -33,7 +37,6 @@ from typing import List, Optional, Sequence
 from . import hyp2f1 as hyp
 from . import lobachevsky as lob
 from . import spherical as sph
-from . import oracle
 from ._numpy import np
 from .model import Component, DomainError, Geometry, RadialPair
 
@@ -136,6 +139,7 @@ def _worst_match(found: Sequence[float], targets: Sequence[float]) -> float:
 
 
 def _suite_radial() -> List[CheckResult]:
+    from . import oracle
     grid_h3 = oracle.Grid1D(0.0, 12.0, 4000)
     grid_s3 = oracle.Grid1D(0.0, math.pi, 4000)
 
@@ -178,6 +182,7 @@ _AXIAL_CASES = (
 
 
 def _suite_axial() -> List[CheckResult]:
+    from . import oracle
     out = []
     reports = {}
     for rec, name, detail, width, states in _AXIAL_CASES:
@@ -204,6 +209,7 @@ def _suite_axial() -> List[CheckResult]:
 
 
 def _suite_commutator() -> List[CheckResult]:
+    from . import oracle
     spinor = oracle.gaussian_bump_spinor(2.0, 0.0, 0.5)
     grid = oracle.Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80)
     rep = oracle.commutator_residual(Geometry.H3, 5.0, spinor, grid, two_m=1)
@@ -242,6 +248,7 @@ _AXIAL_PAIR_CASES = (
 
 
 def _suite_pairs() -> List[CheckResult]:
+    from . import oracle
     grids = {Geometry.H3: oracle.Grid1D(0.3, 8.0, 1200),
              Geometry.S3: oracle.Grid1D(0.2, math.pi - 0.2, 1200)}
     radial = []

@@ -76,11 +76,17 @@ def _parse_range(parser: argparse.ArgumentParser, text: str, flag: str,
     match = re.fullmatch(r"(-?\d+)(?:\.\.(-?\d+))?", text)
     if match is None:
         parser.error(f"{flag}: expected INT or LO..HI, got {text!r}")
-    lo = int(match.group(1))
-    hi = int(match.group(2)) if match.group(2) is not None else lo
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        lo = int(match.group(1))
+        hi = int(match.group(2)) if match.group(2) is not None else lo
+    except ValueError:
+        parser.error(f"{flag}: a bound has too many digits")
     if hi < lo:
         parser.error(f"{flag}: empty range {text!r}")
-    values = list(range(lo, hi + 1))
+    try:
+        values = list(range(lo, hi + 1))
+    except OverflowError:  # more values than a list can index
+        parser.error(f"{flag}: range too long to hold")
     if odd:
         values = [v for v in values if v % 2 != 0]
         if not values:

@@ -19,10 +19,13 @@ the singular problem into a flux-form symmetric tridiagonal matrix on
 cell centers; eigenvalues come from LAPACK's deterministic
 Sturm-sequence bisection.
 
-scipy is imported inside the eigensolver, the only caller that needs
-it, and numpy is bound lazily (curved_landau._numpy), so importing this
-module (and the package and its CLI) loads the standard library alone;
-numpy loads at the first numpy call, scipy at the first eigensolve.
+This module is reached as ``curved_landau.oracle``: the package root
+and the CLI do not import it, and of the verification suites only
+radial, axial, commutator and pairs do, when they run. scipy is
+imported inside the eigensolver, the only caller that needs it, and
+numpy is bound lazily (curved_landau._numpy), so importing this module
+loads the standard library alone; numpy loads at the first numpy call,
+scipy at the first eigensolve.
 """
 
 from __future__ import annotations

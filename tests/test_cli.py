@@ -551,6 +551,30 @@ def test_unallocatable_arguments_exit_2_with_one_error_line(capsys, argv):
     assert err.count("\n") == 1
 
 
+_DIGITS = "9" * 5001  # past int()'s default 4,300-digit string limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "h3", "--B", "5", "--two-m", "1",
+     "--n", f"0..{_DIGITS}"],
+    ["regions", "--model", "s3", "--B", "2", f"--two-m={_DIGITS}",
+     "--n", "0..2"],
+    ["wavefunction", "--model", "h3", "--component", "r1", "--B", "5",
+     f"--two-m={_DIGITS}", "--n", "1"],
+    ["spectrum", "--model", "h3", "--B", "5", "--two-m", "1",
+     "--n", f"0..{10 ** 20}"],
+], ids=["spectrum-n", "regions-two-m", "wavefunction-two-m", "range-length"])
+def test_oversized_range_bounds_exit_2(capsys, argv):
+    # int() refused the 5,001-digit bounds, and a range of more than
+    # 2^63 values does not fit a list: these ended in a ValueError or
+    # OverflowError traceback with exit 1
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error: --" in err
+
+
 def test_evaluator_error_exits_2_with_one_error_line(capsys):
     # the h3 axial series at p = 1e4 and 1e6 runs past the series cap
     for p in ("1e4", "1e6"):

@@ -12,6 +12,11 @@ quantize and audit levels with ``math`` alone, so a normal run of them
 leaves no ``numpy.*`` submodule loaded (the lazy ``numpy`` entry itself
 is always there); ``wavefunction`` and the axial suite are the
 counter-case.
+
+The oracle (``curved_landau.oracle``) is loaded by the four suites that
+meter with it, radial, axial, commutator and pairs, and by nothing
+else: not by ``import curved_landau``, the closed-form commands,
+``wavefunction`` or the hyp suite.
 """
 
 import os
@@ -26,8 +31,8 @@ from curved_landau import cli
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
-# argv[1] is "block" or "allow"; the rest goes to the CLI. The last two
-# stderr lines report whether scipy and numpy ended up imported.
+# argv[1] is "block" or "allow"; the rest goes to the CLI. The last three
+# stderr lines report whether scipy, numpy and the oracle ended up imported.
 _CHILD_SCRIPT = """\
 import sys
 if sys.argv[1] == "block":
@@ -37,6 +42,7 @@ code = main(sys.argv[2:])
 print("scipy loaded:", sys.modules.get("scipy") is not None, file=sys.stderr)
 print("numpy loaded:", any(name.startswith("numpy.") for name in sys.modules),
       file=sys.stderr)
+print("oracle loaded:", "curved_landau.oracle" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -46,13 +52,14 @@ CLOSED_FORM = [
     "regions --model s3 --B 2 --two-m=-3..3 --n 0..2",
     "verify --suite flat-limit",
 ]
-COMMANDS = CLOSED_FORM + [
+ORACLE_FREE = CLOSED_FORM + [
+    "verify --suite hyp",
     "wavefunction --model h3 --component r1 --B 5 --two-m=1 --n 1",
     "wavefunction --model s3 --component r2 --B 2.5 --two-m=-3 --n 2",
     "wavefunction --model h3 --component z1 --B 5 --two-m=1 --n 1 --p 0.7",
     "wavefunction --model s3 --component z2 --B 2.5 --two-m=1 --n 1 --nz 1",
-    "verify --suite axial",
 ]
+COMMANDS = ORACLE_FREE + ["verify --suite axial"]
 
 
 def _run_fresh(mode, command, script=_CHILD_SCRIPT):
@@ -72,12 +79,14 @@ def test_command_runs_without_scipy(capsys, command):
     in_process = capsys.readouterr().out
     assert blocked.stdout == in_process
     # nothing tries scipy and falls back: a normal run leaves it unloaded,
-    # and numpy too where the command is closed form
+    # numpy too where the command is closed form, and the oracle where no
+    # suite meters with it
     allowed = _run_fresh("allow", command)
     assert allowed.returncode == 0, allowed.stderr
     assert allowed.stdout == in_process
-    assert allowed.stderr.splitlines()[-2:] == [
-        "scipy loaded: False", f"numpy loaded: {command not in CLOSED_FORM}"]
+    assert allowed.stderr.splitlines()[-3:] == [
+        "scipy loaded: False", f"numpy loaded: {command not in CLOSED_FORM}",
+        f"oracle loaded: {command not in ORACLE_FREE}"]
 
 
 def test_radial_suite_needs_and_loads_scipy():
@@ -88,8 +97,20 @@ def test_radial_suite_needs_and_loads_scipy():
     assert "scipy" in blocked.stderr
     allowed = _run_fresh("allow", command)
     assert allowed.returncode == 0, allowed.stderr
-    assert allowed.stderr.splitlines()[-2:] == ["scipy loaded: True",
-                                                "numpy loaded: True"]
+    assert allowed.stderr.splitlines()[-3:] == ["scipy loaded: True",
+                                                "numpy loaded: True",
+                                                "oracle loaded: True"]
+
+
+def test_package_import_loads_no_verification_layer():
+    child = _run_fresh("", "", "import sys\nimport curved_landau\n"
+                               "print(sorted(name for name in sys.modules\n"
+                               "             if name.startswith('curved_landau.')))\n")
+    assert child.returncode == 0, child.stderr
+    loaded = child.stdout.strip()
+    assert "curved_landau.model" in loaded
+    assert "curved_landau.oracle" not in loaded
+    assert "curved_landau.checks" not in loaded
 
 
 def test_package_binds_the_imported_numpy():
