@@ -252,8 +252,7 @@ def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
     geo = Geometry(args.model).record
     levels = []
     for two_m in two_ms:
-        for n in ns:
-            audit = geo.audit(two_m, args.B, n)
+        for n, audit in zip(ns, geo.audits(two_m, args.B, ns)):
             entry = audit.entry
             lam_sq = entry.lambda_sq
             scaled_sq = lam_sq / rho_sq if lam_sq is not None else None
@@ -402,8 +401,7 @@ def _cmd_regions(args, parser: argparse.ArgumentParser) -> int:
     geo = Geometry(args.model).record
     records = []
     for two_m in two_ms:
-        for n in ns:
-            audit = geo.audit(two_m, args.B, n)
+        for n, audit in zip(ns, geo.audits(two_m, args.B, ns)):
             entry = audit.entry
             records.append((
                 args.model, args.B, two_m, n,

@@ -17,7 +17,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ._numpy import np
 from .hyp2f1 import Hyp2F1Params, eval_2f1, series_with_derivatives
@@ -195,19 +195,20 @@ def _require_level(n, name: str = "n") -> None:
     """DomainError unless the level n (or n_z) is a non-negative integer
     (a numbers.Integral, which numpy's integer types are) that converts
     to a float: a float such as 1.5 would select a variant row and return
-    a level or form for a state that does not exist."""
-    if not isinstance(n, numbers.Integral) or n < 0:
+    a level or form for a state that does not exist. A plain int skips
+    the slower ABC check."""
+    if not (type(n) is int or isinstance(n, numbers.Integral)) or n < 0:
         raise DomainError(f"{name} must be an integer >= 0, got {n!r}")
     _require_float(n, name)
 
 
-def _require_quantum_numbers(two_m, n=0) -> None:
-    """DomainError unless two_m is an odd integer that converts to a
-    float and n a level (_require_level)."""
-    if not isinstance(two_m, numbers.Integral) or two_m % 2 == 0:
+def _require_quantum_numbers(two_m) -> None:
+    """DomainError unless two_m is an odd integer (a plain int, or
+    another numbers.Integral) that converts to a float."""
+    if (not (type(two_m) is int or isinstance(two_m, numbers.Integral))
+            or two_m % 2 == 0):
         raise DomainError(f"two_m must be an odd integer, got {two_m!r}")
     _require_float(two_m, "two_m")
-    _require_level(n)
 
 
 @dataclass(frozen=True)
@@ -273,10 +274,12 @@ class GeometryRecord:
     where forms need A, C > 0. radial_pair reads a pair's r2/r1 factor
     off the two forms it builds. Axial forms take the upper shape for
     axial_upper (in Euler's form on the open space); the z2/z1 factor
-    follows from it and (P, L) (axial_pair). audit reads each level once
-    from quantize for the unified formula and the figure predicate. mu,
-    mu_prime and radial_potential raise DomainError for r outside
-    (0, r_max), NaN included, or a non-finite m or B (_radius).
+    follows from it and (P, L) (axial_pair). quantize, audit and the
+    column form audits all reach one level rule (_levels), so audit reads
+    the level and rhs quantize gives for the unified formula and the
+    figure predicate. mu, mu_prime and radial_potential raise
+    DomainError for r outside (0, r_max), NaN included, or a non-finite
+    m or B (_radius).
     """
 
     kappa: float
@@ -390,20 +393,18 @@ class GeometryRecord:
         raise DomainError(f"variant {variant.value} is not a "
                           f"{self.radial_variable.geometry.name} radial variant")
 
-    def quantize(self, two_m: int, B: float, n: int,
-                 component: Component) -> SpectrumEntry:
-        """Quantized lambda^2 = kappa (rhs^2 - B^2) for level n of the
-        radial component, rhs from the first row of the component whose
-        selection holds.
+    def _levels(self, two_m: int, B: float, ns: Sequence[int],
+                component: Component) -> List[Tuple[SpectrumEntry, Optional[float]]]:
+        """The level rule, for one (two_m, B) column: per n of ns, the
+        SpectrumEntry and the rhs of its row (None without a row).
 
-        Inadmissible entries come back with `admissible=False` and the
-        violated inequality named, never as an exception: no row (H3,
-        m <= 1/2 - B), rhs <= 0, or lambda^2 <= 0. The lambda^2 = 0
-        borderline levels solve the second-order equation, but the
-        component pairing diverges as 1/lambda. B < 0 is answered at the
-        reflected point (_reflect). Non-finite B or lambda^2: DomainError.
+        two_m, the component and B are checked, B < 0 reflected
+        (_reflect) and the row selected once per column; each n is
+        checked and gets its own rhs and lambda^2. kappa B^2 is hoisted as
+        the left-to-right prefix kappa * B * B, so every lambda^2 keeps the
+        bits of the one-level expression.
         """
-        _require_quantum_numbers(two_m, n)
+        _require_quantum_numbers(two_m)
         if component not in (Component.R1, Component.R2):
             raise DomainError("component must be R1 or R2")
         if not math.isfinite(B):
@@ -413,17 +414,46 @@ class GeometryRecord:
             if row.component is component and row.selects(two_m, B):
                 break
         else:
-            return SpectrumEntry(None, None, False, violated="1/2 - B < m")
-        rhs = row.rhs(two_m / 2.0, B, n)
-        # kappa*rhs^2 - kappa*B^2, not kappa*(rhs^2 - B^2): +0.0 at H3 zero modes
-        lambda_sq = self.kappa * rhs * rhs - self.kappa * B * B
-        if not math.isfinite(lambda_sq):
-            raise DomainError(f"lambda_sq is not finite at B = {B}, n = {n}")
-        if rhs <= 0.0:
-            return SpectrumEntry(lambda_sq, row.variant, False, row.violated)
-        if lambda_sq <= 0.0:
-            return SpectrumEntry(lambda_sq, row.variant, False, "lambda_sq > 0")
-        return SpectrumEntry(lambda_sq, row.variant, True)
+            row = None
+        m = two_m / 2.0
+        kappa = self.kappa
+        kappa_b_sq = kappa * B * B
+        levels = []
+        for n in ns:
+            _require_level(n)
+            if row is None:
+                levels.append((SpectrumEntry(None, None, False,
+                                             violated="1/2 - B < m"), None))
+                continue
+            rhs = row.rhs(m, B, n)
+            # kappa*rhs^2 - kappa*B^2, not kappa*(rhs^2 - B^2): +0.0 at H3 zero modes
+            lambda_sq = kappa * rhs * rhs - kappa_b_sq
+            if not math.isfinite(lambda_sq):
+                raise DomainError(f"lambda_sq is not finite at B = {B}, n = {n}")
+            if rhs <= 0.0:
+                entry = SpectrumEntry(lambda_sq, row.variant, False, row.violated)
+            elif lambda_sq <= 0.0:
+                entry = SpectrumEntry(lambda_sq, row.variant, False, "lambda_sq > 0")
+            else:
+                entry = SpectrumEntry(lambda_sq, row.variant, True)
+            levels.append((entry, rhs))
+        return levels
+
+    def quantize(self, two_m: int, B: float, n: int,
+                 component: Component) -> SpectrumEntry:
+        """Quantized lambda^2 = kappa (rhs^2 - B^2) for level n of the
+        radial component, rhs from the first row of the component whose
+        selection holds: the one-level case of the level rule (_levels).
+
+        Inadmissible entries come back with `admissible=False` and the
+        violated inequality named, never as an exception: no row (H3,
+        m <= 1/2 - B), rhs <= 0, or lambda^2 <= 0. The lambda^2 = 0
+        borderline levels solve the second-order equation, but the
+        component pairing diverges as 1/lambda. B < 0 is answered at the
+        reflected point (_reflect). Non-finite B or lambda^2: DomainError.
+        """
+        entry, _ = self._levels(two_m, B, (n,), component)[0]
+        return entry
 
     def radial_solution(self, two_m: int, B: float, lambda_sq: float,
                         component: Component, variant: Variant) -> SolutionForm:
@@ -452,34 +482,51 @@ class GeometryRecord:
                             self.radial_variable)
 
     def audit(self, two_m: int, B: float, n: int) -> LevelAudit:
-        """The R1 level quantize gives at (two_m, B, n), audited two ways.
+        """The R1 level quantize gives at (two_m, B, n), audited two ways:
+        the one-level case of audits.
 
         The unified level formula q = kappa |2B - kappa m|/2 + |m|/2 + n
         (H3: -|2B + m|/2 + |m|/2 + n, S3: |2B - m|/2 + |m|/2 + n), taken
-        at (m, B), against the rhs of the level's variant, taken where
-        quantize evaluates it. Magnitudes are compared (on H3 the unified
-        form flips the sign of the root for m > 0); the residual offset
-        is flagged (H3: m < 0 rows; S3: off the variant-2 range; B < 0:
-        every row, since the reflected level is an R2 level, which the R1
-        formula misses by 1/2 to 1).
+        at (m, B), against the rhs the level rule (_levels) squared for
+        the level, taken where it evaluates it. Magnitudes are compared
+        (on H3 the unified form flips the sign of the root for m > 0);
+        the residual offset is flagged (H3: m < 0 rows; S3: off the
+        variant-2 range; B < 0: every row, since the reflected level is
+        an R2 level, which the R1 formula misses by 1/2 to 1).
 
         The figure predicate |m| - |2B - kappa m| + 2n, which kappa *
         predicate > 0 advertises as the bound region, at the reflected
         point for B < 0. It disagrees with the level's verdict on part of
         the lattice (by 1/2 on H3 boundary entries); both are reported."""
-        entry = self.quantize(two_m, B, n, Component.R1)
+        return self.audits(two_m, B, (n,))[0]
+
+    def audits(self, two_m: int, B: float, ns: Sequence[int]) -> List[LevelAudit]:
+        """[audit(two_m, B, n) for n in ns], with the same float bits, from
+        one pass of the level rule over the column (_levels). The n-free
+        parts of the unified formula and the predicate are hoisted as
+        their left-to-right prefixes, kappa |2B - kappa m|/2 + |m|/2 and
+        |m| - |2B - kappa m|, to which each level adds n and 2n."""
+        levels = self._levels(two_m, B, ns, Component.R1)
+        kappa = self.kappa
         m = two_m / 2.0
-        unified = self.kappa * abs(2 * B - self.kappa * m) / 2 + abs(m) / 2 + n
+        unified_free = kappa * abs(2 * B - kappa * m) / 2 + abs(m) / 2
         two_m, B, _ = self._reflect(two_m, B, Component.R1)
         m = two_m / 2.0
-        predicate = abs(m) - abs(2 * B - self.kappa * m) + 2 * n
-        consistent = (self.kappa * predicate > 0) == entry.admissible
-        if entry.variant is None:
-            return LevelAudit(entry, unified, None, None, None, predicate, consistent)
-        variant_rhs = self.row(entry.variant).rhs(m, B, n)
-        discrepancy = abs(unified) - variant_rhs
-        return LevelAudit(entry, unified, variant_rhs, discrepancy,
-                          abs(discrepancy) > 1e-9, predicate, consistent)
+        predicate_free = abs(m) - abs(2 * B - kappa * m)
+        audits = []
+        for n, (entry, rhs) in zip(ns, levels):
+            unified = unified_free + n
+            predicate = predicate_free + 2 * n
+            consistent = (kappa * predicate > 0) == entry.admissible
+            if rhs is None:
+                audits.append(LevelAudit(entry, unified, None, None, None,
+                                         predicate, consistent))
+                continue
+            discrepancy = abs(unified) - rhs
+            audits.append(LevelAudit(entry, unified, rhs, discrepancy,
+                                     abs(discrepancy) > 1e-9, predicate,
+                                     consistent))
+        return audits
 
     def radial_pair(self, two_m: int, B: float, lambda_sq: float,
                     pair: RadialPair) -> Tuple[SolutionForm, SolutionForm, complex]:

@@ -94,14 +94,16 @@ def test_spectrum_h3_ladder(capsys):
 
 @pytest.mark.parametrize("model, nz", [("h3", None), ("s3", "0..2")])
 def test_spectrum_quantizes_each_level_once(capsys, monkeypatch, model, nz):
+    # every level goes through the one level rule, a two_m column per
+    # call: each (two_m, n) once, never once per n_z row
     calls = []
-    quantize = GeometryRecord.quantize
+    levels = GeometryRecord._levels
 
-    def counted(self, two_m, B, n, component):
-        calls.append((two_m, n))
-        return quantize(self, two_m, B, n, component)
+    def counted(self, two_m, B, ns, component):
+        calls.extend((two_m, n) for n in ns)
+        return levels(self, two_m, B, ns, component)
 
-    monkeypatch.setattr(GeometryRecord, "quantize", counted)
+    monkeypatch.setattr(GeometryRecord, "_levels", counted)
     argv = ["spectrum", "--model", model, "--B", "2.5", "--two-m=-3..3",
             "--n", "0..4"] + (["--nz", nz] if nz else [])
     code, _, _ = _run(capsys, argv)
