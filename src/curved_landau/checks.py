@@ -211,12 +211,14 @@ def _suite_axial() -> List[CheckResult]:
 def _suite_commutator() -> List[CheckResult]:
     from . import oracle
     spinor = oracle.gaussian_bump_spinor(2.0, 0.0, 0.5)
-    grid = oracle.Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80)
+    grid = oracle.Grid2D(oracle.Grid1D(0.05, 4.0, 80),
+                         oracle.Grid1D(-2.0, 2.0, 80))
     rep = oracle.commutator_residual(Geometry.H3, 5.0, spinor, grid, two_m=1)
     fault = oracle.commutator_residual(Geometry.H3, 5.0, spinor, grid,
                                        two_m=1, flat_helicity=True)
     spinor_s = oracle.gaussian_bump_spinor(1.5, 0.0, 0.3)
-    grid_s = oracle.Grid2D(0.05, math.pi - 0.05, -1.2, 1.2, 80, 80)
+    grid_s = oracle.Grid2D(oracle.Grid1D(0.05, math.pi - 0.05, 80),
+                           oracle.Grid1D(-1.2, 1.2, 80))
     rep_s = oracle.commutator_residual(Geometry.S3, 1.0, spinor_s, grid_s,
                                        two_m=1)
     return [

@@ -6,12 +6,10 @@ Output conventions shared by the table-producing subcommands:
 * ``--format csv`` (default) or ``--format json``, ``--out PATH``
   (default stdout).
 * CSV files are UTF-8 with LF line endings; ``#``-prefixed metadata
-  lines precede the header row. The cell rule is csv's: ``None`` is an
-  empty cell, bools are ``true``/``false``, floats are written by
-  ``repr`` (so parsing them back is exact) and ints by ``str``; a str
-  cell is written as is unless it holds one of ``,``, ``"``, CR, LF or
-  NUL, and then exactly as ``csv.writer`` (QUOTE_MINIMAL) writes it.
-  JSON holds the same values.
+  lines precede the header row. ``csv.writer`` (QUOTE_MINIMAL) writes
+  every cell; bools are spelled ``true``/``false`` first. So ``None``
+  is an empty cell, floats are written by ``repr`` (parsing them back
+  is exact) and ints by ``str``. JSON holds the same values.
 * Runs are deterministic: identical arguments produce byte-identical
   bytes. A wall-clock stamp line is added only under ``--stamp``.
 * Record order is fixed by the (two_m, n, n_z) lexicographic sort.
@@ -120,54 +118,38 @@ def _single_odd(parser: argparse.ArgumentParser, text: str, flag: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-# csv.writer quotes a str cell only if it holds one of these; which of
-# them count depends on the Python version, so such cells go to csv itself
-_CSV_SPECIAL = frozenset(',"\r\n\0')
-
-
-def _cell(value: object) -> str:
-    """One CSV cell by the module's cell rule."""
-    if value is None:
-        return ""
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if not isinstance(value, str):
-        return str(value)
-    if _CSV_SPECIAL.isdisjoint(value):
-        return value
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(("", value))
-    return buf.getvalue()[1:-1]
-
-
 def _spelled(record: Sequence) -> list:
     # csv writes None as "" and floats by repr; only bools need spelling
     return [("true" if v else "false") if v is True or v is False else v
             for v in record]
 
 
-def _level_lines(level: Sequence[tuple], varying: Sequence[int]) -> str:
-    """The CSV lines of one level (see `_emit`). The cells outside
-    `varying` are formatted once, from the first record, into a
-    %-template; each record fills in only its varying cells. A column of
-    floats fills by %r and one of ints by %s, as `_cell` writes them; any
-    other column goes through `_cell`."""
-    cells = [_cell(v).replace("%", "%%") for v in level[0]]
+def _level_lines(level: Sequence[tuple],
+                 varying: Sequence[int]) -> Optional[str]:
+    """The CSV lines of one level (see `_emit`), or None when a varying
+    column holds anything but floats, ints or only None, or every one
+    holds only None (the level is then written row by row). The first record is written once, by
+    csv.writer, into a %-template: its str cells with % doubled, a
+    varying column of floats as a %r slot and one of ints as a %s slot
+    (csv writes them by repr and str), and a column of None as its
+    shared empty cell; each record fills in only the slots."""
+    cells = [v.replace("%", "%%") if isinstance(v, str) else v
+             for v in _spelled(level[0])]
     columns = list(zip(*level))
     fills = []
     for slot in varying:
-        values = columns[slot]
-        kinds = set(map(type, values))
-        if kinds == {float}:
-            cells[slot] = "%r"
-        else:
-            cells[slot] = "%s"
-            if kinds != {int}:
-                values = list(map(_cell, values))
-        fills.append(values)
-    return "".join(map((",".join(cells) + "\n").__mod__, zip(*fills)))
+        kinds = set(map(type, columns[slot]))
+        if kinds == {type(None)}:
+            continue  # one shared empty cell
+        if kinds not in ({float}, {int}):
+            return None
+        cells[slot] = "%r" if kinds == {float} else "%s"
+        fills.append(columns[slot])
+    if not fills:
+        return None
+    template = io.StringIO()
+    csv.writer(template, lineterminator="\n").writerow(cells)
+    return "".join(map(template.getvalue().__mod__, zip(*fills)))
 
 
 def _render_csv(meta: Dict[str, object], columns: Sequence[str],
@@ -182,10 +164,12 @@ def _render_csv(meta: Dict[str, object], columns: Sequence[str],
         writer.writerows(map(_spelled, records))
         return buf.getvalue()
     for level in records:
-        if len(level) > 1:
-            buf.write(_level_lines(level, varying))
-        else:  # nothing to share
-            writer.writerow(_spelled(level[0]))
+        # a single record has nothing to share
+        lines = _level_lines(level, varying) if len(level) > 1 else None
+        if lines is None:
+            writer.writerows(map(_spelled, level))
+        else:
+            buf.write(lines)
     return buf.getvalue()
 
 

@@ -371,14 +371,23 @@ class GeometryRecord:
 
     @staticmethod
     def _reflect(two_m: int, B: float, component: Component):
-        """Where the B >= 0 tables answer: B < 0 takes (m, B) -> (-m, -B),
-        which swaps R1 and R2."""
+        """The one gate of the radial arguments: DomainError unless two_m
+        is odd, the component is R1 or R2 and B is finite. Then where the
+        B >= 0 tables answer: B < 0 takes (m, B) -> (-m, -B), which swaps
+        R1 and R2."""
+        _require_quantum_numbers(two_m)
+        if component not in (Component.R1, Component.R2):
+            raise DomainError("component must be R1 or R2")
+        if not math.isfinite(B):
+            raise DomainError(f"B must be finite, got {B}")
         if B < 0.0:
             return -two_m, -B, Component.R1 if component is Component.R2 else Component.R2
         return two_m, B, component
 
     def _root(self, B: float, lambda_sq: float) -> float:
         """q = sqrt(B^2 + kappa lambda_sq) of the variant forms."""
+        if not math.isfinite(lambda_sq):
+            raise DomainError(f"lambda_sq must be finite, got {lambda_sq}")
         disc = B * B + self.kappa * lambda_sq
         if disc < 0.0:
             sign = "+" if self.kappa > 0 else "-"
@@ -404,11 +413,6 @@ class GeometryRecord:
         the left-to-right prefix kappa * B * B, so every lambda^2 keeps the
         bits of the one-level expression.
         """
-        _require_quantum_numbers(two_m)
-        if component not in (Component.R1, Component.R2):
-            raise DomainError("component must be R1 or R2")
-        if not math.isfinite(B):
-            raise DomainError(f"B must be finite, got {B}")
         two_m, B, component = self._reflect(two_m, B, component)
         for row in self.variants:
             if row.component is component and row.selects(two_m, B):
@@ -461,10 +465,8 @@ class GeometryRecord:
         lambda_sq, q = sqrt(B^2 + kappa lambda_sq). Bound states make
         s + q (H3) or s - q (S3) a non-positive integer. B < 0 is built at
         the reflected point, as quantize answers it, so the variant
-        quantize names builds the state it quantized."""
-        _require_quantum_numbers(two_m)
-        if component not in (Component.R1, Component.R2):
-            raise DomainError("component must be R1 or R2")
+        quantize names builds the state it quantized. Non-finite B or
+        lambda_sq: DomainError."""
         two_m, B, component = self._reflect(two_m, B, component)
         row = self.row(variant)
         if row.component is not component:
@@ -505,7 +507,10 @@ class GeometryRecord:
         one pass of the level rule over the column (_levels). The n-free
         parts of the unified formula and the predicate are hoisted as
         their left-to-right prefixes, kappa |2B - kappa m|/2 + |m|/2 and
-        |m| - |2B - kappa m|, to which each level adds n and 2n."""
+        |m| - |2B - kappa m|, to which each level adds n and 2n. A 2n
+        past the float range (only a column without a row gets that far)
+        raises DomainError."""
+        ns = list(ns)  # ns may be an iterator: read it once
         levels = self._levels(two_m, B, ns, Component.R1)
         kappa = self.kappa
         m = two_m / 2.0
@@ -516,7 +521,11 @@ class GeometryRecord:
         audits = []
         for n, (entry, rhs) in zip(ns, levels):
             unified = unified_free + n
-            predicate = predicate_free + 2 * n
+            # 2.0 * n has the bits of float(2 * n) but does not wrap a
+            # numpy integer, and overflows to inf instead of raising
+            predicate = predicate_free + 2.0 * n
+            if not math.isfinite(predicate):
+                raise DomainError("2n is too large for a float")
             consistent = (kappa * predicate > 0) == entry.admissible
             if rhs is None:
                 audits.append(LevelAudit(entry, unified, None, None, None,

@@ -90,38 +90,34 @@ class Grid1D:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)
 
-    def refined(self) -> "Grid1D":
-        """Same endpoints, halved spacing (nodes nest)."""
-        return Grid1D(self.lo, self.hi, 2 * self.points - 1)
+    def scaled(self, factor: int) -> "Grid1D":
+        """Same ends, spacing divided by `factor` (the nodes nest)."""
+        return Grid1D(self.lo, self.hi, (self.points - 1) * factor + 1)
 
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Tensor grid for (r, z) fields; each axis is held to Grid1D's rule."""
+    """Tensor grid for (r, z) fields: one Grid1D per axis."""
 
-    r_lo: float
-    r_hi: float
-    z_lo: float
-    z_hi: float
-    r_points: int
-    z_points: int
+    r: Grid1D
+    z: Grid1D
 
     def __post_init__(self) -> None:
-        self._axis_grids()
+        if not (isinstance(self.r, Grid1D) and isinstance(self.z, Grid1D)):
+            raise DomainError("Grid2D takes a Grid1D per axis")
 
-    def _axis_grids(self) -> Tuple[Grid1D, Grid1D]:
-        return (Grid1D(self.r_lo, self.r_hi, self.r_points),
-                Grid1D(self.z_lo, self.z_hi, self.z_points))
+    # the node counts bench/spans.py meters the commutator probe by
+    @property
+    def r_points(self) -> int:
+        return self.r.points
 
-    def axes(self) -> Tuple[np.ndarray, np.ndarray]:
-        r, z = self._axis_grids()
-        return r.nodes(), z.nodes()
+    @property
+    def z_points(self) -> int:
+        return self.z.points
 
     def scaled(self, factor: int) -> "Grid2D":
-        """Same endpoints, spacing divided by `factor` (nodes nest)."""
-        return Grid2D(self.r_lo, self.r_hi, self.z_lo, self.z_hi,
-                      (self.r_points - 1) * factor + 1,
-                      (self.z_points - 1) * factor + 1)
+        """Both axes Grid1D.scaled by `factor`."""
+        return Grid2D(self.r.scaled(factor), self.z.scaled(factor))
 
 
 @dataclass(frozen=True)
@@ -345,7 +341,7 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
             res_fn(x[1:-1], *_central_differences(f, at.spacing)), f)
 
     return ResidualReport(_sup_over_scale(res_fn(xs, *analytic), analytic[0]),
-                          _order_from(fd_sup(grid), fd_sup(grid.refined())))
+                          _order_from(fd_sup(grid), fd_sup(grid.scaled(2))))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +413,7 @@ def first_order_system_residual(
         return max(float(np.max(r)) for r in relative(x[1:-1], v1, c1, v2, c2))
 
     return ResidualReport(max(float(np.max(r1)), float(np.max(r2))),
-                          _order_from(fd_sup(grid), fd_sup(grid.refined())))
+                          _order_from(fd_sup(grid), fd_sup(grid.scaled(2))))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +567,7 @@ def _commutator_block(psi, hr: float, hz: float, mu, mu_p, inv, inv_p,
 
 def _core_trim(points: int, factor: int) -> int:
     """Cells the probe trims from each end of an axis of the grid nested
-    `factor` times finer (Grid2D.scaled) than a coarsest axis of `points`
+    `factor` times finer (Grid1D.scaled) than a coarsest axis of `points`
     nodes: the coarsest axis's trim, a twentieth of its cells but at least
     _EDGE_TRIM, times `factor`. So every level compares one window on any
     grid (mu' grows like 1/r^2 toward r_lo)."""
@@ -582,9 +578,7 @@ def _commutator_sup(rec, B: float, m: float, test_spinor, grid: Grid2D,
                     factor: int, flat_helicity: bool) -> float:
     """commutator_residual's residual on the one grid grid.scaled(factor)."""
     g = grid.scaled(factor)
-    rs, zs = g.axes()
-    hr = (g.r_hi - g.r_lo) / (g.r_points - 1)
-    hz = (g.z_hi - g.z_lo) / (g.z_points - 1)
+    rs, zs = g.r.nodes(), g.z.nodes()
     R, Z = np.meshgrid(rs, zs, indexing="ij")
     psi = np.asarray(test_spinor(R, Z), dtype=complex)
     if psi.shape != (4,) + R.shape:
@@ -595,14 +589,14 @@ def _commutator_sup(rec, B: float, m: float, test_spinor, grid: Grid2D,
     inv = (1.0 / stretch)[None, :]
     # d(1/stretch)/dz
     inv_p = (-rec.stretch_prime(zs) / stretch ** 2)[None, :]
-    tr = _core_trim(grid.r_points, factor)
-    tz = _core_trim(grid.z_points, factor)
-    cols = slice(tz - _HALO, g.z_points - tz + _HALO)
+    tr = _core_trim(grid.r.points, factor)
+    tz = _core_trim(grid.z.points, factor)
+    cols = slice(tz - _HALO, g.z.points - tz + _HALO)
     worst = []
-    for lo in range(tr, g.r_points - tr, _STRIP):
-        rows = slice(lo - _HALO, min(lo + _STRIP, g.r_points - tr) + _HALO)
+    for lo in range(tr, g.r.points - tr, _STRIP):
+        rows = slice(lo - _HALO, min(lo + _STRIP, g.r.points - tr) + _HALO)
         worst.append(_commutator_block(
-            psi[:, rows, cols], hr, hz, mu[rows], mu_p[rows],
+            psi[:, rows, cols], g.r.spacing, g.z.spacing, mu[rows], mu_p[rows],
             inv[:, cols], inv_p[:, cols], flat_helicity))
     scale = float(np.max(np.abs(psi))) or 1.0
     return float(np.max(worst)) / scale
@@ -660,9 +654,9 @@ def commutator_residual(geometry: Geometry, B: float,
         raise DomainError("B must be finite")
     _require_quantum_numbers(two_m)
     rec = geometry.record
-    if (grid2d.r_lo < _SINGULAR_INSET
-            or grid2d.r_hi > rec.r_max - _SINGULAR_INSET
-            or max(-grid2d.z_lo, grid2d.z_hi) > rec.z_max - _SINGULAR_INSET):
+    r, z = grid2d.r, grid2d.z
+    if (r.lo < _SINGULAR_INSET or r.hi > rec.r_max - _SINGULAR_INSET
+            or max(-z.lo, z.hi) > rec.z_max - _SINGULAR_INSET):
         raise SupportTooCloseToSingularity(
             "grid touches a coordinate singularity")
     residuals = [_commutator_sup(rec, B, two_m / 2.0, test_spinor, grid2d,

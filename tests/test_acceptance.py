@@ -113,20 +113,23 @@ def test_criterion_04_hypergeometric_identities():
 
 
 def test_criterion_05_commutator_convergence():
+    h3_grid = oracle.Grid2D(oracle.Grid1D(0.05, 4.0, 100),
+                            oracle.Grid1D(-2.0, 2.0, 100))
     start = time.perf_counter()
     h3_rep = oracle.commutator_residual(
         Geometry.H3, 5.0,
         oracle.gaussian_bump_spinor(2.0, 0.0, 0.5),
-        oracle.Grid2D(0.05, 4.0, -2.0, 2.0, 100, 100), two_m=1)
+        h3_grid, two_m=1)
     s3_rep = oracle.commutator_residual(
         Geometry.S3, 1.0,
         oracle.gaussian_bump_spinor(1.5, 0.0, 0.3),
-        oracle.Grid2D(0.05, math.pi - 0.05, -1.2, 1.2, 100, 100),
+        oracle.Grid2D(oracle.Grid1D(0.05, math.pi - 0.05, 100),
+                      oracle.Grid1D(-1.2, 1.2, 100)),
         two_m=1)
     fault_rep = oracle.commutator_residual(
         Geometry.H3, 5.0,
         oracle.gaussian_bump_spinor(2.0, 0.0, 0.5),
-        oracle.Grid2D(0.05, 4.0, -2.0, 2.0, 100, 100), two_m=1,
+        h3_grid, two_m=1,
         flat_helicity=True)
     elapsed = time.perf_counter() - start
     ok = (abs(h3_rep.convergence_order - 2.0) <= 0.3

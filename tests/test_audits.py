@@ -53,6 +53,22 @@ def test_audits_take_the_integers_audit_takes(geometry):
     assert repr(rec.audits(np.int64(3), 1.0, ns)) == repr(
         [rec.audit(np.int64(3), 1.0, n) for n in ns])
     assert rec.audits(1, 1.0, []) == []
+    # a numpy integer's 2n does not wrap at the int64 edge
+    edge = rec.audits(-1, 0.5, [np.int64(2 ** 62)])[0]
+    assert edge.predicate == rec.audit(-1, 0.5, 2 ** 62).predicate > 0
+
+
+@pytest.mark.parametrize("geometry", list(Geometry))
+@pytest.mark.parametrize("make", [iter, lambda ns: (n for n in ns)],
+                         ids=["iterator", "generator"])
+def test_audits_read_ns_once(geometry, make):
+    # the level rule consumed an iterator, and audits then zipped over
+    # nothing and returned []
+    rec = geometry.record
+    for two_m, B in ((1, 5.0), (-1, 0.5), (3, -2.5)):
+        column = rec.audits(two_m, B, make(NS))
+        assert len(column) == len(NS)
+        assert repr(column) == repr(rec.audits(two_m, B, NS))
 
 
 @pytest.mark.parametrize("geometry", list(Geometry))
@@ -60,6 +76,8 @@ def test_audits_take_the_integers_audit_takes(geometry):
     (1, math.nan, 0), (1, math.inf, 0), (1, -math.inf, 0),
     (2, 1.0, 0), (3.0, 1.0, 0),
     (1, 1.0, -1), (1, 1.0, 1.5), (1, 1.0, 10 ** 400),
+    # H3 has no row here, so 2n reached the predicate and overflowed
+    (-1, 0.5, 10 ** 308),
 ], ids=repr)
 def test_audits_refuse_what_audit_refuses(geometry, two_m, B, n):
     rec = geometry.record

@@ -223,6 +223,10 @@ def test_level_cells_are_written_as_csv_writes_them(text):
         [("s", 7, None, x, None, text) for x in (1.5, None, 2.0)],
         [(text, k, 3, text, True, 2.5) for k in (0, 1)],
         [(None, "k", "v", -0.0, False, 1e300)],
+        # an all-None varying column: one shared empty cell
+        [(text, k, text, 0.5 * k, None, 100) for k in range(3)],
+        # an int column holding a bool is written row by row
+        [(text, k, None, 2.0, 7, text) for k in (0, True, 2)],
     ]
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
@@ -527,8 +531,15 @@ _BIG = str(10 ** 400)
       "--two-m", "1", "--n", "1", "--nz", _BIG], "n_z"),
     (["spectrum", "--model", "s3", "--B", "2", "--two-m", "1", "--n", "1",
       "--nz", _BIG], "n_z"),
+    # 10^308 converts to a float but the predicate's 2n does not; H3 has
+    # no row at (two_m, B) = (-1, 0.5), so nothing refused it sooner
+    (["regions", "--model", "h3", "--B", "0.5", "--two-m=-1",
+      "--n", str(10 ** 308)], "2n"),
+    (["spectrum", "--model", "h3", "--B", "0.5", "--two-m=-1",
+      "--n", str(10 ** 308)], "2n"),
 ], ids=["spectrum-n", "regions-n", "spectrum-two-m", "regions-two-m",
-        "wavefunction-n", "wavefunction-nz", "spectrum-nz"])
+        "wavefunction-n", "wavefunction-nz", "spectrum-nz", "regions-2n",
+        "spectrum-2n"])
 def test_quantum_numbers_past_the_float_range_exit_2(capsys, argv, name):
     # 10^400 does not convert to a float: these ended in an OverflowError
     # traceback with exit 1

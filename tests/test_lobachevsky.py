@@ -171,6 +171,22 @@ def test_quantize_refuses_a_field_whose_level_is_not_finite(geo, B):
             geo.record.quantize(1, B, 0, component)
 
 
+@pytest.mark.parametrize("B, lambda_sq, name", [
+    (math.nan, 9.0, "B"), (math.inf, 9.0, "B"), (-math.inf, 9.0, "B"),
+    (5.0, math.nan, "lambda_sq"), (5.0, math.inf, "lambda_sq"),
+], ids=repr)
+@pytest.mark.parametrize("geo", [Geometry.H3, Geometry.S3])
+def test_radial_builders_refuse_a_non_finite_field_or_lambda_sq(
+        geo, B, lambda_sq, name):
+    # these reached the kernel's generic Hyp2F1Error, and B = -inf the
+    # reflected component's "variant 1 is an R1 variant"
+    rec = geo.record
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        rec.radial_solution(1, B, lambda_sq, Component.R1, Variant.V1)
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        rec.radial_pair(1, B, lambda_sq, rec.pairs[0])
+
+
 def test_radial_solution_guards():
     with pytest.raises(DomainError):
         h3_radial_solution(1, 5.0, 9.0, Component.R2, Variant.V1)

@@ -46,6 +46,11 @@ from curved_landau.spherical import (
 )
 
 
+# the commutator suite's grids
+_H3_GRID = Grid2D(Grid1D(0.05, 4.0, 80), Grid1D(-2.0, 2.0, 80))
+_S3_GRID = Grid2D(Grid1D(0.05, math.pi - 0.05, 80), Grid1D(-1.2, 1.2, 80))
+
+
 # ---------------------------------------------------------------------------
 # Containers
 # ---------------------------------------------------------------------------
@@ -55,29 +60,31 @@ def test_grid_guards():
     # bad ends and point counts are refused when the grid is built
     for make in (lambda: Grid1D(1.0, 1.0, 100),
                  lambda: Grid1D(0.0, 1.0, 8),
-                 lambda: Grid2D(0.0, 1.0, 0.0, 1.0, 100, 8),
+                 lambda: Grid2D(Grid1D(0.0, 1.0, 100), Grid1D(0.0, 1.0, 8)),
                  lambda: Grid1D(0.0, math.inf, 16),
                  lambda: Grid1D(-math.inf, 0.0, 16),
                  lambda: Grid1D(0.0, math.nan, 16),
                  lambda: Grid1D(0.0, 1.0, 16.5),
                  lambda: Grid1D(0.0, 1.0, 16.0),
-                 lambda: Grid2D(0.0, 1.0, 0.0, 1.0, 40.5, 40),
-                 lambda: Grid2D(0.0, 1.0, -math.inf, 1.0, 40, 40)):
+                 lambda: Grid2D(Grid1D(0.0, 1.0, 40.5),
+                                Grid1D(0.0, 1.0, 40)),
+                 lambda: Grid2D(Grid1D(0.0, 1.0, 40),
+                                Grid1D(-math.inf, 1.0, 40)),
+                 lambda: Grid2D((0.0, 1.0, 40), Grid1D(0.0, 1.0, 40))):
         with pytest.raises(DomainError):
             make()
     grid = Grid1D(0.0, 2.0, 101)
     assert grid.spacing == 0.02
-    fine = grid.refined()
+    fine = grid.scaled(2)
     assert fine.points == 201 and fine.spacing == 0.01
-    # refined nodes nest inside the coarse ones
-    assert np.allclose(fine.nodes()[::2], grid.nodes())
-    coarse = Grid2D(0.0, 1.0, -1.0, 1.0, 20, 30)
+    coarse = Grid2D(Grid1D(0.0, 1.0, 20), Grid1D(-1.0, 1.0, 30))
     g2 = coarse.scaled(2)
-    assert (g2.r_points, g2.z_points) == (39, 59)
-    # scaled nodes nest inside the coarse ones on both axes
-    for factor in (2, 4):
-        for fine, axis in zip(coarse.scaled(factor).axes(), coarse.axes()):
-            assert np.allclose(fine[::factor], axis)
+    assert (g2.r.points, g2.z.points) == (39, 59)
+    # Grid1D.scaled, the one nesting rule: the nodes nest on both axes
+    for factor in (2, 3, 4):
+        scaled = coarse.scaled(factor)
+        for fine, axis in ((scaled.r, coarse.r), (scaled.z, coarse.z)):
+            assert np.allclose(fine.nodes()[::factor], axis.nodes())
 
 
 def test_report_guards():
@@ -181,7 +188,8 @@ def test_meters_take_an_odd_two_m(two_m):
                                     two_m=two_m, B=5.0)
     with pytest.raises(DomainError, match="two_m"):
         commutator_residual(Geometry.H3, 5.0, gaussian_bump_spinor(2.0, 0.0, 0.5),
-                            Grid2D(0.05, 4.0, -2.0, 2.0, 16, 16), two_m=two_m)
+                            Grid2D(Grid1D(0.05, 4.0, 16), Grid1D(-2.0, 2.0, 16)),
+                            two_m=two_m)
 
 
 @pytest.mark.parametrize("max_count", [1.5, 2.0])
@@ -801,9 +809,9 @@ def _reference_commutator(rec, B, two_m, spinor, grid, factor, flat):
     matrices (einsum) and np.gradient, Sigma H by its expansion, as
     commutator_residual's docstring states them."""
     g = grid.scaled(factor)
-    rs, zs = g.axes()
-    hr = (g.r_hi - g.r_lo) / (g.r_points - 1)
-    hz = (g.z_hi - g.z_lo) / (g.z_points - 1)
+    rs, zs = g.r.nodes(), g.z.nodes()
+    hr = (g.r.hi - g.r.lo) / (g.r.points - 1)
+    hz = (g.z.hi - g.z.lo) / (g.z.points - 1)
     R, Z = np.meshgrid(rs, zs, indexing="ij")
     psi = spinor(R, Z)
     m = two_m / 2.0
@@ -842,8 +850,8 @@ def _reference_commutator(rec, B, two_m, spinor, grid, factor, flat):
     else:
         expanded = expanded + inv * inv * block_rr
     comm = hamiltonian(helicity(psi)) - expanded
-    tr = oracle._core_trim(grid.r_points, factor)
-    tz = oracle._core_trim(grid.z_points, factor)
+    tr = oracle._core_trim(grid.r.points, factor)
+    tz = oracle._core_trim(grid.z.points, factor)
     return float(np.max(np.abs(comm[:, tr:-tr, tz:-tz])) / np.max(np.abs(psi)))
 
 
@@ -854,12 +862,13 @@ def test_probe_core_is_one_window_on_nested_grids(levels):
     # 80, 159 and 317 points trim 4, 8 and 16 cells, and the dense
     # reference's 40, 79 and 157 points (under the floor of 3) 3, 6 and
     # 12: the same (r, z) core at every level
-    grid = Grid2D(0.05, 4.0, -1.2, 1.2, levels[0][0], levels[0][0])
+    grid = Grid2D(Grid1D(0.05, 4.0, levels[0][0]),
+                  Grid1D(-1.2, 1.2, levels[0][0]))
     windows = []
     for k, (points, t) in enumerate(levels):
         g = grid.scaled(2 ** k)
-        assert (g.r_points, oracle._core_trim(grid.r_points, 2 ** k)) == (points, t)
-        rs, zs = g.axes()
+        assert (g.r.points, oracle._core_trim(grid.r.points, 2 ** k)) == (points, t)
+        rs, zs = g.r.nodes(), g.z.nodes()
         windows.append((rs[t], rs[-1 - t], zs[t], zs[-1 - t]))
     for window in windows[1:]:
         assert np.allclose(window, windows[0], rtol=0.0, atol=1e-14), window
@@ -877,11 +886,12 @@ def test_commutator_probe_matches_a_dense_reference(space, flat, strip,
         monkeypatch.setattr(oracle, "_STRIP", strip)
     if space == "h3":
         rec, B, two_m = H3_GEOMETRY, 5.0, 1
-        grid = Grid2D(0.05, 4.0, -2.0, 2.0, 40, 36)
+        grid = Grid2D(Grid1D(0.05, 4.0, 40), Grid1D(-2.0, 2.0, 36))
         spinor = _two_bumps(((1.5, -0.4), (2.6, 0.5)), (0.4, 0.6))
     else:
         rec, B, two_m = S3_GEOMETRY, 1.0, -3
-        grid = Grid2D(0.05, math.pi - 0.05, -1.2, 1.2, 36, 40)
+        grid = Grid2D(Grid1D(0.05, math.pi - 0.05, 36),
+                      Grid1D(-1.2, 1.2, 40))
         spinor = _two_bumps(((1.2, 0.2), (2.0, -0.3)), (0.35, 0.5))
     levels = []
     for k in range(3):
@@ -908,7 +918,7 @@ def test_gaussian_bump_needs_finite_centre_and_positive_width(r0, z0, width):
 def test_commutator_second_order_h3():
     spinor = gaussian_bump_spinor(2.0, 0.0, 0.5)
     rep = commutator_residual(Geometry.H3, 5.0, spinor,
-                              Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80), two_m=1)
+                              _H3_GRID, two_m=1)
     assert abs(rep.convergence_order - 2.0) < 0.3
 
 
@@ -916,7 +926,7 @@ def test_commutator_second_order_s3():
     spinor = gaussian_bump_spinor(1.5, 0.0, 0.3)
     rep = commutator_residual(
         Geometry.S3, 1.0, spinor,
-        Grid2D(0.05, math.pi - 0.05, -1.2, 1.2, 80, 80), two_m=1)
+        _S3_GRID, two_m=1)
     assert abs(rep.convergence_order - 2.0) < 0.3
 
 
@@ -927,14 +937,14 @@ def test_commutator_constant_spinor():
         return np.broadcast_to(amps[:, None, None], (4,) + r.shape).copy()
 
     rep = commutator_residual(Geometry.H3, 5.0, spinor,
-                              Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80), two_m=1)
+                              _H3_GRID, two_m=1)
     assert abs(rep.convergence_order - 2.0) < 0.3
 
 
 def test_commutator_flat_fault_detected():
     spinor = gaussian_bump_spinor(2.0, 0.0, 0.5)
     rep = commutator_residual(Geometry.H3, 5.0, spinor,
-                              Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80),
+                              _H3_GRID,
                               two_m=1, flat_helicity=True)
     assert rep.max_abs > 0.01
     assert rep.convergence_order < 0.5
@@ -944,17 +954,17 @@ def test_commutator_singular_support_rejected():
     spinor = gaussian_bump_spinor(1.0, 0.0, 0.3)
     with pytest.raises(SupportTooCloseToSingularity):
         commutator_residual(Geometry.H3, 5.0, spinor,
-                            Grid2D(0.01, 4.0, -2.0, 2.0, 80, 80))
+                            Grid2D(Grid1D(0.01, 4.0, 80), _H3_GRID.z))
     with pytest.raises(SupportTooCloseToSingularity):
         commutator_residual(Geometry.S3, 1.0, spinor,
-                            Grid2D(0.05, math.pi - 0.05, -1.6, 1.6, 80, 80))
+                            Grid2D(_S3_GRID.r, Grid1D(-1.6, 1.6, 80)))
 
 
 def test_commutator_needs_finite_field():
     spinor = gaussian_bump_spinor(2.0, 0.0, 0.5)
     with pytest.raises(DomainError):
         commutator_residual(Geometry.H3, math.inf, spinor,
-                            Grid2D(0.05, 4.0, -2.0, 2.0, 80, 80))
+                            _H3_GRID)
 
 
 # ---------------------------------------------------------------------------
