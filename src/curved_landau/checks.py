@@ -38,7 +38,7 @@ from . import hyp2f1 as hyp
 from . import lobachevsky as lob
 from . import spherical as sph
 from ._numpy import np
-from .model import Component, DomainError, Geometry, RadialPair
+from .model import Component, DomainError, Geometry, RadialPair, _require_real
 
 __all__ = ["CheckResult", "FIXED_THRESHOLDS", "SUITE_NAMES", "run_suites"]
 
@@ -307,8 +307,8 @@ def run_suites(names: Sequence[str],
     """Run the named suites ("all" expands to every suite) with an
     optional tolerance override, which must be finite and > 0 and
     replaces every threshold but those in FIXED_THRESHOLDS."""
-    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    if tol is not None:
+        _require_real(tol, "tol", positive=True)
     expanded: List[str] = []
     for name in names:
         if name == "all":

@@ -88,10 +88,16 @@ def _nonpos_int_degree(x: complex) -> Optional[int]:
     return None
 
 
-def _require_finite(*vals: complex) -> None:
-    for v in vals:
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise Hyp2F1Error("non-finite parameter or argument")
+def _require_finite(value, name: str, array: bool = False):
+    """value as a complex (a complex array if array): the kernel's one gate,
+    Hyp2F1Error naming it unless every entry is finite (range first)."""
+    try:
+        z = np.asarray(value, dtype=complex) if array else complex(value)
+    except OverflowError:
+        raise Hyp2F1Error(f"{name} is too large for a float") from None
+    if not (np.isfinite(z).all() if array else cmath.isfinite(z)):
+        raise Hyp2F1Error(f"{name} must be finite")
+    return z
 
 
 @dataclass
@@ -112,10 +118,9 @@ class Hyp2F1Params:
     degree: Optional[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.a = complex(self.a)
-        self.b = complex(self.b)
-        self.c = complex(self.c)
-        _require_finite(self.a, self.b, self.c)
+        self.a = _require_finite(self.a, "a")
+        self.b = _require_finite(self.b, "b")
+        self.c = _require_finite(self.c, "c")
         degs = [d for d in (_nonpos_int_degree(self.a), _nonpos_int_degree(self.b))
                 if d is not None]
         self.degree = min(degs) if degs else None
@@ -470,7 +475,6 @@ def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
       disc to the direct series;
     * the rest: the direct series, summed by |y| rings (_series_array).
     """
-    _require_finite(complex(np.max(np.abs(y), initial=0.0)))
     if params.terminating:
         return _series_array(params, y, dmax)
     with np.errstate(over="ignore"):  # |w|^2 of a point far outside
@@ -529,11 +533,11 @@ def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
 
 
 def _points(y, w=None):
-    """(y, w = 1 - y) as complex scalars, or from array input complex
-    arrays. A given w is the caller's 1 - y, which keeps its relative
-    precision as y -> 1, where 1 - y formed here would not."""
-    y = complex(y) if np.ndim(y) == 0 else np.asarray(y, dtype=complex)
-    return y, 1 - y if w is None else w
+    """(y, w = 1 - y) through the gate: complex scalars, or from array input
+    complex arrays. A given w is the caller's 1 - y, which keeps its
+    relative precision as y -> 1, where 1 - y formed here would not."""
+    y = _require_finite(y, "y", np.ndim(y) != 0)
+    return y, 1 - y if w is None else _require_finite(w, "w", np.ndim(w) != 0)
 
 
 def eval_2f1(params: Hyp2F1Params, y, w=None):
@@ -578,8 +582,7 @@ def log_gamma(z: complex) -> complex:
     until Re z >= 8, then the Stirling series with fixed Bernoulli
     coefficients through B_14. Relative accuracy ~1e-13 on |z| <= 100.
     """
-    z = complex(z)
-    _require_finite(z)
+    z = _require_finite(z, "z")
     if _nonpos_int_degree(z) is not None and abs(z.imag) <= 1e-13:
         raise PoleAtNonPositiveInteger(f"Gamma pole at z = {z}")
     if z.imag < 0.0:

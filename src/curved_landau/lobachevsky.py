@@ -30,6 +30,7 @@ from .model import (
     SpectrumEntry,
     SubthresholdEnergy,
     Variant,
+    _require_real,
 )
 
 __all__ = [
@@ -110,10 +111,8 @@ def flat_limit(b_physical: float, n: int, rho: float) -> Tuple[float, float]:
     |lambda0_sq - 2bn| = n^2/rho^2. A level that is not bound (n = 0,
     n >= B) raises InadmissibleVariant naming the violated inequality.
     """
-    if rho <= 0.0:
-        raise DomainError("rho must be > 0")
-    if b_physical <= 0.0:
-        raise DomainError("b_physical must be > 0")
+    _require_real(rho, "rho", positive=True)
+    _require_real(b_physical, "b_physical", positive=True)
     B = b_physical * rho * rho
     entry = GEOMETRY.quantize(1, B, n, Component.R1)
     if not entry.admissible:
@@ -126,16 +125,16 @@ def helicity_link(epsilon: float, M: float,
     """(sigma, ratio) of the plane-wave helicity reduction: the
     generalized helicity eigenvalue sigma = -p (MinusP) or +p (PlusP)
     with p = sqrt(epsilon^2 - M^2), and the lower-to-upper bispinor
-    ratio (epsilon + p)/M resp. (epsilon - p)/M. DomainError unless
-    epsilon^2 - M^2 is a finite float (so epsilon and M are finite)."""
+    ratio (epsilon + p)/M resp. (epsilon - p)/M. DomainError unless epsilon
+    and M pass the real gate and epsilon^2 - M^2 is a finite float."""
+    _require_real(epsilon, "epsilon")
     if M == 0.0:
         raise MasslessUnsupported("M = 0 has no finite bispinor ratio")
-    if M < 0.0:
-        raise DomainError("M must be > 0")
+    _require_real(M, "M", positive=True)
     if epsilon < M:
         raise SubthresholdEnergy(f"epsilon = {epsilon} below mass {M}")
     p_sq = epsilon * epsilon - M * M
-    if not math.isfinite(p_sq):  # nan passes the comparisons above
+    if not math.isfinite(p_sq):
         raise DomainError(f"epsilon^2 - M^2 is not finite at {epsilon}, {M}")
     p = math.sqrt(p_sq)
     if branch is SigmaBranch.MINUS_P:

@@ -9,6 +9,10 @@ oracles consume.
 
 GeometryRecord is one space: its curvature sign kappa, which fixes the
 rest, and two tables, its Variant rows and its RadialPair members.
+
+Every layer but the 2F1 kernel takes a number argument through one of
+two gates here, _require_real or _require_count, which refuse NaN, +-inf
+and a number past the float range by name, with DomainError.
 """
 
 from __future__ import annotations
@@ -74,8 +78,7 @@ class NonTerminating(DomainError):
 
 
 class NonPositiveLambda(DomainError):
-    """lambda is not a finite float > 0 where the positive separation
-    constant is required."""
+    """lambda <= 0 where the positive separation constant is required."""
 
 
 class NegativeDiscriminant(InadmissibleVariant):
@@ -147,9 +150,9 @@ def _with_complement(y):
 class Variable(Enum):
     """Coordinate-to-argument maps for the four solution families. Each
     member carries its space and, as data, its maps of coordinates x
-    (taken as a float array): y_pair(x) = (y, 1 - y), dy_dx(x) and
-    d2y_dx2(x). On YZ both y and 1 - y keep full relative precision
-    (1 - y is not formed by cancellation as y -> 1)."""
+    (taken as a float array; EvaluationDomain past the float range):
+    y_pair(x) = (y, 1 - y), dy_dx(x) and d2y_dx2(x). On YZ both y and
+    1 - y keep full relative precision (not formed by cancellation)."""
 
     YZ = ("yz", Geometry.H3,  # y = (1 + tanh z)/2 = e^z / (2 cosh z) in (0, 1)
           lambda x: (_logistic(2.0 * x), _logistic(-2.0 * x)),
@@ -170,7 +173,7 @@ class Variable(Enum):
         member._value_ = value
         member.geometry = geometry
         member.y_pair, member.dy_dx, member.d2y_dx2 = (
-            lambda x, f=f: f(np.asarray(x, dtype=float)) for f in maps)
+            lambda x, f=f: f(_array(x, "x", float, EvaluationDomain)) for f in maps)
         return member
 
 
@@ -181,34 +184,41 @@ _SMALL_R = 1e-4
 _PI_TAIL = 1.2246467991473532e-16
 
 
-def _require_float(k: numbers.Integral, name: str) -> None:
-    """DomainError unless the integer k converts to a float: the level
-    formulas take it in float arithmetic (B - n, two_m / 2.0,
-    lam + n_z + 0.5), where a larger one raises OverflowError."""
+def _require_real(x, name: str, positive: bool = False) -> None:
+    """The real gate: DomainError naming x unless it is a finite float (and
+    > 0 if positive). A non-number is refused too, and an int past the
+    float range before a message would format it, which can itself raise."""
     try:
-        float(k)
+        if math.isfinite(x) and (not positive or x > 0.0):
+            return
     except OverflowError:
         raise DomainError(f"{name} is too large for a float") from None
+    except TypeError:  # not a real number
+        pass
+    raise DomainError(f"{name} must be finite{' and > 0' if positive else ''}, got {x!r}")
 
 
-def _require_level(n, name: str = "n") -> None:
-    """DomainError unless the level n (or n_z) is a non-negative integer
-    (a numbers.Integral, which numpy's integer types are) that converts
-    to a float: a float such as 1.5 would select a variant row and return
-    a level or form for a state that does not exist. A plain int skips
-    the slower ABC check."""
-    if not (type(n) is int or isinstance(n, numbers.Integral)) or n < 0:
-        raise DomainError(f"{name} must be an integer >= 0, got {n!r}")
-    _require_float(n, name)
+def _require_count(k, name: str, least=0, odd: bool = False) -> None:
+    """The count gate: DomainError naming k unless it is an integer >=
+    least (odd if odd) that converts to a float, as the level formulas
+    take it (two_m / 2.0). An integer is a numbers.Integral, numpy's
+    included: a float such as 1.5 would select a level that does not exist."""
+    try:
+        if ((type(k) is int or isinstance(k, numbers.Integral))
+                and float(k) >= least and (not odd or k % 2)):
+            return
+    except OverflowError:
+        raise DomainError(f"{name} is too large for a float") from None
+    rule = "an odd integer" if odd else f"an integer >= {least}"
+    raise DomainError(f"{name} must be {rule}, got {k!r}")
 
 
-def _require_quantum_numbers(two_m) -> None:
-    """DomainError unless two_m is an odd integer (a plain int, or
-    another numbers.Integral) that converts to a float."""
-    if (not (type(two_m) is int or isinstance(two_m, numbers.Integral))
-            or two_m % 2 == 0):
-        raise DomainError(f"two_m must be an odd integer, got {two_m!r}")
-    _require_float(two_m, "two_m")
+def _array(x, name: str, dtype=float, error=DomainError):
+    """x as an array of dtype; error naming x for an int past the float range."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except OverflowError:
+        raise error(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -278,8 +288,8 @@ class GeometryRecord:
     column form audits all reach one level rule (_levels), so audit reads
     the level and rhs quantize gives for the unified formula and the
     figure predicate. mu, mu_prime and radial_potential raise
-    DomainError for r outside (0, r_max), NaN included, or a non-finite
-    m or B (_radius).
+    DomainError for r outside (0, r_max), NaN included, or an m or B
+    that fails the real gate (_radius).
     """
 
     kappa: float
@@ -310,7 +320,10 @@ class GeometryRecord:
         return np.cosh if self.kappa < 0 else np.cos
 
     def axial_pl(self, p: float, lam: float) -> Tuple[complex, complex]:
-        """The axial (P, L): (i p, i lam) (kappa < 0) or (-p, lam)."""
+        """The axial (P, L): (i p, i lam) (kappa < 0) or (-p, lam); the
+        axial arguments' gate."""
+        _require_real(p, "p")
+        _require_real(lam, "lam")
         return (1j * p, 1j * lam) if self.kappa < 0 else (-p, lam)
 
     def stretch(self, z):
@@ -323,12 +336,12 @@ class GeometryRecord:
 
     def _radius(self, r, m: float, B: float):
         """r as a float array; DomainError unless every r lies in
-        (0, r_max) (NaN does not) and m and B are finite."""
-        arr = np.asarray(r, dtype=float)
+        (0, r_max) (NaN does not) and m and B pass the real gate."""
+        arr = _array(r, "r")
         if not np.all((arr > 0.0) & (arr < self.r_max)):
             raise DomainError(f"r must lie in (0, {self.r_max:g})")
-        if not (math.isfinite(m) and math.isfinite(B)):
-            raise DomainError(f"m and B must be finite, got {m}, {B}")
+        _require_real(m, "m")
+        _require_real(B, "B")
         return arr
 
     def mu(self, r, m: float, B: float):
@@ -372,22 +385,20 @@ class GeometryRecord:
     @staticmethod
     def _reflect(two_m: int, B: float, component: Component):
         """The one gate of the radial arguments: DomainError unless two_m
-        is odd, the component is R1 or R2 and B is finite. Then where the
-        B >= 0 tables answer: B < 0 takes (m, B) -> (-m, -B), which swaps
-        R1 and R2."""
-        _require_quantum_numbers(two_m)
+        is odd, the component is R1 or R2 and B is real (the gates). Then
+        where the B >= 0 tables answer: B < 0 takes (m, B) -> (-m, -B),
+        which swaps R1 and R2."""
+        _require_count(two_m, "two_m", -math.inf, odd=True)
         if component not in (Component.R1, Component.R2):
             raise DomainError("component must be R1 or R2")
-        if not math.isfinite(B):
-            raise DomainError(f"B must be finite, got {B}")
+        _require_real(B, "B")
         if B < 0.0:
             return -two_m, -B, Component.R1 if component is Component.R2 else Component.R2
         return two_m, B, component
 
     def _root(self, B: float, lambda_sq: float) -> float:
         """q = sqrt(B^2 + kappa lambda_sq) of the variant forms."""
-        if not math.isfinite(lambda_sq):
-            raise DomainError(f"lambda_sq must be finite, got {lambda_sq}")
+        _require_real(lambda_sq, "lambda_sq")
         disc = B * B + self.kappa * lambda_sq
         if disc < 0.0:
             sign = "+" if self.kappa > 0 else "-"
@@ -424,7 +435,7 @@ class GeometryRecord:
         kappa_b_sq = kappa * B * B
         levels = []
         for n in ns:
-            _require_level(n)
+            _require_count(n, "n")
             if row is None:
                 levels.append((SpectrumEntry(None, None, False,
                                              violated="1/2 - B < m"), None))
@@ -631,12 +642,12 @@ class SolutionForm:
     variable: Variable
 
     def value_y(self, y):
-        y = np.asarray(y, dtype=complex)
+        y = _array(y, "y", complex, EvaluationDomain)
         return self._form(y, 1 - y, 0)[0]
 
     def derivs_y(self, y):
         """(G, dG/dy, d2G/dy2) for the full form G."""
-        y = np.asarray(y, dtype=complex)
+        y = _array(y, "y", complex, EvaluationDomain)
         return tuple(self._form(y, 1 - y, 2))
 
     def _form(self, y, w, dmax: int):

@@ -10,7 +10,10 @@ Hamiltonian; and a connection-formula check integrates the axial
 equation across the interval and compares with the two-term
 recombination near y = 1. Each residual meter reports the sup of its
 residual relative to its inputs and, where it is measured, the
-convergence order of a finite-difference pathway.
+convergence order of a finite-difference pathway. Every number argument
+passes model's real or count gate first (the record's _reflect for two_m
+and B), so NaN, +-inf or a number past the float range is refused by
+name, with DomainError, before a meter runs.
 
 Eigensolver design: the radial operators -u'' + V u with V ~ C/r^2 at
 the endpoints are discretized after the substitution u = phi * w with
@@ -31,7 +34,6 @@ scipy at the first eigensolve.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -45,7 +47,8 @@ from .model import (
     SupportTooCloseToSingularity,
     TruncationTooSmall,
     ZeroLambda,
-    _require_quantum_numbers,
+    _require_count,
+    _require_real,
 )
 
 __all__ = [
@@ -69,19 +72,19 @@ _EDGE_TRIM = 3
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform grid with `points` nodes on [lo, hi]: DomainError unless
-    lo < hi are finite and points is an integer >= 16."""
+    lo and hi pass the real gate, lo < hi, and points the count gate
+    (an integer >= 16)."""
 
     lo: float
     hi: float
     points: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
-                and self.lo < self.hi):
-            raise DomainError("grid needs finite lo < hi")
-        if not isinstance(self.points, numbers.Integral) or self.points < 16:
-            raise DomainError(f"grid needs an integer count of at least 16 "
-                              f"points, got {self.points!r}")
+        _require_real(self.lo, "lo")
+        _require_real(self.hi, "hi")
+        if not self.lo < self.hi:
+            raise DomainError("grid needs lo < hi")
+        _require_count(self.points, "points", 16)
 
     @property
     def spacing(self) -> float:
@@ -182,13 +185,10 @@ def _radial_eigenvalues(rec, two_m: int, B: float, component: Component,
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
-    _require_quantum_numbers(two_m)
-    if component not in (Component.R1, Component.R2):
-        raise DomainError("component must be R1 or R2")
+    rec._reflect(two_m, B, component)  # the radial arguments' gate
     if grid.lo < 0.0 or grid.hi > rec.r_max + 1e-12:
         raise DomainError(f"grid must lie within [0, {rec.r_max:g}]")
-    if not isinstance(max_count, numbers.Integral) or max_count < 1:
-        raise DomainError(f"max_count must be an integer >= 1, got {max_count!r}")
+    _require_count(max_count, "max_count", 1)
     m, edge = two_m / 2.0, B * B
     if rec.kappa < 0.0 and (abs(rec.mu(grid.hi, m, B) ** 2 - edge)
                             > 1e-3 * max(1.0, edge)):
@@ -268,15 +268,6 @@ def _sup_over_scale(r: np.ndarray, f: np.ndarray) -> float:
     return float(np.max(np.abs(r))) / (scale if scale > 0 else 1.0)
 
 
-def _require_finite(**values) -> None:
-    """DomainError naming the first of values that is not a finite
-    float: a NaN or infinite state would pass every point of the meter
-    and be refused, if at all, by the report it builds."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 def _order_from(coarse: float, fine: float) -> float:
     if fine <= 0 or coarse <= 0:
         return 0.0
@@ -301,7 +292,7 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
     measured on the independent finite-difference pathway at h and h/2
     and is ~2 for an exact solution, ~0 for a wrong one. Radial
     equations need an odd integer two_m, the m the form was built at,
-    and p, lam, B and lambda_sq must be finite; past that the meter adds
+    and p, lam, B and lambda_sq pass the real gate; past that the meter adds
     no domain rule: a grid point that the form, the 2F1 kernel or mu
     refuses raises their typed error.
     """
@@ -313,9 +304,8 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
                           f"{solution.variable.name}, not on the "
                           f"coordinate of {component.name}")
     if axial:
-        if p is None or lam is None:
-            raise DomainError("axial equations need p and lam")
-        _require_finite(p=p, lam=lam)
+        _require_real(p, "p")
+        _require_real(lam, "lam")
         sign = 1.0 if component is Component.Z1 else -1.0
 
         def res_fn(x, g, g1, g2):
@@ -323,10 +313,8 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
             t = rec.stretch_prime(x) / c
             return g2 + t * g1 + (p * p + sign * 1j * p * t - lam * lam / c ** 2) * g
     else:
-        if two_m is None or B is None or lambda_sq is None:
-            raise DomainError("radial equations need two_m, B and lambda_sq")
-        _require_quantum_numbers(two_m)
-        _require_finite(B=B, lambda_sq=lambda_sq)
+        rec._reflect(two_m, B, component)
+        _require_real(lambda_sq, "lambda_sq")
         m = two_m / 2.0
 
         def res_fn(x, g, g1, g2):
@@ -369,7 +357,7 @@ def first_order_system_residual(
     level; any rescaling leaves an O(1) defect. two_m, a non-finite
     lam, p or B and grid points are refused as in ode_residual.
     """
-    _require_finite(lam=lam)
+    _require_real(lam, "lam")
     if lam == 0.0:
         raise ZeroLambda("first-order systems decouple at lambda = 0")
     sol1, sol2, ratio = pair
@@ -377,19 +365,14 @@ def first_order_system_residual(
         raise DomainError("the pair's forms live on different coordinates")
     rec = sol1.variable.geometry.record
     if sol1.variable is rec.axial_variable:
-        if p is None:
-            raise DomainError("axial systems need p")
-        _require_finite(p=p)
+        _require_real(p, "p")
 
         def terms(x, f1, d1, f2, d2):
             c = rec.stretch(x)
             return ((c * d1, 1j * p * c * f1, -lam * f2),
                     (c * d2, -1j * p * c * f2, -lam * f1))
     else:
-        if two_m is None or B is None:
-            raise DomainError("radial systems need two_m and B")
-        _require_quantum_numbers(two_m)
-        _require_finite(B=B)
+        rec._reflect(two_m, B, Component.R1)
         m = two_m / 2.0
 
         def terms(x, f1, d1, f2, d2):
@@ -474,11 +457,10 @@ def _gradient(f: np.ndarray, h: float, axis: int) -> np.ndarray:
 def gaussian_bump_spinor(r0: float, z0: float, width: float
                          ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Product-Gaussian test spinor centered at (r0, z0). Raises
-    DomainError unless r0 and z0 are finite and width is finite and > 0."""
-    if not (math.isfinite(r0) and math.isfinite(z0)):
-        raise DomainError("bump centre must be finite")
-    if not (math.isfinite(width) and width > 0.0):
-        raise DomainError("bump width must be finite and > 0")
+    DomainError unless r0, z0 and width pass the real gate, width > 0."""
+    _require_real(r0, "r0")
+    _require_real(z0, "z0")
+    _require_real(width, "width", positive=True)
     # the four component amplitudes, all nonzero
     amplitudes = np.array([1.0, 0.6 - 0.3j, -0.4j, 0.25], dtype=complex)
     amplitudes = amplitudes[:, None, None]
@@ -650,10 +632,8 @@ def commutator_residual(geometry: Geometry, B: float,
     three nested grids (spacing h, h/2, h/4; `Grid2D.scaled`); max_abs
     comes from the finest one. two_m must be an odd integer.
     """
-    if not math.isfinite(B):
-        raise DomainError("B must be finite")
-    _require_quantum_numbers(two_m)
     rec = geometry.record
+    rec._reflect(two_m, B, Component.R1)
     r, z = grid2d.r, grid2d.z
     if (r.lo < _SINGULAR_INSET or r.hi > rec.r_max - _SINGULAR_INSET
             or max(-z.lo, z.hi) > rec.z_max - _SINGULAR_INSET):

@@ -29,7 +29,8 @@ from .model import (
     SolutionForm,
     SpectrumEntry,
     Variant,
-    _require_level,
+    _require_count,
+    _require_real,
 )
 
 __all__ = [
@@ -42,13 +43,18 @@ __all__ = [
 ]
 
 def s3_axial_quantize(lam: float, n_z: int) -> float:
-    """p = lambda + n_z + 1/2 for the positive separation constant
-    lambda and a level n_z (an integer >= 0, as model checks n)."""
-    _require_level(n_z, "n_z")
-    if not 0.0 < lam < math.inf:
-        raise NonPositiveLambda(f"lambda must be finite and > 0 (the positive "
-                                f"root of lambda^2), got {lam!r}")
-    return lam + n_z + 0.5
+    """p = lambda + n_z + 1/2 for lambda > 0 and a level n_z (an integer
+    >= 0); lam's real gate runs only where p or its sign fails."""
+    _require_count(n_z, "n_z")
+    try:
+        p = lam + n_z + 0.5
+    except OverflowError:  # an int lam past the float range
+        p = math.inf
+    if not (lam > 0.0 and math.isfinite(p)):
+        _require_real(lam, "lam")
+        if lam <= 0.0:
+            raise NonPositiveLambda(f"lam must be > 0, got {lam!r}")
+    return p
 
 
 def s3_axial_solution(p: float, lam: float,
@@ -111,14 +117,15 @@ def s3_quantize(two_m: int, B: float, n: int, component: Component) -> SpectrumE
 
 def s3_total_energy(M: float, p: float) -> float:
     """epsilon = sqrt(M^2 + p^2) of the quantized axial momentum p that
-    s3_axial_quantize returns; DomainError unless M > 0 and p is finite
-    and > 0, or where M^2 + p^2 is not a finite float."""
-    if M <= 0.0:
-        raise DomainError("M must be > 0")
-    if not 0.0 < p < math.inf:
-        raise DomainError(f"p must be a finite axial momentum > 0, got {p!r}")
-    energy_sq = M * M + p * p
-    if not math.isfinite(energy_sq):
+    s3_axial_quantize returns; DomainError unless M, p > 0 pass the real
+    gate (run only where the sum or a sign fails) and M^2 + p^2 is finite."""
+    try:
+        energy_sq = M * M + p * p
+    except OverflowError:  # an int M or p past the float range
+        energy_sq = math.inf
+    if not (M > 0.0 and p > 0.0 and math.isfinite(energy_sq)):
+        _require_real(M, "M", positive=True)
+        _require_real(p, "p", positive=True)
         raise DomainError(f"M^2 + p^2 is not finite at M = {M}, p = {p}")
     return math.sqrt(energy_sq)
 
