@@ -92,12 +92,12 @@ _VARIANTS = (
 
 def h3_radial_solution(two_m: int, B: float, lambda_sq: float,
                        component: Component, variant: Variant) -> SolutionForm:
-    """GEOMETRY.radial_solution on y = (1 + cosh r)/2."""
+    """GEOMETRY.radial_solution, kept off the package root only while bench/ calls it."""
     return GEOMETRY.radial_solution(two_m, B, lambda_sq, component, variant)
 
 
 def h3_quantize(two_m: int, B: float, n: int, component: Component) -> SpectrumEntry:
-    """GEOMETRY.quantize: lambda^2 = B^2 - rhs^2 below the edge B^2."""
+    """GEOMETRY.quantize, kept off the package root only while bench/ calls it."""
     return GEOMETRY.quantize(two_m, B, n, component)
 
 

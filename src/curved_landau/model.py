@@ -36,8 +36,6 @@ __all__ = [
     "NonPositiveLambda",
     "NegativeDiscriminant",
     "EvaluationDomain",
-    "TruncationTooSmall",
-    "SupportTooCloseToSingularity",
     "Geometry",
     "Component",
     "Variant",
@@ -89,14 +87,6 @@ class EvaluationDomain(DomainError):
     """A solution form is not representable at a point: 1 - y underflows
     to 0 under a non-terminating series, or a value or y-derivative of
     the form is not a finite float (y or 1 - y too close to 0)."""
-
-
-class TruncationTooSmall(ValueError):
-    """Eigenfunction mass leaks into the truncated tail of the grid."""
-
-
-class SupportTooCloseToSingularity(ValueError):
-    """2D check grid touches a coordinate singularity."""
 
 
 class Geometry(Enum):
@@ -284,12 +274,11 @@ class GeometryRecord:
     where forms need A, C > 0. radial_pair reads a pair's r2/r1 factor
     off the two forms it builds. Axial forms take the upper shape for
     axial_upper (in Euler's form on the open space); the z2/z1 factor
-    follows from it and (P, L) (axial_pair). quantize, audit and the
-    column form audits all reach one level rule (_levels), so audit reads
-    the level and rhs quantize gives for the unified formula and the
-    figure predicate. mu, mu_prime and radial_potential raise
-    DomainError for r outside (0, r_max), NaN included, or an m or B
-    that fails the real gate (_radius).
+    follows from it and (P, L) (axial_pair). quantize and audits reach
+    one level rule (_levels), so audits reads the level and rhs quantize
+    gives for the unified formula and the figure predicate. mu, mu_prime
+    and radial_potential raise DomainError for r outside (0, r_max), NaN
+    included, or an m or B that fails the real gate (_radius).
     """
 
     kappa: float
@@ -494,31 +483,20 @@ class GeometryRecord:
         return SolutionForm(A, C, Hyp2F1Params(s - q, s + q, c),
                             self.radial_variable)
 
-    def audit(self, two_m: int, B: float, n: int) -> LevelAudit:
-        """The R1 level quantize gives at (two_m, B, n), audited two ways:
-        the one-level case of audits.
-
-        The unified level formula q = kappa |2B - kappa m|/2 + |m|/2 + n
-        (H3: -|2B + m|/2 + |m|/2 + n, S3: |2B - m|/2 + |m|/2 + n), taken
-        at (m, B), against the rhs the level rule (_levels) squared for
-        the level, taken where it evaluates it. Magnitudes are compared
-        (on H3 the unified form flips the sign of the root for m > 0);
-        the residual offset is flagged (H3: m < 0 rows; S3: off the
-        variant-2 range; B < 0: every row, since the reflected level is
-        an R2 level, which the R1 formula misses by 1/2 to 1).
-
-        The figure predicate |m| - |2B - kappa m| + 2n, which kappa *
-        predicate > 0 advertises as the bound region, at the reflected
-        point for B < 0. It disagrees with the level's verdict on part of
-        the lattice (by 1/2 on H3 boundary entries); both are reported."""
-        return self.audits(two_m, B, (n,))[0]
-
     def audits(self, two_m: int, B: float, ns: Sequence[int]) -> List[LevelAudit]:
-        """[audit(two_m, B, n) for n in ns], with the same float bits, from
-        one pass of the level rule over the column (_levels). The n-free
-        parts of the unified formula and the predicate are hoisted as
-        their left-to-right prefixes, kappa |2B - kappa m|/2 + |m|/2 and
-        |m| - |2B - kappa m|, to which each level adds n and 2n. A 2n
+        """Per n of ns, the R1 level quantize gives at (two_m, B, n),
+        audited two ways (LevelAudit), from one pass of the level rule over
+        the column (_levels); audits(two_m, B, (n,))[0] audits one level.
+        The unified formula kappa |2B - kappa m|/2 + |m|/2 + n, at (m, B),
+        is compared in magnitude (on H3 it flips the root's sign for
+        m > 0) with the rhs the level rule squared, where it evaluates it;
+        the offset is flagged on H3 m < 0 rows, S3 rows off the variant-2
+        range and every B < 0 row (the reflected level is an R2 level,
+        which the R1 formula misses by 1/2 to 1). The figure predicate
+        |m| - |2B - kappa m| + 2n, at the reflected point for B < 0,
+        disagrees with the verdict on part of the lattice (by 1/2 on H3
+        boundary entries). Their n-free parts are hoisted as left-to-right
+        prefixes, so each audit keeps the bits of its one-level case. A 2n
         past the float range (only a column without a row gets that far)
         raises DomainError."""
         ns = list(ns)  # ns may be an iterator: read it once
@@ -642,13 +620,32 @@ class SolutionForm:
     variable: Variable
 
     def value_y(self, y):
-        y = _array(y, "y", complex, EvaluationDomain)
-        return self._form(y, 1 - y, 0)[0]
+        return self._form(*self._y_pair(y), 0)[0]
 
     def derivs_y(self, y):
         """(G, dG/dy, d2G/dy2) for the full form G."""
+        return tuple(self._form(*self._y_pair(y), 2))
+
+    @staticmethod
+    def _y_pair(y):
+        """(y, 1 - y) as complex arrays; EvaluationDomain unless y is finite."""
         y = _array(y, "y", complex, EvaluationDomain)
-        return tuple(self._form(y, 1 - y, 2))
+        if not np.isfinite(y).all():
+            raise EvaluationDomain("y must be finite")
+        return y, 1 - y
+
+    def _coordinates(self, x):
+        """x as a float array; EvaluationDomain naming x unless its least and
+        greatest points (NaN reaches both) are finite and in the space's
+        closed range, [0, r_max] radially and [-z_max, z_max] axially."""
+        x = _array(x, "x", float, EvaluationDomain)
+        rec = self.variable.geometry.record
+        lo, hi = ((0.0, rec.r_max) if self.variable is rec.radial_variable
+                  else (-rec.z_max, rec.z_max))
+        least, most = (x.min(), x.max()) if x.size else (0.0, 0.0)
+        if not (lo <= least and most <= hi and math.isfinite(least) and math.isfinite(most)):
+            raise EvaluationDomain(f"x must be finite and lie in [{lo:g}, {hi:g}]")
+        return x
 
     def _form(self, y, w, dmax: int):
         """G and its first dmax y-derivatives at y = 1 - w. Raises
@@ -674,10 +671,11 @@ class SolutionForm:
 
     def evaluate(self, x):
         """Form value at coordinate points (z or r per `variable`)."""
-        return self._form(*self.variable.y_pair(x), 0)[0]
+        return self._form(*self.variable.y_pair(self._coordinates(x)), 0)[0]
 
     def evaluate_with_derivs(self, x):
         """(G, dG/dx, d2G/dx2) via exact chain rule through y(x)."""
+        x = self._coordinates(x)
         g0, gy, gyy = self._form(*self.variable.y_pair(x), 2)
         y1 = self.variable.dy_dx(x)
         y2 = self.variable.d2y_dx2(x)
@@ -697,11 +695,12 @@ class SpectrumEntry:
 
 @dataclass
 class LevelAudit:
-    """GeometryRecord.audit of one R1 level: the quantized `entry`, the
-    unified-formula right-hand side at (m, B) against the rhs of the
-    entry's variant (discrepancy = |unified_rhs| - variant_rhs, flagged
-    beyond 1e-9; all three None without a variant), and the figure
-    predicate with whether its side agrees with entry.admissible."""
+    """One R1 level as GeometryRecord.audits audits it: the quantized
+    `entry`, the unified-formula rhs at (m, B) against the entry's variant
+    rhs (discrepancy = |unified_rhs| - variant_rhs, flagged beyond 1e-9;
+    all three None without a variant), and the figure predicate, whose
+    kappa * predicate > 0 advertises the bound region, with whether that
+    side agrees with entry.admissible."""
 
     entry: SpectrumEntry
     unified_rhs: float

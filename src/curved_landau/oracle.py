@@ -44,14 +44,14 @@ from .model import (
     DomainError,
     Geometry,
     SolutionForm,
-    SupportTooCloseToSingularity,
-    TruncationTooSmall,
     ZeroLambda,
     _require_count,
     _require_real,
 )
 
 __all__ = [
+    "TruncationTooSmall",
+    "SupportTooCloseToSingularity",
     "Grid1D",
     "Grid2D",
     "ResidualReport",
@@ -67,6 +67,14 @@ __all__ = [
 
 _SINGULAR_INSET = 0.05
 _EDGE_TRIM = 3
+
+
+class TruncationTooSmall(ValueError):
+    """Eigenfunction mass leaks into the truncated tail of the grid."""
+
+
+class SupportTooCloseToSingularity(ValueError):
+    """2D check grid touches a coordinate singularity."""
 
 
 @dataclass(frozen=True)
@@ -131,14 +139,18 @@ class ResidualReport:
     rounding level however large the terms grow), the sup of the test
     spinor (commutator) or the sup of the predicted solution
     (connection). convergence_order (when measured) comes from
-    finite-difference refinements and is floored at 0."""
+    finite-difference refinements and is floored at 0. Both pass the
+    real gate, and max_abs must be >= 0."""
 
     max_abs: float
     convergence_order: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.max_abs) and self.max_abs >= 0):
-            raise DomainError("max_abs must be finite and >= 0")
+        _require_real(self.max_abs, "max_abs")
+        if self.max_abs < 0:
+            raise DomainError(f"max_abs must be >= 0, got {self.max_abs!r}")
+        if self.convergence_order is not None:
+            _require_real(self.convergence_order, "convergence_order")
 
 
 @dataclass(frozen=True)
@@ -147,6 +159,8 @@ class EigenReport:
 
     def __post_init__(self) -> None:
         vals = self.eigenvalues
+        for v in vals:
+            _require_real(v, "eigenvalues")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise DomainError("eigenvalues must be ascending")
 

@@ -44,7 +44,8 @@ __all__ = [
 
 def s3_axial_quantize(lam: float, n_z: int) -> float:
     """p = lambda + n_z + 1/2 for lambda > 0 and a level n_z (an integer
-    >= 0); lam's real gate runs only where p or its sign fails."""
+    >= 0); lam's real gate runs only where p or its sign fails, and a p
+    past the float range raises DomainError."""
     _require_count(n_z, "n_z")
     try:
         p = lam + n_z + 0.5
@@ -54,12 +55,13 @@ def s3_axial_quantize(lam: float, n_z: int) -> float:
         _require_real(lam, "lam")
         if lam <= 0.0:
             raise NonPositiveLambda(f"lam must be > 0, got {lam!r}")
+        raise DomainError(f"p = lam + n_z + 1/2 is not finite at {lam:g}, {n_z:g}")
     return p
 
 
 def s3_axial_solution(p: float, lam: float,
                       component: Component = Component.Z1) -> SolutionForm:
-    """GEOMETRY.axial_solution on y = (1 + i tan z)/2: quantized p only."""
+    """GEOMETRY.axial_solution, kept off the package root only while bench/ calls it."""
     return GEOMETRY.axial_solution(p, lam, component)
 
 
@@ -106,12 +108,12 @@ _VARIANTS = (
 
 def s3_radial_solution(two_m: int, B: float, lambda_sq: float,
                        component: Component, variant: Variant) -> SolutionForm:
-    """GEOMETRY.radial_solution on y = (1 + cos r)/2."""
+    """GEOMETRY.radial_solution, kept off the package root only while bench/ calls it."""
     return GEOMETRY.radial_solution(two_m, B, lambda_sq, component, variant)
 
 
 def s3_quantize(two_m: int, B: float, n: int, component: Component) -> SpectrumEntry:
-    """GEOMETRY.quantize: lambda^2 = rhs^2 - B^2, fully discrete."""
+    """GEOMETRY.quantize, kept off the package root only while bench/ calls it."""
     return GEOMETRY.quantize(two_m, B, n, component)
 
 

@@ -254,7 +254,7 @@ def test_criterion_09_unified_formula_audit():
     flagged_h3, clean_h3, off_ladder = 0, 0, 0
     for two_m in range(-7, 9, 2):
         for n in range(5):
-            rep = lob.GEOMETRY.audit(two_m, 5.0, n)
+            rep = lob.GEOMETRY.audits(two_m, 5.0, (n,))[0]
             assert rep.entry.variant is not None
             if rep.variant_rhs < 0.0:
                 # below the ladder the magnitude comparison folds;
@@ -273,7 +273,7 @@ def test_criterion_09_unified_formula_audit():
     flagged_s3, clean_s3 = 0, 0
     for two_m in range(-9, 11, 2):
         for n in range(5):
-            rep = sph.GEOMETRY.audit(two_m, 1.0, n)
+            rep = sph.GEOMETRY.audits(two_m, 1.0, (n,))[0]
             if two_m < 0 or two_m / 2.0 > 2.0:  # V1 and V3 ranges
                 assert rep.flagged, (two_m, n)
                 assert abs(abs(rep.discrepancy) - 0.5) <= 1e-12

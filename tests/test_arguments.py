@@ -1,7 +1,9 @@
 """One rule for every number argument of the public API.
 
 Each number parameter of each public callable (the package root's,
-``oracle``'s and ``hyp2f1``'s ``__all__``, and ``checks.run_suites``)
+``oracle``'s and ``hyp2f1``'s ``__all__``, ``checks.run_suites``, and the
+per-space wrappers that ``lobachevsky`` and ``spherical`` keep for
+``bench/``)
 refuses NaN, +-inf, an int past the float range (10**400) and one whose
 decimal form passes Python's digit limit (-10**5000): with DomainError,
 or with Hyp2F1Error in the kernel, whose message starts with the
@@ -10,11 +12,13 @@ Geometry, whose records carry the models' methods.
 """
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 import curved_landau
-from curved_landau import checks, hyp2f1, oracle
+from curved_landau import checks, hyp2f1, lobachevsky, oracle, spherical
 from curved_landau.hyp2f1 import Hyp2F1Error, Hyp2F1Params, KummerBranch
 from curved_landau.model import (
     Component,
@@ -51,7 +55,6 @@ def _record_rows(rec, label, two_m, B, n, lam_sq, variant, pair, p, lam):
     return {
         f"{label}.quantize": _with(rec.quantize, ("two_m", "B", "n"), **state,
                                    n=n, component=R1),
-        f"{label}.audit": _with(rec.audit, ("two_m", "B", "n"), **state, n=n),
         f"{label}.audits": {
             **_with(rec.audits, ("two_m", "B"), **state, ns=[n]),
             "n": lambda v: rec.audits(two_m, B, [n, v])},
@@ -73,8 +76,8 @@ def _record_rows(rec, label, two_m, B, n, lam_sq, variant, pair, p, lam):
 
 def _table():
     """{owner: {label: {parameter: call taking the parameter's value}}}."""
-    h3 = curved_landau.h3_quantize(1, 5.0, 1, R1)
-    s3 = curved_landau.s3_quantize(1, 1.0, 1, R1)
+    h3 = H3.quantize(1, 5.0, 1, R1)
+    s3 = S3.quantize(1, 1.0, 1, R1)
     axial = H3.axial_solution(0.7, 1.3, Z1)
     radial = H3.radial_solution(1, 5.0, h3.lambda_sq, R1, h3.variant)
     zpair = H3.axial_pair(0.7, 1.3)
@@ -106,16 +109,16 @@ def _table():
             **_record_rows(S3, "S3", 1, 1.0, 1, s3.lambda_sq, s3.variant,
                            RadialPair.V1_V3P, P_S3, LAM_S3)},
         "h3_quantize": {"h3_quantize": _with(
-            curved_landau.h3_quantize, ("two_m", "B", "n"), two_m=1, B=5.0, n=1,
+            lobachevsky.h3_quantize, ("two_m", "B", "n"), two_m=1, B=5.0, n=1,
             component=R1)},
         "s3_quantize": {"s3_quantize": _with(
-            curved_landau.s3_quantize, ("two_m", "B", "n"), two_m=1, B=1.0, n=1,
+            spherical.s3_quantize, ("two_m", "B", "n"), two_m=1, B=1.0, n=1,
             component=R1)},
         "h3_radial_solution": {"h3_radial_solution": _with(
-            curved_landau.h3_radial_solution, ("two_m", "B", "lambda_sq"), two_m=1,
+            lobachevsky.h3_radial_solution, ("two_m", "B", "lambda_sq"), two_m=1,
             B=5.0, lambda_sq=h3.lambda_sq, component=R1, variant=h3.variant)},
         "s3_radial_solution": {"s3_radial_solution": _with(
-            curved_landau.s3_radial_solution, ("two_m", "B", "lambda_sq"), two_m=1,
+            spherical.s3_radial_solution, ("two_m", "B", "lambda_sq"), two_m=1,
             B=1.0, lambda_sq=s3.lambda_sq, component=R1, variant=s3.variant)},
         "h3_axial_solution": {
             f"h3_axial_solution[{branch.name}]": _with(
@@ -123,7 +126,7 @@ def _table():
                 branch=branch)
             for branch in KummerBranch},
         "s3_axial_solution": {"s3_axial_solution": _with(
-            curved_landau.s3_axial_solution, ("p", "lam"), p=P_S3, lam=LAM_S3)},
+            spherical.s3_axial_solution, ("p", "lam"), p=P_S3, lam=LAM_S3)},
         "s3_axial_quantize": {"s3_axial_quantize": _with(
             curved_landau.s3_axial_quantize, ("lam", "n_z"), lam=LAM_S3, n_z=1)},
         "s3_total_energy": {"s3_total_energy": _with(
@@ -197,7 +200,8 @@ CASES = [(owner, label, name, bad)
 
 
 def test_every_public_callable_is_in_the_table_or_takes_no_number():
-    public = {name for module in (curved_landau, oracle, hyp2f1)
+    public = {name for module in (curved_landau, oracle, hyp2f1,
+                                  lobachevsky, spherical)
               for name in module.__all__ if callable(getattr(module, name))}
     public.add("run_suites")
     listed = set(TABLE) | NO_NUMBER | RESULTS
@@ -214,18 +218,55 @@ def test_a_number_argument_is_refused_by_name(owner, label, name, bad):
         TABLE[owner][label][name](BAD[bad])
 
 
-@pytest.mark.parametrize("x", [10 ** 400, -10 ** 5000, [0.5, 10 ** 400]],
-                         ids=["1e400", "-1e5000", "list"])
+@pytest.mark.parametrize("x", [10 ** 400, -10 ** 5000, [0.5, 10 ** 400],
+                               math.nan, math.inf, -math.inf],
+                         ids=["1e400", "-1e5000", "list", "nan", "inf", "-inf"])
 def test_a_coordinate_past_the_float_range_is_refused(x):
+    # a NaN reached the kernel ("y must be finite" as a Hyp2F1Error), and
+    # the S3 Z1 form at +-inf warned from np.tan before it was refused
+    rule = "must" if isinstance(x, float) else "is too large for a float"
     form = H3.axial_solution(0.7, 1.3, Z1)
     for method in (form.evaluate, form.evaluate_with_derivs):
-        with pytest.raises(EvaluationDomain, match="^x is too large for a float"):
+        with pytest.raises(EvaluationDomain, match=f"^x {rule}"):
             method(x)
     for method in (form.value_y, form.derivs_y):
-        with pytest.raises(EvaluationDomain, match="^y is too large for a float"):
+        with pytest.raises(EvaluationDomain, match=f"^y {rule}"):
             method(x)
+    s3_form = S3.axial_solution(P_S3, LAM_S3, Z1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in (s3_form.evaluate, s3_form.evaluate_with_derivs):
+            with pytest.raises(EvaluationDomain, match=f"^x {rule}"):
+                method(x)
     for rec in (H3, S3):
         for call in (rec.mu, rec.mu_prime,
                      lambda r, m, B: rec.radial_potential(r, m, B, R1)):
-            with pytest.raises(DomainError, match="^r is too large for a float"):
+            with pytest.raises(DomainError, match=f"^r {rule}"):
                 call(x, 0.5, 1.0)
+
+
+def _radial(rec, B):
+    """The R1 form of level n = 1 at two_m = 1 and B."""
+    entry = rec.quantize(1, B, 1, R1)
+    return rec.radial_solution(1, B, entry.lambda_sq, R1, entry.variant)
+
+
+_S3_Z = (-math.pi / 2, math.pi / 2)
+
+
+@pytest.mark.parametrize("form, x, ends", [
+    (lambda: S3.axial_solution(P_S3, LAM_S3, Z1), 2.0, _S3_Z),
+    (lambda: S3.axial_solution(P_S3, LAM_S3, Z1), [0.0, -2.0], _S3_Z),
+    (lambda: _radial(S3, 1.0), 4.0, (0.0, math.pi)),
+    (lambda: _radial(S3, 1.0), -0.5, (0.0, math.pi)),
+    (lambda: _radial(H3, 5.0), [1.0, -0.5], (0.0, 20.0)),
+], ids=["s3-z-2", "s3-z--2", "s3-r-4", "s3-r--0.5", "h3-r--0.5"])
+def test_a_coordinate_outside_its_space_is_refused(form, x, ends):
+    # the S3 Z1 form returned -0.49+0.97j at z = 2 > pi/2, and the S3 R1
+    # form at r = 4 its mirror value at 2 pi - 4
+    form = form()
+    for method in (form.evaluate, form.evaluate_with_derivs):
+        with pytest.raises(EvaluationDomain, match=r"^x must be finite and lie in \["):
+            method(x)
+    # the range is closed: its ends are evaluated
+    assert np.isfinite(form.evaluate(list(ends))).all()

@@ -1,7 +1,7 @@
-"""GeometryRecord.audits, the column form of audit: one pass of the
-level rule over a (two_m, B) column gives every field of
-[audit(two_m, B, n) for n in ns] with the same float bits, and refuses
-what audit refuses with the same DomainError."""
+"""GeometryRecord.audits: one pass of the level rule over a (two_m, B)
+column gives every field of the one-level audits,
+[audits(two_m, B, (n,))[0] for n in ns], with the same float bits, and
+refuses what a one-level audit refuses with the same DomainError."""
 
 import math
 
@@ -34,7 +34,7 @@ def test_audits_equal_audit_bit_for_bit(geometry, B):
     zero_modes = 0
     for two_m in two_ms:
         column = rec.audits(two_m, B, NS)
-        single = [rec.audit(two_m, B, n) for n in NS]
+        single = [rec.audits(two_m, B, (n,))[0] for n in NS]
         # repr spells every field, so signed zeros and last bits count
         assert repr(column) == repr(single), two_m
         for n, audit in zip(NS, column):
@@ -51,11 +51,11 @@ def test_audits_take_the_integers_audit_takes(geometry):
     rec = geometry.record
     ns = [True, np.int32(2), np.int64(3)]
     assert repr(rec.audits(np.int64(3), 1.0, ns)) == repr(
-        [rec.audit(np.int64(3), 1.0, n) for n in ns])
+        [rec.audits(np.int64(3), 1.0, (n,))[0] for n in ns])
     assert rec.audits(1, 1.0, []) == []
     # a numpy integer's 2n does not wrap at the int64 edge
     edge = rec.audits(-1, 0.5, [np.int64(2 ** 62)])[0]
-    assert edge.predicate == rec.audit(-1, 0.5, 2 ** 62).predicate > 0
+    assert edge.predicate == rec.audits(-1, 0.5, (2 ** 62,))[0].predicate > 0
 
 
 @pytest.mark.parametrize("geometry", list(Geometry))
@@ -82,7 +82,7 @@ def test_audits_read_ns_once(geometry, make):
 def test_audits_refuse_what_audit_refuses(geometry, two_m, B, n):
     rec = geometry.record
     with pytest.raises(DomainError) as single:
-        rec.audit(two_m, B, n)
+        rec.audits(two_m, B, (n,))[0]
     with pytest.raises(DomainError) as column:
         rec.audits(two_m, B, [0, 1, n])
     assert str(column.value) == str(single.value)

@@ -448,6 +448,58 @@ def test_bad_range_syntax_rejected(capsys):
     assert code == 2
 
 
+_H3_AXIAL = ["wavefunction", "--model", "h3", "--component", "z1", "--B", "5",
+             "--two-m", "1", "--n", "1"]
+_S3_AXIAL = ["wavefunction", "--model", "s3", "--component", "z1", "--B", "2",
+             "--two-m", "1", "--n", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--model", "h3", "--B", "5", "--two-m", "1", "--n", "a..b"],
+     "--n: expected INT or LO..HI, got 'a..b'"),
+    (["regions", "--model", "h3", "--B", "5", "--two-m", "1", "--n=-2..3"],
+     "--n: values must be >= 0"),
+    (["spectrum", "--model", "h3", "--B", "five", "--two-m", "1", "--n", "1"],
+     "argument --B: invalid float value: 'five'"),
+    (["wavefunction", "--model", "h3", "--component", "r1", "--B", "5",
+      "--two-m", "1..3", "--n", "1"],
+     "--two-m: exactly one odd value expected, got '1..3'"),
+    (["spectrum", "--model", "h3", "--B", "5", "--two-m", "1", "--n", "1",
+      "--rho", "0"], "--rho must be > 0"),
+    (["spectrum", "--model", "s3", "--B", "1", "--M", "-1", "--two-m", "1",
+      "--n", "1"], "--M must be >= 0"),
+    (["wavefunction", "--model", "h3", "--component", "r1", "--B", "5",
+      "--two-m", "1", "--n", "-1"], "--n must be >= 0"),
+    (["wavefunction", "--model", "h3", "--component", "r1", "--B", "5",
+      "--two-m", "1", "--n", "1", "--samples", "1"], "--samples must be >= 2"),
+    (_H3_AXIAL + ["--p", "0"], "--p must be > 0"),
+    (_S3_AXIAL + ["--nz", "-1"], "--nz must be >= 0"),
+], ids=["range-syntax", "range-minimum", "B-not-a-float", "two-m-several",
+        "rho-0", "M-negative", "wavefunction-n-negative", "samples-1",
+        "p-0", "nz-negative"])
+def test_refused_arguments_exit_2_with_their_message(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"error: {message}\n")
+    assert "Traceback" not in err
+
+
+def test_a_closed_stdout_exits_0(capsys, monkeypatch):
+    # a reader that stops early (curved-landau spectrum ... | head) closes
+    # the pipe: the run ends quietly instead of with a traceback
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    code = cli.main(["regions", "--model", "h3", "--B", "5", "--two-m", "1",
+                     "--n", "0..2"])
+    monkeypatch.undo()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_unwritable_output_exit_3(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "out.csv"
     code, _, err = _run(capsys, [

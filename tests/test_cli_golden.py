@@ -339,7 +339,7 @@ def test_unified_audit_reads_the_quantized_level(model, B):
     for two_m in range(-41, 42, 2):
         for n in range(61):
             entry = rec.quantize(two_m, B, n, Component.R1)
-            rhs = rec.audit(two_m, B, n).variant_rhs
+            rhs = rec.audits(two_m, B, (n,))[0].variant_rhs
             if entry.variant is None:
                 continue
             assert kappa * rhs * rhs - kappa * B * B == entry.lambda_sq, \

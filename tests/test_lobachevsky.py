@@ -312,7 +312,7 @@ def test_radial_pair_factor_zero_lambda():
 
 
 def test_region_predicate_value():
-    verdict = GEOMETRY.audit(1, 5.0, 2)
+    verdict = GEOMETRY.audits(1, 5.0, (2,))[0]
     assert abs(verdict.predicate - (-6.0)) < 1e-12
     assert verdict.entry.admissible
     assert verdict.predicate_consistent
@@ -321,7 +321,7 @@ def test_region_predicate_value():
 def test_region_boundary_disagreement_is_reported():
     # n = 0 at m = 1/2 sits strictly inside the figure strip but its
     # level is the inadmissible lambda^2 = 0 borderline state
-    verdict = GEOMETRY.audit(1, 5.0, 0)
+    verdict = GEOMETRY.audits(1, 5.0, (0,))[0]
     assert verdict.predicate < 0
     assert not verdict.entry.admissible
     assert not verdict.predicate_consistent
@@ -329,13 +329,13 @@ def test_region_boundary_disagreement_is_reported():
 
 def test_region_reflection_applied():
     # B < 0 answers at (-m, -B), where R1 becomes R2
-    verdict = GEOMETRY.audit(1, -5.0, 1)
-    assert verdict.predicate == GEOMETRY.audit(-1, 5.0, 1).predicate
+    verdict = GEOMETRY.audits(1, -5.0, (1,))[0]
+    assert verdict.predicate == GEOMETRY.audits(-1, 5.0, (1,))[0].predicate
     assert verdict.entry.lambda_sq == GEOMETRY.quantize(-1, 5.0, 1, Component.R2).lambda_sq
 
 
 def test_unified_report_exact_on_positive_m():
-    report = GEOMETRY.audit(1, 5.0, 1)
+    report = GEOMETRY.audits(1, 5.0, (1,))[0]
     assert abs(report.unified_rhs - (-4.0)) < 1e-12
     assert abs(report.variant_rhs - 4.0) < 1e-12
     assert abs(report.discrepancy) < 1e-12
@@ -343,7 +343,7 @@ def test_unified_report_exact_on_positive_m():
 
 
 def test_unified_report_flags_half_offset_on_negative_m():
-    report = GEOMETRY.audit(-1, 5.0, 1)
+    report = GEOMETRY.audits(-1, 5.0, (1,))[0]
     assert report.entry.variant is Variant.V2
     assert abs(abs(report.discrepancy) - 0.5) < 1e-12
     assert report.flagged is True

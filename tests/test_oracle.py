@@ -20,8 +20,6 @@ from curved_landau.model import (
     InadmissibleVariant,
     NonTerminating,
     RadialPair,
-    SupportTooCloseToSingularity,
-    TruncationTooSmall,
     Variant,
     ZeroLambda,
 )
@@ -30,6 +28,8 @@ from curved_landau.oracle import (
     Grid1D,
     Grid2D,
     ResidualReport,
+    SupportTooCloseToSingularity,
+    TruncationTooSmall,
     axial_connection_check,
     commutator_residual,
     first_order_system_residual,
@@ -94,6 +94,22 @@ def test_report_guards():
         ResidualReport(float("nan"))
     with pytest.raises(DomainError):
         EigenReport((3.0, 1.0))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: ResidualReport(10 ** 400), "max_abs"),
+    (lambda: ResidualReport(1.0, math.nan), "convergence_order"),
+    (lambda: ResidualReport(1.0, 10 ** 400), "convergence_order"),
+    (lambda: ResidualReport(1.0, -math.inf), "convergence_order"),
+    (lambda: EigenReport((math.nan, 1.0)), "eigenvalues"),
+    (lambda: EigenReport((1.0, math.nan)), "eigenvalues"),
+], ids=["max_abs-1e400", "order-nan", "order-1e400", "order--inf",
+        "eigen-nan-first", "eigen-nan-last"])
+def test_a_report_holds_only_finite_numbers(build, name):
+    # max_abs = 10**400 raised a bare OverflowError, a NaN or 10**400
+    # order was stored, and (nan, 1.0) passed the ascending check
+    with pytest.raises(DomainError, match=f"^{name}\\b"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +206,15 @@ def test_meters_take_an_odd_two_m(two_m):
         commutator_residual(Geometry.H3, 5.0, gaussian_bump_spinor(2.0, 0.0, 0.5),
                             Grid2D(Grid1D(0.05, 4.0, 16), Grid1D(-2.0, 2.0, 16)),
                             two_m=two_m)
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.1, 2.0), (0.0, 3.2)])
+def test_eigensolver_grid_stays_in_the_space(lo, hi):
+    with pytest.raises(DomainError, match=r"^grid must lie within \[0, 3.14159\]"):
+        radial_eigenvalues_s3(1, 1.0, Component.R1, Grid1D(lo, hi, 400))
+    if lo < 0.0:
+        with pytest.raises(DomainError, match=r"^grid must lie within \[0, inf\]"):
+            radial_eigenvalues_h3(1, 5.0, Component.R1, Grid1D(lo, 12.0, 400))
 
 
 @pytest.mark.parametrize("max_count", [1.5, 2.0])
@@ -948,6 +973,23 @@ def test_commutator_flat_fault_detected():
                               two_m=1, flat_helicity=True)
     assert rep.max_abs > 0.01
     assert rep.convergence_order < 0.5
+
+
+def test_commutator_of_a_zero_spinor_reads_zero():
+    # every level's residual is 0, so no order is measured: it reads 0
+    def spinor(r, z):
+        return np.zeros((4,) + r.shape, dtype=complex)
+
+    rep = commutator_residual(Geometry.H3, 5.0, spinor, _H3_GRID, two_m=1)
+    assert (rep.max_abs, rep.convergence_order) == (0.0, 0.0)
+
+
+def test_commutator_refuses_a_spinor_of_the_wrong_shape():
+    def spinor(r, z):
+        return np.ones((2,) + r.shape, dtype=complex)
+
+    with pytest.raises(DomainError, match=r"^test spinor must return shape \(4, nr, nz\)"):
+        commutator_residual(Geometry.H3, 5.0, spinor, _H3_GRID, two_m=1)
 
 
 def test_commutator_singular_support_rejected():

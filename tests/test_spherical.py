@@ -172,11 +172,11 @@ def test_quantum_numbers_past_the_float_range_are_refused(geometry):
     with pytest.raises(DomainError, match="^n is too large for a float"):
         rec.quantize(1, 5.0, big, Component.R1)
     with pytest.raises(DomainError, match="^n is too large for a float"):
-        rec.audit(1, 5.0, big)
+        rec.audits(1, 5.0, (big,))[0]
     with pytest.raises(DomainError, match="^two_m is too large for a float"):
         rec.quantize(big + 1, 5.0, 1, Component.R2)
     with pytest.raises(DomainError, match="^two_m is too large for a float"):
-        rec.audit(big + 1, 5.0, 1)
+        rec.audits(big + 1, 5.0, (1,))[0]
     with pytest.raises(DomainError, match="^two_m is too large for a float"):
         rec.radial_solution(big + 1, 5.0, entry.lambda_sq, Component.R1,
                             entry.variant)
@@ -229,6 +229,15 @@ def test_axial_quantization_guards():
         with pytest.raises(DomainError):
             s3_axial_quantize(lam, n_z)
     assert s3_axial_quantize(1.0, np.int64(2)) == 3.5
+
+
+@pytest.mark.parametrize("lam, n_z", [(1e308, 10 ** 308), (1.7e308, 2 * 10 ** 307)],
+                         ids=["1e308+10**308", "1.7e308+2e307"])
+def test_axial_quantization_refuses_a_p_past_the_float_range(lam, n_z):
+    # both pass their gates, but their sum overflowed: p = inf was returned
+    with pytest.raises(DomainError, match="^p = lam \\+ n_z \\+ 1/2 is not finite"):
+        s3_axial_quantize(lam, n_z)
+    assert s3_axial_quantize(1e308, 10 ** 307) == 1.1e308
 
 
 def test_axial_solution_requires_termination():
@@ -363,30 +372,30 @@ def test_total_energy_value():
 
 def test_unified_report_exact_on_variant2_range():
     for n in range(4):
-        report = GEOMETRY.audit(1, 1.0, n)
+        report = GEOMETRY.audits(1, 1.0, (n,))[0]
         assert report.entry.variant is Variant.V2
         assert abs(report.discrepancy) < 1e-12
         assert report.flagged is False
 
 
 def test_unified_report_flags_half_offset_outside_variant2():
-    report = GEOMETRY.audit(-1, 1.0, 1)
+    report = GEOMETRY.audits(-1, 1.0, (1,))[0]
     assert abs(abs(report.discrepancy) - 0.5) < 1e-12
     assert report.flagged is True
-    report = GEOMETRY.audit(7, 1.0, 1)  # m > 2B side
+    report = GEOMETRY.audits(7, 1.0, (1,))[0]  # m > 2B side
     assert abs(abs(report.discrepancy) - 0.5) < 1e-12
     assert report.flagged is True
 
 
 def test_region_consistent_inside_variant2_strip():
-    verdict = GEOMETRY.audit(1, 1.0, 1)
+    verdict = GEOMETRY.audits(1, 1.0, (1,))[0]
     assert verdict.entry.admissible
     assert verdict.predicate > 0
     assert verdict.predicate_consistent
 
 
 def test_region_disagreement_on_negative_m():
-    verdict = GEOMETRY.audit(-1, 1.0, 0)
+    verdict = GEOMETRY.audits(-1, 1.0, (0,))[0]
     assert verdict.entry.admissible  # lambda^2 = 3 > 0
     assert verdict.predicate < 0  # advertised strip excludes it
     assert not verdict.predicate_consistent
@@ -394,6 +403,6 @@ def test_region_disagreement_on_negative_m():
 
 def test_region_reflection_applied():
     # B < 0 answers at (-m, -B), where R1 becomes R2
-    verdict = GEOMETRY.audit(1, -1.0, 1)
-    assert verdict.predicate == GEOMETRY.audit(-1, 1.0, 1).predicate
+    verdict = GEOMETRY.audits(1, -1.0, (1,))[0]
+    assert verdict.predicate == GEOMETRY.audits(-1, 1.0, (1,))[0].predicate
     assert verdict.entry.lambda_sq == GEOMETRY.quantize(-1, 1.0, 1, Component.R2).lambda_sq
