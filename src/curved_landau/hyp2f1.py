@@ -89,10 +89,15 @@ def _nonpos_int_degree(x: complex) -> Optional[int]:
 
 
 def _require_finite(value, name: str, array: bool = False):
-    """value as a complex (a complex array if array): the kernel's one gate,
-    Hyp2F1Error naming it unless every entry is finite (range first)."""
+    """value as a complex (if array, an array: float64 where value is a real
+    array, complex otherwise): the kernel's one gate, Hyp2F1Error naming it
+    unless every entry is finite (range first)."""
     try:
-        z = np.asarray(value, dtype=complex) if array else complex(value)
+        if not array:
+            z = complex(value)
+        else:
+            z = np.asarray(value)
+            z = z.astype(float) if z.dtype.kind in "biuf" else z.astype(complex)
     except OverflowError:
         raise Hyp2F1Error(f"{name} is too large for a float") from None
     if not (np.isfinite(z).all() if array else cmath.isfinite(z)):
@@ -310,10 +315,17 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     products from t_k+1 y^k, so no sum divides by y. It stays a loop of
     its own because Horner's rule on these low-degree polynomials took
     the traced hyp2f1.terminating_s of a `states` pass from ~10.4 to
-    ~16.5 ms, and its op_p50_ref up ~6 % (2-core x86-64 VM)."""
+    ~16.5 ms, and its op_p50_ref up ~6 % (2-core x86-64 VM). At a real y
+    with real a, b and c it runs in float64: the same products and sums,
+    so each value is the real part of the complex sum, bit for bit."""
     a, b, c = params.a, params.b, params.c
-    y = np.asarray(y, dtype=complex)
-    out = [np.zeros(y.shape, dtype=complex) for _ in range(dmax + 1)]
+    real = (params.terminating and not np.iscomplexobj(y)
+            and a.imag == b.imag == c.imag == 0.0)
+    if real:
+        a, b, c = a.real, b.real, c.real
+    dtype = float if real else complex
+    y = np.asarray(y, dtype=dtype)
+    out = [np.zeros(y.shape, dtype=dtype) for _ in range(dmax + 1)]
     if not params.terminating:
         ring = np.searchsorted(_RINGS[:-1], np.abs(y))
         run = _series_run(params)
@@ -323,7 +335,7 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
             for o, v in zip(out, _horner(rows, y[at])):
                 o[at] = v
         return out
-    term = np.ones(y.shape, dtype=complex)  # t_k y^k
+    term = np.ones(y.shape, dtype=dtype)  # t_k y^k
     for k in range(params.degree):
         out[0] += term
         ratio = (a + k) * (b + k) / ((c + k) * (k + 1))  # t_k+1 / t_k
@@ -446,11 +458,12 @@ def _horner(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
-    """[F, dF/dy, d2F/dy2][:dmax + 1] (dmax 0 or 2) at the complex
-    arrays y and w = 1 - y. This is the one place a regime is chosen,
-    point by point:
+    """[F, dF/dy, d2F/dy2][:dmax + 1] (dmax 0 or 2) at the arrays y and
+    w = 1 - y, both float64 or both complex. This is the one place a
+    regime is chosen, point by point:
 
-    * terminating: the polynomial, at every y;
+    * terminating: the polynomial, at every y, in float64 where y and the
+      parameters are real (_series_array);
     * non-terminating: the point must lie in the unit disc, tested as
       2 Re w > |w|^2, which is |y| < 1 without the rounding of
       y = 1 - w (NonConvergent otherwise);
@@ -477,6 +490,7 @@ def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
     """
     if params.terminating:
         return _series_array(params, y, dmax)
+    y, w = y.astype(complex, copy=False), w.astype(complex, copy=False)
     with np.errstate(over="ignore"):  # |w|^2 of a point far outside
         inside = 2.0 * w.real > np.abs(w) ** 2
     if not inside.all():
@@ -534,10 +548,14 @@ def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
 
 def _points(y, w=None):
     """(y, w = 1 - y) through the gate: complex scalars, or from array input
-    complex arrays. A given w is the caller's 1 - y, which keeps its
-    relative precision as y -> 1, where 1 - y formed here would not."""
+    arrays, float64 where both are real and complex otherwise. A given w
+    is the caller's 1 - y, which keeps its relative precision as y -> 1,
+    where 1 - y formed here would not."""
     y = _require_finite(y, "y", np.ndim(y) != 0)
-    return y, 1 - y if w is None else _require_finite(w, "w", np.ndim(w) != 0)
+    w = 1 - y if w is None else _require_finite(w, "w", np.ndim(w) != 0)
+    if np.iscomplexobj(y) != np.iscomplexobj(w):
+        y, w = np.asarray(y, dtype=complex), np.asarray(w, dtype=complex)
+    return y, w
 
 
 def eval_2f1(params: Hyp2F1Params, y, w=None):
@@ -551,18 +569,20 @@ def eval_2f1(params: Hyp2F1Params, y, w=None):
     terms, weighted for each derivative asked for, stay below 1e-16 at
     the outer radius of the point's |y| ring (cap 10,000 terms). The
     degree depends on the parameters and the ring alone, so a value does
-    not depend on the other points of the call."""
+    not depend on the other points of the call. A terminating sum at a
+    real array y (and w) with real parameters is a float64 array; every
+    other array result is complex."""
     y, w = _points(y, w)
-    f = _sum(params, np.asarray(y), np.asarray(w, dtype=complex), 0)[0]
+    f = _sum(params, np.asarray(y), np.asarray(w), 0)[0]
     return complex(f) if np.ndim(y) == 0 else f
 
 
 def series_with_derivatives(params: Hyp2F1Params, y, w=None) -> tuple:
     """(F, dF/dy, d2F/dy2) by term-wise differentiated series, with the
-    exact chain rule through Pfaff's map or the connection; y, w and the
-    domain rules as in eval_2f1."""
+    exact chain rule through Pfaff's map or the connection; y, w, the
+    domain rules and the result's dtype as in eval_2f1."""
     y, w = _points(y, w)
-    f0, f1, f2 = _sum(params, np.asarray(y), np.asarray(w, dtype=complex), 2)
+    f0, f1, f2 = _sum(params, np.asarray(y), np.asarray(w), 2)
     if np.ndim(y) == 0:
         return complex(f0), complex(f1), complex(f2)
     return f0, f1, f2

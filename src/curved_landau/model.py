@@ -17,6 +17,7 @@ and a number past the float range by name, with DomainError.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -141,22 +142,25 @@ class Variable(Enum):
     """Coordinate-to-argument maps for the four solution families. Each
     member carries its space and, as data, its maps of coordinates x
     (taken as a float array; EvaluationDomain past the float range):
-    y_pair(x) = (y, 1 - y), dy_dx(x) and d2y_dx2(x). On YZ both y and
-    1 - y keep full relative precision (not formed by cancellation)."""
+    y_pair(x) = (y, 1 - y), dy_dx(x) and d2y_dx2(x). The radial maps are
+    the half-angle ones, float64 throughout: YR is y = cosh^2(r/2),
+    1 - y = -sinh^2(r/2), and YR_S3 is y = cos^2(r/2), 1 - y = sin^2(r/2).
+    On YZ, YR and YR_S3 both y and 1 - y keep full relative precision
+    (neither is formed by cancellation)."""
 
     YZ = ("yz", Geometry.H3,  # y = (1 + tanh z)/2 = e^z / (2 cosh z) in (0, 1)
           lambda x: (_logistic(2.0 * x), _logistic(-2.0 * x)),
           lambda x: 0.5 / np.cosh(x) ** 2 + 0.0j,
           lambda x: -np.tanh(x) / np.cosh(x) ** 2 + 0.0j)
-    YR = ("yr", Geometry.H3,  # y = (1 + cosh r)/2 in (1, inf) for r > 0
-          lambda x: _with_complement((1.0 + np.cosh(x)) / 2.0 + 0.0j),
-          lambda x: np.sinh(x) / 2.0 + 0.0j, lambda x: np.cosh(x) / 2.0 + 0.0j)
+    YR = ("yr", Geometry.H3,  # y = cosh^2(r/2) = (1 + cosh r)/2 in [1, inf)
+          lambda x: (np.cosh(x / 2.0) ** 2, -np.sinh(x / 2.0) ** 2),
+          lambda x: np.sinh(x) / 2.0, lambda x: np.cosh(x) / 2.0)
     YZ_S3 = ("yz_s3", Geometry.S3,  # y = (1 + i tan z)/2, Re y = 1/2, |z| < pi/2
              lambda x: _with_complement((1.0 + 1j * np.tan(x)) / 2.0),
              lambda x: 0.5j / np.cos(x) ** 2, lambda x: 1j * np.tan(x) / np.cos(x) ** 2)
-    YR_S3 = ("yr_s3", Geometry.S3,  # y = (1 + cos r)/2 in (0, 1) for r in (0, pi)
-             lambda x: _with_complement((1.0 + np.cos(x)) / 2.0 + 0.0j),
-             lambda x: -np.sin(x) / 2.0 + 0.0j, lambda x: -np.cos(x) / 2.0 + 0.0j)
+    YR_S3 = ("yr_s3", Geometry.S3,  # y = cos^2(r/2) = (1 + cos r)/2 in [0, 1]
+             lambda x: (np.cos(x / 2.0) ** 2, np.sin(x / 2.0) ** 2),
+             lambda x: -np.sin(x) / 2.0, lambda x: -np.cos(x) / 2.0)
 
     def __new__(cls, value, geometry, *maps):
         member = object.__new__(cls)
@@ -608,10 +612,15 @@ class GeometryRecord:
 class SolutionForm:
     """y^exp_a (1-y)^exp_c F(a,b,c;y) on the variable's coordinate line.
 
-    Powers are principal-branch; on Yr (y > 1) the factor (1-y)^exp_c
-    therefore carries the constant phase exp(i*pi*exp_c). Pair factors
-    are stated for exactly this convention. F and its y-derivatives come
-    from eval_2f1 and series_with_derivatives at the map's own 1 - y.
+    Powers are principal-branch; on YR (1 - y <= 0) the factor
+    (1-y)^exp_c therefore carries the constant phase exp(i*pi*exp_c).
+    Pair factors are stated for exactly this convention. F and its
+    y-derivatives come from eval_2f1 and series_with_derivatives at the
+    map's own 1 - y. On the radial maps, whose (y, 1 - y) are real, the
+    prefactor |y|^exp_a |1-y|^exp_c, its log-derivatives and the chain
+    rule stay in float64, and evaluate and evaluate_with_derivs multiply
+    that phase in last (1 on YR_S3, where 1 - y >= 0), so every form
+    returns complex128. value_y and derivs_y take y as complex.
     """
 
     exp_a: complex
@@ -620,11 +629,11 @@ class SolutionForm:
     variable: Variable
 
     def value_y(self, y):
-        return self._form(*self._y_pair(y), 0)[0]
+        return self._form(*self._y_pair(y), 0)[0][0]
 
     def derivs_y(self, y):
         """(G, dG/dy, d2G/dy2) for the full form G."""
-        return tuple(self._form(*self._y_pair(y), 2))
+        return tuple(self._form(*self._y_pair(y), 2)[0])
 
     @staticmethod
     def _y_pair(y):
@@ -648,16 +657,23 @@ class SolutionForm:
         return x
 
     def _form(self, y, w, dmax: int):
-        """G and its first dmax y-derivatives at y = 1 - w. Raises
-        EvaluationDomain rather than return a non-finite value."""
+        """(G and its first dmax y-derivatives at y = 1 - w, phase). At
+        complex (y, w) the powers are principal-branch and phase is None.
+        At real (y, w), as the radial maps give them with y >= 0, G's
+        prefactor is |y|^A |w|^C and phase the principal branch's
+        constant factor of w^C, exp(i pi C) where w <= 0 (sign bit set)
+        and 1 elsewhere, for the caller to multiply in after any chain
+        rule. Raises EvaluationDomain rather than return a non-finite
+        value."""
         if not self.params.terminating and np.any(w == 0):
             raise EvaluationDomain("1 - y underflows to 0; the form's "
                                    "hypergeometric factor is singular there")
         A, C = self.exp_a, self.exp_c
+        real = not np.iscomplexobj(y)
         with np.errstate(all="ignore"):
             f = (series_with_derivatives(self.params, y, w) if dmax
                  else (eval_2f1(self.params, y, w),))
-            pref = y ** A * w ** C
+            pref = y ** A * (np.abs(w) if real else w) ** C
             out = [pref * f[0]]
             if dmax:
                 lg1 = A / y - C / w
@@ -667,19 +683,23 @@ class SolutionForm:
         if not all(np.isfinite(g).all() for g in out):
             raise EvaluationDomain("form value or y-derivative not representable "
                                    "at some point (y or 1 - y too close to 0)")
-        return out
+        if not real:
+            return out, None
+        return out, np.where(np.signbit(w), cmath.exp(1j * math.pi * C), 1.0)
 
     def evaluate(self, x):
         """Form value at coordinate points (z or r per `variable`)."""
-        return self._form(*self.variable.y_pair(self._coordinates(x)), 0)[0]
+        (g0,), phase = self._form(*self.variable.y_pair(self._coordinates(x)), 0)
+        return g0 if phase is None else g0 * phase
 
     def evaluate_with_derivs(self, x):
         """(G, dG/dx, d2G/dx2) via exact chain rule through y(x)."""
         x = self._coordinates(x)
-        g0, gy, gyy = self._form(*self.variable.y_pair(x), 2)
+        (g0, gy, gyy), phase = self._form(*self.variable.y_pair(x), 2)
         y1 = self.variable.dy_dx(x)
         y2 = self.variable.d2y_dx2(x)
-        return g0, gy * y1, gyy * y1**2 + gy * y2
+        out = g0, gy * y1, gyy * y1**2 + gy * y2
+        return out if phase is None else tuple(g * phase for g in out)
 
 
 @dataclass

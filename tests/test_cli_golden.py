@@ -40,17 +40,17 @@ GOLDEN = [
     ("regions --model s3 --B -2 --two-m=-7..7 --n 0..4",
      "d10836cc24e3f5023c43e53fb3da6ae866559b23d4f6b0d73f34c90568735d67"),
     ("wavefunction --model h3 --component r1 --B 5 --two-m=1 --n 1",
-     "4118d496a5cb9e1d27f35dc0358f585d8635b242286754de4a2163a49414c300"),
+     "d40e2069629071ec2cdf9289c023e6f8cf503972d3ba91ab62ef5385a07585c1"),
     ("wavefunction --model h3 --component r2 --B 5 --two-m=3 --n 2",
-     "384d843dd2fc6715092912dfbed4df88eb74801346cfb694f188ef4dde1d346e"),
+     "b094ae6cbbdf378ed97691ffecb9c87074035feaf8a895046482de3cda09e5e7"),
     ("wavefunction --model h3 --component z1 --B 5 --two-m=1 --n 1 --p 0.7",
      "e9f1b784a08d322a71f8444e8053e07b5b2fbeab9fba38c48b44f45cfb7f8d09"),
     ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3",
      "dc5e94564f5f53b5bb6bb16a47c914da7c1315220e3a5f3eb5e780ffb909b7f6"),
     ("wavefunction --model s3 --component r1 --B 2.5 --two-m=1 --n 1",
-     "4e9ad18ea8779f41ef73bbd9d864104ab070b1fb2bb34093ffc4bcbddb2932f5"),
+     "c12b0344c63b12cd1707875c590bdf7c1858727b5baa3bca35222a98c8d00d20"),
     ("wavefunction --model s3 --component r2 --B 2.5 --two-m=-3 --n 2",
-     "ba1bd395fb1a0a7594af349251f8a1bb4b7a555895d07e246ceee77031b3058d"),
+     "311186554e3155db204086e7d7af1771bd56517d7708d8e9e42a33f216b323a9"),
     ("wavefunction --model s3 --component z1 --B 2.5 --two-m=1 --n 1 --nz 2",
      "e0e4104c5dbd0de316c0801d224a21ce01e510bf649b47f1a82e9082586e96f0"),
     ("wavefunction --model s3 --component z2 --B 2.5 --two-m=1 --n 1 --nz 1",
@@ -58,7 +58,7 @@ GOLDEN = [
     ("verify --suite radial",
      "465988d77ecad4cda06426bb1eabae90ac30bf0b5072c903b6bfeb4b304fcca2"),
     ("verify --suite pairs",
-     "5de68b4ff50361e401ba52f745c8fb47caca790603f4bf0b85bb077758be17f2"),
+     "063e6108a94c5ba031b46c9c35db493505cbd56630839d5e03829bcd9fa90e75"),
     ("verify --suite axial",
      "89328711ed571975969d36b4b4163bbb70c0e62924476f006d5cc84f6f7c05ad"),
     ("verify --suite commutator",
@@ -75,7 +75,7 @@ GOLDEN = [
      "88780ae96480a5e10cc9d89fca0a43d96b265c2a157f598a06731751db651452"),
     ("wavefunction --model h3 --component r1 --B 5 --two-m=1 --n 1 "
      "--format json",
-     "b406d823720f357c4a09284b76d69d8c221f3cc2570017aa81318187ef9772e9"),
+     "de2d64baafd9faeac0d6089a743abebe23c0edaecde1ee846ec04e3a410d36cb"),
     ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3 "
      "--format json",
      "bf4679c7ec3b6c29237fed3970731a008934af59ac4daa6bcc61c865f5454b2a"),
@@ -181,31 +181,31 @@ TABLES = [
 # s3: 1, 2, 3, 4', 1', 3'), plus B = 0 and small-B states.
 RADIAL_WAVEFUNCTIONS = [
     ('wavefunction --model h3 --component r1 --B 5 --two-m=3 --n 2',
-     'b5da1d450ce246d3f3da8b5777507dd85f3fd75b4ed52a0f84daa5bccdc39ed6'),
+     '65adaebe6b2247430cc27bdf2e6340452a34b2becc32a8a5a4206947c4100c0c'),
     ('wavefunction --model h3 --component r1 --B 5 --two-m=-3 --n 1',
-     'ec64db62fe969249ebcb520df5752cf5006e9bb07a0edf08d212aec13b36cf60'),
+     '76c4a738fb9fff04bf560a4b5e6f975c6c8eb410176602f669fb3c4f68ac365b'),
     ('wavefunction --model h3 --component r2 --B 5 --two-m=-1 --n 1',
-     'cde505ba2fc1554f0ce09ae2bd88aca31e507139321ea24e734bab514816d692'),
+     '7df7adf7fac0ad8b0eddc3b4c75d1c69ed4119c8bc017013f3e41591e3abe848'),
     ('wavefunction --model h3 --component r2 --B 5 --two-m=-5 --n 0',
-     'd52de7ced3c275237c6ed4a28b2cfe51a543b9c51c37eb2fe2622fd48ae0baa0'),
+     'ccf5214a39c781c8f1fbc6bd657c849a52707301b5ee4fae109db461f02e5a2b'),
     ('wavefunction --model h3 --component r1 --B 7.3 --two-m=7 --n 4',
-     '259cbb77383ad689806fc24a608da53ebf9068ee74b602d1ac859c10321c0405'),
+     '9c326568daba7a04d2e3216884e46d2ee2d830c72a4341d16f7a92a0ff182ecf'),
     ('wavefunction --model h3 --component r2 --B 2.5 --two-m=1 --n 0',
-     '59e141557accf2e3e2ad5569c355b1ba8f54e2d172743e84f9101726a64a6659'),
+     'b3a96d0b8f4ae8d65e2fa28faf0bace18fccf0843f1b6176581e94486d41751f'),
     ('wavefunction --model s3 --component r1 --B 2.5 --two-m=-3 --n 1',
-     '693443997917a4f28f7778430c71d5ea60588e1641323ddf7baf19b55d3d0be3'),
+     '599d0f516cfb55292983cb8e1fe731336ad0484f8484329a1e8d4ed245a0b4cb'),
     ('wavefunction --model s3 --component r1 --B 2.5 --two-m=3 --n 1',
-     'a58961c23c7c7fce862653b9b43132ca4e7276825744c7bcf407f772f142aaa3'),
+     '3c7d1682abb562bfc3374716388bf7db6e4a88982725fca34c5532500b416457'),
     ('wavefunction --model s3 --component r1 --B 2.5 --two-m=11 --n 0',
-     'c7cf4b34c8ab54941fd02a4e8db1b00b18838b01455c38d1b457be4b9e8f49d6'),
+     '153d6d203146d009f3cd85c116b3368583cfd16a29b22505fbde91cdd6573878'),
     ('wavefunction --model s3 --component r2 --B 2.5 --two-m=1 --n 2',
-     '45cdd49aa5d0a46c7d3df0787ebc6ddbb5772638c7cc667f59e9a1da6201231c'),
+     'a57e5d50a163341adeb8a46ad0bcd0ef168e368da3b60a2f9a8d0d93e07ce523'),
     ('wavefunction --model s3 --component r2 --B 2.5 --two-m=11 --n 1',
-     'fb6f13c2b48610e8c2e499d16eb7f72f88870f23eb9ec511156fdfcdc4d7ca02'),
+     'f1a81cbd14b3fb995c2787b2222ea6200cbc03ba582a501d76981ce97fdf4742'),
     ('wavefunction --model s3 --component r1 --B 0 --two-m=1 --n 1',
-     '7afe0159681c98972452a05ace30bf09a07ac7d1171d0cbda95b79a03bdc974c'),
+     'a6de514ad137770d0f961c551fd576b0cec8b3a4e1953cb8342b4fe11e51d944'),
     ('wavefunction --model s3 --component r2 --B 0.3 --two-m=-5 --n 3',
-     'f5be988df86efe9d01b518a1f6b18ba797023027fbfdad8d8f56ba396353376e'),
+     '4b2a0c326ebb46da83c78d76aa3b9970458b92777f8a5ca6bb47474ecbc3e66e'),
 ]
 
 
@@ -214,9 +214,9 @@ RADIAL_WAVEFUNCTIONS = [
 # equal those of the reflected commands byte for byte.
 NEGATIVE_FIELD_WAVEFUNCTIONS = [
     ("wavefunction --model h3 --component r1 --B -5 --two-m=-1 --n 1",
-     "b5be85ea75dc9cbc67123af45f6c7082af08498f5d0c1e99b2e54d915eec0966"),
+     "b08c8571e620c1b0bc6e7c7e7b38e330fc858f3cdd102f779867bbb8b146fa74"),
     ("wavefunction --model s3 --component r2 --B -2.5 --two-m=3 --n 1",
-     "4318c364ebdc4c0d0dbe6486df0be8f946820a70f4d58d3f1e2c0d43a3aab814"),
+     "89ae3b7da1812da22be1656c6a8c2fd963bdd956c181a1698c1fb2197bd47bac"),
 ]
 
 # Axial wavefunctions over a lattice, one digest per (model, component,

@@ -346,6 +346,36 @@ def test_terminating_derivatives_match_mpmath_on_bound_states():
     assert worst[0] <= 5e-11 and worst[1] <= 1e-11 and worst[2] <= 4e-12, worst
 
 
+def test_real_terminating_sums_are_the_complex_sums_real_parts():
+    # at a float y with real terminating parameters the kernel sums in
+    # float64; it is the complex loop's own products and sums, so every
+    # value equals the real part of the complex call exactly
+    rng = np.random.default_rng(31)
+    y = np.concatenate([rng.uniform(-3.0, 3.0, 300), rng.uniform(0.0, 1.0, 300),
+                        np.cosh(rng.uniform(0.0, 6.0, 300) / 2) ** 2,
+                        [0.0, 1.0, -1.0]])
+    cases = [Hyp2F1Params(-float(rng.integers(0, 13)), rng.uniform(-12.0, 12.0),
+                          rng.uniform(0.1, 12.0)) for _ in range(40)]
+    cases += [form.params for form, _ in _terminating_forms()
+              if form.variable in (Variable.YR, Variable.YR_S3)]
+    for params in cases:
+        got, ref = eval_2f1(params, y), eval_2f1(params, y.astype(complex))
+        assert got.dtype == np.float64 and ref.dtype == np.complex128
+        assert np.array_equal(got, ref.real), params
+        got = series_with_derivatives(params, y, 1 - y)
+        ref = series_with_derivatives(params, y.astype(complex))
+        for g, r in zip(got, ref):
+            assert g.dtype == np.float64
+            assert np.array_equal(g, r.real), params
+
+
+def test_radial_forms_return_complex_arrays():
+    for form, (lo, hi) in _terminating_forms():
+        xs = np.linspace(lo, hi, 7)
+        for value in (form.evaluate(xs), *form.evaluate_with_derivs(xs)):
+            assert value.dtype == np.complex128
+
+
 def _mp_derivs(params, y):
     """(F, F', F'') at y in mpmath, F' and F'' from 2F1 at shifted
     parameters."""
