@@ -328,8 +328,10 @@ def test_terminating_derivatives_match_mpmath_on_bound_states():
     # every bound state is a terminating 2F1; F, F' and F'' at each map's
     # own (y, 1 - y), 41 points per form, against the polynomial at 40
     # digits, relative to the sup over the form's points. The kernel
-    # reads 3.36e-11, 6.76e-12 and 2.43e-12 here; sums that divide each
-    # term by y and y^2 read 1.69e-11 for F' and 3.52e-12 for F''
+    # reads 2.61e-11, 6.76e-12 and 2.80e-12 at the half-angle radial
+    # maps' points (3.36e-11, 6.76e-12 and 2.43e-12 at those of
+    # (1 + cosh r)/2 and (1 + cos r)/2); sums that divide each term by y
+    # and y^2 read 1.69e-11 for F' and 3.52e-12 for F''
     worst, count = [0.0] * 3, 0
     with mpmath.workdps(40):
         for form, (lo, hi) in _terminating_forms():
