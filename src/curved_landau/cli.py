@@ -213,25 +213,6 @@ def _emit(args, meta: Dict[str, object], columns: Sequence[str],
 # ---------------------------------------------------------------------------
 
 
-def _axial_rules(lam: Optional[float], n_zs, M: float):
-    """(quantize, energy) for the rows of one level: the expressions of
-    s3_axial_quantize and s3_total_energy where their gates pass at the
-    level's largest n_z, and so at every n_z (p, and M^2 + p^2 with it,
-    grows with n_z); elsewhere the gated calls themselves, so a refused
-    row raises the error it raises alone."""
-    if lam is not None:
-        try:
-            p = sph.s3_axial_quantize(lam, max(n_zs))
-            if M > 0.0:
-                sph.s3_total_energy(M, p)
-        except DomainError:
-            pass
-        else:
-            return (lambda lam, n_z: lam + n_z + 0.5,
-                    lambda M, p: math.sqrt(M * M + p * p))
-    return sph.s3_axial_quantize, sph.s3_total_energy
-
-
 def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
     two_ms = _parse_range(parser, args.two_m, "--two-m", odd=True)
     ns = _parse_range(parser, args.n, "--n", minimum=0)
@@ -264,14 +245,13 @@ def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
             lam = (math.sqrt(lam_sq)
                    if n_zs[0] is not None and entry.admissible else None)
             variant = entry.variant.value if entry.variant else None
-            quantize, energy = _axial_rules(lam, n_zs, args.M)
             level = []
             for n_z in n_zs:
                 p = epsilon = None
                 if lam is not None:
-                    p = quantize(lam, n_z)
+                    p = sph.s3_axial_quantize(lam, n_z)
                     if args.M > 0.0:
-                        epsilon = energy(args.M, p) / rho
+                        epsilon = sph.s3_total_energy(args.M, p) / rho
                     p /= rho
                 if not (finite_sq and (p is None or math.isfinite(p))
                         and (epsilon is None or math.isfinite(epsilon))):

@@ -617,10 +617,10 @@ class SolutionForm:
     Pair factors are stated for exactly this convention. F and its
     y-derivatives come from eval_2f1 and series_with_derivatives at the
     map's own 1 - y. On the radial maps, whose (y, 1 - y) are real, the
-    prefactor |y|^exp_a |1-y|^exp_c, its log-derivatives and the chain
-    rule stay in float64, and evaluate and evaluate_with_derivs multiply
-    that phase in last (1 on YR_S3, where 1 - y >= 0), so every form
-    returns complex128. value_y and derivs_y take y as complex.
+    prefactor |y|^exp_a |1-y|^exp_c and its log-derivatives stay in
+    float64, and _form multiplies that phase in last (1 on YR_S3, where
+    1 - y >= 0), before any chain rule, so every form returns
+    complex128. value_y and derivs_y take y as complex.
     """
 
     exp_a: complex
@@ -629,11 +629,11 @@ class SolutionForm:
     variable: Variable
 
     def value_y(self, y):
-        return self._form(*self._y_pair(y), 0)[0][0]
+        return self._form(*self._y_pair(y), 0)[0]
 
     def derivs_y(self, y):
         """(G, dG/dy, d2G/dy2) for the full form G."""
-        return tuple(self._form(*self._y_pair(y), 2)[0])
+        return tuple(self._form(*self._y_pair(y), 2))
 
     @staticmethod
     def _y_pair(y):
@@ -657,14 +657,12 @@ class SolutionForm:
         return x
 
     def _form(self, y, w, dmax: int):
-        """(G and its first dmax y-derivatives at y = 1 - w, phase). At
-        complex (y, w) the powers are principal-branch and phase is None.
-        At real (y, w), as the radial maps give them with y >= 0, G's
-        prefactor is |y|^A |w|^C and phase the principal branch's
-        constant factor of w^C, exp(i pi C) where w <= 0 (sign bit set)
-        and 1 elsewhere, for the caller to multiply in after any chain
-        rule. Raises EvaluationDomain rather than return a non-finite
-        value."""
+        """G and its first dmax y-derivatives at y = 1 - w, as complex
+        arrays with principal-branch powers. At real (y, w), as the radial
+        maps give them, the prefactor |y|^A |w|^C and its log-derivatives
+        stay float64 and the constant phase of w^C, exp(i pi C) on YR
+        (w <= 0) and 1 on YR_S3, is multiplied in last. Raises
+        EvaluationDomain rather than return a non-finite value."""
         if not self.params.terminating and np.any(w == 0):
             raise EvaluationDomain("1 - y underflows to 0; the form's "
                                    "hypergeometric factor is singular there")
@@ -683,23 +681,23 @@ class SolutionForm:
         if not all(np.isfinite(g).all() for g in out):
             raise EvaluationDomain("form value or y-derivative not representable "
                                    "at some point (y or 1 - y too close to 0)")
-        if not real:
-            return out, None
-        return out, np.where(np.signbit(w), cmath.exp(1j * math.pi * C), 1.0)
+        if real:
+            phase = (cmath.exp(1j * math.pi * C) if self.variable is Variable.YR
+                     else 1.0 + 0.0j)
+            out = [g * phase for g in out]
+        return out
 
     def evaluate(self, x):
         """Form value at coordinate points (z or r per `variable`)."""
-        (g0,), phase = self._form(*self.variable.y_pair(self._coordinates(x)), 0)
-        return g0 if phase is None else g0 * phase
+        return self._form(*self.variable.y_pair(self._coordinates(x)), 0)[0]
 
     def evaluate_with_derivs(self, x):
         """(G, dG/dx, d2G/dx2) via exact chain rule through y(x)."""
         x = self._coordinates(x)
-        (g0, gy, gyy), phase = self._form(*self.variable.y_pair(x), 2)
+        g0, gy, gyy = self._form(*self.variable.y_pair(x), 2)
         y1 = self.variable.dy_dx(x)
         y2 = self.variable.d2y_dx2(x)
-        out = g0, gy * y1, gyy * y1**2 + gy * y2
-        return out if phase is None else tuple(g * phase for g in out)
+        return g0, gy * y1, gyy * y1**2 + gy * y2
 
 
 @dataclass
