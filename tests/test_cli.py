@@ -673,14 +673,3 @@ def test_h3_axial_wavefunction_at_large_p_matches_mpmath(capsys):
             got.append(complex(float(re), float(im)))
     err = max(abs(g - r) for g, r in zip(got, ref))
     assert err <= 1e-12 * max(abs(r) for r in ref), err
-
-
-def test_a_refused_axial_level_raises_at_its_first_row(capsys):
-    # spectrum runs the p and epsilon gates once per level, at its largest
-    # n_z; a level they refuse is still refused at its first row, with the
-    # message the row-by-row calls print (p = lam + 1/2, not lam + 3.5)
-    code, out, err = _run(capsys, ["spectrum", "--model", "s3", "--B", "1",
-                                   "--M", "1e200", "--two-m=1", "--n", "1",
-                                   "--nz", "0..3"])
-    assert (code, out) == (2, "")
-    assert err == "error: M^2 + p^2 is not finite at M = 1e+200, p = 2.232050807568877\n"
