@@ -86,7 +86,7 @@ class NegativeDiscriminant(InadmissibleVariant):
 
 class EvaluationDomain(DomainError):
     """A solution form is not representable at a point: 1 - y underflows
-    to 0 under a non-terminating series, or a value or y-derivative of
+    to 0 under a non-terminating series, or a value or derivative of
     the form is not a finite float (y or 1 - y too close to 0)."""
 
 
@@ -138,36 +138,44 @@ def _with_complement(y):
     return y, 1 - y
 
 
+def _yr(r, dmax):  # y = cosh^2(r/2) = (1 + cosh r)/2 in [1, inf)
+    c, s = np.cosh(h := r * 0.5), np.sinh(h)
+    y, w = c ** 2, -s ** 2
+    return (y, w, s * c, (y - w) * 0.5) if dmax else (y, w)
+
+
+def _yr_s3(r, dmax):  # y = cos^2(r/2) = (1 + cos r)/2 in [0, 1]
+    c, s = np.cos(h := r * 0.5), np.sin(h)
+    y, w = c ** 2, s ** 2
+    return (y, w, -(s * c), (c - s) * (c + s) * -0.5) if dmax else (y, w)
+
+
 class Variable(Enum):
     """Coordinate-to-argument maps for the four solution families. Each
-    member carries its space and, as data, its maps of coordinates x
-    (taken as a float array; EvaluationDomain past the float range):
-    y_pair(x) = (y, 1 - y), dy_dx(x) and d2y_dx2(x). The radial maps are
-    the half-angle ones, float64 throughout: YR is y = cosh^2(r/2),
-    1 - y = -sinh^2(r/2), and YR_S3 is y = cos^2(r/2), 1 - y = sin^2(r/2).
-    On YZ, YR and YR_S3 both y and 1 - y keep full relative precision
-    (neither is formed by cancellation)."""
+    member carries its space and, as data, its map of coordinates x (a
+    float array; EvaluationDomain past the float range): y_pair(x) =
+    (y, 1 - y) and y_pair(x, 2) = (y, 1 - y, dy/dx, d2y/dx2). A radial
+    map takes all four, in float64, from one half-angle pair c, s: on
+    YR (cosh, sinh of r/2) y = c^2, 1 - y = -s^2, s c and (c^2 + s^2)/2,
+    on YR_S3 (cos, sin) y = c^2, 1 - y = s^2, -s c and -(c - s)(c + s)/2.
+    None of these, nor y and 1 - y on YZ, is formed by cancellation."""
 
     YZ = ("yz", Geometry.H3,  # y = (1 + tanh z)/2 = e^z / (2 cosh z) in (0, 1)
-          lambda x: (_logistic(2.0 * x), _logistic(-2.0 * x)),
-          lambda x: 0.5 / np.cosh(x) ** 2 + 0.0j,
-          lambda x: -np.tanh(x) / np.cosh(x) ** 2 + 0.0j)
-    YR = ("yr", Geometry.H3,  # y = cosh^2(r/2) = (1 + cosh r)/2 in [1, inf)
-          lambda x: (np.cosh(x / 2.0) ** 2, -np.sinh(x / 2.0) ** 2),
-          lambda x: np.sinh(x) / 2.0, lambda x: np.cosh(x) / 2.0)
+          lambda x, dmax: (_logistic(2.0 * x), _logistic(-2.0 * x)) + (
+              (0.5 / np.cosh(x) ** 2 + 0.0j, -np.tanh(x) / np.cosh(x) ** 2 + 0.0j)
+              if dmax else ()))
+    YR = ("yr", Geometry.H3, _yr)
     YZ_S3 = ("yz_s3", Geometry.S3,  # y = (1 + i tan z)/2, Re y = 1/2, |z| < pi/2
-             lambda x: _with_complement((1.0 + 1j * np.tan(x)) / 2.0),
-             lambda x: 0.5j / np.cos(x) ** 2, lambda x: 1j * np.tan(x) / np.cos(x) ** 2)
-    YR_S3 = ("yr_s3", Geometry.S3,  # y = cos^2(r/2) = (1 + cos r)/2 in [0, 1]
-             lambda x: (np.cos(x / 2.0) ** 2, np.sin(x / 2.0) ** 2),
-             lambda x: -np.sin(x) / 2.0, lambda x: -np.cos(x) / 2.0)
+             lambda x, dmax: _with_complement((1.0 + 1j * np.tan(x)) / 2.0) + (
+                 (0.5j / np.cos(x) ** 2, 1j * np.tan(x) / np.cos(x) ** 2) if dmax else ()))
+    YR_S3 = ("yr_s3", Geometry.S3, _yr_s3)
 
-    def __new__(cls, value, geometry, *maps):
+    def __new__(cls, value, geometry, y_pair):
         member = object.__new__(cls)
         member._value_ = value
         member.geometry = geometry
-        member.y_pair, member.dy_dx, member.d2y_dx2 = (
-            lambda x, f=f: f(_array(x, "x", float, EvaluationDomain)) for f in maps)
+        member.y_pair = lambda x, dmax=0: y_pair(
+            _array(x, "x", float, EvaluationDomain), dmax)
         return member
 
 
@@ -616,11 +624,12 @@ class SolutionForm:
     (1-y)^exp_c therefore carries the constant phase exp(i*pi*exp_c).
     Pair factors are stated for exactly this convention. F and its
     y-derivatives come from eval_2f1 and series_with_derivatives at the
-    map's own 1 - y. On the radial maps, whose (y, 1 - y) are real, the
-    prefactor |y|^exp_a |1-y|^exp_c and its log-derivatives stay in
-    float64, and _form multiplies that phase in last (1 on YR_S3, where
-    1 - y >= 0), before any chain rule, so every form returns
-    complex128. value_y and derivs_y take y as complex.
+    map's own 1 - y. On the radial maps, whose (y, 1 - y) and map
+    derivatives are real, the prefactor |y|^exp_a |1-y|^exp_c, its
+    log-derivatives and the chain rule stay in float64, and the results
+    become complex once, at the end (_complex): times that phase on YR,
+    a cast on YR_S3. Every form returns complex128, and one chain rule
+    serves real and complex maps. value_y and derivs_y take y as complex.
     """
 
     exp_a: complex
@@ -629,19 +638,18 @@ class SolutionForm:
     variable: Variable
 
     def value_y(self, y):
-        return self._form(*self._y_pair(y), 0)[0]
+        return self._at_y(y, 0)[0]
 
     def derivs_y(self, y):
         """(G, dG/dy, d2G/dy2) for the full form G."""
-        return tuple(self._form(*self._y_pair(y), 2))
+        return tuple(self._at_y(y, 2))
 
-    @staticmethod
-    def _y_pair(y):
-        """(y, 1 - y) as complex arrays; EvaluationDomain unless y is finite."""
+    def _at_y(self, y, dmax: int):
+        """_form at y taken as complex; EvaluationDomain unless y is finite."""
         y = _array(y, "y", complex, EvaluationDomain)
         if not np.isfinite(y).all():
             raise EvaluationDomain("y must be finite")
-        return y, 1 - y
+        return self._complex(self._form(y, 1 - y, dmax), y)
 
     def _coordinates(self, x):
         """x as a float array; EvaluationDomain naming x unless its least and
@@ -657,47 +665,58 @@ class SolutionForm:
         return x
 
     def _form(self, y, w, dmax: int):
-        """G and its first dmax y-derivatives at y = 1 - w, as complex
-        arrays with principal-branch powers. At real (y, w), as the radial
-        maps give them, the prefactor |y|^A |w|^C and its log-derivatives
-        stay float64 and the constant phase of w^C, exp(i pi C) on YR
-        (w <= 0) and 1 on YR_S3, is multiplied in last. Raises
-        EvaluationDomain rather than return a non-finite value."""
+        """G and its first dmax y-derivatives at y = 1 - w, principal-branch:
+        complex at complex (y, w), float64 at real (y, w) (radial maps),
+        with the prefactor |y|^A |w|^C, whose phase _complex puts in.
+        EvaluationDomain where 1 - y is 0 under a non-terminating series."""
         if not self.params.terminating and np.any(w == 0):
             raise EvaluationDomain("1 - y underflows to 0; the form's "
                                    "hypergeometric factor is singular there")
         A, C = self.exp_a, self.exp_c
-        real = not np.iscomplexobj(y)
         with np.errstate(all="ignore"):
             f = (series_with_derivatives(self.params, y, w) if dmax
                  else (eval_2f1(self.params, y, w),))
-            pref = y ** A * (np.abs(w) if real else w) ** C
+            pref = y ** A * (w if np.iscomplexobj(w) else np.abs(w)) ** C
             out = [pref * f[0]]
             if dmax:
                 lg1 = A / y - C / w
                 lg2 = A * (A - 1) / y**2 - 2 * A * C / (y * w) + C * (C - 1) / w ** 2
                 out += [pref * (lg1 * f[0] + f[1]),
                         pref * (lg2 * f[0] + 2 * lg1 * f[1] + f[2])]
-        if not all(np.isfinite(g).all() for g in out):
-            raise EvaluationDomain("form value or y-derivative not representable "
-                                   "at some point (y or 1 - y too close to 0)")
-        if real:
-            phase = (cmath.exp(1j * math.pi * C) if self.variable is Variable.YR
-                     else 1.0 + 0.0j)
-            out = [g * phase for g in out]
         return out
+
+    def _complex(self, out, y, r=None):
+        """out (value and derivatives at y) stacked as complex128: at real y
+        times the phase of (1 - y)^C, exp(i pi C) on YR, a cast on YR_S3.
+        EvaluationDomain unless all are finite, save the j-th r-derivative
+        at r = 0 (r given), which tends to 0 where 2C > j."""
+        out = np.array(out)
+        finite = np.isfinite(out).all()
+        if not finite and r is not None and np.isrealobj(y):
+            out[1:] = [np.where(r == 0, 0.0, g) if 2 * self.exp_c.real > j else g
+                       for j, g in enumerate(out[1:], 1)]
+            finite = np.isfinite(out).all()
+        if not finite:
+            raise EvaluationDomain("form value or derivative not representable "
+                                   "at some point (y or 1 - y too close to 0)")
+        if np.iscomplexobj(y):
+            return out
+        return (out * cmath.exp(1j * math.pi * self.exp_c) if self.variable is Variable.YR
+                else out.astype(complex))
 
     def evaluate(self, x):
         """Form value at coordinate points (z or r per `variable`)."""
-        return self._form(*self.variable.y_pair(self._coordinates(x)), 0)[0]
+        y, w = self.variable.y_pair(self._coordinates(x))
+        return self._complex(self._form(y, w, 0), y)[0]
 
     def evaluate_with_derivs(self, x):
-        """(G, dG/dx, d2G/dx2) via exact chain rule through y(x)."""
+        """(G, dG/dx, d2G/dx2) via exact chain rule through y(x); at
+        r = 0 the limits _complex names."""
         x = self._coordinates(x)
-        g0, gy, gyy = self._form(*self.variable.y_pair(x), 2)
-        y1 = self.variable.dy_dx(x)
-        y2 = self.variable.d2y_dx2(x)
-        return g0, gy * y1, gyy * y1**2 + gy * y2
+        with np.errstate(over="ignore"):  # a map overflows only where the form raises
+            y, w, y1, y2 = self.variable.y_pair(x, 2)
+        g0, gy, gyy = self._form(y, w, 2)
+        return tuple(self._complex([g0, gy * y1, gyy * y1**2 + gy * y2], y, x))
 
 
 @dataclass

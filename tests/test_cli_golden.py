@@ -58,7 +58,7 @@ GOLDEN = [
     ("verify --suite radial",
      "465988d77ecad4cda06426bb1eabae90ac30bf0b5072c903b6bfeb4b304fcca2"),
     ("verify --suite pairs",
-     "850cdb15852ce86355319d6590c22a3474fb24ac551404761b07fb20b3623f08"),
+     "cba89446216a7b4c2e88c0ab0487d188f4dbf9b001191b5b983a3097eb627cb4"),
     ("verify --suite axial",
      "89328711ed571975969d36b4b4163bbb70c0e62924476f006d5cc84f6f7c05ad"),
     ("verify --suite commutator",
