@@ -157,14 +157,18 @@ _RINGS = (1 / 16, 1 / 8, 1 / 4) + tuple(1 - 2.0 ** -j for j in range(1, 9)) + (1
 
 
 class _Run:
-    """The coefficients f_0, f_1, ... of one recurrence, drawn from the
-    iterator coeffs in dtype as the cuts ask for them and kept, so that
-    every ring of a call cuts its rows from one run. The run ends before
-    its first coefficient that is not finite: no later weighted term can
-    be small, so no cut lies past it."""
+    """The coefficients f_0, f_1, ... of one recurrence in dtype, drawn as
+    the cuts ask for them and kept, so that every ring of a call cuts its
+    rows from one run. coeffs is an iterator, drawn a Python scalar at a
+    time, or a function draw(n) that returns the next n coefficients as
+    an array (_series_run's long-double run, a chunk of array passes at a
+    time). The run ends before its first coefficient that is not finite:
+    no later weighted term can be small, so no cut lies past it."""
 
     def __init__(self, coeffs, dtype=complex):
-        self._coeffs, self._dtype = coeffs, dtype
+        if not callable(coeffs):
+            coeffs = lambda n, it=coeffs: np.array(list(itertools.islice(it, n)), dtype)
+        self._draw = coeffs
         self.f = np.empty(0, dtype)
         self.ended = False
 
@@ -172,8 +176,7 @@ class _Run:
         """The first n coefficients, or all the run has where it ended
         before n; made where not made yet."""
         if n > self.f.size and not self.ended:
-            more = np.array(list(itertools.islice(self._coeffs, n - self.f.size)),
-                            self._dtype)
+            more = self._draw(n - self.f.size)
             bad = ~np.isfinite(more)
             if bad.any():
                 more, self.ended = more[:bad.argmax()], True
@@ -276,27 +279,45 @@ def _derivative_rows(f: np.ndarray, count: int) -> np.ndarray:
 
 def _series_run(params: Hyp2F1Params, dtype=complex) -> _Run:
     """The coefficients of F about 0, by the recurrence
-    t_k+1 = t_k (a+k)(b+k)/((c+k)(k+1)) run in dtype."""
+    t_k+1 = t_k (a+k)(b+k)/((c+k)(k+1)) run in dtype.
+
+    In complex128 the recurrence steps one Python complex at a time:
+    numpy's complex division rounds differently from CPython's. In
+    np.clongdouble, where numpy does the arithmetic either way, each draw
+    of n is two array passes with the scalar loop's bits: the n ratios
+    over a long-double arange of k, then one cumprod multiplying them on
+    from the next coefficient, which is kept for the draw after."""
     a, b, c = (dtype(v) for v in (params.a, params.b, params.c))
+    if dtype is complex:
+        def coeffs():
+            t, k = dtype(1), 0
+            while True:
+                yield t
+                t = t * ((a + k) * (b + k) / ((c + k) * (k + 1)))
+                k += 1
+        return _Run(coeffs(), dtype)
+    head, k0 = dtype(1), 0  # the next coefficient, t_k0
 
-    def coeffs():
-        t, k = dtype(1), 0
-        while True:
-            yield t
-            t = t * ((a + k) * (b + k) / ((c + k) * (k + 1)))
-            k += 1
-    return _Run(coeffs(), dtype)
+    def draw(n):
+        nonlocal head, k0
+        ks = np.arange(k0, k0 + n, dtype=np.longdouble)
+        with np.errstate(over="ignore", invalid="ignore"):  # the run ends there
+            t = np.cumprod(np.concatenate(
+                ([head], (a + ks) * (b + ks) / ((c + ks) * (ks + 1)))))
+        head, k0 = t[-1], k0 + n
+        return t[:-1]
+    return _Run(draw, dtype)
 
 
-def _series_rows(run: _Run, r: float, dmax: int) -> np.ndarray:
-    """The rows of F about 0 (run: _series_run) and of its first dmax
-    derivatives, to the degree the radius r needs by _truncated_rows'
-    rule with every bound _SERIES_TOL. Raises NonConvergent past
-    _SERIES_CAP terms."""
+def _series_rows(run: _Run, r: float, dmax: int):
+    """(rows, terms) of F about 0 (run: _series_run) and of its first
+    dmax derivatives, cut at the degree the radius r needs by
+    _truncated_rows' rule with every bound _SERIES_TOL. Raises
+    NonConvergent past _SERIES_CAP terms."""
     cut = _truncated_rows(run, r, [_SERIES_TOL] * (dmax + 1), _SERIES_CAP)
     if cut is None:
         raise NonConvergent(f"series cap {_SERIES_CAP} hit at |y|max = {r:.6g}")
-    return cut[0]
+    return cut
 
 
 def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
@@ -305,10 +326,13 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     A non-terminating series is cut into the |y| rings of _RINGS, and
     each ring's points are summed by Horner's rule (_horner) to the one
     degree its outer radius needs (_series_rows), with no per-point stop:
-    a value depends on the parameters, dmax and its ring alone. The
-    coefficient recurrence runs once per call (_series_run), and every
-    ring cuts its rows from that one run, with the bits a run of its own
-    gives. A ring whose degree passes _SERIES_CAP refuses all its points.
+    a value depends on the parameters, dmax and its ring alone, and F on
+    dmax neither: F's row is zeroed past its own cut (the first k that
+    ends three small weighted terms of F alone), and Horner's rule passes
+    those leading zeros through exactly. The coefficient recurrence runs
+    once per call (_series_run), and every ring cuts its rows from that
+    one run, with the bits a run of its own gives. A ring whose degree
+    passes _SERIES_CAP refuses all its points.
 
     A terminating series is summed exactly, term by term: the k-th term
     of the j-th derivative is k!/(k-j)! t_k y^(k-j), each built by
@@ -331,7 +355,9 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
         run = _series_run(params)
         for i in np.unique(ring):
             at = ring == i
-            rows = _series_rows(run, _RINGS[i], dmax)
+            rows, terms = _series_rows(run, _RINGS[i], dmax)
+            if dmax:  # F to its own cut, the one a call for F alone makes
+                rows[0, (terms[0] <= _SERIES_TOL).tobytes().find(b"\1\1\1") + 3:] = 0
             for o, v in zip(out, _horner(rows, y[at])):
                 o[at] = v
         return out
@@ -382,13 +408,15 @@ _TAYLOR_DEGREE_CAP = 200
 
 def _centre_sums(params: Hyp2F1Params, y0: float) -> list:
     """[F, F', F''] at the real point y0: the series rows to the degree y0
-    needs (_series_rows), built and summed term by term in np.clongdouble,
-    extended precision where the platform has it. Every point of the disc
-    inherits the centre's error, up to ~20x larger at the disc's edge:
-    summed in double, the centre values left hyp-suite draws at up to
-    1.6e-13 of max(1, |F''|), against 7e-15. At one point the sum of the
-    terms is ~7x faster than _horner."""
-    rows = _series_rows(_series_run(params, np.clongdouble), y0, 2)
+    needs (_series_rows), built (_series_run's chunked long-double run)
+    and summed term by term in np.clongdouble, extended precision where
+    the platform has it. Every point of the disc inherits the centre's
+    error, up to ~20x larger at the disc's edge: summed in double, the
+    centre values left hyp-suite draws at up to 1.6e-13 of max(1, |F''|),
+    against 7e-15. At one point the sum of the terms, powers of y0
+    included, takes about half of _horner's time (40 against 87 us at
+    degree 84, 88 against 185 us at degree 189; x86-64, 2-core VM)."""
+    rows = _series_rows(_series_run(params, np.clongdouble), y0, 2)[0]
     return [complex(v) for v in rows @ np.longdouble(y0) ** np.arange(rows.shape[1])]
 
 
@@ -436,13 +464,19 @@ _NARROW = 4
 
 
 def _horner(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The polynomials of rows at the points t, by Horner's rule. Every
-    complex product is a fresh one over one flat array (on a one-element
-    array, an in-place or 2-D product can round differently), so a value
-    does not depend on the other points. A narrow call (at most _NARROW
-    points) adds each step's coefficients from one contiguous row made
-    up front, with no reshape per step: the same products and sums, so
-    the same bits."""
+    """The polynomials of rows at the points t, by Horner's rule, with a
+    value that does not depend on the other points. It rests on a
+    measured rounding rule (tests/test_hyp2f1.py checks it): a complex128
+    product over a flat array rounds each element as a fresh product over
+    any other flat array does, whether it is fresh, in place or into out=,
+    except an in-place product over one element (numpy 2.4 on x86-64 with
+    AVX-512, where it rounded ~45 % of random products differently). A
+    wide call (more than _NARROW points, so at least 5 elements) runs
+    every step in one preallocated accumulator: its flat view times the
+    tiled points in place, then each row's coefficient added in place. A
+    narrow call takes fresh products instead and adds each step's
+    coefficients from one contiguous row made up front, with no reshape
+    per step."""
     d, m = rows.shape[0], t.size
     tt = np.tile(t, d)
     if m <= _NARROW:
@@ -452,8 +486,10 @@ def _horner(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
             acc = acc * tt + step
         return acc.reshape(d, m)
     acc = np.repeat(rows[:, -1:], m, axis=1)
+    flat, cols = acc.reshape(-1), rows.T[:, :, None]  # cols[k]: rows[:, k] as a column
     for k in range(rows.shape[1] - 2, -1, -1):
-        acc = (acc.reshape(-1) * tt).reshape(d, m) + rows[:, k:k + 1]
+        np.multiply(flat, tt, out=flat)
+        np.add(acc, cols[k], out=acc)
     return acc
 
 

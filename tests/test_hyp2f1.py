@@ -1,6 +1,7 @@
 """Series engine: values, termination, gamma, connection, contiguity."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -680,6 +681,69 @@ def test_one_point_has_its_bits_in_every_batch(params):
             got = series_with_derivatives(params, batch)
             assert [v[size // 2].tobytes() for v in got] == alone, (y, size)
             assert eval_2f1(params, batch)[size // 2].tobytes() == alone0, (y, size)
+
+
+# ---------------------------------------------------------------------------
+# What the bits rest on: in-place Horner steps and the long-double run
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [5, 217, 1500])
+@pytest.mark.parametrize("dmax", [0, 2])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_wide_horner_has_each_points_one_point_bits(width, dmax, kind):
+    # the wide path steps in one accumulator, in place; each point must
+    # still have the bits of a one-point call (the narrow path's fresh
+    # products)
+    c = 0.5 + 0.7j
+    rows = hyp._series_rows(hyp._series_run(Hyp2F1Params(c + 1.3j, c - 1.3j, c + 1)),
+                            0.5, dmax)[0]
+    rng = np.random.default_rng(width + dmax)
+    t = rng.uniform(-0.5, 0.5, size=width)
+    if kind == "complex":
+        t = 0.5 * np.sqrt(rng.uniform(size=width)) * np.exp(2j * np.pi * t)
+    got = hyp._horner(rows, t)
+    assert got.shape == (dmax + 1, width)
+    for i in range(width):
+        assert _same_bits(got[:, i:i + 1], hyp._horner(rows, t[i:i + 1])), i
+
+
+@pytest.mark.parametrize("params", _cut_cases())
+def test_long_double_run_has_the_scalar_loops_bits_in_any_chunks(params):
+    # drawn a chunk of array passes at a time, the run equals one drawn at
+    # once and the scalar recurrence in np.clongdouble, bit for bit
+    size = 600
+    ref = np.array(list(itertools.islice(_ratio_coeffs(params, np.clongdouble), size)))
+    whole = hyp._series_run(params, np.clongdouble).upto(size)
+    assert whole.size == size
+    assert _same_bits(whole, ref)
+    for chunk in (1, 7, 16, 256):
+        run = hyp._series_run(params, np.clongdouble)
+        for n in range(chunk, size + chunk, chunk):
+            run.upto(n)
+        assert _same_bits(run.upto(size), whole), chunk
+
+
+def test_an_in_place_complex_product_rounds_as_a_fresh_one():
+    # a platform fact _horner's wide path rests on: over a flat array of
+    # 2 or more elements, a product in place or into out= rounds each
+    # element as a fresh product does, here or inside a wider array. A
+    # CPU or numpy that breaks it fails here, not in the golden digests.
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    y = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    wide = x * y
+    for width in range(2, 65):
+        for start in range(0, 4096 - width, 61 * width):
+            a, b = x[start:start + width], y[start:start + width]
+            fresh = (a * b).view(float)
+            in_place = a.copy()
+            in_place *= b
+            into = np.empty_like(a)
+            np.multiply(a, b, out=into)
+            assert np.array_equal(fresh, wide[start:start + width].view(float)), width
+            assert np.array_equal(in_place.view(float), fresh), width
+            assert np.array_equal(into.view(float), fresh), width
 
 
 # ---------------------------------------------------------------------------
