@@ -11,6 +11,10 @@ polynomials about y0 = 0.6 and 0.8 or the connection around y = 1.
 Every non-terminating series, the centre sums of the Taylor regime and
 the inner sums of Pfaff's map and the connection included, is one set
 of polynomial rows summed by Horner's rule to the degree a radius needs.
+Every Horner step, at any number of points, rounds as CPython's complex
+product and sum do (_horner), so a call of one point sums on Python
+scalars and picks its regime and ring on them (_one_point), with the
+bits that point has in any array.
 
 Everything here is pure and reentrant: no caching, no mutation of
 shared state.
@@ -18,6 +22,7 @@ shared state.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -320,6 +325,15 @@ def _series_rows(run: _Run, r: float, dmax: int):
     return cut
 
 
+def _ring_rows(run: _Run, ring: int, dmax: int) -> np.ndarray:
+    """The rows of F and its first dmax derivatives for the |y| ring
+    _RINGS[ring], F's row zeroed past F's own cut."""
+    rows, terms = _series_rows(run, _RINGS[ring], dmax)
+    if dmax:  # F to its own cut, the one a call for F alone makes
+        rows[0, (terms[0] <= _SERIES_TOL).tobytes().find(b"\1\1\1") + 3:] = 0
+    return rows
+
+
 def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     """F and its first dmax y-derivatives over an array of arguments.
 
@@ -332,7 +346,9 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
     those leading zeros through exactly. The coefficient recurrence runs
     once per call (_series_run), and every ring cuts its rows from that
     one run, with the bits a run of its own gives. A ring whose degree
-    passes _SERIES_CAP refuses all its points.
+    passes _SERIES_CAP refuses all its points. A call of one point takes
+    its ring by the same search on a Python float, with no masks; |y| is
+    numpy's either way, which rounds differently from Python's abs.
 
     A terminating series is summed exactly, term by term: the k-th term
     of the j-th derivative is k!/(k-j)! t_k y^(k-j), each built by
@@ -349,18 +365,20 @@ def _series_array(params: Hyp2F1Params, y: np.ndarray, dmax: int):
         a, b, c = a.real, b.real, c.real
     dtype = float if real else complex
     y = np.asarray(y, dtype=dtype)
-    out = [np.zeros(y.shape, dtype=dtype) for _ in range(dmax + 1)]
     if not params.terminating:
-        ring = np.searchsorted(_RINGS[:-1], np.abs(y))
         run = _series_run(params)
+        if y.size == 1:
+            ring = bisect.bisect_left(_RINGS, np.abs(y).item(), 0, len(_RINGS) - 1)
+            return [v.reshape(y.shape)
+                    for v in _horner(_ring_rows(run, ring, dmax), y.reshape(1))]
+        out = [np.empty(y.shape, dtype=dtype) for _ in range(dmax + 1)]
+        ring = np.searchsorted(_RINGS[:-1], np.abs(y))
         for i in np.unique(ring):
             at = ring == i
-            rows, terms = _series_rows(run, _RINGS[i], dmax)
-            if dmax:  # F to its own cut, the one a call for F alone makes
-                rows[0, (terms[0] <= _SERIES_TOL).tobytes().find(b"\1\1\1") + 3:] = 0
-            for o, v in zip(out, _horner(rows, y[at])):
+            for o, v in zip(out, _horner(_ring_rows(run, i, dmax), y[at])):
                 o[at] = v
         return out
+    out = [np.zeros(y.shape, dtype=dtype) for _ in range(dmax + 1)]
     term = np.ones(y.shape, dtype=dtype)  # t_k y^k
     for k in range(params.degree):
         out[0] += term
@@ -459,36 +477,56 @@ def _taylor_rows(params: Hyp2F1Params, y0: float) -> Optional[np.ndarray]:
     return cut[0]
 
 
-# calls of at most this many points take _horner's flat loop
+# calls of at most this many points take _horner's loop on Python scalars
 _NARROW = 4
 
 
 def _horner(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The polynomials of rows at the points t, by Horner's rule, with a
-    value that does not depend on the other points. It rests on a
-    measured rounding rule (tests/test_hyp2f1.py checks it): a complex128
-    product over a flat array rounds each element as a fresh product over
-    any other flat array does, whether it is fresh, in place or into out=,
-    except an in-place product over one element (numpy 2.4 on x86-64 with
-    AVX-512, where it rounded ~45 % of random products differently). A
-    wide call (more than _NARROW points, so at least 5 elements) runs
-    every step in one preallocated accumulator: its flat view times the
-    tiled points in place, then each row's coefficient added in place. A
-    narrow call takes fresh products instead and adds each step's
-    coefficients from one contiguous row made up front, with no reshape
-    per step."""
+    value that does not depend on the other points: every step rounds as
+    CPython's complex product and sum do, re = ar tr - ai ti and
+    im = ar ti + ai tr, each operation rounded, then the coefficient
+    added. numpy's complex128 product in general does not: on x86-64 with
+    AVX-512 (numpy 2.4) it fuses multiply and add, and ~43 % of random
+    products round differently. Its product by a real t + 0i is
+    (ar t, ai t), and by an imaginary 0 + i s is (-ai s, ar s), each
+    component rounded once, fused or not. tests/test_hyp2f1.py checks
+    these facts.
+
+    * A narrow call (at most _NARROW points) steps each row at each point
+      on Python complex scalars.
+    * A wide call runs every step in one preallocated accumulator: its
+      flat view times the tiled points in place (in place over two or
+      more elements rounds as a fresh product), then each row's
+      coefficient added in place. At complex t the product is taken as
+      two, by tr + 0i and by 0 + i ti, and their sum, which rounds as
+      CPython's formula does."""
     d, m = rows.shape[0], t.size
-    tt = np.tile(t, d)
     if m <= _NARROW:
-        steps = np.repeat(rows.T, m, axis=1)  # steps[k]: acc's layout of rows[:, k]
-        acc = steps[-1]
-        for step in steps[-2::-1]:
-            acc = acc * tt + step
-        return acc.reshape(d, m)
+        ts = t.astype(complex, copy=False).tolist()
+        out = np.empty((d, m), dtype=complex)
+        for j, row in enumerate(rows.tolist()):
+            top, *rest = reversed(row)
+            for i, x in enumerate(ts):
+                acc = top
+                for coeff in rest:
+                    acc = acc * x + coeff
+                out[j, i] = acc
+        return out
+    tt = np.tile(t, d)
     acc = np.repeat(rows[:, -1:], m, axis=1)
     flat, cols = acc.reshape(-1), rows.T[:, :, None]  # cols[k]: rows[:, k] as a column
+    if not tt.imag.any():
+        for k in range(rows.shape[1] - 2, -1, -1):
+            np.multiply(flat, tt, out=flat)
+            np.add(acc, cols[k], out=acc)
+        return acc
+    tr, ti = tt.real + 0j, tt.imag * 1j  # tr + 0i and 0 + i ti
+    part = np.empty_like(flat)
     for k in range(rows.shape[1] - 2, -1, -1):
-        np.multiply(flat, tt, out=flat)
+        np.multiply(flat, tr, out=part)  # (ar tr, ai tr)
+        np.multiply(flat, ti, out=flat)  # (-ai ti, ar ti)
+        np.add(part, flat, out=flat)
         np.add(acc, cols[k], out=acc)
     return acc
 
@@ -523,17 +561,24 @@ def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
       rule, unless the degree cap or the cancellation gate leaves that
       disc to the direct series;
     * the rest: the direct series, summed by |y| rings (_series_array).
+
+    A call of one point picks its regime by the same predicates and
+    constants on Python scalars (_one_point), with no masks. Pfaff's map
+    and the connection are one helper each (_pfaff, _connection), which
+    both paths call on arrays.
     """
     if params.terminating:
         return _series_array(params, y, dmax)
+    if y.size == 1:
+        one = _one_point(params, complex(y.item()), complex(w.item()), dmax)
+        if one is not None:
+            return [v.reshape(y.shape) for v in one]
     y, w = y.astype(complex, copy=False), w.astype(complex, copy=False)
     with np.errstate(over="ignore"):  # |w|^2 of a point far outside
         inside = 2.0 * w.real > np.abs(w) ** 2
     if not inside.all():
         big = float(np.max(np.abs(y[~inside])))
         raise NonConvergent(f"|y| = {big:.6g} >= 1 and series does not terminate")
-    a, b, c = params.a, params.b, params.c
-    s = c - a - b
     far = y.real > _CONNECTION_SPLIT
     if far.any():
         try:
@@ -554,31 +599,75 @@ def _sum(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
     if near.all():
         return _series_array(params, y, dmax)
     out = [np.empty(y.shape, dtype=complex) for _ in range(dmax + 1)]
+
+    def put(at, values):
+        for o, v in zip(out, values):
+            o[at] = v
     if near.any():
-        for o, v in zip(out, _series_array(params, y[near], dmax)):
-            o[near] = v
+        put(near, _series_array(params, y[near], dmax))
     for disc, y0, rows in discs:
-        for o, v in zip(out, _horner(rows, y[disc] - y0)):
-            o[disc] = v
+        put(disc, _horner(rows, y[disc] - y0))
     if left.any():
-        wl = w[left]
-        g = _series_array(Hyp2F1Params(a, c - b, c), -y[left] / wl, dmax)
-        pref = wl ** -a
-        out[0][left] = pref * g[0]
-        if dmax:
-            out[1][left] = pref * (a / wl * g[0] - g[1] / wl**2)
-            out[2][left] = pref * (a * (a + 1) / wl**2 * g[0]
-                                   - 2 * (a + 1) / wl**3 * g[1] + g[2] / wl**4)
+        put(left, _pfaff(params, y[left], w[left], dmax))
     if far.any():
-        wf = w[far]
-        g = _series_array(Hyp2F1Params(a, b, 1 - s), wf, dmax)
-        h = _series_array(Hyp2F1Params(c - a, c - b, 1 + s), wf, dmax)
-        u2, u6 = coeff.to_u2, coeff.to_u6 * wf ** s
-        out[0][far] = u2 * g[0] + u6 * h[0]
-        if dmax:
-            out[1][far] = -u2 * g[1] - u6 * (s / wf * h[0] + h[1])
-            out[2][far] = u2 * g[2] + u6 * (s * (s - 1) / wf**2 * h[0]
-                                            + 2 * s / wf * h[1] + h[2])
+        put(far, _connection(params, coeff, w[far], dmax))
+    return out
+
+
+def _one_point(params: Hyp2F1Params, y: complex, w: complex, dmax: int):
+    """_sum's values at one point of a non-terminating series, its regime
+    picked on Python scalars by _sum's predicates and constants, with no
+    masks; None outside the unit disc, which _sum's array path refuses.
+    Each |.| is numpy's, as the array path takes it."""
+    with np.errstate(over="ignore"):  # |w| of a point far outside
+        size, *gaps = np.abs([w] + [y - y0 for y0 in _TAYLOR_CENTRES]).tolist()
+    if not 2.0 * w.real > size * size:
+        return None
+    if y.real > _CONNECTION_SPLIT:
+        try:
+            coeff = kummer_connection(params)
+        except DegenerateConnection:
+            coeff = None
+        if coeff is not None:
+            return _connection(params, coeff, np.array([w]), dmax)
+    if y.real < 0.0:
+        return _pfaff(params, np.array([y]), np.array([w]), dmax)
+    if 0.5 < y.real <= _CONNECTION_SPLIT:
+        for y0, gap in zip(_TAYLOR_CENTRES, gaps):
+            rows = _taylor_rows(params, y0) if gap < _TAYLOR_RADIUS else None
+            if rows is not None:
+                return _horner(rows[:dmax + 1], np.array([y - y0]))
+    return _series_array(params, np.array([y]), dmax)
+
+
+def _pfaff(params: Hyp2F1Params, y: np.ndarray, w: np.ndarray, dmax: int):
+    """[F, F', F''][:dmax + 1] at the points y (w = 1 - y) by Pfaff's
+    transformation and its exact chain rule (dx/dy = -1/w^2), on arrays
+    in both of _sum's paths: numpy's complex division rounds differently
+    from CPython's."""
+    a, b, c = params.a, params.b, params.c
+    g = _series_array(Hyp2F1Params(a, c - b, c), -y / w, dmax)
+    pref = w ** -a
+    out = [pref * g[0]]
+    if dmax:
+        out += [pref * (a / w * g[0] - g[1] / w**2),
+                pref * (a * (a + 1) / w**2 * g[0] - 2 * (a + 1) / w**3 * g[1] + g[2] / w**4)]
+    return out
+
+
+def _connection(params: Hyp2F1Params, coeff: ConnectionCoefficients,
+                w: np.ndarray, dmax: int):
+    """[F, F', F''][:dmax + 1] at the points w = 1 - y in the y ~ 1 basis
+    (coeff: kummer_connection), d/dy = -d/dw, on arrays as _pfaff is."""
+    a, b, c = params.a, params.b, params.c
+    s = c - a - b
+    g = _series_array(Hyp2F1Params(a, b, 1 - s), w, dmax)
+    h = _series_array(Hyp2F1Params(c - a, c - b, 1 + s), w, dmax)
+    u2, u6 = coeff.to_u2, coeff.to_u6 * w ** s
+    out = [u2 * g[0] + u6 * h[0]]
+    if dmax:
+        out += [-u2 * g[1] - u6 * (s / w * h[0] + h[1]),
+                u2 * g[2] + u6 * (s * (s - 1) / w**2 * h[0] + 2 * s / w * h[1] + h[2])]
     return out
 
 

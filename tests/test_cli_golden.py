@@ -64,7 +64,7 @@ GOLDEN = [
     ("verify --suite commutator",
      "7090e48626665c3da76ec1d4cf6b7ae75e8021811225c33575a8126adaaee7d4"),
     ("verify --suite hyp",
-     "3ce2d0b6d1408e33720790f8fd419a477b3db7f7cd85bfa529df4d0875d0cf0c"),
+     "060f22820e1794a268f19c3130fd1fe687920f2aea4b4cd6acd9e52ac5005538"),
     ("verify --suite flat-limit",
      "590153e3aa81029c18132f4f70b9f3342d0a7331221e72f5aa76fd3bd4e648ca"),
     ("regions --model h3 --B 5 --two-m=-7..7 --n 0..4 --format json",

@@ -65,6 +65,19 @@ def test_non_terminating_outside_disk_rejected():
         series_with_derivatives(Hyp2F1Params(0.5, 0.7, 1.9), 1.2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("y", [1e200, -1e200, 1e300 + 1e300j, 1.0])
+@pytest.mark.parametrize("entry", [eval_2f1, series_with_derivatives])
+def test_far_points_are_refused_by_name_in_any_shape(entry, y):
+    # |w|^2 of a far point overflows; it must read as outside the disc,
+    # alone (0-d or one element) as inside an array, never as a bare
+    # OverflowError
+    params = Hyp2F1Params(0.3 + 0.1j, 1.2, 2.5)
+    for ys in (y, np.array(y), np.array([y]), np.array([0.1, 0.3j, y, -0.2, 0.5])):
+        with pytest.raises(NonConvergent):
+            entry(params, ys)
+
+
 def test_invalid_c_rules():
     with pytest.raises(InvalidC):
         Hyp2F1Params(1.0, 2.0, 0.0)
@@ -683,6 +696,73 @@ def test_one_point_has_its_bits_in_every_batch(params):
             assert eval_2f1(params, batch)[size // 2].tobytes() == alone0, (y, size)
 
 
+def _on_ring_edges(rng, per_ring=8):
+    """Points y with 0 < Re y < 1/2 on the edges |y| = R < 0.9 of the
+    rings, where numpy's |y| and Python's abs put y in different rings."""
+    out = []
+    for r in hyp._RINGS[:6]:
+        edge = []
+        while len(edge) < per_ring:
+            angle = rng.uniform(math.acos(min(0.5 / r, 1.0)), math.pi / 2)
+            y = complex(r * math.cos(angle), r * math.sin(angle) * rng.choice([1, -1]))
+            if (np.abs(np.array([y]))[0] <= r) != (abs(y) <= r):
+                edge.append(y)
+        out += edge
+    return out
+
+
+def _regime_points(rng, kind):
+    """1,500 points of the unit disc in every regime of a non-terminating
+    sum: Pfaff (Re y < 0), the direct rings and their edges, both Taylor
+    discs and the connection (Re y > 0.9); complex or real."""
+    edges = hyp._RINGS[:6]
+    if kind == "real":
+        return np.concatenate([rng.uniform(-0.95, 0.95, 1076), rng.uniform(0.5, 0.9, 300),
+                               rng.uniform(0.9, 0.97, 112), edges, np.negative(edges)])
+    disc = 0.9 * np.sqrt(rng.uniform(size=852)) * np.exp(2j * np.pi * rng.uniform(size=852))
+    near = [_in_a_disc(rng, centre) for centre in hyp._TAYLOR_CENTRES for _ in range(200)]
+    far = 0.9 + 0.05 * rng.uniform(size=200) + 0.2j * rng.uniform(-1, 1, 200)
+    return np.concatenate([disc, near, far, _on_ring_edges(rng)])
+
+
+_REGIME_CASES = {
+    # every disc takes its Taylor polynomial
+    "discs": Hyp2F1Params(1 + 1.3j, 1 - 1.3j, 1.5 + 0.7j),
+    # the gate hands both discs to the direct series
+    "gated": Hyp2F1Params(4.7 - 1.2j, 4.1 + 0.9j, -2.3 + 0.4j),
+    # c - a - b = 1: the direct series in place of the connection
+    "integer": Hyp2F1Params(0.2, 0.45, 1.65),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REGIME_CASES))
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_each_point_of_a_wide_call_has_its_one_point_bits(case, kind):
+    # a one-point call picks its regime and ring on Python scalars and
+    # steps Horner's rule on Python complex scalars; each point of a
+    # 1,500-point call (masks, numpy arrays) must have the same bits, 0-d
+    # and as an array of one, for F alone and F, F', F''
+    params = _REGIME_CASES[case]
+    gated = [hyp._taylor_rows(params, y0) is None for y0 in hyp._TAYLOR_CENTRES]
+    assert gated == [case == "gated"] * 2
+    if case == "integer":
+        with pytest.raises(DegenerateConnection):
+            kummer_connection(params)
+    ys = _regime_points(np.random.default_rng(34), kind)
+    assert ys.size == 1500 and np.iscomplexobj(ys) == (kind == "complex")
+    re = ys.real
+    assert (re < 0).sum() >= 100 and (re > 0.9).sum() >= 50
+    for y0 in hyp._TAYLOR_CENTRES:
+        assert ((np.abs(ys - y0) < hyp._TAYLOR_RADIUS) & (re > 0.5)).sum() >= 100
+    for entry in (eval_2f1, series_with_derivatives):
+        wide = entry(params, ys)
+        wide = np.array(wide if isinstance(wide, tuple) else (wide,))
+        for i, y in enumerate(ys):
+            for one in (entry(params, y), entry(params, ys[i:i + 1])):
+                one = np.array(one if isinstance(one, tuple) else (one,)).reshape(-1)
+                assert _same_bits(one, wide[:, i]), (entry.__name__, y)
+
+
 # ---------------------------------------------------------------------------
 # What the bits rest on: in-place Horner steps and the long-double run
 # ---------------------------------------------------------------------------
@@ -692,9 +772,10 @@ def test_one_point_has_its_bits_in_every_batch(params):
 @pytest.mark.parametrize("dmax", [0, 2])
 @pytest.mark.parametrize("kind", ["complex", "real"])
 def test_wide_horner_has_each_points_one_point_bits(width, dmax, kind):
-    # the wide path steps in one accumulator, in place; each point must
-    # still have the bits of a one-point call (the narrow path's fresh
-    # products)
+    # the wide path steps in one accumulator, numpy's complex product at
+    # real t and CPython's formula on float views at complex t; each point
+    # must still have the bits of a one-point call (the narrow path's
+    # Python complex scalars)
     c = 0.5 + 0.7j
     rows = hyp._series_rows(hyp._series_run(Hyp2F1Params(c + 1.3j, c - 1.3j, c + 1)),
                             0.5, dmax)[0]
@@ -722,6 +803,36 @@ def test_long_double_run_has_the_scalar_loops_bits_in_any_chunks(params):
         for n in range(chunk, size + chunk, chunk):
             run.upto(n)
         assert _same_bits(run.upto(size), whole), chunk
+
+
+def test_python_complex_product_rounds_as_the_float_view_formula():
+    # the platform facts _horner's one rounding rule rests on: CPython's
+    # complex product is re = ar tr - ai ti, im = ar ti + ai tr with each
+    # operation rounded; numpy's complex128 product, fused or not, is
+    # (ar t, ai t) by t + 0j and (-ai s, ar s) by 0 + i s, so the sum of
+    # the two products by tr + 0j and 0 + i ti is CPython's product. A CPU,
+    # numpy or Python that breaks one fails here, not in the golden digests.
+    rng = np.random.default_rng(34)
+    size = 4096
+    x, t = (rng.normal(size=size) * np.exp2(rng.integers(-40, 40, size))
+            + 1j * rng.normal(size=size) * np.exp2(rng.integers(-40, 40, size))
+            for _ in range(2))
+    python = np.array([u * v for u, v in zip(x.tolist(), t.tolist())])
+    view = np.empty_like(x)
+    view.real = x.real * t.real - x.imag * t.imag
+    view.imag = x.real * t.imag + x.imag * t.real
+    assert np.array_equal(python.view(float), view.view(float))
+    s = t.real
+    split = np.empty_like(x)
+    split.real, split.imag = x.real * s, x.imag * s
+    assert np.array_equal((x * (s + 0j)).view(float), split.view(float))
+    assert np.array_equal((x * s).view(float), split.view(float))
+    s = t.imag
+    turn = np.empty_like(x)
+    turn.real, turn.imag = -(x.imag * s), x.real * s
+    assert np.array_equal((x * (s * 1j)).view(float), turn.view(float))
+    assert np.array_equal((x * (t.real + 0j) + x * (t.imag * 1j)).view(float),
+                          view.view(float))
 
 
 def test_an_in_place_complex_product_rounds_as_a_fresh_one():
