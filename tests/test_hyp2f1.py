@@ -772,10 +772,10 @@ def test_each_point_of_a_wide_call_has_its_one_point_bits(case, kind):
 @pytest.mark.parametrize("dmax", [0, 2])
 @pytest.mark.parametrize("kind", ["complex", "real"])
 def test_wide_horner_has_each_points_one_point_bits(width, dmax, kind):
-    # the wide path steps in one accumulator, numpy's complex product at
-    # real t and CPython's formula on float views at complex t; each point
-    # must still have the bits of a one-point call (the narrow path's
-    # Python complex scalars)
+    # the wide path steps in one accumulator, by numpy's complex product at
+    # real t and by the sum of the products by tr + 0j and 0 + i ti at
+    # complex t; each point must still have the bits of a one-point call
+    # (the narrow path's Python complex scalars)
     c = 0.5 + 0.7j
     rows = hyp._series_rows(hyp._series_run(Hyp2F1Params(c + 1.3j, c - 1.3j, c + 1)),
                             0.5, dmax)[0]
