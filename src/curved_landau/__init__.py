@@ -27,8 +27,8 @@ and the Gauss-series special functions they are built from. Layers:
 
 The verification layer is not imported here and is reached by module:
 
-* :mod:`curved_landau.oracle` — independent numerics: a finite-volume
-  eigensolver, ODE/system residuals, commutator convergence, series
+* :mod:`curved_landau.oracle` — independent numerics: the radial
+  pair's eigensolver, ODE/system residuals, commutator convergence, series
   connection integration, and the two errors only they raise.
 * :mod:`curved_landau.checks` — named verification suites. Only the
   radial, axial, commutator and pairs suites load the oracle.

@@ -12,8 +12,8 @@ hyp
     Randomized special-function identities (Euler transformation, both
     contiguous relations, two-term recombination around y = 1).
 radial
-    Finite-volume eigensolver against the closed-form bound-state
-    spectra on both spaces.
+    The first-order radial pair's eigensolver against the closed-form
+    bound-state spectra on both spaces.
 axial
     Constructed axial solutions substituted into their second-order
     equations; the spherical quantization rule checked exactly; the
@@ -159,7 +159,7 @@ def _suite_radial() -> List[CheckResult]:
     ]
     out = []
     for name, solve, space, two_m, B, grid, shown, first in cases:
-        levels = shown(solve(two_m, B, Component.R1, grid).eigenvalues)
+        levels = shown(solve(two_m, B, grid).eigenvalues)
         # the admissible closed-form levels n = 0..4, which skip the
         # lambda^2 = 0 modes as `shown` and `first` do
         entries = [space.record.quantize(two_m, B, n, Component.R1)

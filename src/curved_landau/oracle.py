@@ -1,12 +1,12 @@
 """Independent numerical verification layer.
 
 Everything here cross-checks the closed-form layer without reusing its
-algebra: a finite-volume Sturm-Liouville eigensolver reproduces the
-bound-state lambda^2 sets from the raw potentials; residual evaluators
-substitute constructed solutions into the second-order equations and
-the coupled first-order systems; a grid commutator check confirms that
-the generalized helicity operator commutes with the reduced
-Hamiltonian; and a connection-formula check integrates the axial
+algebra: a staggered-grid eigensolver for the first-order radial pair
+reproduces the bound-state lambda^2 sets from mu alone; residual
+evaluators substitute constructed solutions into the second-order
+equations and the coupled first-order systems; a grid commutator check
+confirms that the generalized helicity operator commutes with the
+reduced Hamiltonian; and a connection-formula check integrates the axial
 equation across the interval and compares with the two-term
 recombination near y = 1. Each residual meter reports the sup of its
 residual relative to its inputs and, where it is measured, the
@@ -15,12 +15,14 @@ passes model's real or count gate first (the record's _reflect for two_m
 and B), so NaN, +-inf or a number past the float range is refused by
 name, with DomainError, before a meter runs.
 
-Eigensolver design: the radial operators -u'' + V u with V ~ C/r^2 at
-the endpoints are discretized after the substitution u = phi * w with
-phi carrying the exact endpoint exponents (indicial roots), which turns
-the singular problem into a flux-form symmetric tridiagonal matrix on
-cell centers; eigenvalues come from LAPACK's deterministic
-Sturm-sequence bisection.
+Eigensolver design: the radial pair L f1 = lambda f2, L^dagger f2 =
+lambda f1 with L = d/dr - mu is discretized with f1 and f2 alternating
+every half step, which turns L into a bidiagonal K and the problem into
+the symmetric tridiagonal K^T K on the f1 slots (Golub & Kahan, SIAM J.
+Numer. Anal. B 2 (1965) 205); each end pins the component that mu's
+pole residue says vanishes there. Eigenvalues come from LAPACK's
+deterministic Sturm-sequence bisection on two grids and are
+Richardson-extrapolated.
 
 This module is reached as ``curved_landau.oracle``: the package root
 and the CLI do not import it, and of the verification suites only
@@ -170,96 +172,90 @@ class EigenReport:
 # ---------------------------------------------------------------------------
 
 
-def _bound_mass_guard(d, e, centers, lo, hi) -> None:
-    """Raise TruncationTooSmall if the ground state leaks into the
-    outer 10% of the domain."""
-    from scipy.linalg import eigh_tridiagonal
+def _pair_matrix(rec, m: float, B: float, lo: float, hi: float, points: int):
+    """(d, e, r1, h): K^T K, tridiagonal on the f1 slots r1 of a staggered
+    grid on [lo, hi] where f1 and f2 alternate every h/2 from lo, and K is
+    L = d/dr - mu on the f2 slots: (f1(r + h/2) - f1(r - h/2))/h
+    - mu(r) (f1(r + h/2) + f1(r - h/2))/2. Each end slot holds the
+    component its local solution pins to 0, read from mu's pole residue:
+    f2 at r = 0 when m > 0 (mu ~ m/r), f2 at S3's far pole when 2B - m > 0
+    (mu ~ (m - 2B)/(pi - r)), else f1; f1 at a truncation."""
+    lo_f2 = m > 0.0
+    hi_f2 = hi > rec.r_max - 1e-9 and 2.0 * B - m > 0.0
+    slots = 2 * (points - 1) - (lo_f2 != hi_f2)  # half-steps from lo to hi
+    h = 2.0 * (hi - lo) / slots
+    # one row of K per f2 slot, and a zero row past a pinned f1 end
+    k = np.arange(0 if lo_f2 else -1, slots + (1 if hi_f2 else 2), 2)
+    inside = (k > 0) & (k < slots)
+    half_mu = np.zeros(k.size)
+    half_mu[inside] = rec.mu(lo + k[inside] * (h / 2.0), m, B) / 2.0
+    left = np.where(inside, -1.0 / h - half_mu, 0.0)
+    right = np.where(inside, 1.0 / h - half_mu, 0.0)
+    d = right[:-1] ** 2 + left[1:] ** 2
+    e = left[1:-1] * right[1:-1]
+    r1 = lo + (k[:-1] + 1) * (h / 2.0)
+    keep = slice(0 if lo_f2 else 1, None if hi_f2 else -1)  # f1 ends pinned
+    return d[keep], e[keep], r1[keep], h
 
-    _, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    w = np.abs(vecs[:, 0]) ** 2
-    tail = centers >= hi - 0.1 * (hi - lo)
-    if w[tail].sum() / w.sum() > 1e-6:
-        raise TruncationTooSmall(
-            "ground state carries > 1e-6 of its mass in the outer 10% "
-            "of the truncated domain; increase hi")
 
-
-def _radial_eigenvalues(rec, two_m: int, B: float, component: Component,
-                        grid: Grid1D, max_count: int) -> EigenReport:
-    """Lowest lambda^2 values, at most max_count, of
-    -R'' + (mu^2 +- mu') R = lambda^2 R on the grid, in rec's space, at
-    m = two_m/2 (DomainError unless two_m is an odd integer).
-
-    phi = sine(r/2)^s0 cosine(r/2)^s1: s0 is the inner endpoint's larger
-    indicial root; on a finite interval s1 is the far pole's, whose face
-    closes the grid naturally when grid.hi reaches it (else a ghost
-    Dirichlet row does), and on H3 s1 = -s0, phi = tanh(r/2)^s0. With
-    kappa < 0 only values below the continuum edge B^2 count, and
+def _radial_eigenvalues(rec, two_m: int, B: float, grid: Grid1D,
+                        max_count: int) -> EigenReport:
+    """Lowest lambda^2 values, at most max_count, of the first-order pair
+    L f1 = lambda f2, L^dagger f2 = lambda f1 with L = d/dr - mu, in rec's
+    space at m = two_m/2 (DomainError unless two_m is an odd integer);
+    both components share them. B < 0 is solved at (-m, -B), which swaps f1
+    and f2, so that every zero mode is f1's. The eigenvalues of K^T K
+    (_pair_matrix) on grid and on (points + 1)//2 nodes are Richardson-
+    extrapolated at order 2 with the exact spacing ratio, level by level.
+    With kappa < 0 only values below the continuum edge B^2 count, and
     grid.hi must reach mu^2 ~ B^2.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-    rec._reflect(two_m, B, component)  # the radial arguments' gate
+    two_m, B, _ = rec._reflect(two_m, B, Component.R1)  # the arguments' gate
     if grid.lo < 0.0 or grid.hi > rec.r_max + 1e-12:
         raise DomainError(f"grid must lie within [0, {rec.r_max:g}]")
     _require_count(max_count, "max_count", 1)
-    m, edge = two_m / 2.0, B * B
-    if rec.kappa < 0.0 and (abs(rec.mu(grid.hi, m, B) ** 2 - edge)
+    m, edge = two_m / 2.0, (B * B if rec.kappa < 0.0 else math.inf)
+    if edge < math.inf and (abs(rec.mu(grid.hi, m, B) ** 2 - edge)
                             > 1e-3 * max(1.0, edge)):
         raise DomainError(
             "grid.hi too small: mu^2 has not reached its asymptote B^2")
-    x0, x1 = (m, 2 * B - m) if component is Component.R1 else (-m, m - 2 * B)
-    finite = math.isfinite(rec.r_max)
-    s0 = max(x0, 1.0 - x0)
-    s1 = max(x1, 1.0 - x1) if finite else -s0
 
-    def weight(r):  # phi
-        return (rec.sine(r / 2.0) ** s0 * rec.cosine(r / 2.0) ** s1 if finite
-                else np.tanh(r / 2.0) ** s0)
+    def solve(points):
+        d, e, r1, h = _pair_matrix(rec, m, B, grid.lo, grid.hi, points)
+        if edge < math.inf:  # K^T K >= 0
+            vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(-1.0, edge))
+        else:
+            vals = eigvalsh_tridiagonal(
+                d, e, select="i", select_range=(0, min(max_count, d.size) - 1))
+        return vals[vals < edge][:max_count], d, e, r1, h
 
-    faces = grid.nodes()
-    h = grid.spacing
-    centers = faces[:-1] + h / 2.0
-    at_pole = grid.hi > rec.r_max - 1e-9
-    F = np.zeros_like(faces)  # phi^2 on faces, 0 at r = 0 and at a far pole
-    inner = slice(1, -1 if at_pole else None)
-    F[inner] = weight(faces[inner]) ** 2
-    W = weight(centers) ** 2
-    # phi''/phi = g^2 + g' with g = phi'/phi
-    a, b, k1 = rec.sine(centers / 2.0), rec.cosine(centers / 2.0), rec.kappa * s1
-    g = s0 * b / (2.0 * a) - k1 * a / (2.0 * b)
-    v_tilde = (rec.radial_potential(centers, m, B, component)
-               - (g * g - s0 / (4.0 * a * a) - k1 / (4.0 * b * b)))
-    # flux form -(F w')'/W + v_tilde w on cell centers
-    h2 = h * h
-    d = (F[:-1] + F[1:]) / (h2 * W) + v_tilde
-    e = -F[1:-1] / (h2 * np.sqrt(W[:-1] * W[1:]))
-    if not at_pole:
-        d[-1] = (F[-2] + 2.0 * F[-1]) / (h2 * W[-1]) + v_tilde[-1]
-    count = min(max_count, grid.points - 2)
-    if rec.kappa < 0.0:
-        gersh_lo = float(np.min(d - np.abs(np.r_[0.0, e]) - np.abs(np.r_[e, 0.0]))) - 1.0
-        vals = eigvalsh_tridiagonal(d, e, select="v", select_range=(gersh_lo, edge))
-        vals = vals[vals < edge][:count]
-    else:
-        vals = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
-    if vals.size and grid.hi < rec.r_max - 0.01:
-        _bound_mass_guard(d, e, centers, grid.lo, grid.hi)
-    return EigenReport(tuple(float(v) for v in vals))
+    fine, d, e, r1, h = solve(grid.points)
+    if fine.size and grid.hi < rec.r_max - 0.01:
+        _, vec = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        w = vec[:, 0] ** 2
+        if w[r1 >= grid.hi - 0.1 * (grid.hi - grid.lo)].sum() / w.sum() > 1e-6:
+            raise TruncationTooSmall(
+                "ground state carries > 1e-6 of its mass in the outer 10% "
+                "of the truncated domain; increase hi")
+    coarse, *_, h_coarse = solve((grid.points + 1) // 2)
+    n = min(fine.size, coarse.size)
+    vals = fine[:n] + (fine[:n] - coarse[:n]) / ((h_coarse / h) ** 2 - 1.0)
+    return EigenReport(tuple(float(v) for v in vals[vals < edge]))
 
 
-def radial_eigenvalues_h3(two_m: int, B: float, component: Component,
-                          grid: Grid1D) -> EigenReport:
+def radial_eigenvalues_h3(two_m: int, B: float, grid: Grid1D) -> EigenReport:
     """Bound-state lambda^2 values (below the continuum edge B^2) of the
-    hyperbolic radial operator at m = two_m/2 on (0, grid.hi), grid.lo >= 0."""
-    return _radial_eigenvalues(Geometry.H3.record, two_m, B, component, grid, grid.points)
+    hyperbolic radial pair at m = two_m/2 on (0, grid.hi), grid.lo >= 0."""
+    return _radial_eigenvalues(Geometry.H3.record, two_m, B, grid, grid.points)
 
 
-def radial_eigenvalues_s3(two_m: int, B: float, component: Component,
-                          grid: Grid1D, max_count: int = 8) -> EigenReport:
-    """Lowest lambda^2 values of the spherical radial operator at
-    m = two_m/2 on a grid within [0, pi]; the spectrum is fully discrete."""
-    return _radial_eigenvalues(Geometry.S3.record, two_m, B, component, grid, max_count)
+def radial_eigenvalues_s3(two_m: int, B: float, grid: Grid1D,
+                          max_count: int = 8) -> EigenReport:
+    """Lowest lambda^2 values of the spherical radial pair at m = two_m/2
+    on a grid within [0, pi]; the spectrum is fully discrete."""
+    return _radial_eigenvalues(Geometry.S3.record, two_m, B, grid, max_count)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def _rel_err(value: float, target: float) -> float:
 def test_criterion_01_h3_spectrum_positive_m():
     start = time.perf_counter()
     report = oracle.radial_eigenvalues_h3(
-        1, 5.0, Component.R1, oracle.Grid1D(0.0, 12.0, 4000))
+        1, 5.0, oracle.Grid1D(0.0, 12.0, 4000))
     elapsed = time.perf_counter() - start
     # drop the lambda^2 = 0 borderline level; n = 1..4 remain
     levels = [v for v in report.eigenvalues if v > 0.5][:4]
@@ -49,7 +49,7 @@ def test_criterion_01_h3_spectrum_positive_m():
 def test_criterion_02_h3_spectrum_negative_m_variant2():
     start = time.perf_counter()
     report = oracle.radial_eigenvalues_h3(
-        -1, 5.0, Component.R1, oracle.Grid1D(0.0, 12.0, 4000))
+        -1, 5.0, oracle.Grid1D(0.0, 12.0, 4000))
     elapsed = time.perf_counter() - start
     levels = list(report.eigenvalues[:4])
     # variant-2 ladder: lambda_n^2 = B^2 - (B + m - 1/2 - n)^2, n = 0..3
@@ -67,7 +67,7 @@ def test_criterion_02_h3_spectrum_negative_m_variant2():
 def test_criterion_03_s3_spectrum():
     start = time.perf_counter()
     report = oracle.radial_eigenvalues_s3(
-        1, 1.0, Component.R1, oracle.Grid1D(0.0, math.pi, 4000),
+        1, 1.0, oracle.Grid1D(0.0, math.pi, 4000),
         max_count=4)
     elapsed = time.perf_counter() - start
     # eigenvalue 0 is the lambda^2 = 0 borderline level; n = 1, 2 follow

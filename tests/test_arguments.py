@@ -141,10 +141,10 @@ def _table():
                                    lo=0.0, hi=1.0, points=16)},
         "radial_eigenvalues_h3": {"radial_eigenvalues_h3": _with(
             oracle.radial_eigenvalues_h3, ("two_m", "B"), two_m=1, B=5.0,
-            component=R1, grid=rgrid)},
+            grid=rgrid)},
         "radial_eigenvalues_s3": {"radial_eigenvalues_s3": _with(
             oracle.radial_eigenvalues_s3, ("two_m", "B", "max_count"), two_m=1,
-            B=1.0, component=R1, grid=oracle.Grid1D(0.0, math.pi, 100),
+            B=1.0, grid=oracle.Grid1D(0.0, math.pi, 100),
             max_count=4)},
         "ode_residual": {
             "ode_residual[axial]": _with(

@@ -56,7 +56,7 @@ GOLDEN = [
     ("wavefunction --model s3 --component z2 --B 2.5 --two-m=1 --n 1 --nz 1",
      "fb064892bc84500b67ceb796fbda715ea864b95c918dd0d111d2f7408ee7e76b"),
     ("verify --suite radial",
-     "465988d77ecad4cda06426bb1eabae90ac30bf0b5072c903b6bfeb4b304fcca2"),
+     "2f617d5610b69632108523a28852abfa0173029543ca454421b3291b82f157dc"),
     ("verify --suite pairs",
      "cba89446216a7b4c2e88c0ab0487d188f4dbf9b001191b5b983a3097eb627cb4"),
     ("verify --suite axial",
