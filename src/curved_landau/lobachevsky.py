@@ -62,9 +62,10 @@ def h3_axial_solution(p: float, lam: float, branch: KummerBranch,
 
 
 # The four radial variants for B >= 0, with sqrt(B^2 - lambda^2) = rhs.
-# quantize selects in order, which picks each variant on its m-range:
-# R1 takes 1 for m >= 1/2, else 2; R2 takes 4' for m >= -1/2, else 3'.
-# No row covers m <= 1/2 - B (off the bound-state ladder).
+# quantize selects R1's row in order, which picks each variant on its
+# m-range: 1 for m >= 1/2, else 2; R2 takes the partner of that row, 4'
+# or 3' (3' at m = -1/2 too, where variant 1 is out of range). No row
+# covers m <= 1/2 - B (off the bound-state ladder).
 _VARIANTS = (
     RadialVariant(Variant.V1, Component.R1, lambda two_m, B: two_m >= 1,
                   lambda two_m, B: two_m >= 1, "m >= 1/2",
@@ -76,12 +77,12 @@ _VARIANTS = (
                   lambda m, B: (-B - m / 2, (1 - m) / 2, -B - m + 0.5,
                                 -2 * B - m + 0.5),
                   lambda m, B, n: B + m - 0.5 - n, "n < B + m - 1/2"),
-    RadialVariant(Variant.V4P, Component.R2, lambda two_m, B: two_m >= -1,
+    RadialVariant(Variant.V4P, Component.R2, None,
                   lambda two_m, B: two_m >= -1, "m >= -1/2",
                   lambda m, B: ((1 - 2 * B - m) / 2, (m + 1) / 2, -B + 1,
                                 -2 * B - m + 1.5),
                   lambda m, B, n: B - n - 1, "n + 1 < B"),
-    RadialVariant(Variant.V3P, Component.R2, lambda two_m, B: two_m / 2.0 > 0.5 - B,
+    RadialVariant(Variant.V3P, Component.R2, None,
                   lambda two_m, B: two_m <= -1 and two_m / 2.0 > 0.5 - B,
                   "1/2 - B < m <= -1/2",
                   lambda m, B: ((1 - 2 * B - m) / 2, -m / 2, -B - m + 0.5,

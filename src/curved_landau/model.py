@@ -229,9 +229,11 @@ class RadialVariant:
     GeometryRecord reaches B < 0 through (m, B) -> (-m, -B), R1 <-> R2.
 
     The row's form is y^A (1-y)^C F(s - q, s + q; c; y) with
-    q = sqrt(B^2 + kappa lambda^2); it terminates at q = rhs. quantize
-    takes the first row of the component whose `selects(two_m, B)`
-    holds; radial_solution demands `in_range(two_m, B)` (`range_text`).
+    q = sqrt(B^2 + kappa lambda^2); it terminates at q = rhs. Only R1
+    rows select: quantize takes the first whose `selects(two_m, B)`
+    holds, and R2 takes that row's partner in the record's `pairs` (an
+    R2 row's `selects` is None). radial_solution demands
+    `in_range(two_m, B)` (`range_text`).
     `exponents(m, B)` is (A, C, s, c) and `rhs(m, B, n)` the termination
     value; `violated` names the inequality that fails when rhs <= 0.
     Each row writes s, c and rhs as its closed form states them rather
@@ -240,7 +242,7 @@ class RadialVariant:
 
     variant: Variant
     component: Component
-    selects: Callable[[int, float], bool]
+    selects: Optional[Callable[[int, float], bool]]
     in_range: Callable[[int, float], bool]
     range_text: str
     exponents: Callable[[float, float], Tuple[float, float, float, float]]
@@ -420,17 +422,22 @@ class GeometryRecord:
         SpectrumEntry and the rhs of its row (None without a row).
 
         two_m, the component and B are checked, B < 0 reflected
-        (_reflect) and the row selected once per column; each n is
-        checked and gets its own rhs and lambda^2. kappa B^2 is hoisted as
-        the left-to-right prefix kappa * B * B, so every lambda^2 keeps the
-        bits of the one-level expression.
+        (_reflect) and the row selected once per column, as a pair: the
+        R1 row by the R1 predicates, the R2 row as the R2 member of that
+        row's pair in `pairs`, so both components read one pair's levels.
+        Each n is checked and gets its own rhs and lambda^2. kappa B^2 is
+        hoisted as the left-to-right prefix kappa * B * B, so every
+        lambda^2 keeps the bits of the one-level expression.
         """
         two_m, B, component = self._reflect(two_m, B, component)
         for row in self.variants:
-            if row.component is component and row.selects(two_m, B):
+            if row.selects is not None and row.selects(two_m, B):
                 break
         else:
             row = None
+        if row is not None and component is Component.R2:
+            row = self.row(next(pair.value.r2 for pair in self.pairs
+                                if pair.value.r1 is row.variant))
         m = two_m / 2.0
         kappa = self.kappa
         kappa_b_sq = kappa * B * B
@@ -458,8 +465,15 @@ class GeometryRecord:
     def quantize(self, two_m: int, B: float, n: int,
                  component: Component) -> SpectrumEntry:
         """Quantized lambda^2 = kappa (rhs^2 - B^2) for level n of the
-        radial component, rhs from the first row of the component whose
-        selection holds: the one-level case of the level rule (_levels).
+        radial component: the one-level case of the level rule (_levels).
+        The column's pair is selected once: R1's row is the first whose
+        selection holds, R2's is its partner in `pairs`, so R1 and R2 read
+        one spectrum (a zero mode shifts one member's n by 1). On S3, where
+        2B is not an integer and |m - 2B| < 1/2, both local solutions are
+        square-integrable at r = pi; the pair taken, whose forms are all
+        regular (A, C > 0), fixes the self-adjoint extension there. At the
+        tie m = 2B the pair is (3, 1'), the levels the oracle's end rule
+        solves, and variant 1' (A = 0) does not build.
 
         Inadmissible entries come back with `admissible=False` and the
         violated inequality named, never as an exception: no row (H3,
@@ -477,8 +491,10 @@ class GeometryRecord:
         lambda_sq, q = sqrt(B^2 + kappa lambda_sq). Bound states make
         s + q (H3) or s - q (S3) a non-positive integer. B < 0 is built at
         the reflected point, as quantize answers it, so the variant
-        quantize names builds the state it quantized. Non-finite B or
-        lambda_sq: DomainError."""
+        quantize names builds the state it quantized, except variant 1'
+        at S3's tie m = 2B (A = 0; R2 for B > 0, R1 for B < 0), which
+        raises InadmissibleVariant. Non-finite B or lambda_sq:
+        DomainError."""
         two_m, B, component = self._reflect(two_m, B, component)
         row = self.row(variant)
         if row.component is not component:

@@ -3,11 +3,11 @@
 Both directions quantize here: the axial momentum p = lambda + n_z + 1/2
 and the radial separation constant lambda, so the total energy spectrum
 epsilon = sqrt(M^2 + p^2) is fully discrete. Radial solutions come in
-three R1 variants and three R2 variants selected by m's position
-relative to 0 and 2B; adjacent variants coincide identically at the
-half-integer crossover points, and in the open overlap strips the
-variant whose endpoint exponent is the larger (regular) indicial root
-is selected.
+three pairs of an R1 and an R2 variant, one pair selected by m's
+position relative to 0 and 2B: the pair whose forms are all regular
+(A, C > 0), which fixes the self-adjoint extension where 2B is not an
+integer and |m - 2B| < 1/2 (both local solutions are square-integrable
+at r = pi there). At the tie m = 2B the pair is (3, 1').
 
 Square roots are sqrt(B^2 + lambda^2) (no continuum on a compact
 space); lambda is taken > 0. GEOMETRY is kappa = +1 (which fixes the
@@ -71,18 +71,18 @@ def _sphere(A: float, C: float):
 
 
 # The six radial variants for B >= 0, with sqrt(B^2 + lambda^2) = rhs.
-# quantize selects in order: R1 takes 1 for m < 0, 2 up to m = 2B - 1/2
-# (at m = 1/2 variants 1 and 2 coincide, labelled 2), else 3; R2 takes
-# 3' for m < 0, 4' below m = 2B + 1/2, else 1'. In the overlap strips
-# this is the variant whose endpoint exponent is the larger (regular)
-# indicial root; adjacent variants coincide at the crossover points.
+# quantize selects R1's row in order: 1 for m < 0, 2 below m = 2B (at
+# m = 1/2 variants 1 and 2 coincide, labelled 2), else 3; R2 takes that
+# row's partner, 3', 4' or 1'. Every pair so taken has A, C > 0 but one:
+# at the tie m = 2B, variant 1' has A = 0. Where 2B is an integer, m
+# below 2B is m up to 2B - 1/2.
 _VARIANTS = (
     RadialVariant(Variant.V1, Component.R1, lambda two_m, B: two_m <= -1,
                   lambda two_m, B: two_m <= 1, "m <= 1/2",
                   lambda m, B: _sphere((2 * B - m) / 2, (1 - m) / 2),
                   lambda m, B, n: n - m + 0.5 + B, "lambda_sq > 0"),
     RadialVariant(Variant.V2, Component.R1,
-                  lambda two_m, B: two_m / 2.0 <= 2 * B - 0.5,
+                  lambda two_m, B: two_m / 2.0 < 2 * B,
                   lambda two_m, B: two_m >= 1, "1/2 <= m",
                   lambda m, B: _sphere((2 * B - m) / 2, m / 2),
                   lambda m, B, n: B + n, "lambda_sq > 0"),
@@ -90,16 +90,15 @@ _VARIANTS = (
                   lambda two_m, B: two_m >= 1, "m >= 1/2",
                   lambda m, B: _sphere((m + 1 - 2 * B) / 2, m / 2),
                   lambda m, B, n: n + m + 0.5 - B, "lambda_sq > 0"),
-    RadialVariant(Variant.V3P, Component.R2, lambda two_m, B: two_m <= -1,
+    RadialVariant(Variant.V3P, Component.R2, None,
                   lambda two_m, B: two_m <= -1, "m <= -1/2",
                   lambda m, B: _sphere((2 * B - m + 1) / 2, -m / 2),
                   lambda m, B, n: n - m + 0.5 + B, "lambda_sq > 0"),
-    RadialVariant(Variant.V4P, Component.R2,
-                  lambda two_m, B: two_m / 2.0 < 2 * B + 0.5,
+    RadialVariant(Variant.V4P, Component.R2, None,
                   lambda two_m, B: two_m >= -1, "m >= -1/2",
                   lambda m, B: _sphere((2 * B - m + 1) / 2, (m + 1) / 2),
                   lambda m, B, n: B + 1 + n, "lambda_sq > 0"),
-    RadialVariant(Variant.V1P, Component.R2, lambda two_m, B: True,
+    RadialVariant(Variant.V1P, Component.R2, None,
                   lambda two_m, B: two_m >= 1, "m >= 1/2",
                   lambda m, B: _sphere((m - 2 * B) / 2, (m + 1) / 2),
                   lambda m, B, n: n + m + 0.5 - B, "lambda_sq > 0"),

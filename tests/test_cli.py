@@ -353,6 +353,33 @@ def test_wavefunction_inadmissible_state_exit_4(capsys):
     assert "not a bound state" in err
 
 
+def test_wavefunction_components_of_an_s3_strip_state_read_one_level(capsys):
+    # 2B = 7.4, m = 7.5: r2 read 8.4 here, another pair's level than r1's
+    levels = []
+    for component in ("r1", "r2"):
+        code, out, _ = _run(capsys, [
+            "wavefunction", "--model", "s3", "--component", component,
+            "--B", "3.7", "--two-m=15", "--n", "0", "--samples", "8"])
+        assert code == 0
+        levels.append(_csv_records(out)[0]["lambda_sq"])
+    assert levels[0] == levels[1]
+    assert float(levels[0]) == pytest.approx(4.8)
+
+
+def test_wavefunction_r2_at_the_s3_tie_column_exits_2(capsys):
+    # m = 2B: both components quantize the pair (3, 1'), but 1' has A = 0
+    # there; r2 printed variant 4''s form at lambda_sq 3.5
+    argv = ["wavefunction", "--model", "s3", "--B", "1.25", "--two-m=5",
+            "--n", "0", "--samples", "8", "--component"]
+    code, out, _ = _run(capsys, argv + ["r1"])
+    assert code == 0
+    assert _csv_records(out)[0]["lambda_sq"] == "1.5"
+    code, out, err = _run(capsys, argv + ["r2"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: variant 1p: exponents A = 0.0, C = 1.75 must be > 0\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ GOLDEN = [
     ("spectrum --model h3 --B 2.5 --M 1 --two-m=-3..3 --n 0..3 --rho 2.5",
      "b3be9d323add642e12021fcc3bddae40deb589e6585e90822e8f57dc6f7b459b"),
     ("spectrum --model h3 --B -4 --two-m=-5..5 --n 0..4",
-     "cb0c520dde58bec5b88d34b49e83ba771a807dc6173253262127d373bebfa8ce"),
+     "2def66258937ffda393316a5414cfd40d3be00a3f68b86680795a9e641bcf270"),
     ("spectrum --model s3 --B 2.5 --M 1.5 --two-m=-5..5 --n 0..3 --nz 0..2",
      "5a90b6024185f29c9063da5a3848111cfaf6fa6ab4012b71f06fd0667577c702"),
     ("spectrum --model s3 --B 1 --M 2 --two-m=-1..3 --n 0..2 --nz 0..1 "
@@ -34,7 +34,7 @@ GOLDEN = [
     ("regions --model h3 --B 5 --two-m=-11..11 --n 0..6",
      "239089a0b9d2f384e3d47e01bc1b5da491286dd83e7de58b65d77b6a194d6ffb"),
     ("regions --model h3 --B -3 --two-m=-7..7 --n 0..4",
-     "6e09a416650a004e6e5e3d53a0292a70d642aec8d7f80069c0918527264cf087"),
+     "3169042f0f65e0618ce41b0f36555738da55b3187321b9bed8880fc4883f94a5"),
     ("regions --model s3 --B 2 --two-m=-7..7 --n 0..4",
      "7d248b97bf3e642f2d57a48c58bc4d1b388b8f9fe89a93ee24b45487cf3ddb28"),
     ("regions --model s3 --B -2 --two-m=-7..7 --n 0..4",
@@ -113,25 +113,25 @@ LATTICE = [
     ('regions --model h3 --B 50 --two-m=-41..41 --n 0..60',
      'a0917674dd28d1b7f5e077f57996b85d93a70f86e31f116f153b3bb541e3dc1d'),
     ('spectrum --model h3 --B -0.3 --two-m=-41..41 --n 0..60',
-     'da7dcb1d497eb1f751f71b28041585b9a2f3fcbfe95a58a4b28ba8bd14b4a1fa'),
+     'f822131dea8c8764c8613fdb3cb5c0f4865a73efa9c64e813bdc3b6b87311c63'),
     ('regions --model h3 --B -0.3 --two-m=-41..41 --n 0..60',
-     'c67004d38267d076992f390c6524b843b2122369c6ff96b3c122fed5f3a1d389'),
+     '48ecc460240e022d6d9910280af099132e9df2b5cc70c2acd0dadf16675b961f'),
     ('spectrum --model h3 --B -2.5 --two-m=-41..41 --n 0..60',
-     'c6cfb70d0a9973c6d3c4803186a80e976c2b703d33674deddbaffe81c854ecf2'),
+     'a22535b3922d5d73517b5b31c7e35979a69ef457e3751dd8264144d8f79794e4'),
     ('regions --model h3 --B -2.5 --two-m=-41..41 --n 0..60',
-     '6543bfb87a8c42cca5d3754cfb853a91f6e01c316ec52a85dffa36df259b77d1'),
+     '4f00ea2803aa8c113abf0641ad635238c1654ade5a661329755d76e6a1d4eb18'),
     ('spectrum --model h3 --B -20 --two-m=-41..41 --n 0..60',
-     'd8d3b6906e19eb87415f9fe5f72a7056d7263675fe159646574514bba277e354'),
+     'ef6618ea90284754c77d84e4474083aeeec645a6d0d1974fd1658b4a219e1a3b'),
     ('regions --model h3 --B -20 --two-m=-41..41 --n 0..60',
-     '01c939b10909ebe31a1d01b17b84b344a67beb6dfa9071cbb3d2659faa52ce33'),
+     'edf7aecbcbd6c11bc566a41258e4dccb08f3b99a3393c3a8c6b69fa27877b9b3'),
     ('spectrum --model s3 --B 0 --two-m=-41..41 --n 0..60',
      '893c9b35d5169cf68f1a451722510853ba025dd16a00b55ec4d8dcd2e769f081'),
     ('regions --model s3 --B 0 --two-m=-41..41 --n 0..60',
      '15b64243c746e9dbec0d5b92d8ba9ad181d56c247f36c9c253f05fbb1f7980c1'),
     ('spectrum --model s3 --B 0.3 --two-m=-41..41 --n 0..60',
-     '95a8c0e70bb4424f4251ec0c56909a7d285648e716fde56b62552a4e2d5e47e9'),
+     'a25105eebf08627a4cd32e28cd2b3f3a1726f5839c74e66c592e7baf8bc07549'),
     ('regions --model s3 --B 0.3 --two-m=-41..41 --n 0..60',
-     'fa0dcb9332485190ca86aaea6bfa38815ddab1857b1271662e29a9cda709eb6b'),
+     '8bb252a5d6faaa9dd33cbe54fc436b22a5bbfd6a5971a5db88675859bf2e41b1'),
     ('spectrum --model s3 --B 0.5 --two-m=-41..41 --n 0..60',
      'a54f0eaea5fb131548f5a0395e03323daea8f10ac9dc7e52853f967974a234dd'),
     ('regions --model s3 --B 0.5 --two-m=-41..41 --n 0..60',
@@ -141,9 +141,9 @@ LATTICE = [
     ('regions --model s3 --B 2.5 --two-m=-41..41 --n 0..60',
      'f316054757689f0675c3db359fd3535fd5f4986a8dad222d2b38c22ea8fb7254'),
     ('spectrum --model s3 --B 7.3 --two-m=-41..41 --n 0..60',
-     'c9f81f6059b8fbcf0db95d48bb6631d948289b12f3cb54bb0ba4a01aa3a9748b'),
+     'a9176bdda67e0ec47a7bbf1d1ae35fbdcc42809f5b073d30b3558f2bd453d7a3'),
     ('regions --model s3 --B 7.3 --two-m=-41..41 --n 0..60',
-     '80119e63bba66adad265046ab552ce68f84552b8698a41b9983df7dcf7dc2b3c'),
+     '4d7bfbeeec6543836b093873c856d0ee88596d5f4e284092b17dae9126503fdb'),
     ('spectrum --model s3 --B 50 --two-m=-41..41 --n 0..60',
      '8dade1e8f25f77aa822210d607c2f896270d50f577881f471b16fb7a9720e594'),
     ('regions --model s3 --B 50 --two-m=-41..41 --n 0..60',
@@ -177,15 +177,17 @@ TABLES = [
      "e3a6f293cb5359cdd032cf9a18e006343d065d39d39aa196e2fd124456f9ec78"),
 ]
 
-# One radial state per variant row at B >= 0 (h3: 1, 2, 4', 3';
-# s3: 1, 2, 3, 4', 1', 3'), plus B = 0 and small-B states.
+# One radial state per variant row at B >= 0 (h3: 1, 2, 3', 3', and 4'
+# at B = 2.5; s3: 1, 2, 3, 4', 1', 3'), plus B = 0 and small-B states.
+# R2's row is the partner of R1's: h3 r2 at two_m = -1 is on 3', since
+# R1 takes variant 2 there.
 RADIAL_WAVEFUNCTIONS = [
     ('wavefunction --model h3 --component r1 --B 5 --two-m=3 --n 2',
      '65adaebe6b2247430cc27bdf2e6340452a34b2becc32a8a5a4206947c4100c0c'),
     ('wavefunction --model h3 --component r1 --B 5 --two-m=-3 --n 1',
      '76c4a738fb9fff04bf560a4b5e6f975c6c8eb410176602f669fb3c4f68ac365b'),
     ('wavefunction --model h3 --component r2 --B 5 --two-m=-1 --n 1',
-     '7df7adf7fac0ad8b0eddc3b4c75d1c69ed4119c8bc017013f3e41591e3abe848'),
+     '0ce70fd2cb4efd82d18e5e32983b52653f8824e20f4dd31011f65fad677fb362'),
     ('wavefunction --model h3 --component r2 --B 5 --two-m=-5 --n 0',
      'ccf5214a39c781c8f1fbc6bd657c849a52707301b5ee4fae109db461f02e5a2b'),
     ('wavefunction --model h3 --component r1 --B 7.3 --two-m=7 --n 4',
@@ -229,13 +231,13 @@ AXIAL_WAVEFUNCTIONS = [
     ("h3", "z1", "5",
      "96bb7c9bb9aa567a8e88bbb214fadb71a21516079da1e0bed198aff7a454803d"),
     ("h3", "z1", "-5",
-     "3c27a7452b78f8938f1556d6ed326064b5b197275cb34c51666c38068e9ec00a"),
+     "1df9d00d5e94aa9e0e04494d53fba81dec9d872a853220b48e7873c90894f7c8"),
     ("h3", "z2", "2.5",
      "4c503ad97760c162dd8eebf2ddb87f8818858ffb22ac77188a9998107d62a244"),
     ("h3", "z2", "5",
      "ad0443f0a7baaef81a9d18315c03143625614e142f7836c0e0c1e96609527752"),
     ("h3", "z2", "-5",
-     "802e38fb3d4f31b6dc84fb077a6d1ab651ad49d74b8868dd09f8071d612581a3"),
+     "46abe0cbdf4ef6f4789d0c3609541e3682b57d2c9288d75b180d4a65a58f3735"),
     ("s3", "z1", "0.5",
      "5dc7fefa43f6346ae917b12b2355b00b27e04a251ef31e3314e2e2e5a22e0b88"),
     ("s3", "z1", "2.5",

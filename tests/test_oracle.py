@@ -196,24 +196,31 @@ def test_pair_spectrum_at_large_indicial_exponents(geometry, two_m, hi):
         assert abs(got - exact) <= 1e-6 * exact, (found, want)
 
 
-_STRIP_COLUMNS = pytest.mark.parametrize("B, two_m", [(3.7, 15), (-1.3, -5)])
-
-
-@_STRIP_COLUMNS
-def test_pair_spectrum_in_the_s3_strip_is_r1s(B, two_m):
+# S3's strip columns, 2B not an integer and |m - 2B| < 1/2, at m > 2B
+# and m < 2B on both signs of B, and the tie m = 2B (2B a half-integer)
+@pytest.mark.parametrize("B, two_m", [(3.7, 15), (-1.3, -5), (1.3, 5),
+                                      (-3.7, -15), (1.25, 5)])
+@pytest.mark.parametrize("component", [Component.R1, Component.R2])
+def test_pair_spectrum_in_the_s3_strip_is_both_components(B, two_m, component):
+    """Both local solutions are square-integrable at r = pi here, and
+    quantize reads one pair for both components: the pair's solver
+    must find that pair's levels, whichever component asks. R1 read
+    another pair's at m < 2B and R2 at m > 2B."""
     found = _nonzero_levels(Geometry.S3, two_m, B, math.pi)
-    want = _quantized(Geometry.S3, two_m, B, Component.R1)
+    want = _quantized(Geometry.S3, two_m, B, component)
     assert np.allclose(found, want, rtol=1e-4, atol=0.0), (found, want)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 13: in S3's strip column quantize's R2 rows belong to "
-    "another pair than R1's, so R2's levels are not the pair's"))
-@_STRIP_COLUMNS
-def test_pair_spectrum_in_the_s3_strip_is_r2s(B, two_m):
-    found = _nonzero_levels(Geometry.S3, two_m, B, math.pi)
-    want = _quantized(Geometry.S3, two_m, B, Component.R2)
-    assert np.allclose(found, want, rtol=1e-4, atol=0.0), (found, want)
+def test_tie_column_reads_the_end_rules_levels():
+    """At m = 2B both components quantize the pair (3, 1'), the levels
+    the solver's end rule finds (1.5, 6, 12.5 at B = 1.25), though 1'
+    has A = 0 there and does not build."""
+    s3 = Geometry.S3.record
+    for component in (Component.R1, Component.R2):
+        assert _quantized(Geometry.S3, 5, 1.25, component) == [1.5, 6.0, 12.5]
+    assert s3.quantize(5, 1.25, 0, Component.R2).variant is Variant.V1P
+    with pytest.raises(InadmissibleVariant, match="variant 1p: exponents A = 0.0"):
+        s3.radial_solution(5, 1.25, 1.5, Component.R2, Variant.V1P)
 
 
 @pytest.mark.parametrize("two_m", [0, 2, 0.5, 1.0,
@@ -541,8 +548,8 @@ def test_axial_system_residual_exact_past_old_domain_edge():
 
 
 @pytest.mark.parametrize("geometry, grid, count", [
-    (Geometry.H3, Grid1D(0.3, 8.0, 600), 37),
-    (Geometry.S3, Grid1D(0.2, math.pi - 0.2, 600), 145),
+    (Geometry.H3, Grid1D(0.3, 8.0, 600), 43),
+    (Geometry.S3, Grid1D(0.2, math.pi - 0.2, 600), 150),
 ], ids=["h3", "s3"])
 def test_negative_field_pairs_solve_their_system(geometry, grid, count):
     """At B < 0 the reflection swaps a pair's components: the R1 form
@@ -624,8 +631,8 @@ def _assert_same_triple(got, want):
 
 
 @pytest.mark.parametrize("geometry, grid, count", [
-    (Geometry.H3, Grid1D(0.3, 8.0, 600), 37),
-    (Geometry.S3, Grid1D(0.2, math.pi - 0.2, 600), 145),
+    (Geometry.H3, Grid1D(0.3, 8.0, 600), 43),
+    (Geometry.S3, Grid1D(0.2, math.pi - 0.2, 600), 150),
 ], ids=["h3", "s3"])
 def test_radial_pair_is_the_explicit_construction(geometry, grid, count):
     """radial_pair at B < 0 builds R1 from the row's R2 variant and R2
