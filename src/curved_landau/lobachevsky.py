@@ -62,28 +62,24 @@ def h3_axial_solution(p: float, lam: float, branch: KummerBranch,
 
 
 # The four radial variants for B >= 0, with sqrt(B^2 - lambda^2) = rhs.
-# quantize selects R1's row in order, which picks each variant on its
-# m-range: 1 for m >= 1/2, else 2; R2 takes the partner of that row, 4'
-# or 3' (3' at m = -1/2 too, where variant 1 is out of range). No row
+# quantize takes the first pair whose variants are both in range, which
+# picks each variant on its m-range: (1, 4') for m >= 1/2, else (2, 3')
+# (at m = -1/2 too, where 4' is in range but variant 1 is not). No pair
 # covers m <= 1/2 - B (off the bound-state ladder).
 _VARIANTS = (
-    RadialVariant(Variant.V1, Component.R1, lambda two_m, B: two_m >= 1,
-                  lambda two_m, B: two_m >= 1, "m >= 1/2",
+    RadialVariant(Variant.V1, lambda two_m, B: two_m >= 1, "m >= 1/2",
                   lambda m, B: (-B - m / 2, m / 2, -B, -2 * B - m + 0.5),
                   lambda m, B, n: B - n, "n < B"),
-    RadialVariant(Variant.V2, Component.R1, lambda two_m, B: two_m / 2.0 > 0.5 - B,
-                  lambda two_m, B: two_m <= 1 and two_m / 2.0 > 0.5 - B,
+    RadialVariant(Variant.V2, lambda two_m, B: two_m <= 1 and two_m / 2.0 > 0.5 - B,
                   "1/2 - B < m <= 1/2",
                   lambda m, B: (-B - m / 2, (1 - m) / 2, -B - m + 0.5,
                                 -2 * B - m + 0.5),
                   lambda m, B, n: B + m - 0.5 - n, "n < B + m - 1/2"),
-    RadialVariant(Variant.V4P, Component.R2, None,
-                  lambda two_m, B: two_m >= -1, "m >= -1/2",
+    RadialVariant(Variant.V4P, lambda two_m, B: two_m >= -1, "m >= -1/2",
                   lambda m, B: ((1 - 2 * B - m) / 2, (m + 1) / 2, -B + 1,
                                 -2 * B - m + 1.5),
                   lambda m, B, n: B - n - 1, "n + 1 < B"),
-    RadialVariant(Variant.V3P, Component.R2, None,
-                  lambda two_m, B: two_m <= -1 and two_m / 2.0 > 0.5 - B,
+    RadialVariant(Variant.V3P, lambda two_m, B: two_m <= -1 and two_m / 2.0 > 0.5 - B,
                   "1/2 - B < m <= -1/2",
                   lambda m, B: ((1 - 2 * B - m) / 2, -m / 2, -B - m + 0.5,
                                 -2 * B - m + 1.5),

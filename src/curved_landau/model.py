@@ -229,11 +229,10 @@ class RadialVariant:
     GeometryRecord reaches B < 0 through (m, B) -> (-m, -B), R1 <-> R2.
 
     The row's form is y^A (1-y)^C F(s - q, s + q; c; y) with
-    q = sqrt(B^2 + kappa lambda^2); it terminates at q = rhs. Only R1
-    rows select: quantize takes the first whose `selects(two_m, B)`
-    holds, and R2 takes that row's partner in the record's `pairs` (an
-    R2 row's `selects` is None). radial_solution demands
-    `in_range(two_m, B)` (`range_text`).
+    q = sqrt(B^2 + kappa lambda^2); it terminates at q = rhs. The row is
+    R1's or R2's by its side of its pair in the record's `pairs`. Its
+    form builds where `in_range(two_m, B)` holds (`range_text`) and, on
+    the compact space, A, C > 0 (GeometryRecord._exponents).
     `exponents(m, B)` is (A, C, s, c) and `rhs(m, B, n)` the termination
     value; `violated` names the inequality that fails when rhs <= 0.
     Each row writes s, c and rhs as its closed form states them rather
@@ -241,8 +240,6 @@ class RadialVariant:
     """
 
     variant: Variant
-    component: Component
-    selects: Optional[Callable[[int, float], bool]]
     in_range: Callable[[int, float], bool]
     range_text: str
     exponents: Callable[[float, float], Tuple[float, float, float, float]]
@@ -292,7 +289,8 @@ class GeometryRecord:
     one level rule (_levels), so audits reads the level and rhs quantize
     gives for the unified formula and the figure predicate. mu, mu_prime
     and radial_potential raise DomainError for r outside (0, r_max), NaN
-    included, or an m or B that fails the real gate (_radius).
+    included, or an m or B that fails the real gate (_radius). `pairs`
+    lists the pairs in the order _levels tries them.
     """
 
     kappa: float
@@ -303,6 +301,8 @@ class GeometryRecord:
     axial_upper: Component = field(init=False)
     r_max: float = field(init=False)
     z_max: float = field(init=False)
+    _pair_rows: Tuple[Tuple[RadialVariant, RadialVariant], ...] = field(
+        init=False, repr=False)
 
     def __post_init__(self) -> None:
         derived = ((Variable.YR, Variable.YZ, Component.Z1, math.inf, math.inf)
@@ -311,6 +311,8 @@ class GeometryRecord:
         for name, value in zip(("radial_variable", "axial_variable",
                                 "axial_upper", "r_max", "z_max"), derived):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_pair_rows", tuple(
+            (self.row(pair.value.r1), self.row(pair.value.r2)) for pair in self.pairs))
 
     @property
     def sine(self) -> Callable:
@@ -416,28 +418,41 @@ class GeometryRecord:
         raise DomainError(f"variant {variant.value} is not a "
                           f"{self.radial_variable.geometry.name} radial variant")
 
+    def _exponents(self, row: RadialVariant, two_m: int, B: float,
+                   refuse: bool = False) -> Optional[Tuple[float, float, float, float]]:
+        """The build rule, at B >= 0: the row's (A, C, s, c) where its m-range
+        holds and, on the compact space, A, C > 0; else None, or with refuse
+        InadmissibleVariant naming the part that fails."""
+        if row.in_range(two_m, B):
+            A, C, _, _ = exponents = row.exponents(two_m / 2.0, B)
+            if self.kappa < 0 or (A > 0.0 and C > 0.0):
+                return exponents
+            if refuse:
+                raise InadmissibleVariant(f"variant {row.variant.value}: exponents "
+                                          f"A = {A}, C = {C} must be > 0")
+        elif refuse:
+            raise InadmissibleVariant(f"variant {row.variant.value} requires {row.range_text}")
+        return None
+
     def _levels(self, two_m: int, B: float, ns: Sequence[int],
                 component: Component) -> List[Tuple[SpectrumEntry, Optional[float]]]:
         """The level rule, for one (two_m, B) column: per n of ns, the
         SpectrumEntry and the rhs of its row (None without a row).
 
         two_m, the component and B are checked, B < 0 reflected
-        (_reflect) and the row selected once per column, as a pair: the
-        R1 row by the R1 predicates, the R2 row as the R2 member of that
-        row's pair in `pairs`, so both components read one pair's levels.
-        Each n is checked and gets its own rhs and lambda^2. kappa B^2 is
-        hoisted as the left-to-right prefix kappa * B * B, so every
-        lambda^2 keeps the bits of the one-level expression.
+        (_reflect) and the pair selected once per column: the first of
+        `pairs` whose R1 form builds (_exponents) and whose R2 variant is
+        in its m-range, so both components read one pair's levels. Each n
+        is checked and gets its own rhs and lambda^2. kappa B^2 is hoisted
+        as the left-to-right prefix kappa * B * B, so every lambda^2 keeps
+        the bits of the one-level expression.
         """
         two_m, B, component = self._reflect(two_m, B, component)
-        for row in self.variants:
-            if row.selects is not None and row.selects(two_m, B):
+        row = None
+        for r1, r2 in self._pair_rows:
+            if self._exponents(r1, two_m, B) is not None and r2.in_range(two_m, B):
+                row = r2 if component is Component.R2 else r1
                 break
-        else:
-            row = None
-        if row is not None and component is Component.R2:
-            row = self.row(next(pair.value.r2 for pair in self.pairs
-                                if pair.value.r1 is row.variant))
         m = two_m / 2.0
         kappa = self.kappa
         kappa_b_sq = kappa * B * B
@@ -466,14 +481,14 @@ class GeometryRecord:
                  component: Component) -> SpectrumEntry:
         """Quantized lambda^2 = kappa (rhs^2 - B^2) for level n of the
         radial component: the one-level case of the level rule (_levels).
-        The column's pair is selected once: R1's row is the first whose
-        selection holds, R2's is its partner in `pairs`, so R1 and R2 read
-        one spectrum (a zero mode shifts one member's n by 1). On S3, where
-        2B is not an integer and |m - 2B| < 1/2, both local solutions are
-        square-integrable at r = pi; the pair taken, whose forms are all
+        The column's pair is selected once (_levels), by radial_solution's
+        build rule: R1 reads its R1 row, R2 its R2 row, so both read one
+        spectrum (a zero mode shifts one member's n by 1). On S3, where 2B
+        is not an integer and |m - 2B| < 1/2, both local solutions are
+        square-integrable at r = pi; the pair taken, all of whose forms are
         regular (A, C > 0), fixes the self-adjoint extension there. At the
-        tie m = 2B the pair is (3, 1'), the levels the oracle's end rule
-        solves, and variant 1' (A = 0) does not build.
+        tie m = 2B none is, and R2 is held to its m-range only: the pair is
+        (3, 1'), the end rule's levels, and 1' (A = 0) does not build.
 
         Inadmissible entries come back with `admissible=False` and the
         violated inequality named, never as an exception: no row (H3,
@@ -497,17 +512,12 @@ class GeometryRecord:
         DomainError."""
         two_m, B, component = self._reflect(two_m, B, component)
         row = self.row(variant)
-        if row.component is not component:
-            raise DomainError(f"variant {variant.value} is an "
-                              f"{row.component.name} variant")
+        side = (Component.R1 if any(row is r1 for r1, _ in self._pair_rows)
+                else Component.R2)
+        if side is not component:
+            raise DomainError(f"variant {variant.value} is an {side.name} variant")
         q = self._root(B, lambda_sq)
-        if not row.in_range(two_m, B):
-            raise InadmissibleVariant(
-                f"variant {variant.value} requires {row.range_text}")
-        A, C, s, c = row.exponents(two_m / 2.0, B)
-        if math.isfinite(self.r_max) and min(A, C) <= 0.0:
-            raise InadmissibleVariant(f"variant {variant.value}: exponents "
-                                      f"A = {A}, C = {C} must be > 0")
+        A, C, s, c = self._exponents(row, two_m, B, refuse=True)
         return SolutionForm(A, C, Hyp2F1Params(s - q, s + q, c),
                             self.radial_variable)
 

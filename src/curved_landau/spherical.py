@@ -3,16 +3,15 @@
 Both directions quantize here: the axial momentum p = lambda + n_z + 1/2
 and the radial separation constant lambda, so the total energy spectrum
 epsilon = sqrt(M^2 + p^2) is fully discrete. Radial solutions come in
-three pairs of an R1 and an R2 variant, one pair selected by m's
-position relative to 0 and 2B: the pair whose forms are all regular
-(A, C > 0), which fixes the self-adjoint extension where 2B is not an
+three pairs of an R1 and an R2 variant, (1,3'), (2,4') and (3,1'); the
+first whose R1 form builds (A, C > 0) and whose R2 variant is in range
+is taken, which fixes the self-adjoint extension where 2B is not an
 integer and |m - 2B| < 1/2 (both local solutions are square-integrable
-at r = pi there). At the tie m = 2B the pair is (3, 1').
+at r = pi there). At the tie m = 2B it is (3, 1').
 
 Square roots are sqrt(B^2 + lambda^2) (no continuum on a compact
 space); lambda is taken > 0. GEOMETRY is kappa = +1 (which fixes the
-rest) with the variant table below and the pairs (1,3'), (2,4') and
-(3,1').
+rest) with the variant table below and those pairs, in that order.
 """
 
 from __future__ import annotations
@@ -71,35 +70,29 @@ def _sphere(A: float, C: float):
 
 
 # The six radial variants for B >= 0, with sqrt(B^2 + lambda^2) = rhs.
-# quantize selects R1's row in order: 1 for m < 0, 2 below m = 2B (at
-# m = 1/2 variants 1 and 2 coincide, labelled 2), else 3; R2 takes that
-# row's partner, 3', 4' or 1'. Every pair so taken has A, C > 0 but one:
-# at the tie m = 2B, variant 1' has A = 0. Where 2B is an integer, m
-# below 2B is m up to 2B - 1/2.
+# quantize takes the first pair whose R1 form builds and whose R2 variant
+# is in range: (1, 3') for m < 0, (2, 4') below m = 2B (at m = 1/2
+# variant 1 may build too, but 3' is out of range), else (3, 1'). R2 is
+# held to its range alone for the tie m = 2B, where no pair has A, C > 0
+# throughout: the pair there is (3, 1'), and 1' has A = 0. Where 2B is
+# an integer, m below 2B is m up to 2B - 1/2.
 _VARIANTS = (
-    RadialVariant(Variant.V1, Component.R1, lambda two_m, B: two_m <= -1,
-                  lambda two_m, B: two_m <= 1, "m <= 1/2",
+    RadialVariant(Variant.V1, lambda two_m, B: two_m <= 1, "m <= 1/2",
                   lambda m, B: _sphere((2 * B - m) / 2, (1 - m) / 2),
                   lambda m, B, n: n - m + 0.5 + B, "lambda_sq > 0"),
-    RadialVariant(Variant.V2, Component.R1,
-                  lambda two_m, B: two_m / 2.0 < 2 * B,
-                  lambda two_m, B: two_m >= 1, "1/2 <= m",
+    RadialVariant(Variant.V2, lambda two_m, B: two_m >= 1, "1/2 <= m",
                   lambda m, B: _sphere((2 * B - m) / 2, m / 2),
                   lambda m, B, n: B + n, "lambda_sq > 0"),
-    RadialVariant(Variant.V3, Component.R1, lambda two_m, B: True,
-                  lambda two_m, B: two_m >= 1, "m >= 1/2",
+    RadialVariant(Variant.V3, lambda two_m, B: two_m >= 1, "m >= 1/2",
                   lambda m, B: _sphere((m + 1 - 2 * B) / 2, m / 2),
                   lambda m, B, n: n + m + 0.5 - B, "lambda_sq > 0"),
-    RadialVariant(Variant.V3P, Component.R2, None,
-                  lambda two_m, B: two_m <= -1, "m <= -1/2",
+    RadialVariant(Variant.V3P, lambda two_m, B: two_m <= -1, "m <= -1/2",
                   lambda m, B: _sphere((2 * B - m + 1) / 2, -m / 2),
                   lambda m, B, n: n - m + 0.5 + B, "lambda_sq > 0"),
-    RadialVariant(Variant.V4P, Component.R2, None,
-                  lambda two_m, B: two_m >= -1, "m >= -1/2",
+    RadialVariant(Variant.V4P, lambda two_m, B: two_m >= -1, "m >= -1/2",
                   lambda m, B: _sphere((2 * B - m + 1) / 2, (m + 1) / 2),
                   lambda m, B, n: B + 1 + n, "lambda_sq > 0"),
-    RadialVariant(Variant.V1P, Component.R2, None,
-                  lambda two_m, B: two_m >= 1, "m >= 1/2",
+    RadialVariant(Variant.V1P, lambda two_m, B: two_m >= 1, "m >= 1/2",
                   lambda m, B: _sphere((m - 2 * B) / 2, (m + 1) / 2),
                   lambda m, B, n: n + m + 0.5 - B, "lambda_sq > 0"),
 )

@@ -449,6 +449,20 @@ def test_direct_series_matches_mpmath_on_hyp_suite_draws():
                 assert abs(got[k] - ref[k]) <= 16 * eps * mass[k], (params, y, k)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the direct series cancels about 8 digits at this point near the "
+    "imaginary axis: eval_2f1 reads it to a relative 3.5e-8"))
+def test_eval_2f1_near_the_imaginary_axis_matches_mpmath():
+    # draw 564 of _random_params and _random_y(rng, 0.2, 0.9), seed 3535
+    params = Hyp2F1Params(complex(4.302087701142126, -1.2025000736595852),
+                          complex(4.331447362591504, 0.5757270467720019),
+                          complex(-1.8855640165817356, -0.6560192551948871))
+    y = complex(0.06419195626768483, 0.8219432689615059)
+    with mpmath.workdps(40):
+        ref = complex(mpmath.hyp2f1(params.a, params.b, params.c, y))
+    assert abs(eval_2f1(params, y) - ref) <= 1e-12 * abs(ref)
+
+
 @st.composite
 def _band_points(draw):
     """Points of the unit disc, at least one in each regime band of the
