@@ -299,12 +299,12 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
     max_abs uses the analytic derivatives of the constructed form
     (term-wise series differentiation plus exact chain rule), so an
     exact solution sits at rounding level; convergence_order is
-    measured on the independent finite-difference pathway at h and h/2
-    and is ~2 for an exact solution, ~0 for a wrong one. Radial
-    equations need an odd integer two_m, the m the form was built at,
-    and p, lam, B and lambda_sq pass the real gate; past that the meter adds
-    no domain rule: a grid point that the form, the 2F1 kernel or mu
-    refuses raises their typed error.
+    measured on the independent finite-difference pathway at h (on the
+    analytic pass's values) and h/2 and is ~2 for an exact solution, ~0
+    for a wrong one. Radial equations need an odd integer two_m, the m
+    the form was built at, and p, lam, B and lambda_sq pass the real
+    gate; past that the meter adds no domain rule: a grid point that
+    the form, the 2F1 kernel or mu refuses raises their typed error.
     """
     rec = solution.variable.geometry.record
     axial = component in (Component.Z1, Component.Z2)
@@ -332,14 +332,14 @@ def ode_residual(solution: SolutionForm, component: Component, grid: Grid1D,
     xs = grid.nodes()
     analytic = solution.evaluate_with_derivs(xs)
 
-    def fd_sup(at: Grid1D) -> float:
-        x = at.nodes()
-        f = solution.evaluate(x)
+    def fd_sup(at: Grid1D, f) -> float:  # f: the form on at's nodes
         return _sup_over_scale(
-            res_fn(x[1:-1], *_central_differences(f, at.spacing)), f)
+            res_fn(at.nodes()[1:-1], *_central_differences(f, at.spacing)), f)
 
+    fine = grid.scaled(2)
     return ResidualReport(_sup_over_scale(res_fn(xs, *analytic), analytic[0]),
-                          _order_from(fd_sup(grid), fd_sup(grid.scaled(2))))
+                          _order_from(fd_sup(grid, analytic[0]),
+                                      fd_sup(fine, solution.evaluate(fine.nodes()))))
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +399,17 @@ def first_order_system_residual(
     g2, d2, _ = sol2.evaluate_with_derivs(xs)
     r1, r2 = relative(xs, g1, d1, ratio * g2, ratio * d2)
 
-    def fd_sup(at: Grid1D) -> float:
-        x = at.nodes()
-        v1, c1, _ = _central_differences(sol1.evaluate(x), at.spacing)
-        v2, c2, _ = _central_differences(ratio * sol2.evaluate(x), at.spacing)
-        return max(float(np.max(r)) for r in relative(x[1:-1], v1, c1, v2, c2))
+    def fd_sup(at: Grid1D, f1, f2) -> float:  # f1, f2: the forms on at's nodes
+        v1, c1, _ = _central_differences(f1, at.spacing)
+        v2, c2, _ = _central_differences(ratio * f2, at.spacing)
+        return max(float(np.max(r))
+                   for r in relative(at.nodes()[1:-1], v1, c1, v2, c2))
 
+    fine = grid.scaled(2)
+    x = fine.nodes()
     return ResidualReport(max(float(np.max(r1)), float(np.max(r2))),
-                          _order_from(fd_sup(grid), fd_sup(grid.scaled(2))))
+                          _order_from(fd_sup(grid, g1, g2),
+                                      fd_sup(fine, sol1.evaluate(x), sol2.evaluate(x))))
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +451,13 @@ def _term(g, a: int, comps, coef=1):
     return comps[row] if np.isscalar(coef) and coef == 1 else coef * comps[row]
 
 
-def _gradient(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """np.gradient(f, h, axis=axis, edge_order=2) of a complex array,
-    with the same bits up to the sign of a zero, on real views of its
-    real and imaginary parts: central differences inside, the
-    second-order one-sided ones at the edges. numpy divides a complex by
-    the real 2h as a product with 1/(2h), and so does this."""
-    out = np.empty_like(f)
-    w, o = (x.view(float).reshape(f.shape + (2,)).swapaxes(0, axis)
-            for x in (f, out))
-    np.subtract(w[2:], w[:-2], out=o[1:-1])
-    o[1:-1] *= 1.0 / (2.0 * h)
-    o[0] = -1.5 / h * w[0] + 2.0 / h * w[1] + -0.5 / h * w[2]
-    o[-1] = 0.5 / h * w[-3] + -2.0 / h * w[-2] + 1.5 / h * w[-1]
-    return out
+def _central(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """The central difference of f along axis (0 or 1) at spacing h, on
+    the window one cell in on both axes: there np.gradient(f, h, axis=axis)
+    of a complex f bit for bit (numpy, too, multiplies by 1/(2h))."""
+    if axis == 0:
+        return (f[2:, 1:-1] - f[:-2, 1:-1]) * (1.0 / (2.0 * h))
+    return (f[1:-1, 2:] - f[1:-1, :-2]) * (1.0 / (2.0 * h))
 
 
 def gaussian_bump_spinor(r0: float, z0: float, width: float
@@ -483,11 +479,11 @@ def gaussian_bump_spinor(r0: float, z0: float, width: float
 
 
 # The probe composes its operators on blocks of at most _STRIP core rows
-# (all core columns), each with _HALO more cells on every side: a core
-# value reads its neighbours' within two cells (the composed and the
-# second derivatives), so the halo feeds it, the one-sided edge
-# differences stay in the halo, and a block's arrays stay small enough
-# for the cache. _HALO must not pass _EDGE_TRIM.
+# (all core columns), each with _HALO more cells on every side, so that a
+# block's arrays stay small enough for the cache. A core value composes at
+# most two interior central differences, each a cell shorter at each end
+# (the composed and the second derivatives): _HALO is that depth, and the
+# windows shrink onto the core. _HALO must not pass _EDGE_TRIM.
 _HALO = 2
 _STRIP = 32
 
@@ -497,38 +493,37 @@ def _commutator_block(psi, hr: float, hz: float, mu, mu_p, inv, inv_p,
     """max |(H Sigma - Sigma H) psi| over a block less _HALO cells on each
     side, with psi's components and the coefficients given on the block
     (mu, mu' as columns, 1/stretch and its z-derivative as rows). Each
-    term is formed one spinor component at a time, and its sums and
-    products run in the order of the full-spinor expressions for
-    H Sigma psi and the expansion, so the value has their bits."""
-    mu2 = mu * mu
-    inv2 = inv * inv
-
-    def d_r(f):
-        return _gradient(f, hr, 0)
-
-    def d_z(f):
-        return _gradient(f, hz, 1)
-
-    psi_r = [d_r(f) for f in psi]
-    psi_z = [d_z(f) for f in psi]
-    mu_psi = [mu * f for f in psi]
+    derivative (_central) moves its operand's window a cell in, and each
+    term's operands are sliced to its window, down to the core. Each term
+    is formed one spinor component at a time, and its sums and products
+    run in the order of the full-spinor expressions for H Sigma psi and
+    the expansion, so the value has their bits."""
+    psi_r = [_central(f, hr, 0) for f in psi]
+    psi_z = [_central(f, hz, 1) for f in psi]
+    mu_psi = [mu[1:-1] * f[1:-1, 1:-1] for f in psi]
     sigma = []  # Sigma psi
     for a in range(4):
         s = _term(_G23, a, psi_r) + _term(_G31, a, mu_psi, 1j)
         if not flat_helicity:
-            s *= inv
+            s *= inv[:, 1:-1]
         s += _term(_G12, a, psi_z)
         sigma.append(s)
-    sigma_r = [d_r(f) for f in sigma]
-    sigma_z = [d_z(f) for f in sigma]
-    mu_sigma = [mu * f for f in sigma]
-    psi_rr = [d_r(f) for f in psi_r]
-    psi_zz = [d_z(f) for f in psi_z]
+    # from here on every array is on the core
+    mu, mu_p, inv, inv_p = mu[2:-2], mu_p[2:-2], inv[:, 2:-2], inv_p[:, 2:-2]
+    mu2 = mu * mu
+    inv2 = inv * inv
+    sigma_r = [_central(f, hr, 0) for f in sigma]
+    sigma_z = [_central(f, hz, 1) for f in sigma]
+    mu_sigma = [mu * f[1:-1, 1:-1] for f in sigma]
+    psi_rr = [_central(f, hr, 0) for f in psi_r]
+    psi_zz = [_central(f, hz, 1) for f in psi_z]
     if flat_helicity:
-        psi_rz = [d_z(f) for f in psi_r]
-        mu_psi_z = [mu * f for f in psi_z]
-    inner = (slice(_HALO, -_HALO),) * 2
-    core = []
+        psi_rz = [_central(f, hz, 1) for f in psi_r]
+        mu_psi_z = [mu * f[1:-1, 1:-1] for f in psi_z]
+    psi = [f[2:-2, 2:-2] for f in psi]
+    psi_r = [f[1:-1, 1:-1] for f in psi_r]
+    mu_psi = [f[1:-1, 1:-1] for f in mu_psi]
+    worst = []
     for a in range(4):
         comm = _term(_G1, a, sigma_r, 1j) - _term(_G2, a, mu_sigma)
         comm *= inv
@@ -553,8 +548,8 @@ def _commutator_block(psi, hr: float, hz: float, mu, mu_p, inv, inv_p,
             block_rr *= inv2
             expanded += block_rr
         comm -= expanded
-        core.append(np.max(np.abs(comm[inner])))
-    return float(np.max(core))
+        worst.append(np.max(np.abs(comm)))
+    return float(np.max(worst))
 
 
 def _core_trim(points: int, factor: int) -> int:
@@ -616,14 +611,14 @@ def commutator_residual(geometry: Geometry, B: float,
     gamma factors are signed permutations and the commutation is a
     structural operator identity, independent of mu and stretch).
 
-    The derivatives are central differences (second order at the
-    edges) at each grid's uniform spacing, and psi's first derivatives
-    serve both Sigma psi and the expansion. The sup is taken over the
-    core left by trimming a twentieth of each axis's cells on grid2d (at
-    least three), times the level's refinement factor, from each end,
-    relative to the sup of psi over the grid: 4, 8 and 16 cells of an
-    80-point axis, 3, 6 and 12 of a 40-point one, the same window at
-    every level.
+    The derivatives are interior central differences at each grid's
+    uniform spacing, on windows that shrink a cell per derivative onto
+    the core; psi's first derivatives serve Sigma psi and the expansion.
+    The sup is taken over the core left by trimming a twentieth of each
+    axis's cells on grid2d (at least three), times the level's
+    refinement factor, from each end, relative to the sup of psi over
+    the grid: 4, 8 and 16 cells of an 80-point axis, 3, 6 and 12 of a
+    40-point one, the same window at every level.
 
     The probe works one spinor component at a time, on blocks of the
     core with a two-cell halo (_commutator_block). Each gamma product
@@ -685,9 +680,10 @@ def axial_connection_check(p: float, lam: float) -> ResidualReport:
     params = sol.params
     coeff = kummer_connection(params)
 
-    def rhs(z, f, df):
+    def rhs(z):  # (f, df) -> (Z', Z'') at z, its coefficients taken once
         t = math.tanh(z)
-        return df, -(t * df + (p * p + 1j * p * t - lam * lam / math.cosh(z) ** 2) * f)
+        q = p * p + 1j * p * t - lam * lam / math.cosh(z) ** 2
+        return lambda f, df: (df, -(t * df + q * f))
 
     z = math.atanh(2 * 0.1 - 1)
     g0, g1, _ = sol.evaluate_with_derivs(np.array([z]))
@@ -695,17 +691,20 @@ def axial_connection_check(p: float, lam: float) -> ResidualReport:
     h_max = 2e-3 / max(1.0, abs(p), abs(lam))
     ys = Grid1D(0.90, 0.95, 16).nodes()
     z_num = []
+    at_z = rhs(z)
     for target in np.arctanh(2 * ys - 1):
         steps = max(1, math.ceil((target - z) / h_max))
         h = (target - z) / steps
         for _ in range(steps):
-            k1 = rhs(z, f, df)
-            k2 = rhs(z + h / 2, f + h / 2 * k1[0], df + h / 2 * k1[1])
-            k3 = rhs(z + h / 2, f + h / 2 * k2[0], df + h / 2 * k2[1])
-            k4 = rhs(z + h, f + h * k3[0], df + h * k3[1])
+            # k2 and k3 share z + h/2, and z + h is the next step's z
+            at_mid, at_end = rhs(z + h / 2), rhs(z + h)
+            k1 = at_z(f, df)
+            k2 = at_mid(f + h / 2 * k1[0], df + h / 2 * k1[1])
+            k3 = at_mid(f + h / 2 * k2[0], df + h / 2 * k2[1])
+            k4 = at_end(f + h * k3[0], df + h * k3[1])
             f += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             df += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            z += h
+            z, at_z = z + h, at_end
         z_num.append(f)
     pref = ys ** complex(sol.exp_a) * (1.0 - ys) ** complex(sol.exp_c)
     z_pred = pref * (coeff.to_u2 * u2_value(params, ys)

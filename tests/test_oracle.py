@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from curved_landau import oracle
-from curved_landau.hyp2f1 import DegenerateConnection
+from curved_landau import checks, oracle
+from curved_landau.hyp2f1 import (
+    DegenerateConnection,
+    kummer_connection,
+    u2_value,
+    u6_value,
+)
 from curved_landau.lobachevsky import (
     GEOMETRY as H3_GEOMETRY,
     h3_quantize,
@@ -547,6 +552,102 @@ def test_axial_system_residual_exact_past_old_domain_edge():
         assert abs(rep.convergence_order - 2.0) < 0.1
 
 
+def _reference_axial_ode_residual(solution, component, grid, p, lam):
+    """ode_residual of an axial form with its finite-difference pathway
+    calling evaluate at h as at h/2, apart from the analytic pass."""
+    rec = solution.variable.geometry.record
+    sign = 1.0 if component is Component.Z1 else -1.0
+
+    def res_fn(x, g, g1, g2):
+        c = rec.stretch(x)
+        t = rec.stretch_prime(x) / c
+        return g2 + t * g1 + (p * p + sign * 1j * p * t - lam * lam / c ** 2) * g
+
+    def fd_sup(at):
+        x = at.nodes()
+        f = solution.evaluate(x)
+        return oracle._sup_over_scale(
+            res_fn(x[1:-1], *oracle._central_differences(f, at.spacing)), f)
+
+    xs = grid.nodes()
+    analytic = solution.evaluate_with_derivs(xs)
+    return ResidualReport(
+        oracle._sup_over_scale(res_fn(xs, *analytic), analytic[0]),
+        oracle._order_from(fd_sup(grid), fd_sup(grid.scaled(2))))
+
+
+def _reference_system_residual(pair, grid, lam, p=None, two_m=None, B=None):
+    """first_order_system_residual with its finite-difference pathway
+    calling evaluate at h as at h/2, apart from the analytic pass."""
+    sol1, sol2, ratio = pair
+    rec = sol1.variable.geometry.record
+
+    def terms(x, f1, d1, f2, d2):
+        if sol1.variable is rec.axial_variable:
+            c = rec.stretch(x)
+            return ((c * d1, 1j * p * c * f1, -lam * f2),
+                    (c * d2, -1j * p * c * f2, -lam * f1))
+        mu = rec.mu(x, two_m / 2.0, B)
+        return (d1, -mu * f1, -lam * f2), (d2, mu * f2, lam * f1)
+
+    def worst(x, *fields):
+        return max(float(np.max(np.abs(sum(eq))
+                                / np.maximum(sum(np.abs(t) for t in eq), 1e-300)))
+                   for eq in terms(x, *fields))
+
+    def fd_sup(at):
+        x = at.nodes()
+        v1, c1, _ = oracle._central_differences(sol1.evaluate(x), at.spacing)
+        v2, c2, _ = oracle._central_differences(ratio * sol2.evaluate(x),
+                                                at.spacing)
+        return worst(x[1:-1], v1, c1, v2, c2)
+
+    xs = grid.nodes()
+    g1, d1, _ = sol1.evaluate_with_derivs(xs)
+    g2, d2, _ = sol2.evaluate_with_derivs(xs)
+    return ResidualReport(worst(xs, g1, d1, ratio * g2, ratio * d2),
+                          oracle._order_from(fd_sup(grid), fd_sup(grid.scaled(2))))
+
+
+def _same_report(got, want):
+    return ((got.max_abs.hex(), got.convergence_order.hex())
+            == (want.max_abs.hex(), want.convergence_order.hex()))
+
+
+def test_meters_take_fd_values_at_h_from_the_analytic_pass():
+    # the axial and pairs suites' forms, metered as verify meters them:
+    # values at h from evaluate_with_derivs give evaluate's reports bit
+    # for bit
+    metered = 0
+    for rec, _, _, width, states in checks._AXIAL_CASES:
+        grid = Grid1D(-width, width, 1500)
+        for p, lam in states:
+            for c in (Component.Z1, Component.Z2):
+                form = rec.axial_solution(p, lam, c)
+                assert _same_report(
+                    ode_residual(form, c, grid, p=p, lam=lam),
+                    _reference_axial_ode_residual(form, c, grid, p, lam))
+                metered += 1
+    grids = {Geometry.H3: Grid1D(0.3, 8.0, 1200),
+             Geometry.S3: Grid1D(0.2, math.pi - 0.2, 1200)}
+    for rec, two_m, B, n, pair in checks._RADIAL_PAIR_CASES:
+        lambda_sq = rec.quantize(two_m, B, n, Component.R1).lambda_sq
+        forms = rec.radial_pair(two_m, B, lambda_sq, pair)
+        grid = grids[rec.radial_variable.geometry]
+        kw = dict(lam=math.sqrt(lambda_sq), two_m=two_m, B=B)
+        for triple in (forms, (forms[0], forms[1], 2.0 * forms[2])):
+            assert _same_report(first_order_system_residual(triple, grid, **kw),
+                                _reference_system_residual(triple, grid, **kw))
+            metered += 1
+    for rec, p, lam, width, _ in checks._AXIAL_PAIR_CASES:
+        grid = Grid1D(-width, width, 1200)
+        forms = rec.axial_pair(p, lam)
+        assert _same_report(first_order_system_residual(forms, grid, lam=lam, p=p),
+                            _reference_system_residual(forms, grid, lam=lam, p=p))
+        metered += 1
+    assert metered == 8 + 10 + 2
+
+
 @pytest.mark.parametrize("geometry, grid, count", [
     (Geometry.H3, Grid1D(0.3, 8.0, 600), 43),
     (Geometry.S3, Grid1D(0.2, math.pi - 0.2, 600), 150),
@@ -848,15 +949,19 @@ def test_gamma_products_apply_as_signed_permutations(name):
         assert np.array_equal(oracle._term(table, a, psi, coef), coef * dense[a])
 
 
-def test_gradient_has_numpys_bits():
+def test_central_difference_has_numpys_bits():
+    # on the window one cell in on both axes, np.gradient's own central
+    # differences, bit for bit (real and imaginary parts, signed zeros)
     rng = np.random.default_rng(11)
     for shape in ((3, 7), (16, 5), (41, 40)):
         f = ((rng.normal(size=shape) + 1j * rng.normal(size=shape))
              * np.exp(rng.uniform(-30, 30, shape)))
         for axis in (0, 1):
             h = rng.uniform(1e-3, 0.5)
-            assert np.array_equal(oracle._gradient(f, h, axis),
-                                  np.gradient(f, h, axis=axis, edge_order=2))
+            got = oracle._central(f, h, axis)
+            want = np.gradient(f, h, axis=axis, edge_order=2)[1:-1, 1:-1]
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(float), want.view(float))
 
 
 def _two_bumps(centres, widths):
@@ -978,6 +1083,55 @@ def test_commutator_probe_matches_a_dense_reference(space, flat, strip,
     assert rep.max_abs == levels[-1]
 
 
+def _halved_beyond(spinor, grid, halo):
+    """spinor with every node more than `halo` cells outside the probe's
+    core, at whichever level of grid the probe asks for, scaled by 0.5."""
+    def wrapped(r, z):
+        out = spinor(r, z)
+        k = next(k for k in range(3) if grid.scaled(2 ** k).r.points == r.shape[0])
+        tr = oracle._core_trim(grid.r.points, 2 ** k)
+        tz = oracle._core_trim(grid.z.points, 2 ** k)
+        keep = np.zeros(r.shape, dtype=bool)
+        keep[tr - halo:r.shape[0] - tr + halo, tz - halo:r.shape[1] - tz + halo] = True
+        return np.where(keep, out, 0.5 * out)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("at", ["verify", "corner"])
+@pytest.mark.parametrize("flat", [False, True])
+@pytest.mark.parametrize("space", ["h3", "s3"])
+def test_probe_reads_psi_only_within_the_halo(space, flat, at):
+    # the probe's stencils reach _HALO cells past its core and no
+    # farther: halving psi beyond them (which leaves max |psi|, the
+    # residual's scale, where the bump peaks inside) moves no bit. The
+    # verify suite's bumps peak mid-grid; a bump on the core's corner
+    # puts the curved residual's sup on the core's edge, where halving
+    # psi one cell nearer moves it, so the test sees a read of the halo
+    rec, B, grid = ((H3_GEOMETRY, 5.0, _H3_GRID) if space == "h3"
+                    else (S3_GEOMETRY, 1.0, _S3_GRID))
+    if at == "verify":
+        spinor = (gaussian_bump_spinor(2.0, 0.0, 0.5) if space == "h3"
+                  else gaussian_bump_spinor(1.5, 0.0, 0.3))
+    else:
+        spinor = gaussian_bump_spinor(
+            grid.r.nodes()[oracle._core_trim(grid.r.points, 1)],
+            grid.z.nodes()[oracle._core_trim(grid.z.points, 1)], 0.3)
+    for k in range(3):
+        g = grid.scaled(2 ** k)
+        R, Z = np.meshgrid(g.r.nodes(), g.z.nodes(), indexing="ij")
+        halved = _halved_beyond(spinor, grid, oracle._HALO)
+        assert np.max(np.abs(halved(R, Z))) == np.max(np.abs(spinor(R, Z)))
+        assert np.any(halved(R, Z) != spinor(R, Z))
+        want = oracle._commutator_sup(rec, B, 0.5, spinor, grid, 2 ** k, flat)
+        got = oracle._commutator_sup(rec, B, 0.5, halved, grid, 2 ** k, flat)
+        assert got.hex() == want.hex(), (k, got, want)
+        if at == "corner" and not flat:
+            nearer = _halved_beyond(spinor, grid, oracle._HALO - 1)
+            assert oracle._commutator_sup(rec, B, 0.5, nearer, grid, 2 ** k,
+                                          flat) != want, k
+
+
 @pytest.mark.parametrize("r0, z0, width", [
     (2.0, 0.0, 0.0), (2.0, 0.0, -0.5), (2.0, 0.0, math.nan), (2.0, 0.0, math.inf),
     (math.nan, 0.0, 0.5), (math.inf, 0.0, 0.5), (2.0, math.nan, 0.5),
@@ -1059,6 +1213,52 @@ def test_commutator_needs_finite_field():
 # ---------------------------------------------------------------------------
 # Axial connection integration
 # ---------------------------------------------------------------------------
+
+
+def _reference_connection(p, lam):
+    """axial_connection_check's max_abs as its docstring states it: the Z1
+    form's value and derivative at y = 0.1 carried by classical RK4 steps,
+    four rhs calls per step, each evaluating tanh z and cosh z at its own
+    z, to each of 16 nodes of y in [0.90, 0.95], against the two-term
+    recombination by the connection coefficients."""
+    sol = H3_GEOMETRY.axial_solution(p, lam, Component.Z1)
+    params = sol.params
+    coeff = kummer_connection(params)
+
+    def rhs(z, f, df):
+        t = math.tanh(z)
+        return df, -(t * df + (p * p + 1j * p * t - lam * lam / math.cosh(z) ** 2) * f)
+
+    z = math.atanh(2 * 0.1 - 1)
+    g0, g1, _ = sol.evaluate_with_derivs(np.array([z]))
+    f, df = complex(g0[0]), complex(g1[0])
+    h_max = 2e-3 / max(1.0, abs(p), abs(lam))
+    ys = np.linspace(0.90, 0.95, 16)
+    z_num = []
+    for target in np.arctanh(2 * ys - 1):
+        steps = max(1, math.ceil((target - z) / h_max))
+        h = (target - z) / steps
+        for _ in range(steps):
+            k1 = rhs(z, f, df)
+            k2 = rhs(z + h / 2, f + h / 2 * k1[0], df + h / 2 * k1[1])
+            k3 = rhs(z + h / 2, f + h / 2 * k2[0], df + h / 2 * k2[1])
+            k4 = rhs(z + h, f + h * k3[0], df + h * k3[1])
+            f += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            df += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            z += h
+        z_num.append(f)
+    pref = ys ** complex(sol.exp_a) * (1.0 - ys) ** complex(sol.exp_c)
+    z_pred = pref * (coeff.to_u2 * u2_value(params, ys)
+                     + coeff.to_u6 * u6_value(params, ys))
+    return (float(np.max(np.abs(np.array(z_num) - z_pred)))
+            / float(np.max(np.abs(z_pred))))
+
+
+@pytest.mark.parametrize("p, lam", [(0.7, 1.3), (1.9, 0.4), (-0.3, 2.2)])
+def test_connection_check_is_the_reference_rk4(p, lam):
+    # one coefficient evaluation per distinct node moves no bit
+    assert (axial_connection_check(p, lam).max_abs.hex()
+            == _reference_connection(p, lam).hex())
 
 
 def test_connection_coefficients_match_integrated_solution():
