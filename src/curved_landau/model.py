@@ -127,47 +127,58 @@ class SigmaBranch(Enum):
     PLUS_P = "plus_p"
 
 
-def _logistic(t):
-    """1 / (1 + e^-t) as complex, to full relative precision for every
-    real t (0 once e^-t overflows)."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-t)) + 0.0j
+def _yz(z, dmax):  # y = e^z / (2 cosh z) = 1/(1 + e^-2z) in (0, 1)
+    with np.errstate(over="ignore"):  # y or 1 - y is 0 once e^-+2z overflows
+        down, up = np.exp(-2.0 * z), np.exp(2.0 * z)
+    y, w, logs = 1.0 / (1.0 + down), 1.0 / (1.0 + up), (-np.log1p(down), -np.log1p(up))
+    if not dmax:
+        return y, w, logs
+    c2 = np.cosh(z) ** 2
+    return y, w, logs, 0.5 / c2, -np.tanh(z) / c2
 
 
-def _with_complement(y):
-    return y, 1 - y
+def _yz_s3(z, dmax):  # y = e^(iz) / (2 cos z) = (1 + i tan z)/2, |z| < pi/2
+    t, c = np.tan(z), np.cos(z)
+    y, log_y = (1.0 + 1j * t) / 2.0, 1j * z - np.log(2.0 * c)
+    out = (y, 1 - y, (log_y, log_y.conjugate()))
+    if not dmax:
+        return out
+    c2 = c ** 2
+    return out + (0.5j / c2, 1j * t / c2)
 
 
 def _yr(r, dmax):  # y = cosh^2(r/2) = (1 + cosh r)/2 in [1, inf)
     c, s = np.cosh(h := r * 0.5), np.sinh(h)
     y, w = c ** 2, -s ** 2
-    return (y, w, s * c, (y - w) * 0.5) if dmax else (y, w)
+    return (y, w, None, s * c, (y - w) * 0.5) if dmax else (y, w, None)
 
 
 def _yr_s3(r, dmax):  # y = cos^2(r/2) = (1 + cos r)/2 in [0, 1]
     c, s = np.cos(h := r * 0.5), np.sin(h)
     y, w = c ** 2, s ** 2
-    return (y, w, -(s * c), (c - s) * (c + s) * -0.5) if dmax else (y, w)
+    return (y, w, None, -(s * c), (c - s) * (c + s) * -0.5) if dmax else (y, w, None)
 
 
 class Variable(Enum):
     """Coordinate-to-argument maps for the four solution families. Each
     member carries its space and, as data, its map of coordinates x (a
     float array; EvaluationDomain past the float range): y_pair(x) =
-    (y, 1 - y) and y_pair(x, 2) = (y, 1 - y, dy/dx, d2y/dx2). A radial
-    map takes all four, in float64, from one half-angle pair c, s: on
-    YR (cosh, sinh of r/2) y = c^2, 1 - y = -s^2, s c and (c^2 + s^2)/2,
-    on YR_S3 (cos, sin) y = c^2, 1 - y = s^2, -s c and -(c - s)(c + s)/2.
-    None of these, nor y and 1 - y on YZ, is formed by cancellation."""
+    (y, 1 - y, logs) and y_pair(x, 2) = (y, 1 - y, logs, dy/dx, d2y/dx2),
+    where logs is (log y, log(1 - y)) in closed form on the axial maps
+    and None on the radial ones. A radial map takes y, 1 - y and the
+    derivatives, in float64, from one half-angle pair c, s: on YR (cosh,
+    sinh of r/2) y = c^2, 1 - y = -s^2, s c and (c^2 + s^2)/2, on YR_S3
+    (cos, sin) y = c^2, 1 - y = s^2, -s c and -(c - s)(c + s)/2. YZ takes
+    them in float64 too, from e^-2z and e^2z: y = 1/(1 + e^-2z),
+    1 - y = 1/(1 + e^2z), log y = -log1p(e^-2z), log(1 - y) =
+    -log1p(e^2z), 1/(2 cosh^2 z) and -tanh z/cosh^2 z. YZ_S3 takes them
+    from one tan z and one cos z: y = (1 + i tan z)/2, log y =
+    iz - log(2 cos z), exact on |z| < pi/2, and log(1 - y) its conjugate.
+    None of these is formed by cancellation."""
 
-    YZ = ("yz", Geometry.H3,  # y = (1 + tanh z)/2 = e^z / (2 cosh z) in (0, 1)
-          lambda x, dmax: (_logistic(2.0 * x), _logistic(-2.0 * x)) + (
-              (0.5 / np.cosh(x) ** 2 + 0.0j, -np.tanh(x) / np.cosh(x) ** 2 + 0.0j)
-              if dmax else ()))
+    YZ = ("yz", Geometry.H3, _yz)
     YR = ("yr", Geometry.H3, _yr)
-    YZ_S3 = ("yz_s3", Geometry.S3,  # y = (1 + i tan z)/2, Re y = 1/2, |z| < pi/2
-             lambda x, dmax: _with_complement((1.0 + 1j * np.tan(x)) / 2.0) + (
-                 (0.5j / np.cos(x) ** 2, 1j * np.tan(x) / np.cos(x) ** 2) if dmax else ()))
+    YZ_S3 = ("yz_s3", Geometry.S3, _yz_s3)
     YR_S3 = ("yr_s3", Geometry.S3, _yr_s3)
 
     def __new__(cls, value, geometry, y_pair):
@@ -654,8 +665,11 @@ class SolutionForm:
     derivatives are real, the prefactor |y|^exp_a |1-y|^exp_c, its
     log-derivatives and the chain rule stay in float64, and the results
     become complex once, at the end (_complex): times that phase on YR,
-    a cast on YR_S3. Every form returns complex128, and one chain rule
-    serves real and complex maps. value_y and derivs_y take y as complex.
+    a cast on YR_S3. On the axial maps the prefactor is one complex exp,
+    exp(exp_a log y + exp_c log(1 - y)), of the logs the map gives in
+    closed form (Variable), not two complex powers. Every form returns
+    complex128, and one chain rule serves real and complex maps. value_y
+    and derivs_y take y as complex, and take the prefactor as powers.
     """
 
     exp_a: complex
@@ -675,7 +689,7 @@ class SolutionForm:
         y = _array(y, "y", complex, EvaluationDomain)
         if not np.isfinite(y).all():
             raise EvaluationDomain("y must be finite")
-        return self._complex(self._form(y, 1 - y, dmax), y)
+        return self._complex(self._form(y, 1 - y, dmax), False)
 
     def _coordinates(self, x):
         """x as a float array; EvaluationDomain naming x unless its least and
@@ -690,10 +704,11 @@ class SolutionForm:
             raise EvaluationDomain(f"x must be finite and lie in [{lo:g}, {hi:g}]")
         return x
 
-    def _form(self, y, w, dmax: int):
+    def _form(self, y, w, dmax: int, logs=None):
         """G and its first dmax y-derivatives at y = 1 - w, principal-branch:
         complex at complex (y, w), float64 at real (y, w) (radial maps),
-        with the prefactor |y|^A |w|^C, whose phase _complex puts in.
+        with the prefactor |y|^A |w|^C, whose phase _complex puts in; given
+        logs = (log y, log w), the prefactor exp(A log y + C log w).
         EvaluationDomain where 1 - y is 0 under a non-terminating series."""
         if not self.params.terminating and np.any(w == 0):
             raise EvaluationDomain("1 - y underflows to 0; the form's "
@@ -702,7 +717,10 @@ class SolutionForm:
         with np.errstate(all="ignore"):
             f = (series_with_derivatives(self.params, y, w) if dmax
                  else (eval_2f1(self.params, y, w),))
-            pref = y ** A * (w if np.iscomplexobj(w) else np.abs(w)) ** C
+            if logs is None:
+                pref = y ** A * (w if np.iscomplexobj(w) else np.abs(w)) ** C
+            else:  # a zero exponent's factor is 1, as 0 ** 0 is, where its log is -inf
+                pref = np.exp((A * logs[0] if A else 0.0) + (C * logs[1] if C else 0.0))
             out = [pref * f[0]]
             if dmax:
                 lg1 = A / y - C / w
@@ -711,38 +729,39 @@ class SolutionForm:
                         pref * (lg2 * f[0] + 2 * lg1 * f[1] + f[2])]
         return out
 
-    def _complex(self, out, y, r=None):
-        """out (value and derivatives at y) stacked as complex128: at real y
-        times the phase of (1 - y)^C, exp(i pi C) on YR, a cast on YR_S3.
-        EvaluationDomain unless all are finite, save the j-th r-derivative
-        at r = 0 (r given), which tends to 0 where 2C > j."""
+    def _complex(self, out, real: bool, r=None):
+        """out (value and derivatives) stacked as complex128: where real,
+        the radial prefactor |y|^A |1 - y|^C, times the phase of
+        (1 - y)^C, exp(i pi C) on YR, a cast on YR_S3. EvaluationDomain
+        unless all are finite, save, where real, the j-th r-derivative at
+        r = 0 (r given), which tends to 0 where 2C > j."""
         out = np.array(out)
         finite = np.isfinite(out).all()
-        if not finite and r is not None and np.isrealobj(y):
+        if not finite and real and r is not None:
             out[1:] = [np.where(r == 0, 0.0, g) if 2 * self.exp_c.real > j else g
                        for j, g in enumerate(out[1:], 1)]
             finite = np.isfinite(out).all()
         if not finite:
             raise EvaluationDomain("form value or derivative not representable "
                                    "at some point (y or 1 - y too close to 0)")
-        if np.iscomplexobj(y):
+        if not real:
             return out
         return (out * cmath.exp(1j * math.pi * self.exp_c) if self.variable is Variable.YR
                 else out.astype(complex))
 
     def evaluate(self, x):
         """Form value at coordinate points (z or r per `variable`)."""
-        y, w = self.variable.y_pair(self._coordinates(x))
-        return self._complex(self._form(y, w, 0), y)[0]
+        y, w, logs = self.variable.y_pair(self._coordinates(x))
+        return self._complex(self._form(y, w, 0, logs), logs is None)[0]
 
     def evaluate_with_derivs(self, x):
         """(G, dG/dx, d2G/dx2) via exact chain rule through y(x); at
         r = 0 the limits _complex names."""
         x = self._coordinates(x)
         with np.errstate(over="ignore"):  # a map overflows only where the form raises
-            y, w, y1, y2 = self.variable.y_pair(x, 2)
-        g0, gy, gyy = self._form(y, w, 2)
-        return tuple(self._complex([g0, gy * y1, gyy * y1**2 + gy * y2], y, x))
+            y, w, logs, y1, y2 = self.variable.y_pair(x, 2)
+        g0, gy, gyy = self._form(y, w, 2, logs)
+        return tuple(self._complex([g0, gy * y1, gyy * y1**2 + gy * y2], logs is None, x))
 
 
 @dataclass

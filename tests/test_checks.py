@@ -3,11 +3,13 @@ the expensive suites run in full inside the acceptance tests)."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from curved_landau import checks
 from curved_landau import lobachevsky as lob
 from curved_landau import spherical as sph
+from curved_landau.hyp2f1 import eval_2f1, series_with_derivatives
 from curved_landau.model import DomainError, GeometryRecord, Variant
 
 
@@ -72,6 +74,21 @@ def test_hyp_suite_passes():
     results = checks.run_suites(["hyp"])
     assert results and all(r.passed for r in results)
     assert {r.name.split("/")[0] for r in results} == {"hyp"}
+
+
+def test_hyp_suite_takes_f_from_its_one_series_call():
+    # the suite meters F from the series_with_derivatives call its
+    # contiguous lhs makes: F's row is cut where a call for F alone cuts,
+    # so at each of the suite's draws (the same stream, lens points
+    # included) F has eval_2f1's bits, at the lowered c too
+    rng = np.random.default_rng(checks._RNG_SEED)
+    for _ in range(checks._DRAWS):
+        params = checks._random_params(rng)
+        y = checks._random_y(rng)
+        for p in (params, params.shifted(dc=-1)):
+            got, want = series_with_derivatives(p, y)[0], eval_2f1(p, y)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        checks._random_y(rng, lens=True)
 
 
 def test_duplicate_suites_run_once():

@@ -44,23 +44,23 @@ GOLDEN = [
     ("wavefunction --model h3 --component r2 --B 5 --two-m=3 --n 2",
      "b094ae6cbbdf378ed97691ffecb9c87074035feaf8a895046482de3cda09e5e7"),
     ("wavefunction --model h3 --component z1 --B 5 --two-m=1 --n 1 --p 0.7",
-     "e9f1b784a08d322a71f8444e8053e07b5b2fbeab9fba38c48b44f45cfb7f8d09"),
+     "a217dff86ee5710b32e8dd19ac08e61ec516ec239c9b0524e0af9d0fbef4abc8"),
     ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3",
-     "dc5e94564f5f53b5bb6bb16a47c914da7c1315220e3a5f3eb5e780ffb909b7f6"),
+     "1bf06f4a5eb11c509427d22c21f5fead902feea15066c06824381e257fcbee28"),
     ("wavefunction --model s3 --component r1 --B 2.5 --two-m=1 --n 1",
      "c12b0344c63b12cd1707875c590bdf7c1858727b5baa3bca35222a98c8d00d20"),
     ("wavefunction --model s3 --component r2 --B 2.5 --two-m=-3 --n 2",
      "311186554e3155db204086e7d7af1771bd56517d7708d8e9e42a33f216b323a9"),
     ("wavefunction --model s3 --component z1 --B 2.5 --two-m=1 --n 1 --nz 2",
-     "e0e4104c5dbd0de316c0801d224a21ce01e510bf649b47f1a82e9082586e96f0"),
+     "a38634b82c4ccda305d66126ca745ae275e1b975aa9df2372500e3c73f3c6d4a"),
     ("wavefunction --model s3 --component z2 --B 2.5 --two-m=1 --n 1 --nz 1",
-     "fb064892bc84500b67ceb796fbda715ea864b95c918dd0d111d2f7408ee7e76b"),
+     "7173894a53ed6996e74bb15571ccf5f94c290b5d0497b2282df17b9d9608a4d6"),
     ("verify --suite radial",
      "2f617d5610b69632108523a28852abfa0173029543ca454421b3291b82f157dc"),
     ("verify --suite pairs",
-     "cba89446216a7b4c2e88c0ab0487d188f4dbf9b001191b5b983a3097eb627cb4"),
+     "7a90f299b26671d18f86ea5b72cf65c4bcbac06225c1f74cb89138249966789b"),
     ("verify --suite axial",
-     "89328711ed571975969d36b4b4163bbb70c0e62924476f006d5cc84f6f7c05ad"),
+     "6ff92decabc313b031667cf7093eb8ff342a1121bab444396ef450961b1ab1ea"),
     ("verify --suite commutator",
      "7090e48626665c3da76ec1d4cf6b7ae75e8021811225c33575a8126adaaee7d4"),
     ("verify --suite hyp",
@@ -78,10 +78,10 @@ GOLDEN = [
      "de2d64baafd9faeac0d6089a743abebe23c0edaecde1ee846ec04e3a410d36cb"),
     ("wavefunction --model h3 --component z2 --B 5 --two-m=1 --n 1 --p 1.3 "
      "--format json",
-     "bf4679c7ec3b6c29237fed3970731a008934af59ac4daa6bcc61c865f5454b2a"),
+     "1c900bbb42c2988757b128ca4ca78f23627795a0108fd17fd55f007d115e4681"),
     ("wavefunction --model s3 --component z1 --B 2.5 --two-m=1 --n 1 --nz 2 "
      "--format json",
-     "97cb5b6da21b172051a4a09ae2e412312c14240e91b149b757582703c2f1adfd"),
+     "d2c9df31b3043e774ed0093523d29e9d3ee133d25d65d1d35925be107ce262ba"),
 ]
 
 # The whole lattice |two_m| <= 41, n <= 60 at nine fields on both
@@ -227,29 +227,29 @@ NEGATIVE_FIELD_WAVEFUNCTIONS = [
 # {-3, 1, 3}, n <= 2; s3 at n_z <= 20, two_m in {-3, 1, 3}, n <= 1.
 AXIAL_WAVEFUNCTIONS = [
     ("h3", "z1", "2.5",
-     "591933e9b9d8ad93ca18175fa58b09ef886917a912275077ae7100326d3a8f1b"),
+     "bd6ec41c380b95cd98f8149dfbf8fd6028945c08a0b53027db16e54a806299f6"),
     ("h3", "z1", "5",
-     "96bb7c9bb9aa567a8e88bbb214fadb71a21516079da1e0bed198aff7a454803d"),
+     "9a439f131ffe78ac9e1766997e4c6bb222be5cd45125f3f2f8ed5fcdda50354e"),
     ("h3", "z1", "-5",
-     "1df9d00d5e94aa9e0e04494d53fba81dec9d872a853220b48e7873c90894f7c8"),
+     "80451a3df1ddae74187e49ec8143c242664c6b0eedefbf9a1408fdaf8863af44"),
     ("h3", "z2", "2.5",
-     "4c503ad97760c162dd8eebf2ddb87f8818858ffb22ac77188a9998107d62a244"),
+     "48b6bfe985a401302e21c6fb62a08959d2538e3649b8016c714a17adcd872a44"),
     ("h3", "z2", "5",
-     "ad0443f0a7baaef81a9d18315c03143625614e142f7836c0e0c1e96609527752"),
+     "f3bacee39cfda8d604086d386a476307ef552764583b24581b35e710bdf92160"),
     ("h3", "z2", "-5",
-     "46abe0cbdf4ef6f4789d0c3609541e3682b57d2c9288d75b180d4a65a58f3735"),
+     "380caafddcaddf5a4884c22c987915b25b54730b51a7664152e00a35cbab0ac7"),
     ("s3", "z1", "0.5",
-     "5dc7fefa43f6346ae917b12b2355b00b27e04a251ef31e3314e2e2e5a22e0b88"),
+     "2f631148bec311bdd1e789cce93e107ce2c6b9ce6026272541b1bd538b0c5191"),
     ("s3", "z1", "2.5",
-     "cc5c1ccacef49a7cd272b605e035637a489131fece15113b87810629af3b397f"),
+     "4b60861b070a2445e77346bd94e1444bb9b5964e9c465dcc64f28d731620b277"),
     ("s3", "z1", "-2",
-     "0fede504e41f71c6aa29814e8cec936745f89b2c2c7ad2525dd0ed6656bef723"),
+     "1f07da12f9dcd60acbe2cfb9ce309e5681ed34214f7b0a2009cf990db0ed0289"),
     ("s3", "z2", "0.5",
-     "35d0ed5d7896de89789927cd7bf2d65209b23d916d0b95fbe412a082585a9a37"),
+     "3513dd5579aff7813f3a6479cd2a50bb2aa8f6750f6966058e0cd04c18490771"),
     ("s3", "z2", "2.5",
-     "815c3e1668339c87e98b7cf97e2b5f345ef18b058e774956e2daf5ac858fa77f"),
+     "e9fe24a88c6d658a8d9c30130fa9406f20d67d344c436e2f31c3e8be1a32090b"),
     ("s3", "z2", "-2",
-     "39a90a994c5d22c298844558732bf96e0eb7f518a7cdb831c8fa4ea4360f8716"),
+     "88f256e850808a4b3f85002bf710612b7930d27c0ab1dd2400ad27a69244bf5b"),
 ]
 
 

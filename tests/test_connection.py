@@ -137,13 +137,20 @@ def test_no_check_comes_near_the_series_cap(monkeypatch):
 
 
 def test_one_minus_y_keeps_relative_precision_on_yz():
+    # y, 1 - y, and log y and log(1 - y), which make the axial prefactor,
+    # each to its own relative precision (the exact logs are taken as
+    # -log1p(e^-+2z): 1 + e^-60 keeps only 3 digits of e^-60 at 30)
     zs = np.array([-30.0, -10.0, 0.0, 10.0, 30.0])
-    y, w = Variable.YZ.y_pair(zs)
+    y, w, (log_y, log_w) = Variable.YZ.y_pair(zs)
     with mpmath.workdps(_DPS):
-        for z, yi, wi in zip(zs, y, w):
-            for got, exact in ((yi, 1 / (1 + mpmath.exp(-2 * mpmath.mpf(z)))),
-                               (wi, 1 / (1 + mpmath.exp(2 * mpmath.mpf(z))))):
-                assert abs(got - complex(exact)) <= 4e-16 * float(exact)
+        for z, yi, wi, lyi, lwi in zip(zs, y, w, log_y, log_w):
+            z = mpmath.mpf(z)
+            exact_y, exact_w = 1 / (1 + mpmath.exp(-2 * z)), 1 / (1 + mpmath.exp(2 * z))
+            for got, exact in ((yi, exact_y), (wi, exact_w)):
+                assert abs(got - float(exact)) <= 4e-16 * float(exact)
+            for got, exact in ((lyi, -mpmath.log1p(mpmath.exp(-2 * z))),
+                               (lwi, -mpmath.log1p(mpmath.exp(2 * z)))):
+                assert abs(got - float(exact)) <= 4e-16 * abs(float(exact))
 
 
 def test_far_ends_of_the_line_raise_instead_of_nan():

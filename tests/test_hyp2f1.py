@@ -350,7 +350,7 @@ def test_terminating_derivatives_match_mpmath_on_bound_states():
     with mpmath.workdps(40):
         for form, (lo, hi) in _terminating_forms():
             count += 1
-            y, w = form.variable.y_pair(np.linspace(lo, hi, 41))
+            y, w, _ = form.variable.y_pair(np.linspace(lo, hi, 41))
             got = series_with_derivatives(form.params, y, w)
             exact = np.array([_mp_polynomial(form.params, mpmath.mpmathify(v))
                               for v in y]).T
